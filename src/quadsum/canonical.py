@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence, NotNilpotent
 from .field import Field, FieldElement
-from .matrix import (Matrix, SimilarityWitness, direct_sum, hstack, inverse,
-                     jordan_block, kernel_matrix, rank, solve)
+from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, direct_sum,
+                     hstack, inverse, jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, krylov_annihilator, minimal_polynomial
 
 
@@ -89,7 +89,7 @@ class InvariantFactors:
 
 
 def _matrix_seed(m: Matrix) -> int:
-    return hash((m.field.p, m.rows, tuple(x.v for x in m._e)))
+    return hash((m.field.characteristic(), m.rows, tuple(x.v for x in m._e)))
 
 
 def _vector_candidates(field: Field, n: int, seed: int):
@@ -145,21 +145,16 @@ def _find_dual_rows(m: Matrix, chain, d: int):
     the cyclic subspace spanned by the chain.
     """
     f = m.field
-    p = f.p
     n = m.rows
     a = [x.v for x in m._e]
+    m_cols = _integral(f, [a[j::n] for j in range(n)])
+    chain_cols = _integral(f, chain)
     for w in _row_candidates(f, n, _matrix_seed(m)):
-        rows = []
-        r = list(w)
-        for _ in range(d):
-            rows.append(r)
-            if p is None:
-                r = [sum(r[t] * a[t * n + j] for t in range(n)) for j in range(n)]
-            else:
-                r = [sum(r[t] * a[t * n + j] for t in range(n)) % p for j in range(n)]
-        h = Matrix(f, d, d,
-                   [f.make(f.reduce(sum(ri[t] * cj[t] for t in range(n))))
-                    for ri in rows for cj in chain])
+        rows = [w]
+        for _ in range(d - 1):
+            rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
+        pairing = _raw_products(f, _integral(f, rows), chain_cols)
+        h = Matrix(f, d, d, [f.make(x) for r_ in pairing for x in r_])
         if rank(h) == d:
             return Matrix(f, d, n, [f.make(f.reduce(x)) for r_ in rows for x in r_])
     raise InternalCheckFailed("no dual row vector found for the cyclic subspace")
@@ -293,13 +288,10 @@ def nilpotent_jordan_with_transform(nil: Matrix):
         if km.cols == n:
             break
         power = power * nil
-    a = [x.v for x in nil._e]
-    p = f.p
+    nil_rows = _integral(f, nil.raw_rows())
 
     def apply_n(vec):
-        if p is None:
-            return [sum(a[i * n + t] * vec[t] for t in range(n)) for i in range(n)]
-        return [sum(a[i * n + t] * vec[t] for t in range(n)) % p for i in range(n)]
+        return _raw_products(f, _integral(f, [vec]), nil_rows)[0]
 
     span = _RawSpan(f, n)
     chains = []  # (height, head vector), discovered top height first

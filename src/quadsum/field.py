@@ -14,11 +14,33 @@ from math import isqrt
 from .errors import DivisionByZero, MixedFields
 
 
+#: The first thirteen primes.  As Miller-Rabin bases they decide primality
+#: exactly for every n below ``_PRIME_LIMIT`` (the least strong pseudoprime
+#: to all of them, Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p below ``_PRIME_LIMIT``."""
     if p < 2:
         return False
-    for d in range(2, isqrt(p) + 1):
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -26,7 +48,8 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The rationals (``p is None``) or the prime field GF(p), p prime.
 
-    Moduli are validated by trial division; the tool targets small primes.
+    Moduli are validated by deterministic Miller-Rabin, which bounds them
+    below ``_PRIME_LIMIT`` (about 3.3e24).
     """
 
     __slots__ = ("p", "_interned")
@@ -34,8 +57,11 @@ class Field:
     _INTERN_CAP = 1 << 12
 
     def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        if p is not None:
+            if p >= _PRIME_LIMIT:
+                raise ValueError(f"modulus {p} is not below the supported limit {_PRIME_LIMIT}")
+            if not _is_prime(p):
+                raise ValueError(f"modulus {p} is not prime")
         self.p = p
         if p is not None and p <= self._INTERN_CAP:
             self._interned = tuple(FieldElement(self, r) for r in range(p))

@@ -4,9 +4,20 @@ Matrices are immutable, store a flat row-major tuple of field elements, and
 allow 0-sized dimensions (empty direct summands show up naturally in spectral
 splits).  The elimination kernels work on unwrapped raw values for speed and
 rewrap results, so everything stays exact.
+
+Every product of raw vectors in the package (matrix products, Krylov steps,
+dual rows and pairings) goes through one kernel, :func:`_raw_products`.  Over
+GF(p) it reduces each integer dot product once.  Over the rationals each
+vector is first brought to integers over a common denominator, the lcm of
+its entries' denominators (:func:`_integral`), so the inner loop adds plain
+ints and each entry of the result costs one reduced ``Fraction``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, MixedFields, Singular
 from .field import Field, FieldElement
@@ -82,7 +93,7 @@ class Matrix:
         return [self.row(i) for i in range(self.rows)]
 
     def raw_rows(self):
-        """Rows of raw scalar values (internal; used by elimination kernels)."""
+        """Rows of raw scalar values (internal; used by the raw-value kernels)."""
         c = self.cols
         e = self._e
         return [[x.v for x in e[i * c : (i + 1) * c]] for i in range(self.rows)]
@@ -147,18 +158,14 @@ class Matrix:
                 f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        p = f.p
-        make = f.make
-        n, k, m = self.rows, self.cols, other.cols
+        k, m = self.cols, other.cols
         a = [x.v for x in self._e]
         b = [x.v for x in other._e]
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                s = sum(arow[t] * b[t * m + j] for t in range(k))
-                out.append(make(s % p) if p is not None else make(s))
-        return Matrix(f, n, m, out)
+        rows = _integral(f, [a[i * k : (i + 1) * k] for i in range(self.rows)])
+        cols = _integral(f, [b[j::m] for j in range(m)])
+        make = f.make
+        return Matrix(f, self.rows, m,
+                      [make(x) for row in _raw_products(f, rows, cols) for x in row])
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -199,6 +206,39 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
+
+
+# ---- the product kernel (raw values) ---------------------------------
+
+def _integral(field: Field, vecs):
+    """Raw vectors as ``(integers, denominator)`` pairs, the operands of
+    :func:`_raw_products`.
+
+    Over the rationals each vector is scaled by the lcm of its entries'
+    denominators (plain ints have denominator 1); GF(p) residues are already
+    integers over 1.
+    """
+    if field.p is not None:
+        return [(v, 1) for v in vecs]
+    out = []
+    for v in vecs:
+        dens = [x.denominator for x in v]
+        d = lcm(*dens)
+        out.append(([x.numerator * (d // e) for x, e in zip(v, dens)], d))
+    return out
+
+
+def _raw_products(field: Field, rows, cols):
+    """The reduced raw dot product of every row with every column.
+
+    ``rows`` and ``cols`` come from :func:`_integral`; entry ``[i][j]`` of
+    the result is row i times column j, a residue in [0, p) or a reduced
+    Fraction.
+    """
+    p = field.p
+    if p is not None:
+        return [[sum(map(mul, r, c)) % p for c, _ in cols] for r, _ in rows]
+    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
 
 
 # ---- elimination kernels (raw values) --------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix
+from .matrix import Matrix, _integral, _raw_products
 
 
 class Polynomial:
@@ -251,7 +251,7 @@ def krylov_annihilator(m: Matrix, v_raw):
     f = m.field
     p = f.p
     n = m.rows
-    a = [x.v for x in m._e]
+    m_rows = _integral(f, m.raw_rows())
     ech = []  # (pivot index, reduced vector, combination over krylov powers)
     chain = []
     w = list(v_raw)
@@ -286,10 +286,7 @@ def krylov_annihilator(m: Matrix, v_raw):
         ech.append((piv, vec, combo))
         chain.append(list(w))
         # advance: w <- m w
-        if p is None:
-            w = [sum(a[i * n + t] * w[t] for t in range(n)) for i in range(n)]
-        else:
-            w = [sum(a[i * n + t] * w[t] for t in range(n)) % p for i in range(n)]
+        w = _raw_products(f, _integral(f, [w]), m_rows)[0]
         k += 1
 
 

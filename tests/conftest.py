@@ -4,8 +4,10 @@ All randomness is seeded per test, so runs are reproducible.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
-from quadsum import Matrix, direct_sum, inverse, jordan_block
+from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 
 
 def rand_element(field, rng):
@@ -50,3 +52,22 @@ def rand_square_zero(field, n, rng):
 def rand_decomposable(field, n, rng):
     """A matrix known to be idempotent + square-zero by construction."""
     return rand_idempotent(field, n, rng) + rand_square_zero(field, n, rng)
+
+
+def coprime_denominators(count, digits, rng):
+    """``count`` pairwise-coprime integers of about ``digits`` digits."""
+    out = []
+    while len(out) < count:
+        d = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        if all(gcd(d, e) == 1 for e in out):
+            out.append(d)
+    return out
+
+
+def rand_wide_rational(n, rng, cols=None, digits=30):
+    """A rational matrix whose entries have ~``digits``-digit pairwise-coprime
+    denominators, the worst case for common-denominator arithmetic."""
+    cols = n if cols is None else cols
+    dens = coprime_denominators(max(n * cols, 1), digits, rng)
+    return Matrix(QQ, n, cols, [QQ.element(Fraction(rng.randint(-10 ** digits, 10 ** digits), d))
+                                for d in dens[: n * cols]])

@@ -1,10 +1,14 @@
 """Structure theory: nullity sequences, invariant factors, spectral splits,
 and nilpotent Jordan reduction, all with verified transforms."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import quadsum
 from quadsum import (GF, QQ, Matrix, MalformedSequence, NotNilpotent,
                      NullitySequence, Polynomial, companion, direct_sum,
                      invariant_factors_with_transform, jordan_block,
@@ -165,3 +169,19 @@ def test_nilpotent_jordan_zero_sized():
     sizes, witness = nilpotent_jordan_with_transform(Matrix.zero(QQ, 0, 0))
     assert sizes == ()
     assert witness.size == 0
+
+
+# ---- determinism -------------------------------------------------------
+
+def test_matrix_seed_is_the_same_in_every_interpreter():
+    """The candidate-vector seed of a rational matrix must not depend on the
+    process (``hash(None)`` does on Python 3.11)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadsum.__file__)))
+    code = ("from quadsum import QQ, Matrix\n"
+            "from quadsum.canonical import _matrix_seed\n"
+            "print(_matrix_seed(Matrix.from_rows(QQ, [['1/2', '0'], ['3', '-1']])))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    seeds = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+             for _ in range(2)}
+    assert len(seeds) == 1

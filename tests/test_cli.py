@@ -92,6 +92,15 @@ def test_malformed_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_modulus_above_primality_limit_exit_2(tmp_path, capsys):
+    job = write_job(tmp_path, "huge.json",
+                    {"field": {"GF": 2 ** 89 - 1}, "matrix": [["1"]]})
+    code, out, err = run(capsys, ["decide", "--input", job])
+    assert code == 2
+    assert out == ""
+    assert "modulus" in err
+
+
 def test_classify(tmp_path, capsys):
     job = write_job(tmp_path, "job.json", DIAG_JOB)
     code, out, _ = run(capsys, ["classify", "--input", job])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadsum import GF, QQ, DivisionByZero, MixedFields, quadratic_roots
+from quadsum.field import _is_prime
 
 
 def test_rational_basics():
@@ -28,6 +29,30 @@ def test_gf_basics():
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_primality_matches_trial_division():
+    for n in range(-2, 3000):
+        assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)))
+
+
+def test_gf_large_prime_modulus():
+    f = GF(2 ** 61 - 1)
+    assert f.element(2 ** 62) == f.element(2)
+    assert f.element(3) * f.element(3).inverse() == f.one()
+
+
+def test_gf_rejects_strong_pseudoprimes():
+    # 561: Carmichael; 3215031751: strong pseudoprime to bases 2, 3, 5, 7;
+    # 318665857834031151167461: strong pseudoprime to the first twelve primes.
+    for n in (561, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(n)
+
+
+def test_gf_rejects_moduli_beyond_the_primality_limit():
+    with pytest.raises(ValueError, match="limit"):
+        GF(2 ** 89 - 1)
 
 
 def test_division_by_zero():

@@ -1,6 +1,7 @@
 """Exact matrix arithmetic, elimination, and block composition."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,27 @@ from quadsum import (GF, QQ, DimensionMismatch, Matrix, SimilarityWitness,
                      Singular, block2x2, conjugate, direct_sum, hstack, inverse,
                      jordan_block, kernel_matrix, permutation_matrix, rank,
                      rank_and_kernel, solve)
-from conftest import rand_invertible, rand_matrix
+from conftest import rand_invertible, rand_matrix, rand_wide_rational
+
+
+def naive_product(a, b):
+    """Triple loop on FieldElements: the reference for the product kernel."""
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero()
+            for t in range(a.cols):
+                acc = acc + a[i, t] * b[t, j]
+            out.append(acc)
+    return Matrix(f, a.rows, b.cols, out)
+
+
+def assert_canonical(m):
+    if m.field.p is None:
+        assert all(type(x.v) is Fraction for x in m._e)
+    else:
+        assert all(type(x.v) is int and 0 <= x.v < m.field.p for x in m._e)
 
 
 def test_shapes_and_zero_sized():
@@ -35,6 +56,27 @@ def test_arithmetic_basics():
     assert a - a == Matrix.zero(f, 2)
     assert a.transpose() == Matrix.from_rows(f, [[1, 3], [2, 4]])
     assert a.trace() == f.element(0)
+
+
+def test_products_match_naive_triple_loop():
+    rng = random.Random(12)
+    makers = [(f, rand_matrix) for f in (GF(2), GF(5), GF(101), QQ)]
+    makers.append((QQ, lambda f, n, r, cols=None: rand_wide_rational(n, r, cols)))
+    for field, make in makers:
+        for _ in range(25):
+            n, k, m = (rng.randint(0, 5) for _ in range(3))
+            a = make(field, n, rng, cols=k)
+            b = make(field, k, rng, cols=m)
+            got = a * b
+            assert got == naive_product(a, b)
+            assert_canonical(got)
+
+
+def test_zero_sized_products():
+    for f in (GF(2), GF(101), QQ):
+        assert Matrix.zero(f, 3, 0) * Matrix.zero(f, 0, 4) == Matrix.zero(f, 3, 4)
+        assert Matrix.zero(f, 0, 3) * Matrix.zero(f, 3, 0) == Matrix.zero(f, 0, 0)
+        assert Matrix.zero(f, 0, 2) * Matrix.identity(f, 2) == Matrix.zero(f, 0, 2)
 
 
 def test_power():

@@ -2,15 +2,16 @@
 t^2 - t substitution test."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadsum import (GF, QQ, Matrix, NotMonic, Polynomial, companion,
-                     decompose_in_t2_minus_t, gcd, jordan_block,
-                     krylov_annihilator, lcm, minimal_polynomial,
+                     decompose_in_t2_minus_t, gcd, hstack, jordan_block,
+                     krylov_annihilator, lcm, minimal_polynomial, rank, solve,
                      substitute_one_minus_t)
-from conftest import rand_matrix
+from conftest import coprime_denominators, rand_matrix, rand_wide_rational
 
 
 def P(field, coeffs):
@@ -94,6 +95,45 @@ def test_krylov_annihilator_chain():
     ann, chain = krylov_annihilator(m, [1, 0])
     assert ann == P(f, [2, 0, 1])
     assert len(chain) == 2
+
+
+def naive_krylov(m, v):
+    """Annihilator and chain of v by FieldElement triple loops and elimination."""
+    f = m.field
+    n = m.rows
+    chain = [Matrix.column(f, v)]
+    while rank(hstack(f, chain)) == len(chain):
+        w = chain[-1]
+        chain.append(Matrix.column(f, [sum((m[i, t] * w[t, 0] for t in range(n)), f.zero())
+                                       for i in range(n)]))
+    top = chain.pop()
+    coeffs = solve(hstack(f, chain), top) if chain else Matrix.zero(f, 0, 1)
+    ann = Polynomial(f, [-coeffs[i, 0] for i in range(len(chain))] + [f.one()])
+    return ann, chain
+
+
+def test_krylov_annihilator_matches_naive():
+    rng = random.Random(14)
+    cases = []
+    for f in (GF(2), GF(5), GF(101)):
+        for _ in range(15):
+            n = rng.randint(1, 6)
+            cases.append((rand_matrix(f, n, rng), [rng.randrange(f.p) for _ in range(n)]))
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        ints = [rng.randint(-3, 3) for _ in range(n)]
+        cases.append((rand_matrix(QQ, n, rng), ints))
+        cases.append((rand_wide_rational(n, rng), ints))
+        dens = coprime_denominators(n, 30, rng)
+        cases.append((rand_wide_rational(n, rng),
+                      [Fraction(rng.randint(-10 ** 30, 10 ** 30), d) for d in dens]))
+    for m, v in cases:
+        ann, chain = krylov_annihilator(m, v)
+        want_ann, want_chain = naive_krylov(m, v)
+        assert ann == want_ann
+        assert len(chain) == len(want_chain)
+        for got, want in zip(chain, want_chain):
+            assert Matrix.column(m.field, got) == want
 
 
 # ---- the substitution test -------------------------------------------
