@@ -1,16 +1,14 @@
 """Exact decision and certification of sums of two split-quadratic matrices."""
 
-from .canonical import (InvariantFactors, NullitySequence, SpectralSplit,
-                        invariant_factors_with_transform,
-                        nilpotent_jordan_with_transform, nullity_sequence,
-                        split_spectral)
+from .canonical import (InvariantFactors, NullitySequence,
+                        invariant_factors_with_transform, nullity_sequence)
 from .errors import (BadParams, BudgetExceeded, DecisionNo, DegreeZero,
                      DimensionMismatch, DivisionByZero, InternalCheckFailed,
                      MalformedInput, MalformedSequence, MixedFields, NotMonic,
-                     NotNilpotent, NotSplitError, QuadsumError, Singular,
+                     NotSplitError, QuadsumError, Singular,
                      UnsupportedCase)
 from .field import GF, QQ, Field, FieldElement, characteristic, quadratic_roots
-from .matrix import (Matrix, SimilarityWitness, block2x2, conjugate, direct_sum,
+from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum,
                      hstack, inverse, jordan_block, kernel_matrix,
                      permutation_matrix, rank, rank_and_kernel, solve)
 from .poly import (Polynomial, companion, decompose_in_t2_minus_t, gcd,
@@ -19,7 +17,6 @@ from .poly import (Polynomial, companion, decompose_in_t2_minus_t, gcd,
 from .sums import (BlockPairing, CaseClassification, Certificate, Decision,
                    NecessaryReport, QuadParams, VerificationReport,
                    check_necessary_combination, classify_and_reduce, construct,
-                   construct_case_a, construct_case_b, decide, is_p_intertwined,
-                   pair_blocks, verify_certificate)
+                   decide, is_p_intertwined, pair_blocks, verify_certificate)
 
 __version__ = "0.1.0"

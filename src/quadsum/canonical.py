@@ -1,21 +1,23 @@
 """Structure theory with explicit change-of-basis matrices.
 
 Provides nullity sequences, the invariant-factor (Frobenius) decomposition
-via iterated cyclic subspaces, spectral splitting at the eigenvalue set
-{0, 1}, and nilpotent Jordan reduction by chain bases.  Every transform is
-verified post-hoc by the conjugation identity it claims.
+via iterated cyclic subspaces, and the split of one cyclic block k[t]/(f)
+with f = t^a (t - 1)^b h into C(h), J_a(0) and J_b(1) by the Chinese
+remainder theorem.  Every transform is verified post-hoc by the conjugation
+identity it claims.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence, NotNilpotent
+from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
 from .field import Field, FieldElement
 from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, direct_sum,
-                     hstack, inverse, jordan_block, kernel_matrix, rank, solve)
-from .poly import Polynomial, companion, krylov_annihilator, minimal_polynomial
+                     hstack, jordan_block, kernel_matrix, rank, solve)
+from .poly import Polynomial, _standard_krylov, companion, krylov_annihilator
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,14 @@ def _vector_candidates(field: Field, n: int, seed: int):
             yield [rng.randrange(p) for _ in range(n)]
 
 
-def _find_cyclic_vector(m: Matrix, target: Polynomial):
-    """A vector whose Krylov annihilator equals ``target``, plus its chain."""
+def _find_cyclic_vector(m: Matrix, target: Polynomial, skip: int = 0):
+    """A vector whose Krylov annihilator equals ``target``, plus its chain.
+
+    The first ``skip`` candidates are not tried: the caller already knows
+    their annihilators.
+    """
     n = m.rows
-    for v in _vector_candidates(m.field, n, _matrix_seed(m)):
+    for v in islice(_vector_candidates(m.field, n, _matrix_seed(m)), skip, None):
         ann, chain = krylov_annihilator(m, v)
         if ann == target:
             return v, chain
@@ -160,6 +166,13 @@ def _find_dual_rows(m: Matrix, chain, d: int):
     raise InternalCheckFailed("no dual row vector found for the cyclic subspace")
 
 
+def _chain_matrix(field: Field, chain) -> Matrix:
+    """The matrix whose columns are the raw vectors of a Krylov chain."""
+    n = len(chain[0])
+    return Matrix(field, n, len(chain),
+                  [field.make(field.reduce(v[i])) for i in range(n) for v in chain])
+
+
 def _cyclic_decompose(m: Matrix):
     """Factors (divisibility chain, largest last) and basis T with
     T^-1 M T = C(f_1) + ... + C(f_r) block-diagonal."""
@@ -167,11 +180,12 @@ def _cyclic_decompose(m: Matrix):
     n = m.rows
     if n == 0:
         return [], Matrix.zero(f, 0, 0)
-    mu = minimal_polynomial(m)
+    mu, tried = _standard_krylov(m)
+    chain = next((c for ann, c in tried if ann == mu), None)
+    if chain is None:
+        _, chain = _find_cyclic_vector(m, mu, skip=len(tried))
     d = mu.degree
-    _, chain = _find_cyclic_vector(m, mu)
-    k_mat = Matrix(f, n, d,
-                   [f.make(f.reduce(chain[j][i])) for i in range(n) for j in range(d)])
+    k_mat = _chain_matrix(f, chain)
     if d == n:
         return [mu], k_mat
     w_mat = _find_dual_rows(m, chain, d)
@@ -206,156 +220,51 @@ def invariant_factors_with_transform(m: Matrix):
     return InvariantFactors(tuple(factors)), witness
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Similarity M ~ M1 + M2 (block-diagonal) where M1 has no eigenvalue in
-    {0, 1} and M2 is annihilated by t^p (t-1)^q.
+def valuations_at_0_1(fac: Polynomial):
+    """(a, b, h) with fac = t^a (t - 1)^b h and h(0) h(1) != 0."""
+    a = next(i for i, c in enumerate(fac.coeffs) if c)
+    h = Polynomial(fac.field, fac.coeffs[a:])
+    t_1 = Polynomial.from_coeffs(fac.field, [-1, 1])
+    b = 0
+    while True:
+        quo, rem = h.divrem(t_1)
+        if not rem.is_zero():
+            return a, b, h
+        h, b = quo, b + 1
 
-    The witness satisfies conjugate(M, witness) = M1 (+) M2.
+
+def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> SimilarityWitness:
+    """Witness S with S^-1 C(fac) S = C(h) (+) J_a(0) (+) J_b(1), for
+    fac = t^a (t - 1)^b h as returned by :func:`valuations_at_0_1`.
+
+    C(fac) is multiplication by t on k[t]/(fac) in the basis 1, t, t^2, ....
+    By the Chinese remainder theorem the block splits into the ideals
+    generated by t^a (t - 1)^b, by h (t - 1)^b and by h t^a, and the columns
+    of S are the coefficient vectors of t^j t^a (t - 1)^b for j < deg h,
+    of the chain t^j e_0 for j < a with e_0 a multiple of h (t - 1)^b, and of
+    the chain (t - 1)^j e_1 for j < b with e_1 a multiple of h t^a.  Every
+    product has degree below deg fac, so none needs reducing.  e_0 and e_1
+    are scaled to be 1 modulo t and t - 1, so the eigenvector closing each
+    chain is the primary component of t^(a-1) resp. (t - 1)^(b-1) itself.
     """
-
-    m1: Matrix
-    m2: Matrix
-    witness: SimilarityWitness
-    p: int
-    q: int
-
-
-def split_spectral(m: Matrix) -> SpectralSplit:
-    if not m.is_square:
-        raise DimensionMismatch("spectral split of a non-square matrix")
-    f = m.field
-    n = m.rows
-    mu = minimal_polynomial(m)
-    t_poly = Polynomial.x(f)
-    t_minus_1 = Polynomial.from_coeffs(f, [-1, 1])
-    p_exp = 0
-    q_exp = 0
-    rest = mu
-    while True:
-        q_, r_ = rest.divrem(t_poly)
-        if not r_.is_zero():
-            break
-        rest, p_exp = q_, p_exp + 1
-    while True:
-        q_, r_ = rest.divrem(t_minus_1)
-        if not r_.is_zero():
-            break
-        rest, q_exp = q_, q_exp + 1
-    ker_away = kernel_matrix(rest(m)) if rest.degree not in (None, 0) else Matrix.zero(f, n, 0)
-    ident = Matrix.identity(f, n)
-    ker_01 = kernel_matrix((m ** p_exp) * ((m - ident) ** q_exp)) \
-        if p_exp + q_exp else Matrix.zero(f, n, 0)
-    basis = hstack(f, [ker_away, ker_01])
-    if basis.cols != n:
-        raise InternalCheckFailed("kernel split does not span")
-    witness = (SimilarityWitness(inverse(basis), basis) if n
-               else SimilarityWitness.identity(f, 0))
-    split_form = witness.apply(m)
-    n1 = ker_away.cols
-    m1 = split_form.submatrix(0, n1, 0, n1)
-    m2 = split_form.submatrix(n1, n, n1, n)
-    if (not split_form.submatrix(0, n1, n1, n).is_zero()
-            or not split_form.submatrix(n1, n, 0, n1).is_zero()):
-        raise InternalCheckFailed("split form is not block-diagonal")
-    if not ((m2 ** p_exp) * ((m2 - Matrix.identity(f, m2.rows)) ** q_exp)).is_zero():
-        raise InternalCheckFailed("{0,1}-part not annihilated by t^p (t-1)^q")
-    return SpectralSplit(m1, m2, witness, p_exp, q_exp)
-
-
-def nilpotent_jordan_with_transform(nil: Matrix):
-    """Jordan reduction of a nilpotent matrix by the chain-basis construction.
-
-    Returns ``(sizes, witness)`` with sizes non-increasing and
-    T^-1 N T = J_{sizes[0]}(0) (+) J_{sizes[1]}(0) (+) ... for T = witness.t.
-    """
-    if not nil.is_square:
-        raise DimensionMismatch("Jordan reduction of a non-square matrix")
-    f = nil.field
-    n = nil.rows
-    if n == 0:
-        return (), SimilarityWitness.identity(f, 0)
-    if not (nil ** n).is_zero():
-        raise NotNilpotent("matrix is not nilpotent")
-    # kernel bases of successive powers, as raw column vectors
-    power = nil
-    kernels = {0: []}
-    s = 0
-    while True:
-        s += 1
-        km = kernel_matrix(power)
-        kernels[s] = [[km[i, j].v for i in range(n)] for j in range(km.cols)]
-        if km.cols == n:
-            break
-        power = power * nil
-    nil_rows = _integral(f, nil.raw_rows())
-
-    def apply_n(vec):
-        return _raw_products(f, _integral(f, [vec]), nil_rows)[0]
-
-    span = _RawSpan(f, n)
-    chains = []  # (height, head vector), discovered top height first
-    at_level = []
-    for k in range(s, 0, -1):
-        carried = [apply_n(w) for w in at_level]
-        span.reset()
-        for vec in kernels[k - 1]:
-            span.add(vec)
-        for vec in carried:
-            if not span.add(vec):
-                raise InternalCheckFailed("carried chain vector became dependent")
-        at_level = carried
-        for vec in kernels[k]:
-            if span.add(vec):
-                chains.append((k, vec))
-                at_level.append(vec)
-    chains.sort(key=lambda c: -c[0])
+    f = fac.field
+    d = fac.degree
+    t = Polynomial.x(f)
+    t_1 = Polynomial.from_coeffs(f, [-1, 1])
+    t_a, t_1b = t ** a, t_1 ** b
+    e_0, e_1 = h * t_1b, h * t_a
     cols = []
-    for height, head in chains:
-        vec = head
-        for _ in range(height):
-            cols.append(vec)
-            vec = apply_n(vec)
-    t_mat = Matrix(f, n, n,
-                   [f.make(f.reduce(cols[j][i])) for i in range(n) for j in range(n)])
-    witness = SimilarityWitness.from_matrix(t_mat)
-    sizes = tuple(height for height, _ in chains)
-    expected = direct_sum(f, [jordan_block(f, size) for size in sizes])
-    if witness.apply_inverse(nil) != expected:
-        raise InternalCheckFailed("Jordan chain basis did not diagonalize into blocks")
-    return sizes, witness
-
-
-class _RawSpan:
-    """Incremental echelon span over raw vectors, for independence tests."""
-
-    def __init__(self, field: Field, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows = []  # (pivot, normalized vector)
-
-    def reset(self):
-        self.rows = []
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the span; add it and return True if independent."""
-        f = self.field
-        p = f.p
-        v = list(vec)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c:
-                if p is None:
-                    v = [x - c * y for x, y in zip(v, row)]
-                else:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = f.inv_raw(v[piv])
-        if p is None:
-            v = [x * inv for x in v]
-        else:
-            v = [x * inv % p for x in v]
-        self.rows.append((piv, v))
-        return True
+    for head, step, length in ((t_a * t_1b, t, h.degree),
+                               (e_0 * e_0(0).inverse(), t, a),
+                               (e_1 * e_1(1).inverse(), t_1, b)):
+        for _ in range(length):
+            cols.append(head)
+            head = head * step
+    witness = SimilarityWitness.from_matrix(
+        Matrix(f, d, d, [col.coeff(i) for i in range(d) for col in cols]))
+    parts = [companion(h)] if h.degree else []
+    expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
+    if witness.apply_inverse(companion(fac)) != expected:
+        raise InternalCheckFailed(
+            f"cyclic block split: {d}x{d} block of {fac} is not C(h) + J_{a}(0) + J_{b}(1)")
+    return witness

@@ -29,10 +29,6 @@ class DegreeZero(QuadsumError):
     """A polynomial of positive degree is required."""
 
 
-class NotNilpotent(QuadsumError):
-    """The matrix handed to the nilpotent Jordan reduction is not nilpotent."""
-
-
 class MalformedSequence(QuadsumError):
     """A nullity sequence is not non-increasing or contains negatives."""
 

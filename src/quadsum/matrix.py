@@ -1,9 +1,9 @@
 """Dense exact matrices: arithmetic, rank/kernel, inverses, block composition.
 
 Matrices are immutable, store a flat row-major tuple of field elements, and
-allow 0-sized dimensions (empty direct summands show up naturally in spectral
-splits).  The elimination kernels work on unwrapped raw values for speed and
-rewrap results, so everything stays exact.
+allow 0-sized dimensions (empty direct summands show up naturally when a
+cyclic block is split at {0, 1}).  The elimination kernels work on unwrapped
+raw values for speed and rewrap results, so everything stays exact.
 
 Every product of raw vectors in the package (matrix products, Krylov steps,
 dual rows and pairings) goes through one kernel, :func:`_raw_products`.  Over
@@ -474,12 +474,3 @@ class SimilarityWitness:
     def apply_inverse(self, m: Matrix) -> Matrix:
         return self.t_inv * m * self.t
 
-    def inverted(self) -> "SimilarityWitness":
-        return SimilarityWitness(self.t_inv, self.t)
-
-
-def conjugate(m: Matrix, witness: SimilarityWitness) -> Matrix:
-    """T * M * T^-1 for the witness matrix T."""
-    if m.rows != witness.size or m.cols != witness.size:
-        raise DimensionMismatch("conjugate: size mismatch")
-    return witness.apply(m)

@@ -290,23 +290,30 @@ def krylov_annihilator(m: Matrix, v_raw):
         k += 1
 
 
+def _standard_krylov(m: Matrix):
+    """The minimal polynomial as the lcm of the Krylov annihilators of
+    e_0, e_1, ..., plus the ``(annihilator, chain)`` pair of every e_i
+    tried; the scan stops once the lcm has degree n."""
+    f = m.field
+    n = m.rows
+    acc = Polynomial.one(f)
+    tried = []
+    for i in range(n):
+        if acc.degree == n:
+            break
+        v = [0] * n
+        v[i] = 1
+        ann, chain = krylov_annihilator(m, v)
+        tried.append((ann, chain))
+        acc = lcm(acc, ann)
+    return acc, tried
+
+
 def minimal_polynomial(m: Matrix) -> Polynomial:
     """Monic minimal polynomial, as the lcm of standard-basis Krylov annihilators."""
     if not m.is_square:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    f = m.field
-    n = m.rows
-    if n == 0:
-        return Polynomial.one(f)
-    acc = Polynomial.one(f)
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        ann, _ = krylov_annihilator(m, v)
-        acc = lcm(acc, ann)
-        if acc.degree == n:
-            break
-    return acc
+    return _standard_krylov(m)[0]
 
 
 def decompose_in_t2_minus_t(f: Polynomial):

@@ -10,24 +10,27 @@ idempotent-plus-square-zero question, which is settled by two checks:
 * the nullity sequences at 0 and at 1 of the remaining part must be
   2-intertwined.
 
-When the answer is yes, an explicit certificate pair (A, B) is built and
-re-verified exactly before being returned.
+Both are read off one Frobenius decomposition of M: each invariant factor
+f_i = t^a_i (t - 1)^b_i h_i gives the factor h_i of the part away from
+{0, 1} and a Jordan block of size a_i at 0 and b_i at 1.  When the answer
+is yes, the same decomposition, split per cyclic block, carries an explicit
+certificate pair (A, B), which is re-verified exactly before being returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .canonical import (InvariantFactors, NullitySequence, SpectralSplit,
-                        invariant_factors_with_transform, nilpotent_jordan_with_transform,
-                        nullity_sequence, split_spectral)
+from .canonical import (InvariantFactors, NullitySequence, _chain_matrix,
+                        _find_cyclic_vector, invariant_factors_with_transform,
+                        nullity_sequence, split_cyclic_block, valuations_at_0_1)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum, hstack,
-                     inverse, jordan_block, kernel_matrix, permutation_matrix)
-from .poly import (Polynomial, companion, decompose_in_t2_minus_t,
-                   krylov_annihilator, minimal_polynomial)
+from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum, inverse,
+                     jordan_block, permutation_matrix)
+from .poly import Polynomial, companion, decompose_in_t2_minus_t
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,19 @@ class BlockPairing:
 
 @dataclass(frozen=True)
 class Decision:
-    """Yes/no answer for the idempotent + square-zero case, with diagnostics."""
+    """Yes/no answer for the idempotent + square-zero case, with diagnostics.
+
+    ``frobenius`` holds the invariant factors f_i of M and ``witness`` the
+    basis that conjugates M onto the direct sum of their companions;
+    ``valuations`` holds (a_i, b_i, h_i) with f_i = t^a_i (t - 1)^b_i h_i.
+    ``invariant_factors`` are the nonconstant h_i, those of the part of M
+    away from {0, 1}.
+    """
 
     yes: bool
-    split: SpectralSplit
+    frobenius: InvariantFactors
+    witness: SimilarityWitness
+    valuations: tuple
     invariant_factors: InvariantFactors
     g_factors: tuple
     nullity_at_0: NullitySequence
@@ -224,10 +236,25 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
 
 # ---- decision --------------------------------------------------------
 
+def _nullities(m: Matrix, eigenvalue: int, exponents) -> NullitySequence:
+    """Nullity sequence at 0 or 1 read off the invariant-factor valuations,
+    n_k = #{i : exponent_i >= k}, cross-checked against ranks of powers."""
+    top = max(exponents, default=0)
+    seq = NullitySequence(m.field.element(eigenvalue),
+                          tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1)))
+    by_rank = nullity_sequence(m, eigenvalue).values
+    if by_rank != seq.values:
+        raise InternalCheckFailed(
+            f"decide: nullity sequence at eigenvalue {eigenvalue} of the {m.rows}x{m.rows} "
+            f"matrix is {by_rank} by ranks but {seq.values} by invariant-factor valuations")
+    return seq
+
+
 def decide(m: Matrix) -> Decision:
     """Decide whether M is the sum of an idempotent and a square-zero matrix."""
-    split = split_spectral(m)
-    factors, _ = invariant_factors_with_transform(split.m1)
+    frobenius, witness = invariant_factors_with_transform(m)
+    valuations = tuple(valuations_at_0_1(fac) for fac in frobenius)
+    factors = InvariantFactors(tuple(h for _, _, h in valuations if h.degree))
     g_factors = []
     failing = None
     for fac in factors:
@@ -237,8 +264,8 @@ def decide(m: Matrix) -> Decision:
                        "factor": [str(c) for c in fac.coeffs]}
             break
         g_factors.append(g)
-    seq0 = nullity_sequence(split.m2, 0)
-    seq1 = nullity_sequence(split.m2, 1)
+    seq0 = _nullities(m, 0, [a for a, _, _ in valuations])
+    seq1 = _nullities(m, 1, [b for _, b, _ in valuations])
     if failing is None:
         viol = _first_violation(seq0.values, seq1.values, 2)
         if viol is not None:
@@ -247,7 +274,9 @@ def decide(m: Matrix) -> Decision:
                        "index": viol["index"]}
     return Decision(
         yes=failing is None,
-        split=split,
+        frobenius=frobenius,
+        witness=witness,
+        valuations=valuations,
         invariant_factors=factors,
         g_factors=tuple(g_factors),
         nullity_at_0=seq0,
@@ -258,61 +287,26 @@ def decide(m: Matrix) -> Decision:
 
 # ---- construction: part with no eigenvalue in {0, 1} -----------------
 
-def _cyclic_basis(m: Matrix, target: Polynomial) -> Matrix:
-    """Krylov basis K of a cyclic vector, so K^-1 m K = C(target)."""
-    n = m.rows
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        ann, chain = krylov_annihilator(m, v)
-        if ann == target:
-            f = m.field
-            return Matrix(f, n, n,
-                          [f.make(f.reduce(chain[j][r])) for r in range(n) for j in range(n)])
-    raise InternalCheckFailed("block matrix has no standard cyclic vector")
+def _away_model(h: Polynomial, g: Polynomial):
+    """Idempotent + square-zero split of C(h) for h = g(t^2 - t).
 
-
-def construct_case_a(m1: Matrix):
-    """Split a matrix with no eigenvalue in {0, 1} whose invariant factors
-    are all polynomials in t^2 - t into idempotent + square-zero.
-
-    Per invariant factor f = g(t^2 - t) the model is the 2m x 2m block
-    matrix [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]],
-    which is conjugated onto C(f) through a Krylov basis.
+    The model [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]]
+    is conjugated onto C(h) through a Krylov basis.
     """
-    f = m1.field
-    if m1.rows == 0:
-        empty = Matrix.zero(f, 0, 0)
-        return empty, empty
-    factors, witness = invariant_factors_with_transform(m1)
-    a_blocks = []
-    b_blocks = []
-    for fac in factors:
-        g = decompose_in_t2_minus_t(fac)
-        if g is None:
-            raise InternalCheckFailed(
-                "construct_case_a called with a factor that is not a polynomial in t^2 - t")
-        c_g = companion(g)
-        mdim = g.degree
-        ident = Matrix.identity(f, mdim)
-        zero = Matrix.zero(f, mdim)
-        u_block = block2x2(ident, c_g, ident, zero)
-        a_model = block2x2(ident, zero, ident, zero)
-        b_model = block2x2(zero, c_g, zero, zero)
-        k_basis = SimilarityWitness.from_matrix(_cyclic_basis(u_block, fac))
-        if k_basis.apply_inverse(u_block) != companion(fac):
-            raise InternalCheckFailed("Krylov basis did not reach the companion form")
-        a_blocks.append(k_basis.apply_inverse(a_model))
-        b_blocks.append(k_basis.apply_inverse(b_model))
-    a_frob = direct_sum(f, a_blocks)
-    b_frob = direct_sum(f, b_blocks)
-    a_mat = witness.apply(a_frob)
-    b_mat = witness.apply(b_frob)
-    _post_check_idempotent_square_zero(m1, a_mat, b_mat)
-    return a_mat, b_mat
+    f = h.field
+    c_g = companion(g)
+    ident = Matrix.identity(f, g.degree)
+    zero = Matrix.zero(f, g.degree)
+    u_block = block2x2(ident, c_g, ident, zero)
+    _, chain = _find_cyclic_vector(u_block, h)
+    k_basis = SimilarityWitness.from_matrix(_chain_matrix(f, chain))
+    if k_basis.apply_inverse(u_block) != companion(h):
+        raise InternalCheckFailed("Krylov basis did not reach the companion form")
+    return (k_basis.apply_inverse(block2x2(ident, zero, ident, zero)),
+            k_basis.apply_inverse(block2x2(zero, c_g, zero, zero)))
 
 
-# ---- construction: triangularizable part with spectrum in {0, 1} -----
+# ---- construction: Jordan blocks at 0 and 1 ---------------------------
 
 def _shift_intertwiners(f: Field, a: int, b: int):
     """Maps X (a x b), Y (b x a) with N_a^2 = XY, N_b^2 = YX, N_a X = X N_b
@@ -366,81 +360,44 @@ def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int):
     return a_mat, b_mat
 
 
-def construct_case_b(m2: Matrix):
-    """Split a triangularizable matrix with spectrum in {0, 1} whose nullity
-    sequences at 0 and 1 are 2-intertwined into idempotent + square-zero."""
-    f = m2.field
-    n = m2.rows
-    if n == 0:
-        empty = Matrix.zero(f, 0, 0)
-        return empty, empty
-    mu = minimal_polynomial(m2)
-    t_poly = Polynomial.x(f)
-    t_minus_1 = Polynomial.from_coeffs(f, [-1, 1])
-    e0 = 0
-    e1 = 0
-    rest = mu
-    while True:
-        q_, r_ = rest.divrem(t_poly)
-        if not r_.is_zero():
-            break
-        rest, e0 = q_, e0 + 1
-    while True:
-        q_, r_ = rest.divrem(t_minus_1)
-        if not r_.is_zero():
-            break
-        rest, e1 = q_, e1 + 1
-    if rest.degree != 0:
-        raise InternalCheckFailed("construct_case_b needs spectrum inside {0, 1}")
-    ident = Matrix.identity(f, n)
-    ker_at_1 = kernel_matrix((m2 - ident) ** e1) if e1 else Matrix.zero(f, n, 0)
-    ker_at_0 = kernel_matrix(m2 ** e0) if e0 else Matrix.zero(f, n, 0)
-    basis = hstack(f, [ker_at_1, ker_at_0])
-    if basis.cols != n:
-        raise InternalCheckFailed("characteristic subspaces do not span")
-    basis_w = SimilarityWitness.from_matrix(basis)
-    form = basis_w.apply_inverse(m2)
-    n1 = ker_at_1.cols
-    r_one = form.submatrix(0, n1, 0, n1)
-    r_zero = form.submatrix(n1, n, n1, n)
-    sizes1, w_one = nilpotent_jordan_with_transform(
-        r_one - Matrix.identity(f, n1))
-    sizes0, w_zero = nilpotent_jordan_with_transform(r_zero)
-    pairing = pair_blocks(sizes1, sizes0)
-    if pairing is None:
-        raise InternalCheckFailed("construct_case_b called on a non-intertwined matrix")
-    # align: k-th remaining block at 1 pairs with k-th at 0 (both sorted desc)
-    length = max(len(sizes1), len(sizes0))
-    padded1 = list(sizes1) + [0] * (length - len(sizes1))
-    padded0 = list(sizes0) + [0] * (length - len(sizes0))
-    one_offsets = []
+# ---- full pipeline ---------------------------------------------------
+
+def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
+    """A + B = M with A idempotent and B square-zero, for a YES decision on M.
+
+    The Frobenius basis of M, split per cyclic block, brings M to the direct
+    sum of the C(h_i), J_a_i(0) and J_b_i(1).  Each C(h_i) is split by
+    :func:`_away_model`; the Jordan blocks at 1 and at 0 are paired largest
+    with largest and split by :func:`_unit_decomposition`.
+    """
+    f = m.field
+    blocks = []
+    away, at_0, at_1 = [], [], []  # column ranges of the split basis
     off = 0
-    for s in sizes1:
-        one_offsets.append(off)
-        off += s
-    zero_offsets = []
-    off = n1
-    for s in sizes0:
-        zero_offsets.append(off)
-        off += s
+    for fac, (a, b, h) in zip(decision.frobenius, decision.valuations):
+        blocks.append(split_cyclic_block(fac, a, b, h))
+        for ranges, size in ((away, h.degree), (at_0, a), (at_1, b)):
+            if size:
+                ranges.append(range(off, off + size))
+            off += size
     perm = []
-    units = []
-    for k in range(length):
-        s1, s0 = padded1[k], padded0[k]
-        if s1:
-            perm.extend(range(one_offsets[k], one_offsets[k] + s1))
-        if s0:
-            perm.extend(range(zero_offsets[k], zero_offsets[k] + s0))
-        units.append((s1, s0))
+    parts = []
+    for cols, h, g in zip(away, decision.invariant_factors, decision.g_factors):
+        perm.extend(cols)
+        parts.append(_away_model(h, g))
+    at_1.sort(key=len, reverse=True)
+    at_0.sort(key=len, reverse=True)
+    for one, zero in zip_longest(at_1, at_0, fillvalue=range(0)):
+        perm.extend(one)
+        perm.extend(zero)
+        parts.append(_unit_decomposition(f, len(one), len(zero)))
     pi = permutation_matrix(f, perm)
-    unit_parts = [_unit_decomposition(f, s1, s0) for s1, s0 in units]
-    a_units = direct_sum(f, [a for a, _ in unit_parts])
-    b_units = direct_sum(f, [b for _, b in unit_parts])
-    v_mat = basis * direct_sum(f, [w_one.t, w_zero.t]) * pi
-    v_w = SimilarityWitness(v_mat, inverse(v_mat))
-    a_mat = v_w.apply(a_units)
-    b_mat = v_w.apply(b_units)
-    _post_check_idempotent_square_zero(m2, a_mat, b_mat)
+    basis = SimilarityWitness(
+        decision.witness.t * direct_sum(f, [w.t for w in blocks]) * pi,
+        pi.transpose() * direct_sum(f, [w.t_inv for w in blocks]) * decision.witness.t_inv)
+    a_mat = basis.apply(direct_sum(f, [a for a, _ in parts]))
+    b_mat = basis.apply(direct_sum(f, [b for _, b in parts]))
+    _post_check_idempotent_square_zero(m, a_mat, b_mat)
     return a_mat, b_mat
 
 
@@ -452,8 +409,6 @@ def _post_check_idempotent_square_zero(m: Matrix, a_mat: Matrix, b_mat: Matrix):
     if not (b_mat * b_mat).is_zero():
         raise InternalCheckFailed("constructed B is not square-zero")
 
-
-# ---- full pipeline ---------------------------------------------------
 
 def construct(m: Matrix, params: QuadParams) -> Certificate:
     """Decide and, on yes, build a verified certificate for M = A + B with
@@ -477,15 +432,12 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     decision = decide(reduced)
     if not decision.yes:
         raise DecisionNo(decision)
-    split = decision.split
-    f = m.field
-    a1, b1 = construct_case_a(split.m1)
-    a2, b2 = construct_case_b(split.m2)
-    # split.witness conjugates M'' onto M1 (+) M2, so pull the parts back
-    back = split.witness.inverted()
-    a_red_mat = back.apply(direct_sum(f, [a1, a2]))
-    b_red_mat = back.apply(direct_sum(f, [b1, b2]))
-    ident = Matrix.identity(f, m.rows)
+    pairing = pair_blocks(decision.nullity_at_1.block_sizes(),
+                          decision.nullity_at_0.block_sizes())
+    if pairing is None:
+        raise InternalCheckFailed("a YES decision whose Jordan blocks cannot be paired")
+    a_red_mat, b_red_mat = _idempotent_plus_square_zero(reduced, decision)
+    ident = Matrix.identity(m.field, m.rows)
     scale = cls.scale
     if not cls.swapped:
         a_part = cls.alpha * ident + scale * a_red_mat
@@ -493,8 +445,6 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     else:
         a_part = cls.alpha * ident + scale * b_red_mat
         b_part = cls.beta * ident + scale * a_red_mat
-    pairing = pair_blocks(decision.nullity_at_1.block_sizes(),
-                          decision.nullity_at_0.block_sizes())
     cert = Certificate(a_part, b_part, params, cls, decision, pairing)
     report = verify_certificate(m, cert)
     if not report.ok:

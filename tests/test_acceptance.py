@@ -11,7 +11,8 @@ from quadsum import (GF, QQ, Matrix, Polynomial, QuadParams, block2x2,
                      companion, construct, decide, decompose_in_t2_minus_t,
                      invariant_factors_with_transform, is_p_intertwined,
                      jordan_block, minimal_polynomial, pair_blocks,
-                     split_spectral, substitute_one_minus_t, verify_certificate)
+                     substitute_one_minus_t, verify_certificate)
+from quadsum.canonical import split_cyclic_block, valuations_at_0_1
 from quadsum.oracle import build_sum_atlas, exhaustive_compare
 from quadsum.sums import check_necessary_combination
 from conftest import rand_decomposable, rand_matrix
@@ -184,7 +185,8 @@ def test_acceptance_8_necessary_condition_gf3():
 
 def test_acceptance_9_structure_suite_validity():
     """Conjugation identities, divisibility chains and degree sums hold on a
-    broad random sample of invariant-factor and spectral-split calls."""
+    broad random sample of invariant-factor calls and of the split of each
+    cyclic block into C(h) + J_a(0) + J_b(1)."""
     rng = random.Random(1009)
     bad = 0
     total = 0
@@ -203,12 +205,11 @@ def test_acceptance_9_structure_suite_validity():
             for small, big in zip(factors.factors, factors.factors[1:]):
                 if not big.divrem(small)[1].is_zero():
                     bad += 1
-            split = split_spectral(m)
-            recon = split.witness.apply(m)
-            n1 = split.m1.rows
-            if recon.submatrix(0, n1, 0, n1) != split.m1 \
-                    or recon.submatrix(n1, n, n1, n) != split.m2:
-                bad += 1
-            if not recon.submatrix(0, n1, n1, n).is_zero():
-                bad += 1
+            for fac in factors:
+                a, b, h = valuations_at_0_1(fac)
+                blocks = ([comp(h)] if h.degree else []) + [
+                    jordan_block(field, a), jordan_block(field, b, eigenvalue=1)]
+                block_witness = split_cyclic_block(fac, a, b, h)
+                if block_witness.apply_inverse(comp(fac)) != direct_sum(field, blocks):
+                    bad += 1
     report(9, bad == 0, f"{total} structure calls verified, {bad} violations")

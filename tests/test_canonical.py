@@ -1,5 +1,5 @@
-"""Structure theory: nullity sequences, invariant factors, spectral splits,
-and nilpotent Jordan reduction, all with verified transforms."""
+"""Structure theory: nullity sequences, invariant factors and the split of
+each cyclic block at {0, 1}, all with verified transforms."""
 
 import os
 import random
@@ -9,11 +9,11 @@ import sys
 import pytest
 
 import quadsum
-from quadsum import (GF, QQ, Matrix, MalformedSequence, NotNilpotent,
-                     NullitySequence, Polynomial, companion, direct_sum,
-                     invariant_factors_with_transform, jordan_block,
-                     minimal_polynomial, nilpotent_jordan_with_transform,
-                     nullity_sequence, split_spectral)
+from quadsum import (GF, QQ, Matrix, MalformedSequence, NullitySequence,
+                     Polynomial, companion, decide, direct_sum,
+                     invariant_factors_with_transform, inverse, jordan_block,
+                     minimal_polynomial, nullity_sequence)
+from quadsum.canonical import split_cyclic_block, valuations_at_0_1
 from conftest import rand_invertible, rand_matrix
 
 
@@ -45,7 +45,6 @@ def test_nullity_sequence_counts_blocks():
                        reverse=True)
         m = direct_sum(QQ, [jordan_block(QQ, s) for s in sizes])
         t = rand_invertible(QQ, m.rows, rng)
-        from quadsum import inverse
         seq = nullity_sequence(t * m * inverse(t), 0)
         assert seq.block_sizes() == tuple(sizes)
 
@@ -80,7 +79,6 @@ def test_invariant_factors_random_frobenius_form():
             chain = [base, base * mult]
             m = direct_sum(f, [companion(p) for p in chain])
             t = rand_invertible(f, m.rows, rng)
-            from quadsum import inverse
             factors, witness = invariant_factors_with_transform(t * m * inverse(t))
             assert list(factors) == chain
             # divisibility and degree-sum are re-checked inside; spot-check here
@@ -104,7 +102,42 @@ def test_invariant_factors_empty_matrix():
     assert witness.size == 0
 
 
-# ---- spectral split at {0, 1} ----------------------------------------
+def test_invariant_factors_companion_needs_one_krylov_run(monkeypatch):
+    """The standard-basis annihilators that give the minimal polynomial are
+    reused for the cyclic vector, not computed a second time."""
+    calls = []
+    real = quadsum.poly.krylov_annihilator
+
+    def counted(m, v):
+        calls.append(tuple(v))
+        return real(m, v)
+
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator", counted)
+    monkeypatch.setattr(quadsum.canonical, "krylov_annihilator", counted)
+    p = P(QQ, [3, -2, 0, 1])
+    factors, _ = invariant_factors_with_transform(companion(p))
+    assert list(factors) == [p]
+    assert calls == [(1, 0, 0)]
+
+
+# ---- spectral split at {0, 1}, per cyclic block ----------------------
+
+def _check_block_splits(m):
+    """Every Frobenius factor of m splits into C(h) + J_a(0) + J_b(1), with
+    its conjugation identity; returns the (a, b, h) of every factor."""
+    f = m.field
+    factors, _ = invariant_factors_with_transform(m)
+    valuations = [valuations_at_0_1(fac) for fac in factors]
+    for fac, (a, b, h) in zip(factors, valuations):
+        assert h(0) and h(1), (fac, h)
+        assert P(f, [0, 1]) ** a * P(f, [-1, 1]) ** b * h == fac
+        witness = split_cyclic_block(fac, a, b, h)
+        parts = [companion(h)] if h.degree else []
+        expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
+        assert witness.apply_inverse(companion(fac)) == expected
+    assert sum(h.degree + a + b for a, b, h in valuations) == m.rows
+    return valuations
+
 
 def test_split_spectral_mixed():
     f = QQ
@@ -113,21 +146,14 @@ def test_split_spectral_mixed():
     m = direct_sum(f, [away, at01])
     rng = random.Random(15)
     t = rand_invertible(f, 5, rng)
-    from quadsum import inverse
-    split = split_spectral(t * m * inverse(t))
-    assert split.m1.rows == 2
-    assert split.m2.rows == 3
-    assert split.p == 2 and split.q == 1
-    assert minimal_polynomial(split.m1) == P(f, [6, -5, 1])
+    valuations = _check_block_splits(t * m * inverse(t))
+    assert [(a, b) for a, b, _ in valuations] == [(2, 1)]
+    assert [h for _, _, h in valuations] == [P(f, [6, -5, 1])]
 
 
 def test_split_spectral_pure_cases():
-    m = jordan_block(QQ, 3)
-    split = split_spectral(m)
-    assert split.m1.rows == 0 and split.m2.rows == 3
-    m = Matrix.diagonal(QQ, [2, 5])
-    split = split_spectral(m)
-    assert split.m1.rows == 2 and split.m2.rows == 0
+    assert _check_block_splits(jordan_block(QQ, 3)) == [(3, 0, P(QQ, [1]))]
+    assert _check_block_splits(Matrix.diagonal(QQ, [2, 5])) == [(0, 0, P(QQ, [10, -7, 1]))]
 
 
 def test_split_spectral_random_consistency():
@@ -135,15 +161,10 @@ def test_split_spectral_random_consistency():
     for f in (QQ, GF(2), GF(5)):
         for _ in range(15):
             n = rng.randint(0, 5)
-            m = rand_matrix(f, n, rng)
-            split = split_spectral(m)
-            assert split.m1.rows + split.m2.rows == n
-            # conjugation identity (also enforced internally)
-            got = split.witness.apply(m)
-            assert got.submatrix(0, split.m1.rows, 0, split.m1.rows) == split.m1
+            _check_block_splits(rand_matrix(f, n, rng))
 
 
-# ---- nilpotent Jordan reduction --------------------------------------
+# ---- nilpotent Jordan block sizes, from the valuations ---------------
 
 def test_nilpotent_jordan_recovers_sizes():
     rng = random.Random(17)
@@ -153,22 +174,13 @@ def test_nilpotent_jordan_recovers_sizes():
                            reverse=True)
             nil = direct_sum(f, [jordan_block(f, s) for s in sizes])
             t = rand_invertible(f, nil.rows, rng)
-            from quadsum import inverse
-            got_sizes, witness = nilpotent_jordan_with_transform(t * nil * inverse(t))
-            assert got_sizes == tuple(sizes)
-            expected = direct_sum(f, [jordan_block(f, s) for s in sizes])
-            assert witness.apply_inverse(t * nil * inverse(t)) == expected
-
-
-def test_nilpotent_jordan_rejects_non_nilpotent():
-    with pytest.raises(NotNilpotent):
-        nilpotent_jordan_with_transform(Matrix.identity(QQ, 2))
+            decision = decide(t * nil * inverse(t))
+            assert decision.nullity_at_0.block_sizes() == tuple(sizes)
+            assert decision.nullity_at_1.block_sizes() == ()
 
 
 def test_nilpotent_jordan_zero_sized():
-    sizes, witness = nilpotent_jordan_with_transform(Matrix.zero(QQ, 0, 0))
-    assert sizes == ()
-    assert witness.size == 0
+    assert decide(Matrix.zero(QQ, 0, 0)).nullity_at_0.block_sizes() == ()
 
 
 # ---- determinism -------------------------------------------------------

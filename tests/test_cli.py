@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: JSON in/out, exit codes, determinism."""
 
 import json
+import os
 
 from quadsum.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "decide_golden.json")
 
 
 def write_job(tmp_path, name, payload):
@@ -173,3 +176,18 @@ def test_byte_deterministic_output(tmp_path, capsys):
     _, out1, _ = run(capsys, ["decide", "--input", job])
     _, out2, _ = run(capsys, ["decide", "--input", job])
     assert out1 == out2
+
+
+def test_decide_output_matches_golden(tmp_path, capsys):
+    """The decision JSON holds only similarity invariants, so its bytes must
+    not move when the bases chosen inside decide change.  The expected stdout
+    of these 14 jobs (Q, GF(2), GF(5); n 0 to 10; YES and both kinds of NO)
+    was recorded before decide and construct were moved onto one Frobenius
+    decomposition."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 14
+    for k, case in enumerate(cases):
+        job = write_job(tmp_path, f"{k}.json", case["job"])
+        code, out, _ = run(capsys, ["decide", "--input", job])
+        assert (code, out) == (case["exit"], case["stdout"]), k

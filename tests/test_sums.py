@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo, Matrix,
-                     NotSplitError, Polynomial, QuadParams, UnsupportedCase,
-                     check_necessary_combination, classify_and_reduce,
-                     companion, construct, construct_case_a, construct_case_b,
-                     decide, direct_sum, inverse, is_p_intertwined,
-                     jordan_block, pair_blocks, verify_certificate)
+import quadsum
+from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
+                     InternalCheckFailed, Matrix, NotSplitError, Polynomial,
+                     QuadParams, UnsupportedCase, check_necessary_combination,
+                     classify_and_reduce, companion, construct, decide,
+                     direct_sum, inverse, is_p_intertwined, jordan_block,
+                     pair_blocks, verify_certificate)
 from conftest import rand_decomposable, rand_invertible, rand_matrix
 
 
@@ -164,6 +165,15 @@ def test_decide_closed_under_direct_sum():
             assert decide(direct_sum(f, [m1, m2])).yes
 
 
+def test_decide_cross_checks_valuations_against_ranks():
+    """Nullities read off the invariant-factor valuations must equal those
+    from ranks of powers; a mismatch names the stage, eigenvalue, size and
+    both sequences."""
+    with pytest.raises(InternalCheckFailed, match=r"decide: nullity sequence at eigenvalue 0 "
+                       r"of the 3x3 matrix is \(1, 1, 1\) by ranks but \(1, 1\) by"):
+        quadsum.sums._nullities(jordan_block(QQ, 3), 0, [2])
+
+
 # ---- construction ----------------------------------------------------
 
 def _check_idem_sqzero(m, a, b):
@@ -172,11 +182,17 @@ def _check_idem_sqzero(m, a, b):
     assert (b * b).is_zero()
 
 
+# case a: the part with no eigenvalue in {0, 1}; case b: Jordan blocks at 0 and 1
+
+def _construct_idem_sqzero(m):
+    cert = construct(m, QuadParams.of(m.field))
+    _check_idem_sqzero(m, cert.a_part, cert.b_part)
+
+
 def test_construct_case_a_direct():
     f = QQ
     m1 = companion(P(f, [-1, -1, 1]))  # no eigenvalue in {0, 1}
-    a, b = construct_case_a(m1)
-    _check_idem_sqzero(m1, a, b)
+    _construct_idem_sqzero(m1)
 
 
 def test_construct_case_a_multiple_factors():
@@ -188,8 +204,7 @@ def test_construct_case_a_multiple_factors():
     rng = random.Random(24)
     t = rand_invertible(f, m1.rows, rng)
     m1 = t * m1 * inverse(t)
-    a, b = construct_case_a(m1)
-    _check_idem_sqzero(m1, a, b)
+    _construct_idem_sqzero(m1)
 
 
 def test_construct_case_b_all_small_pairs():
@@ -204,9 +219,7 @@ def test_construct_case_b_all_small_pairs():
                     blocks.append(jordan_block(f, s1, eigenvalue=1))
                 if s0:
                     blocks.append(jordan_block(f, s0))
-                m2 = direct_sum(f, blocks)
-                a, b = construct_case_b(m2)
-                _check_idem_sqzero(m2, a, b)
+                _construct_idem_sqzero(direct_sum(f, blocks))
 
 
 def test_construct_case_b_conjugated_mixture():
@@ -228,8 +241,48 @@ def test_construct_case_b_conjugated_mixture():
             m2 = t * m2 * inverse(t)
             if not decide(m2).yes:
                 continue  # random shuffle may break global pairing
-            a, b = construct_case_b(m2)
-            _check_idem_sqzero(m2, a, b)
+            _construct_idem_sqzero(m2)
+
+
+def test_construct_one_factor_with_all_three_parts():
+    """f = t^2 (t - 1)(t^2 - t - 1) is one cyclic block holding a part away
+    from {0, 1}, a Jordan block at 0 and one at 1."""
+    rng = random.Random(30)
+    for f in (QQ, GF(5)):
+        fac = P(f, [0, 1]) ** 2 * P(f, [-1, 1]) * P(f, [-1, -1, 1])
+        for _ in range(5):
+            t = rand_invertible(f, 5, rng)
+            m = t * companion(fac) * inverse(t)
+            decision = decide(m)
+            assert decision.yes and list(decision.frobenius) == [fac]
+            assert decision.valuations == ((2, 1, P(f, [-1, -1, 1])),)
+            cert = construct(m, QuadParams.of(f))
+            assert verify_certificate(m, cert).ok
+            _check_idem_sqzero(m, cert.a_part, cert.b_part)
+
+
+def test_construct_runs_one_frobenius_decomposition(monkeypatch):
+    """decide and construct share one invariant-factor computation, on the
+    reduced matrix."""
+    args = []
+    real = quadsum.canonical.invariant_factors_with_transform
+
+    def counted(m):
+        args.append(m)
+        return real(m)
+
+    monkeypatch.setattr(quadsum.canonical, "invariant_factors_with_transform", counted)
+    monkeypatch.setattr(quadsum.sums, "invariant_factors_with_transform", counted)
+    rng = random.Random(31)
+    params = QuadParams.of(QQ, 3, -2, 2, -1)
+    s = P(QQ, [0, -1, 1])
+    core = direct_sum(QQ, [companion(P(QQ, [2, 1]).compose(s)), jordan_block(QQ, 2),
+                           jordan_block(QQ, 1, eigenvalue=1)])
+    t = rand_invertible(QQ, core.rows, rng)
+    m = t * core * inverse(t) + 2 * Matrix.identity(QQ, core.rows)
+    _, reduced = classify_and_reduce(m, params)
+    construct(m, params)
+    assert args == [reduced]
 
 
 def test_construct_full_pipeline_round_trip():

@@ -1,0 +1,92 @@
+"""Independent oracle over the rationals: sympy's Smith form of t I - M over
+QQ[t] and sympy ranks of powers, against quadsum's invariant factors and
+decide."""
+
+import random
+
+import pytest
+
+from quadsum import (QQ, Matrix, Polynomial, companion, decide, direct_sum,
+                     invariant_factors_with_transform, inverse, jordan_block)
+from conftest import rand_invertible, rand_matrix
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors as smith_invariant_factors  # noqa: E402
+
+T = sympy.Symbol("t")
+
+
+def _sample(rng):
+    """15 random matrices with small integer entries, then 25 conjugated
+    direct sums of companion blocks, repeated factors and Jordan blocks at
+    0, 1 and elsewhere; n <= 10."""
+    for _ in range(15):
+        yield rand_matrix(QQ, rng.randint(1, 10), rng)
+    while True:
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(4)
+            size = rng.randint(1, 3)
+            if kind == 0:
+                p = Polynomial.from_coeffs(QQ, [rng.randint(-2, 2) for _ in range(size)] + [1])
+                blocks += [companion(p)] * rng.randint(1, 2)
+            else:
+                blocks.append(jordan_block(QQ, size, eigenvalue=[0, 1, "-1/2"][kind - 1]))
+        n = sum(b.rows for b in blocks)
+        if n > 10:
+            continue
+        t = rand_invertible(QQ, n, rng)
+        yield t * direct_sum(QQ, blocks) * inverse(t)
+
+
+def _to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for x in m._e])
+
+
+def _sympy_nullities(a):
+    """n_k = rank(A^(k-1)) - rank(A^k), up to the first zero."""
+    out, power, prev = [], sympy.eye(a.rows), a.rows
+    while True:
+        power = power * a
+        rank = power.rank()
+        if rank == prev:
+            return tuple(out)
+        out.append(prev - rank)
+        prev = rank
+
+
+def _intertwined(u, v):
+    def at(seq, k):
+        return seq[k - 1] if k <= len(seq) else 0
+    return all(at(u, k + 2) <= at(v, k) and at(v, k + 2) <= at(u, k)
+               for k in range(1, max(len(u), len(v)) + 1))
+
+
+def test_rational_invariant_factors_and_decisions_match_sympy():
+    rng = random.Random(5051)
+    sample = _sample(rng)
+    for _ in range(40):
+        m = next(sample)
+        n = m.rows
+        s = _to_sympy(m)
+        smith = [sympy.Poly(f, T, domain="QQ").monic()
+                 for f in smith_invariant_factors(T * sympy.eye(n) - s, domain=sympy.QQ[T])]
+        smith = [f for f in smith if f.degree() > 0]
+        factors, _ = invariant_factors_with_transform(m)
+        assert [[str(c) for c in f.coeffs] for f in factors] == \
+            [[str(c) for c in reversed(f.all_coeffs())] for f in smith]
+        decision = decide(m)
+        seq0 = _sympy_nullities(s)
+        seq1 = _sympy_nullities(s - sympy.eye(n))
+        assert decision.nullity_at_0.values == seq0
+        assert decision.nullity_at_1.values == seq1
+        away_ok = True
+        for f in smith:
+            h = f
+            for root in (0, 1):
+                while h.eval(root) == 0:
+                    h = h.exquo(sympy.Poly(T - root, T, domain="QQ"))
+            if h.degree() > 0:
+                away_ok = away_ok and h.degree() % 2 == 0 and \
+                    sympy.expand(h.as_expr().subs(T, 1 - T) - h.as_expr()) == 0
+        assert decision.yes == (away_ok and _intertwined(seq0, seq1))
