@@ -7,7 +7,7 @@ from .errors import (BadParams, BudgetExceeded, DecisionNo, DegreeZero,
                      MalformedInput, MalformedSequence, MixedFields, NotMonic,
                      NotSplitError, QuadsumError, Singular,
                      UnsupportedCase)
-from .field import GF, QQ, Field, FieldElement, characteristic, quadratic_roots
+from .field import GF, QQ, Field, FieldElement, quadratic_roots
 from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum,
                      hstack, inverse, jordan_block, kernel_matrix,
                      permutation_matrix, rank, rank_and_kernel, solve)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 
 from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
 from .field import Field, FieldElement
-from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, direct_sum,
-                     hstack, jordan_block, kernel_matrix, rank, solve)
+from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, _rref,
+                     direct_sum, hstack, jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, _standard_krylov, companion, krylov_annihilator
 
 
@@ -58,10 +58,9 @@ def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
     n = m.rows
     shifted = m - lam * Matrix.identity(m.field, n)
     values = []
-    power = Matrix.identity(m.field, n)
+    power = shifted
     prev_nullity = 0
     while True:
-        power = power * shifted
         nullity = n - rank(power)
         nk = nullity - prev_nullity
         if nk == 0:
@@ -70,6 +69,7 @@ def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
         prev_nullity = nullity
         if nullity == n:
             break
+        power = power * shifted
     return NullitySequence(lam, tuple(values))
 
 
@@ -91,7 +91,7 @@ class InvariantFactors:
 
 
 def _matrix_seed(m: Matrix) -> int:
-    return hash((m.field.characteristic(), m.rows, tuple(x.v for x in m._e)))
+    return hash((m.field.characteristic(), m.rows, m._e))
 
 
 def _vector_candidates(field: Field, n: int, seed: int):
@@ -100,12 +100,10 @@ def _vector_candidates(field: Field, n: int, seed: int):
         v = [0] * n
         v[i] = 1
         yield v
-    one = 1
     for i in range(n):
         for j in range(i + 1, n):
             v = [0] * n
-            v[i] = one
-            v[j] = one
+            v[i] = v[j] = 1
             yield v
     rng = random.Random(seed)
     p = field.p
@@ -135,13 +133,8 @@ def _row_candidates(field: Field, n: int, seed: int):
     # exhaustive fallback over small finite coordinate spaces
     p = field.p
     if p is not None and p ** n <= 1 << 16:
-        for idx in range(p ** n):
-            v = []
-            x = idx
-            for _ in range(n):
-                v.append(x % p)
-                x //= p
-            yield v
+        for v in product(range(p), repeat=n):  # first coordinate fastest
+            yield list(reversed(v))
 
 
 def _find_dual_rows(m: Matrix, chain, d: int):
@@ -152,25 +145,23 @@ def _find_dual_rows(m: Matrix, chain, d: int):
     """
     f = m.field
     n = m.rows
-    a = [x.v for x in m._e]
-    m_cols = _integral(f, [a[j::n] for j in range(n)])
+    m_cols = _integral(f, [m._e[j::n] for j in range(n)])
     chain_cols = _integral(f, chain)
     for w in _row_candidates(f, n, _matrix_seed(m)):
         rows = [w]
         for _ in range(d - 1):
             rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
         pairing = _raw_products(f, _integral(f, rows), chain_cols)
-        h = Matrix(f, d, d, [f.make(x) for r_ in pairing for x in r_])
-        if rank(h) == d:
-            return Matrix(f, d, n, [f.make(f.reduce(x)) for r_ in rows for x in r_])
+        if len(_rref(f, pairing, d)) == d:
+            return Matrix._raw(f, d, n, [f.reduce(x) for r_ in rows for x in r_])
     raise InternalCheckFailed("no dual row vector found for the cyclic subspace")
 
 
 def _chain_matrix(field: Field, chain) -> Matrix:
     """The matrix whose columns are the raw vectors of a Krylov chain."""
     n = len(chain[0])
-    return Matrix(field, n, len(chain),
-                  [field.make(field.reduce(v[i])) for i in range(n) for v in chain])
+    return Matrix._raw(field, n, len(chain),
+                       [field.reduce(v[i]) for i in range(n) for v in chain])
 
 
 def _cyclic_decompose(m: Matrix):
@@ -223,7 +214,7 @@ def invariant_factors_with_transform(m: Matrix):
 def valuations_at_0_1(fac: Polynomial):
     """(a, b, h) with fac = t^a (t - 1)^b h and h(0) h(1) != 0."""
     a = next(i for i, c in enumerate(fac.coeffs) if c)
-    h = Polynomial(fac.field, fac.coeffs[a:])
+    h = Polynomial._raw(fac.field, fac.coeffs[a:])
     t_1 = Polynomial.from_coeffs(fac.field, [-1, 1])
     b = 0
     while True:
@@ -260,8 +251,9 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Simila
         for _ in range(length):
             cols.append(head)
             head = head * step
+    zero = f.reduce(0)
     witness = SimilarityWitness.from_matrix(
-        Matrix(f, d, d, [col.coeff(i) for i in range(d) for col in cols]))
+        _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols]))
     parts = [companion(h)] if h.degree else []
     expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
     if witness.apply_inverse(companion(fac)) != expected:

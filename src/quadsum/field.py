@@ -1,8 +1,13 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Every element is canonical: a reduced :class:`~fractions.Fraction` for the
-rationals, a residue in ``[0, p)`` for GF(p).  Structural equality is exact
-equality, and all operations are pure, so values are freely shareable.
+Every value is canonical: a reduced :class:`~fractions.Fraction` for the
+rationals, an ``int`` residue in ``[0, p)`` for GF(p).  Structural equality
+is exact equality, and all operations are pure, so values are freely
+shareable.  Matrices and polynomials store these raw canonical values;
+:class:`FieldElement` wraps one for the public API.  :meth:`Field.element`
+is the one way in (it coerces ints, Fractions, strings and elements),
+:meth:`Field.make` the one way out, and :meth:`Field.reduce` the one
+function that brings a raw intermediate to canonical form.
 """
 
 from __future__ import annotations
@@ -78,21 +83,14 @@ class Field:
         return "QQ" if self.p is None else f"GF({self.p})"
 
     def characteristic(self) -> int:
+        """0 for the rationals, p for GF(p)."""
         return 0 if self.p is None else self.p
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     # ---- element construction ----------------------------------------
 
     def make(self, v) -> "FieldElement":
-        """Wrap an already-reduced raw value (Fraction, or residue in [0, p))."""
-        if self._interned is not None:
-            return self._interned[v]
-        if self.p is None and not isinstance(v, Fraction):
-            v = Fraction(v)
-        return FieldElement(self, v)
+        """Wrap a canonical raw value (a Fraction, or a residue in [0, p))."""
+        return FieldElement(self, v) if self._interned is None else self._interned[v]
 
     def element(self, x) -> "FieldElement":
         """Coerce an int, Fraction, decimal/fraction string, or element."""
@@ -102,9 +100,7 @@ class Field:
             return x
         if isinstance(x, str):
             return self.parse(x)
-        if self.p is None:
-            return self.make(Fraction(x))
-        return self.make(int(x) % self.p)
+        return self.make(self.reduce(x if self.p is None else int(x)))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -113,16 +109,17 @@ class Field:
         return self.element(1)
 
     def parse(self, s: str) -> "FieldElement":
-        s = s.strip()
-        if self.p is None:
-            return self.make(Fraction(s))
-        return self.make(int(s) % self.p)
+        return self.make(self.reduce(Fraction(s) if self.p is None else int(s)))
 
     # ---- raw-value arithmetic used by the dense kernels --------------
 
     def reduce(self, v):
-        """Reduce an intermediate raw value to canonical form."""
-        return v if self.p is None else v % self.p
+        """Canonical form of a raw intermediate: ``v % p`` over GF(p), a
+        Fraction over the rationals (plain ints are converted)."""
+        p = self.p
+        if p is None:
+            return v if type(v) is Fraction else Fraction(v)
+        return v % p
 
     def inv_raw(self, v):
         if not v:
@@ -161,7 +158,7 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(self.v + o.v if f.p is None else (self.v + o.v) % f.p)
+        return f.make(f.reduce(self.v + o.v))
 
     __radd__ = __add__
 
@@ -170,7 +167,7 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(self.v - o.v if f.p is None else (self.v - o.v) % f.p)
+        return f.make(f.reduce(self.v - o.v))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -183,7 +180,7 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(self.v * o.v if f.p is None else (self.v * o.v) % f.p)
+        return f.make(f.reduce(self.v * o.v))
 
     __rmul__ = __mul__
 
@@ -201,7 +198,7 @@ class FieldElement:
 
     def __neg__(self):
         f = self.field
-        return f.make(-self.v if f.p is None else (-self.v) % f.p)
+        return f.make(f.reduce(-self.v))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -254,11 +251,6 @@ def GF(p: int) -> Field:
 
 #: The field of rational numbers.
 QQ = Field()
-
-
-def characteristic(field: Field) -> int:
-    """0 for the rationals, p for GF(p)."""
-    return field.characteristic()
 
 
 def _sqrt_mod(a: int, p: int) -> int:

@@ -1,9 +1,13 @@
 """Dense exact matrices: arithmetic, rank/kernel, inverses, block composition.
 
-Matrices are immutable, store a flat row-major tuple of field elements, and
-allow 0-sized dimensions (empty direct summands show up naturally when a
-cyclic block is split at {0, 1}).  The elimination kernels work on unwrapped
-raw values for speed and rewrap results, so everything stays exact.
+Matrices are immutable and allow 0-sized dimensions (empty direct summands
+show up naturally when a cyclic block is split at {0, 1}).  A matrix stores
+a flat row-major tuple of raw canonical values (``int`` residues in [0, p),
+reduced ``Fraction`` objects over Q), never ``FieldElement`` wrappers.  The
+public constructors (``Matrix(...)``, ``from_rows``, ``column``,
+``diagonal``) coerce through ``Field.element``; indexing, ``row``,
+``to_rows`` and ``trace`` wrap what they return.  The kernels work on raw
+values, canonicalise with ``Field.reduce`` and build with :meth:`Matrix._raw`.
 
 Every product of raw vectors in the package (matrix products, Krylov steps,
 dual rows and pairings) goes through one kernel, :func:`_raw_products`.  Over
@@ -27,7 +31,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_e")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
-        entries = tuple(entries)
+        element = field.element
+        entries = tuple(element(x).v for x in entries)
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -37,43 +42,49 @@ class Matrix:
         self.cols = cols
         self._e = entries
 
+    @classmethod
+    def _raw(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
+        """The kernels' constructor: ``entries`` are canonical raw values,
+        row-major, and are stored as they are."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m._e = tuple(entries)
+        return m
+
     # ---- constructors ------------------------------------------------
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
         rows = list(rows)
-        r = len(rows)
         c = len(rows[0]) if rows else 0
-        entries = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionMismatch("ragged rows")
-            entries.extend(field.element(x) for x in row)
-        return cls(field, r, c, entries)
+        if any(len(row) != c for row in rows):
+            raise DimensionMismatch("ragged rows")
+        return cls(field, len(rows), c, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        z, o = field.reduce(0), field.reduce(1)
+        return cls._raw(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int | None = None) -> "Matrix":
         if cols is None:
             cols = rows
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
+        return cls._raw(field, rows, cols, [field.reduce(0)] * (rows * cols))
 
     @classmethod
     def column(cls, field: Field, values) -> "Matrix":
-        vals = [field.element(x) for x in values]
+        vals = list(values)
         return cls(field, len(vals), 1, vals)
 
     @classmethod
     def diagonal(cls, field: Field, values) -> "Matrix":
-        vals = [field.element(x) for x in values]
+        vals = [field.element(x).v for x in values]
         n = len(vals)
-        z = field.zero()
-        return cls(field, n, n, [vals[i] if i == j else z for i in range(n) for j in range(n)])
+        z = field.reduce(0)
+        return cls._raw(field, n, n, [vals[i] if i == j else z for i in range(n) for j in range(n)])
 
     # ---- access ------------------------------------------------------
 
@@ -81,28 +92,26 @@ class Matrix:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self._e[i * self.cols + j]
+        return self.field.make(self._e[i * self.cols + j])
 
     def row(self, i) -> list[FieldElement]:
-        return list(self._e[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j) -> list[FieldElement]:
-        return [self._e[i * self.cols + j] for i in range(self.rows)]
+        make = self.field.make
+        return [make(x) for x in self._e[i * self.cols : (i + 1) * self.cols]]
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
     def raw_rows(self):
-        """Rows of raw scalar values (internal; used by the raw-value kernels)."""
+        """Rows of raw scalar values, as fresh lists the kernels may mutate."""
         c = self.cols
         e = self._e
-        return [[x.v for x in e[i * c : (i + 1) * c]] for i in range(self.rows)]
+        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         ent = []
         for i in range(r0, r1):
             ent.extend(self._e[i * self.cols + c0 : i * self.cols + c1])
-        return Matrix(self.field, r1 - r0, c1 - c0, ent)
+        return Matrix._raw(self.field, r1 - r0, c1 - c0, ent)
 
     @property
     def is_square(self) -> bool:
@@ -117,34 +126,42 @@ class Matrix:
         if other.field != self.field:
             raise MixedFields(f"{self.field!r} vs {other.field!r}")
 
+    def _check_same_shape(self, other: "Matrix", op: str):
+        self._check_same_field(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"{op}: shapes differ")
+
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("add: shapes differ")
-        return Matrix(self.field, self.rows, self.cols,
-                      [x + y for x, y in zip(self._e, other._e)])
+        self._check_same_shape(other, "add")
+        reduce = self.field.reduce
+        return Matrix._raw(self.field, self.rows, self.cols,
+                           [reduce(x + y) for x, y in zip(self._e, other._e)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("sub: shapes differ")
-        return Matrix(self.field, self.rows, self.cols,
-                      [x - y for x, y in zip(self._e, other._e)])
+        self._check_same_shape(other, "sub")
+        reduce = self.field.reduce
+        return Matrix._raw(self.field, self.rows, self.cols,
+                           [reduce(x - y) for x, y in zip(self._e, other._e)])
 
     def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, [-x for x in self._e])
+        reduce = self.field.reduce
+        return Matrix._raw(self.field, self.rows, self.cols, [reduce(-x) for x in self._e])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return self._matmul(other)
         if isinstance(other, (FieldElement, int)):
-            c = self.field.element(other)
-            return Matrix(self.field, self.rows, self.cols, [c * x for x in self._e])
+            return self._scaled(self.field.element(other).v)
         return NotImplemented
+
+    def _scaled(self, c) -> "Matrix":
+        """c times self, for a raw canonical scalar c."""
+        reduce = self.field.reduce
+        return Matrix._raw(self.field, self.rows, self.cols, [reduce(c * x) for x in self._e])
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -159,13 +176,11 @@ class Matrix:
             )
         f = self.field
         k, m = self.cols, other.cols
-        a = [x.v for x in self._e]
-        b = [x.v for x in other._e]
+        a, b = self._e, other._e
         rows = _integral(f, [a[i * k : (i + 1) * k] for i in range(self.rows)])
         cols = _integral(f, [b[j::m] for j in range(m)])
-        make = f.make
-        return Matrix(f, self.rows, m,
-                      [make(x) for row in _raw_products(f, rows, cols) for x in row])
+        return Matrix._raw(f, self.rows, m,
+                           [x for row in _raw_products(f, rows, cols) for x in row])
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -182,15 +197,13 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [self._e[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._raw(self.field, self.cols, self.rows,
+                           [self._e[i * self.cols + j]
+                            for j in range(self.cols) for i in range(self.rows)])
 
     def trace(self) -> FieldElement:
-        t = self.field.zero()
-        for i in range(self.rows):
-            t = t + self._e[i * self.cols + i]
-        return t
+        f = self.field
+        return f.make(f.reduce(sum(self._e[i * self.cols + i] for i in range(self.rows))))
 
     # ---- equality / hashing -----------------------------------------
 
@@ -201,10 +214,12 @@ class Matrix:
                 and self.cols == other.cols and self._e == other._e)
 
     def __hash__(self):
-        return hash((self.field.p, self.rows, self.cols, tuple(x.v for x in self._e)))
+        return hash((self.field.p, self.rows, self.cols, self._e))
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        c = self.cols
+        body = "; ".join(", ".join(str(x) for x in self._e[i * c : (i + 1) * c])
+                         for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
 
@@ -244,8 +259,11 @@ def _raw_products(field: Field, rows, cols):
 # ---- elimination kernels (raw values) --------------------------------
 
 def _rref(field: Field, rows, ncols: int):
-    """In-place reduced row echelon form on raw rows; returns pivot columns."""
-    p = field.p
+    """In-place reduced row echelon form on raw rows; returns pivot columns.
+
+    Every pivot row comes out in canonical form; rows past the rank may
+    keep raw intermediates."""
+    reduce = field.reduce
     pivots = []
     r = 0
     nrows = len(rows)
@@ -259,18 +277,11 @@ def _rref(field: Field, rows, ncols: int):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv_raw(rows[r][c])
-        if p is None:
-            rows[r] = [x * inv for x in rows[r]]
-        else:
-            rows[r] = [x * inv % p for x in rows[r]]
-        prow = rows[r]
+        rows[r] = prow = [reduce(x * inv) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 fac = rows[i][c]
-                if p is None:
-                    rows[i] = [x - fac * y for x, y in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], prow)]
+                rows[i] = [reduce(x - fac * y) for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -295,15 +306,16 @@ def rank_and_kernel(m: Matrix):
     rk = len(pivots)
     pivset = set(pivots)
     basis = []
+    zero, one = f.reduce(0), f.reduce(1)
     for j in range(m.cols):
         if j in pivset:
             continue
-        v = [0] * m.cols
-        v[j] = 1
+        v = [zero] * m.cols
+        v[j] = one
         for i, pc in enumerate(pivots):
             if rows[i][j]:
                 v[pc] = f.reduce(-rows[i][j])
-        basis.append(Matrix(f, m.cols, 1, [f.make(f.reduce(x)) for x in v]))
+        basis.append(Matrix._raw(f, m.cols, 1, v))
     return rk, basis
 
 
@@ -324,10 +336,7 @@ def inverse(m: Matrix) -> Matrix:
     pivots = _rref(f, rows, n)
     if len(pivots) < n:
         raise Singular("matrix is singular")
-    ent = []
-    for i in range(n):
-        ent.extend(f.make(f.reduce(x)) for x in rows[i][n:])
-    return Matrix(f, n, n, ent)
+    return Matrix._raw(f, n, n, [x for row in rows for x in row[n:]])
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -340,19 +349,14 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("solve: row counts differ")
     f = a.field
     k, c = a.cols, b.cols
-    arows = a.raw_rows()
-    brows = b.raw_rows()
-    rows = [arows[i] + brows[i] for i in range(a.rows)]
+    rows = [ar + br for ar, br in zip(a.raw_rows(), b.raw_rows())]
     pivots = _rref(f, rows, k + c)
     if any(pc >= k for pc in pivots):
         raise Singular("inconsistent linear system")
-    x = [[0] * c for _ in range(k)]
+    x = [[f.reduce(0)] * c for _ in range(k)]
     for i, pc in enumerate(pivots):
         x[pc] = rows[i][k:]
-    ent = []
-    for i in range(k):
-        ent.extend(f.make(f.reduce(v)) for v in x[i])
-    return Matrix(f, k, c, ent)
+    return Matrix._raw(f, k, c, [v for row in x for v in row])
 
 
 # ---- block composition -----------------------------------------------
@@ -366,15 +370,14 @@ def direct_sum(field: Field, blocks) -> Matrix:
         if not blk.is_square:
             raise DimensionMismatch("direct_sum: blocks must be square")
     n = sum(blk.rows for blk in blocks)
-    z = field.zero()
-    ent = [z] * (n * n)
+    ent = [field.reduce(0)] * (n * n)
     off = 0
     for blk in blocks:
         for i in range(blk.rows):
             base = (off + i) * n + off
             ent[base : base + blk.cols] = blk._e[i * blk.cols : (i + 1) * blk.cols]
         off += blk.rows
-    return Matrix(field, n, n, ent)
+    return Matrix._raw(field, n, n, ent)
 
 
 def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
@@ -386,10 +389,8 @@ def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     for m in (tr, bl, br):
         if m.field != f:
             raise MixedFields("block2x2: mixed fields")
-    top = [tl.row(i) + tr.row(i) for i in range(tl.rows)]
-    bot = [bl.row(i) + br.row(i) for i in range(bl.rows)]
-    return Matrix(f, tl.rows + bl.rows, tl.cols + tr.cols,
-                  [x for row in top + bot for x in row])
+    top, bot = hstack(f, [tl, tr]), hstack(f, [bl, br])
+    return Matrix._raw(f, top.rows + bot.rows, top.cols, top._e + bot._e)
 
 
 def hstack(field: Field, mats) -> Matrix:
@@ -406,35 +407,27 @@ def hstack(field: Field, mats) -> Matrix:
     for i in range(r):
         for m in mats:
             ent.extend(m._e[i * m.cols : (i + 1) * m.cols])
-    return Matrix(field, r, sum(m.cols for m in mats), ent)
+    return Matrix._raw(field, r, sum(m.cols for m in mats), ent)
 
 
 def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:
     """Jordan block with ones on the subdiagonal (matching the companion
     convention used throughout: the block for t^k is C(t^k))."""
-    lam = field.element(eigenvalue)
-    z, o = field.zero(), field.one()
-    ent = []
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                ent.append(lam)
-            elif i == j + 1:
-                ent.append(o)
-            else:
-                ent.append(z)
-    return Matrix(field, size, size, ent)
+    lam = field.element(eigenvalue).v
+    z, o = field.reduce(0), field.reduce(1)
+    return Matrix._raw(field, size, size,
+                       [lam if i == j else o if i == j + 1 else z
+                        for i in range(size) for j in range(size)])
 
 
 def permutation_matrix(field: Field, perm) -> Matrix:
     """Matrix P with P e_k = e_{perm[k]}."""
     perm = list(perm)
     n = len(perm)
-    z, o = field.zero(), field.one()
-    ent = [z] * (n * n)
+    ent = [field.reduce(0)] * (n * n)
     for k, pk in enumerate(perm):
-        ent[pk * n + k] = o
-    return Matrix(field, n, n, ent)
+        ent[pk * n + k] = field.reduce(1)
+    return Matrix._raw(field, n, n, ent)
 
 
 class SimilarityWitness:

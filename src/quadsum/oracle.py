@@ -25,6 +25,8 @@ def _require_prime_field(field: Field):
 
 
 def _check_budget(p: int, n: int, budget: int):
+    if n < 0:
+        raise BadParams(f"matrix size must be non-negative, got {n}")
     if p ** (n * n) > budget:
         raise BudgetExceeded(
             f"scan of {p}^{n * n} matrices exceeds the budget of {budget}")
@@ -86,7 +88,7 @@ def _raw_square_zero(p: int, n: int, budget: int):
 
 
 def _wrap(field: Field, n: int, raw) -> Matrix:
-    return Matrix(field, n, n, [field.make(v) for v in raw])
+    return Matrix._raw(field, n, n, raw)
 
 
 def enumerate_idempotents(field: Field, n: int, budget: int = DEFAULT_BUDGET):
@@ -113,7 +115,7 @@ class SumAtlas:
     second_count: int
 
     def contains(self, m: Matrix) -> bool:
-        return tuple(x.v for x in m._e) in self.members
+        return m._e in self.members
 
     def __len__(self):
         return len(self.members)
@@ -168,12 +170,10 @@ def exhaustive_compare(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> Co
     _check_budget(p, n, budget)
     atlas = build_sum_atlas(field, n, "main", budget=budget)
     members = atlas.members
-    make = field.make
     yes = 0
     mismatches = []
     for raw in _raw_matrices(p, n):
-        m = Matrix(field, n, n, [make(v) for v in raw])
-        answer = decide(m).yes
+        answer = decide(_wrap(field, n, raw)).yes
         if answer:
             yes += 1
         if answer != (tuple(raw) in members):

@@ -2,6 +2,11 @@
 
 Includes companion matrices, Krylov-based minimal polynomials, and the
 substitution test deciding whether f(t) can be written as g(t^2 - t).
+
+Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
+``Polynomial(...)`` and ``from_coeffs`` coerce through ``Field.element``,
+``lead``, ``coeff`` and scalar evaluation wrap, and the kernels build with
+:meth:`Polynomial._raw`.
 """
 
 from __future__ import annotations
@@ -21,31 +26,37 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        coeffs = tuple(coeffs)
+        element = field.element
+        self._store(field, [element(c).v for c in coeffs])
+
+    @classmethod
+    def _raw(cls, field: Field, coeffs) -> "Polynomial":
+        """The kernels' constructor: canonical raw coefficients, trimmed here."""
+        poly = object.__new__(cls)
+        poly._store(field, list(coeffs))
+        return poly
+
+    def _store(self, field: Field, coeffs: list):
         while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
+            coeffs.pop()
         self.field = field
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def from_coeffs(cls, field: Field, coeffs) -> "Polynomial":
-        return cls(field, [field.element(c) for c in coeffs])
+        return cls(field, coeffs)
 
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
-        return cls(field, ())
+        return cls._raw(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
-        return cls(field, (field.one(),))
-
-    @classmethod
-    def constant(cls, field: Field, c) -> "Polynomial":
-        return cls(field, (field.element(c),))
+        return cls._raw(field, (field.reduce(1),))
 
     @classmethod
     def x(cls, field: Field) -> "Polynomial":
-        return cls(field, (field.zero(), field.one()))
+        return cls._raw(field, (field.reduce(0), field.reduce(1)))
 
     @property
     def degree(self):
@@ -55,21 +66,26 @@ class Polynomial:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def lead(self) -> FieldElement:
         if not self.coeffs:
             raise DegreeZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.make(self.coeffs[-1])
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if k < len(self.coeffs) else self.field.zero()
+        f = self.field
+        return f.make(self.coeffs[k] if k < len(self.coeffs) else f.reduce(0))
+
+    def _scaled(self, c) -> "Polynomial":
+        """c times self, for a raw canonical scalar c."""
+        reduce = self.field.reduce
+        return Polynomial._raw(self.field, [reduce(c * x) for x in self.coeffs])
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        inv = self.lead().inverse()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        return self._scaled(self.field.inv_raw(self.coeffs[-1]))
 
     # ---- arithmetic --------------------------------------------------
 
@@ -84,10 +100,9 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.field, out)
+        reduce = self.field.reduce
+        return Polynomial._raw(self.field,
+                               [reduce(x + y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -95,29 +110,24 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        reduce = self.field.reduce
+        return Polynomial._raw(self.field, [reduce(-c) for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
-            c = self.field.element(other)
-            return Polynomial(self.field, [c * x for x in self.coeffs])
+            return self._scaled(self.field.element(other).v)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._chk(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.field)
-        f = self.field
-        p = f.p
-        a = [c.v for c in self.coeffs]
-        b = [c.v for c in other.coeffs]
+        a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        if p is not None:
-            out = [v % p for v in out]
-        return Polynomial(f, [f.make(v) for v in out])
+        return Polynomial._raw(self.field, map(self.field.reduce, out))
 
     __rmul__ = __mul__
 
@@ -137,38 +147,44 @@ class Polynomial:
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
         f = self.field
+        reduce = f.reduce
         rem = list(self.coeffs)
-        d = divisor.degree
-        dlead_inv = divisor.lead().inverse()
-        quo = [f.zero()] * max(len(rem) - d, 0)
+        dco = divisor.coeffs
+        d = len(dco) - 1
+        dlead_inv = f.inv_raw(dco[-1])
+        quo = [reduce(0)] * max(len(rem) - d, 0)
         for k in range(len(rem) - d - 1, -1, -1):
-            c = rem[k + d] * dlead_inv
+            c = reduce(rem[k + d] * dlead_inv)
             if c:
                 quo[k] = c
-                for i, dc in enumerate(divisor.coeffs):
-                    rem[k + i] = rem[k + i] - c * dc
-        return Polynomial(f, quo), Polynomial(f, rem[:d])
+                for i, dc in enumerate(dco):
+                    rem[k + i] = reduce(rem[k + i] - c * dc)
+        return Polynomial._raw(f, quo), Polynomial._raw(f, rem[:d])
 
     def __call__(self, x):
         """Evaluate at a scalar or (square) matrix, by Horner's rule."""
+        f = self.field
         if isinstance(x, Matrix):
-            ident = Matrix.identity(x.field, x.rows)
-            acc = Matrix.zero(x.field, x.rows, x.rows)
+            if x.field != f:
+                raise MixedFields("polynomial and matrix over different fields")
+            ident = Matrix.identity(f, x.rows)
+            acc = Matrix.zero(f, x.rows, x.rows)
             for c in reversed(self.coeffs):
-                acc = acc * x + c * ident
+                acc = acc * x + ident._scaled(c)
             return acc
-        x = self.field.element(x)
-        acc = self.field.zero()
+        x = f.element(x).v
+        acc = f.reduce(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = f.reduce(acc * x + c)
+        return f.make(acc)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(t))."""
         self._chk(inner)
-        acc = Polynomial.zero(self.field)
+        f = self.field
+        acc = Polynomial.zero(f)
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(self.field, c)
+            acc = acc * inner + Polynomial._raw(f, (c,))
         return acc
 
     def __eq__(self, other):
@@ -177,7 +193,7 @@ class Polynomial:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field.p, tuple(c.v for c in self.coeffs)))
+        return hash((self.field.p, self.coeffs))
 
     def __str__(self):
         if self.is_zero():
@@ -190,9 +206,9 @@ class Polynomial:
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
-                parts.append(f"{c}*t" if c != self.field.one() else "t")
+                parts.append(f"{c}*t" if c != 1 else "t")
             else:
-                parts.append(f"{c}*t^{k}" if c != self.field.one() else f"t^{k}")
+                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -227,17 +243,10 @@ def companion(p: Polynomial) -> Matrix:
     if n < 1:
         raise DegreeZero("companion needs degree >= 1")
     f = p.field
-    z, o = f.zero(), f.one()
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            if j == n - 1:
-                ent.append(-p.coeffs[i])
-            elif i == j + 1:
-                ent.append(o)
-            else:
-                ent.append(z)
-    return Matrix(f, n, n, ent)
+    z, o = f.reduce(0), f.reduce(1)
+    last = [f.reduce(-c) for c in p.coeffs]
+    return Matrix._raw(f, n, n, [last[i] if j == n - 1 else o if i == j + 1 else z
+                                 for i in range(n) for j in range(n)])
 
 
 # ---- Krylov machinery ------------------------------------------------
@@ -249,7 +258,7 @@ def krylov_annihilator(m: Matrix, v_raw):
     v, m v, ..., m^(d-1) v for d = deg(poly).
     """
     f = m.field
-    p = f.p
+    reduce = f.reduce
     n = m.rows
     m_rows = _integral(f, m.raw_rows())
     ech = []  # (pivot index, reduced vector, combination over krylov powers)
@@ -263,26 +272,17 @@ def krylov_annihilator(m: Matrix, v_raw):
         for pi, evec, ecombo in ech:
             c = vec[pi]
             if c:
-                if p is None:
-                    vec = [x - c * y for x, y in zip(vec, evec)]
-                    for i, e in enumerate(ecombo):
-                        combo[i] -= c * e
-                else:
-                    vec = [(x - c * y) % p for x, y in zip(vec, evec)]
-                    for i, e in enumerate(ecombo):
-                        combo[i] = (combo[i] - c * e) % p
+                vec = [reduce(x - c * y) for x, y in zip(vec, evec)]
+                combo = ([reduce(x - c * y) for x, y in zip(combo, ecombo)]
+                         + combo[len(ecombo):])
         if not any(vec):
-            return Polynomial(f, [f.make(f.reduce(c)) for c in combo]), chain
+            return Polynomial._raw(f, map(reduce, combo)), chain
         if k > n:
             raise InternalCheckFailed("krylov chain exceeded the ambient dimension")
         piv = next(i for i, x in enumerate(vec) if x)
         inv = f.inv_raw(vec[piv])
-        if p is None:
-            vec = [x * inv for x in vec]
-            combo = [c * inv for c in combo]
-        else:
-            vec = [x * inv % p for x in vec]
-            combo = [c * inv % p for c in combo]
+        vec = [reduce(x * inv) for x in vec]
+        combo = [reduce(c * inv) for c in combo]
         ech.append((piv, vec, combo))
         chain.append(list(w))
         # advance: w <- m w
@@ -335,22 +335,17 @@ def decompose_in_t2_minus_t(f: Polynomial):
         return powers[m]
 
     work = f
-    g_coeffs: dict[int, FieldElement] = {}
+    out = [field.reduce(0)] * (f.degree // 2 + 1)
     while work.degree not in (None, 0):
         d = work.degree
         if d % 2:
             return None
-        m = d // 2
-        c = work.lead()
-        g_coeffs[m] = c
-        work = work - c * s_pow(m)
+        c = work.coeffs[-1]
+        out[d // 2] = c
+        work = work - s_pow(d // 2)._scaled(c)
     if not work.is_zero():
-        g_coeffs[0] = work.coeffs[0]
-    top = max(g_coeffs)
-    out = [field.zero()] * (top + 1)
-    for k, c in g_coeffs.items():
-        out[k] = c
-    return Polynomial(field, out)
+        out[0] = work.coeffs[0]
+    return Polynomial._raw(field, out)
 
 
 def substitute_one_minus_t(f: Polynomial) -> Polynomial:

@@ -9,6 +9,7 @@ key order so rendered JSON is byte-deterministic.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import MalformedInput, QuadsumError
 from .field import Field, GF, QQ
@@ -24,21 +25,41 @@ def field_to_json(field: Field):
     return "Q" if field.p is None else {"GF": field.p}
 
 
+def _is_json_scalar(x) -> bool:
+    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"GF"}:
         try:
+            if not _is_json_scalar(obj["GF"]):
+                raise TypeError("the modulus must be a string or an integer")
             return GF(int(obj["GF"]))
         except (ValueError, TypeError) as exc:
             raise MalformedInput(f"bad field modulus: {obj['GF']!r}") from exc
     raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
 
 
+#: Fraction reads "1e999999999" by computing 10**999999999, so exponents
+#: past 4300, the interpreter's limit on integer digits, are refused.
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
 def _parse_element(field: Field, s):
+    """The one parse of a scalar that comes from outside (job files, CLI
+    arguments): a string such as "3", "-1/2" or "0.25", or an integer.
+    Everything else (floats, bools, null, lists), and any string the field
+    cannot read, is MalformedInput."""
     try:
+        if not _is_json_scalar(s):
+            raise TypeError("a scalar must be a string or an integer")
+        exponent = _EXPONENT.search(s) if isinstance(s, str) else None
+        if exponent and abs(int(exponent.group(1))) > 4300:
+            raise ValueError("exponent out of range")
         return field.element(s)
-    except (QuadsumError, ValueError, TypeError) as exc:
+    except (QuadsumError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad element {s!r} for {field!r}") from exc
 
 

@@ -315,7 +315,7 @@ def _shift_intertwiners(f: Field, a: int, b: int):
     The larger side receives a shift-by-two inclusion, the smaller a plain
     truncation; for a = b this degenerates to (N^2, I).
     """
-    z, o = f.zero(), f.one()
+    z, o = f.reduce(0), f.reduce(1)
     x_ent = [z] * (a * b)
     y_ent = [z] * (b * a)
     if a >= b:
@@ -328,7 +328,7 @@ def _shift_intertwiners(f: Field, a: int, b: int):
             x_ent[i * b + i] = o
         for i in range(min(a, b - 2)):
             y_ent[(i + 2) * a + i] = o
-    return Matrix(f, a, b, x_ent), Matrix(f, b, a, y_ent)
+    return Matrix._raw(f, a, b, x_ent), Matrix._raw(f, b, a, y_ent)
 
 
 def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int):

@@ -1,11 +1,17 @@
 """End-to-end CLI behavior: JSON in/out, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 
+from hypothesis import given, settings, strategies as st
+
 from quadsum.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "decide_golden.json")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+GOLDEN = os.path.join(DATA, "decide_golden.json")
+CONSTRUCT_GOLDEN = os.path.join(DATA, "construct_golden.json")
 
 
 def write_job(tmp_path, name, payload):
@@ -191,3 +197,100 @@ def test_decide_output_matches_golden(tmp_path, capsys):
         job = write_job(tmp_path, f"{k}.json", case["job"])
         code, out, _ = run(capsys, ["decide", "--input", job])
         assert (code, out) == (case["exit"], case["stdout"]), k
+
+
+def test_construct_output_matches_golden(tmp_path, capsys):
+    """The certificate bytes depend on every basis choice inside construct,
+    so a change to the arithmetic must leave them exactly as they were.  The
+    expected stdout of these 13 jobs (Q, GF(2), GF(5); n 0 to 8; a factor
+    away from {0, 1}, Jordan pairs whose sizes differ by 2, singletons,
+    shifted and swapped params, one NO) was recorded before matrices and
+    polynomials stored raw values."""
+    with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) == 13
+    for k, case in enumerate(cases):
+        job = write_job(tmp_path, f"{k}.json", case["job"])
+        code, out, _ = run(capsys, ["construct", "--input", job])
+        assert (code, out) == (case["exit"], case["stdout"]), k
+
+
+BAD_SCALAR_JOBS = [
+    {"field": "Q", "matrix": [["1/0"]]},
+    {"field": "Q", "matrix": [["1"]], "params": {"a": "1/0"}},
+    {"field": {"GF": 7}, "matrix": [["1"]], "params": {"a": 0.5}},
+    {"field": {"GF": 5}, "matrix": [[0.5]]},
+    {"field": {"GF": 5}, "matrix": [[True]]},
+    {"field": "Q", "matrix": [[None]]},
+    {"field": "Q", "matrix": [["1e999999999"]]},
+    {"field": {"GF": 7.0}, "matrix": [["1"]]},
+]
+
+
+def test_bad_scalars_exit_2(tmp_path, capsys):
+    """Scalars from outside go through one parse: strings and non-bool
+    integers only, and a string the field cannot read is malformed input,
+    never a traceback and never a silently truncated float."""
+    for k, payload in enumerate(BAD_SCALAR_JOBS):
+        job = write_job(tmp_path, f"{k}.json", payload)
+        for command in ("decide", "construct", "classify"):
+            code, out, err = run(capsys, [command, "--input", job])
+            assert (code, out) == (2, ""), (k, command)
+            assert err.startswith("malformed input") and err.count("\n") == 1
+    job = write_job(tmp_path, "ok.json", {"field": "Q", "matrix": [["1"]]})
+    for alpha in ("abc", "1/0", "0.5e99999"):
+        code, out, err = run(capsys, ["necessary", "--input", job,
+                                      "--alpha", alpha, "--beta", "3"])
+        assert (code, out) == (2, ""), alpha
+        assert err.startswith("malformed input")
+
+
+def test_integers_and_strings_still_parse(tmp_path, capsys):
+    job = write_job(tmp_path, "job.json", {"field": {"GF": "5"},
+                                           "matrix": [[6, "-1"], [0, "0"]],
+                                           "params": {"a": 1, "b": "0"}})
+    code, out, _ = run(capsys, ["classify", "--input", job])
+    assert code == 0 and json.loads(out)["case"] == "III"
+    job = write_job(tmp_path, "q.json", {"field": "Q", "matrix": [["1e2", "0.25"], ["-3/6", 0]]})
+    assert run(capsys, ["decide", "--input", job])[0] == 0
+
+
+def test_oracle_negative_n_exit_2(capsys):
+    code, out, err = run(capsys, ["oracle", "--field", "gf2", "--n", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input")
+
+
+_FUZZ_SCALARS = st.one_of(
+    st.sampled_from(["1/0", "0", "1", "-1", "1/2", "2", "1e3", "abc", "", " 3 "]),
+    st.text(max_size=6),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["Q", {"GF": 2}, {"GF": 5}]),
+       n=st.integers(0, 3),
+       data=st.data())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, field, n, data):
+    """Every command on arbitrary entries and params ends in a result (0),
+    malformed input (2) or an unsupported case (3), never a traceback."""
+    rows = [[data.draw(_FUZZ_SCALARS) for _ in range(n)] for _ in range(n)]
+    job = {"field": field, "matrix": rows}
+    if data.draw(st.booleans()):
+        job["params"] = {key: data.draw(_FUZZ_SCALARS)
+                         for key in data.draw(st.sets(st.sampled_from("abcd")))}
+    path = tmp_path_factory.mktemp("fuzz") / "job.json"
+    path.write_text(json.dumps(job))
+    command = data.draw(st.sampled_from(["decide", "construct", "classify", "necessary"]))
+    argv = [command, "--input", str(path)]
+    if command == "necessary":
+        argv += ["--alpha", data.draw(st.text(max_size=6)),
+                 "--beta", data.draw(st.sampled_from(["2", "1/0", "x", "-1"]))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, job)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from quadsum import (GF, QQ, DimensionMismatch, Matrix, SimilarityWitness,
-                     Singular, block2x2, direct_sum, hstack, inverse,
-                     jordan_block, kernel_matrix, permutation_matrix, rank,
+from quadsum import (GF, QQ, DimensionMismatch, Matrix, MixedFields, Polynomial,
+                     SimilarityWitness, Singular, block2x2, companion, direct_sum,
+                     hstack, inverse, jordan_block, kernel_matrix,
+                     krylov_annihilator, permutation_matrix, rank,
                      rank_and_kernel, solve)
-from conftest import rand_invertible, rand_matrix, rand_wide_rational
+from conftest import rand_element, rand_invertible, rand_matrix, rand_wide_rational
 
 
 def naive_product(a, b):
@@ -26,10 +27,13 @@ def naive_product(a, b):
 
 
 def assert_canonical(m):
+    """Every value stored in the matrix or polynomial ``m`` is raw and
+    canonical: a Fraction over Q, an int in [0, p) over GF(p)."""
+    values = m._e if isinstance(m, Matrix) else m.coeffs
     if m.field.p is None:
-        assert all(type(x.v) is Fraction for x in m._e)
+        assert all(type(x) is Fraction for x in values)
     else:
-        assert all(type(x.v) is int and 0 <= x.v < m.field.p for x in m._e)
+        assert all(type(x) is int and 0 <= x < m.field.p for x in values)
 
 
 def test_shapes_and_zero_sized():
@@ -70,6 +74,52 @@ def test_products_match_naive_triple_loop():
             got = a * b
             assert got == naive_product(a, b)
             assert_canonical(got)
+
+
+def test_every_operation_stores_canonical_values():
+    """An unreduced GF(p) residue would silently break == and hashing, and a
+    bare int over Q breaks the stored-type rule, so every operation that
+    builds a matrix or a polynomial is checked for raw canonical storage."""
+    rng = random.Random(14)
+    for f in (GF(2), GF(5), GF(101), QQ):
+        for n in (1, 3, 4):
+            a, b = rand_matrix(f, n, rng), rand_matrix(f, n, rng)
+            if f.p is None:
+                a = a * Matrix.diagonal(f, [Fraction(1, k + 2) for k in range(n)])
+            t = rand_invertible(f, n, rng)
+            x = rand_matrix(f, n, rng, cols=2)
+            results = [
+                a + b, a - b, -a, 3 * a, a * -1, a * f.element(-2), a.transpose(),
+                inverse(t), solve(t, t * x), solve(Matrix.zero(f, n), Matrix.zero(f, n, 2)),
+                direct_sum(f, [a, Matrix.zero(f, 2), t]), hstack(f, [a, x]),
+                block2x2(a, x, x.transpose(), Matrix.identity(f, 2)),
+                jordan_block(f, n, eigenvalue=-1), jordan_block(f, n),
+                permutation_matrix(f, list(reversed(range(n)))),
+                Matrix.identity(f, n), Matrix.zero(f, n, 2),
+            ]
+            results.extend(rank_and_kernel(a)[1] + rank_and_kernel(Matrix.zero(f, n, 3))[1])
+            for m in results:
+                assert_canonical(m)
+            g = Polynomial(f, [rand_element(f, rng) for _ in range(n + 2)] + [1])
+            h = Polynomial(f, [rand_element(f, rng) for _ in range(n)] + [-1])
+            quo, rem = g.divrem(h)
+            polys = [g + h, g - h, g - g, -g, g * h, g * -1, 7 * g, quo, rem, h.monic(),
+                     g.compose(h), g ** 2, krylov_annihilator(a, [0] * (n - 1) + [1])[0]]
+            for m in polys + [companion(g), companion(h.monic())]:
+                assert_canonical(m)
+
+
+def test_constructors_coerce_once_and_reject_other_fields():
+    f = GF(5)
+    m = Matrix(f, 1, 3, [7, "-1", f.element(2)])
+    assert m._e == (2, 4, 2)
+    assert Matrix(QQ, 1, 2, [1, "1/2"])._e == (Fraction(1), Fraction(1, 2))
+    assert Polynomial(f, [6, 0, 5]).coeffs == (1,)
+    for build in (lambda: Matrix(f, 1, 1, [GF(7).element(1)]),
+                  lambda: Matrix.from_rows(f, [[QQ.element(1)]]),
+                  lambda: Polynomial(QQ, [f.element(1)])):
+        with pytest.raises(MixedFields):
+            build()
 
 
 def test_zero_sized_products():
