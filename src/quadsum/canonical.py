@@ -5,19 +5,25 @@ via iterated cyclic subspaces, and the split of one cyclic block k[t]/(f)
 with f = t^a (t - 1)^b h into C(h), J_a(0) and J_b(1) by the Chinese
 remainder theorem.  Every transform is verified post-hoc by the conjugation
 identity it claims.
+
+Every basis vector of the Frobenius decomposition is constructed, none is
+searched for.  The cyclic vector of each level comes from
+:func:`quadsum.poly.cyclic_vector` (a standard basis vector, or a merge of
+them).  The invariant complement of its cyclic subspace is the kernel of d
+dual rows w, wM, ..., wM^(d-1): w is the first standard row whose pairing
+with the Krylov chain is invertible, or else the solution of w K = e_(d-1)^T,
+whose pairing is always invertible.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import islice, product
 
 from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
 from .field import Field, FieldElement
 from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, _rref,
                      direct_sum, hstack, jordan_block, kernel_matrix, rank, solve)
-from .poly import Polynomial, _standard_krylov, companion, krylov_annihilator
+from .poly import Polynomial, companion, cyclic_vector
 
 
 @dataclass(frozen=True)
@@ -90,71 +96,29 @@ class InvariantFactors:
         return len(self.factors)
 
 
-def _matrix_seed(m: Matrix) -> int:
-    return hash((m.field.characteristic(), m.rows, m._e))
-
-
-def _vector_candidates(field: Field, n: int, seed: int):
-    """Deterministic scan: standard basis, pairwise sums, then seeded randoms."""
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        yield v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = [0] * n
-            v[i] = v[j] = 1
-            yield v
-    rng = random.Random(seed)
-    p = field.p
-    for _ in range(20000):
-        if p is None:
-            yield [rng.randint(-3, 3) for _ in range(n)]
-        else:
-            yield [rng.randrange(p) for _ in range(n)]
-
-
-def _find_cyclic_vector(m: Matrix, target: Polynomial, skip: int = 0):
-    """A vector whose Krylov annihilator equals ``target``, plus its chain.
-
-    The first ``skip`` candidates are not tried: the caller already knows
-    their annihilators.
-    """
-    n = m.rows
-    for v in islice(_vector_candidates(m.field, n, _matrix_seed(m)), skip, None):
-        ann, chain = krylov_annihilator(m, v)
-        if ann == target:
-            return v, chain
-    raise InternalCheckFailed("no cyclic vector found for the minimal polynomial")
-
-
-def _row_candidates(field: Field, n: int, seed: int):
-    yield from _vector_candidates(field, n, seed ^ 0x5F5E1)
-    # exhaustive fallback over small finite coordinate spaces
-    p = field.p
-    if p is not None and p ** n <= 1 << 16:
-        for v in product(range(p), repeat=n):  # first coordinate fastest
-            yield list(reversed(v))
-
-
-def _find_dual_rows(m: Matrix, chain, d: int):
-    """Rows w, wM, ..., wM^(d-1) whose pairing with the Krylov chain is invertible.
+def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
+    """Rows w, wM, ..., wM^(d-1) whose pairing with the Krylov chain in the
+    columns of ``k_mat`` (n x d) is invertible.
 
     The kernel of the resulting d x n matrix is an M-invariant complement of
-    the cyclic subspace spanned by the chain.
+    the cyclic subspace spanned by the chain.  The standard rows are tried
+    first, in order.  When none pairs invertibly, w solves w K = e_(d-1)^T:
+    it reads the last Krylov coordinate, so w M^(i+j) v is 0 above the
+    antidiagonal and 1 on it, and the pairing is invertible.
     """
     f = m.field
-    n = m.rows
+    n, d = k_mat.rows, k_mat.cols
     m_cols = _integral(f, [m._e[j::n] for j in range(n)])
-    chain_cols = _integral(f, chain)
-    for w in _row_candidates(f, n, _matrix_seed(m)):
-        rows = [w]
+    chain_cols = _integral(f, [k_mat._e[j::d] for j in range(d)])
+    for i in range(n + 1):
+        rows = [[int(i == j) for j in range(n)] if i < n else
+                list(solve(k_mat.transpose(), Matrix.column(f, [0] * (d - 1) + [1]))._e)]
         for _ in range(d - 1):
             rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
         pairing = _raw_products(f, _integral(f, rows), chain_cols)
         if len(_rref(f, pairing, d)) == d:
             return Matrix._raw(f, d, n, [f.reduce(x) for r_ in rows for x in r_])
-    raise InternalCheckFailed("no dual row vector found for the cyclic subspace")
+    raise InternalCheckFailed(f"dual rows: the solved row pairs singularly with the {n}x{d} chain")
 
 
 def _chain_matrix(field: Field, chain) -> Matrix:
@@ -171,20 +135,15 @@ def _cyclic_decompose(m: Matrix):
     n = m.rows
     if n == 0:
         return [], Matrix.zero(f, 0, 0)
-    mu, tried = _standard_krylov(m)
-    chain = next((c for ann, c in tried if ann == mu), None)
-    if chain is None:
-        _, chain = _find_cyclic_vector(m, mu, skip=len(tried))
+    mu, chain = cyclic_vector(m)
     d = mu.degree
     k_mat = _chain_matrix(f, chain)
     if d == n:
         return [mu], k_mat
-    w_mat = _find_dual_rows(m, chain, d)
-    comp = kernel_matrix(w_mat)  # n x (n - d), M-invariant complement
+    comp = kernel_matrix(_dual_rows(m, k_mat))  # n x (n - d), M-invariant complement
     restricted = solve(comp, m * comp)
     factors2, t2 = _cyclic_decompose(restricted)
-    t_mat = hstack(f, [comp * t2, k_mat])
-    return factors2 + [mu], t_mat
+    return factors2 + [mu], hstack(f, [comp * t2, k_mat])
 
 
 def invariant_factors_with_transform(m: Matrix):
@@ -197,17 +156,16 @@ def invariant_factors_with_transform(m: Matrix):
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
     factors, t_mat = _cyclic_decompose(m)
-    witness = (SimilarityWitness.from_matrix(t_mat) if m.rows
-               else SimilarityWitness.identity(m.field, 0))
-    frobenius = direct_sum(m.field, [companion(fac) for fac in factors])
-    if witness.apply_inverse(m) != frobenius:
-        raise InternalCheckFailed("Frobenius conjugation identity failed")
+    witness = SimilarityWitness.from_matrix(t_mat)
+    where = f"blocks {[fac.degree for fac in factors]} of the {m.rows}x{m.rows} matrix"
+    if witness.apply_inverse(m) != direct_sum(m.field, [companion(fac) for fac in factors]):
+        raise InternalCheckFailed(f"invariant factors: T^-1 M T is not Frobenius, {where}")
     if sum(fac.degree for fac in factors) != m.rows:
-        raise InternalCheckFailed("invariant factor degrees do not sum to n")
+        raise InternalCheckFailed(f"invariant factors: sizes do not add up, {where}")
     for a, b in zip(factors, factors[1:]):
         _, rem = b.divrem(a)
         if not rem.is_zero():
-            raise InternalCheckFailed("divisibility chain broken")
+            raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
     return InvariantFactors(tuple(factors)), witness
 
 

@@ -5,7 +5,8 @@ rationals, an ``int`` residue in ``[0, p)`` for GF(p).  Structural equality
 is exact equality, and all operations are pure, so values are freely
 shareable.  Matrices and polynomials store these raw canonical values;
 :class:`FieldElement` wraps one for the public API.  :meth:`Field.element`
-is the one way in (it coerces ints, Fractions, strings and elements),
+is the one way in (it coerces ints, Fractions, strings and elements, and
+refuses floats and bools),
 :meth:`Field.make` the one way out, and :meth:`Field.reduce` the one
 function that brings a raw intermediate to canonical form.
 """
@@ -82,10 +83,6 @@ class Field:
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
 
-    def characteristic(self) -> int:
-        """0 for the rationals, p for GF(p)."""
-        return 0 if self.p is None else self.p
-
     # ---- element construction ----------------------------------------
 
     def make(self, v) -> "FieldElement":
@@ -93,13 +90,19 @@ class Field:
         return FieldElement(self, v) if self._interned is None else self._interned[v]
 
     def element(self, x) -> "FieldElement":
-        """Coerce an int, Fraction, decimal/fraction string, or element."""
+        """Coerce an int, Fraction, decimal/fraction string, or element; a
+        float or bool is a TypeError, a non-integral Fraction over GF(p) a
+        ValueError."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise MixedFields(f"element of {x.field!r} used in {self!r}")
             return x
         if isinstance(x, str):
             return self.parse(x)
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{x!r} is not an exact scalar")
+        if self.p is not None and x.denominator != 1:
+            raise ValueError(f"{x} is not an integer, so not a residue of {self!r}")
         return self.make(self.reduce(x if self.p is None else int(x)))
 
     def zero(self) -> "FieldElement":
@@ -109,6 +112,10 @@ class Field:
         return self.element(1)
 
     def parse(self, s: str) -> "FieldElement":
+        """Read "3", "-1/2", or over the rationals "0.25" and "1e-3".  Fraction
+        computes 10**k for an exponent k, so |k| > 4300 is a ValueError."""
+        if "e" in s.lower() and abs(int(s.lower().rpartition("e")[2])) > 4300:
+            raise ValueError(f"exponent out of range in {s!r}")
         return self.make(self.reduce(Fraction(s) if self.p is None else int(s)))
 
     # ---- raw-value arithmetic used by the dense kernels --------------
@@ -214,7 +221,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return other.field == self.field and other.v == self.v
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self == self.field.element(other)
         return NotImplemented
 

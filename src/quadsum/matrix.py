@@ -452,11 +452,6 @@ class SimilarityWitness:
     def from_matrix(cls, t: Matrix) -> "SimilarityWitness":
         return cls(t, inverse(t))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "SimilarityWitness":
-        ident = Matrix.identity(field, n)
-        return cls(ident, ident)
-
     @property
     def size(self) -> int:
         return self.t.rows

@@ -1,6 +1,7 @@
 """Univariate polynomials over an exact field.
 
-Includes companion matrices, Krylov-based minimal polynomials, and the
+Includes companion matrices, Krylov annihilators, cyclic vectors (built by
+an lcm merge of standard basis vectors, never searched for), and the
 substitution test deciding whether f(t) can be written as g(t^2 - t).
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
@@ -278,7 +279,7 @@ def krylov_annihilator(m: Matrix, v_raw):
         if not any(vec):
             return Polynomial._raw(f, map(reduce, combo)), chain
         if k > n:
-            raise InternalCheckFailed("krylov chain exceeded the ambient dimension")
+            raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
         piv = next(i for i, x in enumerate(vec) if x)
         inv = f.inv_raw(vec[piv])
         vec = [reduce(x * inv) for x in vec]
@@ -290,30 +291,66 @@ def krylov_annihilator(m: Matrix, v_raw):
         k += 1
 
 
-def _standard_krylov(m: Matrix):
-    """The minimal polynomial as the lcm of the Krylov annihilators of
-    e_0, e_1, ..., plus the ``(annihilator, chain)`` pair of every e_i
-    tried; the scan stops once the lcm has degree n."""
-    f = m.field
+def _coprime_split(p: Polynomial, q: Polynomial):
+    """(a, b) with a | p, b | q, gcd(a, b) = 1 and a b = lcm(p, q), for monic
+    p, q.  a starts as p / gcd(p, q), whose irreducibles are those with a
+    higher power in p than in q, and grows until p / a is coprime to it."""
+    g = gcd(p, q)
+    a, _ = p.divrem(g)
+    while (h := gcd(p.divrem(a)[0], a)).degree:
+        a = a * h
+    return a, (q * p.divrem(a)[0]).divrem(g)[0]
+
+
+def _merge(m: Matrix, first, second):
+    """An (annihilator, chain) pair whose annihilator is the lcm of those of
+    two pairs (p, chain of u) and (q, chain of w).  With lcm(p, q) = a b split
+    by :func:`_coprime_split`, (p/a)(m) u + (q/b)(m) w has annihilator a b;
+    both terms are read off the chains, with no matrix product."""
+    (p, u_chain), (q, w_chain) = first, second
+    if p.divrem(q)[1].is_zero():
+        return first
+    if q.divrem(p)[1].is_zero():
+        return second
+    a, b = _coprime_split(p, q)
+    terms = [(c, vec) for chain, (quo, _) in ((u_chain, p.divrem(a)), (w_chain, q.divrem(b)))
+             for c, vec in zip(quo.coeffs, chain)]
+    v = [m.field.reduce(sum(c * vec[i] for c, vec in terms)) for i in range(m.rows)]
+    ann, chain = krylov_annihilator(m, v)
+    if ann != a * b:
+        raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {a * b}, "
+                                  f"under the {m.rows}x{m.rows} matrix")
+    return ann, chain
+
+
+def cyclic_vector(m: Matrix):
+    """(mu, chain): the minimal polynomial of m, the lcm of the annihilators
+    of e_0, e_1, ..., and the Krylov chain of a vector whose annihilator it
+    is: the first e_i that has it, else the merge of all e_i, two at a time."""
+    if not m.is_square:
+        raise DimensionMismatch("cyclic vector of a non-square matrix")
     n = m.rows
-    acc = Polynomial.one(f)
+    mu = Polynomial.one(m.field)
     tried = []
     for i in range(n):
-        if acc.degree == n:
-            break
-        v = [0] * n
-        v[i] = 1
-        ann, chain = krylov_annihilator(m, v)
+        ann, chain = krylov_annihilator(m, [int(i == j) for j in range(n)])
+        if ann.degree == n:
+            return ann, chain
         tried.append((ann, chain))
-        acc = lcm(acc, ann)
-    return acc, tried
+        if mu.degree < n:
+            mu = lcm(mu, ann)
+    for pair in tried:
+        if pair[0] == mu:
+            return pair
+    merged = tried[0] if tried else (mu, [])
+    for pair in tried[1:]:
+        merged = _merge(m, merged, pair)
+    return merged
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:
     """Monic minimal polynomial, as the lcm of standard-basis Krylov annihilators."""
-    if not m.is_square:
-        raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    return _standard_krylov(m)[0]
+    return cyclic_vector(m)[0]
 
 
 def decompose_in_t2_minus_t(f: Polynomial):

@@ -9,7 +9,6 @@ key order so rendered JSON is byte-deterministic.
 from __future__ import annotations
 
 import json
-import re
 
 from .errors import MalformedInput, QuadsumError
 from .field import Field, GF, QQ
@@ -42,22 +41,15 @@ def field_from_json(obj) -> Field:
     raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
 
 
-#: Fraction reads "1e999999999" by computing 10**999999999, so exponents
-#: past 4300, the interpreter's limit on integer digits, are refused.
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
-
-
 def _parse_element(field: Field, s):
     """The one parse of a scalar that comes from outside (job files, CLI
     arguments): a string such as "3", "-1/2" or "0.25", or an integer.
     Everything else (floats, bools, null, lists), and any string the field
-    cannot read, is MalformedInput."""
+    cannot read (``Field.parse`` also refuses huge exponents), is
+    MalformedInput."""
     try:
         if not _is_json_scalar(s):
             raise TypeError("a scalar must be a string or an integer")
-        exponent = _EXPONENT.search(s) if isinstance(s, str) else None
-        if exponent and abs(int(exponent.group(1))) > 4300:
-            raise ValueError("exponent out of range")
         return field.element(s)
     except (QuadsumError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad element {s!r} for {field!r}") from exc
@@ -77,7 +69,7 @@ def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise MalformedInput('matrix needs keys "rows", "cols", "entries"')
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise MalformedInput("matrix dimensions must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise MalformedInput(f"expected {rows} entry rows")
@@ -220,7 +212,7 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a huge int
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
 
 

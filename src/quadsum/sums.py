@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .canonical import (InvariantFactors, NullitySequence, _chain_matrix,
-                        _find_cyclic_vector, invariant_factors_with_transform,
-                        nullity_sequence, split_cyclic_block, valuations_at_0_1)
+                        invariant_factors_with_transform, nullity_sequence,
+                        split_cyclic_block, valuations_at_0_1)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
 from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum, inverse,
                      jordan_block, permutation_matrix)
-from .poly import Polynomial, companion, decompose_in_t2_minus_t
+from .poly import Polynomial, companion, decompose_in_t2_minus_t, krylov_annihilator
 
 
 @dataclass(frozen=True)
@@ -290,18 +290,23 @@ def decide(m: Matrix) -> Decision:
 def _away_model(h: Polynomial, g: Polynomial):
     """Idempotent + square-zero split of C(h) for h = g(t^2 - t).
 
-    The model [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]]
-    is conjugated onto C(h) through a Krylov basis.
+    The model U = [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]]
+    is conjugated onto C(h) through the Krylov basis of e_0, which is cyclic:
+    U^2 - U = s I with s = C(g), and e_0 = (1, 0), U e_0 = (1, 1) are a basis
+    of k^(2 deg g) over k[s]/(g).
     """
     f = h.field
+    size = 2 * g.degree
     c_g = companion(g)
     ident = Matrix.identity(f, g.degree)
     zero = Matrix.zero(f, g.degree)
     u_block = block2x2(ident, c_g, ident, zero)
-    _, chain = _find_cyclic_vector(u_block, h)
+    ann, chain = krylov_annihilator(u_block, [1] + [0] * (size - 1))
+    if ann != h:
+        raise InternalCheckFailed(f"away model: e_0 is not cyclic in the {size}x{size} model")
     k_basis = SimilarityWitness.from_matrix(_chain_matrix(f, chain))
     if k_basis.apply_inverse(u_block) != companion(h):
-        raise InternalCheckFailed("Krylov basis did not reach the companion form")
+        raise InternalCheckFailed(f"away model: {size}x{size} Krylov basis does not reach C({h})")
     return (k_basis.apply_inverse(block2x2(ident, zero, ident, zero)),
             k_basis.apply_inverse(block2x2(zero, c_g, zero, zero)))
 
@@ -402,12 +407,13 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
 
 
 def _post_check_idempotent_square_zero(m: Matrix, a_mat: Matrix, b_mat: Matrix):
+    n = m.rows
     if a_mat + b_mat != m:
-        raise InternalCheckFailed("construction does not sum back to the input")
+        raise InternalCheckFailed(f"construct: A + B is not the {n}x{n} input")
     if a_mat * a_mat != a_mat:
-        raise InternalCheckFailed("constructed A is not idempotent")
+        raise InternalCheckFailed(f"construct: the {n}x{n} A is not idempotent")
     if not (b_mat * b_mat).is_zero():
-        raise InternalCheckFailed("constructed B is not square-zero")
+        raise InternalCheckFailed(f"construct: the {n}x{n} B is not square-zero")
 
 
 def construct(m: Matrix, params: QuadParams) -> Certificate:
@@ -435,7 +441,7 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     pairing = pair_blocks(decision.nullity_at_1.block_sizes(),
                           decision.nullity_at_0.block_sizes())
     if pairing is None:
-        raise InternalCheckFailed("a YES decision whose Jordan blocks cannot be paired")
+        raise InternalCheckFailed(f"construct: unpairable Jordan blocks in {m.rows}x{m.rows} YES")
     a_red_mat, b_red_mat = _idempotent_plus_square_zero(reduced, decision)
     ident = Matrix.identity(m.field, m.rows)
     scale = cls.scale
@@ -448,7 +454,7 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     cert = Certificate(a_part, b_part, params, cls, decision, pairing)
     report = verify_certificate(m, cert)
     if not report.ok:
-        raise InternalCheckFailed(f"certificate failed verification: {report}")
+        raise InternalCheckFailed(f"construct: {m.rows}x{m.rows} certificate fails: {report}")
     return cert
 
 

@@ -1,6 +1,7 @@
 """Structure theory: nullity sequences, invariant factors and the split of
 each cyclic block at {0, 1}, all with verified transforms."""
 
+import json
 import os
 import random
 import subprocess
@@ -9,11 +10,13 @@ import sys
 import pytest
 
 import quadsum
-from quadsum import (GF, QQ, Matrix, MalformedSequence, NullitySequence,
-                     Polynomial, companion, decide, direct_sum,
+from quadsum import (GF, QQ, InternalCheckFailed, Matrix, MalformedSequence,
+                     NullitySequence, Polynomial, companion, decide, direct_sum,
                      invariant_factors_with_transform, inverse, jordan_block,
-                     minimal_polynomial, nullity_sequence)
-from quadsum.canonical import split_cyclic_block, valuations_at_0_1
+                     minimal_polynomial, nullity_sequence, rank)
+from quadsum.canonical import (_chain_matrix, _dual_rows, split_cyclic_block,
+                               valuations_at_0_1)
+from quadsum.poly import cyclic_vector
 from conftest import rand_invertible, rand_matrix
 
 
@@ -103,8 +106,9 @@ def test_invariant_factors_empty_matrix():
 
 
 def test_invariant_factors_companion_needs_one_krylov_run(monkeypatch):
-    """The standard-basis annihilators that give the minimal polynomial are
-    reused for the cyclic vector, not computed a second time."""
+    """The standard-basis annihilator that gives the minimal polynomial is
+    the cyclic vector's, not computed a second time.  ``cyclic_vector`` is
+    the only caller of the annihilator in the Frobenius decomposition."""
     calls = []
     real = quadsum.poly.krylov_annihilator
 
@@ -113,11 +117,37 @@ def test_invariant_factors_companion_needs_one_krylov_run(monkeypatch):
         return real(m, v)
 
     monkeypatch.setattr(quadsum.poly, "krylov_annihilator", counted)
-    monkeypatch.setattr(quadsum.canonical, "krylov_annihilator", counted)
     p = P(QQ, [3, -2, 0, 1])
     factors, _ = invariant_factors_with_transform(companion(p))
     assert list(factors) == [p]
     assert calls == [(1, 0, 0)]
+
+
+def test_dual_row_is_solved_when_no_standard_row_pairs():
+    """diag(0, 0, 1): the cyclic vector e_0 + e_2 spans a plane on which
+    every standard row pairs singularly, so the dual row is the solution of
+    w K = e_(d-1)^T, and the Frobenius identity holds on the result."""
+    for f in (QQ, GF(2), GF(5)):
+        t, t_1 = P(f, [0, 1]), P(f, [-1, 1])
+        m = Matrix.diagonal(f, [0, 0, 1])
+        mu, chain = cyclic_vector(m)
+        k_mat = _chain_matrix(f, chain)
+        assert mu == t * t_1 and k_mat.cols == 2
+        for i in range(3):
+            standard = Matrix.from_rows(f, [(m ** r).row(i) for r in range(2)])
+            assert rank(standard * k_mat) < 2
+        w_mat = _dual_rows(m, k_mat)
+        assert Matrix.from_rows(f, [w_mat.row(0)]) * k_mat == Matrix.from_rows(f, [[0, 1]])
+        assert rank(w_mat * k_mat) == 2
+        factors, witness = invariant_factors_with_transform(m)
+        assert list(factors) == [t, t * t_1]
+        assert witness.apply_inverse(m) == direct_sum(f, [companion(fac) for fac in factors])
+
+
+def test_frobenius_check_names_stage_and_size(monkeypatch):
+    monkeypatch.setattr(quadsum.canonical, "companion", lambda p: companion(p).transpose())
+    with pytest.raises(InternalCheckFailed, match="invariant factors: .* 3x3 matrix"):
+        invariant_factors_with_transform(jordan_block(QQ, 3))
 
 
 # ---- spectral split at {0, 1}, per cyclic block ----------------------
@@ -185,15 +215,18 @@ def test_nilpotent_jordan_zero_sized():
 
 # ---- determinism -------------------------------------------------------
 
-def test_matrix_seed_is_the_same_in_every_interpreter():
-    """The candidate-vector seed of a rational matrix must not depend on the
-    process (``hash(None)`` does on Python 3.11)."""
+def test_construct_is_the_same_in_every_interpreter(tmp_path):
+    """No basis choice may depend on the process: ``quadsum construct`` on a
+    rational job that takes both constructions (the merged cyclic vector and
+    the solved dual row, see the tests above) prints the same bytes in two
+    interpreters with different hash seeds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadsum.__file__)))
-    code = ("from quadsum import QQ, Matrix\n"
-            "from quadsum.canonical import _matrix_seed\n"
-            "print(_matrix_seed(Matrix.from_rows(QQ, [['1/2', '0'], ['3', '-1']])))\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    seeds = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60).stdout
-             for _ in range(2)}
-    assert len(seeds) == 1
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": "Q", "matrix": [["0", "0", "0"], ["0", "0", "0"],
+                                                        ["0", "0", "1"]]}))
+    argv = [sys.executable, "-m", "quadsum.cli", "construct", "--input", str(job)]
+    outputs = {subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, check=True, timeout=60).stdout
+               for seed in ("1", "2")}
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["decision"] == "yes"

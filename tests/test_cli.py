@@ -294,3 +294,66 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, field, n, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3), (argv, job)
+
+
+VALID_CERT = {"A": {"rows": 2, "cols": 2, "entries": [["1", "0"], ["-1", "0"]]},
+              "B": {"rows": 2, "cols": 2, "entries": [["0", "0"], ["1", "0"]]},
+              "params": {"a": "1", "b": "0", "c": "0", "d": "0"}}
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "2", 0, 1, 2, 3, -1]),
+    st.recursive(_FUZZ_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["rows", "cols", "entries", "A", "B", "params", "a"]),
+                        inner, max_size=3)), max_leaves=6))
+
+
+def _paths(obj, prefix=()):
+    """Every position inside a JSON value, then the value itself."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _paths(value, prefix + (key,))
+    yield prefix
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["Q", {"GF": 2}, {"GF": 5}]), data=st.data())
+def test_verify_cert_fuzz_exits_cleanly(tmp_path_factory, field, data):
+    """quadsum verify --cert on a valid certificate of diag(1, 0) with one or
+    two positions replaced or deleted renders a report (0) or refuses the
+    input (2), never a traceback."""
+    cert = json.loads(json.dumps(VALID_CERT))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(cert))))
+        if not path:
+            cert = data.draw(_FUZZ_VALUES)
+            continue
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_FUZZ_VALUES)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    job, cert_path = tmp / "job.json", tmp / "cert.json"
+    job.write_text(json.dumps({"field": field, "matrix": [["1", "0"], ["0", "0"]]}))
+    cert_path.write_text(json.dumps(cert))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", "--input", str(job), "--cert", str(cert_path)])
+    assert code in (0, 2), cert
+    assert "Traceback" not in err.getvalue()
+
+
+def test_unreadable_json_exits_2(tmp_path, capsys):
+    """A file that is not UTF-8, or holds an integer past the interpreter's
+    4300-digit limit, is malformed input for the job and for the certificate."""
+    job = write_job(tmp_path, "job.json", DIAG_JOB)
+    for k, raw in enumerate((b"\xff\xfe{", b'{"A": ' + b"1" * 5000 + b"}")):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_bytes(raw)
+        for argv in (["decide", "--input", str(bad)],
+                     ["verify", "--input", job, "--cert", str(bad)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), (k, argv)
+            assert err.startswith("malformed input")

@@ -1,11 +1,16 @@
 """Field arithmetic and quadratic root finding."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from quadsum import GF, QQ, DivisionByZero, MixedFields, quadratic_roots
+import quadsum
+from quadsum import (GF, QQ, DivisionByZero, Matrix, MixedFields, Polynomial,
+                     quadratic_roots)
 from quadsum.field import _is_prime
 
 
@@ -74,6 +79,44 @@ def test_inverse_law_exhaustive_small():
         f = GF(p)
         for v in range(1, p):
             assert f.make(v) * f.make(v).inverse() == f.one()
+
+
+def test_element_refuses_inexact_input():
+    """Field.element reads exact scalars only: a float or a bool is never
+    truncated or read as 0/1, and over GF(p) a Fraction must be an integer."""
+    for f in (QQ, GF(5)):
+        for bad in (0.5, 2.0, float("nan"), True, False, None, [1]):
+            with pytest.raises(TypeError):
+                f.element(bad)
+        assert f.one() != True  # comparing with a bool is False, not an error
+    with pytest.raises(TypeError):
+        Matrix.from_rows(GF(5), [[2.7]])
+    with pytest.raises(TypeError):
+        Polynomial.from_coeffs(QQ, [1, True])
+    with pytest.raises(ValueError):
+        GF(5).element(Fraction(1, 2))
+    assert GF(5).element(Fraction(12, 2)) == GF(5).element(1)
+    assert QQ.element(Fraction(1, 2)) == QQ.parse("1/2")
+    assert QQ.element(3) == QQ.parse("3")
+
+
+def test_parse_refuses_huge_exponents_fast():
+    """Fraction reads "1e999999999" by computing 10**999999999; Field.parse
+    refuses such exponents before it gets there.  The check runs in a child
+    process with a timeout, so a missing guard fails the test instead of
+    hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadsum.__file__)))
+    code = ("from quadsum import QQ\n"
+            "for s in ('1e999999999', '-2.5E-999999999', '1e+4301', '1e9_999_999'):\n"
+            "    try:\n"
+            "        QQ.parse(s)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(s)\n"
+            "print(QQ.parse('1e4300') == QQ.element(10 ** 4300), QQ.parse('25e-2'))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=20)
+    assert (run.returncode, run.stdout) == (0, "True 1/4\n"), run.stderr
 
 
 def test_parse_round_trip():

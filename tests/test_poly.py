@@ -1,5 +1,5 @@
-"""Polynomial arithmetic, companion matrices, minimal polynomials, and the
-t^2 - t substitution test."""
+"""Polynomial arithmetic, companion matrices, minimal polynomials, cyclic
+vectors, and the t^2 - t substitution test."""
 
 import random
 from fractions import Fraction
@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsum import (GF, QQ, Matrix, NotMonic, Polynomial, companion,
-                     decompose_in_t2_minus_t, gcd, hstack, jordan_block,
+import quadsum
+from quadsum import (GF, QQ, InternalCheckFailed, Matrix, NotMonic, Polynomial,
+                     companion, decompose_in_t2_minus_t, gcd, hstack, jordan_block,
                      krylov_annihilator, lcm, minimal_polynomial, rank, solve,
                      substitute_one_minus_t)
+from quadsum.poly import _coprime_split, cyclic_vector
 from conftest import coprime_denominators, rand_matrix, rand_wide_rational
 
 
@@ -134,6 +136,80 @@ def test_krylov_annihilator_matches_naive():
         assert len(chain) == len(want_chain)
         for got, want in zip(chain, want_chain):
             assert Matrix.column(m.field, got) == want
+
+
+# ---- cyclic vectors ------------------------------------------------------
+
+def test_cyclic_vector_merges_standard_vectors(monkeypatch):
+    """diag(0, 1): e_0 has annihilator t and e_1 has t - 1, so no standard
+    vector reaches the minimal polynomial t (t - 1), and the merge builds
+    one that does."""
+    merged = []
+    real = quadsum.poly._merge
+
+    def counted(m, first, second):
+        merged.append((first[0], second[0]))
+        return real(m, first, second)
+
+    monkeypatch.setattr(quadsum.poly, "_merge", counted)
+    for f in (QQ, GF(2), GF(5)):
+        t, t_1 = P(f, [0, 1]), P(f, [-1, 1])
+        m = Matrix.diagonal(f, [0, 1])
+        assert [krylov_annihilator(m, e)[0] for e in ([1, 0], [0, 1])] == [t, t_1]
+        merged.clear()
+        mu, chain = cyclic_vector(m)
+        assert mu == t * t_1 == minimal_polynomial(m)
+        assert (t, t_1) in merged
+        assert all(chain[0])  # not a standard vector
+        assert krylov_annihilator(m, chain[0]) == (mu, chain)
+
+
+def test_cyclic_vector_merge_runs_one_chain_per_new_factor(monkeypatch):
+    """A pair whose annihilator divides the other's is dropped without a
+    Krylov run: diag(0, 1, 1) (annihilators t, t - 1, t - 1) and
+    0 + J_2(0) + 1 (t, t^2, t, t - 1) each need one run beyond the scan."""
+    calls = []
+    real = quadsum.poly.krylov_annihilator
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda m, v: calls.append(v) or real(m, v))
+    for f in (QQ, GF(2), GF(5)):
+        rows = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        for m, mu in ((Matrix.diagonal(f, [0, 1, 1]), P(f, [0, -1, 1])),
+                      (Matrix.from_rows(f, rows), P(f, [0, 0, -1, 1]))):
+            calls.clear()
+            assert cyclic_vector(m)[0] == mu and len(calls) == m.rows + 1
+
+
+def test_cyclic_vector_merge_checks_its_annihilator(monkeypatch):
+    """e_0 has annihilator t (t - 1) and e_1 has t^2.  A split that is not
+    coprime, (t (t - 1), t^2), makes the merged annihilator fall short of
+    a b; the check names the stage and the matrix size."""
+    m = Matrix.from_rows(QQ, [[1, 0, 0], [0, 0, 0], [-1, 1, 0]])
+    assert cyclic_vector(m)[0] == P(QQ, [0, 0, -1, 1])
+    monkeypatch.setattr(quadsum.poly, "_coprime_split", lambda p, q: (p, q))
+    with pytest.raises(InternalCheckFailed, match="cyclic vector merge: .* 3x3 matrix"):
+        cyclic_vector(m)
+
+
+#: Monic irreducibles over QQ and over GF(2) and GF(3), by characteristic.
+_IRREDUCIBLES = {0: ([0, 1], [-1, 1], [2, 1], [1, 0, 1], [-2, 0, 1]),
+                 2: ([0, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1]),
+                 3: ([0, 1], [1, 1], [1, 0, 1], [2, 1, 1])}
+
+
+@settings(max_examples=200, deadline=None)
+@given(char=st.sampled_from([0, 2, 3]), data=st.data())
+def test_coprime_split_is_a_coprime_factorisation_of_the_lcm(char, data):
+    f = QQ if char == 0 else GF(char)
+    irreducibles = [P(f, c) for c in _IRREDUCIBLES[char]]
+    powers = st.lists(st.integers(0, 3), min_size=len(irreducibles), max_size=len(irreducibles))
+    p, q = Polynomial.one(f), Polynomial.one(f)
+    for factor, e_p, e_q in zip(irreducibles, data.draw(powers), data.draw(powers)):
+        p, q = p * factor ** e_p, q * factor ** e_q
+    a, b = _coprime_split(p, q)
+    assert p.divrem(a)[1].is_zero() and q.divrem(b)[1].is_zero()
+    assert gcd(a, b) == Polynomial.one(f)
+    assert a * b == lcm(p, q)
 
 
 # ---- the substitution test -------------------------------------------

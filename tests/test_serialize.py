@@ -37,6 +37,10 @@ def test_matrix_malformed():
         serialize.matrix_from_rows(QQ, [["1"], ["2", "3"]])
     with pytest.raises(MalformedInput):
         serialize.matrix_from_rows(GF(3), [["1/2"]])
+    for dims in ((True, True), (1.0, 1), (1, "1"), (None, 1), (-1, 0)):
+        obj = {"rows": dims[0], "cols": dims[1], "entries": [["1"]]}
+        with pytest.raises(MalformedInput):
+            serialize.matrix_from_json(QQ, obj)
 
 
 def test_params_defaults():

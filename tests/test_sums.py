@@ -1,5 +1,6 @@
 """Classification, decision, construction and verification of quadratic sums."""
 
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 import quadsum
 from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
                      InternalCheckFailed, Matrix, NotSplitError, Polynomial,
-                     QuadParams, UnsupportedCase, check_necessary_combination,
+                     QuadParams, UnsupportedCase, block2x2, check_necessary_combination,
                      classify_and_reduce, companion, construct, decide,
                      direct_sum, inverse, is_p_intertwined, jordan_block,
-                     pair_blocks, verify_certificate)
+                     krylov_annihilator, pair_blocks, verify_certificate)
+from quadsum.sums import _away_model, _post_check_idempotent_square_zero
 from conftest import rand_decomposable, rand_invertible, rand_matrix
 
 
@@ -283,6 +285,35 @@ def test_construct_runs_one_frobenius_decomposition(monkeypatch):
     _, reduced = classify_and_reduce(m, params)
     construct(m, params)
     assert args == [reduced]
+
+
+def test_away_model_e0_is_cyclic_for_every_small_g():
+    """e_0 is a cyclic vector of the model [[I, C(g)], [I, 0]] for every monic
+    g of degree 1 to 3 over GF(2) and GF(3), and the model splits C(h) for
+    h = g(t^2 - t)."""
+    for f in (GF(2), GF(3)):
+        s = P(f, [0, -1, 1])
+        for deg in (1, 2, 3):
+            for low in itertools.product(range(f.p), repeat=deg):
+                g = P(f, list(low) + [1])
+                h = g.compose(s)
+                ident, zero = Matrix.identity(f, deg), Matrix.zero(f, deg)
+                model = block2x2(ident, companion(g), ident, zero)
+                assert krylov_annihilator(model, [1] + [0] * (2 * deg - 1))[0] == h
+                a_mat, b_mat = _away_model(h, g)
+                assert a_mat + b_mat == companion(h)
+                assert a_mat * a_mat == a_mat and (b_mat * b_mat).is_zero()
+
+
+def test_construct_checks_name_stage_and_size():
+    m = Matrix.diagonal(QQ, [1, 0])
+    zero = Matrix.zero(QQ, 2)
+    with pytest.raises(InternalCheckFailed, match=r"construct: A \+ B is not the 2x2 input"):
+        _post_check_idempotent_square_zero(m, m, m)
+    with pytest.raises(InternalCheckFailed, match="construct: the 2x2 A is not idempotent"):
+        _post_check_idempotent_square_zero(m, 2 * m, -m)
+    with pytest.raises(InternalCheckFailed, match="construct: the 2x2 B is not square-zero"):
+        _post_check_idempotent_square_zero(m, zero, m)
 
 
 def test_construct_full_pipeline_round_trip():
