@@ -14,9 +14,9 @@ from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum,
 from .poly import (Polynomial, companion, decompose_in_t2_minus_t, gcd,
                    krylov_annihilator, lcm, minimal_polynomial,
                    substitute_one_minus_t)
-from .sums import (BlockPairing, CaseClassification, Certificate, Decision,
-                   NecessaryReport, QuadParams, VerificationReport,
-                   check_necessary_combination, classify_and_reduce, construct,
-                   decide, is_p_intertwined, pair_blocks, verify_certificate)
+from .sums import (CaseClassification, Certificate, Decision, NecessaryReport,
+                   QuadParams, VerificationReport, check_necessary_combination,
+                   classify_and_reduce, construct, decide, is_p_intertwined,
+                   pair_blocks, verify_certificate)
 
 __version__ = "0.1.0"

@@ -39,23 +39,6 @@ class NullitySequence:
         if any(v < 0 for v in vals) or any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             raise MalformedSequence(f"not non-increasing: {vals}")
 
-    def n(self, k: int) -> int:
-        return self.values[k - 1] if 1 <= k <= len(self.values) else 0
-
-    def j(self, k: int) -> int:
-        """Number of Jordan blocks of size exactly k."""
-        return self.n(k) - self.n(k + 1)
-
-    def block_sizes(self) -> tuple:
-        """Jordan block sizes at this eigenvalue, non-increasing."""
-        sizes = []
-        for k in range(len(self.values), 0, -1):
-            sizes.extend([k] * self.j(k))
-        return tuple(sorted(sizes, reverse=True))
-
-    def total(self) -> int:
-        return sum(self.values)
-
 
 def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
     if not m.is_square:
@@ -85,9 +68,6 @@ class InvariantFactors:
     polynomial and the degrees sum to the matrix size."""
 
     factors: tuple
-
-    def minimal(self) -> Polynomial:
-        return self.factors[-1]
 
     def __iter__(self):
         return iter(self.factors)
@@ -169,22 +149,31 @@ def invariant_factors_with_transform(m: Matrix):
     return InvariantFactors(tuple(factors)), witness
 
 
-def valuations_at_0_1(fac: Polynomial):
-    """(a, b, h) with fac = t^a (t - 1)^b h and h(0) h(1) != 0."""
-    a = next(i for i, c in enumerate(fac.coeffs) if c)
-    h = Polynomial._raw(fac.field, fac.coeffs[a:])
-    t_1 = Polynomial.from_coeffs(fac.field, [-1, 1])
-    b = 0
-    while True:
-        quo, rem = h.divrem(t_1)
-        if not rem.is_zero():
-            return a, b, h
-        h, b = quo, b + 1
+def valuations(fac: Polynomial, alpha, beta):
+    """(a, b, h) with fac = (t - alpha)^a (t - beta)^b h and h(alpha) h(beta)
+    != 0, for alpha != beta: each factor t - r is divided out by one
+    synthetic division."""
+    f = fac.field
+    reduce = f.reduce
+    out = []
+    coeffs = fac.coeffs
+    for r in (f.element(alpha).v, f.element(beta).v):
+        k = 0
+        while True:
+            acc, quo = 0, []  # Horner at r: the quotient's coefficients, then the value
+            for c in reversed(coeffs):
+                acc = reduce(acc * r + c)
+                quo.append(acc)
+            if acc:
+                break
+            coeffs, k = quo[-2::-1], k + 1
+        out.append(k)
+    return out[0], out[1], Polynomial._raw(f, coeffs)
 
 
 def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> SimilarityWitness:
     """Witness S with S^-1 C(fac) S = C(h) (+) J_a(0) (+) J_b(1), for
-    fac = t^a (t - 1)^b h as returned by :func:`valuations_at_0_1`.
+    fac = t^a (t - 1)^b h as returned by :func:`valuations` at 0 and 1.
 
     C(fac) is multiplication by t on k[t]/(fac) in the basis 1, t, t^2, ....
     By the Chinese remainder theorem the block splits into the ideals

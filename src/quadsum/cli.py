@@ -2,8 +2,9 @@
 necessary over JSON job files.
 
 Exit codes: 0 = a result was rendered (including decision "no" and failed
-verification reports), 2 = malformed input or violated precondition,
-3 = unsupported case or non-split quadratic, 4 = internal check failure.
+verification reports), 2 = malformed input, a bad command line or a violated
+precondition, 3 = unsupported case or non-split quadratic, 4 = internal check
+failure.
 """
 
 from __future__ import annotations
@@ -147,7 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # "--alpha -1/2" as "--alpha=-1/2": argparse reads a value that starts
+    # with "-" and is not a plain number as an option name
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--alpha", "--beta"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    try:
+        args = build_parser().parse_args(joined)
+    except SystemExit as exc:  # argparse has printed the usage error (or --help)
+        return exc.code
     try:
         return args.func(args)
     except (MalformedInput, BadParams, BudgetExceeded) as exc:

@@ -107,12 +107,6 @@ class Matrix:
         e = self._e
         return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        ent = []
-        for i in range(r0, r1):
-            ent.extend(self._e[i * self.cols + c0 : i * self.cols + c1])
-        return Matrix._raw(self.field, r1 - r0, c1 - c0, ent)
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -451,10 +445,6 @@ class SimilarityWitness:
     @classmethod
     def from_matrix(cls, t: Matrix) -> "SimilarityWitness":
         return cls(t, inverse(t))
-
-    @property
-    def size(self) -> int:
-        return self.t.rows
 
     def apply(self, m: Matrix) -> Matrix:
         return self.t * m * self.t_inv

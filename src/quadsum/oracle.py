@@ -87,22 +87,6 @@ def _raw_square_zero(p: int, n: int, budget: int):
     return [tuple(a) for a in _raw_matrices(p, n) if _raw_mul(a, a, p, n) == zero]
 
 
-def _wrap(field: Field, n: int, raw) -> Matrix:
-    return Matrix._raw(field, n, n, raw)
-
-
-def enumerate_idempotents(field: Field, n: int, budget: int = DEFAULT_BUDGET):
-    """All E over GF(p) with E^2 = E, cross-checked against the closed count."""
-    _require_prime_field(field)
-    return [_wrap(field, n, raw) for raw in _raw_idempotents(field.p, n, budget)]
-
-
-def enumerate_square_zero(field: Field, n: int, budget: int = DEFAULT_BUDGET):
-    """All B over GF(p) with B^2 = 0."""
-    _require_prime_field(field)
-    return [_wrap(field, n, raw) for raw in _raw_square_zero(field.p, n, budget)]
-
-
 @dataclass(frozen=True)
 class SumAtlas:
     """The set of all matrices expressible as the requested kind of sum."""
@@ -173,7 +157,7 @@ def exhaustive_compare(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> Co
     yes = 0
     mismatches = []
     for raw in _raw_matrices(p, n):
-        answer = decide(_wrap(field, n, raw)).yes
+        answer = decide(Matrix._raw(field, n, n, raw)).yes
         if answer:
             yes += 1
         if answer != (tuple(raw) in members):
@@ -192,14 +176,3 @@ def comparison_to_json(report: ComparisonReport):
         "mismatches": [list(raw) for raw, _, _ in report.mismatches],
         "pass": report.ok,
     }
-
-
-def atlas_jsonl(atlas: SumAtlas):
-    """JSON-lines export: every matrix of the space with a membership flag."""
-    import json
-
-    p = atlas.field.p
-    for raw in _raw_matrices(p, atlas.n):
-        key = tuple(raw)
-        yield json.dumps({"entries": list(raw), "member": key in atlas.members},
-                         separators=(", ", ": "))

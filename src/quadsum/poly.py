@@ -6,8 +6,7 @@ substitution test deciding whether f(t) can be written as g(t^2 - t).
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 ``Polynomial(...)`` and ``from_coeffs`` coerce through ``Field.element``,
-``lead``, ``coeff`` and scalar evaluation wrap, and the kernels build with
-:meth:`Polynomial._raw`.
+scalar evaluation wraps, and the kernels build with :meth:`Polynomial._raw`.
 """
 
 from __future__ import annotations
@@ -68,15 +67,6 @@ class Polynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def lead(self) -> FieldElement:
-        if not self.coeffs:
-            raise DegreeZero("zero polynomial has no leading coefficient")
-        return self.field.make(self.coeffs[-1])
-
-    def coeff(self, k: int) -> FieldElement:
-        f = self.field
-        return f.make(self.coeffs[k] if k < len(self.coeffs) else f.reduce(0))
 
     def _scaled(self, c) -> "Polynomial":
         """c times self, for a raw canonical scalar c."""

@@ -3,7 +3,8 @@
 Field elements travel as strings ("3", "-1/2" over the rationals, decimal
 residues over GF(p)); matrices as {"rows", "cols", "entries"}; job inputs as
 {"field", "matrix", "params"}.  Output dictionaries are built with a fixed
-key order so rendered JSON is byte-deterministic.
+key order so rendered JSON is byte-deterministic.  Every scalar of an output
+is rendered by :func:`_text`, which refuses a number too long to print.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ from .errors import MalformedInput, QuadsumError
 from .field import Field, GF, QQ
 from .matrix import Matrix
 from .poly import Polynomial
-from .sums import (BlockPairing, CaseClassification, Certificate, Decision,
-                   NecessaryReport, QuadParams, VerificationReport)
+from .sums import (CaseClassification, Certificate, Decision, NecessaryReport,
+                   QuadParams, VerificationReport)
 
 
 # ---- fields and elements ---------------------------------------------
-
-def field_to_json(field: Field):
-    return "Q" if field.p is None else {"GF": field.p}
-
 
 def _is_json_scalar(x) -> bool:
     return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
@@ -55,13 +52,23 @@ def _parse_element(field: Field, s):
         raise MalformedInput(f"bad element {s!r} for {field!r}") from exc
 
 
+def _text(x) -> str:
+    """The one rendering of a scalar (raw or wrapped) for output.  Python
+    refuses to print an integer of more than 4300 digits, and such a number
+    makes the input malformed for this tool."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise MalformedInput("a number in the result has too many digits to print") from exc
+
+
 # ---- matrices --------------------------------------------------------
 
 def matrix_to_json(m: Matrix):
     return {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[str(x) for x in m.row(i)] for i in range(m.rows)],
+        "entries": [[_text(x) for x in row] for row in m.raw_rows()],
     }
 
 
@@ -95,12 +102,12 @@ def matrix_from_rows(field: Field, rows) -> Matrix:
 # ---- polynomials, params, sequences ----------------------------------
 
 def poly_to_json(p: Polynomial):
-    return [str(c) for c in p.coeffs]
+    return [_text(c) for c in p.coeffs]
 
 
 def params_to_json(params: QuadParams):
-    return {"a": str(params.a), "b": str(params.b),
-            "c": str(params.c), "d": str(params.d)}
+    return {"a": _text(params.a), "b": _text(params.b),
+            "c": _text(params.c), "d": _text(params.d)}
 
 
 def params_from_json(field: Field, obj) -> QuadParams:
@@ -118,29 +125,33 @@ def params_from_json(field: Field, obj) -> QuadParams:
 def classification_to_json(cls: CaseClassification):
     return {
         "case": cls.case,
-        "alpha": str(cls.alpha),
-        "beta": str(cls.beta),
-        "shift": str(cls.shift),
-        "scale": None if cls.scale is None else str(cls.scale),
+        "alpha": _text(cls.alpha),
+        "beta": _text(cls.beta),
+        "shift": _text(cls.shift),
+        "scale": None if cls.scale is None else _text(cls.scale),
         "swapped": cls.swapped,
     }
 
 
-def pairing_to_json(pairing: BlockPairing | None):
-    if pairing is None:
-        return None
-    return {"pairs": [list(p) for p in pairing.pairs],
-            "singletons": [list(s) for s in pairing.singletons]}
+def pairing_to_json(units):
+    """The Jordan units of a decision as paired sizes (size_at_1, size_at_0)
+    and singletons (eigenvalue, size)."""
+    return {"pairs": [[one, zero] for one, zero in units if one and zero],
+            "singletons": [[1, one] if one else [0, zero] for one, zero in units
+                           if not (one and zero)]}
 
 
 def decision_diagnostics(decision: Decision):
+    failing = decision.failing
+    if failing is not None and failing["kind"] == "invariant_factor":
+        failing = {"kind": "invariant_factor", "factor": poly_to_json(failing["factor"])}
     return {
         "invariant_factors": [poly_to_json(f) for f in decision.invariant_factors],
         "g_factors": [poly_to_json(g) for g in decision.g_factors],
         "nullity_at_0": list(decision.nullity_at_0.values),
         "nullity_at_1": list(decision.nullity_at_1.values),
         "pairing": None,
-        "failing_witness": decision.failing,
+        "failing_witness": failing,
     }
 
 
@@ -155,7 +166,7 @@ def certificate_to_json(cert: Certificate):
     diagnostics = None
     if cert.decision is not None:
         diagnostics = decision_diagnostics(cert.decision)
-        diagnostics["pairing"] = pairing_to_json(cert.pairing)
+        diagnostics["pairing"] = pairing_to_json(cert.decision.pairing)
     return {
         "decision": "yes",
         "case": cert.classification.case if cert.classification else None,

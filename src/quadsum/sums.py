@@ -20,11 +20,10 @@ certificate pair (A, B), which is re-verified exactly before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .canonical import (InvariantFactors, NullitySequence, _chain_matrix,
                         invariant_factors_with_transform, nullity_sequence,
-                        split_cyclic_block, valuations_at_0_1)
+                        split_cyclic_block, valuations)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
@@ -69,18 +68,6 @@ class CaseClassification:
 
 
 @dataclass(frozen=True)
-class BlockPairing:
-    """Matching of Jordan block sizes at eigenvalue 1 against those at 0.
-
-    Paired sizes differ by at most 2; blocks without a partner appear as
-    singletons and are necessarily of size at most 2.
-    """
-
-    pairs: tuple  # of (size_at_1, size_at_0)
-    singletons: tuple  # of (eigenvalue_tag, size) with tag in {0, 1}
-
-
-@dataclass(frozen=True)
 class Decision:
     """Yes/no answer for the idempotent + square-zero case, with diagnostics.
 
@@ -88,7 +75,9 @@ class Decision:
     basis that conjugates M onto the direct sum of their companions;
     ``valuations`` holds (a_i, b_i, h_i) with f_i = t^a_i (t - 1)^b_i h_i.
     ``invariant_factors`` are the nonconstant h_i, those of the part of M
-    away from {0, 1}.
+    away from {0, 1}.  ``pairing`` holds the Jordan units of
+    :func:`pair_blocks`, or None when the blocks cannot be paired.  A
+    ``failing`` invariant factor is held as its polynomial.
     """
 
     yes: bool
@@ -99,6 +88,7 @@ class Decision:
     g_factors: tuple
     nullity_at_0: NullitySequence
     nullity_at_1: NullitySequence
+    pairing: tuple | None
     failing: dict | None
 
 
@@ -111,7 +101,6 @@ class Certificate:
     params: QuadParams
     classification: CaseClassification | None = None
     decision: Decision | None = None
-    pairing: BlockPairing | None = None
 
 
 @dataclass(frozen=True)
@@ -168,33 +157,22 @@ def is_p_intertwined(u, v, p: int) -> bool:
     return _first_violation(u, v, p) is None
 
 
-def pair_blocks(sizes_at_1, sizes_at_0) -> BlockPairing | None:
+def pair_blocks(sizes_at_1, sizes_at_0):
     """Align the two Jordan size lists for blockwise construction.
 
-    Sort both lists descending, pad with zeros, match index-wise; feasible
-    iff each matched pair differs by at most 2.  Feasibility is equivalent
+    Sort both lists descending, pad with zeros and match index-wise into
+    units (size_at_1, size_at_0), 0 marking a block without a partner.
+    Feasible iff each unit's sizes differ by at most 2, which is equivalent
     to the 2-intertwining of the corresponding nullity sequences.  Returns
-    None when infeasible (decision NO for this part).
+    the units, largest first, or None when infeasible (decision NO).
     """
     s1 = sorted(sizes_at_1, reverse=True)
     s0 = sorted(sizes_at_0, reverse=True)
     if any(s <= 0 for s in s1 + s0):
         raise MalformedSequence("block sizes must be positive")
     length = max(len(s1), len(s0))
-    s1 = s1 + [0] * (length - len(s1))
-    s0 = s0 + [0] * (length - len(s0))
-    pairs = []
-    singletons = []
-    for a, b in zip(s1, s0):
-        if abs(a - b) > 2:
-            return None
-        if a and b:
-            pairs.append((a, b))
-        elif a:
-            singletons.append((1, a))
-        elif b:
-            singletons.append((0, b))
-    return BlockPairing(tuple(pairs), tuple(singletons))
+    units = tuple(zip(s1 + [0] * (length - len(s1)), s0 + [0] * (length - len(s0))))
+    return None if any(abs(a - b) > 2 for a, b in units) else units
 
 
 # ---- classification --------------------------------------------------
@@ -236,16 +214,17 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
 
 # ---- decision --------------------------------------------------------
 
-def _nullities(m: Matrix, eigenvalue: int, exponents) -> NullitySequence:
-    """Nullity sequence at 0 or 1 read off the invariant-factor valuations,
-    n_k = #{i : exponent_i >= k}, cross-checked against ranks of powers."""
+def _nullities(m: Matrix, eigenvalue, exponents, stage: str) -> NullitySequence:
+    """Nullity sequence at an eigenvalue read off the invariant-factor
+    valuations, n_k = #{i : exponent_i >= k}, cross-checked against ranks of
+    powers."""
     top = max(exponents, default=0)
     seq = NullitySequence(m.field.element(eigenvalue),
                           tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1)))
     by_rank = nullity_sequence(m, eigenvalue).values
     if by_rank != seq.values:
         raise InternalCheckFailed(
-            f"decide: nullity sequence at eigenvalue {eigenvalue} of the {m.rows}x{m.rows} "
+            f"{stage}: nullity sequence at eigenvalue {eigenvalue} of the {m.rows}x{m.rows} "
             f"matrix is {by_rank} by ranks but {seq.values} by invariant-factor valuations")
     return seq
 
@@ -253,34 +232,37 @@ def _nullities(m: Matrix, eigenvalue: int, exponents) -> NullitySequence:
 def decide(m: Matrix) -> Decision:
     """Decide whether M is the sum of an idempotent and a square-zero matrix."""
     frobenius, witness = invariant_factors_with_transform(m)
-    valuations = tuple(valuations_at_0_1(fac) for fac in frobenius)
-    factors = InvariantFactors(tuple(h for _, _, h in valuations if h.degree))
+    vals = tuple(valuations(fac, 0, 1) for fac in frobenius)
+    factors = InvariantFactors(tuple(h for _, _, h in vals if h.degree))
     g_factors = []
     failing = None
     for fac in factors:
         g = decompose_in_t2_minus_t(fac)
         if g is None:
-            failing = {"kind": "invariant_factor",
-                       "factor": [str(c) for c in fac.coeffs]}
+            failing = {"kind": "invariant_factor", "factor": fac}
             break
         g_factors.append(g)
-    seq0 = _nullities(m, 0, [a for a, _, _ in valuations])
-    seq1 = _nullities(m, 1, [b for _, b, _ in valuations])
-    if failing is None:
-        viol = _first_violation(seq0.values, seq1.values, 2)
-        if viol is not None:
-            eig = 0 if viol["side"] == "first" else 1
-            failing = {"kind": "intertwining", "eigenvalue": eig,
-                       "index": viol["index"]}
+    seq0 = _nullities(m, 0, [a for a, _, _ in vals], "decide")
+    seq1 = _nullities(m, 1, [b for _, b, _ in vals], "decide")
+    pairing = pair_blocks([b for _, b, _ in vals if b], [a for a, _, _ in vals if a])
+    viol = _first_violation(seq0.values, seq1.values, 2)
+    if (pairing is None) != (viol is not None):
+        raise InternalCheckFailed(
+            f"decide: the Jordan block pairing and the 2-intertwining of the nullity "
+            f"sequences disagree on the {m.rows}x{m.rows} matrix")
+    if failing is None and viol is not None:
+        failing = {"kind": "intertwining", "eigenvalue": 0 if viol["side"] == "first" else 1,
+                   "index": viol["index"]}
     return Decision(
         yes=failing is None,
         frobenius=frobenius,
         witness=witness,
-        valuations=valuations,
+        valuations=vals,
         invariant_factors=factors,
         g_factors=tuple(g_factors),
         nullity_at_0=seq0,
         nullity_at_1=seq1,
+        pairing=pairing,
         failing=failing,
     )
 
@@ -372,30 +354,29 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
 
     The Frobenius basis of M, split per cyclic block, brings M to the direct
     sum of the C(h_i), J_a_i(0) and J_b_i(1).  Each C(h_i) is split by
-    :func:`_away_model`; the Jordan blocks at 1 and at 0 are paired largest
-    with largest and split by :func:`_unit_decomposition`.
+    :func:`_away_model`; the Jordan blocks at 1 and at 0 are taken unit by
+    unit from ``decision.pairing``, equal sizes in factor order, and split
+    by :func:`_unit_decomposition`.
     """
     f = m.field
-    blocks = []
-    away, at_0, at_1 = [], [], []  # column ranges of the split basis
+    blocks, perm, parts = [], [], []
+    at_0, at_1 = {}, {}  # block size -> column ranges of the split basis, in factor order
+    g_factors = iter(decision.g_factors)
     off = 0
     for fac, (a, b, h) in zip(decision.frobenius, decision.valuations):
         blocks.append(split_cyclic_block(fac, a, b, h))
-        for ranges, size in ((away, h.degree), (at_0, a), (at_1, b)):
-            if size:
-                ranges.append(range(off, off + size))
+        if h.degree:
+            perm.extend(range(off, off + h.degree))
+            parts.append(_away_model(h, next(g_factors)))
+        off += h.degree
+        for ranges, size in ((at_0, a), (at_1, b)):
+            ranges.setdefault(size, []).append(range(off, off + size))
             off += size
-    perm = []
-    parts = []
-    for cols, h, g in zip(away, decision.invariant_factors, decision.g_factors):
-        perm.extend(cols)
-        parts.append(_away_model(h, g))
-    at_1.sort(key=len, reverse=True)
-    at_0.sort(key=len, reverse=True)
-    for one, zero in zip_longest(at_1, at_0, fillvalue=range(0)):
-        perm.extend(one)
-        perm.extend(zero)
-        parts.append(_unit_decomposition(f, len(one), len(zero)))
+    for one, zero in decision.pairing:
+        for ranges, size in ((at_1, one), (at_0, zero)):
+            if size:
+                perm.extend(ranges[size].pop(0))
+        parts.append(_unit_decomposition(f, one, zero))
     pi = permutation_matrix(f, perm)
     basis = SimilarityWitness(
         decision.witness.t * direct_sum(f, [w.t for w in blocks]) * pi,
@@ -438,10 +419,6 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     decision = decide(reduced)
     if not decision.yes:
         raise DecisionNo(decision)
-    pairing = pair_blocks(decision.nullity_at_1.block_sizes(),
-                          decision.nullity_at_0.block_sizes())
-    if pairing is None:
-        raise InternalCheckFailed(f"construct: unpairable Jordan blocks in {m.rows}x{m.rows} YES")
     a_red_mat, b_red_mat = _idempotent_plus_square_zero(reduced, decision)
     ident = Matrix.identity(m.field, m.rows)
     scale = cls.scale
@@ -451,7 +428,7 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     else:
         a_part = cls.alpha * ident + scale * b_red_mat
         b_part = cls.beta * ident + scale * a_red_mat
-    cert = Certificate(a_part, b_part, params, cls, decision, pairing)
+    cert = Certificate(a_part, b_part, params, cls, decision)
     report = verify_certificate(m, cert)
     if not report.ok:
         raise InternalCheckFailed(f"construct: {m.rows}x{m.rows} certificate fails: {report}")
@@ -479,7 +456,8 @@ def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:
     """Necessary condition for M = alpha*P + beta*Q with P, Q idempotent:
     the nullity sequences at alpha and beta must be 1-intertwined.
 
-    Only applies when (M - alpha I)^n (M - beta I)^n = 0; a NO certifies
+    Only applies when every invariant factor of M is (t - alpha)^a (t - beta)^b,
+    that is when (M - alpha I)^n (M - beta I)^n = 0; a NO certifies
     non-decomposability, a YES is inconclusive.
     """
     f = m.field
@@ -487,13 +465,11 @@ def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:
     beta = f.element(beta)
     if alpha == beta or not alpha or not beta:
         raise BadParams("needs distinct nonzero alpha, beta")
-    n = m.rows
-    ident = Matrix.identity(f, n)
-    annihilated = (((m - alpha * ident) ** n) * ((m - beta * ident) ** n)).is_zero()
-    if not annihilated:
+    vals = [valuations(fac, alpha, beta) for fac in invariant_factors_with_transform(m)[0]]
+    if any(h.degree for _, _, h in vals):
         return NecessaryReport("not_applicable", None, None, None)
-    seq_a = nullity_sequence(m, alpha)
-    seq_b = nullity_sequence(m, beta)
+    seq_a = _nullities(m, alpha, [a for a, _, _ in vals], "necessary")
+    seq_b = _nullities(m, beta, [b for _, b, _ in vals], "necessary")
     viol = _first_violation(seq_a.values, seq_b.values, 1)
     status = "no" if viol else "inconclusive"
     return NecessaryReport(status, seq_a, seq_b, viol)

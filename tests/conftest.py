@@ -10,6 +10,12 @@ from math import gcd
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 
 
+def conjugate_partition(sizes):
+    """The nullity sequence n_k = #{blocks of size >= k} of Jordan blocks
+    of the given sizes at one eigenvalue."""
+    return tuple(sum(1 for s in sizes if s >= k) for k in range(1, max(sizes, default=0) + 1))
+
+
 def rand_element(field, rng):
     if field.p is None:
         return field.element(rng.randint(-3, 3))

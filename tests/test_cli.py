@@ -177,6 +177,34 @@ def test_necessary_subcommand(tmp_path, capsys):
     assert payload["status"] == "no"
 
 
+def test_necessary_values_starting_with_minus(tmp_path, capsys):
+    """A negative rational after --alpha is a value, not an option, and an
+    argument error is returned as exit 2, not raised out of main."""
+    job = write_job(tmp_path, "job.json", {"field": "Q", "matrix": [["-1/2", "0"], ["1", "2"]]})
+    code, out, _ = run(capsys, ["necessary", "--input", job, "--alpha", "-1/2", "--beta", "2"])
+    assert code == 0
+    assert json.loads(out) == {"status": "inconclusive", "nullity_at_alpha": [1],
+                               "nullity_at_beta": [1], "violation": None}
+    code, out, err = run(capsys, ["necessary", "--input", job, "--alpha", "-:", "--beta", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input")
+    code, out, err = run(capsys, ["necessary", "--input", job, "--alpha"])
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+
+
+def test_numbers_too_long_to_print_exit_2(tmp_path, capsys):
+    """The invariant factor of diag(1e3000, 3e3000) has a 6001-digit
+    coefficient, past the interpreter's 4300-digit limit for printing an
+    integer: both commands refuse it with exit 2, never a traceback."""
+    job = write_job(tmp_path, "job.json", {"field": "Q",
+                                           "matrix": [["1e3000", "0"], ["0", "3e3000"]]})
+    for command in ("decide", "construct"):
+        code, out, err = run(capsys, [command, "--input", job])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("malformed input") and err.count("\n") == 1
+
+
 def test_byte_deterministic_output(tmp_path, capsys):
     job = write_job(tmp_path, "job.json", DIAG_JOB)
     _, out1, _ = run(capsys, ["decide", "--input", job])

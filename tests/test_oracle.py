@@ -6,44 +6,43 @@ import random
 import pytest
 
 from quadsum import GF, BudgetExceeded, Matrix, companion, inverse, Polynomial
-from quadsum.oracle import (build_sum_atlas, enumerate_idempotents,
-                            enumerate_square_zero, exhaustive_compare,
-                            idempotent_count, atlas_jsonl, comparison_to_json)
+from quadsum.oracle import (DEFAULT_BUDGET, _raw_idempotents, _raw_square_zero,
+                            build_sum_atlas, comparison_to_json, exhaustive_compare,
+                            idempotent_count)
 from conftest import rand_invertible
 
 
 def test_idempotents_gf2_n1():
-    f = GF(2)
-    got = {m._e for m in enumerate_idempotents(f, 1)}
-    assert got == {(0,), (1,)}
+    assert set(_raw_idempotents(2, 1, DEFAULT_BUDGET)) == {(0,), (1,)}
 
 
 def test_idempotents_gf2_n2_count():
-    assert len(enumerate_idempotents(GF(2), 2)) == 8
+    assert len(_raw_idempotents(2, 2, DEFAULT_BUDGET)) == 8
     assert idempotent_count(2, 2) == 8
 
 
 def test_idempotents_are_idempotent():
     for p, n in ((2, 3), (3, 2)):
         f = GF(p)
-        for e in enumerate_idempotents(f, n):
+        for raw in _raw_idempotents(p, n, DEFAULT_BUDGET):
+            e = Matrix._raw(f, n, n, raw)
             assert e * e == e
 
 
 def test_square_zero_gf2_n2():
     f = GF(2)
-    got = enumerate_square_zero(f, 2)
-    raw = {m._e for m in got}
+    raw = set(_raw_square_zero(2, 2, DEFAULT_BUDGET))
     assert (0, 0, 0, 0) in raw
     assert (0, 0, 1, 0) in raw  # the shift block
     assert (1, 1, 1, 1) in raw
-    for b in got:
+    for entries in raw:
+        b = Matrix._raw(f, 2, 2, entries)
         assert (b * b).is_zero()
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_idempotents(GF(5), 4, budget=1 << 20)
+        build_sum_atlas(GF(5), 4, budget=1 << 20)
 
 
 def test_atlas_contains_zero_and_identity():
@@ -93,6 +92,4 @@ def test_report_and_export_shapes():
     payload = comparison_to_json(r)
     assert payload["pass"] is True
     assert payload["total"] == 2
-    atlas = build_sum_atlas(GF(2), 1)
-    lines = list(atlas_jsonl(atlas))
-    assert len(lines) == 2 and all('"member": true' in ln for ln in lines)
+    assert build_sum_atlas(GF(2), 1).members == {(0,), (1,)}

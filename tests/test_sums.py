@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import quadsum
 from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
@@ -11,9 +12,11 @@ from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
                      QuadParams, UnsupportedCase, block2x2, check_necessary_combination,
                      classify_and_reduce, companion, construct, decide,
                      direct_sum, inverse, is_p_intertwined, jordan_block,
-                     krylov_annihilator, pair_blocks, verify_certificate)
+                     krylov_annihilator, nullity_sequence, pair_blocks, serialize,
+                     verify_certificate)
+from quadsum.canonical import valuations
 from quadsum.sums import _away_model, _post_check_idempotent_square_zero
-from conftest import rand_decomposable, rand_invertible, rand_matrix
+from conftest import conjugate_partition, rand_decomposable, rand_invertible, rand_matrix
 
 
 def P(field, coeffs):
@@ -42,10 +45,14 @@ def test_is_p_intertwined_validation():
 
 
 def test_pair_blocks_feasible():
-    pairing = pair_blocks([3, 1], [2])
-    assert pairing.pairs == ((3, 2),)
-    assert pairing.singletons == ((1, 1),)
-    assert pair_blocks([], [2, 1]).singletons == ((0, 2), (0, 1))
+    """Units (size at 1, size at 0), largest first, 0 for a block without a
+    partner; the certificate JSON lists them as pairs and singletons."""
+    units = pair_blocks([1, 3], [2])
+    assert units == ((3, 2), (1, 0))
+    assert serialize.pairing_to_json(units) == {"pairs": [[3, 2]], "singletons": [[1, 1]]}
+    assert pair_blocks([], [2, 1]) == ((0, 2), (0, 1))
+    assert serialize.pairing_to_json(((0, 2), (0, 1))) == {"pairs": [],
+                                                           "singletons": [[0, 2], [0, 1]]}
 
 
 def test_pair_blocks_infeasible():
@@ -54,20 +61,13 @@ def test_pair_blocks_infeasible():
     assert pair_blocks([4, 4], [4, 1]) is None
 
 
-def _conjugate_partition(sizes):
-    if not sizes:
-        return ()
-    top = max(sizes)
-    return tuple(sum(1 for s in sizes if s >= k) for k in range(1, top + 1))
-
-
 def test_pairing_iff_two_intertwined_random():
     rng = random.Random(21)
     for _ in range(2000):
         a = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
         b = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
         feasible = pair_blocks(a, b) is not None
-        inter = is_p_intertwined(_conjugate_partition(a), _conjugate_partition(b), 2)
+        inter = is_p_intertwined(conjugate_partition(a), conjugate_partition(b), 2)
         assert feasible == inter, (a, b)
 
 
@@ -126,7 +126,8 @@ def test_decide_known_negatives():
     d = decide(Matrix.diagonal(QQ, [2, 2]))
     assert not d.yes and d.failing["kind"] == "invariant_factor"
     d = decide(Matrix.from_rows(QQ, [["1/2"]]))
-    assert not d.yes and d.failing == {"kind": "invariant_factor", "factor": ["-1/2", "1"]}
+    assert not d.yes and serialize.decision_to_json(d)["diagnostics"]["failing_witness"] == \
+        {"kind": "invariant_factor", "factor": ["-1/2", "1"]}
 
 
 def test_decide_known_positives():
@@ -173,7 +174,37 @@ def test_decide_cross_checks_valuations_against_ranks():
     both sequences."""
     with pytest.raises(InternalCheckFailed, match=r"decide: nullity sequence at eigenvalue 0 "
                        r"of the 3x3 matrix is \(1, 1, 1\) by ranks but \(1, 1\) by"):
-        quadsum.sums._nullities(jordan_block(QQ, 3), 0, [2])
+        quadsum.sums._nullities(jordan_block(QQ, 3), 0, [2], "decide")
+
+
+def test_decide_cross_checks_pairing_against_intertwining(monkeypatch):
+    """decide reads the Jordan pairing once; when the pairing and the
+    2-intertwining test disagree, it names its stage and the matrix size."""
+    message = r"decide: the Jordan block pairing .* disagree on the {0}x{0} matrix"
+    monkeypatch.setattr(quadsum.sums, "_first_violation", lambda u, v, p: None)
+    with pytest.raises(InternalCheckFailed, match=message.format(3)):
+        decide(jordan_block(QQ, 3))  # J_3(0) alone cannot be paired
+    monkeypatch.setattr(quadsum.sums, "_first_violation",
+                        lambda u, v, p: {"side": "first", "index": 1})
+    with pytest.raises(InternalCheckFailed, match=message.format(2)):
+        decide(Matrix.diagonal(QQ, [1, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([None, 2, 3, 5]), data=st.data())
+def test_valuations_divide_out_planted_factors(p, data):
+    """valuations(fac, alpha, beta) recovers a, b and h from a planted
+    fac = (t - alpha)^a (t - beta)^b h with h(alpha) h(beta) != 0."""
+    f = QQ if p is None else GF(p)
+    scalar = (st.fractions(min_value=-3, max_value=3, max_denominator=4) if p is None
+              else st.integers(0, p - 1))
+    alpha, beta = data.draw(scalar), data.draw(scalar)
+    assume(f.element(alpha) != f.element(beta))
+    a, b = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    h = P(f, data.draw(st.lists(scalar, max_size=3)) + [1])
+    assume(h(alpha) and h(beta))
+    fac = P(f, [-alpha, 1]) ** a * P(f, [-beta, 1]) ** b * h
+    assert valuations(fac, alpha, beta) == (a, b, h)
 
 
 # ---- construction ----------------------------------------------------
@@ -409,6 +440,38 @@ def test_necessary_rejects():
 def test_necessary_not_applicable():
     m = Matrix.diagonal(QQ, [5])
     assert check_necessary_combination(m, 1, 2).status == "not_applicable"
+
+
+def _necessary_by_powers(m, alpha, beta):
+    """The reference criterion: applicable iff (M - alpha I)^n (M - beta I)^n
+    = 0, with both nullity sequences from ranks of powers."""
+    n = m.rows
+    ident = Matrix.identity(m.field, n)
+    if not (((m - alpha * ident) ** n) * ((m - beta * ident) ** n)).is_zero():
+        return "not_applicable", None, None
+    seq_a = nullity_sequence(m, alpha).values
+    seq_b = nullity_sequence(m, beta).values
+    return ("inconclusive" if is_p_intertwined(seq_a, seq_b, 1) else "no"), seq_a, seq_b
+
+
+def test_necessary_matches_matrix_power_criterion():
+    """Every GF(3) matrix with n <= 2, both orders of (alpha, beta), and 1000
+    random 3x3 GF(3) matrices: the status and both sequences read off the
+    invariant factors equal those of the reference criterion."""
+    f = GF(3)
+    rng = random.Random(32)
+    cases = [(Matrix(f, n, n, list(ent)), alpha, beta)
+             for n in range(3) for ent in itertools.product(range(3), repeat=n * n)
+             for alpha, beta in ((1, 2), (2, 1))]
+    cases += [(rand_matrix(f, 3, rng), 1, 2) for _ in range(1000)]
+    statuses = set()
+    for m, alpha, beta in cases:
+        rep = check_necessary_combination(m, alpha, beta)
+        got = (rep.status,) + tuple(None if s is None else s.values
+                                    for s in (rep.seq_alpha, rep.seq_beta))
+        assert got == _necessary_by_powers(m, f.element(alpha), f.element(beta)), m
+        statuses.add(rep.status)
+    assert statuses == {"no", "inconclusive", "not_applicable"}
 
 
 def test_necessary_bad_params():

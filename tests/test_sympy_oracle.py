@@ -1,13 +1,14 @@
 """Independent oracle over the rationals: sympy's Smith form of t I - M over
-QQ[t] and sympy ranks of powers, against quadsum's invariant factors and
-decide."""
+QQ[t] and sympy ranks of powers, against quadsum's invariant factors, decide
+and the case-I necessary condition."""
 
 import random
 
 import pytest
 
-from quadsum import (QQ, Matrix, Polynomial, companion, decide, direct_sum,
-                     invariant_factors_with_transform, inverse, jordan_block)
+from quadsum import (QQ, Matrix, Polynomial, check_necessary_combination, companion,
+                     decide, direct_sum, invariant_factors_with_transform, inverse,
+                     jordan_block)
 from conftest import rand_invertible, rand_matrix
 
 sympy = pytest.importorskip("sympy")
@@ -55,10 +56,10 @@ def _sympy_nullities(a):
         prev = rank
 
 
-def _intertwined(u, v):
+def _intertwined(u, v, p):
     def at(seq, k):
         return seq[k - 1] if k <= len(seq) else 0
-    return all(at(u, k + 2) <= at(v, k) and at(v, k + 2) <= at(u, k)
+    return all(at(u, k + p) <= at(v, k) and at(v, k + p) <= at(u, k)
                for k in range(1, max(len(u), len(v)) + 1))
 
 
@@ -89,4 +90,32 @@ def test_rational_invariant_factors_and_decisions_match_sympy():
             if h.degree() > 0:
                 away_ok = away_ok and h.degree() % 2 == 0 and \
                     sympy.expand(h.as_expr().subs(T, 1 - T) - h.as_expr()) == 0
-        assert decision.yes == (away_ok and _intertwined(seq0, seq1))
+        assert decision.yes == (away_ok and _intertwined(seq0, seq1, 2))
+
+
+def test_rational_necessary_condition_matches_sympy_ranks():
+    """check_necessary_combination(M, 1, 2) on the samples above and on 15
+    conjugated sums of Jordan blocks at 1 and 2: it applies iff the nullities
+    at 1 and 2 from sympy ranks of (M - alpha I)^k add up to n, and then its
+    sequences are those nullities and its status is their 1-intertwining."""
+    sample = _sample(random.Random(5051))
+    cases = [next(sample) for _ in range(40)]
+    rng = random.Random(5052)
+    for _ in range(15):
+        blocks = [jordan_block(QQ, rng.randint(1, 3), eigenvalue=rng.choice([1, 2]))
+                  for _ in range(rng.randint(1, 3))]
+        t = rand_invertible(QQ, sum(b.rows for b in blocks), rng)
+        cases.append(t * direct_sum(QQ, blocks) * inverse(t))
+    statuses = set()
+    for m in cases:
+        s = _to_sympy(m)
+        seq1 = _sympy_nullities(s - sympy.eye(m.rows))
+        seq2 = _sympy_nullities(s - 2 * sympy.eye(m.rows))
+        rep = check_necessary_combination(m, 1, 2)
+        statuses.add(rep.status)
+        if sum(seq1) + sum(seq2) != m.rows:
+            assert rep.status == "not_applicable"
+            continue
+        assert (rep.seq_alpha.values, rep.seq_beta.values) == (seq1, seq2)
+        assert rep.status == ("inconclusive" if _intertwined(seq1, seq2, 1) else "no")
+    assert statuses == {"no", "inconclusive", "not_applicable"}
