@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
 from .field import Field, FieldElement
-from .matrix import (Matrix, SimilarityWitness, _integral, _raw_products, _rref,
+from .matrix import (Matrix, SimilarityWitness, _integral, _rank, _raw_products,
                      direct_sum, hstack, jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
@@ -96,7 +96,7 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
         for _ in range(d - 1):
             rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
         pairing = _raw_products(f, _integral(f, rows), chain_cols)
-        if len(_rref(f, pairing, d)) == d:
+        if _rank(f, pairing, d) == d:
             return Matrix._raw(f, d, n, [f.reduce(x) for r_ in rows for x in r_])
     raise InternalCheckFailed(f"dual rows: the solved row pairs singularly with the {n}x{d} chain")
 
@@ -130,23 +130,27 @@ def invariant_factors_with_transform(m: Matrix):
     """Invariant factors and a witness T with T^-1 M T in Frobenius form.
 
     The construction is iterated cyclic decomposition; correctness is
-    enforced by re-checking the conjugation identity, the divisibility
-    chain, and the degree sum before returning.
+    enforced by re-checking, before returning, the degree sum, M T = T F for
+    the Frobenius form F with T of full rank (which is T^-1 M T = F without
+    an inverse), and the divisibility chain.  The witness computes T^-1 only
+    when it is first applied.
     """
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
     factors, t_mat = _cyclic_decompose(m)
-    witness = SimilarityWitness.from_matrix(t_mat)
-    where = f"blocks {[fac.degree for fac in factors]} of the {m.rows}x{m.rows} matrix"
-    if witness.apply_inverse(m) != direct_sum(m.field, [companion(fac) for fac in factors]):
-        raise InternalCheckFailed(f"invariant factors: T^-1 M T is not Frobenius, {where}")
-    if sum(fac.degree for fac in factors) != m.rows:
+    n = m.rows
+    where = f"blocks {[fac.degree for fac in factors]} of the {n}x{n} matrix"
+    if sum(fac.degree for fac in factors) != n:
         raise InternalCheckFailed(f"invariant factors: sizes do not add up, {where}")
+    if t_mat.cols != n or rank(t_mat) != n:
+        raise InternalCheckFailed(f"invariant factors: the witness T is singular, {where}")
+    if m * t_mat != t_mat * direct_sum(m.field, [companion(fac) for fac in factors]):
+        raise InternalCheckFailed(f"invariant factors: M T is not T F, {where}")
     for a, b in zip(factors, factors[1:]):
         _, rem = b.divrem(a)
         if not rem.is_zero():
             raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
-    return InvariantFactors(tuple(factors)), witness
+    return InvariantFactors(tuple(factors)), SimilarityWitness(t_mat)
 
 
 def valuations(fac: Polynomial, alpha, beta):
@@ -199,7 +203,7 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Simila
             cols.append(head)
             head = head * step
     zero = f.reduce(0)
-    witness = SimilarityWitness.from_matrix(
+    witness = SimilarityWitness(
         _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols]))
     parts = [companion(h)] if h.degree else []
     expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])

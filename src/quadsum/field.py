@@ -8,7 +8,8 @@ shareable.  Matrices and polynomials store these raw canonical values;
 is the one way in (it coerces ints, Fractions, strings and elements, and
 refuses floats and bools),
 :meth:`Field.make` the one way out, and :meth:`Field.reduce` the one
-function that brings a raw intermediate to canonical form.
+function that brings a raw intermediate to canonical form (the GF(p)
+elimination and division loops inline its ``% p``).
 """
 
 from __future__ import annotations

@@ -15,12 +15,19 @@ GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints and each entry of the result costs one reduced ``Fraction``.
+
+Every elimination (rank, kernel, inverse, solve) goes through :func:`_rref`.
+Over GF(p) each row operation takes one ``% p`` per entry.  Over the
+rationals the rows are brought to integers the same way, and the elimination
+is fraction-free (:func:`_int_rref`): rows are cleared by cross-multiplying
+and kept primitive by dividing out their content, and ``Fraction``s are
+built only for the rows returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, MixedFields, Singular
@@ -154,6 +161,8 @@ class Matrix:
 
     def _scaled(self, c) -> "Matrix":
         """c times self, for a raw canonical scalar c."""
+        if c == 1:
+            return self
         reduce = self.field.reduce
         return Matrix._raw(self.field, self.rows, self.cols, [reduce(c * x) for x in self._e])
 
@@ -255,27 +264,45 @@ def _raw_products(field: Field, rows, cols):
 def _rref(field: Field, rows, ncols: int):
     """In-place reduced row echelon form on raw rows; returns pivot columns.
 
-    Every pivot row comes out in canonical form; rows past the rank may
-    keep raw intermediates."""
-    reduce = field.reduce
+    The first ``rank`` rows come out as the canonical pivot rows, the rest
+    as zero rows.  Over GF(p) each row operation reduces its entries once;
+    over the rationals the elimination runs on integers (:func:`_int_rref`)
+    and each pivot row becomes ``Fraction``s only here, divided by its
+    pivot.
+    """
+    p = field.p
+    if p is not None:
+        return _mod_rref(rows, ncols, p)
+    ints = [v for v, _ in _integral(field, rows)]
+    pivots = _int_rref(ints, ncols)
+    zero = Fraction(0)
+    for i, row in enumerate(ints):
+        if i < len(pivots):
+            d = row[pivots[i]]
+            rows[i] = [Fraction(x, d) if x else zero for x in row]
+        else:
+            rows[i] = [zero] * len(row)
+    return pivots
+
+
+def _mod_rref(rows, ncols: int, p: int):
+    """:func:`_rref` over GF(p) on residue rows, with one ``% p`` per entry
+    of each row operation."""
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv_raw(rows[r][c])
-        rows[r] = prow = [reduce(x * inv) for x in rows[r]]
+        inv = pow(rows[pr][c], p - 2, p)
+        prow = [x * inv % p for x in rows[pr]]
+        rows[pr] = rows[r]
+        rows[r] = prow
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [reduce(x - fac * y) for x, y in zip(rows[i], prow)]
+            fac = rows[i][c]
+            if fac and i != r:
+                rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -283,9 +310,57 @@ def _rref(field: Field, rows, ncols: int):
     return pivots
 
 
+def _primitive(row):
+    """The integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else [x // g for x in row]
+
+
+def _int_rref(rows, ncols: int):
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns pivot
+    columns.
+
+    Every row is kept primitive.  Clearing column c of row i against the
+    pivot row, with pivot p and entry a, is r_i <- (p/g) r_i - (a/g) r_piv
+    for g = gcd(p, a), so no entry ever leaves the integers.  The rows end
+    as the reduced row echelon form, each pivot row scaled by its pivot and
+    every other row zero.
+    """
+    nrows = len(rows)
+    for i in range(nrows):
+        rows[i] = _primitive(rows[i])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        pv = prow[c]
+        for i in range(nrows):
+            a = rows[i][c]
+            if a and i != r:
+                g = gcd(pv, a)
+                pg, ag = pv // g, a // g
+                rows[i] = _primitive([pg * x - ag * y for x, y in zip(rows[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _rank(field: Field, rows, ncols: int) -> int:
+    """Rank of raw rows, which it consumes; over the rationals no
+    ``Fraction`` is built."""
+    if field.p is None:
+        return len(_int_rref([v for v, _ in _integral(field, rows)], ncols))
+    return len(_mod_rref(rows, ncols, field.p))
+
+
 def rank(m: Matrix) -> int:
-    rows = m.raw_rows()
-    return len(_rref(m.field, rows, m.cols))
+    return _rank(m.field, m.raw_rows(), m.cols)
 
 
 def rank_and_kernel(m: Matrix):
@@ -425,30 +500,39 @@ def permutation_matrix(field: Field, perm) -> Matrix:
 
 
 class SimilarityWitness:
-    """An invertible matrix stored together with its inverse.
+    """An invertible matrix T together with its inverse.
 
-    ``apply(M)`` returns T M T^-1 and ``apply_inverse(M)`` returns T^-1 M T;
-    the defining identity T T^-1 = I = T^-1 T is checked at construction.
+    ``apply(M)`` returns T M T^-1 and ``apply_inverse(M)`` returns T^-1 M T.
+    An inverse given at construction is checked at once by the defining
+    identity T T^-1 = I = T^-1 T; otherwise ``t_inv`` is computed, and checked
+    the same way, on first use, so a witness that is never applied costs no
+    inversion.
     """
 
-    __slots__ = ("t", "t_inv")
+    __slots__ = ("t", "_t_inv")
 
-    def __init__(self, t: Matrix, t_inv: Matrix):
-        if not (t.is_square and t_inv.is_square and t.rows == t_inv.rows):
+    def __init__(self, t: Matrix, t_inv: Matrix | None = None):
+        shape = (t.rows, t.cols)
+        if not t.is_square or (t_inv is not None and (t_inv.rows, t_inv.cols) != shape):
             raise DimensionMismatch("witness matrices must be square, same size")
-        ident = Matrix.identity(t.field, t.rows)
-        if t * t_inv != ident or t_inv * t != ident:
-            raise Singular("witness inverse does not check out")
         self.t = t
-        self.t_inv = t_inv
+        self._t_inv = None if t_inv is None else self._checked(t_inv)
 
-    @classmethod
-    def from_matrix(cls, t: Matrix) -> "SimilarityWitness":
-        return cls(t, inverse(t))
+    def _checked(self, t_inv: Matrix) -> Matrix:
+        ident = Matrix.identity(self.t.field, self.t.rows)
+        if self.t * t_inv != ident or t_inv * self.t != ident:
+            n = self.t.rows
+            raise Singular(f"witness inverse does not check out for the {n}x{n} T")
+        return t_inv
+
+    @property
+    def t_inv(self) -> Matrix:
+        if self._t_inv is None:
+            self._t_inv = self._checked(inverse(self.t))
+        return self._t_inv
 
     def apply(self, m: Matrix) -> Matrix:
         return self.t * m * self.t_inv
 
     def apply_inverse(self, m: Matrix) -> Matrix:
         return self.t_inv * m * self.t
-

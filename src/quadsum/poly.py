@@ -7,9 +7,18 @@ substitution test deciding whether f(t) can be written as g(t^2 - t).
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 ``Polynomial(...)`` and ``from_coeffs`` coerce through ``Field.element``,
 scalar evaluation wraps, and the kernels build with :meth:`Polynomial._raw`.
+Division, gcd and lcm run on raw coefficient lists (:func:`_divrem`), with
+one ``% p`` per coefficient of each step over GF(p), and build a
+``Polynomial`` only for their results.  Over the rationals the Krylov
+elimination is fraction-free, like :func:`quadsum.matrix._rref`: integer
+vectors with their content removed, and ``Fraction``s only in the returned
+annihilator.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
@@ -74,9 +83,7 @@ class Polynomial:
         return Polynomial._raw(self.field, [reduce(c * x) for x in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self._scaled(self.field.inv_raw(self.coeffs[-1]))
+        return _monic(self.field, self.coeffs) if self.coeffs else self
 
     # ---- arithmetic --------------------------------------------------
 
@@ -137,20 +144,8 @@ class Polynomial:
         self._chk(divisor)
         if divisor.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        reduce = f.reduce
-        rem = list(self.coeffs)
-        dco = divisor.coeffs
-        d = len(dco) - 1
-        dlead_inv = f.inv_raw(dco[-1])
-        quo = [reduce(0)] * max(len(rem) - d, 0)
-        for k in range(len(rem) - d - 1, -1, -1):
-            c = reduce(rem[k + d] * dlead_inv)
-            if c:
-                quo[k] = c
-                for i, dc in enumerate(dco):
-                    rem[k + i] = reduce(rem[k + i] - c * dc)
-        return Polynomial._raw(f, quo), Polynomial._raw(f, rem[:d])
+        quo, rem = _divrem(self.field, self.coeffs, divisor.coeffs)
+        return Polynomial._raw(self.field, quo), Polynomial._raw(self.field, rem)
 
     def __call__(self, x):
         """Evaluate at a scalar or (square) matrix, by Horner's rule."""
@@ -206,20 +201,62 @@ class Polynomial:
         return f"Polynomial({self!s} over {self.field!r})"
 
 
+def _divrem(field: Field, num, den):
+    """Raw quotient and trimmed remainder coefficient lists of num / den,
+    for raw coefficient sequences with den trimmed and nonzero; over GF(p)
+    each step reduces once per coefficient."""
+    p = field.p
+    d = len(den) - 1
+    inv = field.inv_raw(den[-1])
+    rem = list(num)
+    quo = [field.reduce(0)] * max(len(rem) - d, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem.pop() * inv
+        if p is not None:
+            c %= p
+        if c:
+            quo[k] = c
+            low = zip(rem[k:], den)
+            rem[k:] = ([x - c * y for x, y in low] if p is None
+                       else [(x - c * y) % p for x, y in low])
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _monic(field: Field, coeffs) -> Polynomial:
+    """The monic polynomial of raw coefficients with a nonzero leading one."""
+    inv = field.inv_raw(coeffs[-1])
+    return Polynomial._raw(field, [field.reduce(c * inv) for c in coeffs])
+
+
+def _gcd(field: Field, a, b):
+    """Raw coefficient list of a greatest common divisor, by Euclid."""
+    while b:
+        a, b = b, _divrem(field, a, b)[1]
+    return a
+
+
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor."""
-    while not b.is_zero():
-        _, r = a.divrem(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    a._chk(b)
+    g = _gcd(a.field, a.coeffs, b.coeffs)
+    return _monic(a.field, g) if g else Polynomial.zero(a.field)
 
 
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic least common multiple, (a / gcd(a, b)) b."""
+    a._chk(b)
+    f = a.field
     if a.is_zero() or b.is_zero():
-        return Polynomial.zero(a.field)
-    g = gcd(a, b)
-    q, _ = (a * b).divrem(g)
-    return q.monic()
+        return Polynomial.zero(f)
+    quo = _divrem(f, a.coeffs, _gcd(f, a.coeffs, b.coeffs))[0]
+    out = [0] * (len(quo) + len(b.coeffs) - 1)
+    for i, x in enumerate(quo):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return _monic(f, out)
 
 
 def companion(p: Polynomial) -> Matrix:
@@ -247,9 +284,20 @@ def krylov_annihilator(m: Matrix, v_raw):
 
     Returns ``(poly, chain)`` where chain is the list of raw Krylov vectors
     v, m v, ..., m^(d-1) v for d = deg(poly).
+
+    Each new Krylov vector is reduced against the echelon of the earlier
+    ones, carrying its combination over the Krylov powers, until it
+    vanishes; the combination is then the annihilator.  Over GF(p) the
+    echelon vectors have pivot 1 and each row operation reduces once.  Over
+    the rationals the vector is taken as integers over its common
+    denominator d, with combination d at its own power, and cleared by
+    cross-multiplication, r <- (q/g) r - (a/g) e for echelon pivot q, entry a
+    and g = gcd(q, a), on vector and combination together; their joint content
+    is divided out after each step, and the annihilator is made monic once,
+    at the end.
     """
     f = m.field
-    reduce = f.reduce
+    p = f.p
     n = m.rows
     m_rows = _integral(f, m.raw_rows())
     ech = []  # (pivot index, reduced vector, combination over krylov powers)
@@ -257,27 +305,41 @@ def krylov_annihilator(m: Matrix, v_raw):
     w = list(v_raw)
     k = 0
     while True:
-        vec = list(w)
-        combo = [0] * (k + 1)
-        combo[k] = 1
+        iw = _integral(f, [w])
+        vec, den = iw[0]
+        combo = [0] * k + [den]
         for pi, evec, ecombo in ech:
-            c = vec[pi]
-            if c:
-                vec = [reduce(x - c * y) for x, y in zip(vec, evec)]
-                combo = ([reduce(x - c * y) for x, y in zip(combo, ecombo)]
-                         + combo[len(ecombo):])
+            a = vec[pi]
+            if not a:
+                continue
+            if p is not None:
+                vec = [(x - a * y) % p for x, y in zip(vec, evec)]
+                combo = [(x - a * y) % p for x, y in zip(combo, ecombo)] + combo[len(ecombo):]
+                continue
+            pv = evec[pi]
+            g = math.gcd(pv, a)
+            pg, ag = pv // g, a // g
+            vec = [pg * x - ag * y for x, y in zip(vec, evec)]
+            combo = ([pg * x - ag * y for x, y in zip(combo, ecombo)]
+                     + [pg * x for x in combo[len(ecombo):]])
+            g = math.gcd(*vec, *combo)
+            if g > 1:
+                vec = [x // g for x in vec]
+                combo = [x // g for x in combo]
         if not any(vec):
-            return Polynomial._raw(f, map(reduce, combo)), chain
+            if p is None:
+                combo = [Fraction(x, combo[k]) for x in combo]
+            return Polynomial._raw(f, combo), chain
         if k > n:
             raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
         piv = next(i for i, x in enumerate(vec) if x)
-        inv = f.inv_raw(vec[piv])
-        vec = [reduce(x * inv) for x in vec]
-        combo = [reduce(c * inv) for c in combo]
+        if p is not None:
+            inv = pow(vec[piv], p - 2, p)
+            vec = [x * inv % p for x in vec]
+            combo = [c * inv % p for c in combo]
         ech.append((piv, vec, combo))
-        chain.append(list(w))
-        # advance: w <- m w
-        w = _raw_products(f, _integral(f, [w]), m_rows)[0]
+        chain.append(w)
+        w = _raw_products(f, iw, m_rows)[0]
         k += 1
 
 

@@ -286,7 +286,7 @@ def _away_model(h: Polynomial, g: Polynomial):
     ann, chain = krylov_annihilator(u_block, [1] + [0] * (size - 1))
     if ann != h:
         raise InternalCheckFailed(f"away model: e_0 is not cyclic in the {size}x{size} model")
-    k_basis = SimilarityWitness.from_matrix(_chain_matrix(f, chain))
+    k_basis = SimilarityWitness(_chain_matrix(f, chain))
     if k_basis.apply_inverse(u_block) != companion(h):
         raise InternalCheckFailed(f"away model: {size}x{size} Krylov basis does not reach C({h})")
     return (k_basis.apply_inverse(block2x2(ident, zero, ident, zero)),

@@ -147,6 +147,26 @@ def test_frobenius_check_names_stage_and_size(monkeypatch):
         invariant_factors_with_transform(jordan_block(QQ, 3))
 
 
+def test_corrupted_witness_names_stage_and_size(monkeypatch):
+    """A singular T, or factors whose companions T does not conjugate M to,
+    fail the M T = T F check of the invariant factors with the stage and
+    the matrix size."""
+    real = quadsum.canonical._cyclic_decompose
+    m = jordan_block(QQ, 3, eigenvalue=2)
+    factors, t_mat = real(m)
+    assert t_mat != t_mat.transpose()
+    rows = t_mat.raw_rows()
+    singular = Matrix._raw(QQ, 3, 3, [x for row in rows[:2] + [rows[0]] for x in row])
+    for corrupted, what in (((factors, singular), "the witness T is singular"),
+                            (([P(QQ, [1, 0, 0, 1])], t_mat), "M T is not T F"),
+                            ((factors, t_mat.transpose()), "M T is not T F")):
+        monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m, c=corrupted: c)
+        with pytest.raises(InternalCheckFailed, match=f"invariant factors: {what}, .* 3x3 matrix"):
+            invariant_factors_with_transform(m)
+        with pytest.raises(InternalCheckFailed, match=f"invariant factors: {what}"):
+            decide(m)
+
+
 # ---- spectral split at {0, 1}, per cyclic block ----------------------
 
 def _check_block_splits(m):

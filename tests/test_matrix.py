@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quadsum
 from quadsum import (GF, QQ, DimensionMismatch, Matrix, MixedFields, Polynomial,
                      SimilarityWitness, Singular, block2x2, companion, direct_sum,
                      hstack, inverse, jordan_block, kernel_matrix,
                      krylov_annihilator, permutation_matrix, rank,
                      rank_and_kernel, solve)
+from quadsum.matrix import _rref
 from conftest import rand_element, rand_invertible, rand_matrix, rand_wide_rational
 
 
@@ -215,7 +218,7 @@ def test_similarity_witness_checked():
     t = Matrix.from_rows(f, [[1, 1], [0, 1]])
     with pytest.raises(Singular):
         SimilarityWitness(t, t)  # wrong inverse
-    w = SimilarityWitness.from_matrix(t)
+    w = SimilarityWitness(t)
     m = Matrix.from_rows(f, [[2, 0], [0, 3]])
     assert w.apply_inverse(w.apply(m)) == m
     assert w.apply(m) == t * m * inverse(t)
@@ -227,7 +230,118 @@ def test_similarity_preserves_rank_and_trace():
     for _ in range(20):
         n = rng.randint(1, 5)
         m = rand_matrix(f, n, rng)
-        w = SimilarityWitness.from_matrix(rand_invertible(f, n, rng))
+        w = SimilarityWitness(rand_invertible(f, n, rng))
         c = w.apply(m)
         assert rank(c) == rank(m)
         assert c.trace() == m.trace()
+
+
+def test_similarity_witness_inverts_on_first_use(monkeypatch):
+    """Without a given inverse, T^-1 is computed once, on first use, and
+    checked then; a singular T fails only when it is applied."""
+    calls = []
+    real = quadsum.matrix.inverse
+    monkeypatch.setattr(quadsum.matrix, "inverse", lambda m: calls.append(m) or real(m))
+    f = GF(5)
+    t = Matrix.from_rows(f, [[1, 1], [0, 1]])
+    w = SimilarityWitness(t)
+    assert calls == []
+    assert w.t_inv == real(t) and w.t_inv == real(t)
+    assert calls == [t]
+    singular = SimilarityWitness(Matrix.from_rows(f, [[1, 1], [1, 1]]))
+    with pytest.raises(Singular):
+        singular.apply(t)
+
+
+# ---- elimination against a Gauss-Jordan reference ---------------------
+
+def reference_rref(field, rows, ncols):
+    """Textbook Gauss-Jordan on FieldElements: pivot rows scaled to 1, rows
+    past the rank zero.  Returns (pivot columns, rows)."""
+    rows = [[field.element(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                fac = rows[i][c]
+                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A matrix with small-integer or wide-denominator entries, some rows
+    and columns zeroed and some rows made dependent, including 0 x k and
+    k x 0, and a right-hand side for solve."""
+    f = draw(st.sampled_from([QQ, QQ, GF(7)]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if f.p is None and draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        m = rand_wide_rational(rows, rng, cols=cols, digits=draw(st.integers(3, 12)))
+        entries = m.raw_rows()
+    else:
+        entries = [[draw(st.integers(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)) & set(range(rows)):
+        entries[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, 5), max_size=2)) & set(range(cols)):
+        for row in entries:
+            row[j] = 0
+    if rows >= 3 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        entries[-1] = [c * x + y for x, y in zip(entries[0], entries[1])]
+    rhs = [[draw(st.integers(-3, 3)) for _ in range(2)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        rhs = [[sum(x * k for x, k in zip(row, range(1, cols + 1))), 0] for row in entries]
+    return (Matrix.from_rows(f, entries) if rows else Matrix.zero(f, 0, cols),
+            Matrix.from_rows(f, rhs) if rows else Matrix.zero(f, 0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_fraction_gauss_jordan(case):
+    """_rref, rank, rank_and_kernel, inverse and solve give exactly what a
+    Gauss-Jordan reference in field arithmetic gives: the reduced echelon
+    form is unique, however the kernel eliminates."""
+    m, b = case
+    f = m.field
+    pivots, ref = reference_rref(f, m.to_rows(), m.cols)
+    rows = m.raw_rows()
+    assert _rref(f, rows, m.cols) == pivots
+    assert [[f.make(x) for x in row] for row in rows] == ref
+    assert_canonical(Matrix._raw(f, m.rows, m.cols, [x for row in rows for x in row]))
+    assert rank(m) == len(pivots)
+    free = [j for j in range(m.cols) if j not in pivots]
+    want = []
+    for j in free:
+        v = [f.zero()] * m.cols
+        v[j] = f.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = -ref[i][j]
+        want.append(Matrix.column(f, v))
+    assert rank_and_kernel(m) == (len(pivots), want)
+    if m.rows == m.cols:
+        ident = Matrix.identity(f, m.rows)
+        aug_pivots, aug = reference_rref(f, [r + i for r, i in zip(m.to_rows(), ident.to_rows())],
+                                         m.cols)
+        if len(aug_pivots) == m.rows:
+            assert inverse(m) == Matrix.from_rows(f, [row[m.cols:] for row in aug])
+        else:
+            with pytest.raises(Singular):
+                inverse(m)
+    aug_pivots, aug = reference_rref(f, [r + s for r, s in zip(m.to_rows(), b.to_rows())],
+                                     m.cols + b.cols)
+    if any(pc >= m.cols for pc in aug_pivots):
+        with pytest.raises(Singular):
+            solve(m, b)
+    else:
+        x = [[f.zero()] * b.cols for _ in range(m.cols)]
+        for i, pc in enumerate(aug_pivots):
+            x[pc] = aug[i][m.cols:]
+        assert solve(m, b) == Matrix(f, m.cols, b.cols, [v for row in x for v in row])

@@ -127,8 +127,11 @@ def test_krylov_annihilator_matches_naive():
         cases.append((rand_matrix(QQ, n, rng), ints))
         cases.append((rand_wide_rational(n, rng), ints))
         dens = coprime_denominators(n, 30, rng)
-        cases.append((rand_wide_rational(n, rng),
-                      [Fraction(rng.randint(-10 ** 30, 10 ** 30), d) for d in dens]))
+        wide = [Fraction(rng.randint(-10 ** 30, 10 ** 30), d) for d in dens]
+        cases.append((rand_wide_rational(n, rng), wide))
+        cases.append((rand_matrix(QQ, n, rng), wide))
+        cases.append((rand_wide_rational(n, rng, digits=10), wide[:1] + [0] * (n - 1)))
+        cases.append((rand_wide_rational(n, rng), [0] * n))
     for m, v in cases:
         ann, chain = krylov_annihilator(m, v)
         want_ann, want_chain = naive_krylov(m, v)

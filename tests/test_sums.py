@@ -318,6 +318,33 @@ def test_construct_runs_one_frobenius_decomposition(monkeypatch):
     assert args == [reduced]
 
 
+def test_decide_never_inverts_and_construct_inverts_the_frobenius_basis_once(monkeypatch):
+    """decide checks its witness as M T = T F with T of full rank, so it calls
+    no inverse; construct computes T^-1 of the Frobenius basis once, when it
+    transports the blocks."""
+    calls = []
+    real = quadsum.matrix.inverse
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(quadsum.matrix, "inverse", counted)
+    monkeypatch.setattr(quadsum.sums, "inverse", counted)
+    rng = random.Random(33)
+    for f in (QQ, GF(5)):
+        s = P(f, [0, -1, 1])
+        core = direct_sum(f, [companion(P(f, [2, 1]).compose(s)), jordan_block(f, 3),
+                              jordan_block(f, 2, eigenvalue=1), jordan_block(f, 1)])
+        t = rand_invertible(f, core.rows, rng)
+        m = t * core * real(t)
+        calls.clear()
+        decision = decide(m)
+        assert decision.yes and calls == []
+        construct(m, QuadParams.of(f))
+        assert sum(1 for a in calls if a == decision.witness.t) == 1
+
+
 def test_away_model_e0_is_cyclic_for_every_small_g():
     """e_0 is a cyclic vector of the model [[I, C(g)], [I, 0]] for every monic
     g of degree 1 to 3 over GF(2) and GF(3), and the model splits C(h) for

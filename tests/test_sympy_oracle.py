@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from quadsum import (QQ, Matrix, Polynomial, check_necessary_combination, companion,
-                     decide, direct_sum, invariant_factors_with_transform, inverse,
-                     jordan_block)
-from conftest import rand_invertible, rand_matrix
+from quadsum import (QQ, Matrix, Polynomial, Singular, check_necessary_combination,
+                     companion, decide, direct_sum, invariant_factors_with_transform,
+                     inverse, jordan_block, rank)
+from conftest import rand_invertible, rand_matrix, rand_wide_rational
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors as smith_invariant_factors  # noqa: E402
@@ -119,3 +119,24 @@ def test_rational_necessary_condition_matches_sympy_ranks():
         assert (rep.seq_alpha.values, rep.seq_beta.values) == (seq1, seq2)
         assert rep.status == ("inconclusive" if _intertwined(seq1, seq2, 1) else "no")
     assert statuses == {"no", "inconclusive", "not_applicable"}
+
+
+def test_wide_rational_ranks_and_inverses_match_sympy():
+    """Fraction-free elimination on 6x6 to 8x8 matrices with pairwise-coprime
+    denominators of 10 to 30 digits, full rank and with dependent rows,
+    against sympy's rank and inverse."""
+    rng = random.Random(5053)
+    for n in (6, 7, 8):
+        for digits in (10, 30):
+            m = rand_wide_rational(n, rng, digits=digits)
+            rows = m.raw_rows()
+            dependent = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+            deficient = Matrix.from_rows(QQ, rows[:-2] + [dependent, [0] * n])
+            for a in (m, deficient):
+                s = _to_sympy(a)
+                assert rank(a) == s.rank()
+                if s.rank() < n:
+                    with pytest.raises(Singular):
+                        inverse(a)
+                else:
+                    assert inverse(a) == Matrix(QQ, n, n, [str(x) for x in s.inv()])
