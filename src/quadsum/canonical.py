@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
 from .field import Field, FieldElement
-from .matrix import (Matrix, SimilarityWitness, _integral, _rank, _raw_products,
-                     direct_sum, hstack, jordan_block, kernel_matrix, rank, solve)
+from .matrix import (Matrix, _integral, _rank, _raw_products, direct_sum, hstack,
+                     jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
 
@@ -132,8 +132,7 @@ def invariant_factors_with_transform(m: Matrix):
     The construction is iterated cyclic decomposition; correctness is
     enforced by re-checking, before returning, the degree sum, M T = T F for
     the Frobenius form F with T of full rank (which is T^-1 M T = F without
-    an inverse), and the divisibility chain.  The witness computes T^-1 only
-    when it is first applied.
+    an inverse), and the divisibility chain.
     """
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
@@ -150,7 +149,7 @@ def invariant_factors_with_transform(m: Matrix):
         _, rem = b.divrem(a)
         if not rem.is_zero():
             raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
-    return InvariantFactors(tuple(factors)), SimilarityWitness(t_mat)
+    return InvariantFactors(tuple(factors)), t_mat
 
 
 def valuations(fac: Polynomial, alpha, beta):
@@ -175,8 +174,8 @@ def valuations(fac: Polynomial, alpha, beta):
     return out[0], out[1], Polynomial._raw(f, coeffs)
 
 
-def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> SimilarityWitness:
-    """Witness S with S^-1 C(fac) S = C(h) (+) J_a(0) (+) J_b(1), for
+def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix:
+    """Basis S with S^-1 C(fac) S = C(h) (+) J_a(0) (+) J_b(1), for
     fac = t^a (t - 1)^b h as returned by :func:`valuations` at 0 and 1.
 
     C(fac) is multiplication by t on k[t]/(fac) in the basis 1, t, t^2, ....
@@ -188,6 +187,8 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Simila
     product has degree below deg fac, so none needs reducing.  e_0 and e_1
     are scaled to be 1 modulo t and t - 1, so the eigenvector closing each
     chain is the primary component of t^(a-1) resp. (t - 1)^(b-1) itself.
+    The identity is checked without an inverse, as rank(S) = deg fac and
+    C(fac) S = S E for the block sum E.
     """
     f = fac.field
     d = fac.degree
@@ -203,11 +204,10 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Simila
             cols.append(head)
             head = head * step
     zero = f.reduce(0)
-    witness = SimilarityWitness(
-        _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols]))
+    s_mat = _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols])
     parts = [companion(h)] if h.degree else []
     expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
-    if witness.apply_inverse(companion(fac)) != expected:
+    if rank(s_mat) != d or companion(fac) * s_mat != s_mat * expected:
         raise InternalCheckFailed(
             f"cyclic block split: {d}x{d} block of {fac} is not C(h) + J_{a}(0) + J_{b}(1)")
-    return witness
+    return s_mat

@@ -16,7 +16,7 @@ from . import oracle, serialize
 from .errors import (BadParams, BudgetExceeded, DecisionNo, InternalCheckFailed,
                      MalformedInput, NotSplitError, QuadsumError, UnsupportedCase)
 from .field import GF
-from .sums import (classify_and_reduce, construct, decide,
+from .sums import (Certificate, classify_and_reduce, construct, decide,
                    check_necessary_combination, verify_certificate)
 
 EXIT_OK = 0
@@ -66,10 +66,10 @@ def cmd_construct(args) -> int:
         _emit(payload, args.output)
         return EXIT_OK
     payload = serialize.certificate_to_json(cert)
-    # re-verify through the serialized form before reporting success
+    # construct has verified cert; the serialized form must reload to it exactly
     reloaded = serialize.certificate_from_json(field, payload)
-    if not verify_certificate(matrix, reloaded).ok:
-        return _fail(EXIT_INTERNAL, "serialized certificate failed re-verification")
+    if reloaded != Certificate(cert.a_part, cert.b_part, cert.params):
+        return _fail(EXIT_INTERNAL, "serialized certificate does not reload to the verified one")
     _emit(payload, args.output)
     return EXIT_OK
 

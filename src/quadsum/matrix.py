@@ -498,41 +498,3 @@ def permutation_matrix(field: Field, perm) -> Matrix:
         ent[pk * n + k] = field.reduce(1)
     return Matrix._raw(field, n, n, ent)
 
-
-class SimilarityWitness:
-    """An invertible matrix T together with its inverse.
-
-    ``apply(M)`` returns T M T^-1 and ``apply_inverse(M)`` returns T^-1 M T.
-    An inverse given at construction is checked at once by the defining
-    identity T T^-1 = I = T^-1 T; otherwise ``t_inv`` is computed, and checked
-    the same way, on first use, so a witness that is never applied costs no
-    inversion.
-    """
-
-    __slots__ = ("t", "_t_inv")
-
-    def __init__(self, t: Matrix, t_inv: Matrix | None = None):
-        shape = (t.rows, t.cols)
-        if not t.is_square or (t_inv is not None and (t_inv.rows, t_inv.cols) != shape):
-            raise DimensionMismatch("witness matrices must be square, same size")
-        self.t = t
-        self._t_inv = None if t_inv is None else self._checked(t_inv)
-
-    def _checked(self, t_inv: Matrix) -> Matrix:
-        ident = Matrix.identity(self.t.field, self.t.rows)
-        if self.t * t_inv != ident or t_inv * self.t != ident:
-            n = self.t.rows
-            raise Singular(f"witness inverse does not check out for the {n}x{n} T")
-        return t_inv
-
-    @property
-    def t_inv(self) -> Matrix:
-        if self._t_inv is None:
-            self._t_inv = self._checked(inverse(self.t))
-        return self._t_inv
-
-    def apply(self, m: Matrix) -> Matrix:
-        return self.t * m * self.t_inv
-
-    def apply_inverse(self, m: Matrix) -> Matrix:
-        return self.t_inv * m * self.t

@@ -27,7 +27,9 @@ def _require_prime_field(field: Field):
 def _check_budget(p: int, n: int, budget: int):
     if n < 0:
         raise BadParams(f"matrix size must be non-negative, got {n}")
-    if p ** (n * n) > budget:
+    # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
+    # budget's bit length: refuse on sizes before building a huge power
+    if n * n * (p.bit_length() - 1) >= budget.bit_length() or p ** (n * n) > budget:
         raise BudgetExceeded(
             f"scan of {p}^{n * n} matrices exceeds the budget of {budget}")
 

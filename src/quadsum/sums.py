@@ -14,7 +14,8 @@ Both are read off one Frobenius decomposition of M: each invariant factor
 f_i = t^a_i (t - 1)^b_i h_i gives the factor h_i of the part away from
 {0, 1} and a Jordan block of size a_i at 0 and b_i at 1.  When the answer
 is yes, the same decomposition, split per cyclic block, carries an explicit
-certificate pair (A, B), which is re-verified exactly before being returned.
+certificate pair (A, B): A comes from one linear solve, B is M - A, and the
+pair is verified exactly, once, before being returned.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .canonical import (InvariantFactors, NullitySequence, _chain_matrix,
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import (Matrix, SimilarityWitness, block2x2, direct_sum, inverse,
-                     jordan_block, permutation_matrix)
+from .matrix import (Matrix, block2x2, direct_sum, inverse, jordan_block,
+                     permutation_matrix, rank, solve)
 from .poly import Polynomial, companion, decompose_in_t2_minus_t, krylov_annihilator
 
 
@@ -72,7 +73,8 @@ class Decision:
     """Yes/no answer for the idempotent + square-zero case, with diagnostics.
 
     ``frobenius`` holds the invariant factors f_i of M and ``witness`` the
-    basis that conjugates M onto the direct sum of their companions;
+    basis T, of full rank, with M T = T F for the direct sum F of their
+    companions;
     ``valuations`` holds (a_i, b_i, h_i) with f_i = t^a_i (t - 1)^b_i h_i.
     ``invariant_factors`` are the nonconstant h_i, those of the part of M
     away from {0, 1}.  ``pairing`` holds the Jordan units of
@@ -82,7 +84,7 @@ class Decision:
 
     yes: bool
     frobenius: InvariantFactors
-    witness: SimilarityWitness
+    witness: Matrix
     valuations: tuple
     invariant_factors: InvariantFactors
     g_factors: tuple
@@ -269,13 +271,15 @@ def decide(m: Matrix) -> Decision:
 
 # ---- construction: part with no eigenvalue in {0, 1} -----------------
 
-def _away_model(h: Polynomial, g: Polynomial):
-    """Idempotent + square-zero split of C(h) for h = g(t^2 - t).
+def _away_model(h: Polynomial, g: Polynomial) -> Matrix:
+    """Idempotent of an idempotent + square-zero split of C(h), h = g(t^2 - t).
 
     The model U = [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]]
-    is conjugated onto C(h) through the Krylov basis of e_0, which is cyclic:
-    U^2 - U = s I with s = C(g), and e_0 = (1, 0), U e_0 = (1, 1) are a basis
-    of k^(2 deg g) over k[s]/(g).
+    is conjugated onto C(h) through the Krylov basis K of e_0, which is
+    cyclic: U^2 - U = s I with s = C(g), and e_0 = (1, 0), U e_0 = (1, 1) are
+    a basis of k^(2 deg g) over k[s]/(g).  K is checked as rank(K) = 2 deg g
+    and U K = K C(h), and the idempotent K^-1 [[I, 0], [I, 0]] K is solved
+    for, not multiplied out; the square-zero part is C(h) minus it.
     """
     f = h.field
     size = 2 * g.degree
@@ -286,11 +290,10 @@ def _away_model(h: Polynomial, g: Polynomial):
     ann, chain = krylov_annihilator(u_block, [1] + [0] * (size - 1))
     if ann != h:
         raise InternalCheckFailed(f"away model: e_0 is not cyclic in the {size}x{size} model")
-    k_basis = SimilarityWitness(_chain_matrix(f, chain))
-    if k_basis.apply_inverse(u_block) != companion(h):
+    k_mat = _chain_matrix(f, chain)
+    if rank(k_mat) != size or u_block * k_mat != k_mat * companion(h):
         raise InternalCheckFailed(f"away model: {size}x{size} Krylov basis does not reach C({h})")
-    return (k_basis.apply_inverse(block2x2(ident, zero, ident, zero)),
-            k_basis.apply_inverse(block2x2(zero, c_g, zero, zero)))
+    return solve(k_mat, block2x2(ident, zero, ident, zero) * k_mat)
 
 
 # ---- construction: Jordan blocks at 0 and 1 ---------------------------
@@ -318,13 +321,14 @@ def _shift_intertwiners(f: Field, a: int, b: int):
     return Matrix._raw(f, a, b, x_ent), Matrix._raw(f, b, a, y_ent)
 
 
-def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int):
-    """Idempotent + square-zero split of the model (I + N) (+) N' for one
-    paired unit, N and N' being subdiagonal nilpotent Jordan blocks."""
+def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int) -> Matrix:
+    """Idempotent A of an idempotent + square-zero split A + B of the model
+    (I + N) (+) N' for one paired unit, N and N' being subdiagonal nilpotent
+    Jordan blocks; B is the model minus A."""
     if size_at_1 == 0:
-        return (Matrix.zero(f, size_at_0), jordan_block(f, size_at_0))
+        return Matrix.zero(f, size_at_0)
     if size_at_0 == 0:
-        return (Matrix.identity(f, size_at_1), jordan_block(f, size_at_1))
+        return Matrix.identity(f, size_at_1)
     a, b = size_at_1, size_at_0
     n_one = jordan_block(f, a)
     n_zero = jordan_block(f, b)
@@ -341,10 +345,7 @@ def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int):
     y_t = sign * y_map
     b3 = -(inv_plus * inv_plus) * (i1 + n_one) * (i1 + n_one) * x_t
     b2 = y_t
-    b_mat = block2x2(b1, b3, b2, b4)
-    model = direct_sum(f, [i1 + n_one, n_zero])
-    a_mat = model - b_mat
-    return a_mat, b_mat
+    return direct_sum(f, [i1 + n_one, n_zero]) - block2x2(b1, b3, b2, b4)
 
 
 # ---- full pipeline ---------------------------------------------------
@@ -357,6 +358,11 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
     :func:`_away_model`; the Jordan blocks at 1 and at 0 are taken unit by
     unit from ``decision.pairing``, equal sizes in factor order, and split
     by :func:`_unit_decomposition`.
+
+    With T' = T (S_1 (+) ... (+) S_r) Pi that basis, in this order, and
+    A_model the direct sum of the block idempotents, A solves T'^T A^T =
+    (T' A_model)^T, so nothing is inverted, and B = M - A.
+    :func:`construct` verifies the result.
     """
     f = m.field
     blocks, perm, parts = [], [], []
@@ -377,24 +383,9 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
             if size:
                 perm.extend(ranges[size].pop(0))
         parts.append(_unit_decomposition(f, one, zero))
-    pi = permutation_matrix(f, perm)
-    basis = SimilarityWitness(
-        decision.witness.t * direct_sum(f, [w.t for w in blocks]) * pi,
-        pi.transpose() * direct_sum(f, [w.t_inv for w in blocks]) * decision.witness.t_inv)
-    a_mat = basis.apply(direct_sum(f, [a for a, _ in parts]))
-    b_mat = basis.apply(direct_sum(f, [b for _, b in parts]))
-    _post_check_idempotent_square_zero(m, a_mat, b_mat)
-    return a_mat, b_mat
-
-
-def _post_check_idempotent_square_zero(m: Matrix, a_mat: Matrix, b_mat: Matrix):
-    n = m.rows
-    if a_mat + b_mat != m:
-        raise InternalCheckFailed(f"construct: A + B is not the {n}x{n} input")
-    if a_mat * a_mat != a_mat:
-        raise InternalCheckFailed(f"construct: the {n}x{n} A is not idempotent")
-    if not (b_mat * b_mat).is_zero():
-        raise InternalCheckFailed(f"construct: the {n}x{n} B is not square-zero")
+    basis = decision.witness * direct_sum(f, blocks) * permutation_matrix(f, perm)
+    a_mat = solve(basis.transpose(), (basis * direct_sum(f, parts)).transpose()).transpose()
+    return a_mat, m - a_mat
 
 
 def construct(m: Matrix, params: QuadParams) -> Certificate:
@@ -429,6 +420,12 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
         a_part = cls.alpha * ident + scale * b_red_mat
         b_part = cls.beta * ident + scale * a_red_mat
     cert = Certificate(a_part, b_part, params, cls, decision)
+    # The one check of the construction.  It covers A_red idempotent and
+    # B_red square-zero: with the scale s != 0 and alpha a root of
+    # t^2 - a t - b, A = alpha I + s A_red gives A^2 - a A - b I =
+    # s (2 alpha - a) A_red + s^2 A_red^2 = s^2 (A_red^2 - A_red), since
+    # a - 2 alpha = s; and B = beta I + s B_red gives B^2 - c B - d I =
+    # s^2 B_red^2, since c - 2 beta = 0 (the roles swap when swapped).
     report = verify_certificate(m, cert)
     if not report.ok:
         raise InternalCheckFailed(f"construct: {m.rows}x{m.rows} certificate fails: {report}")
@@ -439,7 +436,8 @@ def verify_certificate(m: Matrix, cert: Certificate) -> VerificationReport:
     """Exact check of A + B = M and both quadratic identities, plus the
     redundant commutation probe with (A+B)((a+c)I - (A+B))."""
     a_mat, b_mat = cert.a_part, cert.b_part
-    if a_mat.rows != m.rows or b_mat.rows != m.rows:
+    shape = (m.rows, m.cols)
+    if (a_mat.rows, a_mat.cols) != shape or (b_mat.rows, b_mat.cols) != shape:
         raise DimensionMismatch("certificate dimensions do not match the matrix")
     params = cert.params
     ident = Matrix.identity(m.field, m.rows)

@@ -61,12 +61,30 @@ def rand_decomposable(field, n, rng):
 
 
 def coprime_denominators(count, digits, rng):
-    """``count`` pairwise-coprime integers of about ``digits`` digits."""
+    """``count`` distinct pairwise-coprime integers of ``digits`` digits.
+
+    Raises ValueError once no integer of that many digits is left that is
+    distinct from and coprime to every one drawn so far.  ``spare`` is the
+    least such integer; it only moves up, since ``out`` only grows, and it
+    draws nothing from ``rng``.
+    """
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+
+    def fits(d):
+        return d not in out and all(gcd(d, e) == 1 for e in out)
+
     out = []
+    spare = lo
     while len(out) < count:
-        d = rng.randrange(10 ** (digits - 1), 10 ** digits)
-        if all(gcd(d, e) == 1 for e in out):
+        d = rng.randrange(lo, hi)
+        if fits(d):
             out.append(d)
+            continue
+        while spare < hi and not fits(spare):
+            spare += 1
+        if spare == hi:
+            raise ValueError(f"the {digits}-digit integers hold no {count} distinct "
+                             f"pairwise-coprime ones after {out}")
     return out
 
 

@@ -58,9 +58,9 @@ def test_malformed_sequence_rejected():
 
 def test_invariant_factors_companion():
     p = P(QQ, [2, -1, 1])
-    factors, witness = invariant_factors_with_transform(companion(p))
+    factors, t = invariant_factors_with_transform(companion(p))
     assert list(factors) == [p]
-    assert witness.apply_inverse(companion(p)) == companion(p)
+    assert inverse(t) * companion(p) * t == companion(p)
 
 
 def test_invariant_factors_scalar_blocks():
@@ -79,7 +79,7 @@ def test_invariant_factors_random_frobenius_form():
             chain = [base, base * mult]
             m = direct_sum(f, [companion(p) for p in chain])
             t = rand_invertible(f, m.rows, rng)
-            factors, witness = invariant_factors_with_transform(t * m * inverse(t))
+            factors, _ = invariant_factors_with_transform(t * m * inverse(t))
             assert list(factors) == chain
             # divisibility and degree-sum are re-checked inside; spot-check here
             q, r = factors.factors[1].divrem(factors.factors[0])
@@ -97,9 +97,9 @@ def test_invariant_factors_last_is_minimal():
 
 
 def test_invariant_factors_empty_matrix():
-    factors, witness = invariant_factors_with_transform(Matrix.zero(QQ, 0, 0))
+    factors, t = invariant_factors_with_transform(Matrix.zero(QQ, 0, 0))
     assert len(factors) == 0
-    assert witness.t.rows == 0
+    assert t.rows == 0
 
 
 def test_invariant_factors_companion_needs_one_krylov_run(monkeypatch):
@@ -136,9 +136,9 @@ def test_dual_row_is_solved_when_no_standard_row_pairs():
         w_mat = _dual_rows(m, k_mat)
         assert Matrix.from_rows(f, [w_mat.row(0)]) * k_mat == Matrix.from_rows(f, [[0, 1]])
         assert rank(w_mat * k_mat) == 2
-        factors, witness = invariant_factors_with_transform(m)
+        factors, t_mat = invariant_factors_with_transform(m)
         assert list(factors) == [t, t * t_1]
-        assert witness.apply_inverse(m) == direct_sum(f, [companion(fac) for fac in factors])
+        assert inverse(t_mat) * m * t_mat == direct_sum(f, [companion(fac) for fac in factors])
 
 
 def test_frobenius_check_names_stage_and_size(monkeypatch):
@@ -178,10 +178,10 @@ def _check_block_splits(m):
     for fac, (a, b, h) in zip(factors, vals):
         assert h(0) and h(1), (fac, h)
         assert P(f, [0, 1]) ** a * P(f, [-1, 1]) ** b * h == fac
-        witness = split_cyclic_block(fac, a, b, h)
+        s = split_cyclic_block(fac, a, b, h)
         parts = [companion(h)] if h.degree else []
         expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
-        assert witness.apply_inverse(companion(fac)) == expected
+        assert inverse(s) * companion(fac) * s == expected
     assert sum(h.degree + a + b for a, b, h in vals) == m.rows
     return vals
 
@@ -201,6 +201,25 @@ def test_split_spectral_mixed():
 def test_split_spectral_pure_cases():
     assert _check_block_splits(jordan_block(QQ, 3)) == [(3, 0, P(QQ, [1]))]
     assert _check_block_splits(Matrix.diagonal(QQ, [2, 5])) == [(0, 0, P(QQ, [10, -7, 1]))]
+
+
+def test_split_check_names_stage_and_size(monkeypatch):
+    """The split of a cyclic block is checked as rank(S) = deg f and
+    C(f) S = S E: a singular S that still satisfies the second identity (the
+    zero matrix) fails the first, and a wrong block sum E fails the second."""
+    fac = P(QQ, [0, -1, 1])  # t (t - 1)
+    a, b, h = valuations(fac, 0, 1)
+    assert rank(split_cyclic_block(fac, a, b, h)) == 2
+    stage = r"cyclic block split: 2x2 block of .* is not C\(h\) \+ J_1\(0\) \+ J_1\(1\)"
+    with monkeypatch.context() as patch:
+        patch.setattr(quadsum.canonical, "_chain_matrix",
+                      lambda f, chain: Matrix.zero(f, len(chain[0]), len(chain)))
+        with pytest.raises(InternalCheckFailed, match=stage):
+            split_cyclic_block(fac, a, b, h)
+    monkeypatch.setattr(quadsum.canonical, "jordan_block",
+                        lambda f, size, eigenvalue=0: jordan_block(f, size, 1 - eigenvalue))
+    with pytest.raises(InternalCheckFailed, match=stage):
+        split_cyclic_block(fac, a, b, h)
 
 
 def test_split_spectral_random_consistency():

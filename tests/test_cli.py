@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import time
 
 from hypothesis import given, settings, strategies as st
 
+from quadsum import Certificate, Matrix, cli
 from quadsum.cli import main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -145,6 +147,38 @@ def test_verify_tampered_certificate(tmp_path, capsys):
     assert payload["pass"] is False and payload["sum_ok"] is False
 
 
+def test_verify_certificate_of_the_wrong_shape_exit_2(tmp_path, capsys):
+    """A 2x3 A against the 2x2 matrix is a dimension mismatch that names
+    the certificate, not a failed product."""
+    job = write_job(tmp_path, "job.json", DIAG_JOB)
+    cert_path = str(tmp_path / "cert.json")
+    run(capsys, ["construct", "--input", job, "--output", cert_path])
+    cert = json.loads(open(cert_path).read())
+    cert["A"] = {"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["-1", "0", "0"]]}
+    wide = write_job(tmp_path, "wide.json", cert)
+    code, out, err = run(capsys, ["verify", "--input", job, "--cert", wide])
+    assert (code, out) == (2, "")
+    assert "certificate dimensions do not match the matrix" in err
+
+
+def test_construct_refuses_a_certificate_that_does_not_reload(tmp_path, capsys, monkeypatch):
+    """The serialized certificate must reload to the one construct verified:
+    one perturbed entry exits 4 with nothing on stdout."""
+    real = cli.serialize.certificate_from_json
+
+    def perturbed(field, obj):
+        cert = real(field, obj)
+        a = cert.a_part
+        bumped = a + Matrix(field, a.rows, a.cols, [1] + [0] * (a.rows * a.cols - 1))
+        return Certificate(bumped, cert.b_part, cert.params)
+
+    monkeypatch.setattr(cli.serialize, "certificate_from_json", perturbed)
+    job = write_job(tmp_path, "job.json", DIAG_JOB)
+    code, out, err = run(capsys, ["construct", "--input", job])
+    assert (code, out) == (4, "")
+    assert "serialized certificate" in err
+
+
 def test_construct_decision_no(tmp_path, capsys):
     job = write_job(tmp_path, "job.json", J3_JOB)
     code, out, _ = run(capsys, ["construct", "--input", job])
@@ -163,6 +197,16 @@ def test_oracle_budget_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["oracle", "--field", "gf5", "--n", "4",
                                 "--budget", "1000"])
     assert code == 2
+
+
+def test_oracle_refuses_a_huge_scan_at_once(capsys):
+    """The budget is compared on sizes first: p^(n^2) for n = 10^6 is never
+    built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "--field", "gf101", "--n", "1000000"])
+    assert (code, out) == (2, "")
+    assert "exceeds the budget" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_necessary_subcommand(tmp_path, capsys):

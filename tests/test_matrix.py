@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import quadsum
 from quadsum import (GF, QQ, DimensionMismatch, Matrix, MixedFields, Polynomial,
-                     SimilarityWitness, Singular, block2x2, companion, direct_sum,
+                     Singular, block2x2, companion, direct_sum,
                      hstack, inverse, jordan_block, kernel_matrix,
                      krylov_annihilator, permutation_matrix, rank,
                      rank_and_kernel, solve)
@@ -213,44 +212,16 @@ def test_permutation_matrix_action():
     assert p * p.transpose() == Matrix.identity(f, 3)
 
 
-def test_similarity_witness_checked():
-    f = GF(5)
-    t = Matrix.from_rows(f, [[1, 1], [0, 1]])
-    with pytest.raises(Singular):
-        SimilarityWitness(t, t)  # wrong inverse
-    w = SimilarityWitness(t)
-    m = Matrix.from_rows(f, [[2, 0], [0, 3]])
-    assert w.apply_inverse(w.apply(m)) == m
-    assert w.apply(m) == t * m * inverse(t)
-
-
 def test_similarity_preserves_rank_and_trace():
     rng = random.Random(9)
     f = GF(7)
     for _ in range(20):
         n = rng.randint(1, 5)
         m = rand_matrix(f, n, rng)
-        w = SimilarityWitness(rand_invertible(f, n, rng))
-        c = w.apply(m)
+        t = rand_invertible(f, n, rng)
+        c = t * m * inverse(t)
         assert rank(c) == rank(m)
         assert c.trace() == m.trace()
-
-
-def test_similarity_witness_inverts_on_first_use(monkeypatch):
-    """Without a given inverse, T^-1 is computed once, on first use, and
-    checked then; a singular T fails only when it is applied."""
-    calls = []
-    real = quadsum.matrix.inverse
-    monkeypatch.setattr(quadsum.matrix, "inverse", lambda m: calls.append(m) or real(m))
-    f = GF(5)
-    t = Matrix.from_rows(f, [[1, 1], [0, 1]])
-    w = SimilarityWitness(t)
-    assert calls == []
-    assert w.t_inv == real(t) and w.t_inv == real(t)
-    assert calls == [t]
-    singular = SimilarityWitness(Matrix.from_rows(f, [[1, 1], [1, 1]]))
-    with pytest.raises(Singular):
-        singular.apply(t)
 
 
 # ---- elimination against a Gauss-Jordan reference ---------------------

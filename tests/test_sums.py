@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadsum
-from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
+from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo, DimensionMismatch,
                      InternalCheckFailed, Matrix, NotSplitError, Polynomial,
                      QuadParams, UnsupportedCase, block2x2, check_necessary_combination,
                      classify_and_reduce, companion, construct, decide,
@@ -15,7 +15,7 @@ from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo,
                      krylov_annihilator, nullity_sequence, pair_blocks, serialize,
                      verify_certificate)
 from quadsum.canonical import valuations
-from quadsum.sums import _away_model, _post_check_idempotent_square_zero
+from quadsum.sums import _away_model
 from conftest import conjugate_partition, rand_decomposable, rand_invertible, rand_matrix
 
 
@@ -318,15 +318,16 @@ def test_construct_runs_one_frobenius_decomposition(monkeypatch):
     assert args == [reduced]
 
 
-def test_decide_never_inverts_and_construct_inverts_the_frobenius_basis_once(monkeypatch):
-    """decide checks its witness as M T = T F with T of full rank, so it calls
-    no inverse; construct computes T^-1 of the Frobenius basis once, when it
-    transports the blocks."""
-    calls = []
+def test_decide_and_construct_invert_no_n_by_n_matrix(monkeypatch):
+    """decide checks its witness as M T = T F with T of full rank, and
+    construct solves A T' = T' A_model for A, so neither inverts an n x n
+    matrix; only the models of paired units invert their unipotent blocks,
+    each smaller than M."""
+    sizes = []
     real = quadsum.matrix.inverse
 
     def counted(m):
-        calls.append(m)
+        sizes.append(m.rows)
         return real(m)
 
     monkeypatch.setattr(quadsum.matrix, "inverse", counted)
@@ -338,11 +339,10 @@ def test_decide_never_inverts_and_construct_inverts_the_frobenius_basis_once(mon
                               jordan_block(f, 2, eigenvalue=1), jordan_block(f, 1)])
         t = rand_invertible(f, core.rows, rng)
         m = t * core * real(t)
-        calls.clear()
-        decision = decide(m)
-        assert decision.yes and calls == []
+        sizes.clear()
+        assert decide(m).yes and sizes == []
         construct(m, QuadParams.of(f))
-        assert sum(1 for a in calls if a == decision.witness.t) == 1
+        assert sorted(sizes) == [2, 3]  # the unit (2 at 1, 3 at 0)
 
 
 def test_away_model_e0_is_cyclic_for_every_small_g():
@@ -358,20 +358,42 @@ def test_away_model_e0_is_cyclic_for_every_small_g():
                 ident, zero = Matrix.identity(f, deg), Matrix.zero(f, deg)
                 model = block2x2(ident, companion(g), ident, zero)
                 assert krylov_annihilator(model, [1] + [0] * (2 * deg - 1))[0] == h
-                a_mat, b_mat = _away_model(h, g)
-                assert a_mat + b_mat == companion(h)
+                a_mat = _away_model(h, g)
+                b_mat = companion(h) - a_mat
                 assert a_mat * a_mat == a_mat and (b_mat * b_mat).is_zero()
 
 
-def test_construct_checks_name_stage_and_size():
+def test_construct_checks_name_stage_and_size(monkeypatch):
+    """A wrong per-block idempotent is caught by the one verification in
+    construct, which names the stage, the input size and the identity that
+    fails."""
+    s = P(QQ, [0, -1, 1])
+    h = P(QQ, [2, 1]).compose(s)
+    m = direct_sum(QQ, [companion(h), Matrix.identity(QQ, 1)])
+    assert verify_certificate(m, construct(m, MAIN)).ok
+    real = quadsum.sums._unit_decomposition
+    with monkeypatch.context() as patch:
+        patch.setattr(quadsum.sums, "_unit_decomposition",
+                      lambda f, one, zero: 2 * real(f, one, zero))
+        with pytest.raises(InternalCheckFailed,
+                           match=r"^construct: 3x3 certificate fails: .*first_quadratic_ok=False"):
+            construct(m, MAIN)
+    monkeypatch.setattr(quadsum.sums, "_away_model", lambda h, g: Matrix.zero(QQ, h.degree))
+    with pytest.raises(InternalCheckFailed, match=r"^construct: 3x3 certificate fails: "
+                       r"VerificationReport\(sum_ok=True, first_quadratic_ok=True, "
+                       r"second_quadratic_ok=False, commutation_ok=True\)$"):
+        construct(m, MAIN)
+
+
+def test_verify_rejects_certificate_of_the_wrong_shape():
+    """Rows and columns of A and B are both compared with M, so a 2x3 A
+    fails as a certificate of the wrong size, not inside a product."""
     m = Matrix.diagonal(QQ, [1, 0])
-    zero = Matrix.zero(QQ, 2)
-    with pytest.raises(InternalCheckFailed, match=r"construct: A \+ B is not the 2x2 input"):
-        _post_check_idempotent_square_zero(m, m, m)
-    with pytest.raises(InternalCheckFailed, match="construct: the 2x2 A is not idempotent"):
-        _post_check_idempotent_square_zero(m, 2 * m, -m)
-    with pytest.raises(InternalCheckFailed, match="construct: the 2x2 B is not square-zero"):
-        _post_check_idempotent_square_zero(m, zero, m)
+    cert = construct(m, MAIN)
+    for wide in (Certificate(Matrix.zero(QQ, 2, 3), cert.b_part, MAIN),
+                 Certificate(cert.a_part, Matrix.zero(QQ, 2, 3), MAIN)):
+        with pytest.raises(DimensionMismatch, match="certificate dimensions do not match"):
+            verify_certificate(m, wide)
 
 
 def test_construct_full_pipeline_round_trip():
