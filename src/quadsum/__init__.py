@@ -1,7 +1,6 @@
 """Exact decision and certification of sums of two split-quadratic matrices."""
 
-from .canonical import (InvariantFactors, NullitySequence,
-                        invariant_factors_with_transform, nullity_sequence)
+from .canonical import NullitySequence, invariant_factors_with_transform, nullity_sequence
 from .errors import (BadParams, BudgetExceeded, DecisionNo, DegreeZero,
                      DimensionMismatch, DivisionByZero, InternalCheckFailed,
                      MalformedInput, MalformedSequence, MixedFields, NotMonic,

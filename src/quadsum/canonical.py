@@ -62,20 +62,6 @@ def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
     return NullitySequence(lam, tuple(values))
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
-    """Monic invariant factors f_1 | f_2 | ... | f_r; f_r is the minimal
-    polynomial and the degrees sum to the matrix size."""
-
-    factors: tuple
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-
 def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     """Rows w, wM, ..., wM^(d-1) whose pairing with the Krylov chain in the
     columns of ``k_mat`` (n x d) is invertible.
@@ -129,10 +115,12 @@ def _cyclic_decompose(m: Matrix):
 def invariant_factors_with_transform(m: Matrix):
     """Invariant factors and a witness T with T^-1 M T in Frobenius form.
 
-    The construction is iterated cyclic decomposition; correctness is
-    enforced by re-checking, before returning, the degree sum, M T = T F for
-    the Frobenius form F with T of full rank (which is T^-1 M T = F without
-    an inverse), and the divisibility chain.
+    The factors are a tuple of monic f_1 | f_2 | ... | f_r; f_r is the
+    minimal polynomial and the degrees sum to n.  The construction is
+    iterated cyclic decomposition; correctness is enforced by re-checking,
+    before returning, the degree sum, M T = T F for the Frobenius form F
+    with T of full rank (which is T^-1 M T = F without an inverse), and the
+    divisibility chain.
     """
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
@@ -149,7 +137,7 @@ def invariant_factors_with_transform(m: Matrix):
         _, rem = b.divrem(a)
         if not rem.is_zero():
             raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
-    return InvariantFactors(tuple(factors)), t_mat
+    return tuple(factors), t_mat
 
 
 def valuations(fac: Polynomial, alpha, beta):

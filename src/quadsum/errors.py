@@ -40,13 +40,12 @@ class NotSplitError(QuadsumError):
 class UnsupportedCase(QuadsumError):
     """The instance classifies into a case this tool does not construct for.
 
-    Carries the classification and, for the two-idempotent case, the result
-    of the necessary-condition check when it applies.
+    Carries the classification only; the necessary condition for case I is
+    a separate call (``check_necessary_combination``, ``quadsum necessary``).
     """
 
-    def __init__(self, classification, necessary=None):
+    def __init__(self, classification):
         self.classification = classification
-        self.necessary = necessary
         super().__init__(f"unsupported case {classification.case}")
 
 

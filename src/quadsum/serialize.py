@@ -192,7 +192,6 @@ def verification_to_json(report: VerificationReport):
         "sum_ok": report.sum_ok,
         "first_quadratic_ok": report.first_quadratic_ok,
         "second_quadratic_ok": report.second_quadratic_ok,
-        "commutation_ok": report.commutation_ok,
     }
 
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import (InvariantFactors, NullitySequence, _chain_matrix,
-                        invariant_factors_with_transform, nullity_sequence,
-                        split_cyclic_block, valuations)
+from .canonical import (NullitySequence, _chain_matrix, invariant_factors_with_transform,
+                        nullity_sequence, split_cyclic_block, valuations)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
@@ -72,21 +71,20 @@ class CaseClassification:
 class Decision:
     """Yes/no answer for the idempotent + square-zero case, with diagnostics.
 
-    ``frobenius`` holds the invariant factors f_i of M and ``witness`` the
-    basis T, of full rank, with M T = T F for the direct sum F of their
-    companions;
-    ``valuations`` holds (a_i, b_i, h_i) with f_i = t^a_i (t - 1)^b_i h_i.
-    ``invariant_factors`` are the nonconstant h_i, those of the part of M
-    away from {0, 1}.  ``pairing`` holds the Jordan units of
-    :func:`pair_blocks`, or None when the blocks cannot be paired.  A
-    ``failing`` invariant factor is held as its polynomial.
+    ``frobenius`` is the tuple of invariant factors f_i of M and ``witness``
+    the basis T, of full rank, with M T = T F for the direct sum F of their
+    companions; ``valuations`` holds (a_i, b_i, h_i) with f_i = t^a_i
+    (t - 1)^b_i h_i.  ``invariant_factors`` is the tuple of the nonconstant
+    h_i, those of the part of M away from {0, 1}.  ``pairing`` holds the
+    Jordan units of :func:`pair_blocks`, or None when the blocks cannot be
+    paired.  A ``failing`` invariant factor is held as its polynomial.
     """
 
     yes: bool
-    frobenius: InvariantFactors
+    frobenius: tuple
     witness: Matrix
     valuations: tuple
-    invariant_factors: InvariantFactors
+    invariant_factors: tuple
     g_factors: tuple
     nullity_at_0: NullitySequence
     nullity_at_1: NullitySequence
@@ -110,12 +108,10 @@ class VerificationReport:
     sum_ok: bool
     first_quadratic_ok: bool
     second_quadratic_ok: bool
-    commutation_ok: bool
 
     @property
     def ok(self) -> bool:
-        return (self.sum_ok and self.first_quadratic_ok
-                and self.second_quadratic_ok and self.commutation_ok)
+        return self.sum_ok and self.first_quadratic_ok and self.second_quadratic_ok
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def decide(m: Matrix) -> Decision:
     """Decide whether M is the sum of an idempotent and a square-zero matrix."""
     frobenius, witness = invariant_factors_with_transform(m)
     vals = tuple(valuations(fac, 0, 1) for fac in frobenius)
-    factors = InvariantFactors(tuple(h for _, _, h in vals if h.degree))
+    factors = tuple(h for _, _, h in vals if h.degree)
     g_factors = []
     failing = None
     for fac in factors:
@@ -392,21 +388,13 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     """Decide and, on yes, build a verified certificate for M = A + B with
     A being (a,b)-quadratic and B being (c,d)-quadratic.
 
-    Raises UnsupportedCase for the two-idempotent / two-square-zero cases,
-    DecisionNo when the answer is no, NotSplitError when a quadratic has no
-    root in the base field.
+    Raises UnsupportedCase for the two-idempotent / two-square-zero cases
+    as soon as they are classified, DecisionNo when the answer is no,
+    NotSplitError when a quadratic has no root in the base field.
     """
     cls, reduced = classify_and_reduce(m, params)
     if cls.case != "III":
-        necessary = None
-        if cls.case == "I":
-            a_red = params.a - 2 * cls.alpha
-            c_red = params.c - 2 * cls.beta
-            try:
-                necessary = check_necessary_combination(reduced, a_red, c_red)
-            except BadParams:
-                necessary = None
-        raise UnsupportedCase(cls, necessary)
+        raise UnsupportedCase(cls)
     decision = decide(reduced)
     if not decision.yes:
         raise DecisionNo(decision)
@@ -433,8 +421,15 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
 
 
 def verify_certificate(m: Matrix, cert: Certificate) -> VerificationReport:
-    """Exact check of A + B = M and both quadratic identities, plus the
-    redundant commutation probe with (A+B)((a+c)I - (A+B))."""
+    """Exact check of A + B = M, A^2 = a A + b I and B^2 = c B + d I, which
+    is what a certificate claims, and nothing else.
+
+    A probe such as A P = P A for P = (A + B)((a + c) I - (A + B)) would add
+    nothing: the two identities imply it, since both A P and P A equal
+    ac A + bc I - (b + d) A - b B - A B A (and likewise for B).
+    """
+    if not m.is_square:
+        raise DimensionMismatch("certificate check needs a square matrix")
     a_mat, b_mat = cert.a_part, cert.b_part
     shape = (m.rows, m.cols)
     if (a_mat.rows, a_mat.cols) != shape or (b_mat.rows, b_mat.cols) != shape:
@@ -444,10 +439,7 @@ def verify_certificate(m: Matrix, cert: Certificate) -> VerificationReport:
     sum_ok = a_mat + b_mat == m
     first_ok = a_mat * a_mat == params.a * a_mat + params.b * ident
     second_ok = b_mat * b_mat == params.c * b_mat + params.d * ident
-    probe = (a_mat + b_mat) * ((params.a + params.c) * ident - (a_mat + b_mat))
-    commutation_ok = (a_mat * probe == probe * a_mat
-                      and b_mat * probe == probe * b_mat)
-    return VerificationReport(sum_ok, first_ok, second_ok, commutation_ok)
+    return VerificationReport(sum_ok, first_ok, second_ok)
 
 
 def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:

@@ -205,7 +205,7 @@ def test_acceptance_9_structure_suite_validity():
                 bad += 1
             if sum(p.degree for p in factors) != n:
                 bad += 1
-            for small, big in zip(factors.factors, factors.factors[1:]):
+            for small, big in zip(factors, factors[1:]):
                 if not big.divrem(small)[1].is_zero():
                     bad += 1
             for fac in factors:

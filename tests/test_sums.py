@@ -1,6 +1,7 @@
 """Classification, decision, construction and verification of quadratic sums."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo, DimensionMismat
                      verify_certificate)
 from quadsum.canonical import valuations
 from quadsum.sums import _away_model
-from conftest import conjugate_partition, rand_decomposable, rand_invertible, rand_matrix
+from quadsum.cli import main
+from conftest import (conjugate_partition, rand_decomposable, rand_element, rand_idempotent,
+                      rand_invertible, rand_matrix, rand_square_zero)
 
 
 def P(field, coeffs):
@@ -381,19 +384,23 @@ def test_construct_checks_name_stage_and_size(monkeypatch):
     monkeypatch.setattr(quadsum.sums, "_away_model", lambda h, g: Matrix.zero(QQ, h.degree))
     with pytest.raises(InternalCheckFailed, match=r"^construct: 3x3 certificate fails: "
                        r"VerificationReport\(sum_ok=True, first_quadratic_ok=True, "
-                       r"second_quadratic_ok=False, commutation_ok=True\)$"):
+                       r"second_quadratic_ok=False\)$"):
         construct(m, MAIN)
 
 
 def test_verify_rejects_certificate_of_the_wrong_shape():
     """Rows and columns of A and B are both compared with M, so a 2x3 A
-    fails as a certificate of the wrong size, not inside a product."""
+    fails as a certificate of the wrong size, not inside a product; a 2x3 M
+    with 2x3 A and B is refused as non-square before any product."""
     m = Matrix.diagonal(QQ, [1, 0])
     cert = construct(m, MAIN)
     for wide in (Certificate(Matrix.zero(QQ, 2, 3), cert.b_part, MAIN),
                  Certificate(cert.a_part, Matrix.zero(QQ, 2, 3), MAIN)):
         with pytest.raises(DimensionMismatch, match="certificate dimensions do not match"):
             verify_certificate(m, wide)
+    wide = Matrix.zero(QQ, 2, 3)
+    with pytest.raises(DimensionMismatch, match="^certificate check needs a square matrix$"):
+        verify_certificate(wide, Certificate(wide, wide, MAIN))
 
 
 def test_construct_full_pipeline_round_trip():
@@ -440,13 +447,29 @@ def test_construct_decision_no():
     assert exc.value.decision.failing["kind"] == "intertwining"
 
 
-def test_construct_unsupported_cases():
-    with pytest.raises(UnsupportedCase) as exc:
-        construct(Matrix.identity(QQ, 2), QuadParams.of(QQ, 2, -1, 0, 0))
-    assert exc.value.classification.case == "II"
-    with pytest.raises(UnsupportedCase) as exc:
-        construct(Matrix.identity(QQ, 2), QuadParams.of(QQ, 1, 0, 3, -2))
-    assert exc.value.classification.case == "I"
+def test_construct_unsupported_cases(tmp_path, capsys, monkeypatch):
+    """Cases I and II are refused straight after classification: with the
+    Frobenius decomposition and the necessary check made to raise, construct
+    still raises UnsupportedCase with the classification, and quadsum
+    construct on a case-I job exits 3 with nothing on stdout."""
+    def refuse(*_):
+        raise AssertionError("cases I and II need no decomposition")
+
+    monkeypatch.setattr(quadsum.sums, "check_necessary_combination", refuse)
+    monkeypatch.setattr(quadsum.sums, "invariant_factors_with_transform", refuse)
+    m = Matrix.diagonal(QQ, [1, 2])
+    for params, case in ((QuadParams.of(QQ, 2, -1, 0, 0), "II"),
+                         (QuadParams.of(QQ, 1, 0, 3, -2), "I")):
+        with pytest.raises(UnsupportedCase) as exc:
+            construct(m, params)
+        assert exc.value.classification == classify_and_reduce(m, params)[0]
+        assert exc.value.classification.case == case
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": "Q", "matrix": [["1", "0"], ["0", "2"]],
+                               "params": {"a": "1", "b": "0", "c": "3", "d": "-2"}}))
+    assert main(["construct", "--input", str(job)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "unsupported_case I\n"
 
 
 def test_verify_rejects_tampering():
@@ -457,15 +480,70 @@ def test_verify_rejects_tampering():
     assert not rep.ok and not rep.sum_ok
 
 
+def _rand_quadratic(f, n, rng):
+    """A random quadratic matrix X with its (a, b), X^2 = a X + b I: at
+    roots r != s it is s I + (r - s) E for an idempotent E, at a double root
+    r it is r I + N for a square-zero N."""
+    r, s = rand_element(f, rng), rand_element(f, rng)
+    if rng.random() < 0.3:
+        s = r
+    ident = Matrix.identity(f, n)
+    if r == s:
+        x = r * ident + rand_square_zero(f, n, rng)
+    else:
+        x = s * ident + (r - s) * rand_idempotent(f, n, rng)
+    return x, r + s, -(r * s)
+
+
+def _checks_with_probe(m, cert):
+    """The certificate checks computed here, with the probe the verifier
+    once ran: A and B commute with P = (A + B)((a + c) I - (A + B))."""
+    a_mat, b_mat, prm = cert.a_part, cert.b_part, cert.params
+    ident = Matrix.identity(m.field, m.rows)
+    probe = (a_mat + b_mat) * ((prm.a + prm.c) * ident - (a_mat + b_mat))
+    return (a_mat + b_mat == m,
+            a_mat * a_mat == prm.a * a_mat + prm.b * ident,
+            b_mat * b_mat == prm.c * b_mat + prm.d * ident,
+            a_mat * probe == probe * a_mat and b_mat * probe == probe * b_mat)
+
+
 def test_commutation_probe_law():
-    """A and B always commute with (A+B)((a+c)I - (A+B)) for quadratic A, B."""
+    """Independent (a,b)- and (c,d)-quadratic A, B over Q, GF(2), GF(3) and
+    GF(5), at distinct and at double roots, always pass the probe, so it
+    can never change a verdict.  On tampered certificates (one entry of A or
+    B bumped, with or without M, or one parameter bumped) ``ok`` equals the
+    four-way conjunction with the probe."""
     rng = random.Random(29)
-    for f in (QQ, GF(5)):
-        for _ in range(20):
+    seen = set()
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(50):
             n = rng.randint(1, 5)
-            m = rand_decomposable(f, n, rng)
-            cert = construct(m, QuadParams.of(f))
-            assert verify_certificate(m, cert).commutation_ok
+            a_mat, a, b = _rand_quadratic(f, n, rng)
+            b_mat, c, d = _rand_quadratic(f, n, rng)
+            m, cert = a_mat + b_mat, Certificate(a_mat, b_mat, QuadParams(a, b, c, d))
+            assert _checks_with_probe(m, cert) == (True,) * 4
+            assert verify_certificate(m, cert).ok
+            one = f.element(rng.choice([1, -1] if f.p is None else range(1, f.p)))
+            k = rng.randrange(n * n)
+            bump = Matrix(f, n, n, [one if i == k else 0 for i in range(n * n)])
+            kind = rng.randrange(5)
+            if kind < 4:
+                a_mat, b_mat = (a_mat + bump, b_mat) if kind % 2 else (a_mat, b_mat + bump)
+                m = m + bump if kind < 2 else m
+                cert = Certificate(a_mat, b_mat, cert.params)
+            else:
+                prm = [a, b, c, d]
+                prm[rng.randrange(4)] += one
+                cert = Certificate(a_mat, b_mat, QuadParams(*prm))
+            sum_ok, first_ok, second_ok, probe_ok = _checks_with_probe(m, cert)
+            rep = verify_certificate(m, cert)
+            assert (rep.sum_ok, rep.first_quadratic_ok, rep.second_quadratic_ok) == \
+                (sum_ok, first_ok, second_ok)
+            assert rep.ok == (sum_ok and first_ok and second_ok and probe_ok)
+            seen.add((sum_ok, first_ok, second_ok, probe_ok))
+    assert {(True, False, True), (True, True, False), (False, True, True)} <= \
+        {checks[:3] for checks in seen}
+    assert any(not checks[3] for checks in seen)
 
 
 # ---- necessary condition for alpha P + beta Q ------------------------
