@@ -143,7 +143,10 @@ def invariant_factors_with_transform(m: Matrix):
 def valuations(fac: Polynomial, alpha, beta):
     """(a, b, h) with fac = (t - alpha)^a (t - beta)^b h and h(alpha) h(beta)
     != 0, for alpha != beta: each factor t - r is divided out by one
-    synthetic division."""
+    synthetic division.  The zero polynomial, divisible by every power,
+    raises ValueError."""
+    if fac.is_zero():
+        raise ValueError("valuations of the zero polynomial")
     f = fac.field
     reduce = f.reduce
     out = []

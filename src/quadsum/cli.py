@@ -26,11 +26,16 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload, output_path=None):
+    """Write the result to ``output_path`` when given, then to stdout, so a
+    file that cannot be written leaves stdout empty."""
     text = serialize.dumps(payload) + "\n"
-    sys.stdout.write(text)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {output_path}: {exc.strerror or exc}") from exc
+    sys.stdout.write(text)
 
 
 def _fail(code: int, message: str) -> int:

@@ -16,12 +16,14 @@ vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints and each entry of the result costs one reduced ``Fraction``.
 
-Every elimination (rank, kernel, inverse, solve) goes through :func:`_rref`.
-Over GF(p) each row operation takes one ``% p`` per entry.  Over the
-rationals the rows are brought to integers the same way, and the elimination
-is fraction-free (:func:`_int_rref`): rows are cleared by cross-multiplying
-and kept primitive by dividing out their content, and ``Fraction``s are
-built only for the rows returned.
+Every row operation in the package (rank, kernel, inverse, solve and the
+Krylov annihilators) is one call of :func:`_reduce`, which reduces a row
+against an ordered list of pivot rows.  Over GF(p) it takes one ``% p`` per
+entry.  Over the rationals the rows are brought to integers the same way and
+the elimination is fraction-free: rows are cleared by cross-multiplying and
+kept primitive by dividing out their content.  Rank is the length of the
+forward elimination (:func:`_echelon`); :func:`_rref` back-substitutes that
+echelon and builds ``Fraction``s only for the rows it returns.
 """
 
 from __future__ import annotations
@@ -261,102 +263,91 @@ def _raw_products(field: Field, rows, cols):
 
 # ---- elimination kernels (raw values) --------------------------------
 
-def _rref(field: Field, rows, ncols: int):
-    """In-place reduced row echelon form on raw rows; returns pivot columns.
-
-    The first ``rank`` rows come out as the canonical pivot rows, the rest
-    as zero rows.  Over GF(p) each row operation reduces its entries once;
-    over the rationals the elimination runs on integers (:func:`_int_rref`)
-    and each pivot row becomes ``Fraction``s only here, divided by its
-    pivot.
-    """
-    p = field.p
-    if p is not None:
-        return _mod_rref(rows, ncols, p)
-    ints = [v for v, _ in _integral(field, rows)]
-    pivots = _int_rref(ints, ncols)
-    zero = Fraction(0)
-    for i, row in enumerate(ints):
-        if i < len(pivots):
-            d = row[pivots[i]]
-            rows[i] = [Fraction(x, d) if x else zero for x in row]
-        else:
-            rows[i] = [zero] * len(row)
-    return pivots
-
-
-def _mod_rref(rows, ncols: int, p: int):
-    """:func:`_rref` over GF(p) on residue rows, with one ``% p`` per entry
-    of each row operation."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        inv = pow(rows[pr][c], p - 2, p)
-        prow = [x * inv % p for x in rows[pr]]
-        rows[pr] = rows[r]
-        rows[r] = prow
-        for i in range(nrows):
-            fac = rows[i][c]
-            if fac and i != r:
-                rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def _primitive(row):
     """The integer row divided by its content, the gcd of its entries."""
     g = gcd(*row)
     return row if g < 2 else [x // g for x in row]
 
 
-def _int_rref(rows, ncols: int):
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns pivot
-    columns.
+def _reduce(row, ech, p):
+    """The raw row reduced against the (pivot column, pivot row) pairs of
+    ``ech``, in order: each step clears the row's entry a in the pivot
+    column.
 
-    Every row is kept primitive.  Clearing column c of row i against the
-    pivot row, with pivot p and entry a, is r_i <- (p/g) r_i - (a/g) r_piv
-    for g = gcd(p, a), so no entry ever leaves the integers.  The rows end
-    as the reduced row echelon form, each pivot row scaled by its pivot and
-    every other row zero.
+    Over GF(p) (``p`` an int) the pivot rows have pivot 1 and each step is
+    r <- r - a r_piv, one ``% p`` per entry.  Over the rationals (``p`` None)
+    the rows are integers, and a step with pivot q is r <- (q/g) r - (a/g)
+    r_piv for g = gcd(q, a), after which the row is made primitive.  Entries
+    past the end of a shorter pivot row count as 0 there: they are kept over
+    GF(p) and multiplied by q/g over the rationals.
     """
-    nrows = len(rows)
-    for i in range(nrows):
-        rows[i] = _primitive(rows[i])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+    for c, prow in ech:
+        a = row[c]
+        if not a:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(nrows):
-            a = rows[i][c]
-            if a and i != r:
-                g = gcd(pv, a)
-                pg, ag = pv // g, a // g
-                rows[i] = _primitive([pg * x - ag * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        k = len(prow)
+        if p is not None:
+            row = [(x - a * y) % p for x, y in zip(row, prow)] + row[k:]
+            continue
+        q = prow[c]
+        g = gcd(q, a)
+        q, a = q // g, a // g
+        row = _primitive([q * x - a * y for x, y in zip(row, prow)] + [q * x for x in row[k:]])
+    return row
+
+
+def _pivot(row, ncols: int, p):
+    """The (pivot column, pivot row) pair of a reduced row, or None when its
+    first ``ncols`` entries are 0.  Over GF(p) the row is scaled to pivot 1;
+    over the rationals it is made primitive."""
+    for c in range(ncols):
+        if row[c]:
+            if p is None:
+                return c, _primitive(row)
+            inv = pow(row[c], p - 2, p)
+            return c, [x * inv % p for x in row]
+    return None
+
+
+def _echelon(rows, ncols: int, p):
+    """Forward elimination of integer or residue rows: each row reduced
+    against the pivot rows before it, and kept when it is nonzero in its
+    first ``ncols`` entries.  Every pivot row is 0 before its pivot column."""
+    ech = []
+    for row in rows:
+        piv = _pivot(_reduce(row, ech, p), ncols, p)
+        if piv:
+            ech.append(piv)
+    return ech
+
+
+def _rref(field: Field, rows, ncols: int):
+    """In-place reduced row echelon form on raw rows; returns pivot columns.
+
+    The first ``rank`` rows come out as the canonical pivot rows, the rest
+    as zero rows.  The echelon of :func:`_echelon`, sorted by pivot column,
+    is back-substituted: each pivot row is reduced against the pivot rows
+    after it.  Over the rationals both passes run on integers, and each
+    pivot row becomes ``Fraction``s only here, divided by its pivot.
+    """
+    p = field.p
+    ech = sorted(_echelon([v for v, _ in _integral(field, rows)], ncols, p),
+                 key=lambda piv: piv[0])
+    for i in range(len(ech) - 2, -1, -1):
+        c, row = ech[i]
+        ech[i] = c, _reduce(row, ech[i + 1:], p)
+    zero = field.reduce(0)
+    for i, (c, row) in enumerate(ech):
+        rows[i] = row if p is not None else [Fraction(x, row[c]) if x else zero for x in row]
+    for i in range(len(ech), len(rows)):
+        rows[i] = [zero] * len(rows[i])
+    return [c for c, _ in ech]
 
 
 def _rank(field: Field, rows, ncols: int) -> int:
-    """Rank of raw rows, which it consumes; over the rationals no
-    ``Fraction`` is built."""
-    if field.p is None:
-        return len(_int_rref([v for v, _ in _integral(field, rows)], ncols))
-    return len(_mod_rref(rows, ncols, field.p))
+    """Rank of raw rows, by forward elimination alone; over the rationals
+    no ``Fraction`` is built."""
+    return len(_echelon([v for v, _ in _integral(field, rows)], ncols, field.p))
 
 
 def rank(m: Matrix) -> int:

@@ -9,21 +9,21 @@ Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 scalar evaluation wraps, and the kernels build with :meth:`Polynomial._raw`.
 Division, gcd and lcm run on raw coefficient lists (:func:`_divrem`), with
 one ``% p`` per coefficient of each step over GF(p), and build a
-``Polynomial`` only for their results.  Over the rationals the Krylov
-elimination is fraction-free, like :func:`quadsum.matrix._rref`: integer
-vectors with their content removed, and ``Fraction``s only in the returned
-annihilator.
+``Polynomial`` only for their results.  The Krylov annihilator has no
+elimination of its own: it reduces each Krylov vector, extended by its
+combination over the Krylov powers, with the row operation of
+:func:`quadsum.matrix._reduce`, fraction-free over the rationals, and builds
+``Fraction``s only for the returned annihilator.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _integral, _raw_products
+from .matrix import Matrix, _integral, _pivot, _raw_products, _reduce
 
 
 class Polynomial:
@@ -130,6 +130,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        if k < 0:
+            raise ValueError(f"polynomial to the negative power {k}")
         result = Polynomial.one(self.field)
         base = self
         while k:
@@ -285,62 +287,39 @@ def krylov_annihilator(m: Matrix, v_raw):
     Returns ``(poly, chain)`` where chain is the list of raw Krylov vectors
     v, m v, ..., m^(d-1) v for d = deg(poly).
 
-    Each new Krylov vector is reduced against the echelon of the earlier
-    ones, carrying its combination over the Krylov powers, until it
-    vanishes; the combination is then the annihilator.  Over GF(p) the
-    echelon vectors have pivot 1 and each row operation reduces once.  Over
-    the rationals the vector is taken as integers over its common
-    denominator d, with combination d at its own power, and cleared by
-    cross-multiplication, r <- (q/g) r - (a/g) e for echelon pivot q, entry a
-    and g = gcd(q, a), on vector and combination together; their joint content
-    is divided out after each step, and the annihilator is made monic once,
-    at the end.
+    The k-th Krylov vector, as integers over its common denominator d (over
+    GF(p), residues with d = 1), is extended by its combination over the
+    Krylov powers, d at power k, to the row [vector | combination].  The
+    row is reduced against the pivot rows of the earlier ones with
+    :func:`quadsum.matrix._reduce` and kept as a pivot row when its vector
+    part is nonzero, as in :func:`quadsum.matrix._echelon`.  Once the vector
+    part vanishes the combination annihilates v: over GF(p) its entry at
+    power k is still 1, and over the rationals it is divided by that entry.
     """
+    n = m.rows
+    if m.cols != n or len(v_raw) != n:
+        raise DimensionMismatch(f"krylov annihilator: a {len(v_raw)}-vector under "
+                                f"a {m.rows}x{m.cols} matrix")
     f = m.field
     p = f.p
-    n = m.rows
     m_rows = _integral(f, m.raw_rows())
-    ech = []  # (pivot index, reduced vector, combination over krylov powers)
+    ech = []
     chain = []
     w = list(v_raw)
-    k = 0
-    while True:
+    for k in range(n + 1):
         iw = _integral(f, [w])
         vec, den = iw[0]
-        combo = [0] * k + [den]
-        for pi, evec, ecombo in ech:
-            a = vec[pi]
-            if not a:
-                continue
-            if p is not None:
-                vec = [(x - a * y) % p for x, y in zip(vec, evec)]
-                combo = [(x - a * y) % p for x, y in zip(combo, ecombo)] + combo[len(ecombo):]
-                continue
-            pv = evec[pi]
-            g = math.gcd(pv, a)
-            pg, ag = pv // g, a // g
-            vec = [pg * x - ag * y for x, y in zip(vec, evec)]
-            combo = ([pg * x - ag * y for x, y in zip(combo, ecombo)]
-                     + [pg * x for x in combo[len(ecombo):]])
-            g = math.gcd(*vec, *combo)
-            if g > 1:
-                vec = [x // g for x in vec]
-                combo = [x // g for x in combo]
-        if not any(vec):
+        row = _reduce(vec + [0] * k + [den], ech, p)
+        piv = _pivot(row, n, p)
+        if piv is None:
+            combo = row[n:]
             if p is None:
                 combo = [Fraction(x, combo[k]) for x in combo]
             return Polynomial._raw(f, combo), chain
-        if k > n:
-            raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
-        piv = next(i for i, x in enumerate(vec) if x)
-        if p is not None:
-            inv = pow(vec[piv], p - 2, p)
-            vec = [x * inv % p for x in vec]
-            combo = [c * inv % p for c in combo]
-        ech.append((piv, vec, combo))
+        ech.append(piv)
         chain.append(w)
         w = _raw_products(f, iw, m_rows)[0]
-        k += 1
+    raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):

@@ -180,6 +180,24 @@ def test_construct_refuses_a_certificate_that_does_not_reload(tmp_path, capsys, 
     assert "serialized certificate" in err
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An --output path in a missing directory is refused by every command
+    with exit 2, one stderr line and nothing on stdout; the result is not
+    printed first."""
+    job = write_job(tmp_path, "job.json", DIAG_JOB)
+    cert_path = str(tmp_path / "cert.json")
+    run(capsys, ["construct", "--input", job, "--output", cert_path])
+    bad = str(tmp_path / "missing" / "out.json")
+    for argv in (["decide", "--input", job], ["construct", "--input", job],
+                 ["verify", "--input", job, "--cert", cert_path], ["classify", "--input", job],
+                 ["necessary", "--input", job, "--alpha", "1", "--beta", "2"],
+                 ["oracle", "--field", "gf2", "--n", "1"]):
+        code, out, err = run(capsys, argv + ["--output", bad])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"malformed input: cannot write {bad}") and err.count("\n") == 1, err
+    assert not os.path.exists(os.path.dirname(bad))
+
+
 def test_construct_decision_no(tmp_path, capsys):
     job = write_job(tmp_path, "job.json", J3_JOB)
     code, out, _ = run(capsys, ["construct", "--input", job])

@@ -1,19 +1,22 @@
 """Polynomial arithmetic, companion matrices, minimal polynomials, cyclic
 vectors, and the t^2 - t substitution test."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsum
-from quadsum import (GF, QQ, InternalCheckFailed, Matrix, NotMonic, Polynomial,
-                     companion, decompose_in_t2_minus_t, gcd, hstack, jordan_block,
-                     krylov_annihilator, lcm, minimal_polynomial, rank, solve,
-                     substitute_one_minus_t)
+from quadsum import (GF, QQ, DimensionMismatch, InternalCheckFailed, Matrix, NotMonic,
+                     Polynomial, companion, decompose_in_t2_minus_t, direct_sum, gcd,
+                     hstack, inverse, jordan_block, krylov_annihilator, lcm,
+                     minimal_polynomial, rank, solve, substitute_one_minus_t)
 from quadsum.poly import _coprime_split, cyclic_vector
-from conftest import coprime_denominators, rand_matrix, rand_wide_rational
+from conftest import coprime_denominators, rand_invertible, rand_matrix, rand_wide_rational
 
 
 def P(field, coeffs):
@@ -114,6 +117,19 @@ def naive_krylov(m, v):
     return ann, chain
 
 
+def _conjugated_block_sum(f, rng):
+    """A random conjugate of a direct sum of Jordan blocks at 0, 1 and 2 and
+    companions of powers of one polynomial: repeated eigenvalues and
+    repeated factors, so Krylov chains stop before n."""
+    blocks = [jordan_block(f, rng.randint(1, 3), rng.choice([0, 1, 2]))
+              for _ in range(rng.randint(1, 3))]
+    g = P(f, rng.choice([[1, 0, 1], [-1, 1], [2, 1, 1]]))
+    blocks += [companion(g ** rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    d = direct_sum(f, blocks)
+    t = rand_invertible(f, d.rows, rng)
+    return t * d * inverse(t), t
+
+
 def test_krylov_annihilator_matches_naive():
     rng = random.Random(14)
     cases = []
@@ -132,6 +148,14 @@ def test_krylov_annihilator_matches_naive():
         cases.append((rand_matrix(QQ, n, rng), wide))
         cases.append((rand_wide_rational(n, rng, digits=10), wide[:1] + [0] * (n - 1)))
         cases.append((rand_wide_rational(n, rng), [0] * n))
+    for f in (QQ, GF(2), GF(5), GF(101)):
+        for _ in range(8):
+            m, t = _conjugated_block_sum(f, rng)
+            n = m.rows
+            cases.append((m, [rng.randint(-3, 3) for _ in range(n)]))
+            cases.append((m, [int(i == 0) for i in range(n)]))
+            cases.append((m, list(t._e[::n])))  # in the first block's invariant subspace
+    short = 0
     for m, v in cases:
         ann, chain = krylov_annihilator(m, v)
         want_ann, want_chain = naive_krylov(m, v)
@@ -139,6 +163,39 @@ def test_krylov_annihilator_matches_naive():
         assert len(chain) == len(want_chain)
         for got, want in zip(chain, want_chain):
             assert Matrix.column(m.field, got) == want
+        short += 1 < len(chain) < m.rows
+    assert short >= 40
+
+
+def test_krylov_annihilator_checks_shapes():
+    """A vector of the wrong length and a matrix that is not square are
+    refused before any product, not answered or failed on an index."""
+    cyc = Matrix.from_rows(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert krylov_annihilator(cyc, [1, 0, 0])[0] == P(QQ, [-1, 0, 0, 1])
+    wide = Matrix.from_rows(GF(5), [[1, 2, 0], [0, 1, 3]])
+    for m, v in ((cyc, [1, 0]), (cyc, [1, 0, 0, 5]), (wide, [1, 0]), (wide, [1, 0, 0])):
+        with pytest.raises(DimensionMismatch, match="krylov annihilator"):
+            krylov_annihilator(m, v)
+
+
+@pytest.mark.parametrize("call", ["Polynomial.one(QQ) ** -1",
+                                  "valuations(Polynomial.zero(QQ), 0, 1)"])
+def test_calls_with_no_answer_raise_fast(call):
+    """A negative power of a polynomial and the valuations of the zero
+    polynomial raise ValueError.  Each call runs in a child process with a
+    timeout, so a missing guard fails the test instead of hanging the
+    suite; the polynomials are constant, so an endless loop allocates
+    nothing."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quadsum.__file__)))
+    code = ("from quadsum import QQ, Polynomial\n"
+            "from quadsum.canonical import valuations\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError:\n"
+            "    print('refused')\n")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=20)
+    assert (run.returncode, run.stdout) == (0, "refused\n"), run.stderr
 
 
 # ---- cyclic vectors ------------------------------------------------------
