@@ -8,8 +8,7 @@ from .errors import (BadParams, BudgetExceeded, DecisionNo, DegreeZero,
                      UnsupportedCase)
 from .field import GF, QQ, Field, FieldElement, quadratic_roots
 from .matrix import (Matrix, block2x2, direct_sum, hstack, inverse,
-                     jordan_block, kernel_matrix, permutation_matrix, rank,
-                     rank_and_kernel, solve)
+                     jordan_block, kernel_matrix, rank, rank_and_kernel, solve)
 from .poly import (Polynomial, companion, decompose_in_t2_minus_t, gcd,
                    krylov_annihilator, lcm, minimal_polynomial,
                    substitute_one_minus_t)

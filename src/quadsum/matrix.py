@@ -74,6 +74,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
+        _check_shape(n, n)
         z, o = field.reduce(0), field.reduce(1)
         return cls._raw(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 
@@ -81,6 +82,7 @@ class Matrix:
     def zero(cls, field: Field, rows: int, cols: int | None = None) -> "Matrix":
         if cols is None:
             cols = rows
+        _check_shape(rows, cols)
         return cls._raw(field, rows, cols, [field.reduce(0)] * (rows * cols))
 
     @classmethod
@@ -226,6 +228,12 @@ class Matrix:
         body = "; ".join(", ".join(str(x) for x in self._e[i * c : (i + 1) * c])
                          for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
+
+
+def _check_shape(rows: int, cols: int):
+    """Refuse a negative dimension, as ``Matrix(...)`` does."""
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch(f"{rows}x{cols} matrix: a dimension is negative")
 
 
 # ---- the product kernel (raw values) ---------------------------------
@@ -473,19 +481,10 @@ def hstack(field: Field, mats) -> Matrix:
 def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:
     """Jordan block with ones on the subdiagonal (matching the companion
     convention used throughout: the block for t^k is C(t^k))."""
+    _check_shape(size, size)
     lam = field.element(eigenvalue).v
     z, o = field.reduce(0), field.reduce(1)
     return Matrix._raw(field, size, size,
                        [lam if i == j else o if i == j + 1 else z
                         for i in range(size) for j in range(size)])
-
-
-def permutation_matrix(field: Field, perm) -> Matrix:
-    """Matrix P with P e_k = e_{perm[k]}."""
-    perm = list(perm)
-    n = len(perm)
-    ent = [field.reduce(0)] * (n * n)
-    for k, pk in enumerate(perm):
-        ent[pk * n + k] = field.reduce(1)
-    return Matrix._raw(field, n, n, ent)
 

@@ -305,7 +305,7 @@ def krylov_annihilator(m: Matrix, v_raw):
     m_rows = _integral(f, m.raw_rows())
     ech = []
     chain = []
-    w = list(v_raw)
+    w = [f.reduce(x) for x in v_raw]
     for k in range(n + 1):
         iw = _integral(f, [w])
         vec, den = iw[0]

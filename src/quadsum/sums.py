@@ -14,8 +14,8 @@ Both are read off one Frobenius decomposition of M: each invariant factor
 f_i = t^a_i (t - 1)^b_i h_i gives the factor h_i of the part away from
 {0, 1} and a Jordan block of size a_i at 0 and b_i at 1.  When the answer
 is yes, the same decomposition, split per cyclic block, carries an explicit
-certificate pair (A, B): A comes from one linear solve, B is M - A, and the
-pair is verified exactly, once, before being returned.
+certificate (A, B): A comes from one solve on the block idempotents, the
+Jordan units' written in closed form, B is M - A, and it is verified once.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .canonical import (NullitySequence, _chain_matrix, invariant_factors_with_t
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import (Matrix, block2x2, direct_sum, inverse, jordan_block,
-                     permutation_matrix, rank, solve)
+from .matrix import Matrix, block2x2, direct_sum, rank, solve
 from .poly import Polynomial, companion, decompose_in_t2_minus_t, krylov_annihilator
 
 
@@ -294,94 +293,77 @@ def _away_model(h: Polynomial, g: Polynomial) -> Matrix:
 
 # ---- construction: Jordan blocks at 0 and 1 ---------------------------
 
-def _shift_intertwiners(f: Field, a: int, b: int):
-    """Maps X (a x b), Y (b x a) with N_a^2 = XY, N_b^2 = YX, N_a X = X N_b
-    and Y N_a = N_b Y, for subdiagonal-shift nilpotents and |a - b| <= 2.
-
-    The larger side receives a shift-by-two inclusion, the smaller a plain
-    truncation; for a = b this degenerates to (N^2, I).
-    """
-    z, o = f.reduce(0), f.reduce(1)
-    x_ent = [z] * (a * b)
-    y_ent = [z] * (b * a)
-    if a >= b:
-        for i in range(min(b, a - 2)):
-            x_ent[(i + 2) * b + i] = o
-        for i in range(b):
-            y_ent[i * a + i] = o
-    else:
-        for i in range(a):
-            x_ent[i * b + i] = o
-        for i in range(min(a, b - 2)):
-            y_ent[(i + 2) * a + i] = o
-    return Matrix._raw(f, a, b, x_ent), Matrix._raw(f, b, a, y_ent)
-
-
-def _unit_decomposition(f: Field, size_at_1: int, size_at_0: int) -> Matrix:
+def _unit_decomposition(f: Field, a: int, b: int) -> Matrix:
     """Idempotent A of an idempotent + square-zero split A + B of the model
-    (I + N) (+) N' for one paired unit, N and N' being subdiagonal nilpotent
-    Jordan blocks; B is the model minus A."""
-    if size_at_1 == 0:
-        return Matrix.zero(f, size_at_0)
-    if size_at_0 == 0:
-        return Matrix.identity(f, size_at_1)
-    a, b = size_at_1, size_at_0
-    n_one = jordan_block(f, a)
-    n_zero = jordan_block(f, b)
-    i1 = Matrix.identity(f, a)
-    i0 = Matrix.identity(f, b)
-    inv_plus = inverse(i1 + 2 * n_one)   # unipotent, always invertible
-    inv_minus = inverse(i0 - 2 * n_zero)
-    b1 = inv_plus * n_one * (i1 + n_one)
-    b4 = inv_minus * n_zero * (i0 - n_zero)
-    x_map, y_map = _shift_intertwiners(f, a, b)
-    # absorb the sign of -N' by conjugating with the alternating diagonal
-    sign = Matrix.diagonal(f, [1 if i % 2 == 0 else -1 for i in range(b)])
-    x_t = x_map * sign
-    y_t = sign * y_map
-    b3 = -(inv_plus * inv_plus) * (i1 + n_one) * (i1 + n_one) * x_t
-    b2 = y_t
-    return direct_sum(f, [i1 + n_one, n_zero]) - block2x2(b1, b3, b2, b4)
+    (I + N) (+) N' for one paired unit, N (a x a) and N' (b x b) being
+    subdiagonal nilpotent Jordan blocks and |a - b| <= 2; B is the model
+    minus A.
+
+    A = [[P(N), Q(N) X S], [-S Y, R(N')]], with the series P = (1 + t)^2 /
+    (1 + 2t), Q = (1 + t)^2 / (1 + 2t)^2 and R = -t^2 / (1 - 2t) written out
+    coefficient by coefficient, S = diag(1, -1, 1, ...) of size b, and the
+    intertwiners X (a x b) and Y (b x a), with N^2 = X Y, N'^2 = Y X, N X =
+    X N' and Y N = N' Y: the larger side receives a shift by two, the smaller
+    a plain truncation.  A block without a partner (a = 0 or b = 0) gets 0 or I.
+    """
+    shift = 2 if a >= b else 0  # X: column c in row c + shift; Y: row i at column i + shift - 2
+    p = [1, 0] + [(-2) ** (k - 2) for k in range(2, a)]
+    q = [1, -2] + [(k + 3) * (-2) ** (k - 2) for k in range(2, a)]
+    r = [0, 0] + [-(2 ** (k - 2)) for k in range(2, b)]
+    n = a + b
+    ent = [0] * (n * n)
+    for i in range(a):
+        ent[i * n : i * n + i + 1] = p[i::-1]
+        for c in range(min(b, i - shift + 1)):
+            ent[i * n + a + c] = (-1) ** c * q[i - c - shift]
+    for i in range(b):
+        if 0 <= i + shift - 2 < a:
+            ent[(a + i) * n + i + shift - 2] = -((-1) ** i)
+        ent[(a + i) * n + a : (a + i) * n + a + i + 1] = r[i::-1]
+    return Matrix._raw(f, n, n, [f.reduce(x) for x in ent])
 
 
 # ---- full pipeline ---------------------------------------------------
 
-def _idempotent_plus_square_zero(m: Matrix, decision: Decision):
-    """A + B = M with A idempotent and B square-zero, for a YES decision on M.
+def _idempotent_plus_square_zero(m: Matrix, decision: Decision) -> Matrix:
+    """Idempotent A with M - A square-zero, for a YES decision on M.
 
-    The Frobenius basis of M, split per cyclic block, brings M to the direct
-    sum of the C(h_i), J_a_i(0) and J_b_i(1).  Each C(h_i) is split by
-    :func:`_away_model`; the Jordan blocks at 1 and at 0 are taken unit by
-    unit from ``decision.pairing``, equal sizes in factor order, and split
-    by :func:`_unit_decomposition`.
-
-    With T' = T (S_1 (+) ... (+) S_r) Pi that basis, in this order, and
-    A_model the direct sum of the block idempotents, A solves T'^T A^T =
-    (T' A_model)^T, so nothing is inverted, and B = M - A.
-    :func:`construct` verifies the result.
+    The Frobenius basis of M, split per cyclic block, T' = T (S_1 (+) ...
+    (+) S_r), brings M to the direct sum of the C(h_i), J_a_i(0) and
+    J_b_i(1).  Each C(h_i) is split by :func:`_away_model`; the Jordan blocks
+    at 1 and at 0 are taken unit by unit from ``decision.pairing``, equal
+    sizes in factor order, and split by :func:`_unit_decomposition`.  Each
+    block idempotent is written into A_model at the coordinates its blocks
+    occupy in T', and A solves T'^T A^T = (T' A_model)^T, so nothing is
+    inverted.  :func:`construct` verifies the result.
     """
-    f = m.field
-    blocks, perm, parts = [], [], []
-    at_0, at_1 = {}, {}  # block size -> column ranges of the split basis, in factor order
+    f, n = m.field, m.rows
+    model = [f.reduce(0)] * (n * n)
+
+    def place(part: Matrix, coords):
+        for ci, row in zip(coords, part.raw_rows()):
+            for cj, x in zip(coords, row):
+                model[ci * n + cj] = x
+
+    blocks = []
+    at_0, at_1 = {}, {}  # block size -> coordinate ranges in T', in factor order
     g_factors = iter(decision.g_factors)
     off = 0
     for fac, (a, b, h) in zip(decision.frobenius, decision.valuations):
         blocks.append(split_cyclic_block(fac, a, b, h))
         if h.degree:
-            perm.extend(range(off, off + h.degree))
-            parts.append(_away_model(h, next(g_factors)))
+            place(_away_model(h, next(g_factors)), range(off, off + h.degree))
         off += h.degree
         for ranges, size in ((at_0, a), (at_1, b)):
             ranges.setdefault(size, []).append(range(off, off + size))
             off += size
     for one, zero in decision.pairing:
-        for ranges, size in ((at_1, one), (at_0, zero)):
-            if size:
-                perm.extend(ranges[size].pop(0))
-        parts.append(_unit_decomposition(f, one, zero))
-    basis = decision.witness * direct_sum(f, blocks) * permutation_matrix(f, perm)
-    a_mat = solve(basis.transpose(), (basis * direct_sum(f, parts)).transpose()).transpose()
-    return a_mat, m - a_mat
+        place(_unit_decomposition(f, one, zero),
+              [k for ranges, size in ((at_1, one), (at_0, zero)) if size
+               for k in ranges[size].pop(0)])
+    basis = decision.witness * direct_sum(f, blocks)
+    rhs = (basis * Matrix._raw(f, n, n, model)).transpose()
+    return solve(basis.transpose(), rhs).transpose()
 
 
 def construct(m: Matrix, params: QuadParams) -> Certificate:
@@ -398,15 +380,12 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     decision = decide(reduced)
     if not decision.yes:
         raise DecisionNo(decision)
-    a_red_mat, b_red_mat = _idempotent_plus_square_zero(reduced, decision)
-    ident = Matrix.identity(m.field, m.rows)
-    scale = cls.scale
-    if not cls.swapped:
-        a_part = cls.alpha * ident + scale * a_red_mat
-        b_part = cls.beta * ident + scale * b_red_mat
-    else:
-        a_part = cls.alpha * ident + scale * b_red_mat
-        b_part = cls.beta * ident + scale * a_red_mat
+    # alpha I + s A_red (beta I + s A_red when swapped) is the idempotent side
+    # and M minus it the other, since M = (alpha + beta) I + s (A_red + B_red)
+    root = cls.beta if cls.swapped else cls.alpha
+    a_red = _idempotent_plus_square_zero(reduced, decision)
+    idem = root * Matrix.identity(m.field, m.rows) + cls.scale * a_red
+    a_part, b_part = (m - idem, idem) if cls.swapped else (idem, m - idem)
     cert = Certificate(a_part, b_part, params, cls, decision)
     # The one check of the construction.  It covers A_red idempotent and
     # B_red square-zero: with the scale s != 0 and alpha a root of

@@ -290,6 +290,20 @@ def test_decide_output_matches_golden(tmp_path, capsys):
         assert (code, out) == (case["exit"], case["stdout"]), k
 
 
+def test_parser_is_built_once_and_survives_a_bad_command_line(tmp_path, capsys):
+    """The parser is built once per process; a command line it refuses
+    leaves nothing behind, so the next job still prints the golden bytes."""
+    assert cli.build_parser() is cli.build_parser()
+    with open(GOLDEN, encoding="utf-8") as fh:
+        case = json.load(fh)[0]
+    job = write_job(tmp_path, "job.json", case["job"])
+    for bad in (["decide", "--input", job, "--bogus"], ["decide"], ["oracle", "--n", "x"]):
+        code, out, err = run(capsys, bad)
+        assert (code, out) == (2, "") and err.startswith("usage:"), bad
+    code, out, _ = run(capsys, ["decide", "--input", job])
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
 def test_construct_output_matches_golden(tmp_path, capsys):
     """The certificate bytes depend on every basis choice inside construct,
     so a change to the arithmetic must leave them exactly as they were.  The

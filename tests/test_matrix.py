@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quadsum import (GF, QQ, DimensionMismatch, Matrix, MixedFields, Polynomial,
                      Singular, block2x2, companion, direct_sum,
                      hstack, inverse, jordan_block, kernel_matrix,
-                     krylov_annihilator, permutation_matrix, rank,
-                     rank_and_kernel, solve)
+                     krylov_annihilator, rank, rank_and_kernel, solve)
 from quadsum.matrix import _rref
 from conftest import rand_element, rand_invertible, rand_matrix, rand_wide_rational
 
@@ -96,7 +95,6 @@ def test_every_operation_stores_canonical_values():
                 direct_sum(f, [a, Matrix.zero(f, 2), t]), hstack(f, [a, x]),
                 block2x2(a, x, x.transpose(), Matrix.identity(f, 2)),
                 jordan_block(f, n, eigenvalue=-1), jordan_block(f, n),
-                permutation_matrix(f, list(reversed(range(n)))),
                 Matrix.identity(f, n), Matrix.zero(f, n, 2),
             ]
             results.extend(rank_and_kernel(a)[1] + rank_and_kernel(Matrix.zero(f, n, 3))[1])
@@ -202,14 +200,16 @@ def test_jordan_block_subdiagonal():
     assert j == Matrix.from_rows(QQ, [[2, 0, 0], [1, 2, 0], [0, 1, 2]])
 
 
-def test_permutation_matrix_action():
-    f = GF(3)
-    perm = [2, 0, 1]
-    p = permutation_matrix(f, perm)
-    for k, pk in enumerate(perm):
-        e = Matrix.column(f, [1 if i == k else 0 for i in range(3)])
-        assert p * e == Matrix.column(f, [1 if i == pk else 0 for i in range(3)])
-    assert p * p.transpose() == Matrix.identity(f, 3)
+def test_negative_sizes_are_refused():
+    """Every constructor refuses a negative dimension, as Matrix(...) does,
+    instead of building a matrix with a negative size."""
+    for build in (lambda: Matrix(QQ, -1, 0, []), lambda: jordan_block(QQ, -2),
+                  lambda: jordan_block(GF(5), -1, eigenvalue=1), lambda: Matrix.identity(QQ, -1),
+                  lambda: Matrix.zero(QQ, -2), lambda: Matrix.zero(GF(2), 2, -1),
+                  lambda: Matrix.zero(QQ, -1, 3)):
+        with pytest.raises(DimensionMismatch):
+            build()
+    assert jordan_block(QQ, 0) == Matrix.identity(QQ, 0) == Matrix.zero(QQ, 0)
 
 
 def test_similarity_preserves_rank_and_trace():

@@ -322,19 +322,17 @@ def test_construct_runs_one_frobenius_decomposition(monkeypatch):
 
 
 def test_decide_and_construct_invert_no_n_by_n_matrix(monkeypatch):
-    """decide checks its witness as M T = T F with T of full rank, and
-    construct solves A T' = T' A_model for A, so neither inverts an n x n
-    matrix; only the models of paired units invert their unipotent blocks,
-    each smaller than M."""
-    sizes = []
+    """decide checks its witness as M T = T F with T of full rank, construct
+    solves A T' = T' A_model for A and writes the unit idempotents down, so
+    neither inverts a matrix."""
+    calls = []
     real = quadsum.matrix.inverse
 
     def counted(m):
-        sizes.append(m.rows)
+        calls.append(m.rows)
         return real(m)
 
     monkeypatch.setattr(quadsum.matrix, "inverse", counted)
-    monkeypatch.setattr(quadsum.sums, "inverse", counted)
     rng = random.Random(33)
     for f in (QQ, GF(5)):
         s = P(f, [0, -1, 1])
@@ -342,10 +340,54 @@ def test_decide_and_construct_invert_no_n_by_n_matrix(monkeypatch):
                               jordan_block(f, 2, eigenvalue=1), jordan_block(f, 1)])
         t = rand_invertible(f, core.rows, rng)
         m = t * core * real(t)
-        sizes.clear()
-        assert decide(m).yes and sizes == []
-        construct(m, QuadParams.of(f))
-        assert sorted(sizes) == [2, 3]  # the unit (2 at 1, 3 at 0)
+        calls.clear()
+        assert decide(m).yes and calls == []
+        assert verify_certificate(m, construct(m, QuadParams.of(f))).ok and calls == []
+
+
+def _unit_by_inverses(f, a, b):
+    """The idempotent of one unit (J_a(1), J_b(0)) computed rather than
+    written down: with N, N' the nilpotent parts, B1 = (I + 2N)^-1 N (I + N),
+    B4 = (I - 2N')^-1 N' (I - N'), B3 = -(I + 2N)^-2 (I + N)^2 X S and
+    B2 = S Y, A is the model (I + N) (+) N' minus [[B1, B3], [B2, B4]]."""
+    if a == 0:
+        return Matrix.zero(f, b)
+    if b == 0:
+        return Matrix.identity(f, a)
+    n1, n0 = jordan_block(f, a), jordan_block(f, b)
+    i1, i0 = Matrix.identity(f, a), Matrix.identity(f, b)
+    if a >= b:
+        x_ones = [(i + 2, i) for i in range(min(b, a - 2))]
+        y_ones = [(i, i) for i in range(b)]
+    else:
+        x_ones = [(i, i) for i in range(a)]
+        y_ones = [(i + 2, i) for i in range(min(a, b - 2))]
+    x_map = Matrix.from_rows(f, [[int((i, j) in x_ones) for j in range(b)] for i in range(a)])
+    y_map = Matrix.from_rows(f, [[int((i, j) in y_ones) for j in range(a)] for i in range(b)])
+    sign = Matrix.diagonal(f, [(-1) ** i for i in range(b)])
+    inv_plus, inv_minus = inverse(i1 + 2 * n1), inverse(i0 - 2 * n0)
+    b1 = inv_plus * n1 * (i1 + n1)
+    b4 = inv_minus * n0 * (i0 - n0)
+    b3 = -(inv_plus * inv_plus) * (i1 + n1) * (i1 + n1) * x_map * sign
+    return direct_sum(f, [i1 + n1, n0]) - block2x2(b1, b3, sign * y_map, b4)
+
+
+def test_unit_decomposition_is_the_inverse_formula_written_down():
+    """The closed form of each unit idempotent equals the one computed with
+    inverses, for every unit with sizes up to 11 over Q, GF(2), GF(3), GF(5)
+    and GF(101), and splits the model into an idempotent and a square-zero
+    part."""
+    cases = 0
+    for f in (QQ, GF(2), GF(3), GF(5), GF(101)):
+        for a, b in itertools.product(range(12), repeat=2):
+            if abs(a - b) > 2 or a == b == 0:
+                continue
+            unit = quadsum.sums._unit_decomposition(f, a, b)
+            assert unit == _unit_by_inverses(f, a, b), (f, a, b)
+            rest = direct_sum(f, [jordan_block(f, a, eigenvalue=1), jordan_block(f, b)]) - unit
+            assert unit * unit == unit and (rest * rest).is_zero()
+            cases += 1
+    assert cases == 265
 
 
 def test_away_model_e0_is_cyclic_for_every_small_g():
