@@ -15,8 +15,9 @@ from .field import Field
 from .matrix import Matrix
 from .sums import decide
 
-#: Full-scan budget: the sanctioned exhaustive runs stay well below this.
-DEFAULT_BUDGET = 1 << 25
+#: Full-scan budget: the largest sanctioned scan, GF(2) at n = 4, has 2^16
+#: matrices; GF(2) at n = 5 (2^25, about seven hours) is refused.
+DEFAULT_BUDGET = 1 << 17
 
 
 def _require_prime_field(field: Field):

@@ -113,13 +113,11 @@ def params_to_json(params: QuadParams):
 def params_from_json(field: Field, obj) -> QuadParams:
     if obj is None:
         obj = {}
-    if not isinstance(obj, dict):
-        raise MalformedInput("params must be an object")
     defaults = {"a": "1", "b": "0", "c": "0", "d": "0"}
-    vals = {}
-    for key, dflt in defaults.items():
-        vals[key] = _parse_element(field, obj.get(key, dflt))
-    return QuadParams(vals["a"], vals["b"], vals["c"], vals["d"])
+    if not isinstance(obj, dict) or not set(obj) <= set(defaults):
+        raise MalformedInput('params must be an object with keys among "a", "b", "c", "d"')
+    return QuadParams(**{key: _parse_element(field, obj.get(key, dflt))
+                         for key, dflt in defaults.items()})
 
 
 def classification_to_json(cls: CaseClassification):
@@ -207,9 +205,11 @@ def necessary_to_json(report: NecessaryReport):
 # ---- job inputs ------------------------------------------------------
 
 def jobspec_from_json(obj):
-    """Parse {"field", "matrix", "params"} into (field, matrix, params)."""
-    if not isinstance(obj, dict) or "field" not in obj or "matrix" not in obj:
-        raise MalformedInput('job needs keys "field" and "matrix"')
+    """Parse {"field", "matrix", "params"} into (field, matrix, params); any
+    other key is refused, so a misspelt one never falls back to a default."""
+    keys = set(obj) if isinstance(obj, dict) else set()
+    if not {"field", "matrix"} <= keys <= {"field", "matrix", "params"}:
+        raise MalformedInput('job needs keys "field" and "matrix", and may add only "params"')
     field = field_from_json(obj["field"])
     matrix = matrix_from_rows(field, obj["matrix"])
     if not matrix.is_square:

@@ -14,21 +14,24 @@ Both are read off one Frobenius decomposition of M: each invariant factor
 f_i = t^a_i (t - 1)^b_i h_i gives the factor h_i of the part away from
 {0, 1} and a Jordan block of size a_i at 0 and b_i at 1.  When the answer
 is yes, the same decomposition, split per cyclic block, carries an explicit
-certificate (A, B): A comes from one solve on the block idempotents, the
-Jordan units' written in closed form, B is M - A, and it is verified once.
+certificate (A, B).  No block idempotent is computed: the one of each
+C(h_i) depends only on deg h_i and the one of each Jordan unit only on its
+two sizes, and both are written down.  A comes from one solve that carries
+them back to M, B is M - A, and the pair is verified once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .canonical import (NullitySequence, _chain_matrix, invariant_factors_with_transform,
-                        nullity_sequence, split_cyclic_block, valuations)
+from .canonical import (NullitySequence, invariant_factors_with_transform, nullity_sequence,
+                        split_cyclic_block, valuations)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import Matrix, block2x2, direct_sum, rank, solve
-from .poly import Polynomial, companion, decompose_in_t2_minus_t, krylov_annihilator
+from .matrix import Matrix, direct_sum, solve
+from .poly import decompose_in_t2_minus_t
 
 
 @dataclass(frozen=True)
@@ -266,29 +269,23 @@ def decide(m: Matrix) -> Decision:
 
 # ---- construction: part with no eigenvalue in {0, 1} -----------------
 
-def _away_model(h: Polynomial, g: Polynomial) -> Matrix:
-    """Idempotent of an idempotent + square-zero split of C(h), h = g(t^2 - t).
+def _away_idempotent(f: Field, size: int) -> Matrix:
+    """Idempotent W of an idempotent + square-zero split of C(h), for every
+    h = g(t^2 - t) of degree ``size``; the square-zero part is C(h) - W.
 
-    The model U = [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]]
-    is conjugated onto C(h) through the Krylov basis K of e_0, which is
-    cyclic: U^2 - U = s I with s = C(g), and e_0 = (1, 0), U e_0 = (1, 1) are
-    a basis of k^(2 deg g) over k[s]/(g).  K is checked as rank(K) = 2 deg g
-    and U K = K C(h), and the idempotent K^-1 [[I, 0], [I, 0]] K is solved
-    for, not multiplied out; the square-zero part is C(h) minus it.
+    With s = t^2 - t, k[t]/(h) is free over k[s]/(g) on 1, t.  The map
+    x + y t -> (x + y) t is idempotent, and t minus it sends x + y t to y s,
+    whose square is 0.  As t^i = x_i + y_i t with x_i + y_i = z_i(s), where
+    z_0 = z_1 = 1 and z_(i+1) = z_i + s z_(i-1), column i of W is the
+    coefficient vector of t z_i(t^2 - t).  That has degree at most size - 1,
+    so W depends on neither g nor h, only on the size.
     """
-    f = h.field
-    size = 2 * g.degree
-    c_g = companion(g)
-    ident = Matrix.identity(f, g.degree)
-    zero = Matrix.zero(f, g.degree)
-    u_block = block2x2(ident, c_g, ident, zero)
-    ann, chain = krylov_annihilator(u_block, [1] + [0] * (size - 1))
-    if ann != h:
-        raise InternalCheckFailed(f"away model: e_0 is not cyclic in the {size}x{size} model")
-    k_mat = _chain_matrix(f, chain)
-    if rank(k_mat) != size or u_block * k_mat != k_mat * companion(h):
-        raise InternalCheckFailed(f"away model: {size}x{size} Krylov basis does not reach C({h})")
-    return solve(k_mat, block2x2(ident, zero, ident, zero) * k_mat)
+    cols, prev, col = [], [], [0, 1]  # t z_(i-1)(t^2 - t) and t z_i(t^2 - t)
+    for _ in range(size):
+        cols.append((col + [0] * size)[:size])
+        prev, col = col, [x + u - v for x, u, v
+                          in zip_longest(col, [0, 0] + prev, [0] + prev, fillvalue=0)]
+    return Matrix._raw(f, size, size, [f.reduce(c[r]) for r in range(size) for c in cols])
 
 
 # ---- construction: Jordan blocks at 0 and 1 ---------------------------
@@ -330,12 +327,13 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision) -> Matrix:
 
     The Frobenius basis of M, split per cyclic block, T' = T (S_1 (+) ...
     (+) S_r), brings M to the direct sum of the C(h_i), J_a_i(0) and
-    J_b_i(1).  Each C(h_i) is split by :func:`_away_model`; the Jordan blocks
-    at 1 and at 0 are taken unit by unit from ``decision.pairing``, equal
-    sizes in factor order, and split by :func:`_unit_decomposition`.  Each
-    block idempotent is written into A_model at the coordinates its blocks
-    occupy in T', and A solves T'^T A^T = (T' A_model)^T, so nothing is
-    inverted.  :func:`construct` verifies the result.
+    J_b_i(1).  The idempotent of each C(h_i) is :func:`_away_idempotent` of
+    its degree; the Jordan blocks at 1 and at 0 are taken unit by unit from
+    ``decision.pairing``, equal sizes in factor order, and their idempotents
+    are :func:`_unit_decomposition` of the unit's sizes.  Each is written
+    into A_model at the coordinates its blocks occupy in T', and A solves
+    T'^T A^T = (T' A_model)^T, so nothing is inverted.  :func:`construct`
+    verifies the result.
     """
     f, n = m.field, m.rows
     model = [f.reduce(0)] * (n * n)
@@ -347,12 +345,10 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision) -> Matrix:
 
     blocks = []
     at_0, at_1 = {}, {}  # block size -> coordinate ranges in T', in factor order
-    g_factors = iter(decision.g_factors)
     off = 0
     for fac, (a, b, h) in zip(decision.frobenius, decision.valuations):
         blocks.append(split_cyclic_block(fac, a, b, h))
-        if h.degree:
-            place(_away_model(h, next(g_factors)), range(off, off + h.degree))
+        place(_away_idempotent(f, h.degree), range(off, off + h.degree))
         off += h.degree
         for ranges, size in ((at_0, a), (at_1, b)):
             ranges.setdefault(size, []).append(range(off, off + size))

@@ -220,12 +220,14 @@ def test_oracle_budget_exit_2(tmp_path, capsys):
 
 def test_oracle_refuses_a_huge_scan_at_once(capsys):
     """The budget is compared on sizes first: p^(n^2) for n = 10^6 is never
-    built."""
-    start = time.perf_counter()
-    code, out, err = run(capsys, ["oracle", "--field", "gf101", "--n", "1000000"])
-    assert (code, out) == (2, "")
-    assert "exceeds the budget" in err
-    assert time.perf_counter() - start < 5
+    built.  The default budget also refuses GF(2) at n = 5, whose 2^25
+    matrices would take hours to scan."""
+    for field, n in (("gf101", "1000000"), ("gf2", "5")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["oracle", "--field", field, "--n", n])
+        assert (code, out) == (2, ""), field
+        assert "exceeds the budget" in err
+        assert time.perf_counter() - start < 1
 
 
 def test_necessary_subcommand(tmp_path, capsys):
@@ -348,6 +350,17 @@ def test_bad_scalars_exit_2(tmp_path, capsys):
                                       "--alpha", alpha, "--beta", "3"])
         assert (code, out) == (2, ""), alpha
         assert err.startswith("malformed input")
+
+
+def test_unknown_job_keys_exit_2(tmp_path, capsys):
+    """A misspelt key is refused, not replaced by the default it misses."""
+    for k, payload in enumerate(({"field": "Q", "matrix": [["1"]], "params": {"A": "2"}},
+                                 {"field": "Q", "matrix": [["1"]], "parms": {"a": "2"}})):
+        job = write_job(tmp_path, f"{k}.json", payload)
+        for command in ("decide", "construct", "classify"):
+            code, out, err = run(capsys, [command, "--input", job])
+            assert (code, out) == (2, ""), (k, command)
+            assert err.startswith("malformed input")
 
 
 def test_integers_and_strings_still_parse(tmp_path, capsys):

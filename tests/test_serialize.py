@@ -68,5 +68,7 @@ def test_jobspec_parsing():
     })
     assert field == GF(2) and matrix.rows == 2
     assert params.a == GF(2).one()
-    with pytest.raises(MalformedInput):
-        serialize.jobspec_from_json({"matrix": [["1"]]})
+    for bad in ({"matrix": [["1"]]}, {"field": "Q", "matrix": [["1"]], "parms": {"a": "2"}},
+                {"field": "Q", "matrix": [["1"]], "params": {"A": "2"}}):
+        with pytest.raises(MalformedInput):
+            serialize.jobspec_from_json(bad)

@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,10 +15,10 @@ from quadsum import (GF, QQ, BadParams, Certificate, DecisionNo, DimensionMismat
                      QuadParams, UnsupportedCase, block2x2, check_necessary_combination,
                      classify_and_reduce, companion, construct, decide,
                      direct_sum, inverse, is_p_intertwined, jordan_block,
-                     krylov_annihilator, nullity_sequence, pair_blocks, serialize,
-                     verify_certificate)
-from quadsum.canonical import valuations
-from quadsum.sums import _away_model
+                     krylov_annihilator, nullity_sequence, pair_blocks, rank, serialize,
+                     solve, verify_certificate)
+from quadsum.canonical import _chain_matrix, valuations
+from quadsum.sums import _away_idempotent
 from quadsum.cli import main
 from conftest import (conjugate_partition, rand_decomposable, rand_element, rand_idempotent,
                       rand_invertible, rand_matrix, rand_square_zero)
@@ -390,22 +392,72 @@ def test_unit_decomposition_is_the_inverse_formula_written_down():
     assert cases == 265
 
 
-def test_away_model_e0_is_cyclic_for_every_small_g():
-    """e_0 is a cyclic vector of the model [[I, C(g)], [I, 0]] for every monic
-    g of degree 1 to 3 over GF(2) and GF(3), and the model splits C(h) for
-    h = g(t^2 - t)."""
-    for f in (GF(2), GF(3)):
+def _away_by_krylov(h, g):
+    """The idempotent of C(h), h = g(t^2 - t), computed rather than written
+    down: U = [[I, C(g)], [I, 0]] = [[I, 0], [I, 0]] + [[0, C(g)], [0, 0]] is
+    conjugated onto C(h) through the Krylov basis K of e_0, checked as
+    rank(K) = deg h and U K = K C(h), and K^-1 [[I, 0], [I, 0]] K is solved
+    for."""
+    f, size = h.field, h.degree
+    ident, zero = Matrix.identity(f, g.degree), Matrix.zero(f, g.degree)
+    model = block2x2(ident, companion(g), ident, zero)
+    ann, chain = krylov_annihilator(model, [1] + [0] * (size - 1))
+    k_mat = _chain_matrix(f, chain)
+    assert ann == h and rank(k_mat) == size and model * k_mat == k_mat * companion(h)
+    return solve(k_mat, block2x2(ident, zero, ident, zero) * k_mat)
+
+
+def test_away_idempotent_is_the_krylov_model_written_down():
+    """The closed-form idempotent W of C(h), h = g(t^2 - t), equals the one
+    computed through a Krylov basis for every monic g of degree 1 to 3 over
+    GF(2), GF(3) and GF(5) and for 160 random g over Q of degree 1 to 8, and
+    C(h) - W is square-zero; W is idempotent at every even size up to 16."""
+    rng = random.Random(12)
+    gs = [P(f, list(low) + [1]) for f in (GF(2), GF(3), GF(5)) for deg in (1, 2, 3)
+          for low in itertools.product(range(f.p), repeat=deg)]
+    gs += [P(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(rng.randint(1, 8))] + [1]) for _ in range(160)]
+    for g in gs:
+        h = g.compose(P(g.field, [0, -1, 1]))
+        w = _away_idempotent(g.field, h.degree)
+        rest = companion(h) - w
+        assert w == _away_by_krylov(h, g) and (rest * rest).is_zero(), g
+    assert len(gs) == 368
+    for f in (QQ, GF(2), GF(3)):
+        for size in range(0, 17, 2):
+            w = _away_idempotent(f, size)
+            assert w * w == w, (f, size)
+
+
+def test_construct_runs_no_krylov_chain_beyond_decide(monkeypatch):
+    """Every Krylov annihilator that construct computes is one of decide's on
+    the reduced matrix: the split of the blocks runs none."""
+    real = quadsum.poly.krylov_annihilator
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].rows)
+        return real(*args, **kwargs)
+
+    for module in [mod for name, mod in sys.modules.items() if name.split(".")[0] == "quadsum"]:
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random(35)
+    for f in (QQ, GF(5)):
+        params = QuadParams.of(f, 3, -2, 2, -1)
         s = P(f, [0, -1, 1])
-        for deg in (1, 2, 3):
-            for low in itertools.product(range(f.p), repeat=deg):
-                g = P(f, list(low) + [1])
-                h = g.compose(s)
-                ident, zero = Matrix.identity(f, deg), Matrix.zero(f, deg)
-                model = block2x2(ident, companion(g), ident, zero)
-                assert krylov_annihilator(model, [1] + [0] * (2 * deg - 1))[0] == h
-                a_mat = _away_model(h, g)
-                b_mat = companion(h) - a_mat
-                assert a_mat * a_mat == a_mat and (b_mat * b_mat).is_zero()
+        core = direct_sum(f, [companion(P(f, [2, 1]).compose(s)),
+                              companion(P(f, [3, 0, 1]).compose(s)),
+                              jordan_block(f, 3), jordan_block(f, 2, eigenvalue=1)])
+        t = rand_invertible(f, core.rows, rng)
+        m = t * core * inverse(t) + 2 * Matrix.identity(f, core.rows)
+        calls.clear()
+        assert verify_certificate(m, construct(m, params)).ok
+        in_construct = len(calls)
+        calls.clear()
+        decide(classify_and_reduce(m, params)[1])
+        assert in_construct == len(calls) > 0, f
 
 
 def test_construct_checks_name_stage_and_size(monkeypatch):
@@ -423,7 +475,7 @@ def test_construct_checks_name_stage_and_size(monkeypatch):
         with pytest.raises(InternalCheckFailed,
                            match=r"^construct: 3x3 certificate fails: .*first_quadratic_ok=False"):
             construct(m, MAIN)
-    monkeypatch.setattr(quadsum.sums, "_away_model", lambda h, g: Matrix.zero(QQ, h.degree))
+    monkeypatch.setattr(quadsum.sums, "_away_idempotent", lambda f, size: Matrix.zero(f, size))
     with pytest.raises(InternalCheckFailed, match=r"^construct: 3x3 certificate fails: "
                        r"VerificationReport\(sum_ok=True, first_quadratic_ok=True, "
                        r"second_quadratic_ok=False\)$"):
