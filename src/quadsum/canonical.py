@@ -12,35 +12,23 @@ searched for.  The cyclic vector of each level comes from
 them).  The invariant complement of its cyclic subspace is the kernel of d
 dual rows w, wM, ..., wM^(d-1): w is the first standard row whose pairing
 with the Krylov chain is invertible, or else the solution of w K = e_(d-1)^T,
-whose pairing is always invertible.
+whose pairing is always invertible.  That kernel's basis is the identity at
+its free coordinates, so M restricted to it is read off those rows of M times
+the basis, and the next level starts from it with no solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DimensionMismatch, InternalCheckFailed, MalformedSequence
-from .field import Field, FieldElement
+from .errors import DimensionMismatch, InternalCheckFailed
+from .field import Field
 from .matrix import (Matrix, _integral, _rank, _raw_products, direct_sum, hstack,
                      jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
 
-@dataclass(frozen=True)
-class NullitySequence:
+def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
     """n_k = dim Ker (M - lambda I)^k - dim Ker (M - lambda I)^(k-1), k >= 1,
     listed up to stabilization at 0.  n_k counts Jordan blocks of size >= k."""
-
-    eigenvalue: FieldElement
-    values: tuple
-
-    def __post_init__(self):
-        vals = self.values
-        if any(v < 0 for v in vals) or any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise MalformedSequence(f"not non-increasing: {vals}")
-
-
-def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
     if not m.is_square:
         raise DimensionMismatch("nullity sequence of a non-square matrix")
     lam = m.field.element(eigenvalue)
@@ -59,7 +47,7 @@ def nullity_sequence(m: Matrix, eigenvalue) -> NullitySequence:
         if nullity == n:
             break
         power = power * shifted
-    return NullitySequence(lam, tuple(values))
+    return tuple(values)
 
 
 def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
@@ -106,9 +94,11 @@ def _cyclic_decompose(m: Matrix):
     k_mat = _chain_matrix(f, chain)
     if d == n:
         return [mu], k_mat
-    comp = kernel_matrix(_dual_rows(m, k_mat))  # n x (n - d), M-invariant complement
-    restricted = solve(comp, m * comp)
-    factors2, t2 = _cyclic_decompose(restricted)
+    comp, free = kernel_matrix(_dual_rows(m, k_mat))  # n x (n - d), M-invariant complement
+    # M comp = comp R with comp the identity at its free rows, so R is those rows of M comp;
+    # a complement that is not M-invariant fails the M T = T F check
+    m_free = Matrix._raw(f, n - d, n, [x for i in free for x in m._e[i * n:(i + 1) * n]])
+    factors2, t2 = _cyclic_decompose(m_free * comp)
     return factors2 + [mu], hstack(f, [comp * t2, k_mat])
 
 
@@ -184,7 +174,7 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
     f = fac.field
     d = fac.degree
     t = Polynomial.x(f)
-    t_1 = Polynomial.from_coeffs(f, [-1, 1])
+    t_1 = Polynomial(f, [-1, 1])
     t_a, t_1b = t ** a, t_1 ** b
     e_0, e_1 = h * t_1b, h * t_a
     cols = []

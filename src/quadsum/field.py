@@ -141,8 +141,7 @@ class Field:
 class FieldElement:
     """Immutable scalar bound to its :class:`Field`.
 
-    Supports ``+ - * / **`` and a total order used for deterministic root
-    selection (rationals by value, residues by representative).  Plain ints
+    Supports ``+ - * / **``, equality and hashing, and no order.  Plain ints
     are coerced into the element's field.
     """
 
@@ -225,18 +224,6 @@ class FieldElement:
         if isinstance(other, int) and not isinstance(other, bool):
             return self == self.field.element(other)
         return NotImplemented
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.v < o.v
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.v <= o.v
 
     def __hash__(self):
         return hash((self.field.p, self.v))

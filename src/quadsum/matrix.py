@@ -1,4 +1,4 @@
-"""Dense exact matrices: arithmetic, rank/kernel, inverses, block composition.
+"""Dense exact matrices: arithmetic, rank, kernel, solve, block composition.
 
 Matrices are immutable and allow 0-sized dimensions (empty direct summands
 show up naturally when a cyclic block is split at {0, 1}).  A matrix stores
@@ -16,14 +16,15 @@ vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints and each entry of the result costs one reduced ``Fraction``.
 
-Every row operation in the package (rank, kernel, inverse, solve and the
-Krylov annihilators) is one call of :func:`_reduce`, which reduces a row
-against an ordered list of pivot rows.  Over GF(p) it takes one ``% p`` per
-entry.  Over the rationals the rows are brought to integers the same way and
-the elimination is fraction-free: rows are cleared by cross-multiplying and
-kept primitive by dividing out their content.  Rank is the length of the
-forward elimination (:func:`_echelon`); :func:`_rref` back-substitutes that
-echelon and builds ``Fraction``s only for the rows it returns.
+Every row operation in the package (rank, kernel, solve and the Krylov
+annihilators; an inverse is one solve) is one call of :func:`_reduce`, which
+reduces a row against an ordered list of pivot rows.  Over GF(p) it takes one
+``% p`` per entry.  Over the rationals the rows are brought to integers the
+same way and the elimination is fraction-free: rows are cleared by
+cross-multiplying and kept primitive by dividing out their content.  Rank is
+the length of the forward elimination (:func:`_echelon`); :func:`_rref`
+back-substitutes that echelon and builds ``Fraction``s only for the rows it
+returns.
 """
 
 from __future__ import annotations
@@ -189,20 +190,6 @@ class Matrix:
         return Matrix._raw(f, self.rows, m,
                            [x for row in _raw_products(f, rows, cols) for x in row])
 
-    def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            return inverse(self) ** (-k)
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.field, self.cols, self.rows,
                            [self._e[i * self.cols + j]
@@ -362,49 +349,33 @@ def rank(m: Matrix) -> int:
     return _rank(m.field, m.raw_rows(), m.cols)
 
 
-def rank_and_kernel(m: Matrix):
-    """Rank and a canonical kernel basis (list of column matrices).
+def kernel_matrix(m: Matrix):
+    """``(K, free)``: the canonical kernel basis as the columns of a cols x
+    nullity matrix K, and the free coordinates of the reduced echelon form.
 
-    The basis comes from the reduced echelon form with free coordinates set
-    to 1 one at a time, so identical inputs always give identical bases.
+    Column j of K sets free coordinate ``free[j]`` to 1 and the others to 0,
+    so K is the identity at its free rows and identical inputs give
+    identical bases.
     """
     f = m.field
     rows = m.raw_rows()
     pivots = _rref(f, rows, m.cols)
-    rk = len(pivots)
     pivset = set(pivots)
-    basis = []
-    zero, one = f.reduce(0), f.reduce(1)
-    for j in range(m.cols):
-        if j in pivset:
-            continue
-        v = [zero] * m.cols
-        v[j] = one
+    free = [j for j in range(m.cols) if j not in pivset]
+    k = len(free)
+    ent = [f.reduce(0)] * (m.cols * k)
+    for c, j in enumerate(free):
+        ent[j * k + c] = f.reduce(1)
         for i, pc in enumerate(pivots):
             if rows[i][j]:
-                v[pc] = f.reduce(-rows[i][j])
-        basis.append(Matrix._raw(f, m.cols, 1, v))
-    return rk, basis
-
-
-def kernel_matrix(m: Matrix) -> Matrix:
-    """Kernel basis assembled as the columns of a single cols x nullity matrix."""
-    _, basis = rank_and_kernel(m)
-    return hstack(m.field, basis) if basis else Matrix.zero(m.field, m.cols, 0)
+                ent[pc * k + c] = f.reduce(-rows[i][j])
+    return Matrix._raw(f, m.cols, k, ent), free
 
 
 def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise DimensionMismatch("inverse of a non-square matrix")
-    f = m.field
-    n = m.rows
-    rows = m.raw_rows()
-    for i in range(n):
-        rows[i] = rows[i] + [1 if j == i else 0 for j in range(n)]
-    pivots = _rref(f, rows, n)
-    if len(pivots) < n:
-        raise Singular("matrix is singular")
-    return Matrix._raw(f, n, n, [x for row in rows for x in row[n:]])
+    return solve(m, Matrix.identity(m.field, m.rows))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -96,13 +96,10 @@ class SumAtlas:
 
     field: Field
     n: int
-    kind: str  # "main" (idempotent + square-zero) or "scaled" (a*P + b*Q)
     members: frozenset  # of flat raw-entry tuples
-    first_count: int
-    second_count: int
 
     def contains(self, m: Matrix) -> bool:
-        return m._e in self.members
+        return m.field == self.field and m.rows == m.cols == self.n and m._e in self.members
 
     def __len__(self):
         return len(self.members)
@@ -133,7 +130,7 @@ def build_sum_atlas(field: Field, n: int, kind: str = "main",
         scaled_a = [ca * v % p for v in fa]
         for fb in second:
             members.add(tuple((scaled_a[i] + cb * fb[i]) % p for i in range(size)))
-    return SumAtlas(field, n, kind, frozenset(members), len(first), len(second))
+    return SumAtlas(field, n, frozenset(members))
 
 
 @dataclass(frozen=True)

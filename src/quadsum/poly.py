@@ -5,15 +5,15 @@ an lcm merge of standard basis vectors, never searched for), and the
 substitution test deciding whether f(t) can be written as g(t^2 - t).
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
-``Polynomial(...)`` and ``from_coeffs`` coerce through ``Field.element``,
-scalar evaluation wraps, and the kernels build with :meth:`Polynomial._raw`.
-Division, gcd and lcm run on raw coefficient lists (:func:`_divrem`), with
-one ``% p`` per coefficient of each step over GF(p), and build a
-``Polynomial`` only for their results.  The Krylov annihilator has no
-elimination of its own: it reduces each Krylov vector, extended by its
-combination over the Krylov powers, with the row operation of
-:func:`quadsum.matrix._reduce`, fraction-free over the rationals, and builds
-``Fraction``s only for the returned annihilator.
+``Polynomial(...)`` coerces through ``Field.element``, scalar evaluation
+wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
+and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
+coefficient of each step over GF(p), and build a ``Polynomial`` only for
+their results.  The Krylov annihilator has no elimination of its own: it
+reduces each Krylov vector, extended by its combination over the Krylov
+powers, with the row operation of :func:`quadsum.matrix._reduce`,
+fraction-free over the rationals, and builds ``Fraction``s only for the
+returned annihilator.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class Polynomial:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_coeffs(cls, field: Field, coeffs) -> "Polynomial":
-        return cls(field, coeffs)
 
     @classmethod
     def zero(cls, field: Field) -> "Polynomial":
@@ -394,7 +390,7 @@ def decompose_in_t2_minus_t(f: Polynomial):
     if not f.is_monic():
         raise NotMonic("decompose_in_t2_minus_t needs a monic polynomial")
     field = f.field
-    s = Polynomial.from_coeffs(field, [0, -1, 1])  # t^2 - t
+    s = Polynomial(field, [0, -1, 1])  # t^2 - t
     powers = {0: Polynomial.one(field)}
 
     def s_pow(m):
@@ -418,5 +414,5 @@ def decompose_in_t2_minus_t(f: Polynomial):
 
 def substitute_one_minus_t(f: Polynomial) -> Polynomial:
     """The polynomial f(1 - t)."""
-    one_minus_t = Polynomial.from_coeffs(f.field, [1, -1])
+    one_minus_t = Polynomial(f.field, [1, -1])
     return f.compose(one_minus_t)

@@ -146,8 +146,8 @@ def decision_diagnostics(decision: Decision):
     return {
         "invariant_factors": [poly_to_json(f) for f in decision.invariant_factors],
         "g_factors": [poly_to_json(g) for g in decision.g_factors],
-        "nullity_at_0": list(decision.nullity_at_0.values),
-        "nullity_at_1": list(decision.nullity_at_1.values),
+        "nullity_at_0": list(decision.nullity_at_0),
+        "nullity_at_1": list(decision.nullity_at_1),
         "pairing": None,
         "failing_witness": failing,
     }
@@ -196,8 +196,8 @@ def verification_to_json(report: VerificationReport):
 def necessary_to_json(report: NecessaryReport):
     return {
         "status": report.status,
-        "nullity_at_alpha": None if report.seq_alpha is None else list(report.seq_alpha.values),
-        "nullity_at_beta": None if report.seq_beta is None else list(report.seq_beta.values),
+        "nullity_at_alpha": None if report.seq_alpha is None else list(report.seq_alpha),
+        "nullity_at_beta": None if report.seq_beta is None else list(report.seq_beta),
         "violation": report.violation,
     }
 

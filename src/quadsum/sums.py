@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .canonical import (NullitySequence, invariant_factors_with_transform, nullity_sequence,
-                        split_cyclic_block, valuations)
+from .canonical import (invariant_factors_with_transform, nullity_sequence, split_cyclic_block,
+                        valuations)
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
@@ -46,10 +46,6 @@ class QuadParams:
     @classmethod
     def of(cls, field: Field, a=1, b=0, c=0, d=0) -> "QuadParams":
         return cls(field.element(a), field.element(b), field.element(c), field.element(d))
-
-    @property
-    def field(self) -> Field:
-        return self.a.field
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,9 @@ class Decision:
     (t - 1)^b_i h_i.  ``invariant_factors`` is the tuple of the nonconstant
     h_i, those of the part of M away from {0, 1}.  ``pairing`` holds the
     Jordan units of :func:`pair_blocks`, or None when the blocks cannot be
-    paired.  A ``failing`` invariant factor is held as its polynomial.
+    paired.  ``nullity_at_0`` and ``nullity_at_1`` are the nullity sequences
+    n_k = #{i : a_i >= k} and #{i : b_i >= k}, as tuples of ints.  A
+    ``failing`` invariant factor is held as its polynomial.
     """
 
     yes: bool
@@ -88,8 +86,8 @@ class Decision:
     valuations: tuple
     invariant_factors: tuple
     g_factors: tuple
-    nullity_at_0: NullitySequence
-    nullity_at_1: NullitySequence
+    nullity_at_0: tuple
+    nullity_at_1: tuple
     pairing: tuple | None
     failing: dict | None
 
@@ -121,8 +119,8 @@ class NecessaryReport:
     """Result of the necessary condition for alpha*P + beta*Q decompositions."""
 
     status: str  # "no", "inconclusive" or "not_applicable"
-    seq_alpha: NullitySequence | None
-    seq_beta: NullitySequence | None
+    seq_alpha: tuple | None
+    seq_beta: tuple | None
     violation: dict | None
 
 
@@ -214,18 +212,17 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
 
 # ---- decision --------------------------------------------------------
 
-def _nullities(m: Matrix, eigenvalue, exponents, stage: str) -> NullitySequence:
+def _nullities(m: Matrix, eigenvalue, exponents, stage: str) -> tuple:
     """Nullity sequence at an eigenvalue read off the invariant-factor
     valuations, n_k = #{i : exponent_i >= k}, cross-checked against ranks of
     powers."""
     top = max(exponents, default=0)
-    seq = NullitySequence(m.field.element(eigenvalue),
-                          tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1)))
-    by_rank = nullity_sequence(m, eigenvalue).values
-    if by_rank != seq.values:
+    seq = tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1))
+    by_rank = nullity_sequence(m, eigenvalue)
+    if by_rank != seq:
         raise InternalCheckFailed(
             f"{stage}: nullity sequence at eigenvalue {eigenvalue} of the {m.rows}x{m.rows} "
-            f"matrix is {by_rank} by ranks but {seq.values} by invariant-factor valuations")
+            f"matrix is {by_rank} by ranks but {seq} by invariant-factor valuations")
     return seq
 
 
@@ -245,7 +242,7 @@ def decide(m: Matrix) -> Decision:
     seq0 = _nullities(m, 0, [a for a, _, _ in vals], "decide")
     seq1 = _nullities(m, 1, [b for _, b, _ in vals], "decide")
     pairing = pair_blocks([b for _, b, _ in vals if b], [a for a, _, _ in vals if a])
-    viol = _first_violation(seq0.values, seq1.values, 2)
+    viol = _first_violation(seq0, seq1, 2)
     if (pairing is None) != (viol is not None):
         raise InternalCheckFailed(
             f"decide: the Jordan block pairing and the 2-intertwining of the nullity "
@@ -435,6 +432,6 @@ def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:
         return NecessaryReport("not_applicable", None, None, None)
     seq_a = _nullities(m, alpha, [a for a, _, _ in vals], "necessary")
     seq_b = _nullities(m, beta, [b for _, b, _ in vals], "necessary")
-    viol = _first_violation(seq_a.values, seq_b.values, 1)
+    viol = _first_violation(seq_a, seq_b, 1)
     status = "no" if viol else "inconclusive"
     return NecessaryReport(status, seq_a, seq_b, viol)

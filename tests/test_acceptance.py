@@ -109,12 +109,12 @@ def test_acceptance_5_block_minimal_polynomial_law():
             else:
                 coeffs = [rng.randrange(5) for _ in range(deg)] + [1]
                 alpha, beta = rng.randrange(5), rng.randrange(5)
-            p = Polynomial.from_coeffs(field, coeffs)
+            p = Polynomial(field, coeffs)
             ident = Matrix.identity(field, deg)
             block = block2x2(field.element(alpha) * ident, companion(p),
                              ident, field.element(beta) * ident)
-            inner = Polynomial.from_coeffs(field, [alpha, -1]) \
-                * Polynomial.from_coeffs(field, [beta, -1])  # (t-a)(t-b) = (a-t)(b-t)
+            inner = Polynomial(field, [alpha, -1]) \
+                * Polynomial(field, [beta, -1])  # (t-a)(t-b) = (a-t)(b-t)
             expected = p.compose(inner)
             if minimal_polynomial(block) != expected:
                 bad += 1
@@ -153,14 +153,14 @@ def test_acceptance_7_substitution_test_face():
                 coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [1]
             else:
                 coeffs = [rng.randrange(field.p) for _ in range(deg)] + [1]
-            f = Polynomial.from_coeffs(field, coeffs)
+            f = Polynomial(field, coeffs)
             got = decompose_in_t2_minus_t(f)
             sym = substitute_one_minus_t(f).monic() == f
             expected = (f.degree % 2 == 0) and sym
             if (got is not None) != expected:
                 bad += 1
             elif got is not None:
-                s = Polynomial.from_coeffs(field, [0, -1, 1])
+                s = Polynomial(field, [0, -1, 1])
                 if got.compose(s) != f:
                     bad += 1
     report(7, bad == 0, f"3000 substitution tests, {bad} mismatches")

@@ -10,32 +10,30 @@ import sys
 import pytest
 
 import quadsum
-from quadsum import (GF, QQ, InternalCheckFailed, Matrix, MalformedSequence,
-                     NullitySequence, Polynomial, companion, decide, direct_sum,
-                     invariant_factors_with_transform, inverse, jordan_block,
-                     minimal_polynomial, nullity_sequence, rank)
-from quadsum.canonical import _chain_matrix, _dual_rows, split_cyclic_block, valuations
-from quadsum.poly import cyclic_vector
+from quadsum.canonical import (_chain_matrix, _dual_rows, invariant_factors_with_transform,
+                               nullity_sequence, split_cyclic_block, valuations)
+from quadsum.errors import InternalCheckFailed
+from quadsum.field import GF, QQ
+from quadsum.matrix import Matrix, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve
+from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
+from quadsum.sums import decide
 from conftest import conjugate_partition, rand_invertible, rand_matrix
 
-
-def P(field, coeffs):
-    return Polynomial.from_coeffs(field, coeffs)
+P = Polynomial
 
 
 # ---- nullity sequences -----------------------------------------------
 
 def test_nullity_sequence_jordan():
     m = direct_sum(QQ, [jordan_block(QQ, 3), jordan_block(QQ, 1)])
-    seq = nullity_sequence(m, 0)
-    assert seq.values == (2, 1, 1) == conjugate_partition((3, 1))
-    assert nullity_sequence(m, 1).values == ()
+    assert nullity_sequence(m, 0) == (2, 1, 1) == conjugate_partition((3, 1))
+    assert nullity_sequence(m, 1) == ()
 
 
 def test_nullity_sequence_shifted_eigenvalue():
     m = jordan_block(GF(5), 2, eigenvalue=3)
-    assert nullity_sequence(m, 3).values == (1, 1)
-    assert nullity_sequence(m, 0).values == ()
+    assert nullity_sequence(m, 3) == (1, 1)
+    assert nullity_sequence(m, 0) == ()
 
 
 def test_nullity_sequence_counts_blocks():
@@ -45,13 +43,7 @@ def test_nullity_sequence_counts_blocks():
                        reverse=True)
         m = direct_sum(QQ, [jordan_block(QQ, s) for s in sizes])
         t = rand_invertible(QQ, m.rows, rng)
-        seq = nullity_sequence(t * m * inverse(t), 0)
-        assert seq.values == conjugate_partition(sizes)
-
-
-def test_malformed_sequence_rejected():
-    with pytest.raises(MalformedSequence):
-        NullitySequence(QQ.zero(), (1, 2))
+        assert nullity_sequence(t * m * inverse(t), 0) == conjugate_partition(sizes)
 
 
 # ---- invariant factors -----------------------------------------------
@@ -131,7 +123,7 @@ def test_dual_row_is_solved_when_no_standard_row_pairs():
         k_mat = _chain_matrix(f, chain)
         assert mu == t * t_1 and k_mat.cols == 2
         for i in range(3):
-            standard = Matrix.from_rows(f, [(m ** r).row(i) for r in range(2)])
+            standard = Matrix.from_rows(f, [Matrix.identity(f, 3).row(i), m.row(i)])
             assert rank(standard * k_mat) < 2
         w_mat = _dual_rows(m, k_mat)
         assert Matrix.from_rows(f, [w_mat.row(0)]) * k_mat == Matrix.from_rows(f, [[0, 1]])
@@ -165,6 +157,92 @@ def test_corrupted_witness_names_stage_and_size(monkeypatch):
             invariant_factors_with_transform(m)
         with pytest.raises(InternalCheckFailed, match=f"invariant factors: {what}"):
             decide(m)
+
+
+# ---- the restriction to the invariant complement ----------------------
+
+def _restriction_by_solve(m):
+    """M restricted to the invariant complement of its first cyclic
+    subspace, as the solve of comp R = M comp: the reference for the rows
+    that the decomposition reads it off."""
+    _, chain = cyclic_vector(m)
+    comp, _ = kernel_matrix(_dual_rows(m, _chain_matrix(m.field, chain)))
+    return solve(comp, m * comp)
+
+
+def _derogatory(f, rng):
+    """A conjugated direct sum of two or three companions in a divisibility
+    chain, or of Jordan blocks sharing an eigenvalue."""
+    if rng.random() < 0.5:
+        chain = [P(f, [rng.randint(-2, 2) for _ in range(rng.randint(1, 2))] + [1])]
+        for _ in range(rng.randint(1, 2)):
+            mult = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+            chain.append(chain[-1] * P(f, mult + [1]))
+        m = direct_sum(f, [companion(p) for p in chain])
+    else:
+        lam = rng.randint(0, 1)
+        m = direct_sum(f, [jordan_block(f, rng.randint(1, 3), eigenvalue=lam)
+                           for _ in range(rng.randint(2, 3))])
+    t = rand_invertible(f, m.rows, rng)
+    return t * m * inverse(t)
+
+
+def test_restriction_is_the_solve_written_down(monkeypatch):
+    """Each level reads M restricted to the complement off the complement's
+    free rows, with no solve; at every level of every derogatory input that
+    equals the solve of comp R = M comp."""
+    levels = []
+    real = quadsum.canonical._cyclic_decompose
+    monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose",
+                        lambda m: levels.append(m) or real(m))
+    rng = random.Random(18)
+    checked = 0
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(25):
+            levels.clear()
+            factors, _ = invariant_factors_with_transform(_derogatory(f, rng))
+            assert len(levels) == len(factors) >= 2
+            for m, restricted in zip(levels, levels[1:]):
+                assert restricted == _restriction_by_solve(m)
+                checked += 1
+    assert checked >= 100
+
+
+def test_decomposition_solves_only_for_the_dual_row(monkeypatch):
+    """``_cyclic_decompose`` runs ``solve`` only when no standard row pairs
+    invertibly with the chain, for the dual row w K = e_(d-1)^T."""
+    callers = []
+    real = quadsum.canonical.solve
+
+    def counted(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(a, b)
+
+    monkeypatch.setattr(quadsum.canonical, "solve", counted)
+    invariant_factors_with_transform(direct_sum(QQ, [jordan_block(QQ, 2), jordan_block(QQ, 1)]))
+    assert callers == []
+    rng = random.Random(19)
+    for f in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(10):
+            invariant_factors_with_transform(_derogatory(f, rng))
+    assert set(callers) <= {"_dual_rows"}
+    callers.clear()
+    invariant_factors_with_transform(Matrix.diagonal(QQ, [0, 0, 1]))
+    assert callers == ["_dual_rows"]
+
+
+def test_corrupted_restriction_names_stage_and_size(monkeypatch):
+    """A restriction that is not M on the complement (here shifted by I)
+    fails the M T = T F check, which names its stage and the matrix size."""
+    real = quadsum.canonical._cyclic_decompose
+    m = _derogatory(QQ, random.Random(20))
+    factors, _ = real(m)
+    assert len(factors) >= 2
+    monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda r: real(
+        r + Matrix.identity(QQ, r.rows) if r.rows < m.rows else r))
+    with pytest.raises(InternalCheckFailed,
+                       match=f"invariant factors: M T is not T F, .* {m.rows}x{m.rows} matrix"):
+        invariant_factors_with_transform(m)
 
 
 # ---- spectral split at {0, 1}, per cyclic block ----------------------
@@ -241,12 +319,12 @@ def test_nilpotent_jordan_recovers_sizes():
             nil = direct_sum(f, [jordan_block(f, s) for s in sizes])
             t = rand_invertible(f, nil.rows, rng)
             decision = decide(t * nil * inverse(t))
-            assert decision.nullity_at_0.values == conjugate_partition(sizes)
-            assert decision.nullity_at_1.values == ()
+            assert decision.nullity_at_0 == conjugate_partition(sizes)
+            assert decision.nullity_at_1 == ()
 
 
 def test_nilpotent_jordan_zero_sized():
-    assert decide(Matrix.zero(QQ, 0, 0)).nullity_at_0.values == ()
+    assert decide(Matrix.zero(QQ, 0, 0)).nullity_at_0 == ()
 
 
 # ---- determinism -------------------------------------------------------

@@ -8,8 +8,10 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from quadsum import Certificate, Matrix, cli
+from quadsum import cli
 from quadsum.cli import main
+from quadsum.matrix import Matrix
+from quadsum.sums import Certificate
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 GOLDEN = os.path.join(DATA, "decide_golden.json")

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadsum import (GF, QQ, DimensionMismatch, Matrix, MixedFields, Polynomial,
-                     Singular, block2x2, companion, direct_sum,
-                     hstack, inverse, jordan_block, kernel_matrix,
-                     krylov_annihilator, rank, rank_and_kernel, solve)
-from quadsum.matrix import _rref
+from quadsum.errors import DimensionMismatch, MixedFields, Singular
+from quadsum.field import GF, QQ
+from quadsum.matrix import (Matrix, _rref, block2x2, direct_sum, hstack, inverse, jordan_block,
+                            kernel_matrix, rank, solve)
+from quadsum.poly import Polynomial, companion, krylov_annihilator
 from conftest import rand_element, rand_invertible, rand_matrix, rand_wide_rational
 
 
@@ -97,7 +97,7 @@ def test_every_operation_stores_canonical_values():
                 jordan_block(f, n, eigenvalue=-1), jordan_block(f, n),
                 Matrix.identity(f, n), Matrix.zero(f, n, 2),
             ]
-            results.extend(rank_and_kernel(a)[1] + rank_and_kernel(Matrix.zero(f, n, 3))[1])
+            results.extend(kernel_matrix(x)[0] for x in (a, Matrix.zero(f, n, 3)))
             for m in results:
                 assert_canonical(m)
             g = Polynomial(f, [rand_element(f, rng) for _ in range(n + 2)] + [1])
@@ -129,23 +129,19 @@ def test_zero_sized_products():
         assert Matrix.zero(f, 0, 2) * Matrix.identity(f, 2) == Matrix.zero(f, 0, 2)
 
 
-def test_power():
-    j = jordan_block(QQ, 3)
-    assert (j ** 0) == Matrix.identity(QQ, 3)
-    assert (j ** 2) == j * j
-    assert (j ** 3).is_zero()
-
-
-def test_rank_and_kernel_canonical():
+def test_kernel_matrix_canonical():
+    """The basis is the identity at the free coordinates, so the same input
+    always gives the same basis."""
     f = GF(3)
     m = Matrix.from_rows(f, [[1, 2, 0], [0, 1, 0]])
-    rk, basis = rank_and_kernel(m)
-    assert rk == 2
-    assert len(basis) == 1
-    for v in basis:
-        assert (m * v).is_zero()
-    # determinism: identical input, identical basis
-    assert rank_and_kernel(m)[1] == basis
+    k, free = kernel_matrix(m)
+    assert free == [2]
+    assert k == Matrix.column(f, [0, 0, 1])
+    assert (m * k).is_zero()
+    m = Matrix.from_rows(f, [[1, 2, 1, 0]])
+    k, free = kernel_matrix(m)
+    assert free == [1, 2, 3]
+    assert k == Matrix.from_rows(f, [[1, 2, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_kernel_matrix_columns_annihilate():
@@ -154,8 +150,9 @@ def test_kernel_matrix_columns_annihilate():
         for _ in range(20):
             n = rng.randint(1, 5)
             m = rand_matrix(f, n, rng, cols=rng.randint(1, 5))
-            k = kernel_matrix(m)
+            k, free = kernel_matrix(m)
             assert rank(m) + k.cols == m.cols
+            assert Matrix.from_rows(f, [k.row(j) for j in free]) == Matrix.identity(f, k.cols)
             assert (m * k).is_zero()
 
 
@@ -277,7 +274,7 @@ def elimination_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(elimination_inputs())
 def test_elimination_matches_fraction_gauss_jordan(case):
-    """_rref, rank, rank_and_kernel, inverse and solve give exactly what a
+    """_rref, rank, kernel_matrix, inverse and solve give exactly what a
     Gauss-Jordan reference in field arithmetic gives: the reduced echelon
     form is unique, however the kernel eliminates."""
     m, b = case
@@ -295,8 +292,9 @@ def test_elimination_matches_fraction_gauss_jordan(case):
         v[j] = f.one()
         for i, pc in enumerate(pivots):
             v[pc] = -ref[i][j]
-        want.append(Matrix.column(f, v))
-    assert rank_and_kernel(m) == (len(pivots), want)
+        want.append(v)
+    k = Matrix(f, m.cols, len(free), [v[i] for i in range(m.cols) for v in want])
+    assert kernel_matrix(m) == (k, free)
     if m.rows == m.cols:
         ident = Matrix.identity(f, m.rows)
         aug_pivots, aug = reference_rref(f, [r + i for r, i in zip(m.to_rows(), ident.to_rows())],

@@ -1,14 +1,22 @@
 """Brute-force enumeration oracle: counts, atlas membership, and the
 decide-vs-atlas comparison on small spaces."""
 
+import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
-from quadsum import GF, BudgetExceeded, Matrix, companion, inverse, Polynomial
-from quadsum.oracle import (DEFAULT_BUDGET, _raw_idempotents, _raw_square_zero,
-                            build_sum_atlas, comparison_to_json, exhaustive_compare,
-                            idempotent_count)
+from quadsum.errors import BudgetExceeded, DecisionNo, NotSplitError, UnsupportedCase
+from quadsum.field import GF
+from quadsum.matrix import Matrix, inverse
+from quadsum.poly import Polynomial, companion
+from quadsum.oracle import (DEFAULT_BUDGET, _raw_idempotents, _raw_matrices, _raw_mul,
+                            _raw_square_zero, build_sum_atlas, comparison_to_json,
+                            exhaustive_compare, idempotent_count)
+from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
+                          construct, verify_certificate)
 from conftest import rand_invertible
 
 
@@ -57,7 +65,18 @@ def test_atlas_membership_companion_example():
     # C(t^2 + t + 1) over GF(2) is a quadratic sum (g = s + 1)
     f = GF(2)
     atlas = build_sum_atlas(f, 2)
-    assert atlas.contains(companion(Polynomial.from_coeffs(f, [1, 1, 1])))
+    assert atlas.contains(companion(Polynomial(f, [1, 1, 1])))
+
+
+def test_atlas_membership_compares_field_and_shape():
+    """Each probe has the raw entries of a member of the 2x2 GF(2) atlas,
+    but not its field or its shape."""
+    atlas = build_sum_atlas(GF(2), 2)
+    assert atlas.contains(Matrix.from_rows(GF(2), [[1, 0], [0, 0]]))
+    for probe in (Matrix.from_rows(GF(2), [[1, 0, 0, 0]]),
+                  Matrix.from_rows(GF(2), [[1], [0], [0], [0]]),
+                  Matrix.from_rows(GF(3), [[1, 0], [0, 0]])):
+        assert not atlas.contains(probe)
 
 
 def test_atlas_similarity_closure_sampled():
@@ -93,3 +112,57 @@ def test_report_and_export_shapes():
     assert payload["pass"] is True
     assert payload["total"] == 2
     assert build_sum_atlas(GF(2), 1).members == {(0,), (1,)}
+
+
+# ---- every small parameter set against full scans ----------------------
+
+def _quadratics(p: int, n: int, a: int, b: int):
+    """Raw entries of every n x n matrix X over GF(p) with X^2 = a X + b I."""
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    return [tuple(x) for x in _raw_matrices(p, n)
+            if _raw_mul(x, x, p, n) == [(a * u + b * e) % p for u, e in zip(x, ident)]]
+
+
+def test_every_small_parameter_set_against_full_scans():
+    """For every (a, b, c, d) in GF(2)^4 and GF(3)^4 and n in {1, 2}, the set
+    of sums A + B of an (a, b)- and a (c, d)-quadratic matrix, both found by
+    full scan, against the classification, construct and the case-I
+    necessary condition."""
+    t0 = time.monotonic()
+    seen = Counter()
+    for p in (2, 3):
+        f = GF(p)
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            params = QuadParams.of(f, a, b, c, d)
+            roots = [[r for r in range(p) if (r * r - x * r - y) % p == 0]
+                     for x, y in ((a, b), (c, d))]
+            for n in (1, 2):
+                matrices = [Matrix._raw(f, n, n, x) for x in _raw_matrices(p, n)]
+                if not all(roots):
+                    for m in matrices:
+                        with pytest.raises(NotSplitError):
+                            construct(m, params)
+                    seen["not split"] += 1
+                    continue
+                # a = 2 alpha holds for one root alpha iff for both: iff the root is double
+                double = [(x - 2 * r[0]) % p == 0 for x, r in ((a, roots[0]), (c, roots[1]))]
+                case = "II" if all(double) else "III" if any(double) else "I"
+                sums = {tuple((u + v) % p for u, v in zip(x, y))
+                        for x in _quadratics(p, n, a, b) for y in _quadratics(p, n, c, d)}
+                for m in matrices:
+                    cls, shifted = classify_and_reduce(m, params)
+                    assert cls.case == case and cls.alpha.v in roots[0] and cls.beta.v in roots[1]
+                    if case == "III" and m._e in sums:
+                        assert verify_certificate(m, construct(m, params)).ok
+                        seen["certificate"] += 1
+                        continue
+                    with pytest.raises(DecisionNo if case == "III" else UnsupportedCase):
+                        construct(m, params)
+                    scales = params.a - 2 * cls.alpha, params.c - 2 * cls.beta
+                    if case == "I" and scales[0] != scales[1]:
+                        if check_necessary_combination(shifted, *scales).status == "no":
+                            assert m._e not in sums
+                            seen["necessary no"] += 1
+                    seen[case] += 1
+    assert min(seen[k] for k in ("not split", "certificate", "III", "II", "I", "necessary no")) > 0
+    assert time.monotonic() - t0 < 30

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsum
-from quadsum import (GF, QQ, DimensionMismatch, InternalCheckFailed, Matrix, NotMonic,
-                     Polynomial, companion, decompose_in_t2_minus_t, direct_sum, gcd,
-                     hstack, inverse, jordan_block, krylov_annihilator, lcm,
-                     minimal_polynomial, rank, solve, substitute_one_minus_t)
-from quadsum.poly import _coprime_split, cyclic_vector
+from quadsum.errors import DimensionMismatch, InternalCheckFailed, NotMonic
+from quadsum.field import GF, QQ
+from quadsum.matrix import Matrix, direct_sum, hstack, inverse, jordan_block, rank, solve
+from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
+                          decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
+                          minimal_polynomial, substitute_one_minus_t)
 from conftest import coprime_denominators, rand_invertible, rand_matrix, rand_wide_rational
 
-
-def P(field, coeffs):
-    return Polynomial.from_coeffs(field, coeffs)
+P = Polynomial
 
 
 def test_canonical_form():

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 
 import quadsum
 
@@ -46,19 +47,32 @@ def test_no_unused_imports():
     assert found == []
 
 
+def loads(node):
+    """Every name and attribute that the syntax tree ``node`` reads."""
+    nodes = list(ast.walk(node))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def unread_definitions(sources, kinds, wanted, outside=frozenset()):
+    """(module, name) of every top-level definition of one of ``kinds`` whose
+    name satisfies ``wanted``, that no top-level statement of the (module,
+    text) pairs in ``sources`` reads outside its own body and that is not in
+    ``outside``."""
+    defined, read = [], set(outside)
+    for module, text in sources:
+        for stmt in ast.parse(text).body:
+            own = stmt.name if isinstance(stmt, kinds) else None
+            if own and wanted(own):
+                defined.append((module, own))
+            read |= loads(stmt) - {own}
+    return [(module, name) for module, name in defined if name not in read]
+
+
 def orphaned_functions(sources):
     """(module, name) of every private top-level function that no other
     top-level statement of the (module, text) pairs in ``sources`` reads."""
-    defined, read = [], set()
-    for module, text in sources:
-        for stmt in ast.parse(text).body:
-            own = stmt.name if isinstance(stmt, ast.FunctionDef) else None
-            if own and own.startswith("_"):
-                defined.append((module, own))
-            nodes = list(ast.walk(stmt))
-            names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            read |= (names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}) - {own}
-    return [(module, name) for module, name in defined if name not in read]
+    return unread_definitions(sources, ast.FunctionDef, lambda name: name.startswith("_"))
 
 
 def test_orphaned_functions_are_found():
@@ -72,3 +86,42 @@ def test_no_orphaned_private_functions():
     """Every private top-level function of the package is read somewhere in
     the package, outside its own body."""
     assert orphaned_functions(package_sources()) == []
+
+
+def unread_public(sources, outside):
+    """(module, name) of every public top-level function and class of the
+    (module, text) pairs in ``sources`` that none of them reads outside its
+    own body and that is not in ``outside``."""
+    return unread_definitions(sources, (ast.FunctionDef, ast.ClassDef),
+                              lambda name: not name.startswith("_"), outside)
+
+
+def markdown_code_names(text: str):
+    """Every identifier in the inline code and the code blocks of a markdown text."""
+    return set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]*)`+", text))))
+
+
+def test_unread_public_definitions_are_found():
+    first = ("def used():\n    pass\n\ndef alone(n):\n    return alone(n - 1)\n\n"
+             "class Kept:\n    pass\n")
+    second = "import first\n\ndef caller():\n    return first.used()\n\nclass Lonely:\n    pass\n"
+    assert unread_public([("first", first), ("second", second)], {"Kept"}) == [
+        ("first", "alone"), ("second", "caller"), ("second", "Lonely")]
+    assert markdown_code_names("Call `decide(m)`, then\n```python\nconstruct(m)\n```\nnot rank.") \
+        == {"decide", "m", "python", "construct"}
+
+
+def test_every_public_definition_has_a_reader():
+    """Every public top-level function and class of the package is read in
+    the package outside its own body, in the README's code, in the benchmark
+    or in the acceptance tests, so an export that only other tests read does
+    not come back."""
+    root = os.path.dirname(os.path.dirname(SRC))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        outside = markdown_code_names(fh.read())
+    bench = os.path.join(root, "perfbench")
+    paths = [os.path.join(bench, name) for name in os.listdir(bench) if name.endswith(".py")]
+    for path in paths + [os.path.join(os.path.dirname(__file__), "test_acceptance.py")]:
+        with open(path, encoding="utf-8") as fh:
+            outside |= loads(ast.parse(fh.read()))
+    assert unread_public(package_sources(), outside) == []
