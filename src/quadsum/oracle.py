@@ -1,8 +1,12 @@
 """Brute-force ground truth over small finite fields.
 
-Enumerates idempotents, square-zero matrices and their sums by full scan of
-the p^(n^2) matrix space, guarded by an explicit budget.  The resulting
-atlas is the reference answer set that the structural decision procedure is
+Enumerates idempotents, square-zero matrices and their sums by one full scan
+of the p^(n^2) matrix space, guarded by an explicit budget: each matrix is
+squared once, and the square sorts it into the idempotents (square equal to
+the matrix), the square-zero matrices (square zero), both (the zero matrix)
+or neither.  The idempotents are checked against their closed-form count,
+with a product of its own that shares no kernel with :mod:`quadsum.matrix`.
+The resulting atlas is the reference answer set that the structural decision procedure is
 compared against, entry by entry, in the headline exhaustive runs.
 """
 
@@ -13,21 +17,18 @@ from dataclasses import dataclass
 from .errors import BadParams, BudgetExceeded, InternalCheckFailed
 from .field import Field
 from .matrix import Matrix
-from .sums import decide
+from .sums import _is_int, decide
 
 #: Full-scan budget: the largest sanctioned scan, GF(2) at n = 4, has 2^16
 #: matrices; GF(2) at n = 5 (2^25, about seven hours) is refused.
 DEFAULT_BUDGET = 1 << 17
 
 
-def _require_prime_field(field: Field):
-    if field.p is None:
-        raise BadParams("oracle enumeration needs a finite field")
-
-
 def _check_budget(p: int, n: int, budget: int):
-    if n < 0:
-        raise BadParams(f"matrix size must be non-negative, got {n}")
+    if not _is_int(n) or n < 0:
+        raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
+    if not _is_int(budget):
+        raise BadParams(f"the budget must be an int, got {budget!r}")
     # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
     # budget's bit length: refuse on sizes before building a huge power
     if n * n * (p.bit_length() - 1) >= budget.bit_length() or p ** (n * n) > budget:
@@ -73,21 +74,22 @@ def idempotent_count(p: int, n: int) -> int:
     return sum(_gaussian_binomial(n, r, p) * p ** (r * (n - r)) for r in range(n + 1))
 
 
-def _raw_idempotents(p: int, n: int, budget: int):
-    _check_budget(p, n, budget)
-    hits = []
-    for a in _raw_matrices(p, n):
-        if _raw_mul(a, a, p, n) == a:
-            hits.append(tuple(a))
-    if len(hits) != idempotent_count(p, n):
-        raise InternalCheckFailed("idempotent scan disagrees with the closed-form count")
-    return hits
-
-
-def _raw_square_zero(p: int, n: int, budget: int):
+def _raw_squares(p: int, n: int, budget: int):
+    """(idempotents, square-zero matrices) of the n x n space, in odometer
+    order, from one scan that squares each matrix once; the zero matrix is
+    in both."""
     _check_budget(p, n, budget)
     zero = [0] * (n * n)
-    return [tuple(a) for a in _raw_matrices(p, n) if _raw_mul(a, a, p, n) == zero]
+    idempotents, square_zero = [], []
+    for a in _raw_matrices(p, n):
+        sq = _raw_mul(a, a, p, n)
+        if sq == a:
+            idempotents.append(tuple(a))
+        if sq == zero:
+            square_zero.append(tuple(a))
+    if len(idempotents) != idempotent_count(p, n):
+        raise InternalCheckFailed("idempotent scan disagrees with the closed-form count")
+    return idempotents, square_zero
 
 
 @dataclass(frozen=True)
@@ -109,24 +111,23 @@ def build_sum_atlas(field: Field, n: int, kind: str = "main",
                     alpha=None, beta=None, budget: int = DEFAULT_BUDGET) -> SumAtlas:
     """Enumerate {P + Q} (main: P idempotent, Q square-zero) or
     {alpha P + beta Q} (scaled: both idempotent)."""
-    _require_prime_field(field)
     p = field.p
+    if p is None:
+        raise BadParams("oracle enumeration needs a finite field")
     if kind == "main":
-        first = _raw_idempotents(p, n, budget)
-        second = _raw_square_zero(p, n, budget)
         ca = cb = 1
     elif kind == "scaled":
         if alpha is None or beta is None:
             raise BadParams("scaled atlas needs alpha and beta")
         ca = field.element(alpha).v
         cb = field.element(beta).v
-        first = _raw_idempotents(p, n, budget)
-        second = first
     else:
         raise BadParams(f"unknown atlas kind {kind!r}")
+    idempotents, square_zero = _raw_squares(p, n, budget)
+    second = square_zero if kind == "main" else idempotents
     members = set()
     size = n * n
-    for fa in first:
+    for fa in idempotents:
         scaled_a = [ca * v % p for v in fa]
         for fb in second:
             members.add(tuple((scaled_a[i] + cb * fb[i]) % p for i in range(size)))
@@ -140,7 +141,7 @@ class ComparisonReport:
     total: int
     atlas_size: int
     decide_yes: int
-    mismatches: tuple  # of (raw entries, decide answer, atlas answer)
+    mismatches: tuple  # of (raw entries, decide answer); the atlas says the opposite
 
     @property
     def ok(self) -> bool:
@@ -149,11 +150,8 @@ class ComparisonReport:
 
 def exhaustive_compare(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> ComparisonReport:
     """Check decide(M) <=> atlas membership over every n x n matrix."""
-    _require_prime_field(field)
+    members = build_sum_atlas(field, n, "main", budget=budget).members
     p = field.p
-    _check_budget(p, n, budget)
-    atlas = build_sum_atlas(field, n, "main", budget=budget)
-    members = atlas.members
     yes = 0
     mismatches = []
     for raw in _raw_matrices(p, n):
@@ -161,7 +159,7 @@ def exhaustive_compare(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> Co
         if answer:
             yes += 1
         if answer != (tuple(raw) in members):
-            mismatches.append((tuple(raw), answer, not answer))
+            mismatches.append((tuple(raw), answer))
     return ComparisonReport(field, n, p ** (n * n), len(members), yes,
                             tuple(mismatches))
 
@@ -173,6 +171,6 @@ def comparison_to_json(report: ComparisonReport):
         "total": report.total,
         "atlas_size": report.atlas_size,
         "decide_yes": report.decide_yes,
-        "mismatches": [list(raw) for raw, _, _ in report.mismatches],
+        "mismatches": [list(raw) for raw, _ in report.mismatches],
         "pass": report.ok,
     }

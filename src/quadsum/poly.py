@@ -249,12 +249,7 @@ def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(f)
     quo = _divrem(f, a.coeffs, _gcd(f, a.coeffs, b.coeffs))[0]
-    out = [0] * (len(quo) + len(b.coeffs) - 1)
-    for i, x in enumerate(quo):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                out[i + j] += x * y
-    return _monic(f, out)
+    return (Polynomial._raw(f, quo) * b).monic()
 
 
 def companion(p: Polynomial) -> Matrix:
@@ -383,33 +378,21 @@ def minimal_polynomial(m: Matrix) -> Polynomial:
 def decompose_in_t2_minus_t(f: Polynomial):
     """Write a monic f as g(t^2 - t) if possible; return g, else None.
 
-    Greedy: repeatedly strip the even leading term c*t^(2m) by subtracting
-    c*(t^2 - t)^m, failing as soon as an odd-degree leading term shows up.
-    The representation is unique when it exists.
+    The digits of f in base s = t^2 - t, the remainders of repeated division
+    by s, have degree below 2.  f is g(s) exactly when every digit is a
+    constant, and then the digits are g's coefficients, lowest first.
     """
     if not f.is_monic():
         raise NotMonic("decompose_in_t2_minus_t needs a monic polynomial")
     field = f.field
-    s = Polynomial(field, [0, -1, 1])  # t^2 - t
-    powers = {0: Polynomial.one(field)}
-
-    def s_pow(m):
-        if m not in powers:
-            powers[m] = s_pow(m - 1) * s
-        return powers[m]
-
-    work = f
-    out = [field.reduce(0)] * (f.degree // 2 + 1)
-    while work.degree not in (None, 0):
-        d = work.degree
-        if d % 2:
+    s = [field.reduce(c) for c in (0, -1, 1)]
+    work, digits = f.coeffs, []
+    while work:
+        work, rem = _divrem(field, work, s)
+        if len(rem) > 1:
             return None
-        c = work.coeffs[-1]
-        out[d // 2] = c
-        work = work - s_pow(d // 2)._scaled(c)
-    if not work.is_zero():
-        out[0] = work.coeffs[0]
-    return Polynomial._raw(field, out)
+        digits.append(rem[0] if rem else field.reduce(0))
+    return Polynomial._raw(field, digits)
 
 
 def substitute_one_minus_t(f: Polynomial) -> Polynomial:

@@ -126,10 +126,16 @@ class NecessaryReport:
 
 # ---- intertwined sequences and block pairing -------------------------
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_sequence(u):
     u = tuple(u)
-    if any(x < 0 for x in u) or any(u[i] < u[i + 1] for i in range(len(u) - 1)):
-        raise MalformedSequence(f"not a non-increasing non-negative sequence: {u}")
+    if (not all(_is_int(x) and x >= 0 for x in u)
+            or any(u[i] < u[i + 1] for i in range(len(u) - 1))):
+        raise MalformedSequence(f"not a non-increasing sequence of non-negative ints: {u}")
     return u
 
 
@@ -148,8 +154,8 @@ def _first_violation(u, v, p: int):
 
 def is_p_intertwined(u, v, p: int) -> bool:
     """Whether u_{n+p} <= v_n and v_{n+p} <= u_n for all n >= 1."""
-    if p < 1:
-        raise BadParams("p must be a positive integer")
+    if not _is_int(p) or p < 1:
+        raise BadParams(f"p must be a positive int, got {p!r}")
     u = _check_sequence(u)
     v = _check_sequence(v)
     return _first_violation(u, v, p) is None
@@ -164,10 +170,10 @@ def pair_blocks(sizes_at_1, sizes_at_0):
     to the 2-intertwining of the corresponding nullity sequences.  Returns
     the units, largest first, or None when infeasible (decision NO).
     """
+    if not all(_is_int(s) and s > 0 for s in [*sizes_at_1, *sizes_at_0]):
+        raise MalformedSequence(f"block sizes must be positive ints: {sizes_at_1}, {sizes_at_0}")
     s1 = sorted(sizes_at_1, reverse=True)
     s0 = sorted(sizes_at_0, reverse=True)
-    if any(s <= 0 for s in s1 + s0):
-        raise MalformedSequence("block sizes must be positive")
     length = max(len(s1), len(s0))
     units = tuple(zip(s1 + [0] * (length - len(s1)), s0 + [0] * (length - len(s0))))
     return None if any(abs(a - b) > 2 for a, b in units) else units

@@ -8,38 +8,39 @@ from collections import Counter
 
 import pytest
 
-from quadsum.errors import BudgetExceeded, DecisionNo, NotSplitError, UnsupportedCase
+from quadsum.errors import BadParams, BudgetExceeded, DecisionNo, NotSplitError, UnsupportedCase
 from quadsum.field import GF
 from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
-from quadsum.oracle import (DEFAULT_BUDGET, _raw_idempotents, _raw_matrices, _raw_mul,
-                            _raw_square_zero, build_sum_atlas, comparison_to_json,
-                            exhaustive_compare, idempotent_count)
+from quadsum import oracle
+from quadsum.oracle import (DEFAULT_BUDGET, _raw_matrices, _raw_mul, _raw_squares,
+                            build_sum_atlas, comparison_to_json, exhaustive_compare,
+                            idempotent_count)
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
                           construct, verify_certificate)
 from conftest import rand_invertible
 
 
 def test_idempotents_gf2_n1():
-    assert set(_raw_idempotents(2, 1, DEFAULT_BUDGET)) == {(0,), (1,)}
+    assert set(_raw_squares(2, 1, DEFAULT_BUDGET)[0]) == {(0,), (1,)}
 
 
 def test_idempotents_gf2_n2_count():
-    assert len(_raw_idempotents(2, 2, DEFAULT_BUDGET)) == 8
+    assert len(_raw_squares(2, 2, DEFAULT_BUDGET)[0]) == 8
     assert idempotent_count(2, 2) == 8
 
 
 def test_idempotents_are_idempotent():
     for p, n in ((2, 3), (3, 2)):
         f = GF(p)
-        for raw in _raw_idempotents(p, n, DEFAULT_BUDGET):
+        for raw in _raw_squares(p, n, DEFAULT_BUDGET)[0]:
             e = Matrix._raw(f, n, n, raw)
             assert e * e == e
 
 
 def test_square_zero_gf2_n2():
     f = GF(2)
-    raw = set(_raw_square_zero(2, 2, DEFAULT_BUDGET))
+    raw = set(_raw_squares(2, 2, DEFAULT_BUDGET)[1])
     assert (0, 0, 0, 0) in raw
     assert (0, 0, 1, 0) in raw  # the shift block
     assert (1, 1, 1, 1) in raw
@@ -48,9 +49,67 @@ def test_square_zero_gf2_n2():
         assert (b * b).is_zero()
 
 
+def test_one_scan_squares_each_matrix_once(monkeypatch):
+    """Both kinds of atlas square each of the p^(n^2) matrices once."""
+    calls = Counter()
+
+    def counted(*args):
+        calls["mul"] += 1
+        return _raw_mul(*args)
+
+    monkeypatch.setattr(oracle, "_raw_mul", counted)
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 2)):
+        for kind, scalars in (("main", {}), ("scaled", {"alpha": 1, "beta": 2})):
+            calls.clear()
+            build_sum_atlas(GF(p), n, kind, **scalars)
+            assert calls["mul"] == p ** (n * n), (p, n, kind)
+
+
+def test_one_scan_sorts_the_space_by_its_square():
+    """Idempotents and square-zero matrices, in odometer order, as the test's
+    own scans find them; the zero matrix is in both lists."""
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        idempotents, square_zero = _raw_squares(p, n, DEFAULT_BUDGET)
+        assert idempotents == _quadratics(p, n, 1, 0), (p, n)
+        assert square_zero == _quadratics(p, n, 0, 0), (p, n)
+        assert (0,) * (n * n) in idempotents and (0,) * (n * n) in square_zero
+
+
+def _gl_order(n: int, q: int) -> int:
+    out = 1
+    for i in range(n):
+        out *= q ** n - q ** i
+    return out
+
+
+def _square_zero_count(q: int, n: int) -> int:
+    """Square-zero n x n matrices over GF(q): r Jordan blocks J_2(0) and
+    s = n - 2r blocks J_1(0), each class counted as |GL_n| over the order
+    q^(r^2 + 2rs) |GL_r| |GL_s| of its centralizer."""
+    return sum(_gl_order(n, q) // (q ** (r * r + 2 * r * (n - 2 * r))
+                                   * _gl_order(r, q) * _gl_order(n - 2 * r, q))
+               for r in range(n // 2 + 1))
+
+
+def test_square_zero_scan_matches_the_closed_form_count():
+    expected = {(2, 1): 1, (2, 2): 4, (2, 3): 22, (2, 4): 316, (3, 1): 1, (3, 2): 9, (3, 3): 105}
+    for (p, n), count in expected.items():
+        assert _square_zero_count(p, n) == count
+        assert len(_raw_squares(p, n, DEFAULT_BUDGET)[1]) == count, (p, n)
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         build_sum_atlas(GF(5), 4, budget=1 << 20)
+
+
+def test_atlas_refuses_a_size_or_budget_that_is_not_an_int():
+    for n, budget in ((2.0, DEFAULT_BUDGET), (True, DEFAULT_BUDGET), ("2", DEFAULT_BUDGET),
+                      (2, 1e6), (2, True)):
+        with pytest.raises(BadParams):
+            build_sum_atlas(GF(2), n, budget=budget)
+        with pytest.raises(BadParams):
+            exhaustive_compare(GF(2), n, budget=budget)
 
 
 def test_atlas_contains_zero_and_identity():

@@ -47,6 +47,25 @@ def test_is_p_intertwined_validation():
         is_p_intertwined((1, 2), (1,), 2)
 
 
+def test_is_p_intertwined_refuses_what_is_not_an_int():
+    for p in (1.5, 2.0, True, "2", None):
+        with pytest.raises(BadParams):
+            is_p_intertwined((2, 1), (1,), p)
+    for seq in ((2, 1.5), (2.0, 1), (True,), ("1",), (None,)):
+        with pytest.raises(MalformedSequence):
+            is_p_intertwined(seq, (1,), 2)
+        with pytest.raises(MalformedSequence):
+            is_p_intertwined((1,), seq, 2)
+
+
+def test_pair_blocks_refuses_what_is_not_an_int():
+    for sizes in ([1.5], [2.0], [True], ["1"], [None], [2, "1"]):
+        with pytest.raises(MalformedSequence):
+            pair_blocks(sizes, [1])
+        with pytest.raises(MalformedSequence):
+            pair_blocks([1], sizes)
+
+
 def test_pair_blocks_feasible():
     """Units (size at 1, size at 0), largest first, 0 for a block without a
     partner; the certificate JSON lists them as pairs and singletons."""
