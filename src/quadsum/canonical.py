@@ -141,7 +141,7 @@ def valuations(fac: Polynomial, alpha, beta):
     reduce = f.reduce
     out = []
     coeffs = fac.coeffs
-    for r in (f.element(alpha).v, f.element(beta).v):
+    for r in (f.value(alpha), f.value(beta)):
         k = 0
         while True:
             acc, quo = 0, []  # Horner at r: the quotient's coefficients, then the value

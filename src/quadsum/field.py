@@ -4,10 +4,10 @@ Every value is canonical: a reduced :class:`~fractions.Fraction` for the
 rationals, an ``int`` residue in ``[0, p)`` for GF(p).  Structural equality
 is exact equality, and all operations are pure, so values are freely
 shareable.  Matrices and polynomials store these raw canonical values;
-:class:`FieldElement` wraps one for the public API.  :meth:`Field.element`
-is the one way in (it coerces ints, Fractions, strings and elements, and
-refuses floats and bools),
-:meth:`Field.make` the one way out, and :meth:`Field.reduce` the one
+:class:`FieldElement` wraps one for the public API.  :meth:`Field.value`
+is the one coercion of a scalar (it reads ints, Fractions, strings and
+elements to their raw value, and refuses floats and bools),
+:meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is the one
 function that brings a raw intermediate to canonical form (the GF(p)
 elimination and division loops inline its ``% p``).
 """
@@ -59,9 +59,7 @@ class Field:
     below ``_PRIME_LIMIT`` (about 3.3e24).
     """
 
-    __slots__ = ("p", "_interned")
-
-    _INTERN_CAP = 1 << 12
+    __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
         if p is not None:
@@ -70,10 +68,6 @@ class Field:
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        if p is not None and p <= self._INTERN_CAP:
-            self._interned = tuple(FieldElement(self, r) for r in range(p))
-        else:
-            self._interned = None
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.p == self.p
@@ -88,23 +82,31 @@ class Field:
 
     def make(self, v) -> "FieldElement":
         """Wrap a canonical raw value (a Fraction, or a residue in [0, p))."""
-        return FieldElement(self, v) if self._interned is None else self._interned[v]
+        return FieldElement(self, v)
 
-    def element(self, x) -> "FieldElement":
-        """Coerce an int, Fraction, decimal/fraction string, or element; a
-        float or bool is a TypeError, a non-integral Fraction over GF(p) a
-        ValueError."""
+    def value(self, x):
+        """The canonical raw value of an int, Fraction, element of this field,
+        or a string: "3", "-1/2", or over the rationals "0.25" and "1e-3".
+        A float or bool is a TypeError, a non-integral Fraction over GF(p) a
+        ValueError.  Fraction computes 10**k for an exponent k, so a string
+        with |k| > 4300 is a ValueError."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise MixedFields(f"element of {x.field!r} used in {self!r}")
-            return x
+            return x.v
         if isinstance(x, str):
-            return self.parse(x)
+            if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
+                raise ValueError(f"exponent out of range in {x!r}")
+            return self.reduce(Fraction(x) if self.p is None else int(x))
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"{x!r} is not an exact scalar")
         if self.p is not None and x.denominator != 1:
             raise ValueError(f"{x} is not an integer, so not a residue of {self!r}")
-        return self.make(self.reduce(x if self.p is None else int(x)))
+        return self.reduce(x if self.p is None else int(x))
+
+    def element(self, x) -> "FieldElement":
+        """``x`` as an element: its :meth:`value`, wrapped."""
+        return self.make(self.value(x))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -113,11 +115,8 @@ class Field:
         return self.element(1)
 
     def parse(self, s: str) -> "FieldElement":
-        """Read "3", "-1/2", or over the rationals "0.25" and "1e-3".  Fraction
-        computes 10**k for an exponent k, so |k| > 4300 is a ValueError."""
-        if "e" in s.lower() and abs(int(s.lower().rpartition("e")[2])) > 4300:
-            raise ValueError(f"exponent out of range in {s!r}")
-        return self.make(self.reduce(Fraction(s) if self.p is None else int(s)))
+        """The element a string reads as, by :meth:`value`."""
+        return self.make(self.value(s))
 
     # ---- raw-value arithmetic used by the dense kernels --------------
 
@@ -152,12 +151,9 @@ class FieldElement:
         self.v = v
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field!r} vs {other.field!r}")
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
+        """The raw value of an element of this field or an int, else None."""
+        if isinstance(other, (FieldElement, int)):
+            return self.field.value(other)
         return None
 
     def __add__(self, other):
@@ -165,7 +161,7 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(f.reduce(self.v + o.v))
+        return f.make(f.reduce(self.v + o))
 
     __radd__ = __add__
 
@@ -174,20 +170,21 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(f.reduce(self.v - o.v))
+        return f.make(f.reduce(self.v - o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        f = self.field
+        return f.make(f.reduce(o - self.v))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        return f.make(f.reduce(self.v * o.v))
+        return f.make(f.reduce(self.v * o))
 
     __rmul__ = __mul__
 
@@ -195,13 +192,15 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        f = self.field
+        return f.make(f.reduce(self.v * f.inv_raw(o)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        f = self.field
+        return f.make(f.reduce(o * f.inv_raw(self.v)))
 
     def __neg__(self):
         f = self.field
@@ -222,7 +221,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return other.field == self.field and other.v == self.v
         if isinstance(other, int) and not isinstance(other, bool):
-            return self == self.field.element(other)
+            return self.v == self.field.value(other)
         return NotImplemented
 
     def __hash__(self):
@@ -253,8 +252,6 @@ def _sqrt_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     # write p - 1 = q * 2^s with q odd
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -281,33 +278,33 @@ def quadratic_roots(field: Field, a, b) -> list[FieldElement] | None:
     When the polynomial splits, both roots are returned with multiplicity,
     sorted ascending (so callers can pick a deterministic representative).
     """
-    a = field.element(a)
-    b = field.element(b)
+    a = field.value(a)
+    b = field.value(b)
     p = field.p
     if p is None:
-        disc = a.v * a.v + 4 * b.v
+        disc = a * a + 4 * b
         if disc < 0:
             return None
         rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
         if rn * rn != disc.numerator or rd * rd != disc.denominator:
             return None
         s = Fraction(rn, rd)
-        lo, hi = sorted(((a.v + s) / 2, (a.v - s) / 2))
+        lo, hi = sorted(((a + s) / 2, (a - s) / 2))
         return [field.make(lo), field.make(hi)]
     if p == 2:
-        hits = [r for r in (0, 1) if (r * r - a.v * r - b.v) % 2 == 0]
+        hits = [r for r in (0, 1) if (r * r - a * r - b) % 2 == 0]
         if not hits:
             return None
         r = hits[0]
-        lo, hi = sorted((r, (a.v - r) % 2))
+        lo, hi = sorted((r, (a - r) % 2))
         return [field.make(lo), field.make(hi)]
-    disc = (a.v * a.v + 4 * b.v) % p
+    disc = (a * a + 4 * b) % p
     half = field.inv_raw(2)
     if disc == 0:
-        r = a.v * half % p
+        r = a * half % p
         return [field.make(r), field.make(r)]
     if pow(disc, (p - 1) // 2, p) != 1:
         return None
     s = _sqrt_mod(disc, p)
-    lo, hi = sorted(((a.v + s) * half % p, (a.v - s) * half % p))
+    lo, hi = sorted(((a + s) * half % p, (a - s) * half % p))
     return [field.make(lo), field.make(hi)]

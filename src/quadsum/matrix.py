@@ -5,7 +5,7 @@ show up naturally when a cyclic block is split at {0, 1}).  A matrix stores
 a flat row-major tuple of raw canonical values (``int`` residues in [0, p),
 reduced ``Fraction`` objects over Q), never ``FieldElement`` wrappers.  The
 public constructors (``Matrix(...)``, ``from_rows``, ``column``,
-``diagonal``) coerce through ``Field.element``; indexing, ``row``,
+``diagonal``) coerce through ``Field.value``; indexing, ``row``,
 ``to_rows`` and ``trace`` wrap what they return.  The kernels work on raw
 values, canonicalise with ``Field.reduce`` and build with :meth:`Matrix._raw`.
 
@@ -41,8 +41,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_e")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
-        element = field.element
-        entries = tuple(element(x).v for x in entries)
+        entries = tuple(map(field.value, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -93,7 +92,7 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field: Field, values) -> "Matrix":
-        vals = [field.element(x).v for x in values]
+        vals = [field.value(x) for x in values]
         n = len(vals)
         z = field.reduce(0)
         return cls._raw(field, n, n, [vals[i] if i == j else z for i in range(n) for j in range(n)])
@@ -161,7 +160,7 @@ class Matrix:
         if isinstance(other, Matrix):
             return self._matmul(other)
         if isinstance(other, (FieldElement, int)):
-            return self._scaled(self.field.element(other).v)
+            return self._scaled(self.field.value(other))
         return NotImplemented
 
     def _scaled(self, c) -> "Matrix":
@@ -453,7 +452,7 @@ def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:
     """Jordan block with ones on the subdiagonal (matching the companion
     convention used throughout: the block for t^k is C(t^k))."""
     _check_shape(size, size)
-    lam = field.element(eigenvalue).v
+    lam = field.value(eigenvalue)
     z, o = field.reduce(0), field.reduce(1)
     return Matrix._raw(field, size, size,
                        [lam if i == j else o if i == j + 1 else z

@@ -119,8 +119,8 @@ def build_sum_atlas(field: Field, n: int, kind: str = "main",
     elif kind == "scaled":
         if alpha is None or beta is None:
             raise BadParams("scaled atlas needs alpha and beta")
-        ca = field.element(alpha).v
-        cb = field.element(beta).v
+        ca = field.value(alpha)
+        cb = field.value(beta)
     else:
         raise BadParams(f"unknown atlas kind {kind!r}")
     idempotents, square_zero = _raw_squares(p, n, budget)

@@ -5,7 +5,7 @@ an lcm merge of standard basis vectors, never searched for), and the
 substitution test deciding whether f(t) can be written as g(t^2 - t).
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
-``Polynomial(...)`` coerces through ``Field.element``, scalar evaluation
+``Polynomial(...)`` coerces through ``Field.value``, scalar evaluation
 wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
 and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
 coefficient of each step over GF(p), and build a ``Polynomial`` only for
@@ -35,8 +35,7 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
-        element = field.element
-        self._store(field, [element(c).v for c in coeffs])
+        self._store(field, list(map(field.value, coeffs)))
 
     @classmethod
     def _raw(cls, field: Field, coeffs) -> "Polynomial":
@@ -109,7 +108,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
-            return self._scaled(self.field.element(other).v)
+            return self._scaled(self.field.value(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._chk(other)
@@ -156,7 +155,7 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = acc * x + ident._scaled(c)
             return acc
-        x = f.element(x).v
+        x = f.value(x)
         acc = f.reduce(0)
         for c in reversed(self.coeffs):
             acc = f.reduce(acc * x + c)
@@ -243,13 +242,13 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic least common multiple, (a / gcd(a, b)) b."""
+    """Monic least common multiple, (a / gcd(a, b)) b, its quotient scaled first."""
     a._chk(b)
     f = a.field
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(f)
     quo = _divrem(f, a.coeffs, _gcd(f, a.coeffs, b.coeffs))[0]
-    return (Polynomial._raw(f, quo) * b).monic()
+    return Polynomial._raw(f, quo)._scaled(f.inv_raw(quo[-1] * b.coeffs[-1])) * b
 
 
 def companion(p: Polynomial) -> Matrix:

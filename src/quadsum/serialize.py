@@ -39,15 +39,15 @@ def field_from_json(obj) -> Field:
 
 
 def _parse_element(field: Field, s):
-    """The one parse of a scalar that comes from outside (job files, CLI
+    """The raw value of a scalar that comes from outside (job files, CLI
     arguments): a string such as "3", "-1/2" or "0.25", or an integer.
     Everything else (floats, bools, null, lists), and any string the field
-    cannot read (``Field.parse`` also refuses huge exponents), is
+    cannot read (``Field.value`` also refuses huge exponents), is
     MalformedInput."""
     try:
         if not _is_json_scalar(s):
             raise TypeError("a scalar must be a string or an integer")
-        return field.element(s)
+        return field.value(s)
     except (QuadsumError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad element {s!r} for {field!r}") from exc
 
@@ -85,7 +85,7 @@ def matrix_from_json(field: Field, obj) -> Matrix:
         if not isinstance(row, list) or len(row) != cols:
             raise MalformedInput(f"every entry row must have {cols} entries")
         flat.extend(_parse_element(field, x) for x in row)
-    return Matrix(field, rows, cols, flat)
+    return Matrix._raw(field, rows, cols, flat)
 
 
 def matrix_from_rows(field: Field, rows) -> Matrix:
@@ -96,7 +96,7 @@ def matrix_from_rows(field: Field, rows) -> Matrix:
     if any(len(r) != width for r in rows):
         raise MalformedInput("ragged matrix rows")
     flat = [_parse_element(field, x) for row in rows for x in row]
-    return Matrix(field, len(rows), width, flat)
+    return Matrix._raw(field, len(rows), width, flat)
 
 
 # ---- polynomials, params, sequences ----------------------------------
@@ -116,7 +116,7 @@ def params_from_json(field: Field, obj) -> QuadParams:
     defaults = {"a": "1", "b": "0", "c": "0", "d": "0"}
     if not isinstance(obj, dict) or not set(obj) <= set(defaults):
         raise MalformedInput('params must be an object with keys among "a", "b", "c", "d"')
-    return QuadParams(**{key: _parse_element(field, obj.get(key, dflt))
+    return QuadParams(**{key: field.make(_parse_element(field, obj.get(key, dflt)))
                          for key, dflt in defaults.items()})
 
 

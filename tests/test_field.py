@@ -10,7 +10,7 @@ import pytest
 
 import quadsum
 from quadsum.errors import DivisionByZero, MixedFields
-from quadsum.field import GF, QQ, _is_prime, quadratic_roots
+from quadsum.field import GF, QQ, Field, FieldElement, _is_prime, _sqrt_mod, quadratic_roots
 from quadsum.matrix import Matrix
 from quadsum.poly import Polynomial
 
@@ -126,6 +126,84 @@ def test_parse_round_trip():
     f = GF(13)
     for v in range(13):
         assert str(f.parse(str(v))) == str(v)
+
+
+#: One scalar of every kind ``Field.value`` accepts, where the field reads it.
+_KINDS = (7, -3, 10 ** 30, Fraction(12, 4), Fraction(-1, 2), "3", "-1/2", "0.25", "1e-3", "-12")
+
+
+def test_value_is_the_raw_value_of_the_element():
+    """value(x) is element(x).v, of the same type, for every accepted kind
+    over QQ and over primes below and above 4096."""
+    for f in (QQ, GF(2), GF(101), GF(10007)):
+        for x in _KINDS + (f.element(5),):
+            try:
+                wrapped = f.element(x)
+            except ValueError:  # a fraction over GF(p)
+                with pytest.raises(ValueError):
+                    f.value(x)
+                continue
+            got = f.value(x)
+            assert got == wrapped.v and type(got) is type(wrapped.v), (f, x)
+            assert type(got) is (Fraction if f.p is None else int)
+        assert f.value(f.element(5)) == f.value(5) == f.parse("5").v
+
+
+def test_value_refuses_what_element_refuses():
+    """Every refused scalar raises the same class from value, element and parse."""
+    for f in (QQ, GF(2), GF(101), GF(10007)):
+        other = GF(3) if f.p is None else QQ
+        refused = [(0.5, TypeError), (2.0, TypeError), (True, TypeError), (False, TypeError),
+                   (None, TypeError), (other.element(1), MixedFields), ("1e4301", ValueError),
+                   ("abc", ValueError)]
+        if f.p is not None:
+            refused += [(Fraction(1, 2), ValueError), ("1/2", ValueError)]
+        for bad, exc in refused:
+            for read in (f.value, f.element):
+                with pytest.raises(exc):
+                    read(bad)
+            if isinstance(bad, str):
+                with pytest.raises(exc):
+                    f.parse(bad)
+
+
+def test_scalar_arithmetic_coerces_ints_without_a_wrapper(monkeypatch):
+    """An int operand is read to its raw value, so each operation wraps only its result."""
+    made = []
+    monkeypatch.setattr(Field, "make", lambda self, v: made.append(v) or FieldElement(self, v))
+    for f in (QQ, GF(7)):
+        x = f.element(3)
+        made.clear()
+        results = [x + 2, 2 + x, x - 2, 2 - x, x * 2, 2 * x, x / 2, 2 / x]
+        assert x == 3 and x != 4 and len(made) == len(results)
+        assert results[:6] == [f.element(v) for v in (5, 5, 1, -1, 6, 6)]
+        assert results[6] * 2 == x and results[7] * x == 2
+
+
+def test_constructors_wrap_no_scalar(monkeypatch):
+    """Matrices and polynomials read strings and ints straight to raw values."""
+    made = []
+    monkeypatch.setattr(Field, "make", lambda self, v: made.append(v) or FieldElement(self, v))
+    for f in (QQ, GF(5), GF(10007)):
+        m = Matrix.from_rows(f, [["1", "-2", "3"], ["4", 5, "6"]])
+        g = Polynomial(f, ["1", "-1", 2, "0"])
+        assert m._e == tuple(map(f.value, (1, -2, 3, 4, 5, 6)))
+        assert g.coeffs == tuple(map(f.value, (1, -1, 2)))
+        assert (2 * m)._e == (m * 2)._e and (g * 3).coeffs == (3 * g).coeffs
+    assert made == []
+
+
+def test_sqrt_mod_at_primes_3_mod_4_is_the_closed_form():
+    """For p = 3 (mod 4) Tonelli-Shanks returns a^((p+1)/4), the root of the
+    closed form, for every residue tried."""
+    rng = random.Random(3)
+    for p in (3, 7, 11, 19, 23, 31, 43, 10007, 10 ** 9 + 7, 2 ** 61 - 1):
+        assert p % 4 == 3
+        squares = {x * x % p for x in range(p)} if p < 100 else \
+            {rng.randrange(p) ** 2 % p for _ in range(300)}
+        for a in squares:
+            r = _sqrt_mod(a, p)
+            assert r * r % p == a and r == pow(a, (p + 1) // 4, p), (a, p)
 
 
 # ---- quadratic roots -------------------------------------------------

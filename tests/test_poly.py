@@ -45,6 +45,22 @@ def test_gcd_examples():
     assert lcm(P(QQ, [0, 1]), P(QQ, [-1, 1])) == P(QQ, [0, -1, 1])
 
 
+def test_lcm_of_polynomials_that_are_not_monic():
+    """lcm scales the quotient before the product; the result equals the
+    monic product of the quotient and b, coefficient types included."""
+    rng = random.Random(17)
+    for f in (QQ, GF(2), GF(5), GF(101)):
+        for _ in range(60):
+            a, b = (P(f, [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))] + [rng.randint(2, 9)])
+                    for _ in range(2))
+            if a.is_zero() or b.is_zero():
+                continue
+            got = lcm(a, b)
+            want = (a.divrem(gcd(a, b))[0] * b).monic()
+            assert got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            assert got.is_monic() and got.divrem(a)[1].is_zero() and got.divrem(b)[1].is_zero()
+
+
 def test_compose_example():
     # (s + 1) evaluated at s = t^2 - t
     outer = P(QQ, [1, 1])

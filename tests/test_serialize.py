@@ -6,6 +6,7 @@ import pytest
 
 from quadsum import GF, QQ, Matrix, QuadParams, construct, verify_certificate
 from quadsum import serialize
+from quadsum.field import Field, FieldElement
 from quadsum.errors import MalformedInput
 from conftest import rand_decomposable, rand_matrix
 
@@ -72,3 +73,26 @@ def test_jobspec_parsing():
                 {"field": "Q", "matrix": [["1"]], "params": {"A": "2"}}):
         with pytest.raises(MalformedInput):
             serialize.jobspec_from_json(bad)
+
+
+def test_readers_read_each_entry_once_and_wrap_only_the_params(monkeypatch):
+    """Job and certificate entries are read straight to raw values: the
+    matrix readers wrap no scalar, and a job or a certificate wraps exactly
+    its four params, whatever the size of its matrices."""
+    made = []
+    monkeypatch.setattr(Field, "make", lambda self, v: made.append(v) or FieldElement(self, v))
+    rng = random.Random(43)
+    for f, name in ((QQ, "Q"), (GF(2), {"GF": 2}), (GF(10007), {"GF": "10007"})):
+        for n in (1, 3, 5):
+            m = rand_decomposable(f, n, rng)
+            rows = [[str(x) for x in row] for row in m.raw_rows()]
+            cert = serialize.certificate_to_json(construct(m, QuadParams.of(f)))
+            made.clear()
+            assert serialize.matrix_from_rows(f, rows) == m
+            assert serialize.matrix_from_json(f, serialize.matrix_to_json(m)) == m
+            assert made == []
+            assert serialize.jobspec_from_json({"field": name, "matrix": rows})[1] == m
+            assert len(made) == 4
+            made.clear()
+            again = serialize.certificate_from_json(f, cert)
+            assert len(made) == 4 and verify_certificate(m, again).ok

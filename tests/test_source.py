@@ -47,6 +47,39 @@ def test_no_unused_imports():
     assert found == []
 
 
+def wrapped_then_unwrapped(text: str):
+    """(line, what) of every ``.v`` read off a call of ``.element(...)``, which
+    builds a wrapper only to unwrap it (``Field.value`` reads the raw value),
+    and of every name of an intern table of prebuilt elements."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, ast.Attribute) and node.attr == "v"
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "element"):
+            found.append((node.lineno, "element(...).v"))
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in ("_interned", "_INTERN_CAP"):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_wrapped_then_unwrapped_is_found():
+    text = ("a = f.element(x).v\nb = f.value(x)\nc = f.element(x)\nd = c.v\n"
+            "e = self._interned[v]\n_INTERN_CAP = 4096\n")
+    assert wrapped_then_unwrapped(text) == [(1, "element(...).v"), (5, "_interned"),
+                                            (6, "_INTERN_CAP")]
+
+
+def test_no_scalar_is_wrapped_only_to_be_unwrapped():
+    """Outside ``field.py`` no module reads ``.v`` off ``element(...)``, and
+    no module keeps a table of prebuilt elements."""
+    found = [f"{name}:{line} {what}" for name, text in package_sources()
+             for line, what in wrapped_then_unwrapped(text)
+             if name != "field.py" or what != "element(...).v"]
+    assert found == []
+
+
 def loads(node):
     """Every name and attribute that the syntax tree ``node`` reads."""
     nodes = list(ast.walk(node))
