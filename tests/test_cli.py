@@ -282,12 +282,14 @@ def test_byte_deterministic_output(tmp_path, capsys):
 def test_decide_output_matches_golden(tmp_path, capsys):
     """The decision JSON holds only similarity invariants, so its bytes must
     not move when the bases chosen inside decide change.  The expected stdout
-    of these 14 jobs (Q, GF(2), GF(5); n 0 to 10; YES and both kinds of NO)
+    of the first 14 jobs (Q, GF(2), GF(5); n 0 to 10; YES and both kinds of NO)
     was recorded before decide and construct were moved onto one Frobenius
-    decomposition."""
+    decomposition; that of the last 8 (GF(5) and GF(101) at n 16 and 24, one
+    uniform and one derogatory matrix each) before GF(p) rows were packed
+    into ints."""
     with open(GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)
-    assert len(cases) == 14
+    assert len(cases) == 22
     for k, case in enumerate(cases):
         job = write_job(tmp_path, f"{k}.json", case["job"])
         code, out, _ = run(capsys, ["decide", "--input", job])
@@ -311,13 +313,15 @@ def test_parser_is_built_once_and_survives_a_bad_command_line(tmp_path, capsys):
 def test_construct_output_matches_golden(tmp_path, capsys):
     """The certificate bytes depend on every basis choice inside construct,
     so a change to the arithmetic must leave them exactly as they were.  The
-    expected stdout of these 13 jobs (Q, GF(2), GF(5); n 0 to 8; a factor
+    expected stdout of the first 13 jobs (Q, GF(2), GF(5); n 0 to 8; a factor
     away from {0, 1}, Jordan pairs whose sizes differ by 2, singletons,
     shifted and swapped params, one NO) was recorded before matrices and
-    polynomials stored raw values."""
+    polynomials stored raw values; that of the last 4 (planted YES over
+    GF(5) and GF(101) at n 16 and 24) before GF(p) rows were packed into
+    ints."""
     with open(CONSTRUCT_GOLDEN, encoding="utf-8") as fh:
         cases = json.load(fh)
-    assert len(cases) == 13
+    assert len(cases) == 17
     for k, case in enumerate(cases):
         job = write_job(tmp_path, f"{k}.json", case["job"])
         code, out, _ = run(capsys, ["construct", "--input", job])
