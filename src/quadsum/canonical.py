@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
-from .matrix import (Matrix, _integral, _rank, _raw_products, direct_sum, hstack,
+from .matrix import (Matrix, _columns, _integral, _rank, _raw_products, direct_sum, hstack,
                      jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
@@ -62,8 +62,8 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     """
     f = m.field
     n, d = k_mat.rows, k_mat.cols
-    m_cols = _integral(f, [m._e[j::n] for j in range(n)])
-    chain_cols = _integral(f, [k_mat._e[j::d] for j in range(d)])
+    m_cols = _columns(f, [m._e[j::n] for j in range(n)])
+    chain_cols = _columns(f, [k_mat._e[j::d] for j in range(d)])
     for i in range(n + 1):
         rows = [[int(i == j) for j in range(n)] if i < n else
                 list(solve(k_mat.transpose(), Matrix.column(f, [0] * (d - 1) + [1]))._e)]

@@ -13,7 +13,9 @@ their results.  The Krylov annihilator has no elimination of its own: it
 reduces each Krylov vector, extended by its combination over the Krylov
 powers, with the row operation of :func:`quadsum.matrix._reduce`,
 fraction-free over the rationals, and builds ``Fraction``s only for the
-returned annihilator.
+returned annihilator.  Over GF(p), under a matrix of size
+``quadsum.matrix._PACK_MIN`` or more, those rows are packed into ints, and
+M's columns are packed once per chain for its M w steps.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _integral, _pivot, _raw_products, _reduce
+from .matrix import Matrix, _columns, _extend, _integral, _raw_products, _slots
 
 
 class Polynomial:
@@ -292,21 +294,20 @@ def krylov_annihilator(m: Matrix, v_raw):
                                 f"a {m.rows}x{m.cols} matrix")
     f = m.field
     p = f.p
-    m_rows = _integral(f, m.raw_rows())
+    m_rows = _columns(f, m.raw_rows())
+    slots = _slots(p, n)
     ech = []
     chain = []
     w = [f.reduce(x) for x in v_raw]
     for k in range(n + 1):
         iw = _integral(f, [w])
         vec, den = iw[0]
-        row = _reduce(vec + [0] * k + [den], ech, p)
-        piv = _pivot(row, n, p)
-        if piv is None:
+        row = _extend(ech, vec + [0] * k + [den], n, p, slots)
+        if row is not None:
             combo = row[n:]
             if p is None:
                 combo = [Fraction(x, combo[k]) for x in combo]
             return Polynomial._raw(f, combo), chain
-        ech.append(piv)
         chain.append(w)
         w = _raw_products(f, iw, m_rows)[0]
     raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")

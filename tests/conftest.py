@@ -10,6 +10,11 @@ from math import gcd
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 
 
+#: Primes whose packed GF(p) slots are wider than 64 bits: a Mersenne prime
+#: and the largest prime the field accepts (just below its Miller-Rabin limit).
+WIDE_PRIMES = (2 ** 61 - 1, 3317044064679887385961813)
+
+
 def conjugate_partition(sizes):
     """The nullity sequence n_k = #{blocks of size >= k} of Jordan blocks
     of the given sizes at one eigenvalue."""

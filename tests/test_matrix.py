@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from quadsum.errors import DimensionMismatch, MixedFields, Singular
 from quadsum.field import GF, QQ
-from quadsum.matrix import (Matrix, _rref, block2x2, direct_sum, hstack, inverse, jordan_block,
-                            kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _rref, block2x2, direct_sum, hstack, inverse,
+                            jordan_block, kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, krylov_annihilator
-from conftest import rand_element, rand_invertible, rand_matrix, rand_wide_rational
+from conftest import WIDE_PRIMES, rand_element, rand_invertible, rand_matrix, rand_wide_rational
+
+#: Fields of the kernel property tests: small primes, whose packed slots are
+#: 64 bits, and primes whose slots are wider.
+PRIME_FIELDS = [GF(p) for p in (2, 5, 101) + WIDE_PRIMES]
 
 
 def naive_product(a, b):
@@ -64,17 +68,25 @@ def test_arithmetic_basics():
 
 
 def test_products_match_naive_triple_loop():
+    """Over GF(p) the last trials draw sizes on both sides of the packing
+    gate, and a product of matrices of all p - 1 fills every slot of the
+    packed product with k (p - 1)^2, the most it can hold."""
     rng = random.Random(12)
-    makers = [(f, rand_matrix) for f in (GF(2), GF(5), GF(101), QQ)]
+    makers = [(f, rand_matrix) for f in PRIME_FIELDS + [QQ]]
     makers.append((QQ, lambda f, n, r, cols=None: rand_wide_rational(n, r, cols)))
     for field, make in makers:
-        for _ in range(25):
-            n, k, m = (rng.randint(0, 5) for _ in range(3))
+        for trial in range(25):
+            low, high = (_PACK_MIN - 2, 28) if trial >= 20 and field.p else (0, 5)
+            n, k, m = (rng.randint(low, high) for _ in range(3))
             a = make(field, n, rng, cols=k)
             b = make(field, k, rng, cols=m)
             got = a * b
             assert got == naive_product(a, b)
             assert_canonical(got)
+    for field in PRIME_FIELDS:
+        for k in (_PACK_MIN - 1, _PACK_MIN, 28):
+            full = Matrix(field, k, k, [-1] * (k * k))
+            assert full * full == naive_product(full, full)
 
 
 def test_every_operation_stores_canonical_values():
@@ -248,7 +260,7 @@ def elimination_inputs(draw):
     """A matrix with small-integer or wide-denominator entries, some rows
     and columns zeroed and some rows made dependent, including 0 x k and
     k x 0, and a right-hand side for solve."""
-    f = draw(st.sampled_from([QQ, QQ, GF(2), GF(7), GF(101)]))
+    f = draw(st.sampled_from([QQ, QQ, GF(2), GF(7), GF(101)] + [GF(p) for p in WIDE_PRIMES]))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     if f.p is None and draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 10 ** 6)))
@@ -277,7 +289,42 @@ def test_elimination_matches_fraction_gauss_jordan(case):
     """_rref, rank, kernel_matrix, inverse and solve give exactly what a
     Gauss-Jordan reference in field arithmetic gives: the reduced echelon
     form is unique, however the kernel eliminates."""
-    m, b = case
+    check_elimination(*case)
+
+
+def wide_elimination_inputs(f, rng):
+    """GF(p) systems on both sides of the packing gate: uniform, rank
+    deficient, and rows reduced against many pivots.
+
+    The pivot rows e_i + (p - 1)(e_(i+1) + ... ) with the row (1, 0, -1,
+    -2, ...) give every step of the row's reduction the multiplier p - 1, so
+    slot j of the packed row reaches j (p - 1)^2 + p - 1, the most the
+    slot width allows for; the row of all p - 1 is reduced against the same
+    pivots."""
+    p = f.p
+    for rows, cols in ((_PACK_MIN - 1, _PACK_MIN - 1), (_PACK_MIN, _PACK_MIN),
+                       (_PACK_MIN + 2, 28), (28, _PACK_MIN + 2), (24, 24)):
+        m = rand_matrix(f, rows, rng, cols=cols)
+        yield m, rand_matrix(f, rows, rng, cols=2)
+        low = rand_matrix(f, rows, rng, cols=3) * rand_matrix(f, 3, rng, cols=cols)
+        yield low, low * rand_matrix(f, cols, rng, cols=2)
+    for n in (_PACK_MIN - 1, _PACK_MIN, 27):
+        pivots = [[0] * i + [1] + [-1] * (n - i) for i in range(n)]
+        entries = pivots + [[(1 - j) % p for j in range(n + 1)], [-1] * (n + 1)]
+        m = Matrix.from_rows(f, entries)
+        yield m, Matrix.from_rows(f, [[-1, j] for j in range(n + 2)])
+
+
+def test_wide_elimination_matches_fraction_gauss_jordan():
+    """The same checks on GF(p) systems up to 28 wide, past the packing
+    gate, over primes whose slots are 64 bits and wider."""
+    rng = random.Random(28)
+    for f in PRIME_FIELDS:
+        for m, b in wide_elimination_inputs(f, rng):
+            check_elimination(m, b)
+
+
+def check_elimination(m, b):
     f = m.field
     pivots, ref = reference_rref(f, m.to_rows(), m.cols)
     rows = m.raw_rows()

@@ -17,7 +17,8 @@ from quadsum.matrix import Matrix, direct_sum, hstack, inverse, jordan_block, ra
 from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
                           decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
                           minimal_polynomial, substitute_one_minus_t)
-from conftest import coprime_denominators, rand_invertible, rand_matrix, rand_wide_rational
+from conftest import (WIDE_PRIMES, coprime_denominators, rand_invertible, rand_matrix,
+                      rand_wide_rational)
 
 P = Polynomial
 
@@ -132,7 +133,7 @@ def naive_krylov(m, v):
     f = m.field
     n = m.rows
     chain = [Matrix.column(f, v)]
-    while rank(hstack(f, chain)) == len(chain):
+    while len(chain) <= n and rank(hstack(f, chain)) == len(chain):
         w = chain[-1]
         chain.append(Matrix.column(f, [sum((m[i, t] * w[t, 0] for t in range(n)), f.zero())
                                        for i in range(n)]))
@@ -142,26 +143,36 @@ def naive_krylov(m, v):
     return ann, chain
 
 
-def _conjugated_block_sum(f, rng):
+def _conjugated_block_sum(f, rng, count=(1, 3)):
     """A random conjugate of a direct sum of Jordan blocks at 0, 1 and 2 and
     companions of powers of one polynomial: repeated eigenvalues and
-    repeated factors, so Krylov chains stop before n."""
+    repeated factors, so Krylov chains stop before n.  ``count`` bounds the
+    number of blocks of each kind."""
     blocks = [jordan_block(f, rng.randint(1, 3), rng.choice([0, 1, 2]))
-              for _ in range(rng.randint(1, 3))]
+              for _ in range(rng.randint(*count))]
     g = P(f, rng.choice([[1, 0, 1], [-1, 1], [2, 1, 1]]))
-    blocks += [companion(g ** rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+    blocks += [companion(g ** rng.randint(1, 2)) for _ in range(rng.randint(count[0] - 1,
+                                                                           count[1] - 1))]
     d = direct_sum(f, blocks)
     t = rand_invertible(f, d.rows, rng)
     return t * d * inverse(t), t
 
 
 def test_krylov_annihilator_matches_naive():
+    """Over GF(p) the cases include sizes on both sides of the packing gate
+    (up to 28), primes whose packed slots are wider than 64 bits, and
+    vectors of all p - 1."""
     rng = random.Random(14)
     cases = []
-    for f in (GF(2), GF(5), GF(101)):
-        for _ in range(15):
-            n = rng.randint(1, 6)
+    for f in [GF(p) for p in (2, 5, 101) + WIDE_PRIMES]:
+        for k in range(18):
+            n = rng.randint(1, 6) if k < 12 else rng.randint(8, 28)
             cases.append((rand_matrix(f, n, rng), [rng.randrange(f.p) for _ in range(n)]))
+        for n in (9, 10, 28):
+            cases.append((rand_matrix(f, n, rng), [-1] * n))
+        m, t = _conjugated_block_sum(f, rng, count=(4, 7))
+        cases.append((m, [-1] * m.rows))
+        cases.append((m, list(t._e[:: m.rows])))
     for _ in range(15):
         n = rng.randint(1, 6)
         ints = [rng.randint(-3, 3) for _ in range(n)]

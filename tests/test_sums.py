@@ -17,7 +17,7 @@ from quadsum.errors import (BadParams, DecisionNo, DimensionMismatch, InternalCh
                             MalformedSequence, NotSplitError, UnsupportedCase)
 from quadsum.field import GF, QQ
 from quadsum.matrix import Matrix, block2x2, direct_sum, inverse, jordan_block, rank, solve
-from quadsum.poly import Polynomial, companion, krylov_annihilator
+from quadsum.poly import Polynomial, companion, krylov_annihilator, substitute_one_minus_t
 from quadsum.sums import (Certificate, QuadParams, _away_idempotent, check_necessary_combination,
                           classify_and_reduce, construct, decide, is_p_intertwined, pair_blocks,
                           verify_certificate)
@@ -188,6 +188,129 @@ def test_decide_closed_under_direct_sum():
             m2 = rand_decomposable(f, rng.randint(1, 4), rng)
             assert decide(m1).yes and decide(m2).yes
             assert decide(direct_sum(f, [m1, m2])).yes
+
+
+# ---- packed GF(p) rows: the gate, and NO-side oracles at packed widths --
+
+def _unimodular(f, n, rng):
+    """L U for random unitriangular L and U with entries in {-1, 0, 1}: an
+    invertible matrix whose inverse is integral too, so conjugates of
+    integer matrices keep small entries over Q."""
+    def tri(lower):
+        return Matrix(f, n, n, [1 if i == j else rng.randint(-1, 1) if (i > j) == lower else 0
+                                for i in range(n) for j in range(n)])
+    return tri(True) * tri(False)
+
+
+def _conjugate(m, u):
+    return u * m * inverse(u)
+
+
+def _planted(f, n, rng):
+    """P + N for an idempotent P and a square-zero N conjugated apart."""
+    ones = rng.randint(0, n)
+    p_part = Matrix.diagonal(f, [1] * ones + [0] * (n - ones))
+    pairs = rng.randint(0, n // 2)
+    n_part = direct_sum(f, [jordan_block(f, 2)] * pairs + [Matrix.zero(f, n - 2 * pairs)])
+    return (_conjugate(p_part, _unimodular(f, n, rng))
+            + _conjugate(n_part, _unimodular(f, n, rng)))
+
+
+def _intertwining_no(f, rng):
+    """A conjugate of J_5(0) + J_2(1) + C(h), 13 x 13, h = g(t^2 - t) with
+    g(0) != 0: h passes the factor test, and the Jordan blocks at 0 and 1
+    cannot be paired."""
+    g = Polynomial(f, [rng.randint(1, 4), rng.randint(-9, 9), rng.randint(-9, 9), 1])
+    h = g.compose(Polynomial(f, [0, -1, 1]))
+    core = direct_sum(f, [jordan_block(f, 5), jordan_block(f, 2, eigenvalue=1), companion(h)])
+    return _conjugate(core, _unimodular(f, core.rows, rng))
+
+
+def _answer(m):
+    """decide's F and T, and construct's A when the answer is yes."""
+    d = decide(m)
+    return d.frobenius, d.witness, construct(m, QuadParams.of(m.field)).a_part if d.yes else None
+
+
+def test_packed_rows_change_no_result(monkeypatch):
+    """decide's F and T and construct's A are the same when every GF(p)
+    kernel packs its rows (gate 0), when none does (a gate no input
+    reaches) and at the gate as set, on planted YES and uniform inputs at
+    n 8 to 24."""
+    rng = random.Random(40)
+    inputs = [make(f, n, rng) for f in (GF(2), GF(5), GF(101)) for n in (8, 12, 16, 24)
+              for make in (_planted, rand_matrix)]
+    assert any(decide(m).yes for m in inputs) and not all(decide(m).yes for m in inputs)
+    answers = []
+    for gate in (quadsum.matrix._PACK_MIN, 0, 10 ** 9):
+        monkeypatch.setattr(quadsum.matrix, "_PACK_MIN", gate)
+        answers.append([_answer(m) for m in inputs])
+    assert answers[0] == answers[1] == answers[2]
+
+
+def test_no_row_is_packed_below_the_gate(tmp_path, capsys, monkeypatch):
+    """At n <= 8 every kernel keeps the list rows: decide on 3 x 3 GF(3) and
+    4 x 4 GF(2) matrices, and quadsum construct on planted YES jobs up to
+    8 x 8 over GF(2) and GF(5), build no packing.  At the gate they do."""
+    made = []
+
+    class Counted(quadsum.matrix._Slots):
+        __slots__ = ()
+
+        def __init__(self, p, terms):
+            made.append(p)
+            super().__init__(p, terms)
+
+    monkeypatch.setattr(quadsum.matrix, "_Slots", Counted)
+    rng = random.Random(41)
+    for _ in range(40):
+        decide(rand_matrix(GF(3), 3, rng))
+        decide(rand_matrix(GF(2), 4, rng))
+    job = tmp_path / "job.json"
+    for f in (GF(2), GF(5)):
+        for n in range(1, 9):
+            m = _planted(f, n, rng)
+            job.write_text(json.dumps({"field": {"GF": f.p},
+                                       "matrix": [[str(x) for x in row] for row in m.raw_rows()]}))
+            assert main(["construct", "--input", str(job)]) == 0
+    capsys.readouterr()
+    assert made == []
+    decide(rand_matrix(GF(5), quadsum.matrix._PACK_MIN, rng))
+    assert made
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(101), QQ])
+def test_decide_agrees_on_transpose_and_one_minus(field):
+    """decide gives M, M^T and I - M the same answer at n 12 to 24.  M^T is
+    similar to M, so every diagnostic is M's.  I - M = (I - P) + (-N) when
+    M = P + N; its nullities at 0 and 1 are M's at 1 and 0, and its
+    invariant factors are M's under t -> 1 - t, made monic."""
+    rng = random.Random(43)
+    seen = set()
+    for n in (12, 16, 20, 24):
+        for m in (_planted(field, n, rng), rand_matrix(field, n, rng),
+                  _intertwining_no(field, rng)):
+            d = decide(m)
+            seen.add(d.yes if d.yes else d.failing["kind"])
+            dt = decide(m.transpose())
+            assert (dt.yes, dt.frobenius, dt.nullity_at_0, dt.nullity_at_1, dt.failing) == \
+                (d.yes, d.frobenius, d.nullity_at_0, d.nullity_at_1, d.failing)
+            di = decide(Matrix.identity(field, m.rows) - m)
+            assert di.yes == d.yes
+            assert (di.nullity_at_0, di.nullity_at_1) == (d.nullity_at_1, d.nullity_at_0)
+            assert di.frobenius == tuple(substitute_one_minus_t(fac).monic()
+                                         for fac in d.frobenius)
+    assert seen == {True, "invariant_factor", "intertwining"}
+
+
+def test_unpairable_jordan_blocks_fail_at_packed_width():
+    """A conjugated J_5(0) + J_2(1) + C(h) over GF(101), 13 x 13, fails the
+    2-intertwining at eigenvalue 0, index 3."""
+    rng = random.Random(44)
+    for _ in range(3):
+        d = decide(_intertwining_no(GF(101), rng))
+        assert (d.nullity_at_0, d.nullity_at_1) == ((1, 1, 1, 1, 1), (1, 1))
+        assert d.failing == {"kind": "intertwining", "eigenvalue": 0, "index": 3}
 
 
 def test_decide_cross_checks_valuations_against_ranks():
