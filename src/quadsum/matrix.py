@@ -262,10 +262,9 @@ def _columns(field: Field, cols):
     """The right operand of :func:`_raw_products`: :func:`_integral` of
     ``cols``, or over GF(p), when there are at least ``_PACK_MIN`` columns
     of at least ``_PACK_MIN`` entries, the :class:`_PackedColumns`."""
-    k = len(cols[0]) if cols else 0
-    if field.p is None or min(len(cols), k) < _PACK_MIN:
+    if field.p is None or not cols or len(cols) < _PACK_MIN or len(cols[0]) < _PACK_MIN:
         return _integral(field, cols)
-    return _PackedColumns(field.p, cols, k)
+    return _PackedColumns(field.p, cols)
 
 
 def _raw_products(field: Field, rows, cols):
@@ -351,8 +350,8 @@ class _PackedColumns:
 
     __slots__ = ("slots", "ints", "count")
 
-    def __init__(self, p: int, cols, k: int):
-        self.slots = _Slots(p, k)
+    def __init__(self, p: int, cols):
+        self.slots = _Slots(p, len(cols[0]))
         self.ints = [self.slots.pack(entries) for entries in zip(*cols)]
         self.count = len(cols)
 
@@ -374,23 +373,25 @@ def _reduce(row, ech, p, slots=None):
     column.
 
     Over GF(p) (``p`` an int) the pivot rows have pivot 1 and each step is
-    r <- r - a r_piv, one ``% p`` per entry.  With ``slots`` the row and the
-    pivot rows are ints packed by those :class:`_Slots`, and a step is
-    r <- r + (p - a) r_piv, one multiply-add of ints: a is the pivot
-    column's slot mod p, the slots stay non-negative and are left
-    unreduced.  Over the rationals (``p`` None) the rows are integers, and a
-    step with pivot q is r <- (q/g) r - (a/g) r_piv for g = gcd(q, a), after
-    which the row is made primitive.  Entries past the end of a shorter
-    pivot row count as 0 there: they are kept over GF(p) and multiplied by
-    q/g over the rationals.
+    r <- r - a r_piv, one ``% p`` per entry.  With ``slots`` the pivot rows
+    are ints packed by those :class:`_Slots`, and so is the row for the
+    steps: a step is r <- r + (p - a) r_piv, one multiply-add of ints, with
+    a the pivot column's slot mod p; the slots stay non-negative and
+    unreduced, and the row is read back and reduced mod p once, at the end.
+    Over the rationals (``p`` None) the rows are integers, and a step with
+    pivot q is r <- (q/g) r - (a/g) r_piv for g = gcd(q, a), after which the
+    row is made primitive.  Entries past the end of a shorter pivot row
+    count as 0 there: they are kept over GF(p) and multiplied by q/g over
+    the rationals.
     """
     if slots is not None:
         bits, mask = slots.bits, slots.mask
+        packed = slots.pack(row)
         for c, prow in ech:
-            a = (row >> c * bits & mask) % p
+            a = (packed >> c * bits & mask) % p
             if a:
-                row += (p - a) * prow
-        return row
+                packed += (p - a) * prow
+        return slots.residues(packed, len(row))
     for c, prow in ech:
         a = row[c]
         if not a:
@@ -406,34 +407,18 @@ def _reduce(row, ech, p, slots=None):
     return row
 
 
-def _pivot(row, ncols: int, p):
+def _pivot(row, ncols: int, p, slots=None):
     """The (pivot column, pivot row) pair of a reduced row, or None when its
-    first ``ncols`` entries are 0.  Over GF(p) the row is scaled to pivot 1;
-    over the rationals it is made primitive."""
+    first ``ncols`` entries are 0.  Over GF(p) the row is scaled to pivot 1,
+    and packed when ``slots`` are given; over the rationals it is made
+    primitive."""
     for c in range(ncols):
         if row[c]:
             if p is None:
                 return c, _primitive(row)
             inv = pow(row[c], p - 2, p)
-            return c, [x * inv % p for x in row]
-    return None
-
-
-def _extend(ech, row, ncols: int, p, slots=None):
-    """Reduce a raw row against the pivot pairs ``ech`` and append its pivot
-    pair when it is nonzero in its first ``ncols`` entries; otherwise
-    return the reduced row.
-
-    With ``slots`` the reduction runs on the packed row, which is read back
-    and reduced mod p once, and the pivot rows in ``ech`` are packed."""
-    if slots is None:
-        row = _reduce(row, ech, p)
-    else:
-        row = slots.residues(_reduce(slots.pack(row), ech, p, slots), len(row))
-    piv = _pivot(row, ncols, p)
-    if piv is None:
-        return row
-    ech.append(piv if slots is None else (piv[0], slots.pack(piv[1])))
+            row = [x * inv % p for x in row]
+            return c, row if slots is None else slots.pack(row)
     return None
 
 
@@ -444,7 +429,9 @@ def _echelon(rows, ncols: int, p, slots=None):
     with ``slots`` the pivot rows are packed."""
     ech = []
     for row in rows:
-        _extend(ech, row, ncols, p, slots)
+        piv = _pivot(_reduce(row, ech, p, slots), ncols, p, slots)
+        if piv:
+            ech.append(piv)
     return ech
 
 
@@ -462,14 +449,13 @@ def _rref(field: Field, rows, ncols: int):
     slots = _slots(p, min(len(rows), ncols))
     ech = sorted(_echelon([v for v, _ in _integral(field, rows)], ncols, p, slots),
                  key=lambda piv: piv[0])
-    for i in range(len(ech) - 2, -1, -1):
-        c, row = ech[i]
-        row = _reduce(row, ech[i + 1:], p, slots)
-        ech[i] = c, row if slots is None else slots.pack(slots.residues(row, width))
     zero = field.reduce(0)
-    for i, (c, row) in enumerate(ech):
+    for i in range(len(ech) - 1, -1, -1):
+        c, row = ech[i]
         if slots is not None:
             row = slots.residues(row, width)
+        row = _reduce(row, ech[i + 1:], p, slots)
+        ech[i] = c, row if slots is None else slots.pack(row)
         rows[i] = row if p is not None else [Fraction(x, row[c]) if x else zero for x in row]
     for i in range(len(ech), len(rows)):
         rows[i] = [zero] * len(rows[i])

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _columns, _extend, _integral, _raw_products, _slots
+from .matrix import Matrix, _columns, _integral, _pivot, _raw_products, _reduce, _slots
 
 
 class Polynomial:
@@ -302,12 +302,14 @@ def krylov_annihilator(m: Matrix, v_raw):
     for k in range(n + 1):
         iw = _integral(f, [w])
         vec, den = iw[0]
-        row = _extend(ech, vec + [0] * k + [den], n, p, slots)
-        if row is not None:
+        row = _reduce(vec + [0] * k + [den], ech, p, slots)
+        piv = _pivot(row, n, p, slots)
+        if piv is None:
             combo = row[n:]
             if p is None:
                 combo = [Fraction(x, combo[k]) for x in combo]
             return Polynomial._raw(f, combo), chain
+        ech.append(piv)
         chain.append(w)
         w = _raw_products(f, iw, m_rows)[0]
     raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
