@@ -31,8 +31,9 @@ substitution): one int holds a row, entry j in a fixed slot of whole bytes
 (:class:`_Slots`).  A reduction step is one multiply-add of ints, r <- r +
 (p - a) r_piv; the slots stay non-negative and unreduced, and a row is read
 back and reduced mod p once, when it becomes a pivot row or leaves the
-kernel.  A slot holds more than (steps + 1) p^2, the most s steps can put
-there, so it never carries into the next, for every p the field accepts.
+kernel.  A slot of a row reduced in s steps holds more than (s + 1) p^2,
+more than those steps can put there, so it never carries into the next,
+for every p the field accepts.
 A product packs its columns by coordinate once (:class:`_PackedColumns`;
 per Krylov chain or dual-row run, not per step), and a row times all the
 columns is one ``sum(map(mul))`` of ints.  The gate sits where packing
@@ -275,7 +276,8 @@ def _raw_products(field: Field, rows, cols):
     [0, p) or a reduced Fraction.
     """
     if isinstance(cols, _PackedColumns):
-        return [cols.products(r) for r, _ in rows]
+        slots, ints, count = cols.slots, cols.ints, cols.count
+        return [_residues(slots, sum(map(mul, r, ints)), count) for r, _ in rows]
     p = field.p
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c, _ in cols] for r, _ in rows]
@@ -302,8 +304,9 @@ class _Slots:
     s steps adds at most s times (p - 1)^2 to a residue, so it takes
     terms = s + 1; a dot product of k entries takes terms = k.  ``bits`` is
     a whole number of bytes.  Slots of up to 8 bytes are widened to 8, so
-    that a row is packed and read back by one ``array('Q')`` conversion in C
-    (on a little-endian machine; elsewhere byte by byte).
+    that :func:`_pack` and :func:`_residues` convert a row by one
+    ``array('Q')`` call in C (on a little-endian machine; elsewhere byte by
+    byte).
     """
 
     __slots__ = ("p", "size", "bits", "mask", "words")
@@ -316,22 +319,22 @@ class _Slots:
         self.bits = 8 * self.size
         self.mask = (1 << self.bits) - 1
 
-    def pack(self, row) -> int:
-        """The int of a row of non-negative entries, each below 2^bits."""
-        if self.words:
-            return int.from_bytes(array("Q", row).tobytes(), "little")
-        size = self.size
-        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row), "little")
 
-    def residues(self, packed: int, count: int) -> list:
-        """The first ``count`` slots of a packed row, reduced mod p."""
-        p = self.p
-        data = packed.to_bytes(count * self.size, "little")
-        if self.words:
-            return [x % p for x in memoryview(data).cast("Q").tolist()]
-        size = self.size
-        return [int.from_bytes(data[i : i + size], "little") % p
-                for i in range(0, len(data), size)]
+def _pack(slots: _Slots, row) -> int:
+    """The int of a row of non-negative entries, each below 2^bits."""
+    if slots.words:
+        return int.from_bytes(array("Q", row).tobytes(), "little")
+    size = slots.size
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row), "little")
+
+
+def _residues(slots: _Slots, packed: int, count: int) -> list:
+    """The first ``count`` slots of a packed row, reduced mod p."""
+    p, size = slots.p, slots.size
+    data = packed.to_bytes(count * size, "little")
+    if slots.words:
+        return [x % p for x in memoryview(data).cast("Q").tolist()]
+    return [int.from_bytes(data[i : i + size], "little") % p for i in range(0, len(data), size)]
 
 
 def _slots(p, rank_bound: int):
@@ -352,11 +355,8 @@ class _PackedColumns:
 
     def __init__(self, p: int, cols):
         self.slots = _Slots(p, len(cols[0]))
-        self.ints = [self.slots.pack(entries) for entries in zip(*cols)]
+        self.ints = [_pack(self.slots, entries) for entries in zip(*cols)]
         self.count = len(cols)
-
-    def products(self, row) -> list:
-        return self.slots.residues(sum(map(mul, row, self.ints)), self.count)
 
 
 # ---- elimination kernels (raw values) --------------------------------
@@ -386,12 +386,12 @@ def _reduce(row, ech, p, slots=None):
     """
     if slots is not None:
         bits, mask = slots.bits, slots.mask
-        packed = slots.pack(row)
+        packed = _pack(slots, row)
         for c, prow in ech:
             a = (packed >> c * bits & mask) % p
             if a:
                 packed += (p - a) * prow
-        return slots.residues(packed, len(row))
+        return _residues(slots, packed, len(row))
     for c, prow in ech:
         a = row[c]
         if not a:
@@ -418,7 +418,7 @@ def _pivot(row, ncols: int, p, slots=None):
                 return c, _primitive(row)
             inv = pow(row[c], p - 2, p)
             row = [x * inv % p for x in row]
-            return c, row if slots is None else slots.pack(row)
+            return c, row if slots is None else _pack(slots, row)
     return None
 
 
@@ -453,9 +453,9 @@ def _rref(field: Field, rows, ncols: int):
     for i in range(len(ech) - 1, -1, -1):
         c, row = ech[i]
         if slots is not None:
-            row = slots.residues(row, width)
+            row = _residues(slots, row, width)
         row = _reduce(row, ech[i + 1:], p, slots)
-        ech[i] = c, row if slots is None else slots.pack(row)
+        ech[i] = c, row if slots is None else _pack(slots, row)
         rows[i] = row if p is not None else [Fraction(x, row[c]) if x else zero for x in row]
     for i in range(len(ech), len(rows)):
         rows[i] = [zero] * len(rows[i])
