@@ -303,7 +303,7 @@ class _Slots:
     ``terms`` products of two residues, terms p^2 < 2^bits.  A reduction with
     s steps adds at most s times (p - 1)^2 to a residue, so it takes
     terms = s + 1; a dot product of k entries takes terms = k.  ``bits`` is
-    a whole number of bytes.  Slots of up to 8 bytes are widened to 8, so
+    a multiple of 8, and slots of up to 8 bytes are widened to 8, so
     that :func:`_pack` and :func:`_residues` convert a row by one
     ``array('Q')`` call in C (on a little-endian machine; elsewhere byte by
     byte).
@@ -321,7 +321,7 @@ class _Slots:
 
 
 def _pack(slots: _Slots, row) -> int:
-    """The int of a row of non-negative entries, each below 2^bits."""
+    """The int of a row of non-negative entries, each below 2^slots.bits."""
     if slots.words:
         return int.from_bytes(array("Q", row).tobytes(), "little")
     size = slots.size
