@@ -64,22 +64,22 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     n, d = k_mat.rows, k_mat.cols
     m_cols = _columns(f, [m._e[j::n] for j in range(n)])
     chain_cols = _columns(f, [k_mat._e[j::d] for j in range(d)])
+    zero, one = f.reduce(0), f.reduce(1)
     for i in range(n + 1):
-        rows = [[int(i == j) for j in range(n)] if i < n else
+        rows = [[one if i == j else zero for j in range(n)] if i < n else
                 list(solve(k_mat.transpose(), Matrix.column(f, [0] * (d - 1) + [1]))._e)]
         for _ in range(d - 1):
             rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
         pairing = _raw_products(f, _integral(f, rows), chain_cols)
         if _rank(f, pairing, d) == d:
-            return Matrix._raw(f, d, n, [f.reduce(x) for r_ in rows for x in r_])
+            return Matrix._raw(f, d, n, [x for r_ in rows for x in r_])
     raise InternalCheckFailed(f"dual rows: the solved row pairs singularly with the {n}x{d} chain")
 
 
 def _chain_matrix(field: Field, chain) -> Matrix:
-    """The matrix whose columns are the raw vectors of a Krylov chain."""
+    """The matrix whose columns are the canonical raw vectors of a chain."""
     n = len(chain[0])
-    return Matrix._raw(field, n, len(chain),
-                       [field.reduce(v[i]) for i in range(n) for v in chain])
+    return Matrix._raw(field, n, len(chain), [v[i] for i in range(n) for v in chain])
 
 
 def _cyclic_decompose(m: Matrix):

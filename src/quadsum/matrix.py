@@ -27,16 +27,18 @@ dividing out their content.  Rank is the length of the forward elimination
 ``Fraction``s only for the rows it returns.
 
 Over GF(p), from ``_PACK_MIN`` = 10 on, rows are packed (Kronecker
-substitution): one int holds a row, entry j in a fixed slot of whole bytes
-(:class:`_Slots`).  A reduction step is one multiply-add of ints, r <- r +
-(p - a) r_piv; the slots stay non-negative and unreduced, and a row is read
-back and reduced mod p once, when it becomes a pivot row or leaves the
-kernel.  A slot of a row reduced in s steps holds more than (s + 1) p^2,
-more than those steps can put there, so it never carries into the next,
-for every p the field accepts.
+substitution): one int holds a row, entry j in the 64-bit little-endian word
+from bit 64 j up, converted by one ``array('Q')`` call in C.  A reduction
+step is one multiply-add of ints, r <- r + (p - a) r_piv; the slots stay
+non-negative and unreduced, and a row is read back and reduced mod p once,
+when it becomes a pivot row or leaves the kernel.  A slot of a row reduced
+in s steps holds less than (s + 1) p^2, and a dot product of k entries less
+than k p^2, so a kernel packs only when that bound is below 2^64
+(:func:`_packs`, the one gate); wider primes take the list rows, with the
+same results.
 A product packs its columns by coordinate once (:class:`_PackedColumns`;
-per Krylov chain or dual-row run, not per step), and a row times all the
-columns is one ``sum(map(mul))`` of ints.  The gate sits where packing
+per cyclic vector or dual-row run, not per step), and a row times all the
+columns is one ``sum(map(mul))`` of ints.  ``_PACK_MIN`` sits where packing
 starts to pay: below it the fixed cost of packing exceeds the saving, and a
 Frobenius decomposition of a random n x n matrix over GF(2), GF(5) and
 GF(101) ran up to 13 % slower packed at n = 8 and no slower from n = 10 on.
@@ -260,12 +262,13 @@ def _integral(field: Field, vecs):
 
 
 def _columns(field: Field, cols):
-    """The right operand of :func:`_raw_products`: :func:`_integral` of
-    ``cols``, or over GF(p), when there are at least ``_PACK_MIN`` columns
-    of at least ``_PACK_MIN`` entries, the :class:`_PackedColumns`."""
-    if field.p is None or not cols or len(cols) < _PACK_MIN or len(cols[0]) < _PACK_MIN:
-        return _integral(field, cols)
-    return _PackedColumns(field.p, cols)
+    """The right operand of :func:`_raw_products`: the :class:`_PackedColumns`
+    of ``cols`` when :func:`_packs` admits them (a dot product of k entries
+    has k terms), else :func:`_integral` of ``cols``."""
+    k = len(cols[0]) if cols else 0
+    if _packs(field.p, min(len(cols), k), k):
+        return _PackedColumns(cols)
+    return _integral(field, cols)
 
 
 def _raw_products(field: Field, rows, cols):
@@ -275,10 +278,10 @@ def _raw_products(field: Field, rows, cols):
     entry ``[i][j]`` of the result is row i times column j, a residue in
     [0, p) or a reduced Fraction.
     """
-    if isinstance(cols, _PackedColumns):
-        slots, ints, count = cols.slots, cols.ints, cols.count
-        return [_residues(slots, sum(map(mul, r, ints)), count) for r, _ in rows]
     p = field.p
+    if isinstance(cols, _PackedColumns):
+        ints, count = cols.ints, cols.count
+        return [_residues(p, sum(map(mul, r, ints)), count) for r, _ in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c, _ in cols] for r, _ in rows]
     return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
@@ -294,56 +297,29 @@ def _raw_products(field: Field, rows, cols):
 _PACK_MIN = 10
 
 
-class _Slots:
-    """GF(p) rows packed into one non-negative int, entry j in the ``bits``
-    bits from bit j * bits up.
-
-    The slots are not reduced as the row is worked on, so they must hold
-    every value they can reach without carrying into the next one: at most
-    ``terms`` products of two residues, terms p^2 < 2^bits.  A reduction with
-    s steps adds at most s times (p - 1)^2 to a residue, so it takes
-    terms = s + 1; a dot product of k entries takes terms = k.  ``bits`` is
-    a multiple of 8, and slots of up to 8 bytes are widened to 8, so
-    that :func:`_pack` and :func:`_residues` convert a row by one
-    ``array('Q')`` call in C (on a little-endian machine; elsewhere byte by
-    byte).
-    """
-
-    __slots__ = ("p", "size", "bits", "mask", "words")
-
-    def __init__(self, p: int, terms: int):
-        size = -(-(max(terms, 1) * p * p).bit_length() // 8)
-        self.words = size <= 8 and byteorder == "little"
-        self.p = p
-        self.size = 8 if self.words else size
-        self.bits = 8 * self.size
-        self.mask = (1 << self.bits) - 1
+#: One packed slot: a 64-bit word.
+_MASK = (1 << 64) - 1
 
 
-def _pack(slots: _Slots, row) -> int:
-    """The int of a row of non-negative entries, each below 2^slots.bits."""
-    if slots.words:
-        return int.from_bytes(array("Q", row).tobytes(), "little")
-    size = slots.size
-    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in row), "little")
+def _packs(p, size: int, terms: int) -> bool:
+    """Whether a kernel of ``size`` packs its rows: over GF(p), from
+    ``_PACK_MIN`` on, when a 64-bit slot holds ``terms`` products of two
+    residues, terms p^2 < 2^64, and the machine is little-endian (the order
+    :func:`_residues` reads words in).  A reduction with s steps adds at most
+    s (p - 1)^2 to a residue, so it takes terms = s + 1; a dot product of k
+    entries takes terms = k."""
+    return (p is not None and size >= _PACK_MIN and terms * p * p <= _MASK
+            and byteorder == "little")
 
 
-def _residues(slots: _Slots, packed: int, count: int) -> list:
+def _pack(row) -> int:
+    """The int of a row of non-negative entries below 2^64, entry j in slot j."""
+    return int.from_bytes(array("Q", row).tobytes(), "little")
+
+
+def _residues(p: int, packed: int, count: int) -> list:
     """The first ``count`` slots of a packed row, reduced mod p."""
-    p, size = slots.p, slots.size
-    data = packed.to_bytes(count * size, "little")
-    if slots.words:
-        return [x % p for x in memoryview(data).cast("Q").tolist()]
-    return [int.from_bytes(data[i : i + size], "little") % p for i in range(0, len(data), size)]
-
-
-def _slots(p, rank_bound: int):
-    """The :class:`_Slots` of a GF(p) elimination in which at most
-    ``rank_bound`` pivot rows arise, or None over the rationals and below
-    ``_PACK_MIN``."""
-    if p is None or rank_bound < _PACK_MIN:
-        return None
-    return _Slots(p, rank_bound + 1)
+    return [x % p for x in memoryview(packed.to_bytes(8 * count, "little")).cast("Q").tolist()]
 
 
 class _PackedColumns:
@@ -351,11 +327,10 @@ class _PackedColumns:
     entry t of every column, column j in slot j.  A row r times all the
     columns is then one sum of r_t times int t, computed in C."""
 
-    __slots__ = ("slots", "ints", "count")
+    __slots__ = ("ints", "count")
 
-    def __init__(self, p: int, cols):
-        self.slots = _Slots(p, len(cols[0]))
-        self.ints = [_pack(self.slots, entries) for entries in zip(*cols)]
+    def __init__(self, cols):
+        self.ints = [_pack(entries) for entries in zip(*cols)]
         self.count = len(cols)
 
 
@@ -367,31 +342,30 @@ def _primitive(row):
     return row if g < 2 else [x // g for x in row]
 
 
-def _reduce(row, ech, p, slots=None):
+def _reduce(row, ech, p, packed=False):
     """The raw row reduced against the (pivot column, pivot row) pairs of
     ``ech``, in order: each step clears the row's entry a in the pivot
     column.
 
     Over GF(p) (``p`` an int) the pivot rows have pivot 1 and each step is
-    r <- r - a r_piv, one ``% p`` per entry.  With ``slots`` the pivot rows
-    are ints packed by those :class:`_Slots`, and so is the row for the
-    steps: a step is r <- r + (p - a) r_piv, one multiply-add of ints, with
-    a the pivot column's slot mod p; the slots stay non-negative and
-    unreduced, and the row is read back and reduced mod p once, at the end.
+    r <- r - a r_piv, one ``% p`` per entry.  With ``packed`` the pivot rows
+    are packed ints (:func:`_pack`), and so is the row for the steps: a step
+    is r <- r + (p - a) r_piv, one multiply-add of ints, with a the pivot
+    column's slot mod p; the slots stay non-negative and unreduced, and the
+    row is read back and reduced mod p once, at the end.
     Over the rationals (``p`` None) the rows are integers, and a step with
     pivot q is r <- (q/g) r - (a/g) r_piv for g = gcd(q, a), after which the
     row is made primitive.  Entries past the end of a shorter pivot row
     count as 0 there: they are kept over GF(p) and multiplied by q/g over
     the rationals.
     """
-    if slots is not None:
-        bits, mask = slots.bits, slots.mask
-        packed = _pack(slots, row)
+    if packed:
+        r = _pack(row)
         for c, prow in ech:
-            a = (packed >> c * bits & mask) % p
+            a = (r >> 64 * c & _MASK) % p
             if a:
-                packed += (p - a) * prow
-        return _residues(slots, packed, len(row))
+                r += (p - a) * prow
+        return _residues(p, r, len(row))
     for c, prow in ech:
         a = row[c]
         if not a:
@@ -407,29 +381,28 @@ def _reduce(row, ech, p, slots=None):
     return row
 
 
-def _pivot(row, ncols: int, p, slots=None):
+def _pivot(row, ncols: int, p, packed=False):
     """The (pivot column, pivot row) pair of a reduced row, or None when its
     first ``ncols`` entries are 0.  Over GF(p) the row is scaled to pivot 1,
-    and packed when ``slots`` are given; over the rationals it is made
-    primitive."""
+    and packed with ``packed``; over the rationals it is made primitive."""
     for c in range(ncols):
         if row[c]:
             if p is None:
                 return c, _primitive(row)
             inv = pow(row[c], p - 2, p)
             row = [x * inv % p for x in row]
-            return c, row if slots is None else _pack(slots, row)
+            return c, _pack(row) if packed else row
     return None
 
 
-def _echelon(rows, ncols: int, p, slots=None):
+def _echelon(rows, ncols: int, p, packed=False):
     """Forward elimination of integer or residue rows: each row reduced
     against the pivot rows before it, and kept when it is nonzero in its
     first ``ncols`` entries.  Every pivot row is 0 before its pivot column;
-    with ``slots`` the pivot rows are packed."""
+    with ``packed`` the pivot rows are packed."""
     ech = []
     for row in rows:
-        piv = _pivot(_reduce(row, ech, p, slots), ncols, p, slots)
+        piv = _pivot(_reduce(row, ech, p, packed), ncols, p, packed)
         if piv:
             ech.append(piv)
     return ech
@@ -446,16 +419,17 @@ def _rref(field: Field, rows, ncols: int):
     """
     p = field.p
     width = len(rows[0]) if rows else 0
-    slots = _slots(p, min(len(rows), ncols))
-    ech = sorted(_echelon([v for v, _ in _integral(field, rows)], ncols, p, slots),
+    bound = min(len(rows), ncols)
+    packed = _packs(p, bound, bound + 1)
+    ech = sorted(_echelon([v for v, _ in _integral(field, rows)], ncols, p, packed),
                  key=lambda piv: piv[0])
     zero = field.reduce(0)
     for i in range(len(ech) - 1, -1, -1):
         c, row = ech[i]
-        if slots is not None:
-            row = _residues(slots, row, width)
-        row = _reduce(row, ech[i + 1:], p, slots)
-        ech[i] = c, row if slots is None else _pack(slots, row)
+        if packed:
+            row = _residues(p, row, width)
+        row = _reduce(row, ech[i + 1:], p, packed)
+        ech[i] = c, _pack(row) if packed else row
         rows[i] = row if p is not None else [Fraction(x, row[c]) if x else zero for x in row]
     for i in range(len(ech), len(rows)):
         rows[i] = [zero] * len(rows[i])
@@ -466,8 +440,9 @@ def _rank(field: Field, rows, ncols: int) -> int:
     """Rank of raw rows, by forward elimination alone; over the rationals
     no ``Fraction`` is built."""
     p = field.p
+    bound = min(len(rows), ncols)
     return len(_echelon([v for v, _ in _integral(field, rows)], ncols, p,
-                        _slots(p, min(len(rows), ncols))))
+                        _packs(p, bound, bound + 1)))
 
 
 def rank(m: Matrix) -> int:

@@ -13,9 +13,10 @@ their results.  The Krylov annihilator has no elimination of its own: it
 reduces each Krylov vector, extended by its combination over the Krylov
 powers, with the row operation of :func:`quadsum.matrix._reduce`,
 fraction-free over the rationals, and builds ``Fraction``s only for the
-returned annihilator.  Over GF(p), under a matrix of size
-``quadsum.matrix._PACK_MIN`` or more, those rows are packed into ints, and
-M's columns are packed once per chain for its M w steps.
+returned annihilator.  Over GF(p), where ``quadsum.matrix._packs`` admits
+them (from ``_PACK_MIN`` on, while a 64-bit slot holds the reduction), those
+rows are packed into ints, one word per entry, and M's rows are packed once
+per cyclic vector for its M w steps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _columns, _integral, _pivot, _raw_products, _reduce, _slots
+from .matrix import Matrix, _columns, _integral, _packs, _pivot, _raw_products, _reduce
 
 
 class Polynomial:
@@ -273,11 +274,13 @@ def companion(p: Polynomial) -> Matrix:
 
 # ---- Krylov machinery ------------------------------------------------
 
-def krylov_annihilator(m: Matrix, v_raw):
+def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     """Least-degree monic annihilator of the vector v under m, plus its chain.
 
     Returns ``(poly, chain)`` where chain is the list of raw Krylov vectors
-    v, m v, ..., m^(d-1) v for d = deg(poly).
+    v, m v, ..., m^(d-1) v for d = deg(poly).  ``m_rows`` is
+    ``quadsum.matrix._columns`` of m's rows, built here when not given;
+    callers that run several chains under one m build it once.
 
     The k-th Krylov vector, as integers over its common denominator d (over
     GF(p), residues with d = 1), is extended by its combination over the
@@ -294,16 +297,17 @@ def krylov_annihilator(m: Matrix, v_raw):
                                 f"a {m.rows}x{m.cols} matrix")
     f = m.field
     p = f.p
-    m_rows = _columns(f, m.raw_rows())
-    slots = _slots(p, n)
+    if m_rows is None:
+        m_rows = _columns(f, m.raw_rows())
+    packed = _packs(p, n, n + 1)
     ech = []
     chain = []
     w = [f.reduce(x) for x in v_raw]
     for k in range(n + 1):
         iw = _integral(f, [w])
         vec, den = iw[0]
-        row = _reduce(vec + [0] * k + [den], ech, p, slots)
-        piv = _pivot(row, n, p, slots)
+        row = _reduce(vec + [0] * k + [den], ech, p, packed)
+        piv = _pivot(row, n, p, packed)
         if piv is None:
             combo = row[n:]
             if p is None:
@@ -326,11 +330,13 @@ def _coprime_split(p: Polynomial, q: Polynomial):
     return a, (q * p.divrem(a)[0]).divrem(g)[0]
 
 
-def _merge(m: Matrix, first, second):
+def _merge(m: Matrix, m_rows, first, second):
     """An (annihilator, chain) pair whose annihilator is the lcm of those of
-    two pairs (p, chain of u) and (q, chain of w).  With lcm(p, q) = a b split
-    by :func:`_coprime_split`, (p/a)(m) u + (q/b)(m) w has annihilator a b;
-    both terms are read off the chains, with no matrix product."""
+    two pairs (p, chain of u) and (q, chain of w) under m, with m's rows
+    ``m_rows`` as :func:`krylov_annihilator` takes them.  With lcm(p, q) =
+    a b split by :func:`_coprime_split`, (p/a)(m) u + (q/b)(m) w has
+    annihilator a b; both terms are read off the chains, with no matrix
+    product."""
     (p, u_chain), (q, w_chain) = first, second
     if p.divrem(q)[1].is_zero():
         return first
@@ -340,7 +346,7 @@ def _merge(m: Matrix, first, second):
     terms = [(c, vec) for chain, (quo, _) in ((u_chain, p.divrem(a)), (w_chain, q.divrem(b)))
              for c, vec in zip(quo.coeffs, chain)]
     v = [m.field.reduce(sum(c * vec[i] for c, vec in terms)) for i in range(m.rows)]
-    ann, chain = krylov_annihilator(m, v)
+    ann, chain = krylov_annihilator(m, v, m_rows)
     if ann != a * b:
         raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {a * b}, "
                                   f"under the {m.rows}x{m.rows} matrix")
@@ -355,9 +361,10 @@ def cyclic_vector(m: Matrix):
         raise DimensionMismatch("cyclic vector of a non-square matrix")
     n = m.rows
     mu = Polynomial.one(m.field)
+    m_rows = _columns(m.field, m.raw_rows())
     tried = []
     for i in range(n):
-        ann, chain = krylov_annihilator(m, [int(i == j) for j in range(n)])
+        ann, chain = krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows)
         if ann.degree == n:
             return ann, chain
         tried.append((ann, chain))
@@ -368,7 +375,7 @@ def cyclic_vector(m: Matrix):
             return pair
     merged = tried[0] if tried else (mu, [])
     for pair in tried[1:]:
-        merged = _merge(m, merged, pair)
+        merged = _merge(m, m_rows, merged, pair)
     return merged
 
 

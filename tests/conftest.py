@@ -10,8 +10,14 @@ from math import gcd
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 
 
-#: Primes whose packed GF(p) slots are wider than 64 bits: a Mersenne prime
-#: and the largest prime the field accepts (just below its Miller-Rabin limit).
+#: The largest prime p with 29 p^2 < 2^64: a packed GF(p) slot is one 64-bit
+#: word, so at this p a reduction of up to 28 steps and a dot product of up to
+#: 29 terms pack, and the next sizes up take the list rows.
+WORD_PRIME = 797555399
+
+#: Primes too wide for a 64-bit slot at any size, so their GF(p) kernels keep
+#: the list rows past the packing gate: a Mersenne prime and the largest prime
+#: the field accepts (just below its Miller-Rabin limit).
 WIDE_PRIMES = (2 ** 61 - 1, 3317044064679887385961813)
 
 

@@ -101,9 +101,9 @@ def test_invariant_factors_companion_needs_one_krylov_run(monkeypatch):
     calls = []
     real = quadsum.poly.krylov_annihilator
 
-    def counted(m, v):
+    def counted(m, v, *rows):
         calls.append(tuple(v))
-        return real(m, v)
+        return real(m, v, *rows)
 
     monkeypatch.setattr(quadsum.poly, "krylov_annihilator", counted)
     p = P(QQ, [3, -2, 0, 1])

@@ -11,11 +11,13 @@ from quadsum.field import GF, QQ
 from quadsum.matrix import (_PACK_MIN, Matrix, _rref, block2x2, direct_sum, hstack, inverse,
                             jordan_block, kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, krylov_annihilator
-from conftest import WIDE_PRIMES, rand_element, rand_invertible, rand_matrix, rand_wide_rational
+from conftest import (WIDE_PRIMES, WORD_PRIME, rand_element, rand_invertible, rand_matrix,
+                      rand_wide_rational)
 
-#: Fields of the kernel property tests: small primes, whose packed slots are
-#: 64 bits, and primes whose slots are wider.
-PRIME_FIELDS = [GF(p) for p in (2, 5, 101) + WIDE_PRIMES]
+#: Fields of the kernel property tests: small primes, which pack at every
+#: size these tests reach past the gate, the largest prime that packs at
+#: size 28, and primes too wide to pack.
+PRIME_FIELDS = [GF(p) for p in (2, 5, 101, WORD_PRIME) + WIDE_PRIMES]
 
 
 def naive_product(a, b):
@@ -70,7 +72,8 @@ def test_arithmetic_basics():
 def test_products_match_naive_triple_loop():
     """Over GF(p) the last trials draw sizes on both sides of the packing
     gate, and a product of matrices of all p - 1 fills every slot of the
-    packed product with k (p - 1)^2, the most it can hold."""
+    packed product with k (p - 1)^2, the most it can hold: at the word-bound
+    prime, k = 29 packs and k = 30 does not."""
     rng = random.Random(12)
     makers = [(f, rand_matrix) for f in PRIME_FIELDS + [QQ]]
     makers.append((QQ, lambda f, n, r, cols=None: rand_wide_rational(n, r, cols)))
@@ -84,7 +87,7 @@ def test_products_match_naive_triple_loop():
             assert got == naive_product(a, b)
             assert_canonical(got)
     for field in PRIME_FIELDS:
-        for k in (_PACK_MIN - 1, _PACK_MIN, 28):
+        for k in (_PACK_MIN - 1, _PACK_MIN, 28, 29, 30):
             full = Matrix(field, k, k, [-1] * (k * k))
             assert full * full == naive_product(full, full)
 
@@ -300,7 +303,8 @@ def wide_elimination_inputs(f, rng):
     -2, ...) give every step of the row's reduction the multiplier p - 1, so
     slot j of the packed row reaches j (p - 1)^2 + p - 1, the most the
     slot width allows for; the row of all p - 1 is reduced against the same
-    pivots."""
+    pivots.  At the word-bound prime n = 27 packs and n = 30, whose slots
+    would overflow 64 bits, does not."""
     p = f.p
     for rows, cols in ((_PACK_MIN - 1, _PACK_MIN - 1), (_PACK_MIN, _PACK_MIN),
                        (_PACK_MIN + 2, 28), (28, _PACK_MIN + 2), (24, 24)):
@@ -308,7 +312,7 @@ def wide_elimination_inputs(f, rng):
         yield m, rand_matrix(f, rows, rng, cols=2)
         low = rand_matrix(f, rows, rng, cols=3) * rand_matrix(f, 3, rng, cols=cols)
         yield low, low * rand_matrix(f, cols, rng, cols=2)
-    for n in (_PACK_MIN - 1, _PACK_MIN, 27):
+    for n in (_PACK_MIN - 1, _PACK_MIN, 27, 30):
         pivots = [[0] * i + [1] + [-1] * (n - i) for i in range(n)]
         entries = pivots + [[(1 - j) % p for j in range(n + 1)], [-1] * (n + 1)]
         m = Matrix.from_rows(f, entries)
@@ -317,7 +321,8 @@ def wide_elimination_inputs(f, rng):
 
 def test_wide_elimination_matches_fraction_gauss_jordan():
     """The same checks on GF(p) systems up to 28 wide, past the packing
-    gate, over primes whose slots are 64 bits and wider."""
+    gate, over primes that pack, the largest prime that packs at size 28,
+    and primes too wide to pack."""
     rng = random.Random(28)
     for f in PRIME_FIELDS:
         for m, b in wide_elimination_inputs(f, rng):

@@ -17,8 +17,8 @@ from quadsum.matrix import Matrix, direct_sum, hstack, inverse, jordan_block, ra
 from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
                           decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
                           minimal_polynomial, substitute_one_minus_t)
-from conftest import (WIDE_PRIMES, coprime_denominators, rand_invertible, rand_matrix,
-                      rand_wide_rational)
+from conftest import (WIDE_PRIMES, WORD_PRIME, coprime_denominators, rand_invertible,
+                      rand_matrix, rand_wide_rational)
 
 P = Polynomial
 
@@ -160,16 +160,19 @@ def _conjugated_block_sum(f, rng, count=(1, 3)):
 
 def test_krylov_annihilator_matches_naive():
     """Over GF(p) the cases include sizes on both sides of the packing gate
-    (up to 28), primes whose packed slots are wider than 64 bits, and
-    vectors of all p - 1."""
+    (up to 30), the largest prime that packs at size 28, primes too wide to
+    pack, and vectors of all p - 1, also under matrices of all p - 1, whose
+    products fill every slot with n (p - 1)^2."""
     rng = random.Random(14)
     cases = []
-    for f in [GF(p) for p in (2, 5, 101) + WIDE_PRIMES]:
+    for f in [GF(p) for p in (2, 5, 101, WORD_PRIME) + WIDE_PRIMES]:
         for k in range(18):
             n = rng.randint(1, 6) if k < 12 else rng.randint(8, 28)
             cases.append((rand_matrix(f, n, rng), [rng.randrange(f.p) for _ in range(n)]))
         for n in (9, 10, 28):
             cases.append((rand_matrix(f, n, rng), [-1] * n))
+        for n in (28, 29, 30):
+            cases.append((Matrix(f, n, n, [-1] * (n * n)), [-1] * n))
         m, t = _conjugated_block_sum(f, rng, count=(4, 7))
         cases.append((m, [-1] * m.rows))
         cases.append((m, list(t._e[:: m.rows])))
@@ -243,9 +246,9 @@ def test_cyclic_vector_merges_standard_vectors(monkeypatch):
     merged = []
     real = quadsum.poly._merge
 
-    def counted(m, first, second):
+    def counted(m, m_rows, first, second):
         merged.append((first[0], second[0]))
-        return real(m, first, second)
+        return real(m, m_rows, first, second)
 
     monkeypatch.setattr(quadsum.poly, "_merge", counted)
     for f in (QQ, GF(2), GF(5)):
@@ -267,7 +270,7 @@ def test_cyclic_vector_merge_runs_one_chain_per_new_factor(monkeypatch):
     calls = []
     real = quadsum.poly.krylov_annihilator
     monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
-                        lambda m, v: calls.append(v) or real(m, v))
+                        lambda m, v, *rows: calls.append(v) or real(m, v, *rows))
     for f in (QQ, GF(2), GF(5)):
         rows = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
         for m, mu in ((Matrix.diagonal(f, [0, 1, 1]), P(f, [0, -1, 1])),

@@ -158,3 +158,35 @@ def test_every_public_definition_has_a_reader():
         with open(path, encoding="utf-8") as fh:
             outside |= loads(ast.parse(fh.read()))
     assert unread_public(package_sources(), outside) == []
+
+
+#: The packed-row format of ``matrix.py``: how a GF(p) row becomes one int
+#: and back.  Other modules decide nothing about it but call ``_packs``.
+PACKING = {"_pack", "_residues", "_PackedColumns", "_MASK"}
+
+
+def packing_names(text: str):
+    """(line, name) of every name of ``PACKING`` the module imports or reads."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in PACKING]
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in PACKING:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_packing_names_are_found():
+    text = ("from .matrix import _packs, _pack\nx = matrix._residues(p, r, 3)\n"
+            "y = _PackedColumns(cols) if _packs(p, n, n) else cols\nz = r & _MASK\n")
+    assert packing_names(text) == [(1, "_pack"), (2, "_residues"), (3, "_PackedColumns"),
+                                   (4, "_MASK")]
+
+
+def test_packed_rows_are_named_only_in_matrix():
+    """Only ``matrix.py`` packs a row, reads one back or names the packed
+    columns or the slot mask; other modules call only the gate ``_packs``."""
+    found = [f"{name}:{line} {what}" for name, text in package_sources()
+             if name != "matrix.py" for line, what in packing_names(text)]
+    assert found == []

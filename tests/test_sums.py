@@ -226,6 +226,15 @@ def _intertwining_no(f, rng):
     return _conjugate(core, _unimodular(f, core.rows, rng))
 
 
+def _factor_no(f, h, rng):
+    """A conjugate of C(h) + J_3(1) + J_2(0) + J_4(0) + J_4(1), 15 x 15, for
+    h with h(0) h(1) != 0: its Jordan blocks at 0 and 1 pair, and its only
+    invariant factor with a part coprime to t (t - 1) is t^4 (t - 1)^4 h."""
+    core = direct_sum(f, [companion(h), jordan_block(f, 3, eigenvalue=1), jordan_block(f, 2),
+                          jordan_block(f, 4), jordan_block(f, 4, eigenvalue=1)])
+    return _conjugate(core, _unimodular(f, core.rows, rng))
+
+
 def _answer(m):
     """decide's F and T, and construct's A when the answer is yes."""
     d = decide(m)
@@ -251,17 +260,10 @@ def test_packed_rows_change_no_result(monkeypatch):
 def test_no_row_is_packed_below_the_gate(tmp_path, capsys, monkeypatch):
     """At n <= 8 every kernel keeps the list rows: decide on 3 x 3 GF(3) and
     4 x 4 GF(2) matrices, and quadsum construct on planted YES jobs up to
-    8 x 8 over GF(2) and GF(5), build no packing.  At the gate they do."""
+    8 x 8 over GF(2) and GF(5), pack no row.  At the gate they do."""
     made = []
-
-    class Counted(quadsum.matrix._Slots):
-        __slots__ = ()
-
-        def __init__(self, p, terms):
-            made.append(p)
-            super().__init__(p, terms)
-
-    monkeypatch.setattr(quadsum.matrix, "_Slots", Counted)
+    real = quadsum.matrix._pack
+    monkeypatch.setattr(quadsum.matrix, "_pack", lambda row: made.append(row) or real(row))
     rng = random.Random(41)
     for _ in range(40):
         decide(rand_matrix(GF(3), 3, rng))
@@ -311,6 +313,20 @@ def test_unpairable_jordan_blocks_fail_at_packed_width():
         d = decide(_intertwining_no(GF(101), rng))
         assert (d.nullity_at_0, d.nullity_at_1) == ((1, 1, 1, 1, 1), (1, 1))
         assert d.failing == {"kind": "intertwining", "eigenvalue": 0, "index": 3}
+
+
+def test_factor_not_in_t2_minus_t_fails_at_packed_width():
+    """A conjugated C(h) + J_3(1) + J_2(0) + J_4(0) + J_4(1), 15 x 15, with h
+    not of the form g(t^2 - t), fails as an invariant factor naming exactly
+    h: t^2 + 1 over Q and GF(101), t^2 + t + 2 over GF(3)."""
+    rng = random.Random(45)
+    for f, coeffs in ((QQ, [1, 0, 1]), (GF(101), [1, 0, 1]), (GF(3), [2, 1, 1])):
+        h = Polynomial(f, coeffs)
+        for _ in range(2):
+            d = decide(_factor_no(f, h, rng))
+            assert (d.nullity_at_0, d.nullity_at_1) == ((2, 2, 1, 1), (2, 2, 2, 1))
+            assert d.pairing is not None
+            assert d.failing == {"kind": "invariant_factor", "factor": h}
 
 
 def test_decide_cross_checks_valuations_against_ranks():
