@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
-from .matrix import (Matrix, _columns, _integral, _rank, _raw_products, direct_sum, hstack,
-                     jordan_block, kernel_matrix, rank, solve)
+from .matrix import (Matrix, _columns, _rank, _raw_products, direct_sum, hstack, jordan_block,
+                     kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
 
@@ -69,8 +69,8 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
         rows = [[one if i == j else zero for j in range(n)] if i < n else
                 list(solve(k_mat.transpose(), Matrix.column(f, [0] * (d - 1) + [1]))._e)]
         for _ in range(d - 1):
-            rows.append(_raw_products(f, _integral(f, [rows[-1]]), m_cols)[0])
-        pairing = _raw_products(f, _integral(f, rows), chain_cols)
+            rows.append(_raw_products(f, [rows[-1]], m_cols)[0])
+        pairing = _raw_products(f, rows, chain_cols)
         if _rank(f, pairing, d) == d:
             return Matrix._raw(f, d, n, [x for r_ in rows for x in r_])
     raise InternalCheckFailed(f"dual rows: the solved row pairs singularly with the {n}x{d} chain")

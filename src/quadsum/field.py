@@ -114,10 +114,6 @@ class Field:
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def parse(self, s: str) -> "FieldElement":
-        """The element a string reads as, by :meth:`value`."""
-        return self.make(self.value(s))
-
     # ---- raw-value arithmetic used by the dense kernels --------------
 
     def reduce(self, v):

@@ -8,6 +8,9 @@ public constructors (``Matrix(...)``, ``from_rows``, ``column``,
 ``diagonal``) coerce through ``Field.value``; indexing, ``row``,
 ``to_rows`` and ``trace`` wrap what they return.  The kernels work on raw
 values, canonicalise with ``Field.reduce`` and build with :meth:`Matrix._raw`.
+Only this module knows how a kernel holds a row (integers over a
+denominator, residues in a list, or 64-bit words in one int): its kernels
+take raw rows and give back raw canonical values.
 
 Every product of raw vectors in the package (matrix products, Krylov steps,
 dual rows and pairings) goes through one kernel, :func:`_raw_products`.  Over
@@ -23,8 +26,10 @@ row is a list and a step takes one ``% p`` per entry.  Over the rationals
 the rows are brought to integers the same way and the elimination is
 fraction-free: rows are cleared by cross-multiplying and kept primitive by
 dividing out their content.  Rank is the length of the forward elimination
-(:func:`_echelon`); :func:`_rref` back-substitutes that echelon and builds
-``Fraction``s only for the rows it returns.
+(:func:`_echelon`, which picks the row format); :func:`_rref`
+back-substitutes that echelon and builds ``Fraction``s only for the rows it
+returns.  A Krylov annihilator is the first relation among its vectors
+(:func:`_first_relation`), found by the same reduction.
 
 Over GF(p), from ``_PACK_MIN`` = 10 on, rows are packed (Kronecker
 substitution): one int holds a row, entry j in the 64-bit little-endian word
@@ -32,7 +37,7 @@ from bit 64 j up, converted by one ``array('Q')`` call in C.  A reduction
 step is one multiply-add of ints, r <- r + (p - a) r_piv; the slots stay
 non-negative and unreduced, and a row is read back and reduced mod p once,
 when it becomes a pivot row or leaves the kernel.  A slot of a row reduced
-in s steps holds less than (s + 1) p^2, and a dot product of k entries less
+in s steps holds less than s p^2, and a dot product of k entries less
 than k p^2, so a kernel packs only when that bound is below 2^64
 (:func:`_packs`, the one gate); wider primes take the list rows, with the
 same results.
@@ -203,7 +208,7 @@ class Matrix:
         f = self.field
         k, m = self.cols, other.cols
         a, b = self._e, other._e
-        rows = _integral(f, [a[i * k : (i + 1) * k] for i in range(self.rows)])
+        rows = [a[i * k : (i + 1) * k] for i in range(self.rows)]
         cols = _columns(f, [b[j::m] for j in range(m)])
         return Matrix._raw(f, self.rows, m,
                            [x for row in _raw_products(f, rows, cols) for x in row])
@@ -243,16 +248,9 @@ def _check_shape(rows: int, cols: int):
 
 # ---- the product kernel (raw values) ---------------------------------
 
-def _integral(field: Field, vecs):
-    """Raw vectors as ``(integers, denominator)`` pairs, the operands of
-    :func:`_raw_products`.
-
-    Over the rationals each vector is scaled by the lcm of its entries'
-    denominators (plain ints have denominator 1); GF(p) residues are already
-    integers over 1.
-    """
-    if field.p is not None:
-        return [(v, 1) for v in vecs]
+def _integral(vecs):
+    """Rational raw vectors as ``(integers, denominator)`` pairs, scaled by the
+    lcm of their entries' denominators (plain ints have denominator 1)."""
     out = []
     for v in vecs:
         dens = [x.denominator for x in v]
@@ -262,29 +260,28 @@ def _integral(field: Field, vecs):
 
 
 def _columns(field: Field, cols):
-    """The right operand of :func:`_raw_products`: the :class:`_PackedColumns`
-    of ``cols`` when :func:`_packs` admits them (a dot product of k entries
-    has k terms), else :func:`_integral` of ``cols``."""
+    """The right operand of :func:`_raw_products`, from raw ``cols``: packed
+    (:class:`_PackedColumns`) when :func:`_packs` admits k terms for k
+    entries, else GF(p) columns as they are and rational ones integral."""
     k = len(cols[0]) if cols else 0
     if _packs(field.p, min(len(cols), k), k):
         return _PackedColumns(cols)
-    return _integral(field, cols)
+    return cols if field.p is not None else _integral(cols)
 
 
 def _raw_products(field: Field, rows, cols):
-    """The reduced raw dot product of every row with every column.
+    """The reduced raw dot product of every raw row with every column.
 
-    ``rows`` come from :func:`_integral` and ``cols`` from :func:`_columns`;
-    entry ``[i][j]`` of the result is row i times column j, a residue in
-    [0, p) or a reduced Fraction.
+    ``cols`` come from :func:`_columns`; entry ``[i][j]`` of the result is
+    row i times column j, a residue in [0, p) or a reduced Fraction.
     """
     p = field.p
     if isinstance(cols, _PackedColumns):
         ints, count = cols.ints, cols.count
-        return [_residues(p, sum(map(mul, r, ints)), count) for r, _ in rows]
+        return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
-        return [[sum(map(mul, r, c)) % p for c, _ in cols] for r, _ in rows]
-    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
+    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in _integral(rows)]
 
 
 # ---- packed GF(p) rows ------------------------------------------------
@@ -306,8 +303,8 @@ def _packs(p, size: int, terms: int) -> bool:
     ``_PACK_MIN`` on, when a 64-bit slot holds ``terms`` products of two
     residues, terms p^2 < 2^64, and the machine is little-endian (the order
     :func:`_residues` reads words in).  A reduction with s steps adds at most
-    s (p - 1)^2 to a residue, so it takes terms = s + 1; a dot product of k
-    entries takes terms = k."""
+    s (p - 1)^2 to a residue, and (p - 1) + s (p - 1)^2 < s p^2, so it takes
+    terms = s; a dot product of k entries takes terms = k."""
     return (p is not None and size >= _PACK_MIN and terms * p * p <= _MASK
             and byteorder == "little")
 
@@ -342,7 +339,7 @@ def _primitive(row):
     return row if g < 2 else [x // g for x in row]
 
 
-def _reduce(row, ech, p, packed=False):
+def _reduce(row, ech, p, packed):
     """The raw row reduced against the (pivot column, pivot row) pairs of
     ``ech``, in order: each step clears the row's entry a in the pivot
     column.
@@ -381,7 +378,7 @@ def _reduce(row, ech, p, packed=False):
     return row
 
 
-def _pivot(row, ncols: int, p, packed=False):
+def _pivot(row, ncols: int, p, packed):
     """The (pivot column, pivot row) pair of a reduced row, or None when its
     first ``ncols`` entries are 0.  Over GF(p) the row is scaled to pivot 1,
     and packed with ``packed``; over the rationals it is made primitive."""
@@ -395,17 +392,48 @@ def _pivot(row, ncols: int, p, packed=False):
     return None
 
 
-def _echelon(rows, ncols: int, p, packed=False):
-    """Forward elimination of integer or residue rows: each row reduced
-    against the pivot rows before it, and kept when it is nonzero in its
-    first ``ncols`` entries.  Every pivot row is 0 before its pivot column;
-    with ``packed`` the pivot rows are packed."""
+def _echelon(field: Field, rows, ncols: int):
+    """Forward elimination of raw rows: ``(ech, packed)``, the (pivot
+    column, pivot row) pairs of each row reduced against the pivot rows
+    before it and kept when it is nonzero in its first ``ncols`` entries,
+    and whether the pivot rows are packed (a row takes at most as many steps
+    as the rank can reach).  Every pivot row is 0 before its pivot column."""
+    p = field.p
+    if p is None:
+        rows = [v for v, _ in _integral(rows)]
+    bound = min(len(rows), ncols)
+    packed = _packs(p, bound, bound)
     ech = []
     for row in rows:
         piv = _pivot(_reduce(row, ech, p, packed), ncols, p, packed)
         if piv:
             ech.append(piv)
-    return ech
+    return ech, packed
+
+
+def _first_relation(field: Field, vecs, n: int):
+    """The first linear relation among the raw n-vectors (lists) v_0, v_1,
+    ... that ``vecs`` yields, drawing none past it: raw c_0, ..., c_k with
+    c_k = 1 and c_0 v_0 + ... + c_k v_k = 0; None when ``vecs`` runs out.
+
+    v_k, as integers over its common denominator d (over GF(p), residues
+    with d = 1), is extended to the row [v_k | d e_k], reduced in at most n
+    steps against the pivot rows of the vectors before it and kept as a
+    pivot row when its vector part is nonzero, as in :func:`_echelon`.  Once
+    the vector part vanishes the rest is a relation: over GF(p) its entry at
+    k is still 1, and over the rationals it is divided by that entry.
+    """
+    p = field.p
+    packed = _packs(p, n, n)
+    ech = []
+    for k, v in enumerate(vecs):
+        v, d = _integral([v])[0] if p is None else (v, 1)
+        row = _reduce(v + [0] * k + [d], ech, p, packed)
+        piv = _pivot(row, n, p, packed)
+        if piv is None:
+            return row[n:] if p is not None else [Fraction(x, row[-1]) for x in row[n:]]
+        ech.append(piv)
+    return None
 
 
 def _rref(field: Field, rows, ncols: int):
@@ -419,10 +447,8 @@ def _rref(field: Field, rows, ncols: int):
     """
     p = field.p
     width = len(rows[0]) if rows else 0
-    bound = min(len(rows), ncols)
-    packed = _packs(p, bound, bound + 1)
-    ech = sorted(_echelon([v for v, _ in _integral(field, rows)], ncols, p, packed),
-                 key=lambda piv: piv[0])
+    ech, packed = _echelon(field, rows, ncols)
+    ech.sort(key=lambda piv: piv[0])
     zero = field.reduce(0)
     for i in range(len(ech) - 1, -1, -1):
         c, row = ech[i]
@@ -439,10 +465,7 @@ def _rref(field: Field, rows, ncols: int):
 def _rank(field: Field, rows, ncols: int) -> int:
     """Rank of raw rows, by forward elimination alone; over the rationals
     no ``Fraction`` is built."""
-    p = field.p
-    bound = min(len(rows), ncols)
-    return len(_echelon([v for v, _ in _integral(field, rows)], ncols, p,
-                        _packs(p, bound, bound + 1)))
+    return len(_echelon(field, rows, ncols)[0])
 
 
 def rank(m: Matrix) -> int:

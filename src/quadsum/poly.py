@@ -10,23 +10,15 @@ wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
 and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
 coefficient of each step over GF(p), and build a ``Polynomial`` only for
 their results.  The Krylov annihilator has no elimination of its own: it
-reduces each Krylov vector, extended by its combination over the Krylov
-powers, with the row operation of :func:`quadsum.matrix._reduce`,
-fraction-free over the rationals, and builds ``Fraction``s only for the
-returned annihilator.  Over GF(p), where ``quadsum.matrix._packs`` admits
-them (from ``_PACK_MIN`` on, while a 64-bit slot holds the reduction), those
-rows are packed into ints, one word per entry, and M's rows are packed once
-per cyclic vector for its M w steps.
+yields the Krylov vectors to :func:`quadsum.matrix._first_relation`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _columns, _integral, _packs, _pivot, _raw_products, _reduce
+from .matrix import Matrix, _columns, _first_relation, _raw_products
 
 
 class Polynomial:
@@ -282,41 +274,29 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     ``quadsum.matrix._columns`` of m's rows, built here when not given;
     callers that run several chains under one m build it once.
 
-    The k-th Krylov vector, as integers over its common denominator d (over
-    GF(p), residues with d = 1), is extended by its combination over the
-    Krylov powers, d at power k, to the row [vector | combination].  The
-    row is reduced against the pivot rows of the earlier ones with
-    :func:`quadsum.matrix._reduce` and kept as a pivot row when its vector
-    part is nonzero, as in :func:`quadsum.matrix._echelon`.  Once the vector
-    part vanishes the combination annihilates v: over GF(p) its entry at
-    power k is still 1, and over the rationals it is divided by that entry.
+    Each Krylov vector is computed only when
+    :func:`quadsum.matrix._first_relation` asks for it, and the first
+    relation among them gives the annihilator's coefficients.
     """
     n = m.rows
     if m.cols != n or len(v_raw) != n:
         raise DimensionMismatch(f"krylov annihilator: a {len(v_raw)}-vector under "
                                 f"a {m.rows}x{m.cols} matrix")
     f = m.field
-    p = f.p
     if m_rows is None:
         m_rows = _columns(f, m.raw_rows())
-    packed = _packs(p, n, n + 1)
-    ech = []
     chain = []
-    w = [f.reduce(x) for x in v_raw]
-    for k in range(n + 1):
-        iw = _integral(f, [w])
-        vec, den = iw[0]
-        row = _reduce(vec + [0] * k + [den], ech, p, packed)
-        piv = _pivot(row, n, p, packed)
-        if piv is None:
-            combo = row[n:]
-            if p is None:
-                combo = [Fraction(x, combo[k]) for x in combo]
-            return Polynomial._raw(f, combo), chain
-        ech.append(piv)
-        chain.append(w)
-        w = _raw_products(f, iw, m_rows)[0]
-    raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
+
+    def powers(w):
+        for _ in range(n + 1):
+            chain.append(w)
+            yield w
+            w = _raw_products(f, [w], m_rows)[0]
+
+    combo = _first_relation(f, powers([f.reduce(x) for x in v_raw]), n)
+    if combo is None:
+        raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
+    return Polynomial._raw(f, combo), chain[:-1]
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):

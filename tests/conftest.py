@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import quadsum
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 
 
 #: The largest prime p with 29 p^2 < 2^64: a packed GF(p) slot is one 64-bit
-#: word, so at this p a reduction of up to 28 steps and a dot product of up to
+#: word, so at this p a reduction of up to 29 steps and a dot product of up to
 #: 29 terms pack, and the next sizes up take the list rows.
 WORD_PRIME = 797555399
 
@@ -19,6 +20,14 @@ WORD_PRIME = 797555399
 #: the list rows past the packing gate: a Mersenne prime and the largest prime
 #: the field accepts (just below its Miller-Rabin limit).
 WIDE_PRIMES = (2 ** 61 - 1, 3317044064679887385961813)
+
+
+def count_packs(monkeypatch):
+    """The list of the rows that ``quadsum.matrix._pack`` packs from now on."""
+    made = []
+    real = quadsum.matrix._pack
+    monkeypatch.setattr(quadsum.matrix, "_pack", lambda row: made.append(row) or real(row))
+    return made
 
 
 def conjugate_partition(sizes):

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from quadsum.errors import DimensionMismatch, MixedFields, Singular
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _rref, block2x2, direct_sum, hstack, inverse,
-                            jordan_block, kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _rref, block2x2, direct_sum,
+                            hstack, inverse, jordan_block, kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, krylov_annihilator
-from conftest import (WIDE_PRIMES, WORD_PRIME, rand_element, rand_invertible, rand_matrix,
-                      rand_wide_rational)
+from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
+                      rand_matrix, rand_wide_rational)
 
 #: Fields of the kernel property tests: small primes, which pack at every
 #: size these tests reach past the gate, the largest prime that packs at
@@ -236,6 +236,55 @@ def test_similarity_preserves_rank_and_trace():
         assert c.trace() == m.trace()
 
 
+# ---- the first linear relation -----------------------------------------
+
+def independent_vectors(f, n, rng):
+    """n independent raw n-vectors, lists; over Q with denominators."""
+    rows = rand_invertible(f, n, rng).raw_rows()
+    if f.p is None:
+        rows = [[x / rng.randint(1, 9) for x in row] for row in rows]
+    return rows
+
+
+def test_first_relation_returns_the_planted_combination(monkeypatch):
+    """v_k is a combination of the independent v_0, ..., v_(k-1); the kernel
+    returns exactly that relation, with c_k = 1, and draws no vector past
+    v_k.  n independent vectors have no relation.  The sizes lie on both
+    sides of the packing gate and reach the word-bound prime's 29."""
+    rng = random.Random(31)
+    made = count_packs(monkeypatch)
+    for f in (QQ, GF(2), GF(5), GF(101), GF(WORD_PRIME)):
+        for n in (_PACK_MIN - 1, _PACK_MIN, 28, 29):
+            basis = independent_vectors(f, n, rng)
+            made.clear()
+            assert _first_relation(f, iter(basis), n) is None
+            assert bool(made) == (f.p is not None and n >= _PACK_MIN)
+            for k in (0, 1, rng.randint(2, n - 1), n):
+                if f.p is None:
+                    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                else:
+                    coeffs = [rng.randrange(f.p) for _ in range(k)]
+                v_k = [f.reduce(sum(c * v[i] for c, v in zip(coeffs, basis))) for i in range(n)]
+                vecs = basis[:k] + [v_k, basis[-1]]
+                it = iter(vecs)
+                assert _first_relation(f, it, n) == [f.reduce(-c) for c in coeffs] + [1]
+                assert next(it) is vecs[-1]
+    assert _first_relation(QQ, iter([]), 3) is None
+
+
+def test_first_relation_fills_a_slot_with_n_steps():
+    """v_0 = -e_0 and v_j = e_j - e_0 give pivot rows whose combination
+    entry at v_0 is p - 1, and the vector of all ones is then reduced by n
+    steps of multiplier p - 1, so that entry reaches n (p - 1)^2.  At the
+    word-bound prime n = 29 packs and n = 30, whose slot would overflow 64
+    bits, does not."""
+    f = GF(WORD_PRIME)
+    for n in (_PACK_MIN, 29, 30):
+        vecs = [[f.p - 1 if i == 0 else int(i == j) for i in range(n)] for j in range(n)]
+        vecs.append([1] * n)
+        assert _first_relation(f, iter(vecs), n) == [n] + [f.p - 1] * (n - 1) + [1]
+
+
 # ---- elimination against a Gauss-Jordan reference ---------------------
 
 def reference_rref(field, rows, ncols):
@@ -303,8 +352,8 @@ def wide_elimination_inputs(f, rng):
     -2, ...) give every step of the row's reduction the multiplier p - 1, so
     slot j of the packed row reaches j (p - 1)^2 + p - 1, the most the
     slot width allows for; the row of all p - 1 is reduced against the same
-    pivots.  At the word-bound prime n = 27 packs and n = 30, whose slots
-    would overflow 64 bits, does not."""
+    pivots.  At the word-bound prime n = 27 and 28 pack and n = 30, whose
+    slots would overflow 64 bits, does not."""
     p = f.p
     for rows, cols in ((_PACK_MIN - 1, _PACK_MIN - 1), (_PACK_MIN, _PACK_MIN),
                        (_PACK_MIN + 2, 28), (28, _PACK_MIN + 2), (24, 24)):
@@ -312,7 +361,7 @@ def wide_elimination_inputs(f, rng):
         yield m, rand_matrix(f, rows, rng, cols=2)
         low = rand_matrix(f, rows, rng, cols=3) * rand_matrix(f, 3, rng, cols=cols)
         yield low, low * rand_matrix(f, cols, rng, cols=2)
-    for n in (_PACK_MIN - 1, _PACK_MIN, 27, 30):
+    for n in (_PACK_MIN - 1, _PACK_MIN, 27, 28, 30):
         pivots = [[0] * i + [1] + [-1] * (n - i) for i in range(n)]
         entries = pivots + [[(1 - j) % p for j in range(n + 1)], [-1] * (n + 1)]
         m = Matrix.from_rows(f, entries)
@@ -327,6 +376,24 @@ def test_wide_elimination_matches_fraction_gauss_jordan():
     for f in PRIME_FIELDS:
         for m, b in wide_elimination_inputs(f, rng):
             check_elimination(m, b)
+
+
+def test_elimination_packs_up_to_the_word_bound(monkeypatch):
+    """At the word-bound prime an elimination whose rank can reach 29 packs
+    its rows, and agrees with Gauss-Jordan: a uniform 29 x 29 matrix, and
+    the worst-case system of 28 pivot rows, whose last rows are reduced by
+    28 steps of multiplier p - 1."""
+    f = GF(WORD_PRIME)
+    rng = random.Random(29)
+    made = count_packs(monkeypatch)
+    cases = [(rand_matrix(f, 29, rng), rand_matrix(f, 29, rng, cols=2))]
+    cases += [(m, b) for m, b in wide_elimination_inputs(f, rng) if m.cols == 29]
+    assert len(cases) == 2
+    for m, b in cases:
+        made.clear()
+        rank(m)
+        assert made
+        check_elimination(m, b)
 
 
 def check_elimination(m, b):

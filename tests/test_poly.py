@@ -17,8 +17,8 @@ from quadsum.matrix import Matrix, direct_sum, hstack, inverse, jordan_block, ra
 from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
                           decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
                           minimal_polynomial, substitute_one_minus_t)
-from conftest import (WIDE_PRIMES, WORD_PRIME, coprime_denominators, rand_invertible,
-                      rand_matrix, rand_wide_rational)
+from conftest import (WIDE_PRIMES, WORD_PRIME, coprime_denominators, count_packs,
+                      rand_invertible, rand_matrix, rand_wide_rational)
 
 P = Polynomial
 
@@ -204,6 +204,23 @@ def test_krylov_annihilator_matches_naive():
             assert Matrix.column(m.field, got) == want
         short += 1 < len(chain) < m.rows
     assert short >= 40
+
+
+def test_krylov_annihilator_packs_up_to_the_word_bound(monkeypatch):
+    """At the word-bound prime a Krylov chain under a 29 x 29 matrix packs
+    the rows of its elimination, the Krylov vectors extended by their
+    combinations, and agrees with the naive annihilator."""
+    f = GF(WORD_PRIME)
+    rng = random.Random(29)
+    made = count_packs(monkeypatch)
+    for m, v in ((rand_matrix(f, 29, rng), [rng.randrange(f.p) for _ in range(29)]),
+                 (Matrix(f, 29, 29, [-1] * (29 * 29)), [-1] * 29)):
+        made.clear()
+        ann, chain = krylov_annihilator(m, v)
+        assert any(len(row) > 29 for row in made)
+        want_ann, want_chain = naive_krylov(m, v)
+        assert ann == want_ann
+        assert [Matrix.column(f, w) for w in chain] == want_chain
 
 
 def test_krylov_annihilator_checks_shapes():

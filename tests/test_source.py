@@ -160,9 +160,12 @@ def test_every_public_definition_has_a_reader():
     assert unread_public(package_sources(), outside) == []
 
 
-#: The packed-row format of ``matrix.py``: how a GF(p) row becomes one int
-#: and back.  Other modules decide nothing about it but call ``_packs``.
-PACKING = {"_pack", "_residues", "_PackedColumns", "_MASK"}
+#: How ``matrix.py`` holds a row in its kernels: the packing gate, how a
+#: GF(p) row becomes one int and back, rational rows as integers over a
+#: denominator, and the elimination steps on those rows.  Other modules pass
+#: and get back raw canonical values only.
+PACKING = {"_pack", "_residues", "_PackedColumns", "_MASK", "_packs", "_reduce", "_pivot",
+           "_echelon", "_integral"}
 
 
 def packing_names(text: str):
@@ -179,14 +182,18 @@ def packing_names(text: str):
 
 def test_packing_names_are_found():
     text = ("from .matrix import _packs, _pack\nx = matrix._residues(p, r, 3)\n"
-            "y = _PackedColumns(cols) if _packs(p, n, n) else cols\nz = r & _MASK\n")
-    assert packing_names(text) == [(1, "_pack"), (2, "_residues"), (3, "_PackedColumns"),
-                                   (4, "_MASK")]
+            "y = _PackedColumns(cols) if _packs(p, n, n) else cols\nz = r & _MASK\n"
+            "from .matrix import _columns, _integral\nw = _reduce(row, ech, p, True)\n")
+    assert packing_names(text) == [(1, "_pack"), (1, "_packs"), (2, "_residues"),
+                                   (3, "_PackedColumns"), (3, "_packs"), (4, "_MASK"),
+                                   (5, "_integral"), (6, "_reduce")]
 
 
 def test_packed_rows_are_named_only_in_matrix():
-    """Only ``matrix.py`` packs a row, reads one back or names the packed
-    columns or the slot mask; other modules call only the gate ``_packs``."""
+    """Only ``matrix.py`` decides how a kernel holds a row: no other module
+    calls the packing gate or the elimination steps, packs a row, reads one
+    back, brings rational rows to integers or names the packed columns or
+    the slot mask."""
     found = [f"{name}:{line} {what}" for name, text in package_sources()
              if name != "matrix.py" for line, what in packing_names(text)]
     assert found == []
