@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
-from .matrix import (Matrix, _columns, _rank, _raw_products, direct_sum, hstack, jordan_block,
-                     kernel_matrix, rank, solve)
+from .matrix import (Matrix, _columns, _rank, _raw_products, _span_rank, direct_sum, hstack,
+                     jordan_block, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
 
@@ -110,7 +110,9 @@ def invariant_factors_with_transform(m: Matrix):
     iterated cyclic decomposition; correctness is enforced by re-checking,
     before returning, the degree sum, M T = T F for the Frobenius form F
     with T of full rank (which is T^-1 M T = F without an inverse), and the
-    divisibility chain.
+    divisibility chain.  Full rank is read first from
+    :func:`quadsum.matrix._span_rank` of T's rows, modulo one prime over the
+    rationals, and only a rank short of n there runs the exact ``rank``.
     """
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
@@ -119,7 +121,8 @@ def invariant_factors_with_transform(m: Matrix):
     where = f"blocks {[fac.degree for fac in factors]} of the {n}x{n} matrix"
     if sum(fac.degree for fac in factors) != n:
         raise InternalCheckFailed(f"invariant factors: sizes do not add up, {where}")
-    if t_mat.cols != n or rank(t_mat) != n:
+    if t_mat.cols != n or (_span_rank(m.field, [], t_mat.raw_rows(), n) < n
+                           and rank(t_mat) != n):
         raise InternalCheckFailed(f"invariant factors: the witness T is singular, {where}")
     if m * t_mat != t_mat * direct_sum(m.field, [companion(fac) for fac in factors]):
         raise InternalCheckFailed(f"invariant factors: M T is not T F, {where}")

@@ -19,17 +19,26 @@ vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints and each entry of the result costs one reduced ``Fraction``.
 
-Every row operation in the package (rank, kernel, solve and the Krylov
-annihilators; an inverse is one solve) is one call of :func:`_reduce`, which
-reduces a row against an ordered list of pivot rows.  Over GF(p) a narrow
-row is a list and a step takes one ``% p`` per entry.  Over the rationals
-the rows are brought to integers the same way and the elimination is
-fraction-free: rows are cleared by cross-multiplying and kept primitive by
-dividing out their content.  Rank is the length of the forward elimination
-(:func:`_echelon`, which picks the row format); :func:`_rref`
+Every row operation in the package (rank, kernel, solve, the Krylov
+annihilators and the span kernel; an inverse is one solve) is one call of
+:func:`_reduce`, which reduces a row against an ordered list of pivot rows.
+Over GF(p) a narrow row is a list and a step takes one ``% p`` per entry.
+Over the rationals the rows are brought to integers the same way and the
+elimination is fraction-free: rows are cleared by cross-multiplying and kept
+primitive by dividing out their content.  Rank is the length of the forward
+elimination (:func:`_echelon`, which picks the row format); :func:`_rref`
 back-substitutes that echelon and builds ``Fraction``s only for the rows it
 returns.  A Krylov annihilator is the first relation among its vectors
-(:func:`_first_relation`), found by the same reduction.
+(:func:`_first_relation`), found by the same reduction; :func:`_krylov`
+makes the vectors, and over the rationals brings each to integers once for
+its relation row, the next product and the span kernel.
+
+The span kernel, :func:`_span_rank`, extends an echelon that its caller
+keeps with raw n-vectors and returns the rank: exactly over GF(p), and over
+the rationals modulo one word-size prime (``_SPAN_PRIME``), where a rank of
+n is a rank of n over Q and a smaller one says nothing.  The cyclic-vector
+scan keeps one across its Krylov chains, and the Frobenius witness check
+reads rank(T) = n from it before any exact rank.
 
 Over GF(p), from ``_PACK_MIN`` = 10 on, rows are packed (Kronecker
 substitution): one int holds a row, entry j in the 64-bit little-endian word
@@ -54,7 +63,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from sys import byteorder
 
 from .errors import DimensionMismatch, MixedFields, Singular
@@ -164,21 +173,19 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other, "add")
-        reduce = self.field.reduce
         return Matrix._raw(self.field, self.rows, self.cols,
-                           [reduce(x + y) for x, y in zip(self._e, other._e)])
+                           _canonical(self.field, map(add, self._e, other._e)))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other, "sub")
-        reduce = self.field.reduce
         return Matrix._raw(self.field, self.rows, self.cols,
-                           [reduce(x - y) for x, y in zip(self._e, other._e)])
+                           _canonical(self.field, map(sub, self._e, other._e)))
 
     def __neg__(self):
-        reduce = self.field.reduce
-        return Matrix._raw(self.field, self.rows, self.cols, [reduce(-x) for x in self._e])
+        return Matrix._raw(self.field, self.rows, self.cols,
+                           _canonical(self.field, map(neg, self._e)))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -191,8 +198,8 @@ class Matrix:
         """c times self, for a raw canonical scalar c."""
         if c == 1:
             return self
-        reduce = self.field.reduce
-        return Matrix._raw(self.field, self.rows, self.cols, [reduce(c * x) for x in self._e])
+        return Matrix._raw(self.field, self.rows, self.cols,
+                           _canonical(self.field, [c * x for x in self._e]))
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -246,6 +253,13 @@ def _check_shape(rows: int, cols: int):
         raise DimensionMismatch(f"{rows}x{cols} matrix: a dimension is negative")
 
 
+def _canonical(field: Field, values) -> list:
+    """Raw intermediates made canonical: one inline ``% p`` each over GF(p),
+    ``Field.reduce`` each over the rationals."""
+    p = field.p
+    return [x % p for x in values] if p is not None else list(map(field.reduce, values))
+
+
 # ---- the product kernel (raw values) ---------------------------------
 
 def _integral(vecs):
@@ -281,7 +295,13 @@ def _raw_products(field: Field, rows, cols):
         return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
-    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in _integral(rows)]
+    return _integral_products(_integral(rows), cols)
+
+
+def _integral_products(rows, cols):
+    """:func:`_raw_products` over the rationals, for rows that are already
+    ``(integers, denominator)`` pairs from :func:`_integral`."""
+    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
 
 
 # ---- packed GF(p) rows ------------------------------------------------
@@ -411,7 +431,7 @@ def _echelon(field: Field, rows, ncols: int):
     return ech, packed
 
 
-def _first_relation(field: Field, vecs, n: int):
+def _first_relation(field: Field, vecs, n: int, drawn=None):
     """The first linear relation among the raw n-vectors (lists) v_0, v_1,
     ... that ``vecs`` yields, drawing none past it: raw c_0, ..., c_k with
     c_k = 1 and c_0 v_0 + ... + c_k v_k = 0; None when ``vecs`` runs out.
@@ -422,18 +442,91 @@ def _first_relation(field: Field, vecs, n: int):
     pivot row when its vector part is nonzero, as in :func:`_echelon`.  Once
     the vector part vanishes the rest is a relation: over GF(p) its entry at
     k is still 1, and over the rationals it is divided by that entry.
+    ``drawn``, when given over the rationals, is a list that receives each
+    (integers, d) pair as soon as its vector is drawn, for the caller to
+    use again.
     """
     p = field.p
     packed = _packs(p, n, n)
     ech = []
     for k, v in enumerate(vecs):
         v, d = _integral([v])[0] if p is None else (v, 1)
+        if drawn is not None:
+            drawn.append((v, d))
         row = _reduce(v + [0] * k + [d], ech, p, packed)
         piv = _pivot(row, n, p, packed)
         if piv is None:
             return row[n:] if p is not None else [Fraction(x, row[-1]) for x in row[n:]]
         ech.append(piv)
     return None
+
+
+def _krylov(field: Field, v, m_rows, n: int, span=None):
+    """``(combo, chain)``: the first relation among the Krylov vectors v,
+    m v, m^2 v, ... of the raw canonical n-vector v (a list), as
+    :func:`_first_relation` returns it, and the vectors before it.  m is
+    given by ``m_rows``, :func:`_columns` of its rows.
+
+    Each vector is computed only when the relation asks for it.  Over the
+    rationals it is brought to integers once (:func:`_integral`), and that
+    integer row serves its relation row, the product that makes the next
+    vector and, with ``span`` (an echelon of :func:`_span_rank`), the
+    extension of the span by the chain.  A chain of n vectors spans k^n by
+    itself, and extends no echelon.
+    """
+    p = field.p
+    chain, drawn = [], []
+
+    def powers(w):
+        for _ in range(n + 1):
+            chain.append(w)
+            yield w
+            w = (_raw_products(field, [w], m_rows) if p is not None
+                 else _integral_products(drawn[-1:], m_rows))[0]
+
+    combo = _first_relation(field, powers(v), n, drawn if p is None else None)
+    if span is not None and len(chain) <= n:
+        _extend_span(span, p, chain[:-1] if p is not None else [row for row, _ in drawn[:-1]], n)
+    return combo, chain[:-1]
+
+
+#: The prime modulo which :func:`_span_rank` follows the span of rational
+#: vectors: the largest p with 29 p^2 < 2^64, so that up to n = 29 the
+#: span's rows pack.
+_SPAN_PRIME = 797555399
+
+
+def _span_rank(field: Field, ech: list, vecs, n: int) -> int:
+    """Extend ``ech``, an echelon of n-vectors that the caller keeps (a list,
+    empty at first, whose length is its rank), by the raw n-vectors ``vecs``
+    and return its rank.
+
+    Over GF(p) the rank is exact.  Over the rationals each vector's integer
+    row (:func:`_integral`) is taken modulo the word-size prime q =
+    ``_SPAN_PRIME``: scaling a vector keeps its span and Z -> GF(q) is a
+    ring map, so a rank of n modulo q is a rank of n over the rationals,
+    while a rank short of n says nothing.  Like every kernel here it picks
+    its own row format, packed under :func:`_packs` (q, n, n).
+    """
+    p = field.p
+    return _extend_span(ech, p, vecs if p is not None else [v for v, _ in _integral(vecs)], n)
+
+
+def _extend_span(ech, p, rows, n: int) -> int:
+    """:func:`_span_rank` for GF(p) residue rows or, with ``p`` None,
+    integer rows; it stops once the rank is n."""
+    q = _SPAN_PRIME if p is None else p
+    packed = _packs(q, n, n)
+    dim = len(ech)
+    for row in rows:
+        if dim == n:
+            break
+        piv = _pivot(_reduce(row if p is not None else [x % q for x in row], ech, q, packed),
+                     n, q, packed)
+        if piv:
+            ech.append(piv)
+            dim += 1
+    return dim
 
 
 def _rref(field: Field, rows, ncols: int):

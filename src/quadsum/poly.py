@@ -1,16 +1,19 @@
 """Univariate polynomials over an exact field.
 
 Includes companion matrices, Krylov annihilators, cyclic vectors (built by
-an lcm merge of standard basis vectors, never searched for), and the
-substitution test deciding whether f(t) can be written as g(t^2 - t).
+an lcm merge of standard basis vectors, never searched for; the scan of the
+standard vectors stops once their chains span k^n), and the substitution
+test deciding whether f(t) can be written as g(t^2 - t).
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 ``Polynomial(...)`` coerces through ``Field.value``, scalar evaluation
 wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
 and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
 coefficient of each step over GF(p), and build a ``Polynomial`` only for
-their results.  The Krylov annihilator has no elimination of its own: it
-yields the Krylov vectors to :func:`quadsum.matrix._first_relation`.
+their results.  The Krylov annihilator has no elimination of its own: the
+Krylov vectors and their first relation come from
+:func:`quadsum.matrix._krylov`, and the span of the chains from
+:func:`quadsum.matrix._span_rank`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _columns, _first_relation, _raw_products
+from .matrix import Matrix, _canonical, _columns, _krylov
 
 
 class Polynomial:
@@ -266,17 +269,19 @@ def companion(p: Polynomial) -> Matrix:
 
 # ---- Krylov machinery ------------------------------------------------
 
-def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
+def krylov_annihilator(m: Matrix, v_raw, m_rows=None, span=None):
     """Least-degree monic annihilator of the vector v under m, plus its chain.
 
     Returns ``(poly, chain)`` where chain is the list of raw Krylov vectors
     v, m v, ..., m^(d-1) v for d = deg(poly).  ``m_rows`` is
     ``quadsum.matrix._columns`` of m's rows, built here when not given;
-    callers that run several chains under one m build it once.
+    callers that run several chains under one m build it once.  ``span``,
+    when given, is an echelon of :func:`quadsum.matrix._span_rank` that the
+    chain extends.
 
     Each Krylov vector is computed only when
-    :func:`quadsum.matrix._first_relation` asks for it, and the first
-    relation among them gives the annihilator's coefficients.
+    :func:`quadsum.matrix._krylov` asks for it, and the first relation among
+    them gives the annihilator's coefficients.
     """
     n = m.rows
     if m.cols != n or len(v_raw) != n:
@@ -285,18 +290,10 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     f = m.field
     if m_rows is None:
         m_rows = _columns(f, m.raw_rows())
-    chain = []
-
-    def powers(w):
-        for _ in range(n + 1):
-            chain.append(w)
-            yield w
-            w = _raw_products(f, [w], m_rows)[0]
-
-    combo = _first_relation(f, powers([f.reduce(x) for x in v_raw]), n)
+    combo, chain = _krylov(f, _canonical(f, v_raw), m_rows, n, span)
     if combo is None:
         raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
-    return Polynomial._raw(f, combo), chain[:-1]
+    return Polynomial._raw(f, combo), chain
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):
@@ -336,23 +333,41 @@ def _merge(m: Matrix, m_rows, first, second):
 def cyclic_vector(m: Matrix):
     """(mu, chain): the minimal polynomial of m, the lcm of the annihilators
     of e_0, e_1, ..., and the Krylov chain of a vector whose annihilator it
-    is: the first e_i that has it, else the merge of all e_i, two at a time."""
+    is: the first e_i that has it, else the merge of all e_i, two at a time.
+
+    The chains of e_0, ..., e_i span W = Z(e_0) + ... + Z(e_i), which m maps
+    into itself.  Once W is k^n, the lcm so far kills all of k^n and is mu,
+    so the scan stops there; W's rank is kept by
+    :func:`quadsum.matrix._span_rank` (modulo one prime over the rationals,
+    where a rank short of n only keeps the scan going).  The first e_j with
+    annihilator mu is then looked for among the vectors already run, else
+    e_(i+1), e_(i+2), ... are run one at a time, and when none has it all n
+    are merged, as by a full scan.  The last e_(n-1) extends no echelon, as
+    nothing is left to save.
+    """
     if not m.is_square:
         raise DimensionMismatch("cyclic vector of a non-square matrix")
     n = m.rows
     mu = Polynomial.one(m.field)
     m_rows = _columns(m.field, m.raw_rows())
+    span = []
+    runs = (krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows,
+                               span if i < n - 1 else None) for i in range(n))
     tried = []
-    for i in range(n):
-        ann, chain = krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows)
+    for ann, chain in runs:
         if ann.degree == n:
             return ann, chain
         tried.append((ann, chain))
-        if mu.degree < n:
-            mu = lcm(mu, ann)
+        mu = lcm(mu, ann)
+        if len(span) == n:
+            break
     for pair in tried:
         if pair[0] == mu:
             return pair
+    for pair in runs:
+        if pair[0] == mu:
+            return pair
+        tried.append(pair)
     merged = tried[0] if tried else (mu, [])
     for pair in tried[1:]:
         merged = _merge(m, m_rows, merged, pair)

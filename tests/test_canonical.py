@@ -14,7 +14,8 @@ from quadsum.canonical import (_chain_matrix, _dual_rows, invariant_factors_with
                                nullity_sequence, split_cyclic_block, valuations)
 from quadsum.errors import InternalCheckFailed
 from quadsum.field import GF, QQ
-from quadsum.matrix import Matrix, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve
+from quadsum.matrix import (Matrix, _SPAN_PRIME, direct_sum, inverse, jordan_block,
+                            kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
 from quadsum.sums import decide
 from conftest import conjugate_partition, rand_invertible, rand_matrix
@@ -157,6 +158,50 @@ def test_corrupted_witness_names_stage_and_size(monkeypatch):
             invariant_factors_with_transform(m)
         with pytest.raises(InternalCheckFailed, match=f"invariant factors: {what}"):
             decide(m)
+
+
+def test_witness_rank_falls_back_to_the_exact_rank(monkeypatch):
+    """rank(T) = n is read modulo the span prime q first.  diag(1, q) over Q
+    has rank 1 modulo q, so the check takes the exact rank and passes; a
+    singular T still fails, and a T of full rank modulo q needs no exact
+    rank."""
+    exact = []
+    monkeypatch.setattr(quadsum.canonical, "rank", lambda t: exact.append(t) or rank(t))
+    m = Matrix.identity(QQ, 2)
+    one = P(QQ, [-1, 1])
+    for diag, ok, fallback in (([1, _SPAN_PRIME], True, True), ([1, 0], False, True),
+                               ([1, _SPAN_PRIME + 1], True, False)):
+        t_mat = Matrix.diagonal(QQ, diag)
+        monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: ([one, one], t_mat))
+        exact.clear()
+        if ok:
+            assert invariant_factors_with_transform(m) == ((one, one), t_mat)
+        else:
+            with pytest.raises(InternalCheckFailed, match="the witness T is singular"):
+                invariant_factors_with_transform(m)
+        assert exact == ([t_mat] if fallback else [])
+
+
+def test_planted_frobenius_work_is_pinned(monkeypatch):
+    """A timing-free guard on the cyclic-vector scan: the Frobenius
+    decomposition of one fixed planted 24x24 matrix over GF(5), a conjugated
+    rank-12 idempotent plus a conjugated square-zero matrix of rank 6, runs
+    at most the 23 Krylov annihilators that the stopped scan needs (a scan
+    of every standard vector at every level runs 54)."""
+    calls = []
+    real = quadsum.poly.krylov_annihilator
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda m, v, *rows: calls.append(m.rows) or real(m, v, *rows))
+    f, n, rng = GF(5), 24, random.Random(24)
+    parts = [Matrix.diagonal(f, [1] * 12 + [0] * 12),
+             direct_sum(f, [jordan_block(f, 2)] * 6 + [Matrix.zero(f, 12)])]
+    m = Matrix.zero(f, n)
+    for part in parts:
+        t = rand_invertible(f, n, rng)
+        m = m + t * part * inverse(t)
+    factors, _ = invariant_factors_with_transform(m)
+    assert [fac.degree for fac in factors] == [2] * 5 + [14]
+    assert len(calls) <= 23
 
 
 # ---- the restriction to the invariant complement ----------------------

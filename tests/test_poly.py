@@ -18,7 +18,7 @@ from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
                           decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
                           minimal_polynomial, substitute_one_minus_t)
 from conftest import (WIDE_PRIMES, WORD_PRIME, coprime_denominators, count_packs,
-                      rand_invertible, rand_matrix, rand_wide_rational)
+                      rand_decomposable, rand_invertible, rand_matrix, rand_wide_rational)
 
 P = Polynomial
 
@@ -305,6 +305,101 @@ def test_cyclic_vector_merge_checks_its_annihilator(monkeypatch):
     monkeypatch.setattr(quadsum.poly, "_coprime_split", lambda p, q: (p, q))
     with pytest.raises(InternalCheckFailed, match="cyclic vector merge: .* 3x3 matrix"):
         cyclic_vector(m)
+
+
+def full_scan_cyclic_vector(m):
+    """The scan without the early stop, as the reference: run every e_i
+    (stopping only at one of degree n), then return the first whose
+    annihilator is the lcm of them all, else merge all of them."""
+    n = m.rows
+    mu = P.one(m.field)
+    m_rows = quadsum.matrix._columns(m.field, m.raw_rows())
+    tried = []
+    for i in range(n):
+        ann, chain = krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows)
+        if ann.degree == n:
+            return ann, chain
+        tried.append((ann, chain))
+        if mu.degree < n:
+            mu = lcm(mu, ann)
+    for pair in tried:
+        if pair[0] == mu:
+            return pair
+    merged = tried[0] if tried else (mu, [])
+    for pair in tried[1:]:
+        merged = quadsum.poly._merge(m, m_rows, merged, pair)
+    return merged
+
+
+def traced_cyclic_vector(monkeypatch, m):
+    """``(cyclic_vector(m), exit)``, where exit names how the scan ended:
+    "full" when the chains did not span k^n before the last vector, "merge"
+    after a merge, and otherwise "run" when the vector returned had been run
+    before the chains spanned k^n, "spanning" when it was the run that made
+    them span it and "later" when it was run after."""
+    runs, merged = [], []
+    real_run, real_merge = quadsum.poly.krylov_annihilator, quadsum.poly._merge
+
+    def run(m_, v, *rest):
+        out = real_run(m_, v, *rest)
+        runs.append(len(rest) > 1 and rest[1] is not None and len(rest[1]) == m_.rows)
+        return out
+
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator", run)
+    monkeypatch.setattr(quadsum.poly, "_merge", lambda *a: merged.append(1) or real_merge(*a))
+    try:
+        mu, chain = cyclic_vector(m)
+    finally:
+        monkeypatch.undo()
+    if merged:
+        return (mu, chain), "merge"
+    if True not in runs:
+        return (mu, chain), "full"
+    spanned, returned = runs.index(True), chain[0].index(1)
+    kind = "run" if returned < spanned else "spanning" if returned == spanned else "later"
+    return (mu, chain), kind
+
+
+def test_cyclic_vector_stops_as_the_full_scan_would(monkeypatch):
+    """Stopping the scan once the chains span k^n returns the full scan's
+    (mu, chain) on every 3x3 matrix over GF(2), a sample over GF(3), and
+    random, planted and derogatory inputs over GF(5) and Q up to n = 12;
+    each exit of the stopped scan is taken: a vector already run, one run
+    after the chains spanned k^n, and the merge (diag(0, 1) reaches it
+    without spanning, J_2(0) + J_2(1) after)."""
+    rng = random.Random(47)
+    inputs = [Matrix(GF(2), 3, 3, [(k >> b) & 1 for b in range(9)]) for k in range(512)]
+    inputs += [rand_matrix(GF(3), rng.randint(1, 4), rng) for _ in range(150)]
+    for f in (GF(5), QQ):
+        inputs += [Matrix.diagonal(f, [0, 1]),
+                   direct_sum(f, [jordan_block(f, 2), jordan_block(f, 2, eigenvalue=1)])]
+        for n in range(1, 13):
+            t = rand_invertible(f, n, rng)
+            inputs += [rand_matrix(f, n, rng), rand_decomposable(f, n, rng),
+                       t * Matrix.diagonal(f, [rng.randint(0, 2) for _ in range(n)]) * inverse(t)]
+    exits = set()
+    for m in inputs:
+        pair, kind = traced_cyclic_vector(monkeypatch, m)
+        assert pair == full_scan_cyclic_vector(m), m
+        exits.add(kind)
+    assert {"run", "later", "merge"} <= exits, exits
+
+
+def test_cyclic_vector_stops_once_the_chains_span(monkeypatch):
+    """C(f) + C(f) with deg f = 3: e_0's annihilator is f, the minimal
+    polynomial, and the chains of e_0 and e_3 span k^6, so the scan runs
+    e_0, ..., e_3, four of the six."""
+    calls = []
+    real = quadsum.poly.krylov_annihilator
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda m, v, *rows: calls.append(v) or real(m, v, *rows))
+    for f in (QQ, GF(2), GF(5)):
+        g = P(f, [1, 1, 0, 1])
+        m = direct_sum(f, [companion(g), companion(g)])
+        calls.clear()
+        mu, chain = cyclic_vector(m)
+        assert (mu, chain[0]) == (g, [1, 0, 0, 0, 0, 0])
+        assert len(calls) == 4 < m.rows
 
 
 #: Monic irreducibles over QQ and over GF(2) and GF(3), by characteristic.
