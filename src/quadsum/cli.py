@@ -26,7 +26,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(payload, output_path=None):
+def _emit(payload, output_path):
     """Write the result to ``output_path`` when given, then to stdout, so a
     file that cannot be written leaves stdout empty."""
     text = serialize.dumps(payload) + "\n"

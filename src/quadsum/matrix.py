@@ -29,16 +29,15 @@ primitive by dividing out their content.  Rank is the length of the forward
 elimination (:func:`_echelon`, which picks the row format); :func:`_rref`
 back-substitutes that echelon and builds ``Fraction``s only for the rows it
 returns.  A Krylov annihilator is the first relation among its vectors
-(:func:`_first_relation`), found by the same reduction; :func:`_krylov`
-makes the vectors, and over the rationals brings each to integers once for
-its relation row, the next product and the span kernel.
+(:func:`_first_relation`), found by the same reduction.
 
 The span kernel, :func:`_span_rank`, extends an echelon that its caller
 keeps with raw n-vectors and returns the rank: exactly over GF(p), and over
 the rationals modulo one word-size prime (``_SPAN_PRIME``), where a rank of
 n is a rank of n over Q and a smaller one says nothing.  The cyclic-vector
-scan keeps one across its Krylov chains, and the Frobenius witness check
-reads rank(T) = n from it before any exact rank.
+scan (:func:`quadsum.poly.cyclic_vector`) keeps one across its Krylov
+chains, and the Frobenius witness check reads rank(T) = n from it before
+any exact rank.
 
 Over GF(p), from ``_PACK_MIN`` = 10 on, rows are packed (Kronecker
 substitution): one int holds a row, entry j in the 64-bit little-endian word
@@ -198,6 +197,8 @@ class Matrix:
         """c times self, for a raw canonical scalar c."""
         if c == 1:
             return self
+        if not c:
+            return Matrix.zero(self.field, self.rows, self.cols)
         return Matrix._raw(self.field, self.rows, self.cols,
                            _canonical(self.field, [c * x for x in self._e]))
 
@@ -295,13 +296,7 @@ def _raw_products(field: Field, rows, cols):
         return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
-    return _integral_products(_integral(rows), cols)
-
-
-def _integral_products(rows, cols):
-    """:func:`_raw_products` over the rationals, for rows that are already
-    ``(integers, denominator)`` pairs from :func:`_integral`."""
-    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in rows]
+    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in _integral(rows)]
 
 
 # ---- packed GF(p) rows ------------------------------------------------
@@ -431,7 +426,7 @@ def _echelon(field: Field, rows, ncols: int):
     return ech, packed
 
 
-def _first_relation(field: Field, vecs, n: int, drawn=None):
+def _first_relation(field: Field, vecs, n: int):
     """The first linear relation among the raw n-vectors (lists) v_0, v_1,
     ... that ``vecs`` yields, drawing none past it: raw c_0, ..., c_k with
     c_k = 1 and c_0 v_0 + ... + c_k v_k = 0; None when ``vecs`` runs out.
@@ -442,52 +437,18 @@ def _first_relation(field: Field, vecs, n: int, drawn=None):
     pivot row when its vector part is nonzero, as in :func:`_echelon`.  Once
     the vector part vanishes the rest is a relation: over GF(p) its entry at
     k is still 1, and over the rationals it is divided by that entry.
-    ``drawn``, when given over the rationals, is a list that receives each
-    (integers, d) pair as soon as its vector is drawn, for the caller to
-    use again.
     """
     p = field.p
     packed = _packs(p, n, n)
     ech = []
     for k, v in enumerate(vecs):
         v, d = _integral([v])[0] if p is None else (v, 1)
-        if drawn is not None:
-            drawn.append((v, d))
         row = _reduce(v + [0] * k + [d], ech, p, packed)
         piv = _pivot(row, n, p, packed)
         if piv is None:
             return row[n:] if p is not None else [Fraction(x, row[-1]) for x in row[n:]]
         ech.append(piv)
     return None
-
-
-def _krylov(field: Field, v, m_rows, n: int, span=None):
-    """``(combo, chain)``: the first relation among the Krylov vectors v,
-    m v, m^2 v, ... of the raw canonical n-vector v (a list), as
-    :func:`_first_relation` returns it, and the vectors before it.  m is
-    given by ``m_rows``, :func:`_columns` of its rows.
-
-    Each vector is computed only when the relation asks for it.  Over the
-    rationals it is brought to integers once (:func:`_integral`), and that
-    integer row serves its relation row, the product that makes the next
-    vector and, with ``span`` (an echelon of :func:`_span_rank`), the
-    extension of the span by the chain.  A chain of n vectors spans k^n by
-    itself, and extends no echelon.
-    """
-    p = field.p
-    chain, drawn = [], []
-
-    def powers(w):
-        for _ in range(n + 1):
-            chain.append(w)
-            yield w
-            w = (_raw_products(field, [w], m_rows) if p is not None
-                 else _integral_products(drawn[-1:], m_rows))[0]
-
-    combo = _first_relation(field, powers(v), n, drawn if p is None else None)
-    if span is not None and len(chain) <= n:
-        _extend_span(span, p, chain[:-1] if p is not None else [row for row, _ in drawn[:-1]], n)
-    return combo, chain[:-1]
 
 
 #: The prime modulo which :func:`_span_rank` follows the span of rational
@@ -506,27 +467,21 @@ def _span_rank(field: Field, ech: list, vecs, n: int) -> int:
     ``_SPAN_PRIME``: scaling a vector keeps its span and Z -> GF(q) is a
     ring map, so a rank of n modulo q is a rank of n over the rationals,
     while a rank short of n says nothing.  Like every kernel here it picks
-    its own row format, packed under :func:`_packs` (q, n, n).
+    its own row format, packed under :func:`_packs` (q, n, n), and reduces no
+    vector once the rank is n.
     """
     p = field.p
-    return _extend_span(ech, p, vecs if p is not None else [v for v, _ in _integral(vecs)], n)
-
-
-def _extend_span(ech, p, rows, n: int) -> int:
-    """:func:`_span_rank` for GF(p) residue rows or, with ``p`` None,
-    integer rows; it stops once the rank is n."""
     q = _SPAN_PRIME if p is None else p
+    if p is None:
+        vecs = ([x % q for x in v] for v, _ in _integral(vecs))
     packed = _packs(q, n, n)
-    dim = len(ech)
-    for row in rows:
-        if dim == n:
+    for row in vecs:
+        if len(ech) == n:
             break
-        piv = _pivot(_reduce(row if p is not None else [x % q for x in row], ech, q, packed),
-                     n, q, packed)
+        piv = _pivot(_reduce(row, ech, q, packed), n, q, packed)
         if piv:
             ech.append(piv)
-            dim += 1
-    return dim
+    return len(ech)
 
 
 def _rref(field: Field, rows, ncols: int):

@@ -10,9 +10,10 @@ Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
 and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
 coefficient of each step over GF(p), and build a ``Polynomial`` only for
-their results.  The Krylov annihilator has no elimination of its own: the
-Krylov vectors and their first relation come from
-:func:`quadsum.matrix._krylov`, and the span of the chains from
+their results.  The Krylov annihilator has no elimination of its own: it
+yields the Krylov vectors to :func:`quadsum.matrix._first_relation`, and
+knows nothing of the span.  The cyclic-vector scan keeps the echelon of its
+chains itself and extends it after each run with
 :func:`quadsum.matrix._span_rank`.
 """
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import Matrix, _canonical, _columns, _krylov
+from .matrix import (Matrix, _canonical, _columns, _first_relation, _raw_products,
+                     _span_rank)
 
 
 class Polynomial:
@@ -269,19 +271,17 @@ def companion(p: Polynomial) -> Matrix:
 
 # ---- Krylov machinery ------------------------------------------------
 
-def krylov_annihilator(m: Matrix, v_raw, m_rows=None, span=None):
+def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     """Least-degree monic annihilator of the vector v under m, plus its chain.
 
     Returns ``(poly, chain)`` where chain is the list of raw Krylov vectors
     v, m v, ..., m^(d-1) v for d = deg(poly).  ``m_rows`` is
     ``quadsum.matrix._columns`` of m's rows, built here when not given;
-    callers that run several chains under one m build it once.  ``span``,
-    when given, is an echelon of :func:`quadsum.matrix._span_rank` that the
-    chain extends.
+    callers that run several chains under one m build it once.
 
     Each Krylov vector is computed only when
-    :func:`quadsum.matrix._krylov` asks for it, and the first relation among
-    them gives the annihilator's coefficients.
+    :func:`quadsum.matrix._first_relation` asks for it, and the first
+    relation among them gives the annihilator's coefficients.
     """
     n = m.rows
     if m.cols != n or len(v_raw) != n:
@@ -290,10 +290,18 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None, span=None):
     f = m.field
     if m_rows is None:
         m_rows = _columns(f, m.raw_rows())
-    combo, chain = _krylov(f, _canonical(f, v_raw), m_rows, n, span)
+    chain = []
+
+    def powers(w):
+        for _ in range(n + 1):
+            chain.append(w)
+            yield w
+            w = _raw_products(f, [w], m_rows)[0]
+
+    combo = _first_relation(f, powers(_canonical(f, v_raw)), n)
     if combo is None:
         raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
-    return Polynomial._raw(f, combo), chain
+    return Polynomial._raw(f, combo), chain[:-1]
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):
@@ -337,13 +345,14 @@ def cyclic_vector(m: Matrix):
 
     The chains of e_0, ..., e_i span W = Z(e_0) + ... + Z(e_i), which m maps
     into itself.  Once W is k^n, the lcm so far kills all of k^n and is mu,
-    so the scan stops there; W's rank is kept by
-    :func:`quadsum.matrix._span_rank` (modulo one prime over the rationals,
-    where a rank short of n only keeps the scan going).  The first e_j with
-    annihilator mu is then looked for among the vectors already run, else
-    e_(i+1), e_(i+2), ... are run one at a time, and when none has it all n
-    are merged, as by a full scan.  The last e_(n-1) extends no echelon, as
-    nothing is left to save.
+    so the scan stops there; W's rank is kept here, in an echelon that each
+    scanned chain extends through :func:`quadsum.matrix._span_rank` (modulo
+    one prime over the rationals, where a rank short of n only keeps the
+    scan going).  The first e_j with annihilator mu is then looked for among
+    the vectors already run, else e_(i+1), e_(i+2), ... are run one at a
+    time, and when none has it all n are merged, as by a full scan.  A chain
+    of degree n, the last e_(n-1) and the merge's check runs extend no
+    echelon, as nothing is left to save.
     """
     if not m.is_square:
         raise DimensionMismatch("cyclic vector of a non-square matrix")
@@ -351,15 +360,14 @@ def cyclic_vector(m: Matrix):
     mu = Polynomial.one(m.field)
     m_rows = _columns(m.field, m.raw_rows())
     span = []
-    runs = (krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows,
-                               span if i < n - 1 else None) for i in range(n))
+    runs = (krylov_annihilator(m, [int(i == j) for j in range(n)], m_rows) for i in range(n))
     tried = []
     for ann, chain in runs:
         if ann.degree == n:
             return ann, chain
         tried.append((ann, chain))
         mu = lcm(mu, ann)
-        if len(span) == n:
+        if len(tried) == n or _span_rank(m.field, span, chain, n) == n:
             break
     for pair in tried:
         if pair[0] == mu:

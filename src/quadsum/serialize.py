@@ -224,6 +224,8 @@ def load_json(path: str):
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a huge int
         raise MalformedInput(f"cannot read JSON from {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInput(f"cannot read JSON from {path}: nested too deeply") from exc
 
 
 def dumps(obj) -> str:

@@ -470,10 +470,12 @@ def test_verify_cert_fuzz_exits_cleanly(tmp_path_factory, field, data):
 
 
 def test_unreadable_json_exits_2(tmp_path, capsys):
-    """A file that is not UTF-8, or holds an integer past the interpreter's
-    4300-digit limit, is malformed input for the job and for the certificate."""
+    """A file that is not UTF-8, holds an integer past the interpreter's
+    4300-digit limit or nests lists past the parser's recursion limit is
+    malformed input for the job and for the certificate."""
     job = write_job(tmp_path, "job.json", DIAG_JOB)
-    for k, raw in enumerate((b"\xff\xfe{", b'{"A": ' + b"1" * 5000 + b"}")):
+    for k, raw in enumerate((b"\xff\xfe{", b'{"A": ' + b"1" * 5000 + b"}",
+                             b"[" * 100000 + b"]" * 100000)):
         bad = tmp_path / f"bad{k}.json"
         bad.write_bytes(raw)
         for argv in (["decide", "--input", str(bad)],

@@ -105,16 +105,20 @@ def test_every_operation_stores_canonical_values():
             t = rand_invertible(f, n, rng)
             x = rand_matrix(f, n, rng, cols=2)
             results = [
-                a + b, a - b, -a, 3 * a, a * -1, a * f.element(-2), a.transpose(),
+                a + b, a - b, -a, 3 * a, a * -1, a * f.element(-2), 0 * a,
+                a * f.element(0), a.transpose(),
                 inverse(t), solve(t, t * x), solve(Matrix.zero(f, n), Matrix.zero(f, n, 2)),
                 direct_sum(f, [a, Matrix.zero(f, 2), t]), hstack(f, [a, x]),
                 block2x2(a, x, x.transpose(), Matrix.identity(f, 2)),
                 jordan_block(f, n, eigenvalue=-1), jordan_block(f, n),
                 Matrix.identity(f, n), Matrix.zero(f, n, 2),
             ]
+            if f.p is not None:
+                results.append(f.p * a)
             results.extend(kernel_matrix(x)[0] for x in (a, Matrix.zero(f, n, 3)))
             for m in results:
                 assert_canonical(m)
+            assert 0 * a == a * f.element(0) == Matrix.zero(f, n)
             g = Polynomial(f, [rand_element(f, rng) for _ in range(n + 2)] + [1])
             h = Polynomial(f, [rand_element(f, rng) for _ in range(n)] + [-1])
             quo, rem = g.divrem(h)

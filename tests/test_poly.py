@@ -339,13 +339,17 @@ def traced_cyclic_vector(monkeypatch, m):
     them span it and "later" when it was run after."""
     runs, merged = [], []
     real_run, real_merge = quadsum.poly.krylov_annihilator, quadsum.poly._merge
+    real_span = quadsum.poly._span_rank
 
-    def run(m_, v, *rest):
-        out = real_run(m_, v, *rest)
-        runs.append(len(rest) > 1 and rest[1] is not None and len(rest[1]) == m_.rows)
-        return out
+    def span_rank(field, ech, vecs, n):
+        rank = real_span(field, ech, vecs, n)
+        if rank == n:
+            runs[-1] = True
+        return rank
 
-    monkeypatch.setattr(quadsum.poly, "krylov_annihilator", run)
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda *a: runs.append(False) or real_run(*a))
+    monkeypatch.setattr(quadsum.poly, "_span_rank", span_rank)
     monkeypatch.setattr(quadsum.poly, "_merge", lambda *a: merged.append(1) or real_merge(*a))
     try:
         mu, chain = cyclic_vector(m)
@@ -400,6 +404,28 @@ def test_cyclic_vector_stops_once_the_chains_span(monkeypatch):
         mu, chain = cyclic_vector(m)
         assert (mu, chain[0]) == (g, [1, 0, 0, 0, 0, 0])
         assert len(calls) == 4 < m.rows
+
+
+def test_cyclic_vector_extends_the_span_after_scanned_runs_only(monkeypatch):
+    """With deg f = 3, the scan extends its span echelon after each run
+    that can still stop it: never for C(f), whose e_0 is cyclic; after each
+    of the four runs of C(f) + C(f); and once in the three runs for
+    diag(0, 1), as neither the last standard vector nor the merge's check
+    run extends it."""
+    runs, spans = [], []
+    real_run, real_span = quadsum.poly.krylov_annihilator, quadsum.poly._span_rank
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda *a: runs.append(1) or real_run(*a))
+    monkeypatch.setattr(quadsum.poly, "_span_rank", lambda *a: spans.append(1) or real_span(*a))
+    for f in (QQ, GF(2), GF(5)):
+        g = P(f, [1, 1, 0, 1])
+        cases = ((companion(g), 1, 0), (direct_sum(f, [companion(g), companion(g)]), 4, 4),
+                 (Matrix.diagonal(f, [0, 1]), 3, 1))
+        for m, want_runs, want_spans in cases:
+            runs.clear()
+            spans.clear()
+            cyclic_vector(m)
+            assert (len(runs), len(spans)) == (want_runs, want_spans), (f, m)
 
 
 #: Monic irreducibles over QQ and over GF(2) and GF(3), by characteristic.

@@ -121,6 +121,32 @@ def test_no_orphaned_private_functions():
     assert orphaned_functions(package_sources()) == []
 
 
+def private_defaults(text: str):
+    """(line, name) of every private function or method (a name starting
+    with ``_``, dunders excluded) that declares a parameter default."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("_") and not node.name.endswith("__")
+                  and (node.args.defaults or any(node.args.kw_defaults)))
+
+
+def test_private_defaults_are_found():
+    text = ("def _knob(a, b=None):\n    pass\n\ndef _kw(a, *, b=1):\n    pass\n\n"
+            "def _plain(a, *, b):\n    pass\n\ndef public(a=0):\n    pass\n\n"
+            "class C:\n    def __init__(self, a=0):\n        pass\n\n"
+            "    def _method(self, a=0):\n        pass\n")
+    assert private_defaults(text) == [(1, "_knob"), (4, "_kw"), (17, "_method")]
+
+
+def test_no_private_function_has_a_default():
+    """A private function is called only inside the package, so every caller
+    can say what it passes: a default there is a knob that hides which
+    callers take which path."""
+    found = [f"{name}:{line} {ident}" for name, text in package_sources()
+             for line, ident in private_defaults(text)]
+    assert found == []
+
+
 def unread_public(sources, outside):
     """(module, name) of every public top-level function and class of the
     (module, text) pairs in ``sources`` that none of them reads outside its
