@@ -4,7 +4,11 @@ Provides nullity sequences, the invariant-factor (Frobenius) decomposition
 via iterated cyclic subspaces, and the split of one cyclic block k[t]/(f)
 with f = t^a (t - 1)^b h into C(h), J_a(0) and J_b(1) by the Chinese
 remainder theorem.  Every transform is verified post-hoc by the conjugation
-identity it claims.
+identity it claims, M X = X E for a block sum E, with no inverse and no
+product matrix: X E is read off X's columns (a companion block shifts them
+and closes with one combination of them, :func:`_times_companions`) and
+compared entry by entry with M's rows times those columns
+(:func:`quadsum.matrix._products_equal`).
 
 Every basis vector of the Frobenius decomposition is constructed, none is
 searched for.  The cyclic vector of each level comes from
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
-from .matrix import (Matrix, _columns, _rank, _raw_products, _span_rank, direct_sum, hstack,
-                     jordan_block, kernel_matrix, rank, solve)
+from .matrix import (Matrix, _columns, _combination, _power_ranks, _products_equal, _rank,
+                     _raw_products, _span_rank, hstack, kernel_matrix, rank, solve)
 from .poly import Polynomial, companion, cyclic_vector
 
 
@@ -31,14 +35,11 @@ def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
     listed up to stabilization at 0.  n_k counts Jordan blocks of size >= k."""
     if not m.is_square:
         raise DimensionMismatch("nullity sequence of a non-square matrix")
-    lam = m.field.element(eigenvalue)
-    n = m.rows
-    shifted = m - lam * Matrix.identity(m.field, n)
+    f, n = m.field, m.rows
     values = []
-    power = shifted
     prev_nullity = 0
-    while True:
-        nullity = n - rank(power)
+    for r in _power_ranks(m._plus_identity(f.reduce(-f.value(eigenvalue)))):
+        nullity = n - r
         nk = nullity - prev_nullity
         if nk == 0:
             break
@@ -46,7 +47,6 @@ def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
         prev_nullity = nullity
         if nullity == n:
             break
-        power = power * shifted
     return tuple(values)
 
 
@@ -62,8 +62,8 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     """
     f = m.field
     n, d = k_mat.rows, k_mat.cols
-    m_cols = _columns(f, [m._e[j::n] for j in range(n)])
-    chain_cols = _columns(f, [k_mat._e[j::d] for j in range(d)])
+    m_cols = _columns(f, m.raw_cols())
+    chain_cols = _columns(f, k_mat.raw_cols())
     zero, one = f.reduce(0), f.reduce(1)
     for i in range(n + 1):
         rows = [[one if i == j else zero for j in range(n)] if i < n else
@@ -74,6 +74,21 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
         if _rank(f, pairing, d) == d:
             return Matrix._raw(f, d, n, [x for r_ in rows for x in r_])
     raise InternalCheckFailed(f"dual rows: the solved row pairs singularly with the {n}x{d} chain")
+
+
+def _times_companions(field: Field, cols, factors) -> list:
+    """The columns of X (C(f_1) (+) C(f_2) (+) ...) from the raw columns of
+    X, with no product: in the block of f = t^d + f_(d-1) t^(d-1) + ... +
+    f_0 whose columns of X are x_0, ..., x_(d-1), column j is x_(j+1) and
+    the last is -(f_0 x_0 + ... + f_(d-1) x_(d-1)).  Factors of degree 0
+    have no block."""
+    out, off = [], 0
+    for fac in factors:
+        block = cols[off:off + fac.degree]
+        if block:
+            out += block[1:] + [_combination(field, [-c for c in fac.coeffs[:-1]], block)]
+        off += fac.degree
+    return out
 
 
 def _chain_matrix(field: Field, chain) -> Matrix:
@@ -124,7 +139,9 @@ def invariant_factors_with_transform(m: Matrix):
     if t_mat.cols != n or (_span_rank(m.field, [], t_mat.raw_rows(), n) < n
                            and rank(t_mat) != n):
         raise InternalCheckFailed(f"invariant factors: the witness T is singular, {where}")
-    if m * t_mat != t_mat * direct_sum(m.field, [companion(fac) for fac in factors]):
+    t_cols = t_mat.raw_cols()
+    if not _products_equal(m.field, m.raw_rows(), t_cols,
+                           _times_companions(m.field, t_cols, factors)):
         raise InternalCheckFailed(f"invariant factors: M T is not T F, {where}")
     for a, b in zip(factors, factors[1:]):
         _, rem = b.divrem(a)
@@ -189,9 +206,13 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
             head = head * step
     zero = f.reduce(0)
     s_mat = _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols])
-    parts = [companion(h)] if h.degree else []
-    expected = direct_sum(f, parts + [jordan_block(f, a), jordan_block(f, b, eigenvalue=1)])
-    if rank(s_mat) != d or companion(fac) * s_mat != s_mat * expected:
+    # S E column by column: C(h) and J_a(0) = C(t^a) are companions, and
+    # column j of J_b(1) = I + C(t^b) is s_j + s_(j+1), the last one s_j
+    s_cols = s_mat.raw_cols()
+    at_1 = s_cols[d - b:]
+    expected = (_times_companions(f, s_cols, [h, t_a])
+                + [_combination(f, [1, 1], pair) for pair in zip(at_1, at_1[1:])] + at_1[-1:])
+    if rank(s_mat) != d or not _products_equal(f, companion(fac).raw_rows(), s_cols, expected):
         raise InternalCheckFailed(
             f"cyclic block split: {d}x{d} block of {fac} is not C(h) + J_{a}(0) + J_{b}(1)")
     return s_mat

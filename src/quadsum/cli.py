@@ -115,8 +115,8 @@ def cmd_oracle(args) -> int:
 def cmd_necessary(args) -> int:
     field, matrix, _ = _load_job(args.input)
     report = check_necessary_combination(matrix,
-                                         serialize._parse_element(field, args.alpha),
-                                         serialize._parse_element(field, args.beta))
+                                         serialize._parse_element(field, args.alpha, "--alpha"),
+                                         serialize._parse_element(field, args.beta, "--beta"))
     _emit(serialize.necessary_to_json(report), args.output)
     return EXIT_OK
 

@@ -12,12 +12,20 @@ Only this module knows how a kernel holds a row (integers over a
 denominator, residues in a list, or 64-bit words in one int): its kernels
 take raw rows and give back raw canonical values.
 
-Every product of raw vectors in the package (matrix products, Krylov steps,
-dual rows and pairings) goes through one kernel, :func:`_raw_products`.  Over
-GF(p) it reduces each integer dot product once.  Over the rationals each
+Every product of raw vectors that the package keeps (matrix products, Krylov
+steps, dual rows and pairings) goes through one kernel, :func:`_raw_products`.
+Over GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints and each entry of the result costs one reduced ``Fraction``.
+
+A product that is only compared builds no ``Fraction``.  Every identity
+check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
+call of :func:`_products_equal`, which compares rows times columns with
+expected columns entry by entry, over the rationals as cross-multiplied
+integer dot products.  The ranks of powers behind the nullity sequences are
+:func:`_power_ranks`, over the rationals those of the integer matrix c X.
+A shift M + c I touches the diagonal only (:meth:`Matrix._plus_identity`).
 
 Every row operation in the package (rank, kernel, solve, the Krylov
 annihilators and the span kernel; an inverse is one solve) is one call of
@@ -150,6 +158,10 @@ class Matrix:
         e = self._e
         return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
+    def raw_cols(self):
+        """Columns of raw scalar values, as tuples."""
+        return [self._e[j::self.cols] for j in range(self.cols)]
+
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -202,6 +214,17 @@ class Matrix:
         return Matrix._raw(self.field, self.rows, self.cols,
                            _canonical(self.field, [c * x for x in self._e]))
 
+    def _plus_identity(self, c) -> "Matrix":
+        """self + c I for a square self and a raw canonical scalar c: only the
+        n diagonal entries are touched, and c = 0 returns self."""
+        if not c:
+            return self
+        reduce = self.field.reduce
+        e = list(self._e)
+        for i in range(0, len(e), self.cols + 1):
+            e[i] = reduce(e[i] + c)
+        return Matrix._raw(self.field, self.rows, self.cols, e)
+
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
             return self.__mul__(other)
@@ -215,9 +238,9 @@ class Matrix:
             )
         f = self.field
         k, m = self.cols, other.cols
-        a, b = self._e, other._e
+        a = self._e
         rows = [a[i * k : (i + 1) * k] for i in range(self.rows)]
-        cols = _columns(f, [b[j::m] for j in range(m)])
+        cols = _columns(f, other.raw_cols())
         return Matrix._raw(f, self.rows, m,
                            [x for row in _raw_products(f, rows, cols) for x in row])
 
@@ -297,6 +320,65 @@ def _raw_products(field: Field, rows, cols):
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
     return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in _integral(rows)]
+
+
+def _products_equal(field: Field, rows, cols, expected) -> bool:
+    """Whether every raw row times every raw column is the raw expected
+    entry, ``expected`` given as columns (``expected[j][i]`` for row i and
+    column j); it stops at the first entry that differs.
+
+    Over GF(p) the products are :func:`_raw_products`, packed when
+    :func:`_packs` admits them.  Over the rationals no ``Fraction`` is
+    built: with rows and columns as integers over d_row and d_col
+    (:func:`_integral`), row times column is e when dot den(e) = num(e)
+    d_row d_col.
+    """
+    if field.p is not None:
+        cols = _columns(field, cols)
+        return all(_raw_products(field, [r], cols)[0] == [e[i] for e in expected]
+                   for i, r in enumerate(rows))
+    cols = _integral(cols)
+    for i, (r, dr) in enumerate(_integral(rows)):
+        for (c, dc), e in zip(cols, expected):
+            x = e[i]
+            if sum(map(mul, r, c)) * x.denominator != x.numerator * dr * dc:
+                return False
+    return True
+
+
+def _combination(field: Field, coeffs, vecs) -> list:
+    """The raw vector c_0 v_0 + c_1 v_1 + ... of raw vectors v_k, for raw
+    scalars c_k that need not be canonical.  Over the rationals the sum runs
+    on integers over one common denominator, and each entry of the result
+    costs one ``Fraction``."""
+    p = field.p
+    if p is not None:
+        return [sum(map(mul, coeffs, xs)) % p for xs in zip(*vecs)]
+    ints = _integral(vecs)
+    dens = [c.denominator * d for c, (_, d) in zip(coeffs, ints)]
+    den = lcm(*dens)
+    scales = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
+    return [Fraction(sum(map(mul, scales, xs)), den) for xs in zip(*(v for v, _ in ints))]
+
+
+def _power_ranks(x: Matrix):
+    """rank(X), rank(X^2), ... of a square matrix X, without end; each power
+    is computed when the next rank is asked for.  Over the rationals they
+    are the ranks of the powers of c X, c the lcm of X's denominators:
+    (c X)^k = c^k X^k has the rank of X^k, and its products are integer dot
+    products that build no ``Fraction``."""
+    f, n = x.field, x.rows
+    if f.p is None:
+        ints = _integral([x._e])[0][0]
+        power = [ints[i * n:(i + 1) * n] for i in range(n)]
+        cols = [ints[j::n] for j in range(n)]
+    else:
+        power = x.raw_rows()
+        cols = _columns(f, x.raw_cols())
+    while True:
+        yield _rank(f, power, n)
+        power = (_raw_products(f, power, cols) if f.p is not None
+                 else [[sum(map(mul, r, c)) for c in cols] for r in power])
 
 
 # ---- packed GF(p) rows ------------------------------------------------

@@ -22,8 +22,8 @@ from __future__ import annotations
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
-from .matrix import (Matrix, _canonical, _columns, _first_relation, _raw_products,
-                     _span_rank)
+from .matrix import (Matrix, _canonical, _columns, _combination, _first_relation,
+                     _raw_products, _span_rank)
 
 
 class Polynomial:
@@ -78,7 +78,7 @@ class Polynomial:
         return Polynomial._raw(self.field, [reduce(c * x) for x in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        return _monic(self.field, self.coeffs) if self.coeffs else self
+        return self if not self.coeffs or self.is_monic() else _monic(self.field, self.coeffs)
 
     # ---- arithmetic --------------------------------------------------
 
@@ -150,10 +150,9 @@ class Polynomial:
         if isinstance(x, Matrix):
             if x.field != f:
                 raise MixedFields("polynomial and matrix over different fields")
-            ident = Matrix.identity(f, x.rows)
             acc = Matrix.zero(f, x.rows, x.rows)
             for c in reversed(self.coeffs):
-                acc = acc * x + ident._scaled(c)
+                acc = (acc * x)._plus_identity(c)
             return acc
         x = f.value(x)
         acc = f.reduce(0)
@@ -242,11 +241,15 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic least common multiple, (a / gcd(a, b)) b, its quotient scaled first."""
+    """Monic least common multiple: the one of a and b that the other
+    divides, made monic, else (a / gcd(a, b)) b, its quotient scaled first."""
     a._chk(b)
     f = a.field
     if a.is_zero() or b.is_zero():
         return Polynomial.zero(f)
+    for multiple, divisor in ((a, b), (b, a)):
+        if not _divrem(f, multiple.coeffs, divisor.coeffs)[1]:
+            return multiple.monic()
     quo = _divrem(f, a.coeffs, _gcd(f, a.coeffs, b.coeffs))[0]
     return Polynomial._raw(f, quo)._scaled(f.inv_raw(quo[-1] * b.coeffs[-1])) * b
 
@@ -328,10 +331,11 @@ def _merge(m: Matrix, m_rows, first, second):
     if q.divrem(p)[1].is_zero():
         return second
     a, b = _coprime_split(p, q)
-    terms = [(c, vec) for chain, (quo, _) in ((u_chain, p.divrem(a)), (w_chain, q.divrem(b)))
-             for c, vec in zip(quo.coeffs, chain)]
-    v = [m.field.reduce(sum(c * vec[i] for c, vec in terms)) for i in range(m.rows)]
-    ann, chain = krylov_annihilator(m, v, m_rows)
+    coeffs, vecs = [], []
+    for chain, (quo, _) in ((u_chain, p.divrem(a)), (w_chain, q.divrem(b))):
+        coeffs += quo.coeffs
+        vecs += chain[:len(quo.coeffs)]
+    ann, chain = krylov_annihilator(m, _combination(m.field, coeffs, vecs), m_rows)
     if ann != a * b:
         raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {a * b}, "
                                   f"under the {m.rows}x{m.rows} matrix")

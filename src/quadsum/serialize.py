@@ -10,6 +10,7 @@ is rendered by :func:`_text`, which refuses a number too long to print.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .errors import MalformedInput, QuadsumError
 from .field import Field, GF, QQ
@@ -25,6 +26,20 @@ def _is_json_scalar(x) -> bool:
     return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
 
 
+#: The most characters of an input value that an error message echoes.
+_ECHO_CHARS = 60
+
+
+def _echo(x) -> str:
+    """An input value for an error message: its type, then its text cut
+    short (``reprlib`` shortens long strings and lists and deep nesting, and
+    the rest is cut at ``_ECHO_CHARS``)."""
+    text = reprlib.repr(x)
+    if len(text) > _ECHO_CHARS:
+        text = text[:_ECHO_CHARS - 3] + "..."
+    return f"{type(x).__name__} {text}"
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
@@ -34,22 +49,24 @@ def field_from_json(obj) -> Field:
                 raise TypeError("the modulus must be a string or an integer")
             return GF(int(obj["GF"]))
         except (ValueError, TypeError) as exc:
-            raise MalformedInput(f"bad field modulus: {obj['GF']!r}") from exc
-    raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {obj!r}')
+            raise MalformedInput(f"bad field modulus: {_echo(obj['GF'])}") from exc
+    raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {_echo(obj)}')
 
 
-def _parse_element(field: Field, s):
+def _parse_element(field: Field, s, where):
     """The raw value of a scalar that comes from outside (job files, CLI
     arguments): a string such as "3", "-1/2" or "0.25", or an integer.
     Everything else (floats, bools, null, lists), and any string the field
     cannot read (``Field.value`` also refuses huge exponents), is
-    MalformedInput."""
+    MalformedInput, whose message names the scalar by ``where``, a (row,
+    column) pair of a matrix entry or a text, and echoes it cut short."""
     try:
         if not _is_json_scalar(s):
             raise TypeError("a scalar must be a string or an integer")
         return field.value(s)
     except (QuadsumError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad element {s!r} for {field!r}") from exc
+        place = "row {}, column {}".format(*where) if isinstance(where, tuple) else where
+        raise MalformedInput(f"bad element at {place}: {_echo(s)} for {field!r}") from exc
 
 
 def _text(x) -> str:
@@ -81,10 +98,10 @@ def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(entries, list) or len(entries) != rows:
         raise MalformedInput(f"expected {rows} entry rows")
     flat = []
-    for row in entries:
+    for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise MalformedInput(f"every entry row must have {cols} entries")
-        flat.extend(_parse_element(field, x) for x in row)
+        flat.extend(_parse_element(field, x, (i, j)) for j, x in enumerate(row))
     return Matrix._raw(field, rows, cols, flat)
 
 
@@ -95,7 +112,8 @@ def matrix_from_rows(field: Field, rows) -> Matrix:
     width = len(rows[0]) if rows else 0
     if any(len(r) != width for r in rows):
         raise MalformedInput("ragged matrix rows")
-    flat = [_parse_element(field, x) for row in rows for x in row]
+    flat = [_parse_element(field, x, (i, j)) for i, row in enumerate(rows)
+            for j, x in enumerate(row)]
     return Matrix._raw(field, len(rows), width, flat)
 
 
@@ -116,7 +134,8 @@ def params_from_json(field: Field, obj) -> QuadParams:
     defaults = {"a": "1", "b": "0", "c": "0", "d": "0"}
     if not isinstance(obj, dict) or not set(obj) <= set(defaults):
         raise MalformedInput('params must be an object with keys among "a", "b", "c", "d"')
-    return QuadParams(**{key: field.make(_parse_element(field, obj.get(key, dflt)))
+    return QuadParams(**{key: field.make(_parse_element(field, obj.get(key, dflt),
+                                                        f"parameter {key}"))
                          for key, dflt in defaults.items()})
 
 

@@ -30,7 +30,7 @@ from .canonical import (invariant_factors_with_transform, nullity_sequence, spli
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import Matrix, direct_sum, solve
+from .matrix import Matrix, _products_equal, direct_sum, solve
 from .poly import decompose_in_t2_minus_t
 
 
@@ -201,7 +201,7 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
     alpha = roots_first[0]
     beta = roots_second[0]
     shift = alpha + beta
-    shifted = m - shift * Matrix.identity(f, m.rows)
+    shifted = m._plus_identity(f.value(-shift))
     a_red = params.a - 2 * alpha
     c_red = params.c - 2 * beta
     if a_red and c_red:
@@ -383,7 +383,7 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
     # and M minus it the other, since M = (alpha + beta) I + s (A_red + B_red)
     root = cls.beta if cls.swapped else cls.alpha
     a_red = _idempotent_plus_square_zero(reduced, decision)
-    idem = root * Matrix.identity(m.field, m.rows) + cls.scale * a_red
+    idem = (cls.scale * a_red)._plus_identity(m.field.value(root))
     a_part, b_part = (m - idem, idem) if cls.swapped else (idem, m - idem)
     cert = Certificate(a_part, b_part, params, cls, decision)
     # The one check of the construction.  It covers A_red idempotent and
@@ -400,7 +400,10 @@ def construct(m: Matrix, params: QuadParams) -> Certificate:
 
 def verify_certificate(m: Matrix, cert: Certificate) -> VerificationReport:
     """Exact check of A + B = M, A^2 = a A + b I and B^2 = c B + d I, which
-    is what a certificate claims, and nothing else.
+    is what a certificate claims, and nothing else.  Each quadratic identity
+    compares the rows of X times its columns with the columns of a X + b I,
+    entry by entry (:func:`quadsum.matrix._products_equal`), and builds no
+    product matrix.
 
     A probe such as A P = P A for P = (A + B)((a + c) I - (A + B)) would add
     nothing: the two identities imply it, since both A P and P A equal
@@ -413,11 +416,18 @@ def verify_certificate(m: Matrix, cert: Certificate) -> VerificationReport:
     if (a_mat.rows, a_mat.cols) != shape or (b_mat.rows, b_mat.cols) != shape:
         raise DimensionMismatch("certificate dimensions do not match the matrix")
     params = cert.params
-    ident = Matrix.identity(m.field, m.rows)
     sum_ok = a_mat + b_mat == m
-    first_ok = a_mat * a_mat == params.a * a_mat + params.b * ident
-    second_ok = b_mat * b_mat == params.c * b_mat + params.d * ident
+    first_ok = _is_quadratic(a_mat, params.a, params.b)
+    second_ok = _is_quadratic(b_mat, params.c, params.d)
     return VerificationReport(sum_ok, first_ok, second_ok)
+
+
+def _is_quadratic(x: Matrix, a, b) -> bool:
+    """Whether X^2 = a X + b I, entry by entry against the columns of
+    a X + b I, with no product matrix built."""
+    f = x.field
+    rhs = x._scaled(f.value(a))._plus_identity(f.value(b))
+    return _products_equal(f, x.raw_rows(), x.raw_cols(), rhs.raw_cols())
 
 
 def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:

@@ -135,9 +135,19 @@ def test_dual_row_is_solved_when_no_standard_row_pairs():
 
 
 def test_frobenius_check_names_stage_and_size(monkeypatch):
-    monkeypatch.setattr(quadsum.canonical, "companion", lambda p: companion(p).transpose())
-    with pytest.raises(InternalCheckFailed, match="invariant factors: .* 3x3 matrix"):
-        invariant_factors_with_transform(jordan_block(QQ, 3))
+    """M T = T F is checked against T F read off T's columns: with F's
+    companions transposed there, or the last column of each block taken as
+    its first, the check fails with its stage and the matrix size."""
+    def transposed(field, cols, factors):
+        t_mat = Matrix.from_rows(field, zip(*cols))
+        return (t_mat * direct_sum(field, [companion(p).transpose() for p in factors])).raw_cols()
+
+    for name, mutant in (("_times_companions", transposed),
+                         ("_combination", lambda field, coeffs, vecs: vecs[0])):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadsum.canonical, name, mutant)
+            with pytest.raises(InternalCheckFailed, match="invariant factors: .* 3x3 matrix"):
+                invariant_factors_with_transform(jordan_block(QQ, 3))
 
 
 def test_corrupted_witness_names_stage_and_size(monkeypatch):
@@ -290,6 +300,36 @@ def test_corrupted_restriction_names_stage_and_size(monkeypatch):
         invariant_factors_with_transform(m)
 
 
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_frobenius_check_catches_one_wrong_column_or_coefficient(f, monkeypatch):
+    """M T = T F is compared column by column against T's own columns: a T
+    with any one column off (still of full rank), or factors with any one
+    coefficient wrong (still monic, of the same degrees), fails the check
+    with its stage and the matrix size."""
+    real = quadsum.canonical._cyclic_decompose
+    m = _derogatory(f, random.Random(21))
+    factors, t_mat = real(m)
+    n = m.rows
+    stage = f"invariant factors: M T is not T F, .* {n}x{n} matrix"
+    corrupted = []
+    for j in range(n):
+        cols = [list(c) for c in t_mat.raw_cols()]
+        cols[j][j] = f.reduce(cols[j][j] + 1)
+        off = Matrix.from_rows(f, zip(*cols))
+        if rank(off) == n:
+            corrupted.append((factors, off))
+    for i, fac in enumerate(factors):
+        for k in range(fac.degree):
+            coeffs = list(fac.coeffs)
+            coeffs[k] = coeffs[k] + 1
+            corrupted.append((factors[:i] + [P(f, coeffs)] + factors[i + 1:], t_mat))
+    assert len(corrupted) >= n
+    for case in corrupted:
+        monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m, c=case: c)
+        with pytest.raises(InternalCheckFailed, match=stage):
+            invariant_factors_with_transform(m)
+
+
 # ---- spectral split at {0, 1}, per cyclic block ----------------------
 
 def _check_block_splits(m):
@@ -329,7 +369,8 @@ def test_split_spectral_pure_cases():
 def test_split_check_names_stage_and_size(monkeypatch):
     """The split of a cyclic block is checked as rank(S) = deg f and
     C(f) S = S E: a singular S that still satisfies the second identity (the
-    zero matrix) fails the first, and a wrong block sum E fails the second."""
+    zero matrix) fails the first, and a wrong block sum E (here J_1(0)
+    replaced by I, as S E is read off S's columns) fails the second."""
     fac = P(QQ, [0, -1, 1])  # t (t - 1)
     a, b, h = valuations(fac, 0, 1)
     assert rank(split_cyclic_block(fac, a, b, h)) == 2
@@ -339,10 +380,34 @@ def test_split_check_names_stage_and_size(monkeypatch):
                       lambda f, chain: Matrix.zero(f, len(chain[0]), len(chain)))
         with pytest.raises(InternalCheckFailed, match=stage):
             split_cyclic_block(fac, a, b, h)
-    monkeypatch.setattr(quadsum.canonical, "jordan_block",
-                        lambda f, size, eigenvalue=0: jordan_block(f, size, 1 - eigenvalue))
+    monkeypatch.setattr(quadsum.canonical, "_combination", lambda f, coeffs, vecs: vecs[0])
     with pytest.raises(InternalCheckFailed, match=stage):
         split_cyclic_block(fac, a, b, h)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_split_check_catches_shifted_jordan_columns(f, monkeypatch):
+    """C(f) S = S E is read off S's columns: an S whose J_b(1) columns are
+    rotated by one keeps full rank but fails the check, which names its
+    stage and sizes."""
+    h = P(f, [2, -1, 1])  # t^2 - t + 2, with h(0) = h(1) = 2
+    fac = P(f, [0, 1]) * P(f, [-1, 1]) ** 2 * h
+    a, b, h = valuations(fac, 0, 1)
+    assert (a, b, h.degree) == (1, 2, 2)
+    real = quadsum.canonical._chain_matrix
+    shifted = []
+
+    def rotated(field, chain):
+        shifted.append(real(field, chain[:-b] + chain[-b + 1:] + chain[-b:-b + 1]))
+        return shifted[-1]
+
+    split_cyclic_block(fac, a, b, h)
+    monkeypatch.setattr(quadsum.canonical, "_chain_matrix", rotated)
+    with pytest.raises(InternalCheckFailed,
+                       match=r"cyclic block split: 5x5 block of .* is not C\(h\) \+ J_1\(0\) "
+                             r"\+ J_2\(1\)"):
+        split_cyclic_block(fac, a, b, h)
+    assert rank(shifted[0]) == 5
 
 
 def test_split_spectral_random_consistency():

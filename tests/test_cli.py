@@ -358,6 +358,30 @@ def test_bad_scalars_exit_2(tmp_path, capsys):
         assert err.startswith("malformed input")
 
 
+def test_bad_input_is_named_not_echoed(tmp_path, capsys):
+    """A bad scalar is named by its place and type, and its text is cut
+    short: an entry that is a list of 200000 ints, a 1.3 MB job, exits 2
+    with under 1 KB on stderr, and so do a bad field and deep nesting."""
+    deep = "1"
+    for _ in range(900):
+        deep = [deep]
+    for k, (payload, named) in enumerate((
+            ({"field": "Q", "matrix": [["1", "2"], ["3", list(range(200000))]]},
+             "bad element at row 1, column 1: list [0, 1, 2"),
+            ({"field": "Q", "matrix": [[deep]]}, "bad element at row 0, column 0: list [[["),
+            ({"field": {"GF": list(range(200000))}, "matrix": [["1"]]},
+             "bad field modulus: list [0, 1, 2"),
+            ({"field": "x" * 200000, "matrix": [["1"]]}, "got str 'xxx"),
+            ({"field": "Q", "matrix": [["1"]], "params": {"b": "y" * 200000}},
+             "bad element at parameter b: str 'yyy"))):
+        job = write_job(tmp_path, f"{k}.json", payload)
+        for command in ("decide", "construct"):
+            code, out, err = run(capsys, [command, "--input", job])
+            assert (code, out) == (2, ""), (k, command)
+            assert err.startswith("malformed input") and err.count("\n") == 1, err[:200]
+            assert named in err and len(err.encode()) < 1024, (k, err[:200])
+
+
 def test_unknown_job_keys_exit_2(tmp_path, capsys):
     """A misspelt key is refused, not replaced by the default it misses."""
     for k, payload in enumerate(({"field": "Q", "matrix": [["1"]], "params": {"A": "2"}},

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from quadsum.errors import DimensionMismatch, MixedFields, Singular
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _rref, block2x2, direct_sum,
-                            hstack, inverse, jordan_block, kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _products_equal, _rref, block2x2,
+                            direct_sum, hstack, inverse, jordan_block, kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, krylov_annihilator
 from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
                       rand_matrix, rand_wide_rational)
@@ -90,6 +90,45 @@ def test_products_match_naive_triple_loop():
         for k in (_PACK_MIN - 1, _PACK_MIN, 28, 29, 30):
             full = Matrix(field, k, k, [-1] * (k * k))
             assert full * full == naive_product(full, full)
+
+
+def _scalars(f):
+    """Raw scalars of f: over Q, fractions with numerators and denominators
+    of up to 40 digits, the denominator drawn with either sign."""
+    if f.p is not None:
+        return st.integers(0, f.p - 1)
+    big = 10 ** 40
+    return st.builds(lambda a, b: f.value(Fraction(a, b)), st.integers(-big, big),
+                     st.integers(1, big) | st.integers(-big, -1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_products_equal_agrees_with_the_product(data):
+    """``_products_equal(rows of A, columns of B, columns of C)`` is A B == C,
+    on 0x0, 1 x k and square shapes, over Q with large denominators, GF(2),
+    GF(101) at n >= 10 (packed columns) and GF(2^61 - 1) (list rows), for C
+    the product or the product with one entry changed."""
+    f = data.draw(st.sampled_from([QQ, GF(2), GF(101), GF(2 ** 61 - 1)]))
+    shape = data.draw(st.sampled_from(["0x0", "1xk", "square"]))
+    if shape == "0x0":
+        r = k = c = 0
+    elif shape == "1xk":
+        r, k, c = 1, data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    else:
+        r = k = c = data.draw(st.integers(10, 12) if f.p in (101, 2 ** 61 - 1)
+                              else st.integers(1, 6))
+    a, b = (Matrix._raw(f, rows, cols, data.draw(st.lists(_scalars(f), min_size=rows * cols,
+                                                          max_size=rows * cols)))
+            for rows, cols in ((r, k), (k, c)))
+    product = a * b
+    expected = list(product._e)
+    if expected and data.draw(st.booleans(), label="changed"):
+        at = data.draw(st.integers(0, len(expected) - 1))
+        expected[at] = f.reduce(expected[at] + data.draw(_scalars(f)))
+    expected = Matrix._raw(f, r, c, expected)
+    assert _products_equal(f, a.raw_rows(), b.raw_cols(), expected.raw_cols()) \
+        == (product == expected)
 
 
 def test_every_operation_stores_canonical_values():

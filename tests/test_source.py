@@ -223,3 +223,25 @@ def test_packed_rows_are_named_only_in_matrix():
     found = [f"{name}:{line} {what}" for name, text in package_sources()
              if name != "matrix.py" for line, what in packing_names(text)]
     assert found == []
+
+
+def identity_calls(text: str):
+    """The line of every call of ``Matrix.identity``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "identity" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "Matrix")
+
+
+def test_identity_calls_are_found():
+    text = ("a = m - lam * Matrix.identity(f, n)\nb = m._plus_identity(c)\n"
+            "c = Matrix.identity\nd = x.identity(f, 2)\ne = 2 * Matrix.identity(\n    f, 3)\n")
+    assert identity_calls(text) == [1, 5]
+
+
+def test_no_identity_matrix_outside_matrix():
+    """M + c I touches the n diagonal entries (``Matrix._plus_identity``):
+    no module but ``matrix.py`` builds an identity matrix to add it."""
+    found = [f"{name}:{line}" for name, text in package_sources()
+             if name != "matrix.py" for line in identity_calls(text)]
+    assert found == []

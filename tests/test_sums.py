@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quadsum
 from quadsum import serialize
-from quadsum.canonical import _chain_matrix, nullity_sequence, valuations
+from quadsum.canonical import (_chain_matrix, invariant_factors_with_transform, nullity_sequence,
+                               split_cyclic_block, valuations)
 from quadsum.cli import main
 from quadsum.errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                             MalformedSequence, NotSplitError, UnsupportedCase)
@@ -636,6 +637,62 @@ def test_construct_checks_name_stage_and_size(monkeypatch):
                        r"VerificationReport\(sum_ok=True, first_quadratic_ok=True, "
                        r"second_quadratic_ok=False\)$"):
         construct(m, MAIN)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)])
+def test_certificate_check_catches_one_wrong_entry(f, monkeypatch):
+    """Under (a, b, c, d) = (3, -2, 2, -1) the quadratic identities are
+    checked entry by entry and agree with the products for A + E_ij and
+    B + E_ij at every (i, j), failing where the products differ; a construct
+    whose reduced idempotent is off by E_ij fails with its stage and size."""
+    params = QuadParams.of(f, 3, -2, 2, -1)
+    rng = random.Random(29)
+    n = 4
+    m = rand_decomposable(f, n, rng) + 2 * Matrix.identity(f, n)
+    cert = construct(m, params)
+    assert verify_certificate(m, cert).ok
+    ident = Matrix.identity(f, n)
+    failed = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        e = Matrix._raw(f, n, n, [f.reduce(int(k == i * n + j)) for k in range(n * n)])
+        a_bad, b_bad = cert.a_part + e, cert.b_part + e
+        first = verify_certificate(m, Certificate(a_bad, cert.b_part, params))
+        second = verify_certificate(m, Certificate(cert.a_part, b_bad, params))
+        assert not first.sum_ok and first.second_quadratic_ok
+        assert first.first_quadratic_ok == (a_bad * a_bad == 3 * a_bad - 2 * ident)
+        assert not second.sum_ok and second.first_quadratic_ok
+        assert second.second_quadratic_ok == (b_bad * b_bad == 2 * b_bad - ident)
+        failed += (not first.first_quadratic_ok) + (not second.second_quadratic_ok)
+    assert failed >= n * n
+    real = quadsum.sums._idempotent_plus_square_zero
+    e = Matrix._raw(f, n, n, [f.reduce(int(k == 1)) for k in range(n * n)])
+    monkeypatch.setattr(quadsum.sums, "_idempotent_plus_square_zero",
+                        lambda m_red, decision: real(m_red, decision) + e)
+    with pytest.raises(InternalCheckFailed,
+                       match=r"^construct: 4x4 certificate fails: .*first_quadratic_ok=False"):
+        construct(m, params)
+
+
+def test_rational_checks_call_no_product_kernel(monkeypatch):
+    """Over Q the identity checks, M T = T F, C(f) S = S E and the two
+    quadratic identities, compare integer dot products and never call the
+    product kernel ``_raw_products``; over GF(5) the same checks do."""
+    real = quadsum.matrix._raw_products
+    for f in (QQ, GF(5)):
+        rng = random.Random(30)
+        m = rand_decomposable(f, 6, rng)
+        cert = construct(m, QuadParams.of(f))
+        factors, t_mat = quadsum.canonical._cyclic_decompose(m)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: (factors, t_mat))
+            patch.setattr(quadsum.matrix, "_raw_products",
+                          lambda *args: calls.append(args) or real(*args))
+            invariant_factors_with_transform(m)
+            for fac in factors:
+                split_cyclic_block(fac, *valuations(fac, 0, 1))
+            verify_certificate(m, cert)
+        assert (len(calls) == 0) == (f.p is None), (f, len(calls))
 
 
 def test_verify_rejects_certificate_of_the_wrong_shape():
