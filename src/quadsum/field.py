@@ -15,8 +15,9 @@ elimination and division loops inline its ``% p``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 from math import isqrt
+from operator import add, mul, sub, truediv
 
 from .errors import DivisionByZero, MixedFields
 
@@ -146,57 +147,26 @@ class FieldElement:
         self.field = field
         self.v = v
 
-    def _coerce(self, other):
-        """The raw value of an element of this field or an int, else None."""
-        if isinstance(other, (FieldElement, int)):
-            return self.field.value(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def _apply(self, op, swap, other):
+        """The one body of the binary operators: ``op`` on the raw values of
+        self and ``other`` (in the other order with ``swap``), reduced and
+        wrapped.  ``truediv`` multiplies by ``Field.inv_raw``, so a zero
+        divisor is DivisionByZero.  ``other`` is an element of this field or
+        an int; any other operand is NotImplemented."""
+        if not isinstance(other, (FieldElement, int)):
             return NotImplemented
         f = self.field
-        return f.make(f.reduce(self.v + o))
+        x, y = self.v, f.value(other)
+        if swap:
+            x, y = y, x
+        return f.make(f.reduce(x * f.inv_raw(y) if op is truediv else op(x, y)))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return f.make(f.reduce(self.v - o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return f.make(f.reduce(o - self.v))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return f.make(f.reduce(self.v * o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return f.make(f.reduce(self.v * f.inv_raw(o)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        f = self.field
-        return f.make(f.reduce(o * f.inv_raw(self.v)))
+    __add__ = __radd__ = partialmethod(_apply, add, False)
+    __sub__ = partialmethod(_apply, sub, False)
+    __rsub__ = partialmethod(_apply, sub, True)
+    __mul__ = __rmul__ = partialmethod(_apply, mul, False)
+    __truediv__ = partialmethod(_apply, truediv, False)
+    __rtruediv__ = partialmethod(_apply, truediv, True)
 
     def __neg__(self):
         f = self.field

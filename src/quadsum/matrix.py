@@ -42,7 +42,9 @@ returns.  A Krylov annihilator is the first relation among its vectors
 The span kernel, :func:`_span_rank`, extends an echelon that its caller
 keeps with raw n-vectors and returns the rank: exactly over GF(p), and over
 the rationals modulo one word-size prime (``_SPAN_PRIME``), where a rank of
-n is a rank of n over Q and a smaller one says nothing.  The cyclic-vector
+n is a rank of n over Q and a smaller one says nothing.  It and
+:func:`_echelon` grow an echelon through one loop, :func:`_extend_echelon`,
+which reduces no row once the rank equals the width.  The cyclic-vector
 scan (:func:`quadsum.poly.cyclic_vector`) keeps one across its Krylov
 chains, and the Frobenius witness check reads rank(T) = n from it before
 any exact rank.
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
+from functools import partialmethod
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from sys import byteorder
@@ -175,24 +178,19 @@ class Matrix:
         if other.field != self.field:
             raise MixedFields(f"{self.field!r} vs {other.field!r}")
 
-    def _check_same_shape(self, other: "Matrix", op: str):
+    def _entrywise(self, op, other):
+        """The one body of ``+`` and ``-``: ``op`` entry by entry with a
+        matrix of the same field and shape."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{op}: shapes differ")
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other, "add")
+            raise DimensionMismatch(f"{op.__name__}: shapes differ")
         return Matrix._raw(self.field, self.rows, self.cols,
-                           _canonical(self.field, map(add, self._e, other._e)))
+                           _canonical(self.field, map(op, self._e, other._e)))
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other, "sub")
-        return Matrix._raw(self.field, self.rows, self.cols,
-                           _canonical(self.field, map(sub, self._e, other._e)))
+    __add__ = partialmethod(_entrywise, add)
+    __sub__ = partialmethod(_entrywise, sub)
 
     def __neg__(self):
         return Matrix._raw(self.field, self.rows, self.cols,
@@ -489,10 +487,24 @@ def _pivot(row, ncols: int, p, packed):
     return None
 
 
+def _extend_echelon(ech: list, rows, ncols: int, p, packed):
+    """Extend the echelon ``ech`` (a list of (pivot column, pivot row) pairs)
+    by raw rows, in order: each row is reduced against the pivot rows before
+    it and kept as a pivot row when it is nonzero in its first ``ncols``
+    entries.  No row is reduced once the rank is ``ncols``, since every later
+    row would reduce to 0 there.  This is the one loop of :func:`_echelon`
+    and :func:`_span_rank`."""
+    for row in rows:
+        if len(ech) == ncols:
+            return
+        piv = _pivot(_reduce(row, ech, p, packed), ncols, p, packed)
+        if piv:
+            ech.append(piv)
+
+
 def _echelon(field: Field, rows, ncols: int):
-    """Forward elimination of raw rows: ``(ech, packed)``, the (pivot
-    column, pivot row) pairs of each row reduced against the pivot rows
-    before it and kept when it is nonzero in its first ``ncols`` entries,
+    """Forward elimination of raw rows (:func:`_extend_echelon` from an
+    empty echelon): ``(ech, packed)``, the (pivot column, pivot row) pairs,
     and whether the pivot rows are packed (a row takes at most as many steps
     as the rank can reach).  Every pivot row is 0 before its pivot column."""
     p = field.p
@@ -501,10 +513,7 @@ def _echelon(field: Field, rows, ncols: int):
     bound = min(len(rows), ncols)
     packed = _packs(p, bound, bound)
     ech = []
-    for row in rows:
-        piv = _pivot(_reduce(row, ech, p, packed), ncols, p, packed)
-        if piv:
-            ech.append(piv)
+    _extend_echelon(ech, rows, ncols, p, packed)
     return ech, packed
 
 
@@ -549,20 +558,15 @@ def _span_rank(field: Field, ech: list, vecs, n: int) -> int:
     ``_SPAN_PRIME``: scaling a vector keeps its span and Z -> GF(q) is a
     ring map, so a rank of n modulo q is a rank of n over the rationals,
     while a rank short of n says nothing.  Like every kernel here it picks
-    its own row format, packed under :func:`_packs` (q, n, n), and reduces no
-    vector once the rank is n.
+    its own row format, packed under :func:`_packs` (q, n, n); the echelon
+    grows by :func:`_extend_echelon`, which reduces no vector once the rank
+    is n.
     """
     p = field.p
     q = _SPAN_PRIME if p is None else p
     if p is None:
         vecs = ([x % q for x in v] for v, _ in _integral(vecs))
-    packed = _packs(q, n, n)
-    for row in vecs:
-        if len(ech) == n:
-            break
-        piv = _pivot(_reduce(row, ech, q, packed), n, q, packed)
-        if piv:
-            ech.append(piv)
+    _extend_echelon(ech, vecs, n, q, _packs(q, n, n))
     return len(ech)
 
 

@@ -129,14 +129,14 @@ def params_to_json(params: QuadParams):
 
 
 def params_from_json(field: Field, obj) -> QuadParams:
+    """The params of a job or a certificate; a key left out takes its
+    default from :meth:`QuadParams.of`."""
     if obj is None:
         obj = {}
-    defaults = {"a": "1", "b": "0", "c": "0", "d": "0"}
-    if not isinstance(obj, dict) or not set(obj) <= set(defaults):
+    if not isinstance(obj, dict) or not set(obj) <= set("abcd"):
         raise MalformedInput('params must be an object with keys among "a", "b", "c", "d"')
-    return QuadParams(**{key: field.make(_parse_element(field, obj.get(key, dflt),
-                                                        f"parameter {key}"))
-                         for key, dflt in defaults.items()})
+    return QuadParams.of(field, **{key: _parse_element(field, obj[key], f"parameter {key}")
+                                   for key in "abcd" if key in obj})
 
 
 def classification_to_json(cls: CaseClassification):

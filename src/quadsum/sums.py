@@ -181,6 +181,15 @@ def pair_blocks(sizes_at_1, sizes_at_0):
 
 # ---- classification --------------------------------------------------
 
+def _least_root(f: Field, a, b, terms: str) -> FieldElement:
+    """The lesser root of t^2 - a t - b; NotSplitError, naming the
+    polynomial's ``terms`` after t^2, when it has none in the field."""
+    roots = quadratic_roots(f, a, b)
+    if roots is None:
+        raise NotSplitError(f"t^2 - {terms} does not split over the base field")
+    return roots[0]
+
+
 def classify_and_reduce(m: Matrix, params: QuadParams):
     """Shift by (alpha + beta) and rescale so the decision runs on the
     idempotent + square-zero normal form.
@@ -192,24 +201,14 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
     if not m.is_square:
         raise DimensionMismatch("classification needs a square matrix")
     f = m.field
-    roots_first = quadratic_roots(f, params.a, params.b)
-    if roots_first is None:
-        raise NotSplitError("t^2 - a t - b does not split over the base field")
-    roots_second = quadratic_roots(f, params.c, params.d)
-    if roots_second is None:
-        raise NotSplitError("t^2 - c t - d does not split over the base field")
-    alpha = roots_first[0]
-    beta = roots_second[0]
+    alpha = _least_root(f, params.a, params.b, "a t - b")
+    beta = _least_root(f, params.c, params.d, "c t - d")
     shift = alpha + beta
     shifted = m._plus_identity(f.value(-shift))
     a_red = params.a - 2 * alpha
     c_red = params.c - 2 * beta
-    if a_red and c_red:
-        cls = CaseClassification("I", alpha, beta, shift, None, False)
-        return cls, shifted
-    if not a_red and not c_red:
-        cls = CaseClassification("II", alpha, beta, shift, None, False)
-        return cls, shifted
+    if bool(a_red) == bool(c_red):
+        return CaseClassification("I" if a_red else "II", alpha, beta, shift, None, False), shifted
     swapped = not a_red
     scale = c_red if swapped else a_red
     cls = CaseClassification("III", alpha, beta, shift, scale, swapped)

@@ -1,0 +1,211 @@
+"""Same-output check: quadsum's output bytes against a recorded manifest.
+
+Usage::
+
+    PYTHONPATH=src python tests/outputs.py --write   # record tests/data/outputs.json
+    PYTHONPATH=src python tests/outputs.py --check   # compare, list every difference
+
+The manifest holds, for each unique seed-1 job of the benchmark workloads in
+``WORKLOADS`` (inputs from ``perfbench/gen.py``, keyed by ``gen.job_key``),
+the digest of (exit code, stdout, stderr) of the in-process ``quadsum
+decide`` and ``quadsum construct`` commands on it, with default params.  It
+also holds digests of the Frobenius form F and witness T of seeded
+``rand_matrix`` and ``rand_decomposable`` inputs, and of the certificate's A
+for the latter, over the wide primes ``WIDE_PRIMES`` at n = ``WIDE_SIZES``,
+where the kernels keep list rows instead of packed ones.  Last, it holds the
+digests of ``decide``, ``construct`` and ``classify`` on the small jobs of
+``HAND_JOBS``, whose params reach every case of the classification, a shift,
+a quadratic that does not split and params the reader refuses.
+
+``--write`` also records a fixed slice of the jobs, with their inputs, in
+``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
+tier-1, so a later change to ``gen.py`` cannot break the test.  ``--check``
+exits 1 when any entry differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from collections import Counter
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
+
+import gen  # noqa: E402
+from conftest import rand_decomposable, rand_matrix  # noqa: E402
+from quadsum import cli  # noqa: E402
+from quadsum.canonical import invariant_factors_with_transform  # noqa: E402
+from quadsum.field import GF  # noqa: E402
+from quadsum.sums import QuadParams, construct  # noqa: E402
+
+MANIFEST = os.path.join(HERE, "data", "outputs.json")
+SLICE = os.path.join(HERE, "data", "outputs_slice.json")
+WORKLOADS = ("roundtrip-small", "qq-growth", "gfp-mid")
+COMMANDS = ("decide", "construct")
+PARAMS = {"a": "1", "b": "0", "c": "0", "d": "0"}
+_Q3 = [["2", "1", "0"], ["0", "1", "0"], ["1", "0", "3"]]
+_GF5 = [["1", "2", "3"], ["4", "0", "1"], ["2", "2", "2"]]
+_NILPOTENT = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]
+#: name -> small job with its own params, run through decide, construct and classify.
+HAND_JOBS = {
+    "case I": {"field": "Q", "rows": _Q3, "params": {"a": "1", "b": "0", "c": "1", "d": "0"}},
+    "case II": {"field": "Q", "rows": _Q3, "params": {"a": "0", "b": "0", "c": "0", "d": "0"}},
+    "case III swapped": {"field": "Q", "rows": [["1", "0"], ["0", "0"]],
+                         "params": {"a": "0", "b": "0", "c": "1", "d": "0"}},
+    "case III shifted": {"field": "Q", "rows": [["3", "0", "0"], ["0", "2", "0"], ["0", "1", "2"]],
+                         "params": {"a": "3", "b": "-2", "c": "2", "d": "-1"}},
+    "case III shifted GF(5)": {"field": {"GF": 5},
+                               "rows": [["1", "0", "0"], ["0", "4", "0"], ["0", "1", "4"]],
+                               "params": {"a": "1", "b": "2", "c": "4", "d": "1"}},
+    "case III no": {"field": "Q", "rows": _NILPOTENT, "params": PARAMS},
+    "first not split": {"field": "Q", "rows": _Q3, "params": {"a": "0", "b": "-1"}},
+    "second not split": {"field": "Q", "rows": _Q3, "params": {"d": "2"}},
+    "both not split": {"field": {"GF": 5}, "rows": _GF5,
+                       "params": {"a": "0", "b": "2", "c": "0", "d": "3"}},
+    "bad param": {"field": "Q", "rows": _Q3, "params": {"b": "x"}},
+    "two bad params": {"field": "Q", "rows": _Q3, "params": {"d": "y", "b": [1]}},
+    "bad param key": {"field": "Q", "rows": _Q3, "params": {"e": "1"}},
+    "null params": {"field": {"GF": 5}, "rows": _GF5, "params": None},
+    "some params": {"field": {"GF": 5}, "rows": _GF5, "params": {"c": "0", "a": "1"}},
+}
+WIDE_PRIMES = (2 ** 61 - 1, 797555399)
+WIDE_SIZES = range(10, 31)
+#: Jobs of the tier-1 slice per (workload, field, size): a block's worth of
+#: each workload's smallest size (on qq-growth and gfp-mid, every planted
+#: shape and the pool jobs of the first block), so the slice runs in seconds.
+SLICE_TAKE = {"roundtrip-small": 8, "qq-growth": 5, "gfp-mid": 8}
+SLICE_SIZES = {"roundtrip-small": range(1, 9), "qq-growth": (7,), "gfp-mid": (16,)}
+
+
+def digest(obj) -> str:
+    """The first 16 hex digits of the SHA-256 of ``obj`` as compact JSON."""
+    text = json.dumps(obj, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run_command(command: str, job, tmpdir: str) -> str:
+    """Digest of (exit code, stdout, stderr) of ``quadsum COMMAND`` on a job,
+    with its own params if it has them, else the default ones."""
+    path = os.path.join(tmpdir, "job.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"field": job["field"], "matrix": job["rows"],
+                   "params": job.get("params", PARAMS)}, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", path])
+    return digest([code, out.getvalue(), err.getvalue()])
+
+
+def job_outputs(job, tmpdir: str):
+    """Digests of decide and construct on a job, and of classify on a job
+    with its own params."""
+    commands = COMMANDS + ("classify",) if "params" in job else COMMANDS
+    return {command: run_command(command, job, tmpdir) for command in commands}
+
+
+def unique_jobs():
+    """(workload, job) of every unique seed-1 job, first occurrence first."""
+    seen = set()
+    for name in WORKLOADS:
+        for job in gen.generate(name, 1):
+            key = gen.job_key(job)
+            if key not in seen:
+                seen.add(key)
+                yield name, job
+
+
+def _frobenius(m):
+    factors, witness = invariant_factors_with_transform(m)
+    return ([[str(c) for c in f.coeffs] for f in factors],
+            [[str(x) for x in row] for row in witness.raw_rows()])
+
+
+def wide_outputs():
+    """Digests of (F, T) of a random matrix and of (F, T) and A of a
+    decomposable one, per wide prime and size."""
+    out = {}
+    for p in WIDE_PRIMES:
+        field = GF(p)
+        for n in WIDE_SIZES:
+            rng = random.Random(f"outputs/{p}/{n}")
+            m = rand_matrix(field, n, rng)
+            d = rand_decomposable(field, n, rng)
+            cert = construct(d, QuadParams.of(field))
+            out[f"GF({p}) n={n}"] = {"random F,T": digest(_frobenius(m)),
+                                     "decomposable F,T": digest(_frobenius(d)),
+                                     "decomposable A": digest(
+                                         [[str(x) for x in row] for row in cert.a_part.raw_rows()])}
+    return out
+
+
+def pick_slice(jobs):
+    """The tier-1 slice: the first ``SLICE_TAKE`` jobs of each workload,
+    field and size in ``SLICE_SIZES``."""
+    taken = Counter()
+    picked = []
+    for name, job in jobs:
+        group = (name, json.dumps(job["field"]), len(job["rows"]))
+        if len(job["rows"]) in SLICE_SIZES[name] and taken[group] < SLICE_TAKE[name]:
+            taken[group] += 1
+            picked.append((name, job))
+    return picked
+
+
+def compute():
+    jobs = list(unique_jobs())
+    with tempfile.TemporaryDirectory() as tmpdir:
+        outputs = {gen.job_key(job): job_outputs(job, tmpdir) for _, job in jobs}
+        hand = {name: job_outputs(job, tmpdir) for name, job in HAND_JOBS.items()}
+    manifest = {"jobs": outputs, "wide": wide_outputs(), "hand": hand}
+    sliced = [{"workload": name, "field": job["field"], "rows": job["rows"],
+               **outputs[gen.job_key(job)]} for name, job in pick_slice(jobs)]
+    sliced += [{"workload": "hand-made", **job, **hand[name]} for name, job in HAND_JOBS.items()]
+    return manifest, sliced
+
+
+def differences(recorded, now):
+    """Every (section, key, what) whose recorded digest differs or is missing."""
+    found = []
+    for section in ("jobs", "wide", "hand"):
+        for key in sorted(set(recorded[section]) | set(now[section])):
+            old, new = recorded[section].get(key, {}), now[section].get(key, {})
+            found += [(section, key, what) for what in sorted(set(old) | set(new))
+                      if old.get(what) != new.get(what)]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true", help="record the manifest and the slice")
+    mode.add_argument("--check", action="store_true", help="compare with the manifest")
+    args = parser.parse_args(argv)
+    manifest, sliced = compute()
+    if args.write:
+        for path, obj in ((MANIFEST, manifest), (SLICE, sliced)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, indent=0, sort_keys=True)
+                fh.write("\n")
+        print(f"recorded {len(manifest['jobs'])} jobs, {len(manifest['wide'])} wide inputs, "
+              f"{len(manifest['hand'])} hand-made jobs and a slice of {len(sliced)} jobs")
+        return 0
+    with open(MANIFEST, encoding="utf-8") as fh:
+        found = differences(json.load(fh), manifest)
+    for section, key, what in found:
+        print(f"differs: {section} {key} {what}")
+    print(f"{len(found)} differences over {len(manifest['jobs'])} jobs, "
+          f"{len(manifest['wide'])} wide inputs and {len(manifest['hand'])} hand-made jobs")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 
 import quadsum
-from quadsum.errors import DivisionByZero, MixedFields
+from quadsum.errors import DimensionMismatch, DivisionByZero, MixedFields
 from quadsum.field import GF, QQ, Field, FieldElement, _is_prime, _sqrt_mod, quadratic_roots
 from quadsum.matrix import Matrix
 from quadsum.poly import Polynomial
@@ -62,17 +63,38 @@ def test_gf_rejects_moduli_beyond_the_primality_limit():
 
 
 def test_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        QQ.zero().inverse()
-    with pytest.raises(DivisionByZero):
-        GF(5).zero().inverse()
+    for f in (QQ, GF(5)):
+        with pytest.raises(DivisionByZero):
+            f.zero().inverse()
+        for x, y in ((f.element(3), 0), (1, f.zero()), (f.one(), f.zero())):
+            with pytest.raises(DivisionByZero):
+                x / y
 
 
 def test_mixed_fields_rejected():
+    """Another field's element on either side of an operator is MixedFields;
+    a float, str or None operand is a TypeError; matrices of another field
+    or shape cannot be added or subtracted."""
     with pytest.raises(MixedFields):
         GF(2).one() + GF(3).one()
     with pytest.raises(MixedFields):
         QQ.element(GF(5).one())
+    for f, other in ((QQ, GF(5)), (GF(5), QQ), (GF(5), GF(7))):
+        x = f.element(3)
+        for op in (add, sub, mul, truediv):
+            for a, b in ((x, other.element(2)), (other.element(2), x)):
+                with pytest.raises(MixedFields):
+                    op(a, b)
+            for bad in (0.5, "2", None):
+                for a, b in ((x, bad), (bad, x)):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+        m = Matrix.identity(f, 2)
+        for op in (add, sub):
+            with pytest.raises(MixedFields):
+                op(m, Matrix.identity(other, 2))
+            with pytest.raises(DimensionMismatch, match=f"^{op.__name__}: shapes differ$"):
+                op(m, Matrix.zero(f, 2, 3))
 
 
 def test_inverse_law_exhaustive_small():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quadsum
 from quadsum.errors import DimensionMismatch, MixedFields, Singular
 from quadsum.field import GF, QQ
 from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _products_equal, _rref, block2x2,
@@ -437,6 +438,22 @@ def test_elimination_packs_up_to_the_word_bound(monkeypatch):
         rank(m)
         assert made
         check_elimination(m, b)
+
+
+def test_echelon_stops_at_full_rank(monkeypatch):
+    """Once the rank is the width, no later row is reduced: a 12 x 3 matrix
+    whose rank is 3 at its third row takes three reductions, and eliminates
+    as Gauss-Jordan does."""
+    real = quadsum.matrix._reduce
+    calls = []
+    monkeypatch.setattr(quadsum.matrix, "_reduce", lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(12)
+    for f in (QQ, GF(5), GF(WORD_PRIME)):
+        m = Matrix.from_rows(f, [[1, 0, 0], [1, 1, 0], [2, 1, 1]]
+                             + [[rng.randint(-4, 4) for _ in range(3)] for _ in range(9)])
+        calls.clear()
+        assert rank(m) == 3 and len(calls) == 3
+        check_elimination(m, rand_matrix(f, 12, rng, cols=2))
 
 
 def check_elimination(m, b):

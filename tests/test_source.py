@@ -191,7 +191,7 @@ def test_every_public_definition_has_a_reader():
 #: denominator, and the elimination steps on those rows.  Other modules pass
 #: and get back raw canonical values only.
 PACKING = {"_pack", "_residues", "_PackedColumns", "_MASK", "_packs", "_reduce", "_pivot",
-           "_echelon", "_integral"}
+           "_echelon", "_extend_echelon", "_integral"}
 
 
 def packing_names(text: str):
