@@ -107,7 +107,7 @@ def _parse_oracle_field(text: str):
 
 def cmd_oracle(args) -> int:
     field = _parse_oracle_field(args.field)
-    report = oracle.exhaustive_compare(field, args.n, budget=args.budget)
+    report = oracle.exhaustive_compare(field, args.n)
     _emit(oracle.comparison_to_json(report), args.output)
     return EXIT_OK
 
@@ -148,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="exhaustive decide-vs-enumeration comparison")
     orc.add_argument("--field", required=True, help="finite field, e.g. gf2")
     orc.add_argument("--n", type=int, required=True)
-    orc.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     orc.add_argument("--output", help="also write the JSON result here")
     orc.set_defaults(func=cmd_oracle)
     return parser

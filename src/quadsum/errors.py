@@ -62,7 +62,7 @@ class InternalCheckFailed(QuadsumError):
 
 
 class BudgetExceeded(QuadsumError):
-    """An exhaustive enumeration would exceed the configured scan budget."""
+    """An exhaustive enumeration would exceed the fixed scan budget."""
 
 
 class BadParams(QuadsumError):

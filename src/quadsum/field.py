@@ -137,7 +137,7 @@ class Field:
 class FieldElement:
     """Immutable scalar bound to its :class:`Field`.
 
-    Supports ``+ - * / **``, equality and hashing, and no order.  Plain ints
+    Supports ``+ - * /``, equality and hashing, and no order.  Plain ints
     are coerced into the element's field.
     """
 
@@ -148,11 +148,12 @@ class FieldElement:
         self.v = v
 
     def _apply(self, op, swap, other):
-        """The one body of the binary operators: ``op`` on the raw values of
-        self and ``other`` (in the other order with ``swap``), reduced and
-        wrapped.  ``truediv`` multiplies by ``Field.inv_raw``, so a zero
-        divisor is DivisionByZero.  ``other`` is an element of this field or
-        an int; any other operand is NotImplemented."""
+        """The one body of the binary operators and of negation (times -1):
+        ``op`` on the raw values of self and ``other`` (in the other order
+        with ``swap``), reduced and wrapped.  ``truediv`` multiplies by
+        ``Field.inv_raw``, so a zero divisor is DivisionByZero.  ``other`` is
+        an element of this field or an int; any other operand is
+        NotImplemented."""
         if not isinstance(other, (FieldElement, int)):
             return NotImplemented
         f = self.field
@@ -167,18 +168,7 @@ class FieldElement:
     __mul__ = __rmul__ = partialmethod(_apply, mul, False)
     __truediv__ = partialmethod(_apply, truediv, False)
     __rtruediv__ = partialmethod(_apply, truediv, True)
-
-    def __neg__(self):
-        f = self.field
-        return f.make(f.reduce(-self.v))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        f = self.field
-        if f.p is not None:
-            return f.make(pow(self.v, k, f.p))
-        return f.make(self.v ** k)
+    __neg__ = partialmethod(_apply, mul, False, -1)
 
     def inverse(self) -> "FieldElement":
         return self.field.make(self.field.inv_raw(self.v))
@@ -255,22 +245,17 @@ def quadratic_roots(field: Field, a, b) -> list[FieldElement] | None:
         if rn * rn != disc.numerator or rd * rd != disc.denominator:
             return None
         s = Fraction(rn, rd)
-        lo, hi = sorted(((a + s) / 2, (a - s) / 2))
-        return [field.make(lo), field.make(hi)]
-    if p == 2:
+        roots = (a + s) / 2, (a - s) / 2
+    elif p == 2:
         hits = [r for r in (0, 1) if (r * r - a * r - b) % 2 == 0]
         if not hits:
             return None
-        r = hits[0]
-        lo, hi = sorted((r, (a - r) % 2))
-        return [field.make(lo), field.make(hi)]
-    disc = (a * a + 4 * b) % p
-    half = field.inv_raw(2)
-    if disc == 0:
-        r = a * half % p
-        return [field.make(r), field.make(r)]
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return None
-    s = _sqrt_mod(disc, p)
-    lo, hi = sorted(((a + s) * half % p, (a - s) * half % p))
-    return [field.make(lo), field.make(hi)]
+        roots = hits[0], (a - hits[0]) % 2
+    else:
+        disc = (a * a + 4 * b) % p
+        if disc and pow(disc, (p - 1) // 2, p) != 1:
+            return None
+        s = _sqrt_mod(disc, p)
+        half = field.inv_raw(2)
+        roots = (a + s) * half % p, (a - s) * half % p
+    return [field.make(r) for r in sorted(roots)]

@@ -73,7 +73,7 @@ from array import array
 from fractions import Fraction
 from functools import partialmethod
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 from sys import byteorder
 
 from .errors import DimensionMismatch, MixedFields, Singular
@@ -117,9 +117,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        _check_shape(n, n)
-        z, o = field.reduce(0), field.reduce(1)
-        return cls._raw(field, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls.zero(field, n)._plus_identity(1)
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int | None = None) -> "Matrix":
@@ -192,16 +190,17 @@ class Matrix:
     __add__ = partialmethod(_entrywise, add)
     __sub__ = partialmethod(_entrywise, sub)
 
-    def __neg__(self):
-        return Matrix._raw(self.field, self.rows, self.cols,
-                           _canonical(self.field, map(neg, self._e)))
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return self._matmul(other)
         if isinstance(other, (FieldElement, int)):
             return self._scaled(self.field.value(other))
         return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
 
     def _scaled(self, c) -> "Matrix":
         """c times self, for a raw canonical scalar c."""
@@ -223,11 +222,6 @@ class Matrix:
             e[i] = reduce(e[i] + c)
         return Matrix._raw(self.field, self.rows, self.cols, e)
 
-    def __rmul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def _matmul(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.cols != other.rows:
@@ -235,12 +229,9 @@ class Matrix:
                 f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         f = self.field
-        k, m = self.cols, other.cols
-        a = self._e
-        rows = [a[i * k : (i + 1) * k] for i in range(self.rows)]
         cols = _columns(f, other.raw_cols())
-        return Matrix._raw(f, self.rows, m,
-                           [x for row in _raw_products(f, rows, cols) for x in row])
+        return Matrix._raw(f, self.rows, other.cols,
+                           [x for row in _raw_products(f, self.raw_rows(), cols) for x in row])
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.field, self.cols, self.rows,
@@ -710,9 +701,8 @@ def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:
     """Jordan block with ones on the subdiagonal (matching the companion
     convention used throughout: the block for t^k is C(t^k))."""
     _check_shape(size, size)
-    lam = field.value(eigenvalue)
     z, o = field.reduce(0), field.reduce(1)
-    return Matrix._raw(field, size, size,
-                       [lam if i == j else o if i == j + 1 else z
-                        for i in range(size) for j in range(size)])
+    ones = Matrix._raw(field, size, size,
+                       [o if i == j + 1 else z for i in range(size) for j in range(size)])
+    return ones._plus_identity(field.value(eigenvalue))
 

@@ -1,7 +1,7 @@
 """Brute-force ground truth over small finite fields.
 
 Enumerates idempotents, square-zero matrices and their sums by one full scan
-of the p^(n^2) matrix space, guarded by an explicit budget: each matrix is
+of the p^(n^2) matrix space, guarded by a fixed budget: each matrix is
 squared once, and the square sorts it into the idempotents (square equal to
 the matrix), the square-zero matrices (square zero), both (the zero matrix)
 or neither.  The idempotents are checked against their closed-form count,
@@ -21,19 +21,7 @@ from .sums import _is_int, decide
 
 #: Full-scan budget: the largest sanctioned scan, GF(2) at n = 4, has 2^16
 #: matrices; GF(2) at n = 5 (2^25, about seven hours) is refused.
-DEFAULT_BUDGET = 1 << 17
-
-
-def _check_budget(p: int, n: int, budget: int):
-    if not _is_int(n) or n < 0:
-        raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
-    if not _is_int(budget):
-        raise BadParams(f"the budget must be an int, got {budget!r}")
-    # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
-    # budget's bit length: refuse on sizes before building a huge power
-    if n * n * (p.bit_length() - 1) >= budget.bit_length() or p ** (n * n) > budget:
-        raise BudgetExceeded(
-            f"scan of {p}^{n * n} matrices exceeds the budget of {budget}")
+_BUDGET = 1 << 17
 
 
 def _raw_matrices(p: int, n: int):
@@ -74,11 +62,16 @@ def idempotent_count(p: int, n: int) -> int:
     return sum(_gaussian_binomial(n, r, p) * p ** (r * (n - r)) for r in range(n + 1))
 
 
-def _raw_squares(p: int, n: int, budget: int):
+def _raw_squares(p: int, n: int):
     """(idempotents, square-zero matrices) of the n x n space, in odometer
     order, from one scan that squares each matrix once; the zero matrix is
-    in both."""
-    _check_budget(p, n, budget)
+    in both.  A scan of more than ``_BUDGET`` matrices is refused."""
+    if not _is_int(n) or n < 0:
+        raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
+    # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
+    # budget's bit length: refuse on sizes before building a huge power
+    if n * n * (p.bit_length() - 1) >= _BUDGET.bit_length() or p ** (n * n) > _BUDGET:
+        raise BudgetExceeded(f"scan of {p}^{n * n} matrices exceeds the budget of {_BUDGET}")
     zero = [0] * (n * n)
     idempotents, square_zero = [], []
     for a in _raw_matrices(p, n):
@@ -108,7 +101,7 @@ class SumAtlas:
 
 
 def build_sum_atlas(field: Field, n: int, kind: str = "main",
-                    alpha=None, beta=None, budget: int = DEFAULT_BUDGET) -> SumAtlas:
+                    alpha=None, beta=None) -> SumAtlas:
     """Enumerate {P + Q} (main: P idempotent, Q square-zero) or
     {alpha P + beta Q} (scaled: both idempotent)."""
     p = field.p
@@ -123,7 +116,7 @@ def build_sum_atlas(field: Field, n: int, kind: str = "main",
         cb = field.value(beta)
     else:
         raise BadParams(f"unknown atlas kind {kind!r}")
-    idempotents, square_zero = _raw_squares(p, n, budget)
+    idempotents, square_zero = _raw_squares(p, n)
     second = square_zero if kind == "main" else idempotents
     members = set()
     size = n * n
@@ -148,9 +141,9 @@ class ComparisonReport:
         return not self.mismatches
 
 
-def exhaustive_compare(field: Field, n: int, budget: int = DEFAULT_BUDGET) -> ComparisonReport:
+def exhaustive_compare(field: Field, n: int) -> ComparisonReport:
     """Check decide(M) <=> atlas membership over every n x n matrix."""
-    members = build_sum_atlas(field, n, "main", budget=budget).members
+    members = build_sum_atlas(field, n, "main").members
     p = field.p
     yes = 0
     mismatches = []

@@ -103,8 +103,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        reduce = self.field.reduce
-        return Polynomial._raw(self.field, [reduce(-c) for c in self.coeffs])
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):

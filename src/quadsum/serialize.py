@@ -124,8 +124,7 @@ def poly_to_json(p: Polynomial):
 
 
 def params_to_json(params: QuadParams):
-    return {"a": _text(params.a), "b": _text(params.b),
-            "c": _text(params.c), "d": _text(params.d)}
+    return {key: _text(getattr(params, key)) for key in "abcd"}
 
 
 def params_from_json(field: Field, obj) -> QuadParams:

@@ -174,8 +174,7 @@ def pair_blocks(sizes_at_1, sizes_at_0):
         raise MalformedSequence(f"block sizes must be positive ints: {sizes_at_1}, {sizes_at_0}")
     s1 = sorted(sizes_at_1, reverse=True)
     s0 = sorted(sizes_at_0, reverse=True)
-    length = max(len(s1), len(s0))
-    units = tuple(zip(s1 + [0] * (length - len(s1)), s0 + [0] * (length - len(s0))))
+    units = tuple(zip_longest(s1, s0, fillvalue=0))
     return None if any(abs(a - b) > 2 for a, b in units) else units
 
 

@@ -215,14 +215,13 @@ def test_oracle_subcommand(tmp_path, capsys):
 
 
 def test_oracle_budget_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, ["oracle", "--field", "gf5", "--n", "4",
-                                "--budget", "1000"])
-    assert code == 2
+    code, _, err = run(capsys, ["oracle", "--field", "gf5", "--n", "4"])
+    assert code == 2 and "exceeds the budget of 131072" in err
 
 
 def test_oracle_refuses_a_huge_scan_at_once(capsys):
     """The budget is compared on sizes first: p^(n^2) for n = 10^6 is never
-    built.  The default budget also refuses GF(2) at n = 5, whose 2^25
+    built.  The budget also refuses GF(2) at n = 5, whose 2^25
     matrices would take hours to scan."""
     for field, n in (("gf101", "1000000"), ("gf2", "5")):
         start = time.perf_counter()

@@ -65,6 +65,11 @@ def test_arithmetic_basics():
     assert a + b == Matrix.from_rows(f, [[1, 3], [4, 4]])
     assert a * b == Matrix.from_rows(f, [[2, 1], [4, 3]])
     assert 2 * a == Matrix.from_rows(f, [[2, 4], [1, 3]])
+    for k in (2, 3):
+        assert f.element(k) * a == k * a == a * k == a * f.element(k)
+    for product in (lambda: "2" * a, lambda: a * "2"):
+        with pytest.raises(TypeError):
+            product()
     assert a - a == Matrix.zero(f, 2)
     assert a.transpose() == Matrix.from_rows(f, [[1, 3], [2, 4]])
     assert a.trace() == f.element(0)
@@ -159,6 +164,7 @@ def test_every_operation_stores_canonical_values():
             for m in results:
                 assert_canonical(m)
             assert 0 * a == a * f.element(0) == Matrix.zero(f, n)
+            assert -a + a == Matrix.zero(f, n) and (f.p != 2 or -a == a)
             g = Polynomial(f, [rand_element(f, rng) for _ in range(n + 2)] + [1])
             h = Polynomial(f, [rand_element(f, rng) for _ in range(n)] + [-1])
             quo, rem = g.divrem(h)
@@ -166,6 +172,10 @@ def test_every_operation_stores_canonical_values():
                      g.compose(h), g ** 2, krylov_annihilator(a, [0] * (n - 1) + [1])[0]]
             for m in polys + [companion(g), companion(h.monic())]:
                 assert_canonical(m)
+        x, p = f.element(3), Polynomial(f, [0, 3, -1])
+        assert -x == f.element(-3) and -x + x == 0 and -f.zero() == f.zero()
+        assert -p == Polynomial(f, [0, -3, 1]) and -Polynomial.zero(f) == Polynomial.zero(f)
+        assert_canonical(-p)
 
 
 def test_constructors_coerce_once_and_reject_other_fields():
@@ -254,6 +264,14 @@ def test_block_composition():
 def test_jordan_block_subdiagonal():
     j = jordan_block(QQ, 3, eigenvalue=2)
     assert j == Matrix.from_rows(QQ, [[2, 0, 0], [1, 2, 0], [0, 1, 2]])
+    f = GF(5)
+    for lam in (0, 4):
+        j = jordan_block(f, 3, eigenvalue=lam)
+        assert j == Matrix.from_rows(f, [[lam, 0, 0], [1, lam, 0], [0, 1, lam]])
+        assert_canonical(j)
+    assert jordan_block(f, 3, eigenvalue=-1) == jordan_block(f, 3, eigenvalue=4)
+    assert Matrix.identity(f, 3) == Matrix.from_rows(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert_canonical(Matrix.identity(f, 3))
 
 
 def test_negative_sizes_are_refused():

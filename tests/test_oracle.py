@@ -13,34 +13,33 @@ from quadsum.field import GF
 from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
 from quadsum import oracle
-from quadsum.oracle import (DEFAULT_BUDGET, _raw_matrices, _raw_mul, _raw_squares,
-                            build_sum_atlas, comparison_to_json, exhaustive_compare,
-                            idempotent_count)
+from quadsum.oracle import (_raw_matrices, _raw_mul, _raw_squares, build_sum_atlas,
+                            comparison_to_json, exhaustive_compare, idempotent_count)
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
                           construct, verify_certificate)
 from conftest import rand_invertible
 
 
 def test_idempotents_gf2_n1():
-    assert set(_raw_squares(2, 1, DEFAULT_BUDGET)[0]) == {(0,), (1,)}
+    assert set(_raw_squares(2, 1)[0]) == {(0,), (1,)}
 
 
 def test_idempotents_gf2_n2_count():
-    assert len(_raw_squares(2, 2, DEFAULT_BUDGET)[0]) == 8
+    assert len(_raw_squares(2, 2)[0]) == 8
     assert idempotent_count(2, 2) == 8
 
 
 def test_idempotents_are_idempotent():
     for p, n in ((2, 3), (3, 2)):
         f = GF(p)
-        for raw in _raw_squares(p, n, DEFAULT_BUDGET)[0]:
+        for raw in _raw_squares(p, n)[0]:
             e = Matrix._raw(f, n, n, raw)
             assert e * e == e
 
 
 def test_square_zero_gf2_n2():
     f = GF(2)
-    raw = set(_raw_squares(2, 2, DEFAULT_BUDGET)[1])
+    raw = set(_raw_squares(2, 2)[1])
     assert (0, 0, 0, 0) in raw
     assert (0, 0, 1, 0) in raw  # the shift block
     assert (1, 1, 1, 1) in raw
@@ -69,7 +68,7 @@ def test_one_scan_sorts_the_space_by_its_square():
     """Idempotents and square-zero matrices, in odometer order, as the test's
     own scans find them; the zero matrix is in both lists."""
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
-        idempotents, square_zero = _raw_squares(p, n, DEFAULT_BUDGET)
+        idempotents, square_zero = _raw_squares(p, n)
         assert idempotents == _quadratics(p, n, 1, 0), (p, n)
         assert square_zero == _quadratics(p, n, 0, 0), (p, n)
         assert (0,) * (n * n) in idempotents and (0,) * (n * n) in square_zero
@@ -95,21 +94,20 @@ def test_square_zero_scan_matches_the_closed_form_count():
     expected = {(2, 1): 1, (2, 2): 4, (2, 3): 22, (2, 4): 316, (3, 1): 1, (3, 2): 9, (3, 3): 105}
     for (p, n), count in expected.items():
         assert _square_zero_count(p, n) == count
-        assert len(_raw_squares(p, n, DEFAULT_BUDGET)[1]) == count, (p, n)
+        assert len(_raw_squares(p, n)[1]) == count, (p, n)
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        build_sum_atlas(GF(5), 4, budget=1 << 20)
+        build_sum_atlas(GF(5), 4)
 
 
 def test_atlas_refuses_a_size_or_budget_that_is_not_an_int():
-    for n, budget in ((2.0, DEFAULT_BUDGET), (True, DEFAULT_BUDGET), ("2", DEFAULT_BUDGET),
-                      (2, 1e6), (2, True)):
+    for n in (2.0, True, "2"):
         with pytest.raises(BadParams):
-            build_sum_atlas(GF(2), n, budget=budget)
+            build_sum_atlas(GF(2), n)
         with pytest.raises(BadParams):
-            exhaustive_compare(GF(2), n, budget=budget)
+            exhaustive_compare(GF(2), n)
 
 
 def test_atlas_contains_zero_and_identity():

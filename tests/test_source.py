@@ -5,6 +5,7 @@ import os
 import re
 
 import quadsum
+from code_lines import code_lines
 
 SRC = os.path.dirname(os.path.abspath(quadsum.__file__))
 
@@ -245,3 +246,21 @@ def test_no_identity_matrix_outside_matrix():
     found = [f"{name}:{line}" for name, text in package_sources()
              if name != "matrix.py" for line in identity_calls(text)]
     assert found == []
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    """A code line is covered by a token other than a comment or layout,
+    outside the module, class and function docstrings; each line of a call
+    over several lines and of a string that is not a docstring counts."""
+    text = ('"""Module docstring,\non two lines."""\n'
+            "\n"
+            "# a comment\n"
+            "def f(x):\n"
+            '    """Function docstring."""\n'
+            "    y = g(x,  # trailing comment\n"
+            "          1)\n"
+            '    return "not a docstring"\n'
+            "\n"
+            's = """a string\n'
+            'on two lines"""\n')
+    assert code_lines(text) == 6
