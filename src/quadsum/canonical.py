@@ -19,6 +19,16 @@ with the Krylov chain is invertible, or else the solution of w K = e_(d-1)^T,
 whose pairing is always invertible.  That kernel's basis is the identity at
 its free coordinates, so M restricted to it is read off those rows of M times
 the basis, and the next level starts from it with no solve.
+
+Each level's minimal polynomial mu is proven one of three ways: the cyclic
+vector's chain has degree n; the scanned chains span k^n; or the split of
+k^n into the chain of e_0 (annihilator a) and ker W proves it, when the scan
+offers e_0 early (:func:`quadsum.poly._cyclic_scan`).  The split proves a =
+mu when ker W is M-invariant (the last dual row times M vanishes on it) and
+the restriction's last factor divides a, since then mu = lcm(a, mu_R) = a.
+That level is then the one the full scan gives, e_0 being the first vector
+with annihilator mu; an offer that fails a check is dropped, and the scan
+resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
 from .matrix import (Matrix, _columns, _combination, _power_ranks, _products_equal, _rank,
                      _raw_products, _span_rank, hstack, kernel_matrix, rank, solve)
-from .poly import Polynomial, companion, cyclic_vector
+from .poly import Polynomial, _cyclic_scan, companion
 
 
 def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
@@ -99,22 +109,34 @@ def _chain_matrix(field: Field, chain) -> Matrix:
 
 def _cyclic_decompose(m: Matrix):
     """Factors (divisibility chain, largest last) and basis T with
-    T^-1 M T = C(f_1) + ... + C(f_r) block-diagonal."""
+    T^-1 M T = C(f_1) + ... + C(f_r) block-diagonal.
+
+    The scan's unproven offer (e_0's chain with annihilator a, see
+    :func:`quadsum.poly._cyclic_scan`) is taken when the split it builds
+    proves a = mu: its complement ker W is M-invariant exactly when the last
+    dual row w M^(d-1) times M vanishes on it, and then mu = lcm(a, mu_R),
+    so a = mu exactly when R's last factor divides a.  An offer that fails
+    either check is dropped and the scan resumes.
+    """
     f = m.field
     n = m.rows
     if n == 0:
         return [], Matrix.zero(f, 0, 0)
-    mu, chain = cyclic_vector(m)
-    d = mu.degree
-    k_mat = _chain_matrix(f, chain)
-    if d == n:
-        return [mu], k_mat
-    comp, free = kernel_matrix(_dual_rows(m, k_mat))  # n x (n - d), M-invariant complement
-    # M comp = comp R with comp the identity at its free rows, so R is those rows of M comp;
-    # a complement that is not M-invariant fails the M T = T F check
-    m_free = Matrix._raw(f, n - d, n, [x for i in free for x in m._e[i * n:(i + 1) * n]])
-    factors2, t2 = _cyclic_decompose(m_free * comp)
-    return factors2 + [mu], hstack(f, [comp * t2, k_mat])
+    for mu, chain, proven in _cyclic_scan(m):
+        d = mu.degree
+        k_mat = _chain_matrix(f, chain)
+        if d == n:
+            return [mu], k_mat
+        w_mat = _dual_rows(m, k_mat)
+        comp, free = kernel_matrix(w_mat)  # n x (n - d), M-invariant complement when proven
+        if not proven and not (Matrix._raw(f, 1, n, w_mat._e[-n:]) * m * comp).is_zero():
+            continue
+        # M comp = comp R with comp the identity at its free rows, so R is those rows of M comp;
+        # a complement that is not M-invariant fails the M T = T F check
+        m_free = Matrix._raw(f, n - d, n, [x for i in free for x in m._e[i * n:(i + 1) * n]])
+        factors2, t2 = _cyclic_decompose(m_free * comp)
+        if proven or mu.divrem(factors2[-1])[1].is_zero():
+            return factors2 + [mu], hstack(f, [comp * t2, k_mat])
 
 
 def invariant_factors_with_transform(m: Matrix):

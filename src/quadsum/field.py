@@ -53,6 +53,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _plain(text: str) -> str:
+    """``text`` when it is ASCII, has no surrounding whitespace and no
+    ``_``, else ValueError: ``int`` and ``Fraction`` also read the decimal
+    digits of other scripts (Arabic-Indic three as 3), spaces around the
+    number and digit separators ("1_0" as 10), none of which a plain
+    decimal string has."""
+    if not text.isascii() or text != text.strip() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII decimal string")
+    return text
+
+
 class Field:
     """The rationals (``p is None``) or the prime field GF(p), p prime.
 
@@ -89,13 +100,15 @@ class Field:
         """The canonical raw value of an int, Fraction, element of this field,
         or a string: "3", "-1/2", or over the rationals "0.25" and "1e-3".
         A float or bool is a TypeError, a non-integral Fraction over GF(p) a
-        ValueError.  Fraction computes 10**k for an exponent k, so a string
-        with |k| > 4300 is a ValueError."""
+        ValueError, and so is a string that is not ASCII, has whitespace
+        around it or holds ``_`` (:func:`_plain`).  Fraction computes 10**k
+        for an exponent k, so a string with |k| > 4300 is a ValueError."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise MixedFields(f"element of {x.field!r} used in {self!r}")
             return x.v
         if isinstance(x, str):
+            _plain(x)
             if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
                 raise ValueError(f"exponent out of range in {x!r}")
             return self.reduce(Fraction(x) if self.p is None else int(x))

@@ -1,9 +1,15 @@
 """Univariate polynomials over an exact field.
 
 Includes companion matrices, Krylov annihilators, cyclic vectors (built by
-an lcm merge of standard basis vectors, never searched for; the scan of the
-standard vectors stops once their chains span k^n), and the substitution
-test deciding whether f(t) can be written as g(t^2 - t).
+an lcm merge of standard basis vectors, never searched for), and the
+substitution test deciding whether f(t) can be written as g(t^2 - t).
+
+The scan of the standard vectors proves the minimal polynomial mu one of
+three ways: a chain of degree n, chains that span k^n (the scan stops
+there), or, in the Frobenius decomposition only, the split of k^n into the
+chain of e_0 and an invariant complement, which the decomposition checks
+itself: :func:`_cyclic_scan` offers e_0's chain early, unproven, and
+resumes when the offer fails.
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 ``Polynomial(...)`` coerces through ``Field.value``, scalar evaluation
@@ -346,16 +352,37 @@ def cyclic_vector(m: Matrix):
     of e_0, e_1, ..., and the Krylov chain of a vector whose annihilator it
     is: the first e_i that has it, else the merge of all e_i, two at a time.
 
-    The chains of e_0, ..., e_i span W = Z(e_0) + ... + Z(e_i), which m maps
-    into itself.  Once W is k^n, the lcm so far kills all of k^n and is mu,
-    so the scan stops there; W's rank is kept here, in an echelon that each
+    mu is proven one of two ways.  A chain of degree n is cyclic.  Otherwise
+    the chains of e_0, ..., e_i span W = Z(e_0) + ... + Z(e_i), which m maps
+    into itself; once W is k^n, the lcm so far kills all of k^n and is mu,
+    so the scan stops there.  W's rank is kept here, in an echelon that each
     scanned chain extends through :func:`quadsum.matrix._span_rank` (modulo
     one prime over the rationals, where a rank short of n only keeps the
     scan going).  The first e_j with annihilator mu is then looked for among
     the vectors already run, else e_(i+1), e_(i+2), ... are run one at a
     time, and when none has it all n are merged, as by a full scan.  A chain
     of degree n, the last e_(n-1) and the merge's check runs extend no
-    echelon, as nothing is left to save.
+    echelon, as nothing is left to save.  This is the last offer of
+    :func:`_cyclic_scan`, which the Frobenius decomposition drives itself.
+    """
+    for mu, chain, proven in _cyclic_scan(m):
+        if proven:
+            return mu, chain
+
+
+def _cyclic_scan(m: Matrix):
+    """The scan of :func:`cyclic_vector`, offering (lcm, chain, proven).
+
+    The last offer is cyclic_vector's result, proven.  One offer may come
+    before it, unproven: the chain of e_0 with its annihilator a, right
+    after e_1, when e_1's annihilator divides a (the lcm did not move) and
+    the two chains leave at least two dimensions of k^n uncovered (with one
+    left, the scan ends within one more chain).  Whoever takes that offer
+    proves a = mu itself (:func:`quadsum.canonical._cyclic_decompose`
+    does, from the invariant complement it builds anyway); the scan, when
+    resumed, goes on from the chains and the echelon it has, so no chain
+    runs twice.  A vector's chain depends on the vector alone, so when a is
+    mu the offer is the chain the scan would return: e_0 comes first.
     """
     if not m.is_square:
         raise DimensionMismatch("cyclic vector of a non-square matrix")
@@ -367,22 +394,27 @@ def cyclic_vector(m: Matrix):
     tried = []
     for ann, chain in runs:
         if ann.degree == n:
-            return ann, chain
+            yield ann, chain, True
+            return
         tried.append((ann, chain))
         mu = lcm(mu, ann)
-        if len(tried) == n or _span_rank(m.field, span, chain, n) == n:
+        if len(tried) == n or (covered := _span_rank(m.field, span, chain, n)) == n:
             break
+        if len(tried) == 2 and mu == tried[0][0] and covered <= n - 2:
+            yield mu, tried[0][1], False
     for pair in tried:
         if pair[0] == mu:
-            return pair
+            yield *pair, True
+            return
     for pair in runs:
         if pair[0] == mu:
-            return pair
+            yield *pair, True
+            return
         tried.append(pair)
     merged = tried[0] if tried else (mu, [])
     for pair in tried[1:]:
         merged = _merge(m, m_rows, merged, pair)
-    return merged
+    yield *merged, True
 
 
 def minimal_polynomial(m: Matrix) -> Polynomial:

@@ -13,7 +13,7 @@ import json
 import reprlib
 
 from .errors import MalformedInput, QuadsumError
-from .field import Field, GF, QQ
+from .field import Field, GF, QQ, _plain
 from .matrix import Matrix
 from .poly import Polynomial
 from .sums import (CaseClassification, Certificate, Decision, NecessaryReport,
@@ -45,9 +45,10 @@ def field_from_json(obj) -> Field:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"GF"}:
         try:
-            if not _is_json_scalar(obj["GF"]):
+            modulus = obj["GF"]
+            if not _is_json_scalar(modulus):
                 raise TypeError("the modulus must be a string or an integer")
-            return GF(int(obj["GF"]))
+            return GF(int(_plain(modulus) if isinstance(modulus, str) else modulus))
         except (ValueError, TypeError) as exc:
             raise MalformedInput(f"bad field modulus: {_echo(obj['GF'])}") from exc
     raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {_echo(obj)}')

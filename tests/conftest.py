@@ -9,6 +9,7 @@ from math import gcd
 
 import quadsum
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
+from quadsum.poly import Polynomial, companion
 
 
 #: The largest prime p with 29 p^2 < 2^64: a packed GF(p) slot is one 64-bit
@@ -73,6 +74,15 @@ def rand_square_zero(field, n, rng):
     q = direct_sum(field, blocks)
     t = rand_invertible(field, n, rng)
     return t * q * inverse(t)
+
+
+def conjugated_companions(field, coeffs, k, rng):
+    """C(f) (+) ... (+) C(f), k times, conjugated by a random invertible
+    matrix, for the monic f with the given coefficients (constant first):
+    k equal invariant factors f, so k levels of the Frobenius decomposition."""
+    m = direct_sum(field, [companion(Polynomial(field, coeffs))] * k)
+    t = rand_invertible(field, m.rows, rng)
+    return t * m * inverse(t)
 
 
 def rand_decomposable(field, n, rng):

@@ -12,10 +12,14 @@ decide`` and ``quadsum construct`` commands on it, with default params.  It
 also holds digests of the Frobenius form F and witness T of seeded
 ``rand_matrix`` and ``rand_decomposable`` inputs, and of the certificate's A
 for the latter, over the wide primes ``WIDE_PRIMES`` at n = ``WIDE_SIZES``,
-where the kernels keep list rows instead of packed ones.  Last, it holds the
+where the kernels keep list rows instead of packed ones.  It holds the
 digests of ``decide``, ``construct`` and ``classify`` on the small jobs of
 ``HAND_JOBS``, whose params reach every case of the classification, a shift,
-a quadratic that does not split and params the reader refuses.
+a quadratic that does not split and params the reader refuses.  Last, it
+holds the digests of (F, T) of every unique seed-1 job of ``TINY`` (each
+3x3 matrix over GF(3) and the 4x4 sample over GF(2)), in buckets, and of
+C(t^2 - t - 1)^(+k) conjugated over GF(101) for k in ``COMPANION_COPIES``,
+whose k equal invariant factors make k levels of the decomposition.
 
 ``--write`` also records a fixed slice of the jobs, with their inputs, in
 ``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
@@ -41,8 +45,9 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
-from conftest import rand_decomposable, rand_matrix  # noqa: E402
+from conftest import conjugated_companions, rand_decomposable, rand_matrix  # noqa: E402
 from quadsum import cli  # noqa: E402
+from quadsum.matrix import Matrix  # noqa: E402
 from quadsum.canonical import invariant_factors_with_transform  # noqa: E402
 from quadsum.field import GF  # noqa: E402
 from quadsum.sums import QuadParams, construct  # noqa: E402
@@ -79,6 +84,9 @@ HAND_JOBS = {
 }
 WIDE_PRIMES = (2 ** 61 - 1, 797555399)
 WIDE_SIZES = range(10, 31)
+TINY = "tiny-exhaustive"
+COMPANION_COPIES = range(1, 33)
+SECTIONS = ("jobs", "wide", "hand", "tiny", "companions")
 #: Jobs of the tier-1 slice per (workload, field, size): a block's worth of
 #: each workload's smallest size (on qq-growth and gfp-mid, every planted
 #: shape and the pool jobs of the first block), so the slice runs in seconds.
@@ -147,6 +155,27 @@ def wide_outputs():
     return out
 
 
+def tiny_outputs():
+    """Digest of the (F, T) of every unique seed-1 job of ``TINY``, in
+    buckets by the first two hex digits of ``gen.job_key``: 256 entries of
+    about 93 matrices each, in key order, rather than 23779 entries."""
+    buckets = {}
+    for job in gen.generate(TINY, 1):
+        key = gen.job_key(job)
+        buckets.setdefault(key[:2], {})[key] = job
+    return {prefix: {"F,T": digest([_frobenius(Matrix.from_rows(
+        GF(job["field"]["GF"]), [[int(x) for x in row] for row in job["rows"]]))
+        for _, job in sorted(jobs.items())])} for prefix, jobs in sorted(buckets.items())}
+
+
+def companion_outputs():
+    """Digest of (F, T) of C(t^2 - t - 1)^(+k) conjugated over GF(101)."""
+    field = GF(101)
+    return {f"k={k}": {"F,T": digest(_frobenius(conjugated_companions(
+        field, [-1, -1, 1], k, random.Random(f"outputs/companions/{k}"))))}
+        for k in COMPANION_COPIES}
+
+
 def pick_slice(jobs):
     """The tier-1 slice: the first ``SLICE_TAKE`` jobs of each workload,
     field and size in ``SLICE_SIZES``."""
@@ -165,7 +194,8 @@ def compute():
     with tempfile.TemporaryDirectory() as tmpdir:
         outputs = {gen.job_key(job): job_outputs(job, tmpdir) for _, job in jobs}
         hand = {name: job_outputs(job, tmpdir) for name, job in HAND_JOBS.items()}
-    manifest = {"jobs": outputs, "wide": wide_outputs(), "hand": hand}
+    manifest = {"jobs": outputs, "wide": wide_outputs(), "hand": hand,
+                "tiny": tiny_outputs(), "companions": companion_outputs()}
     sliced = [{"workload": name, "field": job["field"], "rows": job["rows"],
                **outputs[gen.job_key(job)]} for name, job in pick_slice(jobs)]
     sliced += [{"workload": "hand-made", **job, **hand[name]} for name, job in HAND_JOBS.items()]
@@ -175,12 +205,19 @@ def compute():
 def differences(recorded, now):
     """Every (section, key, what) whose recorded digest differs or is missing."""
     found = []
-    for section in ("jobs", "wide", "hand"):
-        for key in sorted(set(recorded[section]) | set(now[section])):
-            old, new = recorded[section].get(key, {}), now[section].get(key, {})
+    for section in SECTIONS:
+        old_section, new_section = recorded.get(section, {}), now.get(section, {})
+        for key in sorted(set(old_section) | set(new_section)):
+            old, new = old_section.get(key, {}), new_section.get(key, {})
             found += [(section, key, what) for what in sorted(set(old) | set(new))
                       if old.get(what) != new.get(what)]
     return found
+
+
+def summary(manifest) -> str:
+    return (f"{len(manifest['jobs'])} jobs, {len(manifest['wide'])} wide inputs, "
+            f"{len(manifest['hand'])} hand-made jobs, {len(manifest['tiny'])} buckets of {TINY} "
+            f"matrices and {len(manifest['companions'])} companion sums")
 
 
 def main(argv=None) -> int:
@@ -195,15 +232,13 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, indent=0, sort_keys=True)
                 fh.write("\n")
-        print(f"recorded {len(manifest['jobs'])} jobs, {len(manifest['wide'])} wide inputs, "
-              f"{len(manifest['hand'])} hand-made jobs and a slice of {len(sliced)} jobs")
+        print(f"recorded {summary(manifest)} and a slice of {len(sliced)} jobs")
         return 0
     with open(MANIFEST, encoding="utf-8") as fh:
         found = differences(json.load(fh), manifest)
     for section, key, what in found:
         print(f"differs: {section} {key} {what}")
-    print(f"{len(found)} differences over {len(manifest['jobs'])} jobs, "
-          f"{len(manifest['wide'])} wide inputs and {len(manifest['hand'])} hand-made jobs")
+    print(f"{len(found)} differences over {summary(manifest)}")
     return 1 if found else 0
 
 

@@ -18,7 +18,7 @@ from quadsum.matrix import (Matrix, _SPAN_PRIME, direct_sum, inverse, jordan_blo
                             kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
 from quadsum.sums import decide
-from conftest import conjugate_partition, rand_invertible, rand_matrix
+from conftest import conjugate_partition, conjugated_companions, rand_invertible, rand_matrix
 
 P = Polynomial
 
@@ -214,14 +214,83 @@ def test_planted_frobenius_work_is_pinned(monkeypatch):
     assert len(calls) <= 23
 
 
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_equal_factors_take_one_offer_per_level(k, monkeypatch):
+    """C(t^2 - t - 1)^(+k) conjugated over GF(101) has k levels, each with
+    the factor f = t^2 - t - 1.  Each level but the last two proves mu = f
+    from the split of e_0's chain once e_1's annihilator divides it, after
+    two Krylov runs, so the whole decomposition runs at most 2k - 1 (a scan
+    until the chains span runs 10, 36 and 136 at k = 4, 8 and 16)."""
+    calls = []
+    real = quadsum.poly.krylov_annihilator
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda m, v, *rows: calls.append(m.rows) or real(m, v, *rows))
+    f = GF(101)
+    m = conjugated_companions(f, [-1, -1, 1], k, random.Random(k))
+    factors, _ = invariant_factors_with_transform(m)
+    assert list(factors) == [P(f, [-1, -1, 1])] * k
+    assert len(calls) <= 2 * k - 1
+
+
+def _offers(monkeypatch):
+    """The list, per scan that ``_cyclic_decompose`` drives from now on, of
+    the proven flags of the offers it took: [False] for an offer accepted,
+    [False, True] for one dropped, [True] for none made."""
+    scans = []
+    real = quadsum.canonical._cyclic_scan
+
+    def scan(m):
+        flags = []
+        scans.append(flags)
+        for offer in real(m):
+            flags.append(offer[2])
+            yield offer
+
+    monkeypatch.setattr(quadsum.canonical, "_cyclic_scan", scan)
+    return scans
+
+
+#: name -> (rows, the offer flags of the first scan, the sizes of the levels):
+#: an offer taken; one dropped for check (ii), since ker W = <e_1, e_2, e_3>
+#: is invariant but R = diag(0, 1, 1) has last factor t(t - 1), which does
+#: not divide t (the dropped 3x3 level and its 1x1 child are in the sizes);
+#: one dropped for check (i), since row 0 of M, w M with w = e_0^T, is e_2^T
+#: and does not vanish on <e_1, e_2, e_3>.
+OFFERS = {
+    "taken": (direct_sum(QQ, [companion(P(QQ, [-1, -1, 1]))] * 3).raw_rows(),
+              [False], [6, 4, 2]),
+    "fails (ii)": (Matrix.diagonal(QQ, [0, 0, 1, 1]).raw_rows(), [False, True], [4, 3, 1, 2]),
+    "fails (i)": ([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4], [False, True], [4, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(5)])
+@pytest.mark.parametrize("name", sorted(OFFERS))
+def test_offer_gives_the_scans_split(f, name, monkeypatch):
+    """Whether the offer of e_0's chain is taken or dropped, (F, T) is the
+    one of the decomposition with every offer switched off, where each
+    level's mu comes from the scan alone."""
+    rows, flags, sizes = OFFERS[name]
+    m = Matrix.from_rows(f, [[int(x) for x in row] for row in rows])
+    with monkeypatch.context() as patch:
+        real = quadsum.canonical._cyclic_scan
+        patch.setattr(quadsum.canonical, "_cyclic_scan",
+                      lambda r: (offer for offer in real(r) if offer[2]))
+        scanned = invariant_factors_with_transform(m)
+    scans = _offers(monkeypatch)
+    pairs = _record_levels(monkeypatch)
+    assert invariant_factors_with_transform(m) == scanned
+    assert scans[0] == flags
+    assert [m.rows] + [child.rows for _, _, child in pairs] == sizes
+
+
 # ---- the restriction to the invariant complement ----------------------
 
-def _restriction_by_solve(m):
-    """M restricted to the invariant complement of its first cyclic
-    subspace, as the solve of comp R = M comp: the reference for the rows
-    that the decomposition reads it off."""
-    _, chain = cyclic_vector(m)
-    comp, _ = kernel_matrix(_dual_rows(m, _chain_matrix(m.field, chain)))
+def _restriction_by_solve(m, k_mat):
+    """M restricted to the invariant complement of the cyclic subspace that
+    the columns of ``k_mat`` span, as the solve of comp R = M comp: the
+    reference for the rows that the decomposition reads it off."""
+    comp, _ = kernel_matrix(_dual_rows(m, k_mat))
     return solve(comp, m * comp)
 
 
@@ -242,25 +311,50 @@ def _derogatory(f, rng):
     return t * m * inverse(t)
 
 
+def _record_levels(monkeypatch):
+    """The list of (parent, chain matrix, child) of every recursion of
+    ``_cyclic_decompose`` from now on, the child of a dropped offer
+    included: the chain is the one whose dual rows the parent built last
+    before the call."""
+    pairs, stack = [], []
+    real, real_dual = quadsum.canonical._cyclic_decompose, quadsum.canonical._dual_rows
+
+    def level(m):
+        if stack:
+            pairs.append((*stack[-1], m))
+        stack.append([m, None])
+        try:
+            return real(m)
+        finally:
+            stack.pop()
+
+    def dual(m, k_mat):
+        stack[-1][1] = k_mat
+        return real_dual(m, k_mat)
+
+    monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", level)
+    monkeypatch.setattr(quadsum.canonical, "_dual_rows", dual)
+    return pairs
+
+
 def test_restriction_is_the_solve_written_down(monkeypatch):
     """Each level reads M restricted to the complement off the complement's
     free rows, with no solve; at every level of every derogatory input that
-    equals the solve of comp R = M comp."""
-    levels = []
-    real = quadsum.canonical._cyclic_decompose
-    monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose",
-                        lambda m: levels.append(m) or real(m))
+    equals the solve of comp R = M comp, the child of a dropped offer (whose
+    last factor does not divide the offered annihilator) included."""
+    pairs = _record_levels(monkeypatch)
     rng = random.Random(18)
-    checked = 0
+    checked = dropped = 0
     for f in (QQ, GF(2), GF(3), GF(5)):
         for _ in range(25):
-            levels.clear()
+            pairs.clear()
             factors, _ = invariant_factors_with_transform(_derogatory(f, rng))
-            assert len(levels) == len(factors) >= 2
-            for m, restricted in zip(levels, levels[1:]):
-                assert restricted == _restriction_by_solve(m)
+            assert len(pairs) >= len(factors) - 1 >= 1
+            for m, k_mat, restricted in pairs:
+                assert restricted == _restriction_by_solve(m, k_mat)
                 checked += 1
-    assert checked >= 100
+            dropped += len(pairs) - (len(factors) - 1)
+    assert checked >= 100 and dropped >= 1
 
 
 def test_decomposition_solves_only_for_the_dual_row(monkeypatch):

@@ -6,6 +6,7 @@ import json
 import os
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadsum import cli
@@ -355,6 +356,39 @@ def test_bad_scalars_exit_2(tmp_path, capsys):
                                       "--alpha", alpha, "--beta", "3"])
         assert (code, out) == (2, ""), alpha
         assert err.startswith("malformed input")
+
+
+#: Job files whose scalar or modulus strings Python's ``int`` and
+#: ``Fraction`` read although they are not plain ASCII decimals, with the
+#: entry that the message names: an Arabic-Indic seven and three as 7 and 3,
+#: surrounding whitespace, and a digit separator ("1_0" as 10).
+NOT_PLAIN_JOBS = {
+    "modulus in other digits": ({"field": {"GF": "\u0667"}, "matrix": [["1"]]},
+                                "bad field modulus: str"),
+    "modulus with spaces": ({"field": {"GF": " 7 "}, "matrix": [["1"]]}, "bad field modulus: str"),
+    "modulus with _": ({"field": {"GF": "1_1"}, "matrix": [["1"]]}, "bad field modulus: str"),
+    "entry in other digits": ({"field": {"GF": 7}, "matrix": [["1", "\u0663"], ["0", "1"]]},
+                              "bad element at row 0, column 1"),
+    "entry with spaces": ({"field": "Q", "matrix": [[" -1/2 "]]}, "bad element at row 0, column 0"),
+    "entry with a newline": ({"field": "Q", "matrix": [["1\n"]]}, "bad element at row 0, column 0"),
+    "entry with _": ({"field": "Q", "matrix": [["1_0"]]},
+                     "bad element at row 0, column 0"),
+    "parameter with _": ({"field": "Q", "matrix": [["1"]], "params": {"b": "1_0"}},
+                         "bad element at parameter b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLAIN_JOBS))
+def test_scalar_strings_are_plain_ascii_decimals(name, tmp_path, capsys):
+    """A scalar or modulus string that is not ASCII, has whitespace around it
+    or holds ``_`` is malformed input (exit 2) naming the entry, for every
+    command that reads a job."""
+    payload, named = NOT_PLAIN_JOBS[name]
+    job = write_job(tmp_path, "job.json", payload)
+    for command in ("decide", "construct", "classify"):
+        code, out, err = run(capsys, [command, "--input", job])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("malformed input") and named in err, err
 
 
 def test_bad_input_is_named_not_echoed(tmp_path, capsys):

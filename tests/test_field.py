@@ -292,3 +292,16 @@ def test_roots_rational_random_verified():
         for r in roots:
             assert r * r - QQ.element(a) * r - QQ.element(b) == QQ.zero()
     assert hits > 10
+
+
+def test_value_reads_plain_ascii_strings_only():
+    """``int`` and ``Fraction`` read other scripts' digits, surrounding
+    whitespace and digit separators; ``Field.value`` refuses each, and
+    ``field_from_json`` refuses them in a modulus, while "0.25" and "1e-3"
+    still read over Q."""
+    assert QQ.value("0.25") == Fraction(1, 4) and QQ.value("1e-3") == Fraction(1, 1000)
+    assert QQ.value("-1/2") == Fraction(-1, 2) and GF(7).value("-1") == 6
+    for f in (QQ, GF(7)):
+        for text in ("\u0663", "1\u0663", " -1 ", "3\n", "\t3", "1_0", "\u00a03"):
+            with pytest.raises(ValueError, match="plain ASCII"):
+                f.value(text)

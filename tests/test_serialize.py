@@ -20,6 +20,16 @@ def test_field_round_trip():
         serialize.field_from_json("R")
 
 
+def test_modulus_strings_are_plain_ascii_decimals():
+    """``int`` reads an Arabic-Indic seven as 7, and reads surrounding
+    whitespace and digit separators; a modulus string with any of them is
+    malformed input, while the string "7" and the integer 7 are GF(7)."""
+    for text in ("\u0667", " 7", "7 ", "7\n", "1_1"):
+        with pytest.raises(MalformedInput, match="bad field modulus"):
+            serialize.field_from_json({"GF": text})
+    assert serialize.field_from_json({"GF": "7"}) == serialize.field_from_json({"GF": 7}) == GF(7)
+
+
 def test_matrix_round_trip():
     rng = random.Random(41)
     for f in (QQ, GF(5)):
