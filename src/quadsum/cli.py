@@ -16,7 +16,6 @@ import sys
 from . import oracle, serialize
 from .errors import (BadParams, BudgetExceeded, DecisionNo, InternalCheckFailed,
                      MalformedInput, NotSplitError, QuadsumError, UnsupportedCase)
-from .field import GF
 from .sums import (Certificate, classify_and_reduce, construct, decide,
                    check_necessary_combination, verify_certificate)
 
@@ -95,19 +94,11 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_oracle_field(text: str):
-    text = text.strip().lower()
-    if text.startswith("gf"):
-        text = text[2:].strip("()")
-    try:
-        return GF(int(text))
-    except ValueError as exc:
-        raise MalformedInput(f"bad oracle field {text!r}; use e.g. gf2") from exc
-
-
 def cmd_oracle(args) -> int:
-    field = _parse_oracle_field(args.field)
-    report = oracle.exhaustive_compare(field, args.n)
+    if not args.field.startswith("gf"):
+        raise MalformedInput(f"oracle field must be gf<p>, got {serialize._echo(args.field)}")
+    field = serialize.field_from_json({"GF": args.field[2:]})
+    report = oracle.exhaustive_compare(field, serialize._integer(args.n, "--n"))
     _emit(oracle.comparison_to_json(report), args.output)
     return EXIT_OK
 
@@ -146,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     necessary.add_argument("--beta", required=True)
 
     orc = sub.add_parser("oracle", help="exhaustive decide-vs-enumeration comparison")
-    orc.add_argument("--field", required=True, help="finite field, e.g. gf2")
-    orc.add_argument("--n", type=int, required=True)
+    orc.add_argument("--field", required=True, help="finite field gf<p>, e.g. gf2")
+    orc.add_argument("--n", required=True, help="matrix size")
     orc.add_argument("--output", help="also write the JSON result here")
     orc.set_defaults(func=cmd_oracle)
     return parser

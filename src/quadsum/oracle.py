@@ -12,7 +12,10 @@ compared against, entry by entry, in the headline exhaustive runs.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BadParams, BudgetExceeded, InternalCheckFailed
 from .field import Field
@@ -25,36 +28,19 @@ _BUDGET = 1 << 17
 
 
 def _raw_matrices(p: int, n: int):
-    """All n x n matrices as flat residue lists, odometer order."""
-    size = n * n
-    cur = [0] * size
-    while True:
-        yield cur
-        i = 0
-        while i < size and cur[i] == p - 1:
-            cur[i] = 0
-            i += 1
-        if i == size:
-            return
-        cur[i] += 1
+    """All n x n matrices as flat residue tuples, odometer order: the first
+    entry turns fastest."""
+    return (raw[::-1] for raw in itertools.product(range(p), repeat=n * n))
 
 
 def _raw_mul(a, b, p: int, n: int):
-    out = [0] * (n * n)
-    for i in range(n):
-        row = a[i * n : (i + 1) * n]
-        for j in range(n):
-            out[i * n + j] = sum(row[t] * b[t * n + j] for t in range(n)) % p
-    return out
+    columns = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i * n:(i + 1) * n], col)) % p for i in range(n) for col in columns]
 
 
 def _gaussian_binomial(n: int, r: int, p: int) -> int:
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= p ** (n - i) - 1
-        den *= p ** (i + 1) - 1
-    return num // den
+    return (math.prod(p ** (n - i) - 1 for i in range(r))
+            // math.prod(p ** (i + 1) - 1 for i in range(r)))
 
 
 def idempotent_count(p: int, n: int) -> int:
@@ -72,14 +58,13 @@ def _raw_squares(p: int, n: int):
     # budget's bit length: refuse on sizes before building a huge power
     if n * n * (p.bit_length() - 1) >= _BUDGET.bit_length() or p ** (n * n) > _BUDGET:
         raise BudgetExceeded(f"scan of {p}^{n * n} matrices exceeds the budget of {_BUDGET}")
-    zero = [0] * (n * n)
     idempotents, square_zero = [], []
     for a in _raw_matrices(p, n):
-        sq = _raw_mul(a, a, p, n)
+        sq = tuple(_raw_mul(a, a, p, n))
         if sq == a:
-            idempotents.append(tuple(a))
-        if sq == zero:
-            square_zero.append(tuple(a))
+            idempotents.append(a)
+        if not any(sq):
+            square_zero.append(a)
     if len(idempotents) != idempotent_count(p, n):
         raise InternalCheckFailed("idempotent scan disagrees with the closed-form count")
     return idempotents, square_zero
@@ -100,24 +85,19 @@ class SumAtlas:
         return len(self.members)
 
 
-def build_sum_atlas(field: Field, n: int, kind: str = "main",
-                    alpha=None, beta=None) -> SumAtlas:
-    """Enumerate {P + Q} (main: P idempotent, Q square-zero) or
-    {alpha P + beta Q} (scaled: both idempotent)."""
+def build_sum_atlas(field: Field, n: int, alpha=None, beta=None) -> SumAtlas:
+    """Enumerate the main atlas {P + Q} (P idempotent, Q square-zero), or,
+    when alpha and beta are given, the scaled atlas {alpha P + beta Q} (both
+    idempotent)."""
     p = field.p
     if p is None:
         raise BadParams("oracle enumeration needs a finite field")
-    if kind == "main":
-        ca = cb = 1
-    elif kind == "scaled":
-        if alpha is None or beta is None:
-            raise BadParams("scaled atlas needs alpha and beta")
-        ca = field.value(alpha)
-        cb = field.value(beta)
-    else:
-        raise BadParams(f"unknown atlas kind {kind!r}")
+    if (alpha is None) != (beta is None):
+        raise BadParams("scaled atlas needs alpha and beta")
+    scaled = alpha is not None
+    ca, cb = (field.value(alpha), field.value(beta)) if scaled else (1, 1)
     idempotents, square_zero = _raw_squares(p, n)
-    second = square_zero if kind == "main" else idempotents
+    second = idempotents if scaled else square_zero
     members = set()
     size = n * n
     for fa in idempotents:
@@ -143,7 +123,7 @@ class ComparisonReport:
 
 def exhaustive_compare(field: Field, n: int) -> ComparisonReport:
     """Check decide(M) <=> atlas membership over every n x n matrix."""
-    members = build_sum_atlas(field, n, "main").members
+    members = build_sum_atlas(field, n).members
     p = field.p
     yes = 0
     mismatches = []
@@ -151,8 +131,8 @@ def exhaustive_compare(field: Field, n: int) -> ComparisonReport:
         answer = decide(Matrix._raw(field, n, n, raw)).yes
         if answer:
             yes += 1
-        if answer != (tuple(raw) in members):
-            mismatches.append((tuple(raw), answer))
+        if answer != (raw in members):
+            mismatches.append((raw, answer))
     return ComparisonReport(field, n, p ** (n * n), len(members), yes,
                             tuple(mismatches))
 

@@ -22,10 +22,6 @@ from .sums import (CaseClassification, Certificate, Decision, NecessaryReport,
 
 # ---- fields and elements ---------------------------------------------
 
-def _is_json_scalar(x) -> bool:
-    return isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
-
-
 #: The most characters of an input value that an error message echoes.
 _ECHO_CHARS = 60
 
@@ -40,16 +36,27 @@ def _echo(x) -> str:
     return f"{type(x).__name__} {text}"
 
 
+def _integer(x, what: str) -> int:
+    """The integer ``x`` from outside (a field modulus, the oracle's size):
+    an int (not a bool) or a string of plain ASCII decimals
+    (:func:`_plain`).  Anything else, and a string of more than 4300 digits,
+    is MalformedInput, whose message names ``what`` and echoes ``x`` cut
+    short."""
+    try:
+        if isinstance(x, bool) or not isinstance(x, (int, str)):
+            raise TypeError(f"{type(x).__name__} is not an integer")
+        return int(_plain(x) if isinstance(x, str) else x)
+    except (ValueError, TypeError) as exc:
+        raise MalformedInput(f"bad {what}: {_echo(x)}") from exc
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"GF"}:
         try:
-            modulus = obj["GF"]
-            if not _is_json_scalar(modulus):
-                raise TypeError("the modulus must be a string or an integer")
-            return GF(int(_plain(modulus) if isinstance(modulus, str) else modulus))
-        except (ValueError, TypeError) as exc:
+            return GF(_integer(obj["GF"], "field modulus"))
+        except ValueError as exc:  # not a prime below the supported limit
             raise MalformedInput(f"bad field modulus: {_echo(obj['GF'])}") from exc
     raise MalformedInput(f'field must be "Q" or {{"GF": p}}, got {_echo(obj)}')
 
@@ -57,13 +64,12 @@ def field_from_json(obj) -> Field:
 def _parse_element(field: Field, s, where):
     """The raw value of a scalar that comes from outside (job files, CLI
     arguments): a string such as "3", "-1/2" or "0.25", or an integer.
-    Everything else (floats, bools, null, lists), and any string the field
-    cannot read (``Field.value`` also refuses huge exponents), is
-    MalformedInput, whose message names the scalar by ``where``, a (row,
-    column) pair of a matrix entry or a text, and echoes it cut short."""
+    Everything else (floats, bools, null, lists: ``Field.value`` refuses
+    them), and any string the field cannot read (``Field.value`` also
+    refuses huge exponents), is MalformedInput, whose message names the
+    scalar by ``where``, a (row, column) pair of a matrix entry or a text,
+    and echoes it cut short."""
     try:
-        if not _is_json_scalar(s):
-            raise TypeError("a scalar must be a string or an integer")
         return field.value(s)
     except (QuadsumError, ValueError, TypeError, ZeroDivisionError) as exc:
         place = "row {}, column {}".format(*where) if isinstance(where, tuple) else where
@@ -93,17 +99,14 @@ def matrix_to_json(m: Matrix):
 def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise MalformedInput('matrix needs keys "rows", "cols", "entries"')
-    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    rows, cols = obj["rows"], obj["cols"]
     if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise MalformedInput("matrix dimensions must be non-negative integers")
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise MalformedInput(f"expected {rows} entry rows")
-    flat = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise MalformedInput(f"every entry row must have {cols} entries")
-        flat.extend(_parse_element(field, x, (i, j)) for j, x in enumerate(row))
-    return Matrix._raw(field, rows, cols, flat)
+    m = matrix_from_rows(field, obj["entries"])
+    # no rows state no width: 0 x cols is read as 0 x 0, then takes the stated cols
+    if m.rows != rows or (rows and m.cols != cols):
+        raise MalformedInput(f'matrix "entries" are {m.rows}x{m.cols}, not "rows" x "cols"')
+    return Matrix._raw(field, rows, cols, m._e)
 
 
 def matrix_from_rows(field: Field, rows) -> Matrix:

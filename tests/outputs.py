@@ -19,7 +19,12 @@ a quadratic that does not split and params the reader refuses.  Last, it
 holds the digests of (F, T) of every unique seed-1 job of ``TINY`` (each
 3x3 matrix over GF(3) and the 4x4 sample over GF(2)), in buckets, and of
 C(t^2 - t - 1)^(+k) conjugated over GF(101) for k in ``COMPANION_COPIES``,
-whose k equal invariant factors make k levels of the decomposition.
+whose k equal invariant factors make k levels of the decomposition.  The
+``edges`` section holds the digests of the boundary code: ``quadsum
+oracle`` on ``ORACLE_RUNS``, ``quadsum verify`` on the certificate of every
+hand-made job that constructs one, and the sorted members of the main
+atlases ``MAIN_ATLASES`` and of the scaled atlases of GF(3), alpha = 1 and
+beta = 2, at n in ``SCALED_SIZES``.
 
 ``--write`` also records a fixed slice of the jobs, with their inputs, in
 ``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
@@ -46,7 +51,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
 from conftest import conjugated_companions, rand_decomposable, rand_matrix  # noqa: E402
-from quadsum import cli  # noqa: E402
+from quadsum import cli, oracle  # noqa: E402
 from quadsum.matrix import Matrix  # noqa: E402
 from quadsum.canonical import invariant_factors_with_transform  # noqa: E402
 from quadsum.field import GF  # noqa: E402
@@ -86,7 +91,12 @@ WIDE_PRIMES = (2 ** 61 - 1, 797555399)
 WIDE_SIZES = range(10, 31)
 TINY = "tiny-exhaustive"
 COMPANION_COPIES = range(1, 33)
-SECTIONS = ("jobs", "wide", "hand", "tiny", "companions")
+#: (field, n) of the ``quadsum oracle`` runs: each size that GF(2) and GF(3)
+#: scan in seconds, and GF(5) at n = 4, which the budget refuses.
+ORACLE_RUNS = [("gf2", n) for n in range(4)] + [("gf3", n) for n in range(3)] + [("gf5", 4)]
+MAIN_ATLASES = ((3, 3), (2, 4))
+SCALED_SIZES = range(4)
+SECTIONS = ("jobs", "wide", "hand", "tiny", "companions", "edges")
 #: Jobs of the tier-1 slice per (workload, field, size): a block's worth of
 #: each workload's smallest size (on qq-growth and gfp-mid, every planted
 #: shape and the pool jobs of the first block), so the slice runs in seconds.
@@ -100,17 +110,26 @@ def digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def run_command(command: str, job, tmpdir: str) -> str:
-    """Digest of (exit code, stdout, stderr) of ``quadsum COMMAND`` on a job,
-    with its own params if it has them, else the default ones."""
-    path = os.path.join(tmpdir, "job.json")
+def run_cli(argv) -> str:
+    """Digest of (exit code, stdout, stderr) of the in-process ``quadsum ARGV``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return digest([code, out.getvalue(), err.getvalue()])
+
+
+def write_job(job, path: str) -> str:
+    """Write a job to ``path`` as a job file, with its own params if it has
+    them, else the default ones."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"field": job["field"], "matrix": job["rows"],
                    "params": job.get("params", PARAMS)}, fh)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, "--input", path])
-    return digest([code, out.getvalue(), err.getvalue()])
+    return path
+
+
+def run_command(command: str, job, tmpdir: str) -> str:
+    """Digest of (exit code, stdout, stderr) of ``quadsum COMMAND`` on a job."""
+    return run_cli([command, "--input", write_job(job, os.path.join(tmpdir, "job.json"))])
 
 
 def job_outputs(job, tmpdir: str):
@@ -176,6 +195,29 @@ def companion_outputs():
         for k in COMPANION_COPIES}
 
 
+def edge_outputs(tmpdir: str):
+    """Digests of the oracle runs, of ``verify`` on each hand-made
+    certificate and of the atlas members."""
+    edges = {f"oracle {field} n={n}": {"run": run_cli(["oracle", "--field", field, "--n", str(n)])}
+             for field, n in ORACLE_RUNS}
+    for k, (name, job) in enumerate(HAND_JOBS.items()):
+        path = write_job(job, os.path.join(tmpdir, f"hand{k}.json"))
+        cert = os.path.join(tmpdir, f"cert{k}.json")
+        run_cli(["construct", "--input", path, "--output", cert])
+        if os.path.exists(cert):
+            with open(cert, encoding="utf-8") as fh:
+                if "A" not in json.load(fh):  # a decision "no"
+                    continue
+            edges[f"verify {name}"] = {"run": run_cli(["verify", "--input", path, "--cert", cert])}
+    for p, n in MAIN_ATLASES:
+        edges[f"atlas GF({p}) n={n}"] = {
+            "members": digest(sorted(oracle.build_sum_atlas(GF(p), n).members))}
+    for n in SCALED_SIZES:
+        edges[f"scaled atlas GF(3) n={n}"] = {"members": digest(sorted(
+            oracle.build_sum_atlas(GF(3), n, alpha=1, beta=2).members))}
+    return edges
+
+
 def pick_slice(jobs):
     """The tier-1 slice: the first ``SLICE_TAKE`` jobs of each workload,
     field and size in ``SLICE_SIZES``."""
@@ -194,8 +236,9 @@ def compute():
     with tempfile.TemporaryDirectory() as tmpdir:
         outputs = {gen.job_key(job): job_outputs(job, tmpdir) for _, job in jobs}
         hand = {name: job_outputs(job, tmpdir) for name, job in HAND_JOBS.items()}
+        edges = edge_outputs(tmpdir)
     manifest = {"jobs": outputs, "wide": wide_outputs(), "hand": hand,
-                "tiny": tiny_outputs(), "companions": companion_outputs()}
+                "tiny": tiny_outputs(), "companions": companion_outputs(), "edges": edges}
     sliced = [{"workload": name, "field": job["field"], "rows": job["rows"],
                **outputs[gen.job_key(job)]} for name, job in pick_slice(jobs)]
     sliced += [{"workload": "hand-made", **job, **hand[name]} for name, job in HAND_JOBS.items()]
@@ -217,7 +260,8 @@ def differences(recorded, now):
 def summary(manifest) -> str:
     return (f"{len(manifest['jobs'])} jobs, {len(manifest['wide'])} wide inputs, "
             f"{len(manifest['hand'])} hand-made jobs, {len(manifest['tiny'])} buckets of {TINY} "
-            f"matrices and {len(manifest['companions'])} companion sums")
+            f"matrices, {len(manifest['companions'])} companion sums "
+            f"and {len(manifest['edges'])} edge outputs")
 
 
 def main(argv=None) -> int:

@@ -173,7 +173,7 @@ def test_acceptance_8_necessary_condition_gf3():
     violations = 0
     applicable = 0
     for n in range(1, 4):
-        atlas = build_sum_atlas(field, n, kind="scaled", alpha=1, beta=2)
+        atlas = build_sum_atlas(field, n, alpha=1, beta=2)
         for raw in sorted(atlas.members):
             m = Matrix(field, n, n, [field.make(v) for v in raw])
             rep = check_necessary_combination(m, 1, 2)

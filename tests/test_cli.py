@@ -439,7 +439,71 @@ def test_integers_and_strings_still_parse(tmp_path, capsys):
 def test_oracle_negative_n_exit_2(capsys):
     code, out, err = run(capsys, ["oracle", "--field", "gf2", "--n", "-1"])
     assert (code, out) == (2, "")
-    assert err.startswith("malformed input")
+    assert err == "malformed input: matrix size must be a non-negative int, got -1\n"
+
+
+_LONG = "1" * 4998
+#: ``quadsum oracle`` arguments that are not ``--field gf<p>`` and ``--n``
+#: in plain ASCII decimals, although Python's ``int`` reads the number in
+#: them (an Arabic-Indic three and two, a space, a digit separator), with
+#: the text that the message names; the long ones are 5000 characters.
+BAD_ORACLE_ARGS = {
+    "modulus in other digits": ("gf\u0663", "1", "str '\u0663'"),
+    "bare modulus": ("2", "1", "str '2'"),
+    "upper case": ("GF2", "1", "str 'GF2'"),
+    "upper case with brackets": ("GF(2)", "1", "str 'GF(2)'"),
+    "brackets": ("gf(2)", "1", "str '(2)'"),
+    "long modulus": ("gf" + _LONG, "1", "str '111"),
+    "long field": ("x" + _LONG + "x", "1", "str 'x111"),
+    "n in other digits": ("gf2", "\u0662", "bad --n: str '\u0662'"),
+    "n with _": ("gf2", "1_0", "bad --n: str '1_0'"),
+    "n with a space": ("gf2", " 2", "bad --n: str ' 2'"),
+    "long n": ("gf2", "11" + _LONG, "bad --n: str '111"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ORACLE_ARGS))
+def test_oracle_arguments_are_plain_ascii_decimals(name, capsys):
+    """``--field`` is ``gf`` and a modulus read as a job file's, and ``--n``
+    an integer read the same way: anything else exits 2 with one short
+    stderr line that names the value."""
+    field, n, named = BAD_ORACLE_ARGS[name]
+    code, out, err = run(capsys, ["oracle", "--field", field, "--n", n])
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input: ") and err.count("\n") == 1, err[:200]
+    assert named in err and len(err.encode()) < 100, err[:200]
+
+
+def test_refusals_of_the_readers(tmp_path, capsys):
+    """An echo longer than ``_ECHO_CHARS`` is cut, a job matrix that is not
+    a list of lists is refused, and so is a certificate matrix whose entries
+    disagree with its stated shape: exit 2, one stderr line, nothing on
+    stdout."""
+    for k, (payload, message) in enumerate((
+            ({"field": "Q", "matrix": [[["a" * 100, "b" * 100]]]},
+             "bad element at row 0, column 0: list "
+             "['aaaaaaaaaaaa...aaaaaaaaaaaaa', 'bbbbbbbbbbbb...bbbbbbbb... for QQ"),
+            ({"field": "Q", "matrix": "x"}, "matrix must be a list of rows"),
+            ({"field": "Q", "matrix": [1, 2]}, "matrix must be a list of rows"))):
+        job = write_job(tmp_path, f"{k}.json", payload)
+        assert run(capsys, ["decide", "--input", job]) == (2, "", f"malformed input: {message}\n")
+    job = write_job(tmp_path, "job.json", DIAG_JOB)
+    cert_path = str(tmp_path / "cert.json")
+    run(capsys, ["construct", "--input", job, "--output", cert_path])
+    with open(cert_path, encoding="utf-8") as fh:
+        cert = json.load(fh)
+    n = cert["A"]["rows"]
+    for k, (shape, message) in enumerate((
+            ({"rows": n + 1}, f'matrix "entries" are {n}x{n}'),
+            ({"cols": n - 1}, f'matrix "entries" are {n}x{n}'),
+            ({"rows": 0}, f'matrix "entries" are {n}x{n}'),
+            ({"entries": []}, 'matrix "entries" are 0x0'),
+            ({"rows": 1, "cols": 0, "entries": [[]] * 2}, 'matrix "entries" are 2x0'),
+            ({"entries": [["1"]] + cert["A"]["entries"][1:]}, "ragged matrix rows"))):
+        bad = write_job(tmp_path, f"cert{k}.json", {**cert, "A": {**cert["A"], **shape}})
+        code, out, err = run(capsys, ["verify", "--input", job, "--cert", bad])
+        assert (code, out) == (2, ""), k
+        assert err.startswith(f"malformed input: {message}") and err.count("\n") == 1, (k, err)
 
 
 _FUZZ_SCALARS = st.one_of(

@@ -58,10 +58,10 @@ def test_one_scan_squares_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_raw_mul", counted)
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 2)):
-        for kind, scalars in (("main", {}), ("scaled", {"alpha": 1, "beta": 2})):
+        for scalars in ({}, {"alpha": 1, "beta": 2}):
             calls.clear()
-            build_sum_atlas(GF(p), n, kind, **scalars)
-            assert calls["mul"] == p ** (n * n), (p, n, kind)
+            build_sum_atlas(GF(p), n, **scalars)
+            assert calls["mul"] == p ** (n * n), (p, n, scalars)
 
 
 def test_one_scan_sorts_the_space_by_its_square():
@@ -158,7 +158,7 @@ def test_exhaustive_compare_tiny():
 
 def test_scaled_atlas_gf3():
     f = GF(3)
-    atlas = build_sum_atlas(f, 1, kind="scaled", alpha=1, beta=2)
+    atlas = build_sum_atlas(f, 1, alpha=1, beta=2)
     # 1*P + 2*Q over P, Q in {0, 1}: values {0, 1, 2, 0} -> everything
     assert len(atlas) == 3
 

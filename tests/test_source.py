@@ -248,6 +248,33 @@ def test_no_identity_matrix_outside_matrix():
     assert found == []
 
 
+def number_readers(text: str):
+    """(line, what) of every call of ``int``, ``float`` or ``Fraction`` and of
+    every ``type=`` passed to ``add_argument``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in ("int", "float", "Fraction"):
+                found.append((node.lineno, name))
+            if name == "add_argument":
+                found += [(node.lineno, "type=") for kw in node.keywords if kw.arg == "type"]
+    return sorted(found)
+
+
+def test_number_readers_are_found():
+    text = ("a = int(x)\nb = fractions.Fraction(1, 2)\np.add_argument('--n', type=int)\n"
+            "c = float\nd = serialize._integer(x, 'n')\np.add_argument('--m')\ne = float(y)\n")
+    assert number_readers(text) == [(1, "int"), (2, "Fraction"), (3, "type="), (7, "float")]
+
+
+def test_cli_reads_no_number():
+    """``cli.py`` hands every number of the command line to ``serialize``,
+    which reads them as it reads job files: no ``int``, ``float`` or
+    ``Fraction`` call and no argparse ``type=`` reads one loosely."""
+    assert number_readers(dict(package_sources())["cli.py"]) == []
+
+
 def test_code_lines_skip_blanks_comments_and_docstrings():
     """A code line is covered by a token other than a comment or layout,
     outside the module, class and function docstrings; each line of a call
