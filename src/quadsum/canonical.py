@@ -36,7 +36,7 @@ from __future__ import annotations
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
 from .matrix import (Matrix, _columns, _combination, _power_ranks, _products_equal, _rank,
-                     _raw_products, _span_rank, hstack, kernel_matrix, rank, solve)
+                     _raw_products, _span_rank, kernel_matrix, rank, solve)
 from .poly import Polynomial, _cyclic_scan, companion
 
 
@@ -136,7 +136,7 @@ def _cyclic_decompose(m: Matrix):
         m_free = Matrix._raw(f, n - d, n, [x for i in free for x in m._e[i * n:(i + 1) * n]])
         factors2, t2 = _cyclic_decompose(m_free * comp)
         if proven or mu.divrem(factors2[-1])[1].is_zero():
-            return factors2 + [mu], hstack(f, [comp * t2, k_mat])
+            return factors2 + [mu], _chain_matrix(f, (comp * t2).raw_cols() + chain)
 
 
 def invariant_factors_with_transform(m: Matrix):

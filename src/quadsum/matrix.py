@@ -27,6 +27,13 @@ integer dot products.  The ranks of powers behind the nullity sequences are
 :func:`_power_ranks`, over the rationals those of the integer matrix c X.
 A shift M + c I touches the diagonal only (:meth:`Matrix._plus_identity`).
 
+Square blocks are placed by one kernel, :func:`_placed`, which writes each
+block's entry (i, j) at (coords[i], coords[j]) of a zero matrix:
+:func:`direct_sum` places its blocks at consecutive ranges, and the
+constructor places the closed-form idempotents at their blocks'
+coordinates in the split Frobenius basis.  A matrix given by its columns,
+such as a Frobenius basis T, is written from them, not stacked from blocks.
+
 Every row operation in the package (rank, kernel, solve, the Krylov
 annihilators and the span kernel; an inverse is one solve) is one call of
 :func:`_reduce`, which reduces a row against an ordered list of pivot rows.
@@ -648,23 +655,29 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
 
 # ---- block composition -----------------------------------------------
 
+def _placed(field: Field, n: int, placements) -> Matrix:
+    """The one block-placement kernel: the n x n zero matrix with square
+    blocks written in, for each ``(block, coords)`` pair entry (i, j) of the
+    block at (coords[i], coords[j])."""
+    ent = [field.reduce(0)] * (n * n)
+    for blk, coords in placements:
+        for k, x in zip([ci * n + cj for ci in coords for cj in coords], blk._e):
+            ent[k] = x
+    return Matrix._raw(field, n, n, ent)
+
+
 def direct_sum(field: Field, blocks) -> Matrix:
-    """Block-diagonal assembly of square blocks; the empty sum is 0x0."""
-    blocks = list(blocks)
+    """Block-diagonal assembly of square blocks, each placed at the next
+    range of coordinates; the empty sum is 0x0."""
+    placements, off = [], 0
     for blk in blocks:
         if blk.field != field:
             raise MixedFields("direct_sum: block field differs")
         if not blk.is_square:
             raise DimensionMismatch("direct_sum: blocks must be square")
-    n = sum(blk.rows for blk in blocks)
-    ent = [field.reduce(0)] * (n * n)
-    off = 0
-    for blk in blocks:
-        for i in range(blk.rows):
-            base = (off + i) * n + off
-            ent[base : base + blk.cols] = blk._e[i * blk.cols : (i + 1) * blk.cols]
+        placements.append((blk, range(off, off + blk.rows)))
         off += blk.rows
-    return Matrix._raw(field, n, n, ent)
+    return _placed(field, off, placements)
 
 
 def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
@@ -676,25 +689,9 @@ def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
     for m in (tr, bl, br):
         if m.field != f:
             raise MixedFields("block2x2: mixed fields")
-    top, bot = hstack(f, [tl, tr]), hstack(f, [bl, br])
-    return Matrix._raw(f, top.rows + bot.rows, top.cols, top._e + bot._e)
-
-
-def hstack(field: Field, mats) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        return Matrix.zero(field, 0, 0)
-    r = mats[0].rows
-    for m in mats:
-        if m.rows != r:
-            raise DimensionMismatch("hstack: row counts differ")
-        if m.field != field:
-            raise MixedFields("hstack: mixed fields")
-    ent = []
-    for i in range(r):
-        for m in mats:
-            ent.extend(m._e[i * m.cols : (i + 1) * m.cols])
-    return Matrix._raw(field, r, sum(m.cols for m in mats), ent)
+    ent = [x for left, right in ((tl, tr), (bl, br))
+           for a, b in zip(left.raw_rows(), right.raw_rows()) for x in a + b]
+    return Matrix._raw(f, tl.rows + bl.rows, tl.cols + tr.cols, ent)
 
 
 def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:

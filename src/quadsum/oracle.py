@@ -55,9 +55,13 @@ def _raw_squares(p: int, n: int):
     if not _is_int(n) or n < 0:
         raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
     # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
-    # budget's bit length: refuse on sizes before building a huge power
+    # budget's bit length: refuse on sizes before building a huge power.  The
+    # message writes n^2 out only for n below the budget: a larger n is named
+    # by its bit length, as its square may have more digits than str() writes
     if n * n * (p.bit_length() - 1) >= _BUDGET.bit_length() or p ** (n * n) > _BUDGET:
-        raise BudgetExceeded(f"scan of {p}^{n * n} matrices exceeds the budget of {_BUDGET}")
+        scan = (f"{p}^{n * n} matrices" if n < _BUDGET
+                else f"{p}^(n^2) matrices for an n of {n.bit_length()} bits")
+        raise BudgetExceeded(f"scan of {scan} exceeds the budget of {_BUDGET}")
     idempotents, square_zero = [], []
     for a in _raw_matrices(p, n):
         sq = tuple(_raw_mul(a, a, p, n))

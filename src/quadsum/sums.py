@@ -30,7 +30,7 @@ from .canonical import (invariant_factors_with_transform, nullity_sequence, spli
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
-from .matrix import Matrix, _products_equal, direct_sum, solve
+from .matrix import Matrix, _placed, _products_equal, direct_sum, solve
 from .poly import decompose_in_t2_minus_t
 
 
@@ -331,35 +331,30 @@ def _idempotent_plus_square_zero(m: Matrix, decision: Decision) -> Matrix:
     J_b_i(1).  The idempotent of each C(h_i) is :func:`_away_idempotent` of
     its degree; the Jordan blocks at 1 and at 0 are taken unit by unit from
     ``decision.pairing``, equal sizes in factor order, and their idempotents
-    are :func:`_unit_decomposition` of the unit's sizes.  Each is written
-    into A_model at the coordinates its blocks occupy in T', and A solves
+    are :func:`_unit_decomposition` of the unit's sizes.  Each is placed
+    at the coordinates its blocks occupy in T' by the one block-placement
+    kernel, :func:`quadsum.matrix._placed`, which also lays out the direct
+    sum of the S_i; T itself is written from its columns.  A solves
     T'^T A^T = (T' A_model)^T, so nothing is inverted.  :func:`construct`
     verifies the result.
     """
-    f, n = m.field, m.rows
-    model = [f.reduce(0)] * (n * n)
-
-    def place(part: Matrix, coords):
-        for ci, row in zip(coords, part.raw_rows()):
-            for cj, x in zip(coords, row):
-                model[ci * n + cj] = x
-
-    blocks = []
+    f = m.field
+    blocks, placements = [], []
     at_0, at_1 = {}, {}  # block size -> coordinate ranges in T', in factor order
     off = 0
     for fac, (a, b, h) in zip(decision.frobenius, decision.valuations):
         blocks.append(split_cyclic_block(fac, a, b, h))
-        place(_away_idempotent(f, h.degree), range(off, off + h.degree))
+        placements.append((_away_idempotent(f, h.degree), range(off, off + h.degree)))
         off += h.degree
         for ranges, size in ((at_0, a), (at_1, b)):
             ranges.setdefault(size, []).append(range(off, off + size))
             off += size
     for one, zero in decision.pairing:
-        place(_unit_decomposition(f, one, zero),
-              [k for ranges, size in ((at_1, one), (at_0, zero)) if size
-               for k in ranges[size].pop(0)])
+        placements.append((_unit_decomposition(f, one, zero),
+                           [k for ranges, size in ((at_1, one), (at_0, zero)) if size
+                            for k in ranges[size].pop(0)]))
     basis = decision.witness * direct_sum(f, blocks)
-    rhs = (basis * Matrix._raw(f, n, n, model)).transpose()
+    rhs = (basis * _placed(f, m.rows, placements)).transpose()
     return solve(basis.transpose(), rhs).transpose()
 
 

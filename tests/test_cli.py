@@ -223,12 +223,16 @@ def test_oracle_budget_exit_2(tmp_path, capsys):
 def test_oracle_refuses_a_huge_scan_at_once(capsys):
     """The budget is compared on sizes first: p^(n^2) for n = 10^6 is never
     built.  The budget also refuses GF(2) at n = 5, whose 2^25
-    matrices would take hours to scan."""
-    for field, n in (("gf101", "1000000"), ("gf2", "5")):
+    matrices would take hours to scan.  The refusal is one short line: n^2
+    of a 4000-digit n has more digits than ``str`` writes, so a large n is
+    named by its bit length."""
+    for field, n in (("gf101", "1000000"), ("gf2", "5"), ("gf2", "9" * 2000),
+                     ("gf2", "9" * 4000)):
         start = time.perf_counter()
         code, out, err = run(capsys, ["oracle", "--field", field, "--n", n])
         assert (code, out) == (2, ""), field
         assert "exceeds the budget" in err
+        assert err.count("\n") == 1 and len(err.encode()) <= 100
         assert time.perf_counter() - start < 1
 
 

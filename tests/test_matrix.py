@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsum
-from quadsum.errors import DimensionMismatch, MixedFields, Singular
+from quadsum.canonical import invariant_factors_with_transform, nullity_sequence
+from quadsum.errors import DegreeZero, DimensionMismatch, MixedFields, Singular
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _products_equal, _rref, block2x2,
-                            direct_sum, hstack, inverse, jordan_block, kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _placed, _products_equal, _rref,
+                            block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, krylov_annihilator
+from quadsum.sums import QuadParams, classify_and_reduce
 from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
                       rand_matrix, rand_wide_rational)
 
@@ -153,7 +155,7 @@ def test_every_operation_stores_canonical_values():
                 a + b, a - b, -a, 3 * a, a * -1, a * f.element(-2), 0 * a,
                 a * f.element(0), a.transpose(),
                 inverse(t), solve(t, t * x), solve(Matrix.zero(f, n), Matrix.zero(f, n, 2)),
-                direct_sum(f, [a, Matrix.zero(f, 2), t]), hstack(f, [a, x]),
+                direct_sum(f, [a, Matrix.zero(f, 2), t]),
                 block2x2(a, x, x.transpose(), Matrix.identity(f, 2)),
                 jordan_block(f, n, eigenvalue=-1), jordan_block(f, n),
                 Matrix.identity(f, n), Matrix.zero(f, n, 2),
@@ -259,6 +261,66 @@ def test_block_composition():
     assert d == block2x2(a, Matrix.zero(f, 2, 3), Matrix.zero(f, 3, 2), b)
     q = block2x2(a, Matrix.zero(f, 2), Matrix.zero(f, 2), a)
     assert q == Matrix.identity(f, 4)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(5), QQ])
+def test_placed_blocks_are_a_permuted_direct_sum(f):
+    """Blocks placed at interleaved coordinates are P D P^T, for D the direct
+    sum of the blocks and P the permutation that sends coordinate k of D to
+    the coordinate its block's entry is placed at.  ``direct_sum`` places
+    through the same kernel, so D is first checked against the blocks read
+    entry by entry."""
+    rng = random.Random(26)
+    cases = [((2, 3), [4, 0, 1, 3, 2]), ((1, 2, 2), [2, 4, 0, 3, 1])]
+    cases += [((3, 1, 0, 2), rng.sample(range(6), 6)) for _ in range(4)]
+    for sizes, perm in cases:
+        n = len(perm)
+        blocks = [rand_matrix(f, s, rng) for s in sizes]
+        coords, entries, off = [], {}, 0
+        for s, blk in zip(sizes, blocks):
+            coords.append(perm[off:off + s])
+            entries.update(((off + i, off + j), blk[i, j]) for i in range(s) for j in range(s))
+            off += s
+        d = direct_sum(f, blocks)
+        assert d == Matrix.from_rows(f, [[entries.get((i, j), 0) for j in range(n)]
+                                         for i in range(n)])
+        p_mat = Matrix.from_rows(f, [[int(perm[k] == i) for k in range(n)] for i in range(n)])
+        expected = p_mat * d * p_mat.transpose()
+        assert _placed(f, n, zip(blocks, coords)) == expected
+        assert_canonical(expected)
+
+
+def _zero(rows, cols, f=QQ):
+    return Matrix.zero(f, rows, cols)
+
+
+#: Refusals with the error type each documents, one call each.
+REFUSALS = {
+    "direct_sum mixed fields": (lambda: direct_sum(QQ, [_zero(1, 1, GF(5))]), MixedFields),
+    "direct_sum non-square block": (lambda: direct_sum(QQ, [_zero(1, 2)]), DimensionMismatch),
+    "block2x2 row heights": (lambda: block2x2(_zero(1, 1), _zero(2, 1), _zero(1, 1), _zero(1, 1)),
+                             DimensionMismatch),
+    "block2x2 column widths": (lambda: block2x2(_zero(1, 1), _zero(1, 1), _zero(1, 2),
+                                                _zero(1, 1)), DimensionMismatch),
+    "block2x2 mixed fields": (lambda: block2x2(_zero(1, 1), _zero(1, 1), _zero(1, 1),
+                                               _zero(1, 1, GF(5))), MixedFields),
+    "from_rows ragged rows": (lambda: Matrix.from_rows(QQ, [[1, 2], [3]]), DimensionMismatch),
+    "solve row counts": (lambda: solve(_zero(2, 2), _zero(3, 1)), DimensionMismatch),
+    "inverse non-square": (lambda: inverse(_zero(2, 3)), DimensionMismatch),
+    "nullity_sequence non-square": (lambda: nullity_sequence(_zero(2, 3), 0), DimensionMismatch),
+    "invariant factors non-square": (lambda: invariant_factors_with_transform(_zero(3, 2)),
+                                     DimensionMismatch),
+    "classify_and_reduce non-square": (lambda: classify_and_reduce(_zero(2, 3), QuadParams.of(QQ)),
+                                       DimensionMismatch),
+    "companion degree 0": (lambda: companion(Polynomial(QQ, [1])), DegreeZero),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_raise_their_documented_type(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_jordan_block_subdiagonal():

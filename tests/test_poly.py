@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import quadsum
 from quadsum.errors import DimensionMismatch, InternalCheckFailed, NotMonic
 from quadsum.field import GF, QQ
-from quadsum.matrix import Matrix, direct_sum, hstack, inverse, jordan_block, rank, solve
+from quadsum.matrix import Matrix, direct_sum, inverse, jordan_block, rank, solve
 from quadsum.poly import (Polynomial, _coprime_split, companion, cyclic_vector,
                           decompose_in_t2_minus_t, gcd, krylov_annihilator, lcm,
                           minimal_polynomial, substitute_one_minus_t)
@@ -132,13 +132,17 @@ def naive_krylov(m, v):
     """Annihilator and chain of v by FieldElement triple loops and elimination."""
     f = m.field
     n = m.rows
+
+    def columns(vs):
+        return Matrix.from_rows(f, [[v[i, 0] for v in vs] for i in range(n)])
+
     chain = [Matrix.column(f, v)]
-    while len(chain) <= n and rank(hstack(f, chain)) == len(chain):
+    while len(chain) <= n and rank(columns(chain)) == len(chain):
         w = chain[-1]
         chain.append(Matrix.column(f, [sum((m[i, t] * w[t, 0] for t in range(n)), f.zero())
                                        for i in range(n)]))
     top = chain.pop()
-    coeffs = solve(hstack(f, chain), top) if chain else Matrix.zero(f, 0, 1)
+    coeffs = solve(columns(chain), top) if chain else Matrix.zero(f, 0, 1)
     ann = Polynomial(f, [-coeffs[i, 0] for i in range(len(chain))] + [f.one()])
     return ann, chain
 
