@@ -55,8 +55,6 @@ def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
             break
         values.append(nk)
         prev_nullity = nullity
-        if nullity == n:
-            break
     return tuple(values)
 
 

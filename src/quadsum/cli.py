@@ -16,6 +16,7 @@ import sys
 from . import oracle, serialize
 from .errors import (BadParams, BudgetExceeded, DecisionNo, InternalCheckFailed,
                      MalformedInput, NotSplitError, QuadsumError, UnsupportedCase)
+from .matrix import _check_height
 from .sums import (Certificate, classify_and_reduce, construct, decide,
                    check_necessary_combination, verify_certificate)
 
@@ -49,6 +50,7 @@ def _load_job(path: str):
 
 def cmd_decide(args) -> int:
     _, matrix, params = _load_job(args.input)
+    _check_height(matrix)
     cls, reduced = classify_and_reduce(matrix, params)
     if cls.case != "III":
         _emit({"decision": "unsupported_case",
@@ -64,6 +66,7 @@ def cmd_decide(args) -> int:
 
 def cmd_construct(args) -> int:
     field, matrix, params = _load_job(args.input)
+    _check_height(matrix)
     try:
         cert = construct(matrix, params)
     except DecisionNo as exc:
@@ -105,6 +108,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_necessary(args) -> int:
     field, matrix, _ = _load_job(args.input)
+    _check_height(matrix)
     report = check_necessary_combination(matrix,
                                          serialize._parse_element(field, args.alpha, "--alpha"),
                                          serialize._parse_element(field, args.beta, "--beta"))

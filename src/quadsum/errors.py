@@ -62,7 +62,8 @@ class InternalCheckFailed(QuadsumError):
 
 
 class BudgetExceeded(QuadsumError):
-    """An exhaustive enumeration would exceed the fixed scan budget."""
+    """Work would exceed a fixed budget: an exhaustive enumeration too long
+    to scan, or a rational job whose height bound is too large."""
 
 
 class BadParams(QuadsumError):

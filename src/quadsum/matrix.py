@@ -83,7 +83,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from sys import byteorder
 
-from .errors import DimensionMismatch, MixedFields, Singular
+from .errors import BudgetExceeded, DimensionMismatch, MixedFields, Singular
 from .field import Field, FieldElement
 
 
@@ -291,6 +291,25 @@ def _integral(vecs):
         d = lcm(*dens)
         out.append(([x.numerator * (d // e) for x, e in zip(v, dens)], d))
     return out
+
+
+#: The bits of a 4300-digit number, the longest integer Python writes as text.
+_HEIGHT_BUDGET = 14285
+
+
+def _check_height(m: Matrix):
+    """Refuse a rational n x n matrix whose invariant factors may hold numbers
+    too long to print, before any Krylov run: its height bound n (h + bits(n)),
+    in the style of Hadamard's bound, must be at most ``_HEIGHT_BUDGET``.  h is
+    the most bits of an entry of a row brought to integers over its common
+    denominator (:func:`_integral`), the denominator included."""
+    if m.field.p is None:
+        n = m.rows
+        h = max((abs(x).bit_length() for v, d in _integral(m.raw_rows()) for x in v + [d]),
+                default=0)
+        if (bound := n * (h + n.bit_length())) > _HEIGHT_BUDGET:
+            raise BudgetExceeded(f"rational matrix of height bound {bound} bits "
+                                 f"exceeds the budget of {_HEIGHT_BUDGET}")
 
 
 def _columns(field: Field, cols):

@@ -25,6 +25,9 @@ chains itself and extends it after each run with
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
 from .field import Field, FieldElement
@@ -117,8 +120,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._chk(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -132,15 +133,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError(f"polynomial to the negative power {k}")
-        result = Polynomial.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return math.prod([self] * k, start=Polynomial.one(self.field))
 
     def divrem(self, divisor: "Polynomial"):
         self._chk(divisor)
@@ -402,17 +395,14 @@ def _cyclic_scan(m: Matrix):
             break
         if len(tried) == 2 and mu == tried[0][0] and covered <= n - 2:
             yield mu, tried[0][1], False
-    for pair in tried:
+    passed = []
+    for pair in itertools.chain(tried, runs):
         if pair[0] == mu:
             yield *pair, True
             return
-    for pair in runs:
-        if pair[0] == mu:
-            yield *pair, True
-            return
-        tried.append(pair)
-    merged = tried[0] if tried else (mu, [])
-    for pair in tried[1:]:
+        passed.append(pair)
+    merged = passed[0] if passed else (mu, [])
+    for pair in passed[1:]:
         merged = _merge(m, m_rows, merged, pair)
     yield *merged, True
 

@@ -11,20 +11,22 @@ the digest of (exit code, stdout, stderr) of the in-process ``quadsum
 decide`` and ``quadsum construct`` commands on it, with default params.  It
 also holds digests of the Frobenius form F and witness T of seeded
 ``rand_matrix`` and ``rand_decomposable`` inputs, and of the certificate's A
-for the latter, over the wide primes ``WIDE_PRIMES`` at n = ``WIDE_SIZES``,
-where the kernels keep list rows instead of packed ones.  It holds the
-digests of ``decide``, ``construct`` and ``classify`` on the small jobs of
-``HAND_JOBS``, whose params reach every case of the classification, a shift,
-a quadratic that does not split and params the reader refuses.  Last, it
-holds the digests of (F, T) of every unique seed-1 job of ``TINY`` (each
-3x3 matrix over GF(3) and the 4x4 sample over GF(2)), in buckets, and of
+for the latter, over the primes ``LARGE_PRIMES`` at n = ``WIDE_SIZES``: the
+kernels of 2^61 - 1 keep list rows at every size, and those of conftest's
+``WORD_PRIME`` 797555399 pack up to n = 29 and keep list rows at n = 30.  It
+holds the digests of ``decide``, ``construct`` and ``classify`` on the small
+jobs of ``HAND_JOBS``, whose params reach every case of the classification,
+a shift, a quadratic that does not split and params the reader refuses.
+Last, it holds the digests of (F, T) of every unique seed-1 job of ``TINY``
+(each 3x3 matrix over GF(3) and the 4x4 sample over GF(2)), in buckets, and of
 C(t^2 - t - 1)^(+k) conjugated over GF(101) for k in ``COMPANION_COPIES``,
 whose k equal invariant factors make k levels of the decomposition.  The
 ``edges`` section holds the digests of the boundary code: ``quadsum
 oracle`` on ``ORACLE_RUNS``, ``quadsum verify`` on the certificate of every
 hand-made job that constructs one, and the sorted members of the main
 atlases ``MAIN_ATLASES`` and of the scaled atlases of GF(3), alpha = 1 and
-beta = 2, at n in ``SCALED_SIZES``.
+beta = 2, at n in ``SCALED_SIZES``, and ``quadsum necessary`` on
+``NECESSARY_RUNS``.
 
 ``--write`` also records a fixed slice of the jobs, with their inputs, in
 ``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
@@ -87,7 +89,7 @@ HAND_JOBS = {
     "null params": {"field": {"GF": 5}, "rows": _GF5, "params": None},
     "some params": {"field": {"GF": 5}, "rows": _GF5, "params": {"c": "0", "a": "1"}},
 }
-WIDE_PRIMES = (2 ** 61 - 1, 797555399)
+LARGE_PRIMES = (2 ** 61 - 1, 797555399)
 WIDE_SIZES = range(10, 31)
 TINY = "tiny-exhaustive"
 COMPANION_COPIES = range(1, 33)
@@ -96,6 +98,15 @@ COMPANION_COPIES = range(1, 33)
 ORACLE_RUNS = [("gf2", n) for n in range(4)] + [("gf3", n) for n in range(3)] + [("gf5", 4)]
 MAIN_ATLASES = ((3, 3), (2, 4))
 SCALED_SIZES = range(4)
+_DIAG_1_2 = {"field": "Q", "rows": [["1", "0"], ["0", "2"]]}
+#: name -> (job, alpha, beta) of the ``quadsum necessary`` runs: one per
+#: status of the report, and the refusal of alpha = beta.
+NECESSARY_RUNS = {
+    "inconclusive": (_DIAG_1_2, "1", "2"),
+    "no": ({"field": {"GF": 3}, "rows": [["1", "0"], ["1", "1"]]}, "1", "2"),
+    "not_applicable": ({"field": "Q", "rows": [["5"]]}, "1", "2"),
+    "alpha = beta": (_DIAG_1_2, "1", "1"),
+}
 SECTIONS = ("jobs", "wide", "hand", "tiny", "companions", "edges")
 #: Jobs of the tier-1 slice per (workload, field, size): a block's worth of
 #: each workload's smallest size (on qq-growth and gfp-mid, every planted
@@ -160,7 +171,7 @@ def wide_outputs():
     """Digests of (F, T) of a random matrix and of (F, T) and A of a
     decomposable one, per wide prime and size."""
     out = {}
-    for p in WIDE_PRIMES:
+    for p in LARGE_PRIMES:
         field = GF(p)
         for n in WIDE_SIZES:
             rng = random.Random(f"outputs/{p}/{n}")
@@ -197,7 +208,7 @@ def companion_outputs():
 
 def edge_outputs(tmpdir: str):
     """Digests of the oracle runs, of ``verify`` on each hand-made
-    certificate and of the atlas members."""
+    certificate, of the atlas members and of the ``necessary`` runs."""
     edges = {f"oracle {field} n={n}": {"run": run_cli(["oracle", "--field", field, "--n", str(n)])}
              for field, n in ORACLE_RUNS}
     for k, (name, job) in enumerate(HAND_JOBS.items()):
@@ -215,6 +226,10 @@ def edge_outputs(tmpdir: str):
     for n in SCALED_SIZES:
         edges[f"scaled atlas GF(3) n={n}"] = {"members": digest(sorted(
             oracle.build_sum_atlas(GF(3), n, alpha=1, beta=2).members))}
+    for name, (job, alpha, beta) in NECESSARY_RUNS.items():
+        path = write_job(job, os.path.join(tmpdir, "necessary.json"))
+        edges[f"necessary {name}"] = {
+            "run": run_cli(["necessary", "--input", path, "--alpha", alpha, "--beta", beta])}
     return edges
 
 

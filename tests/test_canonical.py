@@ -2,6 +2,7 @@
 each cyclic block at {0, 1}, all with verified transforms."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,8 @@ from quadsum.matrix import (Matrix, _SPAN_PRIME, direct_sum, inverse, jordan_blo
                             kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
 from quadsum.sums import decide
-from conftest import conjugate_partition, conjugated_companions, rand_invertible, rand_matrix
+from conftest import (WORD_PRIME, conjugate_partition, conjugated_companions, rand_decomposable,
+                      rand_invertible, rand_matrix)
 
 P = Polynomial
 
@@ -422,6 +424,79 @@ def test_frobenius_check_catches_one_wrong_column_or_coefficient(f, monkeypatch)
         monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m, c=case: c)
         with pytest.raises(InternalCheckFailed, match=stage):
             invariant_factors_with_transform(m)
+
+
+# ---- the reduction law -----------------------------------------------
+
+#: Word-size primes of the reduction law: their GF(p) kernels pack their rows
+#: from n = 10 on.
+REDUCTION_PRIMES = (65521, 1000003, WORD_PRIME)
+
+
+def _scaled_to_integers(m):
+    """c m for c the lcm of the denominators of the rational m's entries."""
+    c = math.lcm(*(x.denominator for row in m.raw_rows() for x in row))
+    return Matrix.from_rows(QQ, [[x * c for x in row] for row in m.raw_rows()])
+
+
+def _integer_inputs():
+    """21 fixed integer matrices at n = 8, 10, ..., 20: a sparse one, a
+    planted one (idempotent plus square-zero) and C(t^2 - t - 1)^(+n/2)
+    conjugated, the last two scaled to integers, per size."""
+    rng = random.Random("reduction")
+    out = []
+    for n in range(8, 21, 2):
+        out += [Matrix.from_rows(QQ, [[rng.randint(-5, 5) if rng.random() < 0.25 else 0
+                                       for _ in range(n)] for _ in range(n)]),
+                _scaled_to_integers(rand_decomposable(QQ, n, rng)),
+                _scaled_to_integers(conjugated_companions(QQ, [-1, -1, 1], n // 2, rng))]
+    return out
+
+
+def _reduces(factors, m, p):
+    """Whether the integer invariant factors ``factors`` of the integer m
+    reduce mod p to the invariant factors of m mod p."""
+    f = GF(p)
+    mod_p, _ = invariant_factors_with_transform(
+        Matrix.from_rows(f, [[x.numerator for x in row] for row in m.raw_rows()]))
+    return [P(f, [c.numerator for c in fac.coeffs]) for fac in factors] == list(mod_p)
+
+
+def test_integer_invariant_factors_reduce_mod_p():
+    """An integer M has its invariant factors in Z[t] (Gauss's lemma), and
+    for all but finitely many primes p they reduce mod p to those of M mod p.
+    This compares the fraction-free rational kernels with the packed GF(p)
+    kernels at sizes that neither sympy (n <= 10) nor brute force (n <= 4)
+    reaches."""
+    inputs = _integer_inputs()
+    assert len(inputs) == 21
+    for m in inputs:
+        factors, _ = invariant_factors_with_transform(m)
+        assert all(c.denominator == 1 for fac in factors for c in fac.coeffs)
+        assert any(_reduces(factors, m, p) for p in REDUCTION_PRIMES), m.rows
+
+
+def test_reduction_law_catches_a_factor_the_checks_miss(monkeypatch):
+    """A cyclic input's rational factor with its constant coefficient moved
+    by one, while the M T = T F check is patched to pass: the other internal
+    checks (degree sum, rank of T, divisibility) let it through, and its
+    reduction differs from the factor mod p at every prime."""
+    rng = random.Random("reduction mutant")
+    m = Matrix.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
+    real = quadsum.canonical._cyclic_decompose
+
+    def shifted(m_):
+        factors, t_mat = real(m_)
+        assert len(factors) == 1
+        return [P(QQ, [factors[0].coeffs[0] + 1] + list(factors[0].coeffs[1:]))], t_mat
+
+    with monkeypatch.context() as patched:
+        patched.setattr(quadsum.canonical, "_cyclic_decompose", shifted)
+        patched.setattr(quadsum.canonical, "_products_equal", lambda *args: True)
+        factors, _ = invariant_factors_with_transform(m)
+    assert factors != invariant_factors_with_transform(m)[0]
+    assert all(c.denominator == 1 for fac in factors for c in fac.coeffs)
+    assert not any(_reduces(factors, m, p) for p in REDUCTION_PRIMES)
 
 
 # ---- spectral split at {0, 1}, per cyclic block ----------------------

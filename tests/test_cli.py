@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import rand_wide_rational
 from quadsum import cli
 from quadsum.cli import main
 from quadsum.matrix import Matrix
@@ -265,15 +267,61 @@ def test_necessary_values_starting_with_minus(tmp_path, capsys):
 
 
 def test_numbers_too_long_to_print_exit_2(tmp_path, capsys):
-    """The invariant factor of diag(1e3000, 3e3000) has a 6001-digit
-    coefficient, past the interpreter's 4300-digit limit for printing an
-    integer: both commands refuse it with exit 2, never a traceback."""
-    job = write_job(tmp_path, "job.json", {"field": "Q",
-                                           "matrix": [["1e3000", "0"], ["0", "3e3000"]]})
-    for command in ("decide", "construct"):
-        code, out, err = run(capsys, [command, "--input", job])
-        assert (code, out) == (2, ""), command
-        assert err.startswith("malformed input") and err.count("\n") == 1
+    """The invariant factors of diag(1e3000, 3e3000) and diag(1e-3000,
+    3e-3000) have a 6001-digit number in a coefficient, past the
+    interpreter's 4300-digit limit for printing an integer.  Their height
+    bounds, 2 (9968 + 2) = 19940 bits and, from the denominators, 2 (9966 +
+    2) = 19936 bits, are over the budget, so both commands refuse them with
+    exit 2 before any Krylov run, never a traceback."""
+    for a, b in (("1e3000", "3e3000"), ("1e-3000", "3e-3000")):
+        job = write_job(tmp_path, "job.json", {"field": "Q", "matrix": [[a, "0"], ["0", b]]})
+        for command in ("decide", "construct"):
+            code, out, err = run(capsys, [command, "--input", job])
+            assert (code, out) == (2, ""), (a, command)
+            assert err.startswith("malformed input") and err.count("\n") == 1
+            assert "exceeds the budget" in err
+
+
+def test_a_result_too_long_to_print_exit_2(tmp_path, capsys):
+    """A number of the result with more digits than Python prints is
+    refused when it is written out: classify echoes a param of 4301 digits."""
+    job = write_job(tmp_path, "job.json", dict(DIAG_JOB, params={"a": "1e4300"}))
+    assert run(capsys, ["classify", "--input", job]) == (
+        2, "", "malformed input: a number in the result has too many digits to print\n")
+
+
+def wide_job(tmp_path, digits):
+    """The 8x8 rational job of ``rand_wide_rational`` with seed 1, entries
+    of about ``digits`` digits over pairwise-coprime denominators."""
+    m = rand_wide_rational(8, random.Random(1), digits=digits)
+    return write_job(tmp_path, f"wide{digits}.json",
+                     {"field": "Q", "matrix": [[str(x) for x in row] for row in m.to_rows()]})
+
+
+JOB_COMMANDS = (["decide"], ["construct"], ["necessary", "--alpha", "1", "--beta", "2"])
+
+
+def test_a_job_of_huge_height_is_refused_at_once(tmp_path, capsys):
+    """The 90-digit 8x8 job has the height bound 8 (2390 + 4) = 19152 bits,
+    over the budget of a 4300-digit number: each command that runs Krylov
+    chains refuses it before the first one, in one short line (it used to
+    run for seconds, then fail to print its result)."""
+    job = wide_job(tmp_path, 90)
+    for command in JOB_COMMANDS:
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command[0], "--input", job] + command[1:])
+        assert time.perf_counter() - start < 1, command
+        assert (code, out, err) == (2, "", "malformed input: rational matrix of height bound "
+                                           "19152 bits exceeds the budget of 14285\n")
+
+
+def test_a_job_under_the_height_budget_runs(tmp_path, capsys):
+    """The 30-digit 8x8 job, height bound 6376 bits, still gets its result."""
+    job = wide_job(tmp_path, 30)
+    for command in JOB_COMMANDS:
+        code, out, err = run(capsys, [command[0], "--input", job] + command[1:])
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)
 
 
 def test_byte_deterministic_output(tmp_path, capsys):

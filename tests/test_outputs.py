@@ -1,9 +1,11 @@
 """Output bytes of ``decide`` and ``construct`` on a recorded slice of the
-benchmark jobs (``tests/outputs.py`` checks all of them)."""
+benchmark jobs (``tests/outputs.py`` checks all of them), and a recorded run
+of every subcommand in the manifest."""
 
 import json
 
 import outputs
+from quadsum import cli
 
 
 def test_recorded_slice_gives_the_same_output_bytes(tmp_path):
@@ -31,3 +33,20 @@ def test_differences_name_each_entry():
     assert outputs.differences(recorded, now) == [
         ("jobs", "a", "construct"), ("jobs", "b", "decide"), ("jobs", "c", "decide"),
         ("hand", "h", "classify")]
+
+
+def recorded_commands(manifest):
+    """Every command that the manifest holds a run of: the output names of
+    the job sections, and the first word of each edge key."""
+    return ({command for section in ("jobs", "hand") for outs in manifest[section].values()
+             for command in outs} | {key.split()[0] for key in manifest["edges"]})
+
+
+def test_every_subcommand_has_a_recorded_run():
+    """A subcommand whose output bytes no manifest entry pins could change
+    them unseen by ``outputs.py --check``."""
+    with open(outputs.MANIFEST, encoding="utf-8") as fh:
+        recorded = recorded_commands(json.load(fh))
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions if a.choices)
+    assert set(commands) - recorded == set()
