@@ -14,7 +14,8 @@ from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
 from quadsum import oracle
 from quadsum.oracle import (_raw_matrices, _raw_mul, _raw_squares, build_sum_atlas,
-                            comparison_to_json, exhaustive_compare, idempotent_count)
+                            comparison_to_json, exhaustive_compare, idempotent_count,
+                            square_zero_count)
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
                           construct, verify_certificate)
 from conftest import rand_invertible
@@ -74,26 +75,10 @@ def test_one_scan_sorts_the_space_by_its_square():
         assert (0,) * (n * n) in idempotents and (0,) * (n * n) in square_zero
 
 
-def _gl_order(n: int, q: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= q ** n - q ** i
-    return out
-
-
-def _square_zero_count(q: int, n: int) -> int:
-    """Square-zero n x n matrices over GF(q): r Jordan blocks J_2(0) and
-    s = n - 2r blocks J_1(0), each class counted as |GL_n| over the order
-    q^(r^2 + 2rs) |GL_r| |GL_s| of its centralizer."""
-    return sum(_gl_order(n, q) // (q ** (r * r + 2 * r * (n - 2 * r))
-                                   * _gl_order(r, q) * _gl_order(n - 2 * r, q))
-               for r in range(n // 2 + 1))
-
-
 def test_square_zero_scan_matches_the_closed_form_count():
     expected = {(2, 1): 1, (2, 2): 4, (2, 3): 22, (2, 4): 316, (3, 1): 1, (3, 2): 9, (3, 3): 105}
     for (p, n), count in expected.items():
-        assert _square_zero_count(p, n) == count
+        assert square_zero_count(p, n) == count
         assert len(_raw_squares(p, n)[1]) == count, (p, n)
 
 
@@ -163,6 +148,59 @@ def test_scaled_atlas_gf3():
     assert len(atlas) == 3
 
 
+# ---- packed pair sums at the slot widths --------------------------------
+
+#: (p, n, alpha, beta) of the main and the scaled atlas: n = 1 on both sides
+#: of each slot-width boundary and at the largest prime the budget admits,
+#: where the scaled atlas holds the largest sum 2p - 2; n = 2 over GF(17),
+#: four slots per int; n = 0, which packs no slot at any p.
+SLOT_EDGES = [*[(p, 1, p - 1, p - 1) for p in (127, 131, 32749, 32771, 131071)],
+              (17, 2, 3, 5), (2, 0, 1, 1), ((1 << 61) - 1, 0, 3, 5)]
+
+
+def _reference_atlases(p: int, n: int, alpha: int, beta: int):
+    """The main and the scaled atlas as sets of tuples, each sum written
+    entry by entry from the scan's lists."""
+    idempotents, square_zero = _raw_squares(p, n)
+
+    def sums(ca, cb, second):
+        return {tuple((ca * u + cb * v) % p for u, v in zip(x, y))
+                for x in idempotents for y in second}
+    return [sums(1, 1, square_zero), sums(alpha, beta, idempotents)]
+
+
+def _check_packed_sums(p: int, n: int, alpha: int, beta: int):
+    atlases = []
+    for scalars in ({}, {"alpha": alpha, "beta": beta}):
+        members = build_sum_atlas(GF(p), n, **scalars).members
+        assert all(type(m) is tuple and len(m) == n * n
+                   and all(type(v) is int and 0 <= v < p for v in m) for m in members)
+        atlases.append(members)
+    assert atlases == _reference_atlases(p, n, alpha, beta)
+
+
+@pytest.mark.parametrize("p, n, alpha, beta", SLOT_EDGES)
+def test_packed_sums_at_the_slot_widths(p, n, alpha, beta):
+    _check_packed_sums(p, n, alpha, beta)
+
+
+@pytest.mark.parametrize("p, n, alpha, beta",
+                         [e for e in SLOT_EDGES if e[0] in (127, 131, 32771, 17)])
+def test_packed_sums_check_catches_an_unreduced_sum(monkeypatch, p, n, alpha, beta):
+    """With the mask step's top bits zero, no slot is reduced, and the check
+    above fails: at the smallest prime of each slot width, and at the edge
+    with several slots."""
+    slots = oracle._slots
+
+    def unreduced(p, size):
+        code, shift, lift, _ = slots(p, size)
+        return code, shift, lift, 0
+
+    monkeypatch.setattr(oracle, "_slots", unreduced)
+    with pytest.raises(AssertionError):
+        _check_packed_sums(p, n, alpha, beta)
+
+
 def test_report_and_export_shapes():
     r = exhaustive_compare(GF(2), 1)
     payload = comparison_to_json(r)
@@ -174,10 +212,13 @@ def test_report_and_export_shapes():
 # ---- every small parameter set against full scans ----------------------
 
 def _quadratics(p: int, n: int, a: int, b: int):
-    """Raw entries of every n x n matrix X over GF(p) with X^2 = a X + b I."""
+    """Raw entries of every n x n matrix X over GF(p) with X^2 = a X + b I,
+    X^2 written from the definition, not with the oracle's product."""
     ident = [int(i == j) for i in range(n) for j in range(n)]
     return [tuple(x) for x in _raw_matrices(p, n)
-            if _raw_mul(x, x, p, n) == [(a * u + b * e) % p for u, e in zip(x, ident)]]
+            if [sum(x[i * n + k] * x[k * n + j] for k in range(n)) % p
+                for i in range(n) for j in range(n)]
+            == [(a * u + b * e) % p for u, e in zip(x, ident)]]
 
 
 def test_every_small_parameter_set_against_full_scans():
