@@ -25,10 +25,12 @@ vector's chain has degree n; the scanned chains span k^n; or the split of
 k^n into the chain of e_0 (annihilator a) and ker W proves it, when the scan
 offers e_0 early (:func:`quadsum.poly._cyclic_scan`).  The split proves a =
 mu when ker W is M-invariant (the last dual row times M vanishes on it) and
-the restriction's last factor divides a, since then mu = lcm(a, mu_R) = a.
-That level is then the one the full scan gives, e_0 being the first vector
-with annihilator mu; an offer that fails a check is dropped, and the scan
-resumes where it stopped.
+a(R) = 0 for the restriction R, which says that mu_R divides a, since then
+mu = lcm(a, mu_R) = a.  Both checks come before the level recurses on R, so
+an offer that fails one is dropped having decomposed nothing, the scan
+resumes where it stopped, and the decomposition recurses once per invariant
+factor.  A level that takes an offer is the one the full scan gives, e_0
+being the first vector with annihilator mu.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ def _cyclic_decompose(m: Matrix):
     :func:`quadsum.poly._cyclic_scan`) is taken when the split it builds
     proves a = mu: its complement ker W is M-invariant exactly when the last
     dual row w M^(d-1) times M vanishes on it, and then mu = lcm(a, mu_R),
-    so a = mu exactly when R's last factor divides a.  An offer that fails
-    either check is dropped and the scan resumes.
+    so a = mu exactly when mu_R divides a, that is when a(R) = 0.  Both
+    checks come before the recursion on R: an offer that fails either is
+    dropped having decomposed nothing, and the scan resumes.
     """
     f = m.field
     n = m.rows
@@ -132,9 +135,11 @@ def _cyclic_decompose(m: Matrix):
         # M comp = comp R with comp the identity at its free rows, so R is those rows of M comp;
         # a complement that is not M-invariant fails the M T = T F check
         m_free = Matrix._raw(f, n - d, n, [x for i in free for x in m._e[i * n:(i + 1) * n]])
-        factors2, t2 = _cyclic_decompose(m_free * comp)
-        if proven or mu.divrem(factors2[-1])[1].is_zero():
-            return factors2 + [mu], _chain_matrix(f, (comp * t2).raw_cols() + chain)
+        r = m_free * comp
+        if not proven and not mu(r).is_zero():  # mu_R divides a exactly when a(R) = 0
+            continue
+        factors2, t2 = _cyclic_decompose(r)
+        return factors2 + [mu], _chain_matrix(f, (comp * t2).raw_cols() + chain)
 
 
 def invariant_factors_with_transform(m: Matrix):

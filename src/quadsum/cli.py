@@ -16,7 +16,7 @@ import sys
 from . import oracle, serialize
 from .errors import (BadParams, BudgetExceeded, DecisionNo, InternalCheckFailed,
                      MalformedInput, NotSplitError, QuadsumError, UnsupportedCase)
-from .matrix import _check_height
+from .matrix import _check_bounds
 from .sums import (Certificate, classify_and_reduce, construct, decide,
                    check_necessary_combination, verify_certificate)
 
@@ -50,28 +50,22 @@ def _load_job(path: str):
 
 def cmd_decide(args) -> int:
     _, matrix, params = _load_job(args.input)
-    _check_height(matrix)
+    _check_bounds(matrix)
     cls, reduced = classify_and_reduce(matrix, params)
-    if cls.case != "III":
-        _emit({"decision": "unsupported_case",
-               "classification": serialize.classification_to_json(cls)},
-              args.output)
+    decision = decide(reduced) if cls.case == "III" else None
+    _emit(serialize.decision_to_json(decision, cls), args.output)
+    if decision is None:
         return _fail(EXIT_UNSUPPORTED, f"unsupported_case {cls.case}")
-    decision = decide(reduced)
-    payload = serialize.decision_to_json(decision)
-    payload["classification"] = serialize.classification_to_json(cls)
-    _emit(payload, args.output)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
     field, matrix, params = _load_job(args.input)
-    _check_height(matrix)
+    _check_bounds(matrix)
     try:
         cert = construct(matrix, params)
     except DecisionNo as exc:
-        payload = serialize.decision_to_json(exc.decision)
-        _emit(payload, args.output)
+        _emit(serialize.decision_to_json(exc.decision), args.output)
         return EXIT_OK
     payload = serialize.certificate_to_json(cert)
     # construct has verified cert; the serialized form must reload to it exactly
@@ -93,7 +87,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     _, matrix, params = _load_job(args.input)
     cls, _ = classify_and_reduce(matrix, params)
-    _emit(serialize.classification_to_json(cls), args.output)
+    _emit(serialize.to_json(cls), args.output)
     return EXIT_OK
 
 
@@ -102,13 +96,13 @@ def cmd_oracle(args) -> int:
         raise MalformedInput(f"oracle field must be gf<p>, got {serialize._echo(args.field)}")
     field = serialize.field_from_json({"GF": args.field[2:]})
     report = oracle.exhaustive_compare(field, serialize._integer(args.n, "--n"))
-    _emit(oracle.comparison_to_json(report), args.output)
+    _emit(serialize.comparison_to_json(report), args.output)
     return EXIT_OK
 
 
 def cmd_necessary(args) -> int:
     field, matrix, _ = _load_job(args.input)
-    _check_height(matrix)
+    _check_bounds(matrix)
     report = check_necessary_combination(matrix,
                                          serialize._parse_element(field, args.alpha, "--alpha"),
                                          serialize._parse_element(field, args.beta, "--beta"))

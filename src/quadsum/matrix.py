@@ -296,15 +296,24 @@ def _integral(vecs):
 #: The bits of a 4300-digit number, the longest integer Python writes as text.
 _HEIGHT_BUDGET = 14285
 
+#: The largest n of a job over GF(p) and over the rationals: a conjugated
+#: nilpotent Jordan block J_n(0), dense and with a nullity sequence of length
+#: n, decides in about a minute at these sizes.
+_GFP_SIZE_BUDGET, _QQ_SIZE_BUDGET = 256, 48
 
-def _check_height(m: Matrix):
-    """Refuse a rational n x n matrix whose invariant factors may hold numbers
-    too long to print, before any Krylov run: its height bound n (h + bits(n)),
-    in the style of Hadamard's bound, must be at most ``_HEIGHT_BUDGET``.  h is
-    the most bits of an entry of a row brought to integers over its common
-    denominator (:func:`_integral`), the denominator included."""
-    if m.field.p is None:
-        n = m.rows
+
+def _check_bounds(m: Matrix):
+    """Refuse an n x n job matrix whose work has no bound, before any Krylov
+    run: n above ``_GFP_SIZE_BUDGET`` or ``_QQ_SIZE_BUDGET``, or, over the
+    rationals, invariant factors that may hold numbers too long to print.
+    Its height bound n (h + bits(n)), in the style of Hadamard's bound, must
+    be at most ``_HEIGHT_BUDGET``; h is the most bits of an entry of a row
+    brought to integers over its common denominator (:func:`_integral`), the
+    denominator included."""
+    n, rational = m.rows, m.field.p is None
+    if n > (size := _QQ_SIZE_BUDGET if rational else _GFP_SIZE_BUDGET):
+        raise BudgetExceeded(f"{n}x{n} matrix over {m.field!r} exceeds the size budget of {size}")
+    if rational:
         h = max((abs(x).bit_length() for v, d in _integral(m.raw_rows()) for x in v + [d]),
                 default=0)
         if (bound := n * (h + n.bit_length())) > _HEIGHT_BUDGET:

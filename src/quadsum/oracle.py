@@ -193,14 +193,3 @@ def exhaustive_compare(field: Field, n: int) -> ComparisonReport:
     return ComparisonReport(field, n, p ** (n * n), len(members), yes,
                             tuple(mismatches))
 
-
-def comparison_to_json(report: ComparisonReport):
-    return {
-        "field": {"GF": report.field.p},
-        "n": report.n,
-        "total": report.total,
-        "atlas_size": report.atlas_size,
-        "decide_yes": report.decide_yes,
-        "mismatches": [list(raw) for raw, _ in report.mismatches],
-        "pass": report.ok,
-    }

@@ -143,14 +143,22 @@ class Polynomial:
         return Polynomial._raw(self.field, quo), Polynomial._raw(self.field, rem)
 
     def __call__(self, x):
-        """Evaluate at a scalar or (square) matrix, by Horner's rule."""
+        """Evaluate at a scalar or a square matrix X, by Horner's rule; at X
+        it starts from c_d X + c_(d-1) I and packs X's columns once."""
         f = self.field
         if isinstance(x, Matrix):
             if x.field != f:
                 raise MixedFields("polynomial and matrix over different fields")
-            acc = Matrix.zero(f, x.rows, x.rows)
-            for c in reversed(self.coeffs):
-                acc = (acc * x)._plus_identity(c)
+            if not x.is_square:
+                raise DimensionMismatch("polynomial of a non-square matrix")
+            n, coeffs = x.rows, self.coeffs
+            if len(coeffs) < 2:
+                return Matrix.zero(f, n, n)._plus_identity(coeffs[0] if coeffs else 0)
+            cols = _columns(f, x.raw_cols())  # packed once for every step
+            acc = x._scaled(coeffs[-1])._plus_identity(coeffs[-2])
+            for c in reversed(coeffs[:-2]):
+                acc = Matrix._raw(f, n, n, [v for row in _raw_products(f, acc.raw_rows(), cols)
+                                            for v in row])._plus_identity(c)
             return acc
         x = f.value(x)
         acc = f.reduce(0)
@@ -372,9 +380,10 @@ def _cyclic_scan(m: Matrix):
     the two chains leave at least two dimensions of k^n uncovered (with one
     left, the scan ends within one more chain).  Whoever takes that offer
     proves a = mu itself (:func:`quadsum.canonical._cyclic_decompose`
-    does, from the invariant complement it builds anyway); the scan, when
-    resumed, goes on from the chains and the echelon it has, so no chain
-    runs twice.  A vector's chain depends on the vector alone, so when a is
+    does, from the invariant complement it builds anyway and a(R) = 0 on
+    the restriction R, before it recurses on R); the scan, when resumed,
+    goes on from the chains and the echelon it has, so no chain runs
+    twice.  A vector's chain depends on the vector alone, so when a is
     mu the offer is the chain the scan would return: e_0 comes first.
     """
     if not m.is_square:

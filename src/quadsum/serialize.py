@@ -2,9 +2,10 @@
 
 Field elements travel as strings ("3", "-1/2" over the rationals, decimal
 residues over GF(p)); matrices as {"rows", "cols", "entries"}; job inputs as
-{"field", "matrix", "params"}.  Output dictionaries are built with a fixed
-key order so rendered JSON is byte-deterministic.  Every scalar of an output
-is rendered by :func:`_text`, which refuses a number too long to print.
+{"field", "matrix", "params"}.  One renderer, :func:`to_json`, writes every
+value of a result, and every scalar through :func:`_texts`, which refuses a
+number too long to print.  Each result has one writer here, which names its
+keys in a fixed order, so rendered JSON is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import json
 import reprlib
 
 from .errors import MalformedInput, QuadsumError
-from .field import Field, GF, QQ, _plain
+from .field import Field, FieldElement, GF, QQ, _plain
 from .matrix import Matrix
 from .poly import Polynomial
-from .sums import (CaseClassification, Certificate, Decision, NecessaryReport,
-                   QuadParams, VerificationReport)
+from .sums import Certificate, Decision, NecessaryReport, QuadParams, VerificationReport
 
 
 # ---- fields and elements ---------------------------------------------
@@ -76,25 +76,50 @@ def _parse_element(field: Field, s, where):
         raise MalformedInput(f"bad element at {place}: {_echo(s)} for {field!r}") from exc
 
 
-def _text(x) -> str:
-    """The one rendering of a scalar (raw or wrapped) for output.  Python
-    refuses to print an integer of more than 4300 digits, and such a number
-    makes the input malformed for this tool."""
+def _texts(values) -> list:
+    """The one rendering of scalars (raw or wrapped) for output, as a list of
+    texts.  Python refuses to print an integer of more than 4300 digits, and
+    such a number makes the input malformed for this tool."""
     try:
-        return str(x)
+        return list(map(str, values))
     except ValueError as exc:
         raise MalformedInput("a number in the result has too many digits to print") from exc
 
 
+# ---- the renderer ---------------------------------------------------
+
+def to_json(value):
+    """The one rendering of a result value as JSON data: a matrix as its
+    shape and entry texts, a polynomial as its coefficient texts, a field
+    element as its text (every scalar through :func:`_texts`), a dataclass as
+    its fields in order, a dict entry by entry, a list or tuple as a list,
+    and None, bools, counting ints and strings as they are."""
+    return _rendered(value)
+
+
+def _rendered(x):
+    """The body of :func:`to_json`, which recurses through this private
+    name."""
+    if isinstance(x, (str, int)) or x is None:  # a bool is an int
+        return x
+    if isinstance(x, (list, tuple)):
+        return list(map(_rendered, x))
+    if isinstance(x, dict):
+        return {key: _rendered(v) for key, v in x.items()}
+    if isinstance(x, Matrix):
+        return {
+            "rows": x.rows,
+            "cols": x.cols,
+            "entries": list(map(_texts, x.raw_rows())),
+        }
+    if isinstance(x, Polynomial):
+        return _texts(x.coeffs)
+    if isinstance(x, FieldElement):
+        return _texts([x])[0]
+    return _rendered(vars(x))  # a dataclass, whose dict holds its fields in order
+
+
 # ---- matrices --------------------------------------------------------
-
-def matrix_to_json(m: Matrix):
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[_text(x) for x in row] for row in m.raw_rows()],
-    }
-
 
 def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
@@ -121,15 +146,7 @@ def matrix_from_rows(field: Field, rows) -> Matrix:
     return Matrix._raw(field, len(rows), width, flat)
 
 
-# ---- polynomials, params, sequences ----------------------------------
-
-def poly_to_json(p: Polynomial):
-    return [_text(c) for c in p.coeffs]
-
-
-def params_to_json(params: QuadParams):
-    return {key: _text(getattr(params, key)) for key in "abcd"}
-
+# ---- params and results ---------------------------------------------
 
 def params_from_json(field: Field, obj) -> QuadParams:
     """The params of a job or a certificate; a key left out takes its
@@ -142,17 +159,6 @@ def params_from_json(field: Field, obj) -> QuadParams:
                                    for key in "abcd" if key in obj})
 
 
-def classification_to_json(cls: CaseClassification):
-    return {
-        "case": cls.case,
-        "alpha": _text(cls.alpha),
-        "beta": _text(cls.beta),
-        "shift": _text(cls.shift),
-        "scale": None if cls.scale is None else _text(cls.scale),
-        "swapped": cls.swapped,
-    }
-
-
 def pairing_to_json(units):
     """The Jordan units of a decision as paired sizes (size_at_1, size_at_0)
     and singletons (eigenvalue, size)."""
@@ -162,24 +168,26 @@ def pairing_to_json(units):
 
 
 def decision_diagnostics(decision: Decision):
-    failing = decision.failing
-    if failing is not None and failing["kind"] == "invariant_factor":
-        failing = {"kind": "invariant_factor", "factor": poly_to_json(failing["factor"])}
+    """The diagnostics of a decision, with no pairing: a certificate adds it."""
     return {
-        "invariant_factors": [poly_to_json(f) for f in decision.invariant_factors],
-        "g_factors": [poly_to_json(g) for g in decision.g_factors],
-        "nullity_at_0": list(decision.nullity_at_0),
-        "nullity_at_1": list(decision.nullity_at_1),
+        "invariant_factors": decision.invariant_factors,
+        "g_factors": decision.g_factors,
+        "nullity_at_0": decision.nullity_at_0,
+        "nullity_at_1": decision.nullity_at_1,
         "pairing": None,
-        "failing_witness": failing,
+        "failing_witness": decision.failing,
     }
 
 
-def decision_to_json(decision: Decision):
-    return {
-        "decision": "yes" if decision.yes else "no",
-        "diagnostics": decision_diagnostics(decision),
-    }
+def decision_to_json(decision: Decision | None, classification=None):
+    """A decision, "yes" or "no" with its diagnostics, or "unsupported_case"
+    when it is None; the classification follows when given."""
+    payload = ({"decision": "unsupported_case"} if decision is None else
+               {"decision": "yes" if decision.yes else "no",
+                "diagnostics": decision_diagnostics(decision)})
+    if classification is not None:
+        payload["classification"] = classification
+    return to_json(payload)
 
 
 def certificate_to_json(cert: Certificate):
@@ -187,14 +195,14 @@ def certificate_to_json(cert: Certificate):
     if cert.decision is not None:
         diagnostics = decision_diagnostics(cert.decision)
         diagnostics["pairing"] = pairing_to_json(cert.decision.pairing)
-    return {
+    return to_json({
         "decision": "yes",
         "case": cert.classification.case if cert.classification else None,
-        "A": matrix_to_json(cert.a_part),
-        "B": matrix_to_json(cert.b_part),
-        "params": params_to_json(cert.params),
+        "A": cert.a_part,
+        "B": cert.b_part,
+        "params": cert.params,
         "diagnostics": diagnostics,
-    }
+    })
 
 
 def certificate_from_json(field: Field, obj) -> Certificate:
@@ -207,21 +215,30 @@ def certificate_from_json(field: Field, obj) -> Certificate:
 
 
 def verification_to_json(report: VerificationReport):
-    return {
-        "pass": report.ok,
-        "sum_ok": report.sum_ok,
-        "first_quadratic_ok": report.first_quadratic_ok,
-        "second_quadratic_ok": report.second_quadratic_ok,
-    }
+    return {"pass": report.ok, **to_json(report)}
 
 
 def necessary_to_json(report: NecessaryReport):
-    return {
+    return to_json({
         "status": report.status,
-        "nullity_at_alpha": None if report.seq_alpha is None else list(report.seq_alpha),
-        "nullity_at_beta": None if report.seq_beta is None else list(report.seq_beta),
+        "nullity_at_alpha": report.seq_alpha,
+        "nullity_at_beta": report.seq_beta,
         "violation": report.violation,
-    }
+    })
+
+
+def comparison_to_json(report):
+    """The oracle's comparison of ``decide`` with the atlas, each mismatch as
+    the raw entries of its matrix."""
+    return to_json({
+        "field": {"GF": report.field.p},
+        "n": report.n,
+        "total": report.total,
+        "atlas_size": report.atlas_size,
+        "decide_yes": report.decide_yes,
+        "mismatches": [raw for raw, _ in report.mismatches],
+        "pass": report.ok,
+    })
 
 
 # ---- job inputs ------------------------------------------------------

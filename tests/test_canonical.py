@@ -255,13 +255,13 @@ def _offers(monkeypatch):
 #: name -> (rows, the offer flags of the first scan, the sizes of the levels):
 #: an offer taken; one dropped for check (ii), since ker W = <e_1, e_2, e_3>
 #: is invariant but R = diag(0, 1, 1) has last factor t(t - 1), which does
-#: not divide t (the dropped 3x3 level and its 1x1 child are in the sizes);
-#: one dropped for check (i), since row 0 of M, w M with w = e_0^T, is e_2^T
-#: and does not vanish on <e_1, e_2, e_3>.
+#: not divide t, so t(R) is not 0 and the 3x3 level is never entered; one
+#: dropped for check (i), since row 0 of M, w M with w = e_0^T, is e_2^T and
+#: does not vanish on <e_1, e_2, e_3>.
 OFFERS = {
     "taken": (direct_sum(QQ, [companion(P(QQ, [-1, -1, 1]))] * 3).raw_rows(),
               [False], [6, 4, 2]),
-    "fails (ii)": (Matrix.diagonal(QQ, [0, 0, 1, 1]).raw_rows(), [False, True], [4, 3, 1, 2]),
+    "fails (ii)": (Matrix.diagonal(QQ, [0, 0, 1, 1]).raw_rows(), [False, True], [4, 2]),
     "fails (i)": ([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4], [False, True], [4, 2, 1]),
 }
 
@@ -280,7 +280,7 @@ def test_offer_gives_the_scans_split(f, name, monkeypatch):
                       lambda r: (offer for offer in real(r) if offer[2]))
         scanned = invariant_factors_with_transform(m)
     scans = _offers(monkeypatch)
-    pairs = _record_levels(monkeypatch)
+    pairs, _ = _record_levels(monkeypatch)
     assert invariant_factors_with_transform(m) == scanned
     assert scans[0] == flags
     assert [m.rows] + [child.rows for _, _, child in pairs] == sizes
@@ -314,12 +314,14 @@ def _derogatory(f, rng):
 
 
 def _record_levels(monkeypatch):
-    """The list of (parent, chain matrix, child) of every recursion of
-    ``_cyclic_decompose`` from now on, the child of a dropped offer
-    included: the chain is the one whose dual rows the parent built last
-    before the call."""
-    pairs, stack = [], []
+    """Two lists, filled from now on: (parent, chain matrix, child) of every
+    recursion of ``_cyclic_decompose``, and (parent, chain matrix, R,
+    whether a(R) = 0) of every check (ii), which evaluates an offer's
+    annihilator a at the restriction R, the R of a dropped offer included.
+    The chain is the one whose dual rows the parent built last."""
+    pairs, checks, stack = [], [], []
     real, real_dual = quadsum.canonical._cyclic_decompose, quadsum.canonical._dual_rows
+    real_call = Polynomial.__call__
 
     def level(m):
         if stack:
@@ -334,29 +336,53 @@ def _record_levels(monkeypatch):
         stack[-1][1] = k_mat
         return real_dual(m, k_mat)
 
+    def call(poly, x):
+        value = real_call(poly, x)
+        if isinstance(x, Matrix) and stack:
+            checks.append((*stack[-1], x, value.is_zero()))
+        return value
+
     monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", level)
     monkeypatch.setattr(quadsum.canonical, "_dual_rows", dual)
-    return pairs
+    monkeypatch.setattr(Polynomial, "__call__", call)
+    return pairs, checks
 
 
 def test_restriction_is_the_solve_written_down(monkeypatch):
     """Each level reads M restricted to the complement off the complement's
     free rows, with no solve; at every level of every derogatory input that
-    equals the solve of comp R = M comp, the child of a dropped offer (whose
-    last factor does not divide the offered annihilator) included."""
-    pairs = _record_levels(monkeypatch)
+    equals the solve of comp R = M comp, the R of an offer dropped by check
+    (ii) (a(R) is not 0: R's last factor does not divide the offered
+    annihilator a) included.  Only a level's last R is recursed on, so a
+    dropped offer's R never is."""
+    pairs, checks = _record_levels(monkeypatch)
     rng = random.Random(18)
     checked = dropped = 0
     for f in (QQ, GF(2), GF(3), GF(5)):
         for _ in range(25):
             pairs.clear()
+            checks.clear()
             factors, _ = invariant_factors_with_transform(_derogatory(f, rng))
-            assert len(pairs) >= len(factors) - 1 >= 1
-            for m, k_mat, restricted in pairs:
+            assert len(pairs) == len(factors) - 1 >= 1
+            for m, k_mat, restricted in pairs + [check[:3] for check in checks]:
                 assert restricted == _restriction_by_solve(m, k_mat)
                 checked += 1
-            dropped += len(pairs) - (len(factors) - 1)
+            failed = [r for _, _, r, divides in checks if not divides]
+            assert not any(child is r for *_, child in pairs for r in failed)
+            dropped += len(failed)
     assert checked >= 100 and dropped >= 1
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(101), QQ])
+def test_each_level_recurses_once(f, monkeypatch):
+    """I_6 (+) diag(0, 1)^(+6) has 12 invariant factors, and its scans drop
+    offers by check (ii); ``_cyclic_decompose`` runs once per factor (a
+    recursion under each dropped offer made it run 1715 times over GF(101)):
+    the top call and one recursion per level below it."""
+    pairs, checks = _record_levels(monkeypatch)
+    factors, _ = invariant_factors_with_transform(Matrix.diagonal(f, [1] * 6 + [0, 1] * 6))
+    assert len(factors) == len(pairs) + 1 == 12
+    assert not all(divides for *_, divides in checks)
 
 
 def test_decomposition_solves_only_for_the_dual_row(monkeypatch):

@@ -324,6 +324,31 @@ def test_a_job_under_the_height_budget_runs(tmp_path, capsys):
         assert json.loads(out)
 
 
+def test_a_job_over_the_size_budget_is_refused_at_once(tmp_path, capsys):
+    """A job one row over the size budget, 257 x 257 over GF(p) and 49 x 49
+    over Q (a conjugated J_n(0) decides in about a minute at 256 and at 48),
+    is refused by each command that runs Krylov chains in one short line,
+    within a second; C(t^256 - 2) over GF(101) and J_48(0) over Q, at the
+    budgets, get their results.  ``verify`` and ``classify`` take no bound,
+    on size as on height."""
+    for field, n in (({"GF": 2}, 257), ({"GF": 101}, 257), ("Q", 49)):
+        job = write_job(tmp_path, "big.json", {"field": field, "matrix": [["1"] * n] * n})
+        for command in JOB_COMMANDS:
+            start = time.perf_counter()
+            code, out, err = run(capsys, [command[0], "--input", job] + command[1:])
+            assert time.perf_counter() - start < 1, (n, command)
+            name = "QQ" if field == "Q" else f"GF({field['GF']})"
+            assert (code, out, err) == (2, "", f"malformed input: {n}x{n} matrix over {name} "
+                                               f"exceeds the size budget of {n - 1}\n")
+        assert run(capsys, ["classify", "--input", job])[0] == 0
+    for field, n, corner in (({"GF": 101}, 256, "2"), ("Q", 48, "0")):
+        job = write_job(tmp_path, "at.json", {"field": field, "matrix": [
+            ["1" if i == j + 1 else corner if (i, j) == (0, n - 1) else "0" for j in range(n)]
+            for i in range(n)]})
+        code, out, _ = run(capsys, ["decide", "--input", job])
+        assert code == 0 and json.loads(out)["decision"] == "no"
+
+
 def test_byte_deterministic_output(tmp_path, capsys):
     job = write_job(tmp_path, "job.json", DIAG_JOB)
     _, out1, _ = run(capsys, ["decide", "--input", job])

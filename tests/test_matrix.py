@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsum
-from quadsum.canonical import invariant_factors_with_transform, nullity_sequence
-from quadsum.errors import DegreeZero, DimensionMismatch, MixedFields, Singular
+from quadsum.canonical import invariant_factors_with_transform, nullity_sequence, valuations
+from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero, MixedFields,
+                            NotMonic, Singular)
 from quadsum.field import GF, QQ
 from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _placed, _products_equal, _rref,
                             block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve)
-from quadsum.poly import Polynomial, companion, krylov_annihilator
+from quadsum.oracle import build_sum_atlas
+from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
+                          krylov_annihilator, minimal_polynomial)
 from quadsum.sums import QuadParams, classify_and_reduce
 from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
                       rand_matrix, rand_wide_rational)
@@ -313,6 +316,26 @@ REFUSALS = {
     "classify_and_reduce non-square": (lambda: classify_and_reduce(_zero(2, 3), QuadParams.of(QQ)),
                                        DimensionMismatch),
     "companion degree 0": (lambda: companion(Polynomial(QQ, [1])), DegreeZero),
+    "valuations of zero": (lambda: valuations(Polynomial.zero(QQ), 0, 1), ValueError),
+    "cyclic_vector non-square": (lambda: cyclic_vector(_zero(2, 3)), DimensionMismatch),
+    "minimal_polynomial non-square": (lambda: minimal_polynomial(_zero(2, 3)),
+                                      DimensionMismatch),
+    "decompose_in_t2_minus_t non-monic": (lambda: decompose_in_t2_minus_t(Polynomial(QQ, [1, 2])),
+                                          NotMonic),
+    "divrem by zero": (lambda: Polynomial(QQ, [1]).divrem(Polynomial.zero(QQ)), DivisionByZero),
+    "polynomial negative power": (lambda: Polynomial(QQ, [0, 1]) ** -1, ValueError),
+    "polynomial sum mixed fields": (lambda: Polynomial(QQ, [1]) + Polynomial(GF(5), [1]),
+                                    MixedFields),
+    "polynomial of a matrix mixed fields": (lambda: Polynomial(QQ, [0, 1])(_zero(2, 2, GF(5))),
+                                            MixedFields),
+    "polynomial of a non-square matrix": (lambda: Polynomial(QQ, [0, 0, 1])(_zero(2, 3)),
+                                          DimensionMismatch),
+    "build_sum_atlas over Q": (lambda: build_sum_atlas(QQ, 1), BadParams),
+    "build_sum_atlas alpha alone": (lambda: build_sum_atlas(GF(2), 1, alpha=1), BadParams),
+    "product shapes": (lambda: _zero(2, 3) * _zero(2, 3), DimensionMismatch),
+    "index out of range": (lambda: _zero(2, 2)[2, 0], IndexError),
+    "matrix plus int": (lambda: _zero(2, 2) + 1, TypeError),
+    "polynomial plus int": (lambda: Polynomial(QQ, [1]) + 1, TypeError),
 }
 
 

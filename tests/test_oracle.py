@@ -14,8 +14,8 @@ from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
 from quadsum import oracle
 from quadsum.oracle import (_raw_matrices, _raw_mul, _raw_squares, build_sum_atlas,
-                            comparison_to_json, exhaustive_compare, idempotent_count,
-                            square_zero_count)
+                            exhaustive_compare, idempotent_count, square_zero_count)
+from quadsum.serialize import comparison_to_json
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
                           construct, verify_certificate)
 from conftest import rand_invertible

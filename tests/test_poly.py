@@ -70,10 +70,25 @@ def test_compose_example():
 
 
 def test_eval_scalar_and_matrix():
+    """p(M) is the sum of c_k M^k, for the zero polynomial, constants and
+    polynomials up to degree 4, monic or not, at n = 3 and at n = 12, where
+    M's columns are packed over GF(5)."""
     p = P(QQ, [-1, 0, 1])  # t^2 - 1
     assert p(3) == QQ.element(8)
     m = Matrix.diagonal(QQ, [1, 2])
     assert p(m) == Matrix.diagonal(QQ, [0, 3])
+    rng = random.Random(11)
+    for f in (QQ, GF(5)):
+        for n in (3, 12):
+            m = rand_matrix(f, n, rng)
+            for degree in range(-1, 5):
+                p = P(f, [rng.randint(-3, 3) for _ in range(degree)] + [rng.randint(1, 4)]
+                      if degree >= 0 else [])
+                powers = [Matrix.identity(f, n)]
+                for _ in p.coeffs[1:]:
+                    powers.append(powers[-1] * m)
+                assert p(m) == sum((x * f.make(c) for c, x in zip(p.coeffs, powers)),
+                                   Matrix.zero(f, n))
 
 
 def test_companion_convention():

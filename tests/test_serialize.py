@@ -7,6 +7,7 @@ import pytest
 from quadsum import GF, QQ, Matrix, QuadParams, construct, verify_certificate
 from quadsum import serialize
 from quadsum.field import Field, FieldElement
+from quadsum.poly import Polynomial
 from quadsum.errors import MalformedInput
 from conftest import rand_decomposable, rand_matrix
 
@@ -35,8 +36,23 @@ def test_matrix_round_trip():
     for f in (QQ, GF(5)):
         for _ in range(10):
             m = rand_matrix(f, rng.randint(0, 4), rng, cols=rng.randint(0, 4))
-            again = serialize.matrix_from_json(f, serialize.matrix_to_json(m))
+            again = serialize.matrix_from_json(f, serialize.to_json(m))
             assert again == m
+
+
+def test_to_json_renders_each_kind_of_value():
+    """A matrix as its shape and entry texts, a polynomial as its
+    coefficient texts, an element as its text, a dataclass as its fields in
+    order, dicts, lists and tuples entry by entry, and None, bools, ints and
+    strings as they are."""
+    half = QQ.element("1/2")
+    m = Matrix.from_rows(QQ, [[half, 0, 3]])
+    assert serialize.to_json(m) == {"rows": 1, "cols": 3, "entries": [["1/2", "0", "3"]]}
+    assert serialize.to_json(Polynomial(GF(5), [-1, 0, 1])) == ["4", "0", "1"]
+    assert serialize.to_json(QuadParams.of(QQ, b=half)) == {"a": "1", "b": "1/2", "c": "0",
+                                                            "d": "0"}
+    assert serialize.to_json({"x": (half, [None, True]), "y": ("s", 7)}) == {
+        "x": ["1/2", [None, True]], "y": ["s", 7]}
 
 
 def test_matrix_malformed():
@@ -99,7 +115,7 @@ def test_readers_read_each_entry_once_and_wrap_only_the_params(monkeypatch):
             cert = serialize.certificate_to_json(construct(m, QuadParams.of(f)))
             made.clear()
             assert serialize.matrix_from_rows(f, rows) == m
-            assert serialize.matrix_from_json(f, serialize.matrix_to_json(m)) == m
+            assert serialize.matrix_from_json(f, serialize.to_json(m)) == m
             assert made == []
             assert serialize.jobspec_from_json({"field": name, "matrix": rows})[1] == m
             assert len(made) == 4

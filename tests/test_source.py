@@ -187,6 +187,36 @@ def test_every_public_definition_has_a_reader():
     assert unread_public(package_sources(), outside) == []
 
 
+def json_writers(text: str):
+    """(line, name) of every function or method whose name ends in ``to_json``."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.endswith("to_json"))
+
+
+def test_json_writers_are_found():
+    text = ("def matrix_to_json(m):\n    pass\n\ndef to_json(x):\n    pass\n\n"
+            "def from_json(x):\n    pass\n\nclass R:\n    def to_json(self):\n        pass\n")
+    assert json_writers(text) == [(1, "matrix_to_json"), (4, "to_json"), (11, "to_json")]
+
+
+def test_only_serialize_writes_json():
+    """One module turns results into JSON data: no module but
+    ``serialize.py`` defines a function whose name ends in ``to_json``, and
+    ``cli.py`` builds no payload: its only dict display is an argument of a
+    ``serialize`` reader, and it assigns no item."""
+    sources = package_sources()
+    found = [f"{name}:{line} {ident}" for name, text in sources
+             if name != "serialize.py" for line, ident in json_writers(text)]
+    assert found == []
+    nodes = list(ast.walk(ast.parse(dict(sources)["cli.py"])))
+    read = {id(arg) for node in nodes if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", "").endswith("from_json") for arg in node.args}
+    assert not [node.lineno for node in nodes
+                if isinstance(node, (ast.Dict, ast.DictComp)) and id(node) not in read
+                or isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript)]
+
+
 #: How ``matrix.py`` holds a row in its kernels: the packing gate, how a
 #: GF(p) row becomes one int and back, rational rows as integers over a
 #: denominator, and the elimination steps on those rows.  Other modules pass

@@ -1,5 +1,6 @@
 """Classification, decision, construction and verification of quadratic sums."""
 
+import functools
 import itertools
 import json
 import random
@@ -22,8 +23,8 @@ from quadsum.poly import Polynomial, companion, krylov_annihilator, substitute_o
 from quadsum.sums import (Certificate, QuadParams, _away_idempotent, check_necessary_combination,
                           classify_and_reduce, construct, decide, is_p_intertwined, pair_blocks,
                           verify_certificate)
-from conftest import (conjugate_partition, rand_decomposable, rand_element, rand_idempotent,
-                      rand_invertible, rand_matrix, rand_square_zero)
+from conftest import (conjugate_partition, conjugated_companions, rand_decomposable, rand_element,
+                      rand_idempotent, rand_invertible, rand_matrix, rand_square_zero)
 
 P = Polynomial
 
@@ -171,17 +172,61 @@ def test_decide_half_eigenvalue_even_multiplicity():
     assert [str(g) for g in d.g_factors] == ["t + 1/4"]
 
 
+@functools.cache
+def _law_inputs():
+    """17 fixed inputs: two planted (idempotent plus square-zero) and two
+    uniform matrices at GF(2) n = 12 and 40, GF(101) n = 48 and Q n = 10,
+    and C(t^2 - t - 1)^(+8) conjugated over GF(101)."""
+    out = []
+    for f, n in ((GF(2), 12), (GF(2), 40), (GF(101), 48), (QQ, 10)):
+        rng = random.Random(f"laws {f!r} {n}")
+        out += [make(f, n, rng) for make in (rand_decomposable, rand_matrix) for _ in range(2)]
+    return out + [conjugated_companions(GF(101), [-1, -1, 1], 8, random.Random("laws"))]
+
+
+def _similar_agree(m, rng):
+    """Whether S M S^-1, for a random invertible S, and M^T have M's
+    invariant factors and answer."""
+    d = decide(m)
+    s = rand_invertible(m.field, m.rows, rng)
+    return all((e.frobenius, e.yes) == (d.frobenius, d.yes)
+               for e in (decide(s * m * inverse(s)), decide(m.transpose())))
+
+
+def _swap_agrees(m):
+    """Whether I - M, which is (I - P) + (-N) when M = P + N, has M's answer,
+    the invariant factors f(1 - t) made monic for M's f, and M's nullity
+    sequences at 0 and 1 exchanged."""
+    d, e = decide(m), decide(Matrix.identity(m.field, m.rows) - m)
+    return (e.yes, e.frobenius, e.nullity_at_0, e.nullity_at_1) == (
+        d.yes, tuple(substitute_one_minus_t(f).monic() for f in d.frobenius),
+        d.nullity_at_1, d.nullity_at_0)
+
+
+def _sum_agrees(m1, m2):
+    """Whether M1 (+) M2 is a YES when M1 and M2 are."""
+    return not (decide(m1).yes and decide(m2).yes) or decide(direct_sum(m1.field, [m1, m2])).yes
+
+
 def test_decide_similarity_invariant():
+    """The similarity law, on uniform matrices at n 1 to 5 and on the law
+    inputs."""
     rng = random.Random(22)
-    for f in (QQ, GF(2), GF(5)):
-        for _ in range(25):
-            n = rng.randint(1, 5)
-            m = rand_matrix(f, n, rng)
-            t = rand_invertible(f, n, rng)
-            assert decide(m).yes == decide(t * m * inverse(t)).yes
+    inputs = [rand_matrix(f, rng.randint(1, 5), rng) for f in (QQ, GF(2), GF(5))
+              for _ in range(25)]
+    assert all(_similar_agree(m, rng) for m in inputs + _law_inputs())
+
+
+def test_one_minus_m_exchanges_0_and_1():
+    """The 0 <-> 1 swap law on the law inputs, which get both answers."""
+    inputs = _law_inputs()
+    assert all(_swap_agrees(m) for m in inputs)
+    assert {decide(m).yes for m in inputs} == {True, False}
 
 
 def test_decide_closed_under_direct_sum():
+    """YES (+) YES is YES, on planted pairs at n 1 to 4 and on every pair of
+    YES law inputs over one field, of at most 64 rows together."""
     rng = random.Random(23)
     for f in (QQ, GF(3)):
         for _ in range(15):
@@ -189,6 +234,57 @@ def test_decide_closed_under_direct_sum():
             m2 = rand_decomposable(f, rng.randint(1, 4), rng)
             assert decide(m1).yes and decide(m2).yes
             assert decide(direct_sum(f, [m1, m2])).yes
+    yes = [m for m in _law_inputs() if decide(m).yes]
+    pairs = [(a, b) for a, b in itertools.combinations(yes, 2)
+             if a.field == b.field and a.rows + b.rows <= 64]
+    assert len(pairs) >= 8 and all(_sum_agrees(a, b) for a, b in pairs)
+
+
+def test_similarity_law_catches_an_offer_taken_without_check_i(monkeypatch):
+    """2 I + E_02: the scan offers e_0's chain, annihilator t - 2, whose
+    complement <e_1, e_2, e_3> is not invariant.  With check (i) skipped
+    (it is the one ``is_zero`` of a product of one row and several columns)
+    and M T = T F patched to pass, M decomposes as C(t - 2)^(+4): the
+    degree sum, the rank of T, the divisibility chain and the nullity
+    cross-checks (no eigenvalue is 0 or 1) let it through, and the law sees
+    a similar matrix with factors t - 2, t - 2, (t - 2)^2."""
+    real = Matrix.is_zero
+    monkeypatch.setattr(Matrix, "is_zero", lambda self: self.rows == 1 < self.cols or real(self))
+    monkeypatch.setattr(quadsum.canonical, "_products_equal", lambda *args: True)
+    for f in (QQ, GF(101)):
+        m = Matrix.from_rows(f, [[2, 0, 1, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        assert decide(m).frobenius == (P(f, [-2, 1]),) * 4
+        assert not _similar_agree(m, random.Random("similar mutant"))
+
+
+def test_swap_law_catches_a_factor_test_in_minus_t(monkeypatch):
+    """A factor test that writes h in t^2 + t, which is t^2 - t at -t (a
+    sign slip), passes the factors t^2 + t + 1 of a conjugated
+    C(t^2 + t + 1)^(+4) over GF(101), and fails those of I - M, t^2 - 3 t + 3.
+    No internal check reads the factor test."""
+    real = quadsum.sums.decompose_in_t2_minus_t
+    monkeypatch.setattr(quadsum.sums, "decompose_in_t2_minus_t",
+                        lambda h: real(h.compose(P(h.field, [0, -1])).monic()))
+    m = conjugated_companions(GF(101), [1, 1, 1], 4, random.Random("swap mutant"))
+    assert decide(m).yes
+    assert not _swap_agrees(m)
+
+
+def test_direct_sum_law_catches_a_zero_digit_refused(monkeypatch):
+    """A factor test that refuses a zero digit of h in base s = t^2 - t
+    passes C(t^2 - t - 1) and C(t^2 - t + 1), h = s - 1 and s + 1, and
+    fails their direct sum, whose one factor is s^2 - 1.  No internal check
+    reads the factor test."""
+    real = quadsum.sums.decompose_in_t2_minus_t
+
+    def mutant(h):
+        g = real(h)
+        return None if g is None or 0 in g.coeffs[:-1] else g
+
+    monkeypatch.setattr(quadsum.sums, "decompose_in_t2_minus_t", mutant)
+    rng = random.Random("sum mutant")
+    m1, m2 = (conjugated_companions(GF(101), [c, -1, 1], 1, rng) for c in (-1, 1))
+    assert not _sum_agrees(m1, m2)
 
 
 # ---- packed GF(p) rows: the gate, and NO-side oracles at packed widths --
