@@ -28,9 +28,11 @@ mu when ker W is M-invariant (the last dual row times M vanishes on it) and
 a(R) = 0 for the restriction R, which says that mu_R divides a, since then
 mu = lcm(a, mu_R) = a.  Both checks come before the level recurses on R, so
 an offer that fails one is dropped having decomposed nothing, the scan
-resumes where it stopped, and the decomposition recurses once per invariant
-factor.  A level that takes an offer is the one the full scan gives, e_0
-being the first vector with annihilator mu.
+resumes where it stopped, and the decomposition recurses at most once per
+invariant factor.  A level that takes an offer is the one the full scan
+gives, e_0 being the first vector with annihilator mu.  A scalar level lam I
+is closed at once: its factors are t - lam, and its basis is the
+anti-identity that its levels would build one dimension at a time.
 """
 
 from __future__ import annotations
@@ -118,11 +120,22 @@ def _cyclic_decompose(m: Matrix):
     so a = mu exactly when mu_R divides a, that is when a(R) = 0.  Both
     checks come before the recursion on R: an offer that fails either is
     dropped having decomposed nothing, and the scan resumes.
+
+    A scalar M = lam I is closed at once, with no Krylov run: n factors
+    t - lam and the anti-identity T, the result the levels would reach one
+    dimension at a time (each takes e_0's chain, and the complement is the
+    span of e_1, ..., e_(n-1)).
     """
     f = m.field
     n = m.rows
     if n == 0:
         return [], Matrix.zero(f, 0, 0)
+    minus_lam = f.reduce(-m._e[0])
+    if m._plus_identity(minus_lam).is_zero():  # M = lam I
+        zero, one = f.reduce(0), f.reduce(1)
+        anti = Matrix._raw(f, n, n, [one if i + j == n - 1 else zero
+                                     for i in range(n) for j in range(n)])
+        return [Polynomial._raw(f, [minus_lam, one])] * n, anti
     for mu, chain, proven in _cyclic_scan(m):
         d = mu.degree
         k_mat = _chain_matrix(f, chain)

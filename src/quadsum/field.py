@@ -1,15 +1,20 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Every value is canonical: a reduced :class:`~fractions.Fraction` for the
-rationals, an ``int`` residue in ``[0, p)`` for GF(p).  Structural equality
-is exact equality, and all operations are pure, so values are freely
-shareable.  Matrices and polynomials store these raw canonical values;
-:class:`FieldElement` wraps one for the public API.  :meth:`Field.value`
-is the one coercion of a scalar (it reads ints, Fractions, strings and
-elements to their raw value, and refuses floats and bools),
-:meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is the one
-function that brings a raw intermediate to canonical form (the GF(p)
-elimination and division loops inline its ``% p``).
+Every value is canonical: over the rationals an ``int`` when it is an
+integer and otherwise a reduced :class:`~fractions.Fraction` (denominator
+above 1), over GF(p) an ``int`` residue in ``[0, p)``.  An ``int`` and a
+``Fraction`` of the same value compare and hash equal and print alike, so
+the choice shows in speed alone: integer matrices stay integral through the
+kernels.  Structural equality is exact equality, and all operations are
+pure, so values are freely shareable.  Matrices and polynomials store these
+raw canonical values; :class:`FieldElement` wraps one for the public API.
+:meth:`Field.value` is the one coercion of a scalar (it reads ints,
+Fractions, strings and elements to their raw value, and refuses floats and
+bools), :meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is
+the one function that brings a raw intermediate to canonical form (the GF(p)
+elimination and division loops inline its ``% p``).  :func:`_rational`
+builds every rational from a numerator and a denominator, and this module
+alone builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -64,6 +69,13 @@ def _plain(text: str) -> str:
     return text
 
 
+def _rational(num: int, den: int):
+    """The canonical rational num / den, for ints num and den != 0 of any
+    signs: the quotient when den divides num, else a reduced Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class Field:
     """The rationals (``p is None``) or the prime field GF(p), p prime.
 
@@ -93,7 +105,8 @@ class Field:
     # ---- element construction ----------------------------------------
 
     def make(self, v) -> "FieldElement":
-        """Wrap a canonical raw value (a Fraction, or a residue in [0, p))."""
+        """Wrap a canonical raw value: over the rationals an int, or a
+        Fraction with denominator above 1; over GF(p) a residue in [0, p)."""
         return FieldElement(self, v)
 
     def value(self, x):
@@ -111,7 +124,12 @@ class Field:
             _plain(x)
             if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
                 raise ValueError(f"exponent out of range in {x!r}")
-            return self.reduce(Fraction(x) if self.p is None else int(x))
+            if self.p is not None:
+                return self.reduce(int(x))
+            try:
+                return int(x)
+            except ValueError:  # not an integer string: "1/2", "0.25", "1e2"
+                return self.reduce(Fraction(x))
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"{x!r} is not an exact scalar")
         if self.p is not None and x.denominator != 1:
@@ -131,19 +149,19 @@ class Field:
     # ---- raw-value arithmetic used by the dense kernels --------------
 
     def reduce(self, v):
-        """Canonical form of a raw intermediate: ``v % p`` over GF(p), a
-        Fraction over the rationals (plain ints are converted)."""
+        """Canonical form of a raw intermediate: ``v % p`` over GF(p); over
+        the rationals an int as it is, and a Fraction as its numerator when
+        its denominator is 1."""
         p = self.p
         if p is None:
-            return v if type(v) is Fraction else Fraction(v)
+            return v if type(v) is int or v.denominator != 1 else v.numerator
         return v % p
 
     def inv_raw(self, v):
         if not v:
             raise DivisionByZero("inverse of zero")
         if self.p is None:
-            # raw rational values may be plain ints; keep division exact
-            return Fraction(1) / v
+            return _rational(v.denominator, v.numerator)
         return pow(v, self.p - 2, self.p)
 
 
@@ -257,8 +275,7 @@ def quadratic_roots(field: Field, a, b) -> list[FieldElement] | None:
         rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
         if rn * rn != disc.numerator or rd * rd != disc.denominator:
             return None
-        s = Fraction(rn, rd)
-        roots = (a + s) / 2, (a - s) / 2
+        s = _rational(rn, rd)
     elif p == 2:
         hits = [r for r in (0, 1) if (r * r - a * r - b) % 2 == 0]
         if not hits:
@@ -269,6 +286,7 @@ def quadratic_roots(field: Field, a, b) -> list[FieldElement] | None:
         if disc and pow(disc, (p - 1) // 2, p) != 1:
             return None
         s = _sqrt_mod(disc, p)
+    if p != 2:
         half = field.inv_raw(2)
-        roots = (a + s) * half % p, (a - s) * half % p
+        roots = field.reduce((a + s) * half), field.reduce((a - s) * half)
     return [field.make(r) for r in sorted(roots)]

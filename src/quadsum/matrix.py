@@ -2,22 +2,24 @@
 
 Matrices are immutable and allow 0-sized dimensions (empty direct summands
 show up naturally when a cyclic block is split at {0, 1}).  A matrix stores
-a flat row-major tuple of raw canonical values (``int`` residues in [0, p),
-reduced ``Fraction`` objects over Q), never ``FieldElement`` wrappers.  The
-public constructors (``Matrix(...)``, ``from_rows``, ``column``,
-``diagonal``) coerce through ``Field.value``; indexing, ``row``,
-``to_rows`` and ``trace`` wrap what they return.  The kernels work on raw
-values, canonicalise with ``Field.reduce`` and build with :meth:`Matrix._raw`.
-Only this module knows how a kernel holds a row (integers over a
-denominator, residues in a list, or 64-bit words in one int): its kernels
-take raw rows and give back raw canonical values.
+a flat row-major tuple of raw canonical values (``int`` residues in [0, p);
+over Q an ``int`` when integral, else a reduced ``Fraction``), never
+``FieldElement`` wrappers.  The public constructors (``Matrix(...)``,
+``from_rows``, ``column``, ``diagonal``) coerce through ``Field.value``;
+indexing, ``row``, ``to_rows`` and ``trace`` wrap what they return.  The
+kernels work on raw values, canonicalise with ``Field.reduce`` and build
+with :meth:`Matrix._raw`.  Only this module knows how a kernel holds a row
+(integers over a denominator, residues in a list, or 64-bit words in one
+int): its kernels take raw rows and give back raw canonical values.
 
 Every product of raw vectors that the package keeps (matrix products, Krylov
 steps, dual rows and pairings) goes through one kernel, :func:`_raw_products`.
 Over GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
-ints and each entry of the result costs one reduced ``Fraction``.
+ints, and each entry of the result is one :func:`quadsum.field._rational`: a
+``Fraction`` only when it is not an integer.  An integral vector is its own
+integers over 1, and a product of two of them is its dot products as they are.
 
 A product that is only compared builds no ``Fraction``.  Every identity
 check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
@@ -42,8 +44,8 @@ Over the rationals the rows are brought to integers the same way and the
 elimination is fraction-free: rows are cleared by cross-multiplying and kept
 primitive by dividing out their content.  Rank is the length of the forward
 elimination (:func:`_echelon`, which picks the row format); :func:`_rref`
-back-substitutes that echelon and builds ``Fraction``s only for the rows it
-returns.  A Krylov annihilator is the first relation among its vectors
+back-substitutes that echelon and divides only the rows it returns by their
+pivots.  A Krylov annihilator is the first relation among its vectors
 (:func:`_first_relation`), found by the same reduction.
 
 The span kernel, :func:`_span_rank`, extends an echelon that its caller
@@ -77,14 +79,13 @@ GF(101) ran up to 13 % slower packed at n = 8 and no slower from n = 10 on.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import partialmethod
 from math import gcd, lcm
 from operator import add, mul, sub
 from sys import byteorder
 
 from .errors import BudgetExceeded, DimensionMismatch, MixedFields, Singular
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _rational
 
 
 class Matrix:
@@ -284,12 +285,13 @@ def _canonical(field: Field, values) -> list:
 
 def _integral(vecs):
     """Rational raw vectors as ``(integers, denominator)`` pairs, scaled by the
-    lcm of their entries' denominators (plain ints have denominator 1)."""
+    lcm of their entries' denominators (ints have denominator 1): a vector of
+    ints is itself over 1."""
     out = []
     for v in vecs:
         dens = [x.denominator for x in v]
         d = lcm(*dens)
-        out.append(([x.numerator * (d // e) for x, e in zip(v, dens)], d))
+        out.append((list(v) if d == 1 else [x.numerator * (d // e) for x, e in zip(v, dens)], d))
     return out
 
 
@@ -335,7 +337,8 @@ def _raw_products(field: Field, rows, cols):
     """The reduced raw dot product of every raw row with every column.
 
     ``cols`` come from :func:`_columns`; entry ``[i][j]`` of the result is
-    row i times column j, a residue in [0, p) or a reduced Fraction.
+    row i times column j, a residue in [0, p) or a canonical rational; over
+    the rationals a dot product over d_row d_col = 1 is kept as it is.
     """
     p = field.p
     if isinstance(cols, _PackedColumns):
@@ -343,7 +346,9 @@ def _raw_products(field: Field, rows, cols):
         return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
-    return [[Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols] for r, dr in _integral(rows)]
+    return [[x if (d := dr * dc) == 1 else _rational(x, d)
+             for c, dc in cols for x in [sum(map(mul, r, c))]]
+            for r, dr in _integral(rows)]
 
 
 def _products_equal(field: Field, rows, cols, expected) -> bool:
@@ -373,8 +378,8 @@ def _products_equal(field: Field, rows, cols, expected) -> bool:
 def _combination(field: Field, coeffs, vecs) -> list:
     """The raw vector c_0 v_0 + c_1 v_1 + ... of raw vectors v_k, for raw
     scalars c_k that need not be canonical.  Over the rationals the sum runs
-    on integers over one common denominator, and each entry of the result
-    costs one ``Fraction``."""
+    on integers over one common denominator, and each entry of the result is
+    one :func:`quadsum.field._rational`."""
     p = field.p
     if p is not None:
         return [sum(map(mul, coeffs, xs)) % p for xs in zip(*vecs)]
@@ -382,7 +387,7 @@ def _combination(field: Field, coeffs, vecs) -> list:
     dens = [c.denominator * d for c, (_, d) in zip(coeffs, ints)]
     den = lcm(*dens)
     scales = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
-    return [Fraction(sum(map(mul, scales, xs)), den) for xs in zip(*(v for v, _ in ints))]
+    return [_rational(sum(map(mul, scales, xs)), den) for xs in zip(*(v for v, _ in ints))]
 
 
 def _power_ranks(x: Matrix):
@@ -563,7 +568,7 @@ def _first_relation(field: Field, vecs, n: int):
         row = _reduce(v + [0] * k + [d], ech, p, packed)
         piv = _pivot(row, n, p, packed)
         if piv is None:
-            return row[n:] if p is not None else [Fraction(x, row[-1]) for x in row[n:]]
+            return row[n:] if p is not None else [_rational(x, row[-1]) for x in row[n:]]
         ech.append(piv)
     return None
 
@@ -603,7 +608,7 @@ def _rref(field: Field, rows, ncols: int):
     as zero rows.  The echelon of :func:`_echelon`, sorted by pivot column,
     is back-substituted: each pivot row is reduced against the pivot rows
     after it.  Over the rationals both passes run on integers, and each
-    pivot row becomes ``Fraction``s only here, divided by its pivot.
+    pivot row is divided by its pivot only here (:func:`quadsum.field._rational`).
     """
     p = field.p
     width = len(rows[0]) if rows else 0
@@ -616,7 +621,7 @@ def _rref(field: Field, rows, ncols: int):
             row = _residues(p, row, width)
         row = _reduce(row, ech[i + 1:], p, packed)
         ech[i] = c, _pack(row) if packed else row
-        rows[i] = row if p is not None else [Fraction(x, row[c]) if x else zero for x in row]
+        rows[i] = row if p is not None else [_rational(x, row[c]) for x in row]
     for i in range(len(ech), len(rows)):
         rows[i] = [zero] * len(rows[i])
     return [c for c, _ in ech]

@@ -205,8 +205,9 @@ class Polynomial:
 
 def _divrem(field: Field, num, den):
     """Raw quotient and trimmed remainder coefficient lists of num / den,
-    for raw coefficient sequences with den trimmed and nonzero; over GF(p)
-    each step reduces once per coefficient."""
+    for raw coefficient sequences with den trimmed and nonzero, both
+    canonical; over GF(p) each step reduces once per coefficient, over the
+    rationals the remainder is reduced once, at the end."""
     p = field.p
     d = len(den) - 1
     inv = field.inv_raw(den[-1])
@@ -214,8 +215,7 @@ def _divrem(field: Field, num, den):
     quo = [field.reduce(0)] * max(len(rem) - d, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = rem.pop() * inv
-        if p is not None:
-            c %= p
+        c = c % p if p is not None else field.reduce(c)
         if c:
             quo[k] = c
             low = zip(rem[k:], den)
@@ -223,7 +223,7 @@ def _divrem(field: Field, num, den):
                        else [(x - c * y) % p for x, y in low])
     while rem and not rem[-1]:
         rem.pop()
-    return quo, rem
+    return quo, rem if p is not None else _canonical(field, rem)
 
 
 def _monic(field: Field, coeffs) -> Polynomial:

@@ -257,12 +257,13 @@ def _offers(monkeypatch):
 #: is invariant but R = diag(0, 1, 1) has last factor t(t - 1), which does
 #: not divide t, so t(R) is not 0 and the 3x3 level is never entered; one
 #: dropped for check (i), since row 0 of M, w M with w = e_0^T, is e_2^T and
-#: does not vanish on <e_1, e_2, e_3>.
+#: does not vanish on <e_1, e_2, e_3>.  A scalar level is closed at once, so
+#: the 2x2 levels (I_2, and 0_2 under "fails (i)") have no child.
 OFFERS = {
     "taken": (direct_sum(QQ, [companion(P(QQ, [-1, -1, 1]))] * 3).raw_rows(),
               [False], [6, 4, 2]),
     "fails (ii)": (Matrix.diagonal(QQ, [0, 0, 1, 1]).raw_rows(), [False, True], [4, 2]),
-    "fails (i)": ([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4], [False, True], [4, 2, 1]),
+    "fails (i)": ([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4], [False, True], [4, 2]),
 }
 
 
@@ -354,7 +355,9 @@ def test_restriction_is_the_solve_written_down(monkeypatch):
     equals the solve of comp R = M comp, the R of an offer dropped by check
     (ii) (a(R) is not 0: R's last factor does not divide the offered
     annihilator a) included.  Only a level's last R is recursed on, so a
-    dropped offer's R never is."""
+    dropped offer's R never is.  Each level takes one factor, but the
+    deepest takes all k of its own when it is a scalar k x k matrix (a
+    conjugated 0_2 has no level below the top)."""
     pairs, checks = _record_levels(monkeypatch)
     rng = random.Random(18)
     checked = dropped = 0
@@ -362,8 +365,12 @@ def test_restriction_is_the_solve_written_down(monkeypatch):
         for _ in range(25):
             pairs.clear()
             checks.clear()
-            factors, _ = invariant_factors_with_transform(_derogatory(f, rng))
-            assert len(pairs) == len(factors) - 1 >= 1
+            top = _derogatory(f, rng)
+            factors, _ = invariant_factors_with_transform(top)
+            deepest = pairs[-1][2] if pairs else top
+            k = deepest.rows
+            scalar = deepest == deepest[0, 0] * Matrix.identity(f, k)
+            assert len(pairs) == len(factors) - (k if scalar else 1)
             for m, k_mat, restricted in pairs + [check[:3] for check in checks]:
                 assert restricted == _restriction_by_solve(m, k_mat)
                 checked += 1
@@ -376,13 +383,35 @@ def test_restriction_is_the_solve_written_down(monkeypatch):
 @pytest.mark.parametrize("f", [GF(2), GF(101), QQ])
 def test_each_level_recurses_once(f, monkeypatch):
     """I_6 (+) diag(0, 1)^(+6) has 12 invariant factors, and its scans drop
-    offers by check (ii); ``_cyclic_decompose`` runs once per factor (a
+    offers by check (ii); ``_cyclic_decompose`` runs once per level (a
     recursion under each dropped offer made it run 1715 times over GF(101)):
-    the top call and one recursion per level below it."""
+    the top call and one recursion per level below it, six levels of
+    t(t - 1) and then I_6, which is closed at once with its six factors
+    t - 1."""
     pairs, checks = _record_levels(monkeypatch)
     factors, _ = invariant_factors_with_transform(Matrix.diagonal(f, [1] * 6 + [0, 1] * 6))
-    assert len(factors) == len(pairs) + 1 == 12
+    assert len(factors) == 12 and len(pairs) + 1 == 7
+    assert pairs[-1][2] == Matrix.identity(f, 6)
     assert not all(divides for *_, divides in checks)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(101), QQ])
+def test_scalar_matrix_is_closed_in_one_call(f, monkeypatch):
+    """lam I_k is closed by one ``_cyclic_decompose`` call with no Krylov
+    run: its k factors t - lam, and the anti-identity T, the basis that
+    levels taking one dimension each would build."""
+    pairs, _ = _record_levels(monkeypatch)
+    runs = []
+    real = quadsum.poly.krylov_annihilator
+    monkeypatch.setattr(quadsum.poly, "krylov_annihilator",
+                        lambda m, v, *rows: runs.append(m.rows) or real(m, v, *rows))
+    for lam in (0, 1, 2) + (("-3/7",) if f.p is None else ()):
+        for k in (1, 2, 5, 13):
+            factors, t = invariant_factors_with_transform(Matrix.diagonal(f, [lam] * k))
+            assert factors == (P(f, [-f.element(lam), 1]),) * k
+            assert t == Matrix.from_rows(f, [[int(i + j == k - 1) for j in range(k)]
+                                             for i in range(k)])
+    assert pairs == [] and runs == []
 
 
 def test_decomposition_solves_only_for_the_dual_row(monkeypatch):

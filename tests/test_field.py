@@ -11,7 +11,8 @@ import pytest
 
 import quadsum
 from quadsum.errors import DimensionMismatch, DivisionByZero, MixedFields
-from quadsum.field import GF, QQ, Field, FieldElement, _is_prime, _sqrt_mod, quadratic_roots
+from quadsum.field import (GF, QQ, Field, FieldElement, _is_prime, _rational, _sqrt_mod,
+                           quadratic_roots)
 from quadsum.matrix import Matrix
 from quadsum.poly import Polynomial
 
@@ -23,6 +24,39 @@ def test_rational_basics():
     assert str(x * y) == "-3/2"
     assert str(y.inverse()) == "-2"
     assert QQ.element(Fraction(2, 4)) == QQ.element("1/2")
+
+
+def same(got, want):
+    """Whether got equals want and has its type: int or Fraction."""
+    return got == want and type(got) is type(want)
+
+
+def test_rational_is_an_int_exactly_when_integral():
+    """A rational is stored as an int when it is an integer, else as a
+    Fraction with denominator above 1: ``_rational`` divides by a
+    denominator of either sign (the kernels divide by signed pivots), and
+    an inverse, a reduction and the roots of a quadratic come out the same
+    way."""
+    for (num, den), want in (((6, -3), -2), ((3, -2), Fraction(-3, 2)), ((0, -5), 0),
+                             ((-8, 4), -2), ((4, 6), Fraction(2, 3))):
+        assert same(_rational(num, den), want), (num, den)
+    assert same(QQ.inv_raw(Fraction(-1, 2)), -2) and same(QQ.inv_raw(-3), Fraction(-1, 3))
+    assert same(QQ.reduce(Fraction(6, 3)), 2) and same(QQ.reduce(Fraction(1, 3)), Fraction(1, 3))
+    assert same(QQ.element("1/2").inverse().v, 2)
+    assert [r.v for r in quadratic_roots(QQ, 1, 0)] == [0, 1]
+    assert all(same(r.v, int(r.v)) for a, b in ((1, 0), (1, 2), (0, 4), (5, -6))
+               for r in quadratic_roots(QQ, a, b))
+    assert [r.v for r in quadratic_roots(QQ, 1, Fraction(-3, 16))] == [Fraction(1, 4),
+                                                                       Fraction(3, 4)]
+
+
+def test_value_reads_integer_strings_as_ints():
+    """Over Q a string that names an integer reads as an int, however it is
+    written, and any other as a Fraction."""
+    for text, want in (("6/3", 2), ("1e2", 100), ("+7", 7), ("-0", 0), ("2.0", 2),
+                       ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3)),
+                       ("1e-3", Fraction(1, 1000))):
+        assert same(QQ.value(text), want), text
 
 
 def test_gf_basics():
@@ -167,7 +201,7 @@ def test_value_is_the_raw_value_of_the_element():
                 continue
             got = f.value(x)
             assert got == wrapped.v and type(got) is type(wrapped.v), (f, x)
-            assert type(got) is (Fraction if f.p is None else int)
+            assert type(got) is (Fraction if f.p is None and got.denominator > 1 else int)
         assert f.value(f.element(5)) == f.value(5) == f.element("5").v
 
 

@@ -14,8 +14,8 @@ from quadsum.field import GF, QQ
 from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _placed, _products_equal, _rref,
                             block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve)
 from quadsum.oracle import build_sum_atlas
-from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
-                          krylov_annihilator, minimal_polynomial)
+from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t, gcd,
+                          krylov_annihilator, lcm, minimal_polynomial)
 from quadsum.sums import QuadParams, classify_and_reduce
 from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
                       rand_matrix, rand_wide_rational)
@@ -41,10 +41,11 @@ def naive_product(a, b):
 
 def assert_canonical(m):
     """Every value stored in the matrix or polynomial ``m`` is raw and
-    canonical: a Fraction over Q, an int in [0, p) over GF(p)."""
+    canonical: over Q an int when integral and otherwise a Fraction with
+    denominator above 1, an int in [0, p) over GF(p)."""
     values = m._e if isinstance(m, Matrix) else m.coeffs
     if m.field.p is None:
-        assert all(type(x) is Fraction for x in values)
+        assert all(type(x) is int or type(x) is Fraction and x.denominator > 1 for x in values)
     else:
         assert all(type(x) is int and 0 <= x < m.field.p for x in values)
 
@@ -181,6 +182,25 @@ def test_every_operation_stores_canonical_values():
         assert -x == f.element(-3) and -x + x == 0 and -f.zero() == f.zero()
         assert -p == Polynomial(f, [0, -3, 1]) and -Polynomial.zero(f) == Polynomial.zero(f)
         assert_canonical(-p)
+
+
+def test_rational_polynomial_operations_store_ints_where_integral():
+    """Over Q division, gcd, lcm, monic and compose store an integral
+    coefficient as an int: (2t + 4) / 2 is t + 2, and the quotient of g h
+    by h is g; random integer polynomials with leading coefficients 2 and
+    -3 go through every operation."""
+    quo, rem = Polynomial(QQ, [4, 2]).divrem(Polynomial(QQ, [2]))
+    assert quo.coeffs == (2, 1) and all(type(c) is int for c in quo.coeffs) and rem.is_zero()
+    rng = random.Random(32)
+    for _ in range(30):
+        g = Polynomial(QQ, [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [2])
+        h = Polynomial(QQ, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [-3])
+        assert (g * h).divrem(h) == (g, Polynomial.zero(QQ))
+        results = [*g.divrem(h), *h.divrem(g), gcd(g, h), gcd(g * h, h * h), lcm(g, h),
+                   lcm(g * h, h), g.monic(), h.monic(), g.compose(h), h.compose(g.monic()),
+                   decompose_in_t2_minus_t(g.compose(Polynomial(QQ, [0, -1, 1])).monic())]
+        for p in results:
+            assert_canonical(p)
 
 
 def test_constructors_coerce_once_and_reject_other_fields():
@@ -389,7 +409,7 @@ def independent_vectors(f, n, rng):
     """n independent raw n-vectors, lists; over Q with denominators."""
     rows = rand_invertible(f, n, rng).raw_rows()
     if f.p is None:
-        rows = [[x / rng.randint(1, 9) for x in row] for row in rows]
+        rows = [[QQ.reduce(Fraction(x, rng.randint(1, 9))) for x in row] for row in rows]
     return rows
 
 

@@ -305,6 +305,29 @@ def test_cli_reads_no_number():
     assert number_readers(dict(package_sources())["cli.py"]) == []
 
 
+def fraction_calls(text: str):
+    """The line of every call of ``Fraction``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call)
+                  and (node.func.id if isinstance(node.func, ast.Name)
+                       else getattr(node.func, "attr", None)) == "Fraction")
+
+
+def test_fraction_calls_are_found():
+    text = ("from fractions import Fraction\nx = Fraction(1, 2)\ny = fractions.Fraction(3)\n"
+            "z = isinstance(v, Fraction)\nw = _rational(1, 2)\nu = [Fraction(\n    a, b)]\n")
+    assert fraction_calls(text) == [2, 3, 6]
+
+
+def test_only_field_builds_a_fraction():
+    """A rational is an int when it is an integer, and ``field.py`` decides
+    which (``_rational`` and ``Field.reduce``): no other module builds a
+    ``Fraction``."""
+    found = [f"{name}:{line}" for name, text in package_sources()
+             if name != "field.py" for line in fraction_calls(text)]
+    assert found == []
+
+
 def test_code_lines_skip_blanks_comments_and_docstrings():
     """A code line is covered by a token other than a comment or layout,
     outside the module, class and function docstrings; each line of a call

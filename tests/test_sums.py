@@ -217,6 +217,20 @@ def test_decide_similarity_invariant():
     assert all(_similar_agree(m, rng) for m in inputs + _law_inputs())
 
 
+def test_decide_keeps_integer_factors_integral():
+    """Over Q the invariant factors of an integer matrix have integer
+    coefficients (Gauss's lemma), and each is stored as an int: on random
+    integer matrices at n 1 to 8, and on direct sums of a random integer
+    matrix and Jordan blocks, which have several factors."""
+    rng = random.Random(30)
+    inputs = [rand_matrix(QQ, rng.randint(1, 8), rng) for _ in range(440)]
+    inputs += [direct_sum(QQ, [rand_matrix(QQ, rng.randint(1, 3), rng)]
+                          + [jordan_block(QQ, rng.randint(1, 3), eigenvalue=rng.randint(-1, 1))
+                             for _ in range(rng.randint(1, 3))]) for _ in range(40)]
+    for m in inputs:
+        assert all(type(c) is int for fac in decide(m).frobenius for c in fac.coeffs)
+
+
 def test_one_minus_m_exchanges_0_and_1():
     """The 0 <-> 1 swap law on the law inputs, which get both answers."""
     inputs = _law_inputs()
