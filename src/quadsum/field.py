@@ -124,12 +124,7 @@ class Field:
             _plain(x)
             if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
                 raise ValueError(f"exponent out of range in {x!r}")
-            if self.p is not None:
-                return self.reduce(int(x))
-            try:
-                return int(x)
-            except ValueError:  # not an integer string: "1/2", "0.25", "1e2"
-                return self.reduce(Fraction(x))
+            return self.reduce(Fraction(x) if self.p is None else int(x))
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"{x!r} is not an exact scalar")
         if self.p is not None and x.denominator != 1:

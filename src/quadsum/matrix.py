@@ -18,8 +18,7 @@ Over GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints, and each entry of the result is one :func:`quadsum.field._rational`: a
-``Fraction`` only when it is not an integer.  An integral vector is its own
-integers over 1, and a product of two of them is its dot products as they are.
+``Fraction`` only when it is not an integer.
 
 A product that is only compared builds no ``Fraction``.  Every identity
 check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
@@ -285,13 +284,12 @@ def _canonical(field: Field, values) -> list:
 
 def _integral(vecs):
     """Rational raw vectors as ``(integers, denominator)`` pairs, scaled by the
-    lcm of their entries' denominators (ints have denominator 1): a vector of
-    ints is itself over 1."""
+    lcm of their entries' denominators (plain ints have denominator 1)."""
     out = []
     for v in vecs:
         dens = [x.denominator for x in v]
         d = lcm(*dens)
-        out.append((list(v) if d == 1 else [x.numerator * (d // e) for x, e in zip(v, dens)], d))
+        out.append(([x.numerator * (d // e) for x, e in zip(v, dens)], d))
     return out
 
 
@@ -337,8 +335,7 @@ def _raw_products(field: Field, rows, cols):
     """The reduced raw dot product of every raw row with every column.
 
     ``cols`` come from :func:`_columns`; entry ``[i][j]`` of the result is
-    row i times column j, a residue in [0, p) or a canonical rational; over
-    the rationals a dot product over d_row d_col = 1 is kept as it is.
+    row i times column j, a residue in [0, p) or a canonical rational.
     """
     p = field.p
     if isinstance(cols, _PackedColumns):
@@ -346,8 +343,7 @@ def _raw_products(field: Field, rows, cols):
         return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
-    return [[x if (d := dr * dc) == 1 else _rational(x, d)
-             for c, dc in cols for x in [sum(map(mul, r, c))]]
+    return [[_rational(sum(map(mul, r, c)), dr * dc) for c, dc in cols]
             for r, dr in _integral(rows)]
 
 
