@@ -1,14 +1,16 @@
 """Structure theory with explicit change-of-basis matrices.
 
-Provides nullity sequences, the invariant-factor (Frobenius) decomposition
-via iterated cyclic subspaces, and the split of one cyclic block k[t]/(f)
-with f = t^a (t - 1)^b h into C(h), J_a(0) and J_b(1) by the Chinese
-remainder theorem.  Every transform is verified post-hoc by the conjugation
-identity it claims, M X = X E for a block sum E, with no inverse and no
-product matrix: X E is read off X's columns (a companion block shifts them
-and closes with one combination of them, :func:`_times_companions`) and
-compared entry by entry with M's rows times those columns
-(:func:`quadsum.matrix._products_equal`).
+Provides the invariant-factor (Frobenius) decomposition via iterated cyclic
+subspaces, the valuations f = (t - alpha)^a (t - beta)^b h of an invariant
+factor, and the split of one cyclic block k[t]/(f) with f = t^a (t - 1)^b h
+into C(h), J_a(0) and J_b(1) by the Chinese remainder theorem.  Nullity
+sequences are not computed here: :mod:`quadsum.sums` reads them off the
+valuations, which it checks exactly, and no rank of a power is taken.
+Every transform is verified post-hoc by the conjugation identity it claims,
+M X = X E for a block sum E, with no inverse and no product matrix: X E is
+read off X's columns (a companion block shifts them and closes with one
+combination of them, :func:`_times_companions`) and compared entry by entry
+with M's rows times those columns (:func:`quadsum.matrix._products_equal`).
 
 Every basis vector of the Frobenius decomposition is constructed, none is
 searched for.  The cyclic vector of each level comes from
@@ -39,27 +41,9 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
-from .matrix import (Matrix, _columns, _combination, _power_ranks, _products_equal, _rank,
-                     _raw_products, _span_rank, kernel_matrix, rank, solve)
+from .matrix import (Matrix, _columns, _combination, _products_equal, _rank, _raw_products,
+                     _span_rank, kernel_matrix, rank, solve)
 from .poly import Polynomial, _cyclic_scan, companion
-
-
-def nullity_sequence(m: Matrix, eigenvalue) -> tuple:
-    """n_k = dim Ker (M - lambda I)^k - dim Ker (M - lambda I)^(k-1), k >= 1,
-    listed up to stabilization at 0.  n_k counts Jordan blocks of size >= k."""
-    if not m.is_square:
-        raise DimensionMismatch("nullity sequence of a non-square matrix")
-    f, n = m.field, m.rows
-    values = []
-    prev_nullity = 0
-    for r in _power_ranks(m._plus_identity(f.reduce(-f.value(eigenvalue)))):
-        nullity = n - r
-        nk = nullity - prev_nullity
-        if nk == 0:
-            break
-        values.append(nk)
-        prev_nullity = nullity
-    return tuple(values)
 
 
 def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:

@@ -24,9 +24,10 @@ A product that is only compared builds no ``Fraction``.  Every identity
 check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
 call of :func:`_products_equal`, which compares rows times columns with
 expected columns entry by entry, over the rationals as cross-multiplied
-integer dot products.  The ranks of powers behind the nullity sequences are
-:func:`_power_ranks`, over the rationals those of the integer matrix c X.
-A shift M + c I touches the diagonal only (:meth:`Matrix._plus_identity`).
+integer dot products.  A shift M + c I touches the diagonal only
+(:meth:`Matrix._plus_identity`).  No rank of a power is taken anywhere: the
+nullity sequences are read off checked invariant-factor valuations
+(:func:`quadsum.sums._checked_valuations`).
 
 Square blocks are placed by one kernel, :func:`_placed`, which writes each
 block's entry (i, j) at (coords[i], coords[j]) of a zero matrix:
@@ -296,9 +297,10 @@ def _integral(vecs):
 #: The bits of a 4300-digit number, the longest integer Python writes as text.
 _HEIGHT_BUDGET = 14285
 
-#: The largest n of a job over GF(p) and over the rationals: a conjugated
+#: The largest n of a job over GF(p) and over the rationals.  A conjugated
 #: nilpotent Jordan block J_n(0), dense and with a nullity sequence of length
-#: n, decides in about a minute at these sizes.
+#: n, decides in 0.65 s over GF(101) at n = 256 and in 3.3 s over the
+#: rationals at n = 48, on a 2-core machine.
 _GFP_SIZE_BUDGET, _QQ_SIZE_BUDGET = 256, 48
 
 
@@ -384,26 +386,6 @@ def _combination(field: Field, coeffs, vecs) -> list:
     den = lcm(*dens)
     scales = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
     return [_rational(sum(map(mul, scales, xs)), den) for xs in zip(*(v for v, _ in ints))]
-
-
-def _power_ranks(x: Matrix):
-    """rank(X), rank(X^2), ... of a square matrix X, without end; each power
-    is computed when the next rank is asked for.  Over the rationals they
-    are the ranks of the powers of c X, c the lcm of X's denominators:
-    (c X)^k = c^k X^k has the rank of X^k, and its products are integer dot
-    products that build no ``Fraction``."""
-    f, n = x.field, x.rows
-    if f.p is None:
-        ints = _integral([x._e])[0][0]
-        power = [ints[i * n:(i + 1) * n] for i in range(n)]
-        cols = [ints[j::n] for j in range(n)]
-    else:
-        power = x.raw_rows()
-        cols = _columns(f, x.raw_cols())
-    while True:
-        yield _rank(f, power, n)
-        power = (_raw_products(f, power, cols) if f.p is not None
-                 else [[sum(map(mul, r, c)) for c in cols] for r in power])
 
 
 # ---- packed GF(p) rows ------------------------------------------------

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import prod
 
-from .canonical import (invariant_factors_with_transform, nullity_sequence, split_cyclic_block,
-                        valuations)
+from .canonical import invariant_factors_with_transform, split_cyclic_block, valuations
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
 from .matrix import Matrix, _placed, _products_equal, direct_sum, solve
-from .poly import decompose_in_t2_minus_t
+from .poly import Polynomial, decompose_in_t2_minus_t
 
 
 @dataclass(frozen=True)
@@ -216,24 +216,46 @@ def classify_and_reduce(m: Matrix, params: QuadParams):
 
 # ---- decision --------------------------------------------------------
 
-def _nullities(m: Matrix, eigenvalue, exponents, stage: str) -> tuple:
-    """Nullity sequence at an eigenvalue read off the invariant-factor
-    valuations, n_k = #{i : exponent_i >= k}, cross-checked against ranks of
-    powers."""
+def _checked_valuations(factors, alpha, beta, stage: str, n: int) -> tuple:
+    """(a_i, b_i, h_i) of :func:`quadsum.canonical.valuations` at alpha and beta
+    for each invariant factor f_i of an n x n matrix M, each checked exactly:
+    (t - alpha)^a_i (t - beta)^b_i h_i = f_i and h_i(alpha) h_i(beta) != 0.
+
+    This is what makes the nullity sequences of M at alpha and beta exact
+    with no rank computed.  The factors come from
+    :func:`quadsum.canonical.invariant_factors_with_transform`, which proves
+    M T = T F with T of full rank and the divisibility chain, so F, the
+    direct sum of the companions C(f_i), is similar to M.  C(f) is cyclic, so
+    it has one Jordan block at lam, of size v_lam(f), the multiplicity of
+    t - lam in f, and dim ker (C(f) - lam I)^k = min(k, v_lam(f)).  Hence
+    dim ker (M - lam I)^k = sum_i min(k, v_lam(f_i)), and its k-th difference
+    is n_k = #{i : v_lam(f_i) >= k}.  The check proves a_i = v_alpha(f_i) and
+    b_i = v_beta(f_i) by unique factorisation, which leaves no link unproven.
+    A failure raises InternalCheckFailed naming the stage, the factor and n.
+    """
+    out = []
+    for fac in factors:
+        a, b, h = valuations(fac, alpha, beta)
+        linear = [Polynomial(fac.field, [-alpha, 1])] * a + [Polynomial(fac.field, [-beta, 1])] * b
+        if prod(linear, start=h) != fac or not h(alpha) or not h(beta):
+            raise InternalCheckFailed(
+                f"{stage}: valuations ({a}, {b}, {h}) at {alpha}, {beta} do not split the "
+                f"invariant factor {fac} of the {n}x{n} matrix")
+        out.append((a, b, h))
+    return tuple(out)
+
+
+def _nullities(exponents) -> tuple:
+    """Nullity sequence n_k = #{i : exponent_i >= k}, k >= 1, of checked
+    valuations at one eigenvalue (:func:`_checked_valuations`)."""
     top = max(exponents, default=0)
-    seq = tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1))
-    by_rank = nullity_sequence(m, eigenvalue)
-    if by_rank != seq:
-        raise InternalCheckFailed(
-            f"{stage}: nullity sequence at eigenvalue {eigenvalue} of the {m.rows}x{m.rows} "
-            f"matrix is {by_rank} by ranks but {seq} by invariant-factor valuations")
-    return seq
+    return tuple(sum(1 for e in exponents if e >= k) for k in range(1, top + 1))
 
 
 def decide(m: Matrix) -> Decision:
     """Decide whether M is the sum of an idempotent and a square-zero matrix."""
     frobenius, witness = invariant_factors_with_transform(m)
-    vals = tuple(valuations(fac, 0, 1) for fac in frobenius)
+    vals = _checked_valuations(frobenius, 0, 1, "decide", m.rows)
     factors = tuple(h for _, _, h in vals if h.degree)
     g_factors = []
     failing = None
@@ -243,8 +265,8 @@ def decide(m: Matrix) -> Decision:
             failing = {"kind": "invariant_factor", "factor": fac}
             break
         g_factors.append(g)
-    seq0 = _nullities(m, 0, [a for a, _, _ in vals], "decide")
-    seq1 = _nullities(m, 1, [b for _, b, _ in vals], "decide")
+    seq0 = _nullities([a for a, _, _ in vals])
+    seq1 = _nullities([b for _, b, _ in vals])
     pairing = pair_blocks([b for _, b, _ in vals if b], [a for a, _, _ in vals if a])
     viol = _first_violation(seq0, seq1, 2)
     if (pairing is None) != (viol is not None):
@@ -436,11 +458,12 @@ def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:
     beta = f.element(beta)
     if alpha == beta or not alpha or not beta:
         raise BadParams("needs distinct nonzero alpha, beta")
-    vals = [valuations(fac, alpha, beta) for fac in invariant_factors_with_transform(m)[0]]
+    vals = _checked_valuations(invariant_factors_with_transform(m)[0], alpha, beta, "necessary",
+                               m.rows)
     if any(h.degree for _, _, h in vals):
         return NecessaryReport("not_applicable", None, None, None)
-    seq_a = _nullities(m, alpha, [a for a, _, _ in vals], "necessary")
-    seq_b = _nullities(m, beta, [b for _, b, _ in vals], "necessary")
+    seq_a = _nullities([a for a, _, _ in vals])
+    seq_b = _nullities([b for _, b, _ in vals])
     viol = _first_violation(seq_a, seq_b, 1)
     status = "no" if viol else "inconclusive"
     return NecessaryReport(status, seq_a, seq_b, viol)

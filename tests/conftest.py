@@ -9,6 +9,8 @@ from math import gcd
 
 import quadsum
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
+from quadsum.errors import DimensionMismatch
+from quadsum.matrix import rank
 from quadsum.poly import Polynomial, companion
 
 
@@ -35,6 +37,24 @@ def conjugate_partition(sizes):
     """The nullity sequence n_k = #{blocks of size >= k} of Jordan blocks
     of the given sizes at one eigenvalue."""
     return tuple(sum(1 for s in sizes if s >= k) for k in range(1, max(sizes, default=0) + 1))
+
+
+def nullity_sequence(m, eigenvalue):
+    """n_k = dim Ker (M - lambda I)^k - dim Ker (M - lambda I)^(k-1), k >= 1,
+    listed up to stabilization at 0, from the ranks of the powers of
+    M - lambda I.  n_k counts the Jordan blocks of size >= k.  The test
+    oracle for the sequences that ``decide`` reads off the invariant-factor
+    valuations: it shares no code with the Frobenius decomposition."""
+    if not m.is_square:
+        raise DimensionMismatch("nullity sequence of a non-square matrix")
+    f, n = m.field, m.rows
+    x = m - f.element(eigenvalue) * Matrix.identity(f, n)
+    values = []
+    power, prev_nullity = x, 0
+    while (nullity := n - rank(power)) != prev_nullity:
+        values.append(nullity - prev_nullity)
+        power, prev_nullity = power * x, nullity
+    return tuple(values)
 
 
 def rand_element(field, rng):

@@ -1,5 +1,5 @@
-"""Structure theory: nullity sequences, invariant factors and the split of
-each cyclic block at {0, 1}, all with verified transforms."""
+"""Structure theory: the rank oracle for nullity sequences, invariant factors
+and the split of each cyclic block at {0, 1}, all with verified transforms."""
 
 import json
 import math
@@ -12,20 +12,20 @@ import pytest
 
 import quadsum
 from quadsum.canonical import (_chain_matrix, _dual_rows, invariant_factors_with_transform,
-                               nullity_sequence, split_cyclic_block, valuations)
+                               split_cyclic_block, valuations)
 from quadsum.errors import InternalCheckFailed
 from quadsum.field import GF, QQ
 from quadsum.matrix import (Matrix, _SPAN_PRIME, direct_sum, inverse, jordan_block,
                             kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
 from quadsum.sums import decide
-from conftest import (WORD_PRIME, conjugate_partition, conjugated_companions, rand_decomposable,
-                      rand_invertible, rand_matrix)
+from conftest import (WORD_PRIME, conjugate_partition, conjugated_companions, nullity_sequence,
+                      rand_decomposable, rand_invertible, rand_matrix)
 
 P = Polynomial
 
 
-# ---- nullity sequences -----------------------------------------------
+# ---- nullity sequences by the rank oracle ----------------------------
 
 def test_nullity_sequence_jordan():
     m = direct_sum(QQ, [jordan_block(QQ, 3), jordan_block(QQ, 1)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsum
-from quadsum.canonical import invariant_factors_with_transform, nullity_sequence, valuations
+from quadsum.canonical import invariant_factors_with_transform, valuations
 from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero, MixedFields,
                             NotMonic, Singular)
 from quadsum.field import GF, QQ
@@ -17,8 +17,8 @@ from quadsum.oracle import build_sum_atlas
 from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t, gcd,
                           krylov_annihilator, lcm, minimal_polynomial)
 from quadsum.sums import QuadParams, classify_and_reduce
-from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, rand_element, rand_invertible,
-                      rand_matrix, rand_wide_rational)
+from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, nullity_sequence, rand_element,
+                      rand_invertible, rand_matrix, rand_wide_rational)
 
 #: Fields of the kernel property tests: small primes, which pack at every
 #: size these tests reach past the gate, the largest prime that packs at

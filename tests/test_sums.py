@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quadsum
 from quadsum import serialize
-from quadsum.canonical import (_chain_matrix, invariant_factors_with_transform, nullity_sequence,
-                               split_cyclic_block, valuations)
+from quadsum.canonical import (_chain_matrix, invariant_factors_with_transform, split_cyclic_block,
+                               valuations)
 from quadsum.cli import main
 from quadsum.errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                             MalformedSequence, NotSplitError, UnsupportedCase)
@@ -23,8 +23,9 @@ from quadsum.poly import Polynomial, companion, krylov_annihilator, substitute_o
 from quadsum.sums import (Certificate, QuadParams, _away_idempotent, check_necessary_combination,
                           classify_and_reduce, construct, decide, is_p_intertwined, pair_blocks,
                           verify_certificate)
-from conftest import (conjugate_partition, conjugated_companions, rand_decomposable, rand_element,
-                      rand_idempotent, rand_invertible, rand_matrix, rand_square_zero)
+from conftest import (conjugate_partition, conjugated_companions, nullity_sequence,
+                      rand_decomposable, rand_element, rand_idempotent, rand_invertible,
+                      rand_matrix, rand_square_zero)
 
 P = Polynomial
 
@@ -259,8 +260,8 @@ def test_similarity_law_catches_an_offer_taken_without_check_i(monkeypatch):
     complement <e_1, e_2, e_3> is not invariant.  With check (i) skipped
     (it is the one ``is_zero`` of a product of one row and several columns)
     and M T = T F patched to pass, M decomposes as C(t - 2)^(+4): the
-    degree sum, the rank of T, the divisibility chain and the nullity
-    cross-checks (no eigenvalue is 0 or 1) let it through, and the law sees
+    degree sum, the rank of T, the divisibility chain and the valuation
+    checks (no eigenvalue is 0 or 1) let it through, and the law sees
     a similar matrix with factors t - 2, t - 2, (t - 2)^2."""
     real = Matrix.is_zero
     monkeypatch.setattr(Matrix, "is_zero", lambda self: self.rows == 1 < self.cols or real(self))
@@ -440,13 +441,59 @@ def test_factor_not_in_t2_minus_t_fails_at_packed_width():
             assert d.failing == {"kind": "invariant_factor", "factor": h}
 
 
-def test_decide_cross_checks_valuations_against_ranks():
-    """Nullities read off the invariant-factor valuations must equal those
-    from ranks of powers; a mismatch names the stage, eigenvalue, size and
-    both sequences."""
-    with pytest.raises(InternalCheckFailed, match=r"decide: nullity sequence at eigenvalue 0 "
-                       r"of the 3x3 matrix is \(1, 1, 1\) by ranks but \(1, 1\) by"):
-        quadsum.sums._nullities(jordan_block(QQ, 3), 0, [2], "decide")
+#: Wrong valuations (a, b, h) of f = (t - alpha)^a (t - beta)^b h, from the
+#: right ones and the roots: each breaks the product or h(alpha) h(beta) != 0.
+VALUATION_MUTANTS = {
+    "a + 1": lambda a, b, h, t_a, t_b: (a + 1, b, h),
+    "a - 1, h (t - alpha)": lambda a, b, h, t_a, t_b: (a - 1, b, h * t_a),
+    "b - 1, h (t - beta)": lambda a, b, h, t_a, t_b: (a, b - 1, h * t_b),
+    "h (t - beta)": lambda a, b, h, t_a, t_b: (a, b, h * t_b),
+    "h + 1, same degree": lambda a, b, h, t_a, t_b: (a, b, h + P(h.field, [1])),
+}
+
+
+@pytest.mark.parametrize("mutant", VALUATION_MUTANTS)
+def test_wrong_valuations_are_caught(monkeypatch, mutant):
+    """decide (at 0, 1) and check_necessary_combination (at alpha, beta)
+    check each factor's valuations exactly: every mutant raises
+    InternalCheckFailed naming the stage, the factor and the size.  Each
+    matrix has the one invariant factor (t - alpha)^2 (t - beta)^2 h, with h
+    of degree 2."""
+    real = valuations
+
+    def wrong(fac, alpha, beta):
+        t_a, t_b = (P(fac.field, [-r, 1]) for r in (alpha, beta))
+        return VALUATION_MUTANTS[mutant](*real(fac, alpha, beta), t_a, t_b)
+
+    monkeypatch.setattr(quadsum.sums, "valuations", wrong)
+    m = direct_sum(QQ, [jordan_block(QQ, 2), jordan_block(QQ, 2, eigenvalue=1),
+                        companion(P(QQ, [1, 0, 1]))])
+    with pytest.raises(InternalCheckFailed, match=r"^decide: valuations .* at 0, 1 do not split "
+                       r"the invariant factor t\^6 .* of the 6x6 matrix$"):
+        decide(m)
+    with pytest.raises(InternalCheckFailed, match=r"^necessary: valuations .* at 1, 2 do not "
+                       r"split the invariant factor t\^6 .* of the 6x6 matrix$"):
+        check_necessary_combination(m._plus_identity(1), 1, 2)
+
+
+def test_decide_nullities_equal_rank_oracle():
+    """The nullity sequences decide reads off the checked valuations equal
+    those of the rank oracle on every 3x3 GF(2) and 2x2 GF(3) matrix, and on
+    100 GF(5) and 100 Q matrices with n <= 8: a conjugated direct sum of
+    Jordan blocks J_k(0) and J_k(1) and a random block."""
+    cases = [Matrix(f, n, n, list(ent)) for f, n in ((GF(2), 3), (GF(3), 2))
+             for ent in itertools.product(range(f.p), repeat=n * n)]
+    rng = random.Random(47)
+    for f in [GF(5)] * 100 + [QQ] * 100:
+        blocks = [jordan_block(f, rng.randint(1, 3), eigenvalue=rng.randint(0, 1))
+                  for _ in range(rng.randint(0, 2))]
+        blocks.append(rand_matrix(f, rng.randint(1, 8 - sum(b.rows for b in blocks)), rng))
+        t = rand_invertible(f, sum(b.rows for b in blocks), rng)
+        cases.append(t * direct_sum(f, blocks) * inverse(t))
+    for m in cases:
+        d = decide(m)
+        assert (d.nullity_at_0, d.nullity_at_1) == (nullity_sequence(m, 0),
+                                                    nullity_sequence(m, 1)), m
 
 
 def test_decide_cross_checks_pairing_against_intertwining(monkeypatch):
