@@ -60,10 +60,9 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     n, d = k_mat.rows, k_mat.cols
     m_cols = _columns(f, m.raw_cols())
     chain_cols = _columns(f, k_mat.raw_cols())
-    zero, one = f.reduce(0), f.reduce(1)
     for i in range(n + 1):
-        rows = [[one if i == j else zero for j in range(n)] if i < n else
-                list(solve(k_mat.transpose(), Matrix.column(f, [0] * (d - 1) + [1]))._e)]
+        rows = [[int(i == j) for j in range(n)] if i < n else
+                list(solve(k_mat.transpose(), Matrix._raw(f, d, 1, [0] * (d - 1) + [1]))._e)]
         for _ in range(d - 1):
             rows.append(_raw_products(f, [rows[-1]], m_cols)[0])
         pairing = _raw_products(f, rows, chain_cols)
@@ -116,10 +115,8 @@ def _cyclic_decompose(m: Matrix):
         return [], Matrix.zero(f, 0, 0)
     minus_lam = f.reduce(-m._e[0])
     if m._plus_identity(minus_lam).is_zero():  # M = lam I
-        zero, one = f.reduce(0), f.reduce(1)
-        anti = Matrix._raw(f, n, n, [one if i + j == n - 1 else zero
-                                     for i in range(n) for j in range(n)])
-        return [Polynomial._raw(f, [minus_lam, one])] * n, anti
+        anti = Matrix._raw(f, n, n, [int(i + j == n - 1) for i in range(n) for j in range(n)])
+        return [Polynomial._raw(f, [minus_lam, 1])] * n, anti
     for mu, chain, proven in _cyclic_scan(m):
         d = mu.degree
         k_mat = _chain_matrix(f, chain)
@@ -216,18 +213,17 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
     f = fac.field
     d = fac.degree
     t = Polynomial.x(f)
-    t_1 = Polynomial(f, [-1, 1])
+    t_1 = Polynomial._raw(f, [f.reduce(-1), 1])
     t_a, t_1b = t ** a, t_1 ** b
     e_0, e_1 = h * t_1b, h * t_a
     cols = []
     for head, step, length in ((t_a * t_1b, t, h.degree),
-                               (e_0 * e_0(0).inverse(), t, a),
-                               (e_1 * e_1(1).inverse(), t_1, b)):
+                               (e_0._scaled(f.inv_raw(e_0.coeffs[0])), t, a),
+                               (e_1._scaled(f.inv_raw(f.reduce(sum(e_1.coeffs)))), t_1, b)):
         for _ in range(length):
             cols.append(head)
             head = head * step
-    zero = f.reduce(0)
-    s_mat = _chain_matrix(f, [col.coeffs + (zero,) * (d - len(col.coeffs)) for col in cols])
+    s_mat = _chain_matrix(f, [col.coeffs + (0,) * (d - len(col.coeffs)) for col in cols])
     # S E column by column: C(h) and J_a(0) = C(t^a) are companions, and
     # column j of J_b(1) = I + C(t^b) is s_j + s_(j+1), the last one s_j
     s_cols = s_mat.raw_cols()

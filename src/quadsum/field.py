@@ -2,11 +2,13 @@
 
 Every value is canonical: over the rationals an ``int`` when it is an
 integer and otherwise a reduced :class:`~fractions.Fraction` (denominator
-above 1), over GF(p) an ``int`` residue in ``[0, p)``.  An ``int`` and a
-``Fraction`` of the same value compare and hash equal and print alike, so
-the choice shows in speed alone: integer matrices stay integral through the
-kernels.  Structural equality is exact equality, and all operations are
-pure, so values are freely shareable.  Matrices and polynomials store these
+above 1), over GF(p) an ``int`` residue in ``[0, p)``.  So the ints 0 and 1
+are the zero and the one of every field, and the kernels write them as they
+are, with no call of :meth:`Field.reduce`.  An ``int`` and a ``Fraction`` of
+the same value compare and hash equal and print alike, so the choice shows
+in speed alone: integer matrices stay integral through the kernels.
+Structural equality is exact equality, and all operations are pure, so
+values are freely shareable.  Matrices and polynomials store these
 raw canonical values; :class:`FieldElement` wraps one for the public API.
 :meth:`Field.value` is the one coercion of a scalar (it reads ints,
 Fractions, strings and elements to their raw value, and refuses floats and
@@ -164,7 +166,11 @@ class FieldElement:
     """Immutable scalar bound to its :class:`Field`.
 
     Supports ``+ - * /``, equality and hashing, and no order.  Plain ints
-    are coerced into the element's field.
+    are coerced into the element's field.  An element hashes as its raw
+    value, so it hashes like the int it equals: over the rationals that int,
+    over GF(p) its canonical residue.  Over GF(p) it also equals the other
+    ints of its residue class (``GF(5).element(3) == 8``), which no hash can
+    follow: ``8 in {GF(5).element(3)}`` is False.
     """
 
     __slots__ = ("field", "v")
@@ -207,7 +213,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return bool(self.v)

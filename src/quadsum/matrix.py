@@ -7,10 +7,12 @@ over Q an ``int`` when integral, else a reduced ``Fraction``), never
 ``FieldElement`` wrappers.  The public constructors (``Matrix(...)``,
 ``from_rows``, ``column``, ``diagonal``) coerce through ``Field.value``;
 indexing, ``row``, ``to_rows`` and ``trace`` wrap what they return.  The
-kernels work on raw values, canonicalise with ``Field.reduce`` and build
-with :meth:`Matrix._raw`.  Only this module knows how a kernel holds a row
-(integers over a denominator, residues in a list, or 64-bit words in one
-int): its kernels take raw rows and give back raw canonical values.
+kernels work on raw values, canonicalise with ``Field.reduce``, write 0 and
+1 as the ints themselves and build with :meth:`Matrix._raw`; no kernel wraps
+a scalar in a ``FieldElement`` only to unwrap it.  Only this module knows
+how a kernel holds a row (integers over a denominator, residues in a list,
+or 64-bit words in one int): its kernels take raw rows and give back raw
+canonical values.
 
 Every product of raw vectors that the package keeps (matrix products, Krylov
 steps, dual rows and pairings) goes through one kernel, :func:`_raw_products`.
@@ -25,7 +27,10 @@ check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
 call of :func:`_products_equal`, which compares rows times columns with
 expected columns entry by entry, over the rationals as cross-multiplied
 integer dot products.  A shift M + c I touches the diagonal only
-(:meth:`Matrix._plus_identity`).  No rank of a power is taken anywhere: the
+(:meth:`Matrix._plus_identity`).  An early exit that returns what the
+general path returns stays only where it was measured to pay, as
+:meth:`Matrix._scaled`'s for c in {0, 1}; CHANGES.md records the numbers of
+each exit kept or taken out.  No rank of a power is taken anywhere: the
 nullity sequences are read off checked invariant-factor valuations
 (:func:`quadsum.sums._checked_valuations`).
 
@@ -132,7 +137,7 @@ class Matrix:
         if cols is None:
             cols = rows
         _check_shape(rows, cols)
-        return cls._raw(field, rows, cols, [field.reduce(0)] * (rows * cols))
+        return cls._raw(field, rows, cols, [0] * (rows * cols))
 
     @classmethod
     def column(cls, field: Field, values) -> "Matrix":
@@ -143,8 +148,7 @@ class Matrix:
     def diagonal(cls, field: Field, values) -> "Matrix":
         vals = [field.value(x) for x in values]
         n = len(vals)
-        z = field.reduce(0)
-        return cls._raw(field, n, n, [vals[i] if i == j else z for i in range(n) for j in range(n)])
+        return cls._raw(field, n, n, [vals[i] if i == j else 0 for i in range(n) for j in range(n)])
 
     # ---- access ------------------------------------------------------
 
@@ -221,9 +225,7 @@ class Matrix:
 
     def _plus_identity(self, c) -> "Matrix":
         """self + c I for a square self and a raw canonical scalar c: only the
-        n diagonal entries are touched, and c = 0 returns self."""
-        if not c:
-            return self
+        n diagonal entries are touched."""
         reduce = self.field.reduce
         e = list(self._e)
         for i in range(0, len(e), self.cols + 1):
@@ -299,8 +301,8 @@ _HEIGHT_BUDGET = 14285
 
 #: The largest n of a job over GF(p) and over the rationals.  A conjugated
 #: nilpotent Jordan block J_n(0), dense and with a nullity sequence of length
-#: n, decides in 0.65 s over GF(101) at n = 256 and in 3.3 s over the
-#: rationals at n = 48, on a 2-core machine.
+#: n, decides in 0.28 s over GF(2) and 0.48 s over GF(101) at n = 256, and in
+#: 3.0 s over the rationals at n = 48 (single runs on a shared 2-core machine).
 _GFP_SIZE_BUDGET, _QQ_SIZE_BUDGET = 256, 48
 
 
@@ -592,7 +594,6 @@ def _rref(field: Field, rows, ncols: int):
     width = len(rows[0]) if rows else 0
     ech, packed = _echelon(field, rows, ncols)
     ech.sort(key=lambda piv: piv[0])
-    zero = field.reduce(0)
     for i in range(len(ech) - 1, -1, -1):
         c, row = ech[i]
         if packed:
@@ -601,7 +602,7 @@ def _rref(field: Field, rows, ncols: int):
         ech[i] = c, _pack(row) if packed else row
         rows[i] = row if p is not None else [_rational(x, row[c]) for x in row]
     for i in range(len(ech), len(rows)):
-        rows[i] = [zero] * len(rows[i])
+        rows[i] = [0] * len(rows[i])
     return [c for c, _ in ech]
 
 
@@ -629,12 +630,11 @@ def kernel_matrix(m: Matrix):
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
     k = len(free)
-    ent = [f.reduce(0)] * (m.cols * k)
+    ent = [0] * (m.cols * k)
     for c, j in enumerate(free):
-        ent[j * k + c] = f.reduce(1)
+        ent[j * k + c] = 1
         for i, pc in enumerate(pivots):
-            if rows[i][j]:
-                ent[pc * k + c] = f.reduce(-rows[i][j])
+            ent[pc * k + c] = f.reduce(-rows[i][j])
     return Matrix._raw(f, m.cols, k, ent), free
 
 
@@ -658,7 +658,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     pivots = _rref(f, rows, k + c)
     if any(pc >= k for pc in pivots):
         raise Singular("inconsistent linear system")
-    x = [[f.reduce(0)] * c for _ in range(k)]
+    x = [[0] * c for _ in range(k)]
     for i, pc in enumerate(pivots):
         x[pc] = rows[i][k:]
     return Matrix._raw(f, k, c, [v for row in x for v in row])
@@ -670,7 +670,7 @@ def _placed(field: Field, n: int, placements) -> Matrix:
     """The one block-placement kernel: the n x n zero matrix with square
     blocks written in, for each ``(block, coords)`` pair entry (i, j) of the
     block at (coords[i], coords[j])."""
-    ent = [field.reduce(0)] * (n * n)
+    ent = [0] * (n * n)
     for blk, coords in placements:
         for k, x in zip([ci * n + cj for ci in coords for cj in coords], blk._e):
             ent[k] = x
@@ -709,8 +709,7 @@ def jordan_block(field: Field, size: int, eigenvalue=0) -> Matrix:
     """Jordan block with ones on the subdiagonal (matching the companion
     convention used throughout: the block for t^k is C(t^k))."""
     _check_shape(size, size)
-    z, o = field.reduce(0), field.reduce(1)
     ones = Matrix._raw(field, size, size,
-                       [o if i == j + 1 else z for i in range(size) for j in range(size)])
+                       [int(i == j + 1) for i in range(size) for j in range(size)])
     return ones._plus_identity(field.value(eigenvalue))
 

@@ -65,11 +65,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, field: Field) -> "Polynomial":
-        return cls._raw(field, (field.reduce(1),))
+        return cls._raw(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "Polynomial":
-        return cls._raw(field, (field.reduce(0), field.reduce(1)))
+        return cls._raw(field, (0, 1))
 
     @property
     def degree(self):
@@ -87,7 +87,7 @@ class Polynomial:
         return Polynomial._raw(self.field, [reduce(c * x) for x in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        return self if not self.coeffs or self.is_monic() else _monic(self.field, self.coeffs)
+        return self if not self.coeffs else _monic(self.field, self.coeffs)
 
     # ---- arithmetic --------------------------------------------------
 
@@ -123,9 +123,8 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
         return Polynomial._raw(self.field, map(self.field.reduce, out))
 
     __rmul__ = __mul__
@@ -161,7 +160,7 @@ class Polynomial:
                                             for v in row])._plus_identity(c)
             return acc
         x = f.value(x)
-        acc = f.reduce(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = f.reduce(acc * x + c)
         return f.make(acc)
@@ -212,7 +211,7 @@ def _divrem(field: Field, num, den):
     d = len(den) - 1
     inv = field.inv_raw(den[-1])
     rem = list(num)
-    quo = [field.reduce(0)] * max(len(rem) - d, 0)
+    quo = [0] * max(len(rem) - d, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = rem.pop() * inv
         c = c % p if p is not None else field.reduce(c)
@@ -272,9 +271,8 @@ def companion(p: Polynomial) -> Matrix:
     if n < 1:
         raise DegreeZero("companion needs degree >= 1")
     f = p.field
-    z, o = f.reduce(0), f.reduce(1)
     last = [f.reduce(-c) for c in p.coeffs]
-    return Matrix._raw(f, n, n, [last[i] if j == n - 1 else o if i == j + 1 else z
+    return Matrix._raw(f, n, n, [last[i] if j == n - 1 else int(i == j + 1)
                                  for i in range(n) for j in range(n)])
 
 
@@ -431,13 +429,13 @@ def decompose_in_t2_minus_t(f: Polynomial):
     if not f.is_monic():
         raise NotMonic("decompose_in_t2_minus_t needs a monic polynomial")
     field = f.field
-    s = [field.reduce(c) for c in (0, -1, 1)]
+    s = [0, field.reduce(-1), 1]
     work, digits = f.coeffs, []
     while work:
         work, rem = _divrem(field, work, s)
         if len(rem) > 1:
             return None
-        digits.append(rem[0] if rem else field.reduce(0))
+        digits.append(rem[0] if rem else 0)
     return Polynomial._raw(field, digits)
 
 

@@ -236,7 +236,8 @@ def _checked_valuations(factors, alpha, beta, stage: str, n: int) -> tuple:
     out = []
     for fac in factors:
         a, b, h = valuations(fac, alpha, beta)
-        linear = [Polynomial(fac.field, [-alpha, 1])] * a + [Polynomial(fac.field, [-beta, 1])] * b
+        f = fac.field
+        linear = [Polynomial._raw(f, [f.reduce(-r), 1]) for r in (alpha,) * a + (beta,) * b]
         if prod(linear, start=h) != fac or not h(alpha) or not h(beta):
             raise InternalCheckFailed(
                 f"{stage}: valuations ({a}, {b}, {h}) at {alpha}, {beta} do not split the "
@@ -454,8 +455,8 @@ def check_necessary_combination(m: Matrix, alpha, beta) -> NecessaryReport:
     non-decomposability, a YES is inconclusive.
     """
     f = m.field
-    alpha = f.element(alpha)
-    beta = f.element(beta)
+    alpha = f.value(alpha)
+    beta = f.value(beta)
     if alpha == beta or not alpha or not beta:
         raise BadParams("needs distinct nonzero alpha, beta")
     vals = _checked_valuations(invariant_factors_with_transform(m)[0], alpha, beta, "necessary",

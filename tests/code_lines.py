@@ -2,7 +2,12 @@
 
 Usage::
 
-    python tests/code_lines.py [DIRECTORY]   # default: src/quadsum of this checkout
+    python tests/code_lines.py [DIRECTORY [OLD_DIRECTORY]]
+
+DIRECTORY defaults to src/quadsum of this checkout.  With OLD_DIRECTORY,
+such as the package of an older commit unpacked by ``git archive``, each
+module's code lines are printed old -> new, a module missing on one side
+counting 0, and so is the total.
 
 A code line is a line that a token covers, other than a comment, NL,
 NEWLINE, INDENT, DEDENT or ENDMARKER token, and that no docstring covers
@@ -48,18 +53,32 @@ def code_lines(text: str) -> int:
     return len(covered - docstring_lines(text))
 
 
-def main(src: str = SRC):
-    total_code = total_file = 0
+def counts(src: str) -> dict:
+    """{file name: (code lines, file lines)} of each module in ``src``."""
+    out = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 text = fh.read()
-            code, lines = code_lines(text), len(text.splitlines())
-            total_code += code
-            total_file += lines
+            out[name] = code_lines(text), len(text.splitlines())
+    return out
+
+
+def main(src: str = SRC, old: str | None = None):
+    new = counts(src)
+    if old is None:
+        for name, (code, lines) in new.items():
             print(f"{name:16} {code:5} {lines:5}")
-    print(f"{'total':16} {total_code:5} {total_file:5}")
+        total_code = sum(code for code, _ in new.values())
+        total_file = sum(lines for _, lines in new.values())
+        print(f"{'total':16} {total_code:5} {total_file:5}")
+        return
+    before = {name: code for name, (code, _) in counts(old).items()}
+    after = {name: code for name, (code, _) in new.items()}
+    for name in sorted(before.keys() | after.keys()):
+        print(f"{name:16} {before.get(name, 0):5} -> {after.get(name, 0):5}")
+    print(f"{'total':16} {sum(before.values()):5} -> {sum(after.values()):5}")
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    main(*sys.argv[1:3])

@@ -573,7 +573,7 @@ def _check_block_splits(m):
     return vals
 
 
-def test_split_spectral_mixed():
+def test_split_cyclic_block_mixed():
     f = QQ
     away = Matrix.diagonal(f, [2, 3])
     at01 = direct_sum(f, [jordan_block(f, 2), jordan_block(f, 1, eigenvalue=1)])
@@ -585,7 +585,7 @@ def test_split_spectral_mixed():
     assert [h for _, _, h in valuations] == [P(f, [6, -5, 1])]
 
 
-def test_split_spectral_pure_cases():
+def test_split_cyclic_block_pure_cases():
     assert _check_block_splits(jordan_block(QQ, 3)) == [(3, 0, P(QQ, [1]))]
     assert _check_block_splits(Matrix.diagonal(QQ, [2, 5])) == [(0, 0, P(QQ, [10, -7, 1]))]
 
@@ -634,7 +634,7 @@ def test_split_check_catches_shifted_jordan_columns(f, monkeypatch):
     assert rank(shifted[0]) == 5
 
 
-def test_split_spectral_random_consistency():
+def test_split_cyclic_block_random_consistency():
     rng = random.Random(16)
     for f in (QQ, GF(2), GF(5)):
         for _ in range(15):
@@ -644,7 +644,7 @@ def test_split_spectral_random_consistency():
 
 # ---- nilpotent Jordan block sizes, from the valuations ---------------
 
-def test_nilpotent_jordan_recovers_sizes():
+def test_decide_nullities_recover_nilpotent_jordan_sizes():
     rng = random.Random(17)
     for f in (QQ, GF(2), GF(3)):
         for _ in range(20):
@@ -657,7 +657,7 @@ def test_nilpotent_jordan_recovers_sizes():
             assert decision.nullity_at_1 == ()
 
 
-def test_nilpotent_jordan_zero_sized():
+def test_decide_nullities_of_the_empty_matrix():
     assert decide(Matrix.zero(QQ, 0, 0)).nullity_at_0 == ()
 
 

@@ -67,6 +67,16 @@ def test_gf_basics():
     assert f.element(3).inverse() == f.element(5)
 
 
+def test_element_hashes_like_the_number_it_equals():
+    """An element equal to an int lands in that int's set and dict slot: it
+    hashes as its raw value.  Over GF(p) only the canonical residue can: 8
+    equals GF(5)'s 3 but hashes as 8."""
+    assert 3 in {QQ.element(3)} and QQ.element(3) in {3}
+    assert {QQ.element(-4): "x"}[-4] == "x"
+    assert 3 in {GF(5).element(3)} and GF(5).element(8) in {3}
+    assert GF(5).element(3) == 8 and 8 not in {GF(5).element(3)}
+
+
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)

@@ -5,7 +5,7 @@ import os
 import re
 
 import quadsum
-from code_lines import code_lines
+from code_lines import code_lines, main as print_line_counts
 
 SRC = os.path.dirname(os.path.abspath(quadsum.__file__))
 
@@ -78,6 +78,30 @@ def test_no_scalar_is_wrapped_only_to_be_unwrapped():
     found = [f"{name}:{line} {what}" for name, text in package_sources()
              for line, what in wrapped_then_unwrapped(text)
              if name != "field.py" or what != "element(...).v"]
+    assert found == []
+
+
+def constant_reductions(text: str):
+    """The line of every ``.reduce`` call on the literal int 0 or 1."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "reduce" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Constant)
+                  and type(node.args[0].value) is int and node.args[0].value in (0, 1))
+
+
+def test_constant_reductions_are_found():
+    text = ("a = f.reduce(0)\nb = field.reduce(1)\nc = f.reduce(-1)\nd = f.reduce(x)\n"
+            "e = functools.reduce(add, xs)\ng = f.reduce(True)\nh = [self.field.reduce(\n"
+            "    1)]\n")
+    assert constant_reductions(text) == [1, 2, 7]
+
+
+def test_no_constant_is_reduced():
+    """0 and 1 are canonical raw values in every field, the ints themselves:
+    no module asks ``Field.reduce`` for them."""
+    found = [f"{name}:{line}" for name, text in package_sources()
+             for line in constant_reductions(text)]
     assert found == []
 
 
@@ -344,3 +368,28 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
             's = """a string\n'
             'on two lines"""\n')
     assert code_lines(text) == 6
+
+
+def test_code_lines_compares_two_directories(tmp_path, capsys):
+    """With an old directory each module's code lines print old -> new, a
+    module on one side only counting 0 on the other, and so does the total;
+    with one directory each module prints its code and file lines."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text("x = 1\ny = 2\n")
+    (old / "gone.py").write_text("z = 3\n")
+    (new / "a.py").write_text("# a comment\nx = 1\n")
+    (new / "added.py").write_text('"""Docstring."""\n\nw = 4\nv = 5\n')
+    (new / "notes.txt").write_text("not a module\n")
+    print_line_counts(str(new), str(old))
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py                 2 ->     1",
+        "added.py             0 ->     2",
+        "gone.py              1 ->     0",
+        "total                3 ->     3"]
+    print_line_counts(str(new))
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py                 1     2",
+        "added.py             2     4",
+        "total                3     6"]
