@@ -43,7 +43,7 @@ from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
 from .matrix import (Matrix, _columns, _combination, _products_equal, _rank, _raw_products,
                      _span_rank, kernel_matrix, rank, solve)
-from .poly import Polynomial, _cyclic_scan, companion
+from .poly import Polynomial, _cyclic_scan, _divrem, _mul, companion
 
 
 def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
@@ -163,8 +163,7 @@ def invariant_factors_with_transform(m: Matrix):
                            _times_companions(m.field, t_cols, factors)):
         raise InternalCheckFailed(f"invariant factors: M T is not T F, {where}")
     for a, b in zip(factors, factors[1:]):
-        _, rem = b.divrem(a)
-        if not rem.is_zero():
+        if _divrem(m.field, b.coeffs, a.coeffs)[1]:
             raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
     return tuple(factors), t_mat
 
@@ -207,28 +206,37 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
     product has degree below deg fac, so none needs reducing.  e_0 and e_1
     are scaled to be 1 modulo t and t - 1, so the eigenvector closing each
     chain is the primary component of t^(a-1) resp. (t - 1)^(b-1) itself.
-    The identity is checked without an inverse, as rank(S) = deg fac and
-    C(fac) S = S E for the block sum E.
+    The columns are raw coefficient lists: times t prepends a 0, and times
+    t - 1 is that minus the list.  The identity is checked without an
+    inverse, as rank(S) = deg fac and C(fac) S = S E for the block sum E.
     """
     f = fac.field
     d = fac.degree
-    t = Polynomial.x(f)
-    t_1 = Polynomial._raw(f, [f.reduce(-1), 1])
-    t_a, t_1b = t ** a, t_1 ** b
-    e_0, e_1 = h * t_1b, h * t_a
+
+    def times_t(c):
+        return [0] + c
+
+    def times_t_1(c):
+        return [f.reduce(u - v) for u, v in zip([0] + c, c + [0])]
+
+    t_1b = [1]
+    for _ in range(b):
+        t_1b = times_t_1(t_1b)
+    e_0, e_1 = _mul(f, h.coeffs, t_1b), [0] * a + list(h.coeffs)
+    inv_0, inv_1 = f.inv_raw(e_0[0]), f.inv_raw(f.reduce(sum(e_1)))
     cols = []
-    for head, step, length in ((t_a * t_1b, t, h.degree),
-                               (e_0._scaled(f.inv_raw(e_0.coeffs[0])), t, a),
-                               (e_1._scaled(f.inv_raw(f.reduce(sum(e_1.coeffs)))), t_1, b)):
+    for head, step, length in (([0] * a + t_1b, times_t, h.degree),
+                               ([f.reduce(inv_0 * c) for c in e_0], times_t, a),
+                               ([f.reduce(inv_1 * c) for c in e_1], times_t_1, b)):
         for _ in range(length):
             cols.append(head)
-            head = head * step
-    s_mat = _chain_matrix(f, [col.coeffs + (0,) * (d - len(col.coeffs)) for col in cols])
+            head = step(head)
+    s_mat = _chain_matrix(f, [col + [0] * (d - len(col)) for col in cols])
     # S E column by column: C(h) and J_a(0) = C(t^a) are companions, and
     # column j of J_b(1) = I + C(t^b) is s_j + s_(j+1), the last one s_j
     s_cols = s_mat.raw_cols()
     at_1 = s_cols[d - b:]
-    expected = (_times_companions(f, s_cols, [h, t_a])
+    expected = (_times_companions(f, s_cols, [h, Polynomial._raw(f, [0] * a + [1])])
                 + [_combination(f, [1, 1], pair) for pair in zip(at_1, at_1[1:])] + at_1[-1:])
     if rank(s_mat) != d or not _products_equal(f, companion(fac).raw_rows(), s_cols, expected):
         raise InternalCheckFailed(

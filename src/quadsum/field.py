@@ -166,11 +166,13 @@ class FieldElement:
     """Immutable scalar bound to its :class:`Field`.
 
     Supports ``+ - * /``, equality and hashing, and no order.  Plain ints
-    are coerced into the element's field.  An element hashes as its raw
-    value, so it hashes like the int it equals: over the rationals that int,
-    over GF(p) its canonical residue.  Over GF(p) it also equals the other
-    ints of its residue class (``GF(5).element(3) == 8``), which no hash can
-    follow: ``8 in {GF(5).element(3)}`` is False.
+    are coerced into the element's field, and so are Fractions when it
+    compares (over GF(p) a non-integral one equals no element).  An element
+    hashes as its raw value, so it hashes like the number it equals: over
+    the rationals that int or Fraction, over GF(p) its canonical residue.
+    Over GF(p) it also equals the other ints of its residue class
+    (``GF(5).element(3) == 8``), which no hash can follow:
+    ``8 in {GF(5).element(3)}`` is False.
     """
 
     __slots__ = ("field", "v")
@@ -208,7 +210,9 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return other.field == self.field and other.v == self.v
-        if isinstance(other, int) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            if self.field.p is not None and other.denominator != 1:
+                return False  # no residue is a non-integral rational
             return self.v == self.field.value(other)
         return NotImplemented
 

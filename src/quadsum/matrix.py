@@ -25,7 +25,8 @@ ints, and each entry of the result is one :func:`quadsum.field._rational`: a
 A product that is only compared builds no ``Fraction``.  Every identity
 check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
 call of :func:`_products_equal`, which compares rows times columns with
-expected columns entry by entry, over the rationals as cross-multiplied
+expected columns: over GF(p) as one :func:`_raw_products` call against the
+expected entries, over the rationals entry by entry as cross-multiplied
 integer dot products.  A shift M + c I touches the diagonal only
 (:meth:`Matrix._plus_identity`).  An early exit that returns what the
 general path returns stays only where it was measured to pay, as
@@ -354,18 +355,19 @@ def _raw_products(field: Field, rows, cols):
 def _products_equal(field: Field, rows, cols, expected) -> bool:
     """Whether every raw row times every raw column is the raw expected
     entry, ``expected`` given as columns (``expected[j][i]`` for row i and
-    column j); it stops at the first entry that differs.
+    column j).
 
-    Over GF(p) the products are :func:`_raw_products`, packed when
-    :func:`_packs` admits them.  Over the rationals no ``Fraction`` is
-    built: with rows and columns as integers over d_row and d_col
-    (:func:`_integral`), row times column is e when dot den(e) = num(e)
-    d_row d_col.
+    Over GF(p) the products are one :func:`_raw_products` call, packed when
+    :func:`_packs` admits them, compared with the transpose of ``expected``.
+    Over the rationals no ``Fraction`` is built: with rows and columns as
+    integers over d_row and d_col (:func:`_integral`), row times column is e
+    when dot den(e) = num(e) d_row d_col, and the check stops at the first
+    entry that differs.
     """
     if field.p is not None:
-        cols = _columns(field, cols)
-        return all(_raw_products(field, [r], cols)[0] == [e[i] for e in expected]
-                   for i, r in enumerate(rows))
+        # one product call; with no columns the transpose is len(rows) empty rows
+        return (_raw_products(field, rows, _columns(field, cols))
+                == ([list(r) for r in zip(*expected)] or [[]] * len(rows)))
     cols = _integral(cols)
     for i, (r, dr) in enumerate(_integral(rows)):
         for (c, dc), e in zip(cols, expected):

@@ -13,14 +13,21 @@ resumes when the offer fails.
 
 Coefficients are stored raw and canonical, as in :mod:`quadsum.matrix`:
 ``Polynomial(...)`` coerces through ``Field.value``, scalar evaluation
-wraps, and the kernels build with :meth:`Polynomial._raw`.  Division, gcd
-and lcm run on raw coefficient lists (:func:`_divrem`), with one ``% p`` per
-coefficient of each step over GF(p), and build a ``Polynomial`` only for
-their results.  The Krylov annihilator has no elimination of its own: it
-yields the Krylov vectors to :func:`quadsum.matrix._first_relation`, and
-knows nothing of the span.  The cyclic-vector scan keeps the echelon of its
-chains itself and extends it after each run with
-:func:`quadsum.matrix._span_rank`.
+wraps, and the kernels build with :meth:`Polynomial._raw`.  Every
+polynomial computation on the decide and construct paths runs on raw
+coefficient lists and builds a ``Polynomial`` only for a result: division,
+gcd and lcm, the coprime split and merge of cyclic vectors, the digits in
+base t^2 - t, and in :mod:`quadsum.canonical` and :mod:`quadsum.sums` the
+divisibility chain, the cyclic-block split and the valuation check.  A
+product is the one multiplication loop, :func:`_mul`, which
+``Polynomial.__mul__`` runs too; a quotient is :func:`_divrem`, with one
+``% p`` per coefficient of each step over GF(p); a value at a scalar is
+:func:`_horner`.  The operators of ``Polynomial`` serve the public API.
+
+The Krylov annihilator has no elimination of its own: it yields the Krylov
+vectors to :func:`quadsum.matrix._first_relation`, and knows nothing of the
+span.  The cyclic-vector scan keeps the echelon of its chains itself and
+extends it after each run with :func:`quadsum.matrix._span_rank`.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ class Polynomial:
         return Polynomial._raw(self.field, [reduce(c * x) for x in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        return self if not self.coeffs else _monic(self.field, self.coeffs)
+        f = self.field
+        return self if not self.coeffs else Polynomial._raw(f, _monic(f, self.coeffs))
 
     # ---- arithmetic --------------------------------------------------
 
@@ -120,12 +128,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._chk(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial._raw(self.field, map(self.field.reduce, out))
+        return Polynomial._raw(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -159,11 +162,7 @@ class Polynomial:
                 acc = Matrix._raw(f, n, n, [v for row in _raw_products(f, acc.raw_rows(), cols)
                                             for v in row])._plus_identity(c)
             return acc
-        x = f.value(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.reduce(acc * x + c)
-        return f.make(acc)
+        return f.make(_horner(f, self.coeffs, f.value(x)))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(t))."""
@@ -202,6 +201,25 @@ class Polynomial:
         return f"Polynomial({self!s} over {self.field!r})"
 
 
+def _mul(field: Field, a, b) -> list:
+    """Raw coefficient list of the product of raw coefficient sequences a
+    and b, each coefficient reduced once; the one multiplication loop of
+    the package's polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return list(map(field.reduce, out))
+
+
+def _horner(field: Field, coeffs, x):
+    """The raw value at a raw scalar x of raw coefficients, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.reduce(acc * x + c)
+    return acc
+
+
 def _divrem(field: Field, num, den):
     """Raw quotient and trimmed remainder coefficient lists of num / den,
     for raw coefficient sequences with den trimmed and nonzero, both
@@ -225,10 +243,10 @@ def _divrem(field: Field, num, den):
     return quo, rem if p is not None else _canonical(field, rem)
 
 
-def _monic(field: Field, coeffs) -> Polynomial:
-    """The monic polynomial of raw coefficients with a nonzero leading one."""
+def _monic(field: Field, coeffs) -> list:
+    """Raw coefficients made monic, for a nonzero leading one."""
     inv = field.inv_raw(coeffs[-1])
-    return Polynomial._raw(field, [field.reduce(c * inv) for c in coeffs])
+    return [field.reduce(c * inv) for c in coeffs]
 
 
 def _gcd(field: Field, a, b):
@@ -242,12 +260,12 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor."""
     a._chk(b)
     g = _gcd(a.field, a.coeffs, b.coeffs)
-    return _monic(a.field, g) if g else Polynomial.zero(a.field)
+    return Polynomial._raw(a.field, _monic(a.field, g) if g else g)
 
 
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic least common multiple: the one of a and b that the other
-    divides, made monic, else (a / gcd(a, b)) b, its quotient scaled first."""
+    divides, made monic, else (a / gcd(a, b)) b, made monic."""
     a._chk(b)
     f = a.field
     if a.is_zero() or b.is_zero():
@@ -256,7 +274,7 @@ def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
         if not _divrem(f, multiple.coeffs, divisor.coeffs)[1]:
             return multiple.monic()
     quo = _divrem(f, a.coeffs, _gcd(f, a.coeffs, b.coeffs))[0]
-    return Polynomial._raw(f, quo)._scaled(f.inv_raw(quo[-1] * b.coeffs[-1])) * b
+    return Polynomial._raw(f, _monic(f, _mul(f, quo, b.coeffs)))
 
 
 def companion(p: Polynomial) -> Matrix:
@@ -314,12 +332,15 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
 def _coprime_split(p: Polynomial, q: Polynomial):
     """(a, b) with a | p, b | q, gcd(a, b) = 1 and a b = lcm(p, q), for monic
     p, q.  a starts as p / gcd(p, q), whose irreducibles are those with a
-    higher power in p than in q, and grows until p / a is coprime to it."""
-    g = gcd(p, q)
-    a, _ = p.divrem(g)
-    while (h := gcd(p.divrem(a)[0], a)).degree:
-        a = a * h
-    return a, (q * p.divrem(a)[0]).divrem(g)[0]
+    higher power in p than in q, and grows until p / a is coprime to it.
+    The work runs on raw coefficient lists, each gcd made monic."""
+    f = p.field
+    g = _monic(f, _gcd(f, p.coeffs, q.coeffs))
+    a = _divrem(f, p.coeffs, g)[0]
+    while len(h := _monic(f, _gcd(f, _divrem(f, p.coeffs, a)[0], a))) > 1:
+        a = _mul(f, a, h)
+    b = _divrem(f, _mul(f, q.coeffs, _divrem(f, p.coeffs, a)[0]), g)[0]
+    return Polynomial._raw(f, a), Polynomial._raw(f, b)
 
 
 def _merge(m: Matrix, m_rows, first, second):
@@ -330,18 +351,21 @@ def _merge(m: Matrix, m_rows, first, second):
     annihilator a b; both terms are read off the chains, with no matrix
     product."""
     (p, u_chain), (q, w_chain) = first, second
-    if p.divrem(q)[1].is_zero():
+    f = m.field
+    if not _divrem(f, p.coeffs, q.coeffs)[1]:
         return first
-    if q.divrem(p)[1].is_zero():
+    if not _divrem(f, q.coeffs, p.coeffs)[1]:
         return second
     a, b = _coprime_split(p, q)
     coeffs, vecs = [], []
-    for chain, (quo, _) in ((u_chain, p.divrem(a)), (w_chain, q.divrem(b))):
-        coeffs += quo.coeffs
-        vecs += chain[:len(quo.coeffs)]
-    ann, chain = krylov_annihilator(m, _combination(m.field, coeffs, vecs), m_rows)
-    if ann != a * b:
-        raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {a * b}, "
+    for chain, num, den in ((u_chain, p, a), (w_chain, q, b)):
+        quo = _divrem(f, num.coeffs, den.coeffs)[0]
+        coeffs += quo
+        vecs += chain[:len(quo)]
+    ann, chain = krylov_annihilator(m, _combination(f, coeffs, vecs), m_rows)
+    ab = Polynomial._raw(f, _mul(f, a.coeffs, b.coeffs))
+    if ann != ab:
+        raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {ab}, "
                                   f"under the {m.rows}x{m.rows} matrix")
     return ann, chain
 
@@ -424,18 +448,22 @@ def decompose_in_t2_minus_t(f: Polynomial):
 
     The digits of f in base s = t^2 - t, the remainders of repeated division
     by s, have degree below 2.  f is g(s) exactly when every digit is a
-    constant, and then the digits are g's coefficients, lowest first.
+    constant, and then the digits are g's coefficients, lowest first.  As
+    t^k = t^(k-2) s + t^(k-1), one pass from the top, w_(k-1) += w_k for
+    k >= 2, divides w by s in place: the quotient is w[2:] and the
+    remainder w_0 + w_1 t.
     """
     if not f.is_monic():
         raise NotMonic("decompose_in_t2_minus_t needs a monic polynomial")
     field = f.field
-    s = [0, field.reduce(-1), 1]
-    work, digits = f.coeffs, []
+    work, digits = list(f.coeffs), []
     while work:
-        work, rem = _divrem(field, work, s)
-        if len(rem) > 1:
+        for k in range(len(work) - 1, 1, -1):
+            work[k - 1] = field.reduce(work[k - 1] + work[k])
+        if len(work) > 1 and work[1]:
             return None
-        digits.append(rem[0] if rem else 0)
+        digits.append(work[0])
+        work = work[2:]
     return Polynomial._raw(field, digits)
 
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import prod
 
 from .canonical import invariant_factors_with_transform, split_cyclic_block, valuations
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
 from .field import Field, FieldElement, quadratic_roots
 from .matrix import Matrix, _placed, _products_equal, direct_sum, solve
-from .poly import Polynomial, decompose_in_t2_minus_t
+from .poly import _horner, _mul, decompose_in_t2_minus_t
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,11 @@ def _checked_valuations(factors, alpha, beta, stage: str, n: int) -> tuple:
     for fac in factors:
         a, b, h = valuations(fac, alpha, beta)
         f = fac.field
-        linear = [Polynomial._raw(f, [f.reduce(-r), 1]) for r in (alpha,) * a + (beta,) * b]
-        if prod(linear, start=h) != fac or not h(alpha) or not h(beta):
+        product = h.coeffs
+        for r in (alpha,) * a + (beta,) * b:
+            product = _mul(f, product, (f.reduce(-r), 1))
+        if (tuple(product) != fac.coeffs or not _horner(f, h.coeffs, alpha)
+                or not _horner(f, h.coeffs, beta)):
             raise InternalCheckFailed(
                 f"{stage}: valuations ({a}, {b}, {h}) at {alpha}, {beta} do not split the "
                 f"invariant factor {fac} of the {n}x{n} matrix")

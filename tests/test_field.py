@@ -77,6 +77,24 @@ def test_element_hashes_like_the_number_it_equals():
     assert GF(5).element(3) == 8 and 8 not in {GF(5).element(3)}
 
 
+def test_element_compares_with_fractions():
+    """A Fraction compares through ``Field.value`` in both operand orders,
+    and lands in the set slot of the element it equals.  Over GF(p) an
+    integral Fraction is its residue and a non-integral one equals no
+    element, with no error; bools stay refused."""
+    half = QQ.element("1/2")
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert Fraction(1, 2) in {half} and half in {Fraction(1, 2)}
+    assert half != Fraction(1, 3) and Fraction(1, 3) != half
+    assert QQ.element(3) == Fraction(3) and Fraction(3) in {QQ.element(3)}
+    f = GF(5)
+    assert f.element(3) == Fraction(8) and Fraction(8) == f.element(3)
+    assert Fraction(3) in {f.element(3)} and f.element(3) in {Fraction(3)}
+    assert f.element(3) != Fraction(1, 2) and Fraction(1, 2) != f.element(3)
+    assert Fraction(1, 2) not in {f.element(3)}
+    assert QQ.element(1) != True and f.element(1) != True  # noqa: E712
+
+
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(6)

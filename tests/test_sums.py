@@ -833,7 +833,7 @@ def test_certificate_check_catches_one_wrong_entry(f, monkeypatch):
 def test_rational_checks_call_no_product_kernel(monkeypatch):
     """Over Q the identity checks, M T = T F, C(f) S = S E and the two
     quadratic identities, compare integer dot products and never call the
-    product kernel ``_raw_products``; over GF(5) the same checks do."""
+    product kernel ``_raw_products``; over GF(5) each of them is one call."""
     real = quadsum.matrix._raw_products
     for f in (QQ, GF(5)):
         rng = random.Random(30)
@@ -849,7 +849,47 @@ def test_rational_checks_call_no_product_kernel(monkeypatch):
             for fac in factors:
                 split_cyclic_block(fac, *valuations(fac, 0, 1))
             verify_certificate(m, cert)
-        assert (len(calls) == 0) == (f.p is None), (f, len(calls))
+        assert len(calls) == (0 if f.p is None else 3 + len(factors)), (f, len(calls))
+
+
+def test_decide_and_construct_do_no_polynomial_arithmetic(monkeypatch):
+    """The polynomial bookkeeping of ``decide``, ``construct`` and
+    ``check_necessary_combination`` runs on raw coefficient lists: with the
+    arithmetic operators of ``Polynomial``, ``divrem``, ``compose`` and
+    evaluation at a scalar all raising, each still answers, and every
+    certificate verifies.  Evaluation at a matrix, as mu(R) in the Frobenius
+    decomposition, stays allowed.  Inputs: sampled 4x4 matrices over GF(2),
+    a planted 12x12 over GF(101) (packed kernels) and planted 6x6 over Q."""
+    def refused(*args):
+        raise AssertionError("polynomial arithmetic on the decide/construct path")
+
+    for name in ("__mul__", "__rmul__", "__pow__", "__add__", "__sub__", "__neg__",
+                 "divrem", "compose"):
+        monkeypatch.setattr(Polynomial, name, refused)
+    at_matrix = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__",
+                        lambda poly, x: at_matrix(poly, x) if isinstance(x, Matrix) else refused())
+    with pytest.raises(AssertionError, match="polynomial arithmetic"):
+        Polynomial.x(QQ)(0)
+    rng = random.Random(33)
+    inputs = ([rand_matrix(GF(2), 4, rng) for _ in range(60)]
+              + [rand_decomposable(GF(101), 12, rng)]
+              + [rand_decomposable(QQ, 6, rng) for _ in range(4)])
+    yes = 0
+    for m in inputs:
+        if decide(m).yes:
+            yes += 1
+            assert verify_certificate(m, construct(m, QuadParams.of(m.field))).ok
+    assert yes >= 10
+    statuses = set()
+    for f in (GF(101), QQ):
+        for sizes in ((2, 1), (1, 3), (2, 2)):
+            blocks = [jordan_block(f, size, eigenvalue=lam) for size, lam in zip(sizes, (2, 3))]
+            t = rand_invertible(f, sum(sizes), rng)
+            m = t * direct_sum(f, blocks) * inverse(t)
+            statuses.add(check_necessary_combination(m, 2, 3).status)
+        statuses.add(check_necessary_combination(inputs[-1], 2, 3).status)
+    assert statuses == {"no", "inconclusive", "not_applicable"}
 
 
 def test_verify_rejects_certificate_of_the_wrong_shape():
