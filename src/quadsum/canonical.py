@@ -39,6 +39,8 @@ anti-identity that its levels would build one dimension at a time.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import DimensionMismatch, InternalCheckFailed
 from .field import Field
 from .matrix import (Matrix, _columns, _combination, _products_equal, _rank, _raw_products,
@@ -207,8 +209,8 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
     are scaled to be 1 modulo t and t - 1, so the eigenvector closing each
     chain is the primary component of t^(a-1) resp. (t - 1)^(b-1) itself.
     The columns are raw coefficient lists: times t prepends a 0, and times
-    t - 1 is that minus the list.  The identity is checked without an
-    inverse, as rank(S) = deg fac and C(fac) S = S E for the block sum E.
+    t - 1 is one :func:`quadsum.poly._mul`.  The identity is checked without
+    an inverse, as rank(S) = deg fac and C(fac) S = S E for the block sum E.
     """
     f = fac.field
     d = fac.degree
@@ -216,9 +218,7 @@ def split_cyclic_block(fac: Polynomial, a: int, b: int, h: Polynomial) -> Matrix
     def times_t(c):
         return [0] + c
 
-    def times_t_1(c):
-        return [f.reduce(u - v) for u, v in zip([0] + c, c + [0])]
-
+    times_t_1 = partial(_mul, f, (f.reduce(-1), 1))
     t_1b = [1]
     for _ in range(b):
         t_1b = times_t_1(t_1b)

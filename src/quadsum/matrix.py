@@ -362,12 +362,11 @@ def _products_equal(field: Field, rows, cols, expected) -> bool:
     Over the rationals no ``Fraction`` is built: with rows and columns as
     integers over d_row and d_col (:func:`_integral`), row times column is e
     when dot den(e) = num(e) d_row d_col, and the check stops at the first
-    entry that differs.
+    entry that differs.  Every caller compares square products.
     """
     if field.p is not None:
-        # one product call; with no columns the transpose is len(rows) empty rows
-        return (_raw_products(field, rows, _columns(field, cols))
-                == ([list(r) for r in zip(*expected)] or [[]] * len(rows)))
+        products = _raw_products(field, rows, _columns(field, cols))
+        return products == [list(r) for r in zip(*expected)]
     cols = _integral(cols)
     for i, (r, dr) in enumerate(_integral(rows)):
         for (c, dc), e in zip(cols, expected):

@@ -2,21 +2,22 @@
 
 Usage::
 
-    python tests/bench.py --label L [--seeds 1 7] [--seconds 20] [--compare OLD.json]
+    python tests/bench.py --label L
     python tests/bench.py --compare OLD.json NEW.json
 
 With ``--label`` it runs ``perfbench/run.py`` (the command of
-``BENCHMARK.json``) once per workload of ``BENCHMARK.json`` and per seed, a
-seed given twice running twice, and writes ``BENCH_<L>.json`` at the root of
-the checkout: the git SHA and whether tracked files differ from it, the
-Python version, the platform, the CPU count, each command line, each run's
-final JSON line, and per workload and metric the median and quartiles over
-its runs.  It measures nothing itself, so ``perfbench/`` stays the one
-harness.  With ``--compare`` it prints, per workload and end-to-end metric,
-old -> new medians, the change in %, and whether a worsening stays inside
-the metric's ``BENCHMARK.json`` bound, and the failed share of operations
-old -> new; it exits 1 when a metric is outside its bound or more operations
-fail.  Without ``--label`` it compares two stored files and runs nothing.
+``BENCHMARK.json``) for ``run_seconds`` of ``BENCHMARK.json`` once per
+workload and per entry of :data:`SEEDS`, and writes ``BENCH_<L>.json`` at
+the root of the checkout: the git SHA and whether tracked files differ from
+it, the Python version, the platform, the CPU count, each command line, each
+run's final JSON line, and per workload and metric the median and quartiles
+over its runs.  It measures nothing itself, so ``perfbench/`` stays the one
+harness.  With ``--compare`` it runs nothing and prints, per workload and
+end-to-end metric, old -> new medians, the change in %, and whether a
+worsening stays inside the metric's ``BENCHMARK.json`` bound, and the failed
+share of operations old -> new; it exits 1 when a metric is outside its
+bound or more operations fail.  It refuses two files whose run length or
+seeds differ.
 """
 
 from __future__ import annotations
@@ -36,9 +37,17 @@ MACHINE_NOTE = ("Ran on a shared 2-core machine: other tenants' load moves a pro
                 "speed by up to a third, so compare medians against the quartiles.")
 
 
-def load_benchmark() -> dict:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+#: Each seed runs twice, so every workload's quartiles rest on four runs.
+SEEDS = (1, 7, 1, 7)
+
+
+def load_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_benchmark() -> dict:
+    return load_json(os.path.join(ROOT, "BENCHMARK.json"))
 
 
 def parse_report(text: str):
@@ -84,12 +93,12 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def collect(label: str, seeds, seconds: int) -> dict:
+def collect(label: str) -> dict:
     """Run every workload at every seed and return the BENCH record."""
     bench = load_benchmark()
-    runs = []
+    seconds, runs = bench["run_seconds"], []
     for workload in (w["name"] for w in bench["workloads"]):
-        for seed in seeds:
+        for seed in SEEDS:
             command = bench["command"] + ["--workload", workload, "--seed", str(seed),
                                           "--seconds", str(seconds)]
             proc = subprocess.run([sys.executable, *command[1:]], cwd=ROOT,
@@ -103,7 +112,7 @@ def collect(label: str, seeds, seconds: int) -> dict:
     return {"label": label, "note": MACHINE_NOTE, "sha": _git("rev-parse", "HEAD"),
             "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
             "python": platform.python_version(), "platform": platform.platform(),
-            "cpu_count": os.cpu_count(), "seconds": seconds, "seeds": list(seeds),
+            "cpu_count": os.cpu_count(), "seconds": seconds, "seeds": list(SEEDS),
             "runs": runs, "summary": summarize(runs)}
 
 
@@ -134,29 +143,23 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list, bool]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", help="run the benchmark and write BENCH_<label>.json")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--compare", nargs="+", metavar="FILE",
-                    help="OLD.json, with --label; else OLD.json NEW.json")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="run the benchmark and write BENCH_<label>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two stored BENCH files")
     args = ap.parse_args(argv)
-    wanted = 1 if args.label else 2
-    if args.compare is None and not args.label or args.compare and len(args.compare) != wanted:
-        ap.error("give --label, --label with --compare OLD.json, or --compare OLD.json NEW.json")
     if args.label:
-        new = collect(args.label, args.seeds, args.seconds)
-        path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+        record, path = collect(args.label), os.path.join(ROOT, f"BENCH_{args.label}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(new, fh, indent=1)
+            json.dump(record, fh, indent=1)
             fh.write("\n")
         print(f"wrote {os.path.relpath(path, ROOT)}")
-    if not args.compare:
         return 0
-    files = []
-    for name in args.compare:
-        with open(name, encoding="utf-8") as fh:
-            files.append(json.load(fh))
-    lines, ok = compare(files[0], files[1] if len(files) == 2 else new, load_benchmark())
+    old, new = map(load_json, args.compare)
+    for key in ("seconds", "seeds"):
+        if old[key] != new[key]:
+            ap.error(f"the files ran with different {key}: {old[key]} and {new[key]}")
+    lines, ok = compare(old, new, load_benchmark())
     print("\n".join(lines))
     return 0 if ok else 1
 

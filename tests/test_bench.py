@@ -38,11 +38,12 @@ def test_report_line_is_parsed_and_summarized():
 
 
 def test_label_writes_every_key(tmp_path, monkeypatch, capsys):
-    """``--label`` runs the command of BENCHMARK.json once per workload and
-    seed (here a stand-in that prints the stored report) and writes the
-    file with its provenance, each command and result, and the summary."""
-    with open(os.path.join(bench.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
+    """``--label`` runs the command of BENCHMARK.json for its run_seconds
+    once per workload and entry of SEEDS (here a stand-in that prints the
+    stored report) and writes the file with its provenance, each command and
+    result, and the summary."""
+    spec = bench.load_benchmark()
+    spec["run_seconds"] = 3
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
     report, calls = _read("bench_report.txt"), []
 
@@ -53,20 +54,21 @@ def test_label_writes_every_key(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
-    assert bench.main(["--label", "t", "--seeds", "1", "7", "--seconds", "3"]) == 0
+    assert bench.main(["--label", "t"]) == 0
     written = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
     assert set(written) == {"label", "note", "sha", "dirty", "python", "platform", "cpu_count",
                             "seconds", "seeds", "runs", "summary"}
-    assert (written["sha"], written["dirty"], written["seeds"]) == ("ab12", False, [1, 7])
+    assert (written["sha"], written["dirty"], written["seeds"]) == ("ab12", False, [1, 7, 1, 7])
+    assert written["seconds"] == 3
     assert "shared 2-core machine" in written["note"]
     workloads = [w["name"] for w in spec["workloads"]]
     assert [(r["workload"], r["seed"]) for r in written["runs"]] == [
-        (w, s) for w in workloads for s in (1, 7)]
+        (w, s) for w in workloads for s in (1, 7, 1, 7)]
     assert written["runs"][0]["command"] == spec["command"] + [
         "--workload", workloads[0], "--seed", "1", "--seconds", "3"]
     assert written["runs"][0]["result"] == bench.parse_report(report)
     assert set(written["summary"]) == set(workloads)
-    assert sum("perfbench/run.py" in argv for argv in calls) == 2 * len(workloads)
+    assert sum("perfbench/run.py" in argv for argv in calls) == 4 * len(workloads)
 
 
 def test_compare_flags_a_metric_outside_its_bound(capsys):
@@ -79,12 +81,21 @@ def test_compare_flags_a_metric_outside_its_bound(capsys):
     assert "setup_s      0.159324 -> 0.191189 s  +20.0%  inside the bound 0.25" in out
     assert "ops_per_s    216.025 -> 151.218 1/s  -30.0%  OUTSIDE the bound 0.24" in out
     assert out.count("failed share 0 -> 0") == 2
-    old = json.loads(_read("bench_old.json"))
-    assert bench.compare(old, old, json.loads(open(os.path.join(bench.ROOT, "BENCHMARK.json"),
-                                                   encoding="utf-8").read()))[1]
+    old = bench.load_json(os.path.join(DATA, "bench_old.json"))
+    assert bench.compare(old, old, bench.load_benchmark())[1]
 
 
-def test_arguments_name_one_mode():
-    for argv in ([], ["--compare", "a.json"], ["--label", "x", "--compare", "a", "b"]):
+def test_arguments_name_one_mode(tmp_path, capsys):
+    """Either ``--label L`` or ``--compare OLD NEW``, and two files whose
+    run length or seeds differ are refused."""
+    old = bench.load_json(os.path.join(DATA, "bench_old.json"))
+    for key, value in (("seconds", 20), ("seeds", [1])):
+        (tmp_path / "other.json").write_text(json.dumps({**old, key: value}), encoding="utf-8")
+        with pytest.raises(SystemExit):
+            bench.main(["--compare", os.path.join(DATA, "bench_old.json"),
+                        str(tmp_path / "other.json")])
+        assert f"different {key}" in capsys.readouterr().err
+    for argv in ([], ["--compare", "a.json"], ["--label", "x", "--compare", "a", "b"],
+                 ["--label", "x", "--seeds", "1"]):
         with pytest.raises(SystemExit):
             bench.main(argv)
