@@ -48,9 +48,9 @@ from .matrix import (Matrix, _columns, _combination, _products_equal, _rank, _ra
 from .poly import Polynomial, _cyclic_scan, _divrem, _mul, companion
 
 
-def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
-    """Rows w, wM, ..., wM^(d-1) whose pairing with the Krylov chain in the
-    columns of ``k_mat`` (n x d) is invertible.
+def _dual_rows(m: Matrix, chain) -> Matrix:
+    """Rows w, wM, ..., wM^(d-1) whose pairing with the Krylov chain, d raw
+    canonical vectors of length n, is invertible.
 
     The kernel of the resulting d x n matrix is an M-invariant complement of
     the cyclic subspace spanned by the chain.  The standard rows are tried
@@ -59,12 +59,13 @@ def _dual_rows(m: Matrix, k_mat: Matrix) -> Matrix:
     antidiagonal and 1 on it, and the pairing is invertible.
     """
     f = m.field
-    n, d = k_mat.rows, k_mat.cols
+    n, d = m.rows, len(chain)
     m_cols = _columns(f, m.raw_cols())
-    chain_cols = _columns(f, k_mat.raw_cols())
+    chain_cols = _columns(f, chain)
     for i in range(n + 1):
         rows = [[int(i == j) for j in range(n)] if i < n else
-                list(solve(k_mat.transpose(), Matrix._raw(f, d, 1, [0] * (d - 1) + [1]))._e)]
+                list(solve(Matrix._raw(f, d, n, [x for v in chain for x in v]),
+                           Matrix._raw(f, d, 1, [0] * (d - 1) + [1]))._e)]
         for _ in range(d - 1):
             rows.append(_raw_products(f, [rows[-1]], m_cols)[0])
         pairing = _raw_products(f, rows, chain_cols)
@@ -121,10 +122,9 @@ def _cyclic_decompose(m: Matrix):
         return [Polynomial._raw(f, [minus_lam, 1])] * n, anti
     for mu, chain, proven in _cyclic_scan(m):
         d = mu.degree
-        k_mat = _chain_matrix(f, chain)
         if d == n:
-            return [mu], k_mat
-        w_mat = _dual_rows(m, k_mat)
+            return [mu], _chain_matrix(f, chain)
+        w_mat = _dual_rows(m, chain)
         comp, free = kernel_matrix(w_mat)  # n x (n - d), M-invariant complement when proven
         if not proven and not (Matrix._raw(f, 1, n, w_mat._e[-n:]) * m * comp).is_zero():
             continue

@@ -77,8 +77,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    field, matrix, _ = _load_job(args.input)
+    field, matrix, params = _load_job(args.input)
     cert = serialize.certificate_from_json(field, serialize.load_json(args.cert))
+    if cert.params != params:  # a certificate answers its own question, maybe not the job's
+        raise MalformedInput("the certificate's params differ from the job's")
     report = verify_certificate(matrix, cert)
     _emit(serialize.verification_to_json(report), args.output)
     return EXIT_OK

@@ -137,12 +137,6 @@ class Field:
         """``x`` as an element: its :meth:`value`, wrapped."""
         return self.make(self.value(x))
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
     # ---- raw-value arithmetic used by the dense kernels --------------
 
     def reduce(self, v):

@@ -5,11 +5,11 @@ show up naturally when a cyclic block is split at {0, 1}).  A matrix stores
 a flat row-major tuple of raw canonical values (``int`` residues in [0, p);
 over Q an ``int`` when integral, else a reduced ``Fraction``), never
 ``FieldElement`` wrappers.  The public constructors (``Matrix(...)``,
-``from_rows``, ``column``, ``diagonal``) coerce through ``Field.value``;
-indexing, ``row``, ``to_rows`` and ``trace`` wrap what they return.  The
-kernels work on raw values, canonicalise with ``Field.reduce``, write 0 and
-1 as the ints themselves and build with :meth:`Matrix._raw`; no kernel wraps
-a scalar in a ``FieldElement`` only to unwrap it.  Only this module knows
+``from_rows``, ``diagonal``) coerce through ``Field.value``; indexing,
+``row`` and ``to_rows`` wrap what they return.  The kernels work on raw
+values, canonicalise with ``Field.reduce``, write 0 and 1 as the ints
+themselves and build with :meth:`Matrix._raw`; no kernel wraps a scalar in a
+``FieldElement`` only to unwrap it.  Only this module knows
 how a kernel holds a row (integers over a denominator, residues in a list,
 or 64-bit words in one int): its kernels take raw rows and give back raw
 canonical values.
@@ -141,11 +141,6 @@ class Matrix:
         return cls._raw(field, rows, cols, [0] * (rows * cols))
 
     @classmethod
-    def column(cls, field: Field, values) -> "Matrix":
-        vals = list(values)
-        return cls(field, len(vals), 1, vals)
-
-    @classmethod
     def diagonal(cls, field: Field, values) -> "Matrix":
         vals = [field.value(x) for x in values]
         n = len(vals)
@@ -248,10 +243,6 @@ class Matrix:
         return Matrix._raw(self.field, self.cols, self.rows,
                            [self._e[i * self.cols + j]
                             for j in range(self.cols) for i in range(self.rows)])
-
-    def trace(self) -> FieldElement:
-        f = self.field
-        return f.make(f.reduce(sum(self._e[i * self.cols + i] for i in range(self.rows))))
 
     # ---- equality / hashing -----------------------------------------
 

@@ -126,15 +126,7 @@ def _slots(p: int, size: int):
 class SumAtlas:
     """The set of all matrices expressible as the requested kind of sum."""
 
-    field: Field
-    n: int
     members: frozenset  # of flat raw-entry tuples
-
-    def contains(self, m: Matrix) -> bool:
-        return m.field == self.field and m.rows == m.cols == self.n and m._e in self.members
-
-    def __len__(self):
-        return len(self.members)
 
 
 def build_sum_atlas(field: Field, n: int, alpha=None, beta=None) -> SumAtlas:
@@ -161,7 +153,7 @@ def build_sum_atlas(field: Field, n: int, alpha=None, beta=None) -> SumAtlas:
         sums.update([s - (((s + lift) & top) >> shift) * p for s in map(a.__add__, second)])
     length = n * n * (shift + 1) // 8
     members = (tuple(array(code, s.to_bytes(length, sys.byteorder))) for s in sums)
-    return SumAtlas(field, n, frozenset(members))
+    return SumAtlas(frozenset(members))
 
 
 @dataclass(frozen=True)

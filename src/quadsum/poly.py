@@ -74,10 +74,6 @@ class Polynomial:
     def one(cls, field: Field) -> "Polynomial":
         return cls._raw(field, (1,))
 
-    @classmethod
-    def x(cls, field: Field) -> "Polynomial":
-        return cls._raw(field, (0, 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -330,17 +326,18 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):
-    """(a, b) with a | p, b | q, gcd(a, b) = 1 and a b = lcm(p, q), for monic
-    p, q.  a starts as p / gcd(p, q), whose irreducibles are those with a
-    higher power in p than in q, and grows until p / a is coprime to it.
-    The work runs on raw coefficient lists, each gcd made monic."""
+    """The raw coefficient lists of (a, b) with a | p, b | q, gcd(a, b) = 1
+    and a b = lcm(p, q), for monic p, q.  a starts as p / gcd(p, q), whose
+    irreducibles are those with a higher power in p than in q, and grows
+    until p / a is coprime to it.  The work runs on raw coefficient lists,
+    each gcd made monic."""
     f = p.field
     g = _monic(f, _gcd(f, p.coeffs, q.coeffs))
     a = _divrem(f, p.coeffs, g)[0]
     while len(h := _monic(f, _gcd(f, _divrem(f, p.coeffs, a)[0], a))) > 1:
         a = _mul(f, a, h)
     b = _divrem(f, _mul(f, q.coeffs, _divrem(f, p.coeffs, a)[0]), g)[0]
-    return Polynomial._raw(f, a), Polynomial._raw(f, b)
+    return a, b
 
 
 def _merge(m: Matrix, m_rows, first, second):
@@ -359,11 +356,11 @@ def _merge(m: Matrix, m_rows, first, second):
     a, b = _coprime_split(p, q)
     coeffs, vecs = [], []
     for chain, num, den in ((u_chain, p, a), (w_chain, q, b)):
-        quo = _divrem(f, num.coeffs, den.coeffs)[0]
+        quo = _divrem(f, num.coeffs, den)[0]
         coeffs += quo
         vecs += chain[:len(quo)]
     ann, chain = krylov_annihilator(m, _combination(f, coeffs, vecs), m_rows)
-    ab = Polynomial._raw(f, _mul(f, a.coeffs, b.coeffs))
+    ab = Polynomial._raw(f, _mul(f, a, b))
     if ann != ab:
         raise InternalCheckFailed(f"cyclic vector merge: annihilator {ann}, not {ab}, "
                                   f"under the {m.rows}x{m.rows} matrix")

@@ -128,7 +128,7 @@ def test_dual_row_is_solved_when_no_standard_row_pairs():
         for i in range(3):
             standard = Matrix.from_rows(f, [Matrix.identity(f, 3).row(i), m.row(i)])
             assert rank(standard * k_mat) < 2
-        w_mat = _dual_rows(m, k_mat)
+        w_mat = _dual_rows(m, chain)
         assert Matrix.from_rows(f, [w_mat.row(0)]) * k_mat == Matrix.from_rows(f, [[0, 1]])
         assert rank(w_mat * k_mat) == 2
         factors, t_mat = invariant_factors_with_transform(m)
@@ -289,11 +289,11 @@ def test_offer_gives_the_scans_split(f, name, monkeypatch):
 
 # ---- the restriction to the invariant complement ----------------------
 
-def _restriction_by_solve(m, k_mat):
+def _restriction_by_solve(m, chain):
     """M restricted to the invariant complement of the cyclic subspace that
-    the columns of ``k_mat`` span, as the solve of comp R = M comp: the
+    the Krylov ``chain`` spans, as the solve of comp R = M comp: the
     reference for the rows that the decomposition reads it off."""
-    comp, _ = kernel_matrix(_dual_rows(m, k_mat))
+    comp, _ = kernel_matrix(_dual_rows(m, chain))
     return solve(comp, m * comp)
 
 
@@ -315,11 +315,11 @@ def _derogatory(f, rng):
 
 
 def _record_levels(monkeypatch):
-    """Two lists, filled from now on: (parent, chain matrix, child) of every
-    recursion of ``_cyclic_decompose``, and (parent, chain matrix, R,
-    whether a(R) = 0) of every check (ii), which evaluates an offer's
-    annihilator a at the restriction R, the R of a dropped offer included.
-    The chain is the one whose dual rows the parent built last."""
+    """Two lists, filled from now on: (parent, chain, child) of every
+    recursion of ``_cyclic_decompose``, and (parent, chain, R, whether
+    a(R) = 0) of every check (ii), which evaluates an offer's annihilator a
+    at the restriction R, the R of a dropped offer included.  The chain is
+    the one whose dual rows the parent built last."""
     pairs, checks, stack = [], [], []
     real, real_dual = quadsum.canonical._cyclic_decompose, quadsum.canonical._dual_rows
     real_call = Polynomial.__call__
@@ -333,9 +333,9 @@ def _record_levels(monkeypatch):
         finally:
             stack.pop()
 
-    def dual(m, k_mat):
-        stack[-1][1] = k_mat
-        return real_dual(m, k_mat)
+    def dual(m, chain):
+        stack[-1][1] = chain
+        return real_dual(m, chain)
 
     def call(poly, x):
         value = real_call(poly, x)
@@ -371,8 +371,8 @@ def test_restriction_is_the_solve_written_down(monkeypatch):
             k = deepest.rows
             scalar = deepest == deepest[0, 0] * Matrix.identity(f, k)
             assert len(pairs) == len(factors) - (k if scalar else 1)
-            for m, k_mat, restricted in pairs + [check[:3] for check in checks]:
-                assert restricted == _restriction_by_solve(m, k_mat)
+            for m, chain, restricted in pairs + [check[:3] for check in checks]:
+                assert restricted == _restriction_by_solve(m, chain)
                 checked += 1
             failed = [r for _, _, r, divides in checks if not divides]
             assert not any(child is r for *_, child in pairs for r in failed)

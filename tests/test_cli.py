@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON in/out, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_wide_rational
-from quadsum import cli
+from quadsum import GF, canonical, cli, oracle
 from quadsum.cli import main
 from quadsum.matrix import Matrix
 from quadsum.sums import Certificate
@@ -153,6 +154,26 @@ def test_verify_tampered_certificate(tmp_path, capsys):
                    '"second_quadratic_ok": true}\n')
 
 
+def test_verify_refuses_a_certificate_for_other_params(tmp_path, capsys):
+    """2I is no idempotent plus square-zero matrix, but A = B = I is a sum
+    of an idempotent and a (1, 0)-quadratic: verify checks a certificate
+    against the job's params, each left out read as its default, and refuses
+    one for other params with exit 2, one stderr line and nothing on stdout."""
+    params = {"a": "1", "b": "0", "c": "0", "d": "0"}
+    job = write_job(tmp_path, "job.json",
+                    {"field": "Q", "matrix": [["2", "0"], ["0", "2"]], "params": params})
+    assert json.loads(run(capsys, ["decide", "--input", job])[1])["decision"] == "no"
+    identity = {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}
+    cert = write_job(tmp_path, "cert.json", {"A": identity, "B": identity,
+                                             "params": {**params, "c": "1"}})
+    assert run(capsys, ["verify", "--input", job, "--cert", cert]) == (
+        2, "", "malformed input: the certificate's params differ from the job's\n")
+    own = write_job(tmp_path, "own.json", {"field": "Q", "matrix": [["2", "0"], ["0", "2"]],
+                                           "params": {"c": "1"}})
+    code, out, _ = run(capsys, ["verify", "--input", own, "--cert", cert])
+    assert (code, json.loads(out)["pass"]) == (0, True)
+
+
 def test_verify_certificate_of_the_wrong_shape_exit_2(tmp_path, capsys):
     """A 2x3 A against the 2x2 matrix is a dimension mismatch that names
     the certificate, not a failed product."""
@@ -215,6 +236,42 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["total"] == 16
+
+
+def test_oracle_reports_a_mismatch(capsys, monkeypatch):
+    """A decide that answers no on the 2x2 zero matrix over GF(2), a member
+    of the atlas, is reported as that one mismatch: the report fails, and
+    the command still renders it and exits 0."""
+    real = oracle.decide
+
+    def flipped(m):
+        decision = real(m)
+        return dataclasses.replace(decision, yes=not decision.yes) if m.is_zero() else decision
+
+    monkeypatch.setattr(oracle, "decide", flipped)
+    report = oracle.exhaustive_compare(GF(2), 2)
+    assert not report.ok
+    assert report.mismatches == (((0, 0, 0, 0), False),)
+    assert (report.total, report.atlas_size, report.decide_yes) == (16, 16, 15)
+    code, out, err = run(capsys, ["oracle", "--field", "gf2", "--n", "2"])
+    assert (code, err) == (0, "")
+    assert '"mismatches": [[0, 0, 0, 0]], "pass": false' in out
+
+
+def test_a_failed_internal_check_exits_4(tmp_path, capsys, monkeypatch):
+    """With T F read off T's columns wrongly, the M T = T F check of every
+    command that decomposes fails: exit 4, one stderr line naming the stage
+    and the matrix size, nothing on stdout and no output file."""
+    monkeypatch.setattr(canonical, "_times_companions",
+                        lambda field, cols, factors: [col[::-1] for col in cols])
+    job = write_job(tmp_path, "job.json", J3_JOB)
+    out_path = tmp_path / "out.json"
+    for argv in (["decide"], ["construct"], ["necessary", "--alpha", "1", "--beta", "2"]):
+        code, out, err = run(capsys, argv + ["--input", job, "--output", str(out_path)])
+        assert (code, out) == (4, ""), argv
+        assert err.startswith("internal check failed: invariant factors: M T is not T F")
+        assert "3x3 matrix" in err and err.count("\n") == 1, err
+        assert not out_path.exists()
 
 
 def test_oracle_budget_exit_2(tmp_path, capsys):

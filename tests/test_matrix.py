@@ -32,7 +32,7 @@ def naive_product(a, b):
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
-            acc = f.zero()
+            acc = f.element(0)
             for t in range(a.cols):
                 acc = acc + a[i, t] * b[t, j]
             out.append(acc)
@@ -61,7 +61,7 @@ def test_shapes_and_zero_sized():
 
 def test_bad_entry_count():
     with pytest.raises(DimensionMismatch):
-        Matrix(QQ, 2, 2, [QQ.zero()] * 3)
+        Matrix(QQ, 2, 2, [QQ.element(0)] * 3)
 
 
 def test_arithmetic_basics():
@@ -78,7 +78,6 @@ def test_arithmetic_basics():
             product()
     assert a - a == Matrix.zero(f, 2)
     assert a.transpose() == Matrix.from_rows(f, [[1, 3], [2, 4]])
-    assert a.trace() == f.element(0)
 
 
 def test_products_match_naive_triple_loop():
@@ -179,7 +178,7 @@ def test_every_operation_stores_canonical_values():
             for m in polys + [companion(g), companion(h.monic())]:
                 assert_canonical(m)
         x, p = f.element(3), Polynomial(f, [0, 3, -1])
-        assert -x == f.element(-3) and -x + x == 0 and -f.zero() == f.zero()
+        assert -x == f.element(-3) and -x + x == 0 and -f.element(0) == f.element(0)
         assert -p == Polynomial(f, [0, -3, 1]) and -Polynomial.zero(f) == Polynomial.zero(f)
         assert_canonical(-p)
 
@@ -230,7 +229,7 @@ def test_kernel_matrix_canonical():
     m = Matrix.from_rows(f, [[1, 2, 0], [0, 1, 0]])
     k, free = kernel_matrix(m)
     assert free == [2]
-    assert k == Matrix.column(f, [0, 0, 1])
+    assert k == Matrix(f, 3, 1, [0, 0, 1])
     assert (m * k).is_zero()
     m = Matrix.from_rows(f, [[1, 2, 1, 0]])
     k, free = kernel_matrix(m)
@@ -391,7 +390,7 @@ def test_negative_sizes_are_refused():
     assert jordan_block(QQ, 0) == Matrix.identity(QQ, 0) == Matrix.zero(QQ, 0)
 
 
-def test_similarity_preserves_rank_and_trace():
+def test_similarity_preserves_rank():
     rng = random.Random(9)
     f = GF(7)
     for _ in range(20):
@@ -400,7 +399,6 @@ def test_similarity_preserves_rank_and_trace():
         t = rand_invertible(f, n, rng)
         c = t * m * inverse(t)
         assert rank(c) == rank(m)
-        assert c.trace() == m.trace()
 
 
 # ---- the first linear relation -----------------------------------------
@@ -590,8 +588,8 @@ def check_elimination(m, b):
     free = [j for j in range(m.cols) if j not in pivots]
     want = []
     for j in free:
-        v = [f.zero()] * m.cols
-        v[j] = f.one()
+        v = [f.element(0)] * m.cols
+        v[j] = f.element(1)
         for i, pc in enumerate(pivots):
             v[pc] = -ref[i][j]
         want.append(v)
@@ -612,7 +610,7 @@ def check_elimination(m, b):
         with pytest.raises(Singular):
             solve(m, b)
     else:
-        x = [[f.zero()] * b.cols for _ in range(m.cols)]
+        x = [[f.element(0)] * b.cols for _ in range(m.cols)]
         for i, pc in enumerate(aug_pivots):
             x[pc] = aug[i][m.cols:]
         assert solve(m, b) == Matrix(f, m.cols, b.cols, [v for row in x for v in row])

@@ -94,7 +94,7 @@ def test_jobspec_parsing():
         "matrix": [["1", "0"], ["1", "1"]],
     })
     assert field == GF(2) and matrix.rows == 2
-    assert params.a == GF(2).one()
+    assert params.a == GF(2).element(1)
     for bad in ({"matrix": [["1"]]}, {"field": "Q", "matrix": [["1"]], "parms": {"a": "2"}},
                 {"field": "Q", "matrix": [["1"]], "params": {"A": "2"}}):
         with pytest.raises(MalformedInput):

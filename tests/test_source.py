@@ -195,20 +195,97 @@ def test_unread_public_definitions_are_found():
         == {"decide", "m", "python", "construct"}
 
 
+def reader_sources():
+    """(README text, syntax trees of ``perfbench/*.py`` and the acceptance
+    tests): the readers outside the package that the reader rules accept."""
+    root = os.path.dirname(os.path.dirname(SRC))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    bench = os.path.join(root, "perfbench")
+    paths = [os.path.join(bench, name) for name in os.listdir(bench) if name.endswith(".py")]
+    trees = []
+    for path in paths + [os.path.join(os.path.dirname(__file__), "test_acceptance.py")]:
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read()))
+    return readme, trees
+
+
 def test_every_public_definition_has_a_reader():
     """Every public top-level function and class of the package is read in
     the package outside its own body, in the README's code, in the benchmark
     or in the acceptance tests, so an export that only other tests read does
     not come back."""
-    root = os.path.dirname(os.path.dirname(SRC))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        outside = markdown_code_names(fh.read())
-    bench = os.path.join(root, "perfbench")
-    paths = [os.path.join(bench, name) for name in os.listdir(bench) if name.endswith(".py")]
-    for path in paths + [os.path.join(os.path.dirname(__file__), "test_acceptance.py")]:
-        with open(path, encoding="utf-8") as fh:
-            outside |= loads(ast.parse(fh.read()))
+    readme, trees = reader_sources()
+    outside = markdown_code_names(readme)
+    for tree in trees:
+        outside |= loads(tree)
     assert unread_public(package_sources(), outside) == []
+
+
+def attribute_reads(tree, classes):
+    """(owner, name, methods) of every attribute ``x.name`` that the syntax
+    tree loads: owner is x when x is the bare name of one of ``classes``,
+    else None, and methods the (class, method) definitions around it."""
+    reads = []
+
+    def visit(node, cls, methods):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cls:
+            methods = methods | {(cls, node.name)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            owner = getattr(node.value, "id", None)
+            reads.append((owner if owner in classes else None, node.attr, methods))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, methods)
+
+    visit(tree, None, frozenset())
+    return reads
+
+
+def unread_methods(sources, trees, markdown):
+    """(class, name) of every public method of a top-level class of the
+    (module, text) pairs in ``sources`` that no tree of ``sources`` or of
+    ``trees`` reads as an attribute outside its own body and that the code
+    of the markdown text does not name; ``C.name`` with C one of those
+    classes reads C's method only."""
+    package = [ast.parse(text) for _, text in sources]
+    defined = [(stmt.name, item.name) for tree in package for stmt in tree.body
+               if isinstance(stmt, ast.ClassDef) for item in stmt.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not item.name.startswith("_")]
+    classes = {cls for cls, _ in defined}
+    code = " ".join(re.findall(r"`+([^`]*)`+", markdown))
+    reads = [(owner if owner in classes else None, name, frozenset())
+             for owner, name in re.findall(r"(?:(\w+)\.)?(\w+)", code)]
+    for tree in package + list(trees):
+        reads += attribute_reads(tree, classes)
+    return [(cls, name) for cls, name in defined
+            if not any(attr == name and owner in (None, cls) and (cls, name) not in methods
+                       for owner, attr, methods in reads)]
+
+
+def test_unread_methods_are_found():
+    first = ("class A:\n    def used(self):\n        pass\n\n"
+             "    def alone(self):\n        return self.alone()\n\n"
+             "    def _private(self):\n        pass\n\n"
+             "    def only_b(self):\n        pass\n\n"
+             "    def in_readme(self):\n        pass\n\n"
+             "class B:\n    @classmethod\n    def only_b(cls):\n        return cls.used\n")
+    second = "import first\n\ndef caller(a):\n    return a.used(), first.B.x, B.only_b()\n"
+    readme = "Call `A.in_readme()`, not `B.alone` or only_b."
+    assert unread_methods([("first", first)], [ast.parse(second)], readme) == [
+        ("A", "alone"), ("A", "only_b")]
+
+
+def test_every_public_method_has_a_reader():
+    """Every public method of a package class is read as an attribute in the
+    package outside its own body, in the benchmark or in the acceptance
+    tests, or is named in the README's code, so a method that only its own
+    unit tests call does not come back.  A name that another reader also
+    uses is not told apart here (``trace`` against ``args.trace``)."""
+    readme, trees = reader_sources()
+    assert unread_methods(package_sources(), trees, readme) == []
 
 
 def json_writers(text: str):

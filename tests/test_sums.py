@@ -870,7 +870,7 @@ def test_decide_and_construct_do_no_polynomial_arithmetic(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__",
                         lambda poly, x: at_matrix(poly, x) if isinstance(x, Matrix) else refused())
     with pytest.raises(AssertionError, match="polynomial arithmetic"):
-        Polynomial.x(QQ)(0)
+        Polynomial(QQ, [0, 1])(0)
     rng = random.Random(33)
     inputs = ([rand_matrix(GF(2), 4, rng) for _ in range(60)]
               + [rand_decomposable(GF(101), 12, rng)]
