@@ -1,13 +1,14 @@
 """Brute-force ground truth over small finite fields.
 
 Enumerates idempotents, square-zero matrices and their sums by one full scan
-of the p^(n^2) matrix space, guarded by a fixed budget.  Each matrix is
-squared once, entry by entry in row-major order, and the scan leaves a
-matrix at the first entry where its square is nonzero and differs from it:
-from there it can be neither idempotent (square equal to the matrix) nor
-square-zero (square zero).  Both lists are checked against their closed-form
-counts.  The sums are taken on ints that hold one entry in each byte-aligned
-slot, one int addition and one mask step per pair.  All of this arithmetic
+of the p^(n^2) matrix space, guarded by a fixed budget.  The scan holds the
+space as bit planes: bit k of entry t is one int whose bit idx is bit k of
+entry t of the idx-th matrix.  Ripple-carry adds, shift-and-add products and
+conditional subtractions of p 2^j square every matrix at once, and two masks
+keep the indices whose square equals the matrix (idempotent) or is zero
+(square-zero).  Both lists are checked against their closed-form counts.
+The sums are taken on ints that hold one entry in each byte-aligned slot,
+one int addition and one mask step per pair.  All of this arithmetic
 is the oracle's own and shares no kernel with :mod:`quadsum.matrix`.  The
 resulting atlas is the reference answer set that the structural decision
 procedure is compared against, entry by entry, in the headline exhaustive
@@ -21,7 +22,6 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import BadParams, BudgetExceeded, InternalCheckFailed
 from .field import Field
@@ -39,12 +39,66 @@ def _raw_matrices(p: int, n: int):
     return (raw[::-1] for raw in itertools.product(range(p), repeat=n * n))
 
 
-def _raw_mul(a, b, p: int, n: int):
-    """The entries of a b in row-major order, each computed when it is read."""
-    for i in range(0, n * n, n):
-        row = a[i:i + n]
-        for j in range(n):
-            yield sum(map(mul, row, b[j::n])) % p
+def _repeat(x: int, period: int, total: int) -> int:
+    """The first ``total`` bits of the pattern x, period bits long, repeated
+    by doubling."""
+    while period < total:
+        x |= x << period
+        period <<= 1
+    return x & ((1 << total) - 1)
+
+
+def _planes(p: int, n: int):
+    """The n x n space as bit planes: per entry t, per bit k of a residue,
+    the mask of the scan indices whose base-p digit t has bit k set.  Digit t
+    holds v for a run of p^t indices, and bit k of v alternates in runs of
+    2^k values, so a plane is p^t 2^k zeros then as many ones, repeated to a
+    digit's period p^(t+1), then to the whole space."""
+    size = p ** (n * n)
+    return [[_repeat(_repeat(((1 << (run << k)) - 1) << (run << k), run << (k + 1), run * p),
+                     run * p, size)
+             for k in range((p - 1).bit_length())]
+            for run in (p ** t for t in range(n * n))]
+
+
+def _add(x, y):
+    """Ripple-carry sum of two plane lists, lowest bit first."""
+    out, carry = [], 0
+    for u, v in itertools.zip_longest(x, y, fillvalue=0):
+        out.append(u ^ v ^ carry)
+        carry = (u & v) | (carry & (u ^ v))
+    return out + [carry] if carry else out
+
+
+def _mod(x, p: int, full: int):
+    """The plane list x reduced mod p: from the highest j down to 0, p 2^j
+    is subtracted where it fits, with ``full`` the mask of every index."""
+    for j in range(len(x) - p.bit_length(), -1, -1):
+        diff, borrow = [], 0
+        for i, u in enumerate(x[j:]):
+            if p >> i & 1:
+                diff.append(full ^ u ^ borrow)
+                borrow |= full ^ u
+            else:
+                diff.append(u ^ borrow)
+                borrow &= ~u
+        x = x[:j] + [u ^ ((u ^ d) & ~borrow) for u, d in zip(x[j:], diff)]
+    return x[:(p - 1).bit_length()]
+
+
+def _matrices_at(mask: int, p: int, n: int):
+    """The matrices at the set bits of ``mask``, in increasing index, which
+    is odometer order: entry t is base-p digit t of the index."""
+    bits, out = format(mask, "b")[::-1], []
+    idx = bits.find("1")
+    while idx >= 0:
+        raw, rest = [], idx
+        for _ in range(n * n):
+            rest, digit = divmod(rest, p)
+            raw.append(digit)
+        out.append(tuple(raw))
+        idx = bits.find("1", idx + 1)
+    return out
 
 
 def _gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -72,10 +126,9 @@ def square_zero_count(p: int, n: int) -> int:
 
 def _raw_squares(p: int, n: int):
     """(idempotents, square-zero matrices) of the n x n space, in odometer
-    order, from one scan that squares each matrix once and reads the square
-    only up to its first entry that is nonzero and differs from the matrix;
-    the zero matrix is in both.  A scan of more than ``_BUDGET`` matrices is
-    refused."""
+    order, from one pass over its bit planes that squares every matrix at
+    once; the zero matrix is in both.  A scan of more than ``_BUDGET``
+    matrices is refused before any plane is built."""
     if not _is_int(n) or n < 0:
         raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
     # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
@@ -86,25 +139,25 @@ def _raw_squares(p: int, n: int):
         scan = (f"{p}^{n * n} matrices" if n < _BUDGET
                 else f"{p}^(n^2) matrices for an n of {n.bit_length()} bits")
         raise BudgetExceeded(f"scan of {scan} exceeds the budget of {_BUDGET}")
-    idempotents, square_zero = [], []
-    for a in _raw_matrices(p, n):
-        is_idempotent = is_square_zero = True
-        for x, s in zip(a, _raw_mul(a, a, p, n)):
-            if s:
-                if s != x:
-                    break
-                is_square_zero = False
-            elif x:
-                is_idempotent = False
-        else:
-            if is_idempotent:
-                idempotents.append(a)
-            if is_square_zero:
-                square_zero.append(a)
-    if len(idempotents) != idempotent_count(p, n):
-        raise InternalCheckFailed("idempotent scan disagrees with the closed-form count")
-    if len(square_zero) != square_zero_count(p, n):
-        raise InternalCheckFailed("square-zero scan disagrees with the closed-form count")
+    full = (1 << p ** (n * n)) - 1
+    a = _planes(p, n)
+    is_idempotent = is_square_zero = full
+    for i, j in itertools.product(range(n), repeat=2):
+        square = []
+        for k in range(n):
+            for b, v in enumerate(a[k * n + j]):
+                square = _add(square, [0] * b + [u & v for u in a[i * n + k]])
+        for s, x in itertools.zip_longest(_mod(square, p, full), a[i * n + j], fillvalue=0):
+            is_idempotent &= ~(s ^ x)
+            is_square_zero &= ~s
+    idempotents = _matrices_at(is_idempotent, p, n)
+    square_zero = _matrices_at(is_square_zero, p, n)
+    for kind, found, count in (("idempotent", idempotents, idempotent_count(p, n)),
+                               ("square-zero", square_zero, square_zero_count(p, n))):
+        if len(found) != count:
+            raise InternalCheckFailed(
+                f"oracle: {kind} scan of the {n}x{n} matrices over GF({p}) found "
+                f"{len(found)}, the closed-form count is {count}")
     return idempotents, square_zero
 
 

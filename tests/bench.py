@@ -16,8 +16,9 @@ harness.  With ``--compare`` it runs nothing and prints, per workload and
 end-to-end metric, old -> new medians, the change in %, and whether a
 worsening stays inside the metric's ``BENCHMARK.json`` bound, and the failed
 share of operations old -> new; it exits 1 when a metric is outside its
-bound or more operations fail.  It refuses two files whose run length or
-seeds differ.
+bound, more operations fail, or NEW has a result from fewer runs of one of
+OLD's workloads (none when the workload crashed on every run).  It refuses
+two files whose run length or seeds differ.
 """
 
 from __future__ import annotations
@@ -116,13 +117,25 @@ def collect(label: str) -> dict:
             "runs": runs, "summary": summarize(runs)}
 
 
+def _result_runs(entry: dict) -> int:
+    """How many runs of one workload printed a result."""
+    return max((metric["runs"] for metric in entry["metrics"].values()), default=0)
+
+
 def compare(old: dict, new: dict, bench: dict) -> tuple[list, bool]:
     """Report lines, old against new, and whether every end-to-end metric
     stays inside its bound with no larger failed share, on every workload
-    both files ran."""
+    both files ran, and whether NEW has a result from as many runs of each
+    of OLD's workloads as OLD has."""
     lines, ok = [], True
-    for workload in [w for w in old["summary"] if w in new["summary"]]:
-        before, after = old["summary"][workload], new["summary"][workload]
+    for workload, before in old["summary"].items():
+        after = new["summary"].get(workload)
+        runs = _result_runs(before), _result_runs(after) if after else 0
+        if runs[1] < runs[0]:
+            ok = False
+            lines.append(f"{workload}: {runs[1]} runs with a result in NEW, {runs[0]} in OLD")
+        if after is None:
+            continue
         lines.append(f"{workload}:")
         for spec in bench["end_to_end"]:
             name = spec["name"]

@@ -85,6 +85,32 @@ def test_compare_flags_a_metric_outside_its_bound(capsys):
     assert bench.compare(old, old, bench.load_benchmark())[1]
 
 
+def test_compare_flags_a_workload_missing_from_new():
+    """A workload that printed no result on any run is missing from NEW's
+    summary: compare names it and exits 1."""
+    old = bench.load_json(os.path.join(DATA, "bench_old.json"))
+    new = json.loads(json.dumps(old))
+    del new["summary"]["gfp-mid"]
+    lines, ok = bench.compare(old, new, bench.load_benchmark())
+    assert not ok
+    assert "gfp-mid: 0 runs with a result in NEW, 2 in OLD" in lines
+    assert "gfp-mid:" not in lines and "qq-growth:" in lines
+
+
+def test_compare_flags_a_workload_with_fewer_results(tmp_path, capsys):
+    """One run of qq-growth printed no result line, so NEW's summary rests
+    on 1 run where OLD's rests on 2: compare names it and exits 1."""
+    old = bench.load_json(os.path.join(DATA, "bench_old.json"))
+    new = json.loads(json.dumps(old))
+    new["runs"][1]["result"] = None
+    new["summary"] = bench.summarize(new["runs"])
+    (tmp_path / "new.json").write_text(json.dumps(new), encoding="utf-8")
+    code = bench.main(["--compare", os.path.join(DATA, "bench_old.json"),
+                       str(tmp_path / "new.json")])
+    assert code == 1
+    assert "qq-growth: 1 runs with a result in NEW, 2 in OLD" in capsys.readouterr().out
+
+
 def test_arguments_name_one_mode(tmp_path, capsys):
     """Either ``--label L`` or ``--compare OLD NEW``, and two files whose
     run length or seeds differ are refused."""

@@ -3,17 +3,19 @@ decide-vs-atlas comparison on small spaces."""
 
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
 import pytest
 
-from quadsum.errors import BadParams, BudgetExceeded, DecisionNo, NotSplitError, UnsupportedCase
+from quadsum.errors import (BadParams, BudgetExceeded, DecisionNo, InternalCheckFailed,
+                            NotSplitError, UnsupportedCase)
 from quadsum.field import GF
 from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
 from quadsum import oracle
-from quadsum.oracle import (_raw_matrices, _raw_mul, _raw_squares, build_sum_atlas,
+from quadsum.oracle import (_raw_matrices, _raw_squares, build_sum_atlas,
                             exhaustive_compare, idempotent_count, square_zero_count)
 from quadsum.serialize import comparison_to_json
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
@@ -49,30 +51,59 @@ def test_square_zero_gf2_n2():
         assert (b * b).is_zero()
 
 
-def test_one_scan_squares_each_matrix_once(monkeypatch):
-    """Both kinds of atlas square each of the p^(n^2) matrices once."""
+def test_one_scan_per_atlas(monkeypatch):
+    """Both kinds of atlas run the scan, and build the space's bit planes,
+    exactly once."""
     calls = Counter()
 
-    def counted(*args):
-        calls["mul"] += 1
-        return _raw_mul(*args)
+    def counted(name):
+        original = getattr(oracle, name)
 
-    monkeypatch.setattr(oracle, "_raw_mul", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("_raw_squares", "_planes"):
+        monkeypatch.setattr(oracle, name, counted(name))
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 2)):
         for scalars in ({}, {"alpha": 1, "beta": 2}):
             calls.clear()
             build_sum_atlas(GF(p), n, **scalars)
-            assert calls["mul"] == p ** (n * n), (p, n, scalars)
+            assert calls == {"_raw_squares": 1, "_planes": 1}, (p, n, scalars)
 
 
 def test_one_scan_sorts_the_space_by_its_square():
     """Idempotents and square-zero matrices, in odometer order, as the test's
-    own scans find them; the zero matrix is in both lists."""
-    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+    own scans find them; the zero matrix is in both lists.  The shapes reach
+    each edge of the budget: n = 0, the largest prime at n = 1 and at n = 2,
+    and GF(3) at n = 3."""
+    for p, n in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
+                 (131071, 1), (19, 2), (3, 3)):
         idempotents, square_zero = _raw_squares(p, n)
         assert idempotents == _quadratics(p, n, 1, 0), (p, n)
         assert square_zero == _quadratics(p, n, 0, 0), (p, n)
         assert (0,) * (n * n) in idempotents and (0,) * (n * n) in square_zero
+
+
+def test_count_checks_name_the_list_that_failed(monkeypatch):
+    """A scan that drops one matrix from either list fails its closed-form
+    count check, and the message names the list, p, n and both counts."""
+    matrices_at = oracle._matrices_at
+    for dropped, message in ((0, "oracle: idempotent scan of the 2x2 matrices over GF(3) "
+                                 "found 13, the closed-form count is 14"),
+                             (1, "oracle: square-zero scan of the 2x2 matrices over GF(3) "
+                                 "found 8, the closed-form count is 9")):
+        calls = []
+
+        def short(mask, p, n):
+            calls.append(mask)
+            found = matrices_at(mask, p, n)
+            return found[:-1] if len(calls) - 1 == dropped else found
+
+        monkeypatch.setattr(oracle, "_matrices_at", short)
+        with pytest.raises(InternalCheckFailed, match=f"^{re.escape(message)}$"):
+            build_sum_atlas(GF(3), 2)
 
 
 def test_square_zero_scan_matches_the_closed_form_count():
