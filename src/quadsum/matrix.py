@@ -294,7 +294,11 @@ _HEIGHT_BUDGET = 14285
 #: The largest n of a job over GF(p) and over the rationals.  A conjugated
 #: nilpotent Jordan block J_n(0), dense and with a nullity sequence of length
 #: n, decides in 0.28 s over GF(2) and 0.48 s over GF(101) at n = 256, and in
-#: 3.0 s over the rationals at n = 48 (single runs on a shared 2-core machine).
+#: 3.0 s over the rationals at n = 48.  Over GF(p) the time grows with the
+#: number of invariant factors and with p above 2^28, where the kernels stop
+#: packing: a conjugated diag(0, 1)^(+128), 128 factors at n = 256, decides in
+#: 6.78 s over GF(101) and in 98.2 s at p = 2^61 - 1 (single runs on a shared
+#: 2-core machine).
 _GFP_SIZE_BUDGET, _QQ_SIZE_BUDGET = 256, 48
 
 

@@ -1,14 +1,17 @@
 """Brute-force ground truth over small finite fields.
 
 Enumerates idempotents, square-zero matrices and their sums by one full scan
-of the p^(n^2) matrix space, guarded by a fixed budget.  The scan holds the
-space as bit planes: bit k of entry t is one int whose bit idx is bit k of
-entry t of the idx-th matrix.  Ripple-carry adds, shift-and-add products and
-conditional subtractions of p 2^j square every matrix at once, and two masks
-keep the indices whose square equals the matrix (idempotent) or is zero
-(square-zero).  Both lists are checked against their closed-form counts.
-The sums are taken on ints that hold one entry in each byte-aligned slot,
-one int addition and one mask step per pair.  All of this arithmetic
+of the p^(n^2) matrix space, guarded by a fixed budget.  A set of matrices
+is one mask over the scan index: the idx-th matrix has base-p digit t of idx
+as entry t.  The scan holds the space as bit planes: bit k of entry t is one
+mask whose bit idx is bit k of entry t of the idx-th matrix.  Ripple-carry
+adds, shift-and-add products and conditional subtractions of p 2^j square
+every matrix at once, and two masks keep the indices whose square equals the
+matrix (idempotent) or is zero (square-zero).  Both lists are checked against
+their closed-form counts.  The sums X + R over a first set X are the first
+set's mask translated by R: adding v to entry t mod p moves each index up by
+v p^t, or down by (p - v) p^t where the digit wraps past p - 1, and the atlas
+is the union of the translates over the second set.  All of this arithmetic
 is the oracle's own and shares no kernel with :mod:`quadsum.matrix`.  The
 resulting atlas is the reference answer set that the structural decision
 procedure is compared against, entry by entry, in the headline exhaustive
@@ -19,8 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .errors import BadParams, BudgetExceeded, InternalCheckFailed
@@ -89,16 +90,7 @@ def _mod(x, p: int, full: int):
 def _matrices_at(mask: int, p: int, n: int):
     """The matrices at the set bits of ``mask``, in increasing index, which
     is odometer order: entry t is base-p digit t of the index."""
-    bits, out = format(mask, "b")[::-1], []
-    idx = bits.find("1")
-    while idx >= 0:
-        raw, rest = [], idx
-        for _ in range(n * n):
-            rest, digit = divmod(rest, p)
-            raw.append(digit)
-        out.append(tuple(raw))
-        idx = bits.find("1", idx + 1)
-    return out
+    return list(itertools.compress(_raw_matrices(p, n), map("1".__eq__, bin(mask)[:1:-1])))
 
 
 def _gaussian_binomial(n: int, r: int, p: int) -> int:
@@ -161,18 +153,11 @@ def _raw_squares(p: int, n: int):
     return idempotents, square_zero
 
 
-def _slots(p: int, size: int):
-    """How ``size`` residues mod p share one int, for the pair sums: each
-    takes a byte-aligned slot of w bits, an item of the array type code.  A
-    slot holds a sum of at most 2p - 2, and adding 2^(w-1) - p to it sets the
-    slot's bit w - 1 iff the sum reached p, with no carry into the next slot,
-    as p <= 2^(w-1): the budget keeps p <= 2^17 when there is a slot.
-    Returns (code, w - 1, lift, top), where lift and top hold 2^(w-1) - p and
-    2^(w-1) in every slot."""
-    code = "B" if p <= 1 << 7 else "H" if p <= 1 << 15 else "I"
-    shift = 8 * array(code).itemsize - 1
-    top = int.from_bytes(array(code, [1 << shift] * size), sys.byteorder)
-    return code, shift, top - int.from_bytes(array(code, [p] * size), sys.byteorder), top
+def _translate(mask: int, low: int, up: int, down: int) -> int:
+    """The indices of ``mask`` that are in ``low`` moved up by ``up``, the
+    others moved down by ``down``: one base-p digit of every index turned by
+    the same amount mod p."""
+    return (mask & low) << up | (mask & ~low) >> down
 
 
 @dataclass(frozen=True)
@@ -194,19 +179,22 @@ def build_sum_atlas(field: Field, n: int, alpha=None, beta=None) -> SumAtlas:
     scaled = alpha is not None
     ca, cb = (field.value(alpha), field.value(beta)) if scaled else (1, 1)
     idempotents, square_zero = _raw_squares(p, n)
-    code, shift, lift, top = _slots(p, n * n)
-
-    def packed(c, matrices):
-        return [int.from_bytes(array(code, [c * v % p for v in m]), sys.byteorder)
-                for m in matrices]
-
-    second = packed(cb, idempotents if scaled else square_zero)
-    sums = set()
-    for a in packed(ca, idempotents):
-        sums.update([s - (((s + lift) & top) >> shift) * p for s in map(a.__add__, second)])
-    length = n * n * (shift + 1) // 8
-    members = (tuple(array(code, s.to_bytes(length, sys.byteorder))) for s in sums)
-    return SumAtlas(frozenset(members))
+    size, runs = p ** (n * n), [p ** t for t in range(n * n)]
+    first = 0
+    for m in idempotents:
+        first |= 1 << sum(ca * v % p * run for v, run in zip(m, runs))
+    lows, atlas = {}, 0
+    for m in idempotents if scaled else square_zero:
+        translate = first
+        for run, v in zip(runs, m):
+            if v := cb * v % p:
+                if (run, v) not in lows:
+                    # the indices whose digit is below p - v: the first
+                    # (p - v) runs of each period of the digit
+                    lows[run, v] = _repeat((1 << (p - v) * run) - 1, p * run, size)
+                translate = _translate(translate, lows[run, v], v * run, (p - v) * run)
+        atlas |= translate
+    return SumAtlas(frozenset(_matrices_at(atlas, p, n)))
 
 
 @dataclass(frozen=True)

@@ -252,13 +252,6 @@ def _gcd(field: Field, a, b):
     return a
 
 
-def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor."""
-    a._chk(b)
-    g = _gcd(a.field, a.coeffs, b.coeffs)
-    return Polynomial._raw(a.field, _monic(a.field, g) if g else g)
-
-
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic least common multiple: the one of a and b that the other
     divides, made monic, else (a / gcd(a, b)) b, made monic."""

@@ -11,7 +11,7 @@ import quadsum
 from quadsum import QQ, Matrix, direct_sum, inverse, jordan_block
 from quadsum.errors import DimensionMismatch
 from quadsum.matrix import rank
-from quadsum.poly import Polynomial, companion
+from quadsum.poly import Polynomial, _gcd, _monic, companion
 
 
 #: The largest prime p with 29 p^2 < 2^64: a packed GF(p) slot is one 64-bit
@@ -55,6 +55,13 @@ def nullity_sequence(m, eigenvalue):
         values.append(nullity - prev_nullity)
         power, prev_nullity = power * x, nullity
     return tuple(values)
+
+
+def monic_gcd(a, b):
+    """The monic gcd of two polynomials, not both zero, by the package's raw
+    Euclid kernel."""
+    f = a.field
+    return Polynomial._raw(f, _monic(f, _gcd(f, a.coeffs, b.coeffs)))
 
 
 def rand_element(field, rng):

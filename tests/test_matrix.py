@@ -14,11 +14,11 @@ from quadsum.field import GF, QQ
 from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _placed, _products_equal, _rref,
                             block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve)
 from quadsum.oracle import build_sum_atlas
-from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t, gcd,
+from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
                           krylov_annihilator, lcm, minimal_polynomial)
 from quadsum.sums import QuadParams, classify_and_reduce
-from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, nullity_sequence, rand_element,
-                      rand_invertible, rand_matrix, rand_wide_rational)
+from conftest import (WIDE_PRIMES, WORD_PRIME, count_packs, monic_gcd, nullity_sequence,
+                      rand_element, rand_invertible, rand_matrix, rand_wide_rational)
 
 #: Fields of the kernel property tests: small primes, which pack at every
 #: size these tests reach past the gate, the largest prime that packs at
@@ -195,8 +195,9 @@ def test_rational_polynomial_operations_store_ints_where_integral():
         g = Polynomial(QQ, [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [2])
         h = Polynomial(QQ, [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))] + [-3])
         assert (g * h).divrem(h) == (g, Polynomial.zero(QQ))
-        results = [*g.divrem(h), *h.divrem(g), gcd(g, h), gcd(g * h, h * h), lcm(g, h),
-                   lcm(g * h, h), g.monic(), h.monic(), g.compose(h), h.compose(g.monic()),
+        results = [*g.divrem(h), *h.divrem(g), monic_gcd(g, h), monic_gcd(g * h, h * h),
+                   lcm(g, h), lcm(g * h, h), g.monic(), h.monic(), g.compose(h),
+                   h.compose(g.monic()),
                    decompose_in_t2_minus_t(g.compose(Polynomial(QQ, [0, -1, 1])).monic())]
         for p in results:
             assert_canonical(p)

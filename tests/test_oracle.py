@@ -168,14 +168,15 @@ def test_scaled_atlas_gf3():
     assert len(atlas.members) == 3
 
 
-# ---- packed pair sums at the slot widths --------------------------------
+# ---- atlas sums at the edges -------------------------------------------
 
-#: (p, n, alpha, beta) of the main and the scaled atlas: n = 1 on both sides
-#: of each slot-width boundary and at the largest prime the budget admits,
-#: where the scaled atlas holds the largest sum 2p - 2; n = 2 over GF(17),
-#: four slots per int; n = 0, which packs no slot at any p.
-SLOT_EDGES = [*[(p, 1, p - 1, p - 1) for p in (127, 131, 32749, 32771, 131071)],
-              (17, 2, 3, 5), (2, 0, 1, 1), ((1 << 61) - 1, 0, 3, 5)]
+#: (p, n, alpha, beta) of the main and the scaled atlas: n = 1 at primes
+#: near 2^7, 2^15 and 2^17, the largest prime the budget admits, where the
+#: scaled atlas holds the largest sum 2p - 2 and its one digit wraps; n = 2
+#: over GF(17), four digits that wrap; n = 0, a space of one index with no
+#: digit, at any p.
+ATLAS_EDGES = [*[(p, 1, p - 1, p - 1) for p in (127, 131, 32749, 32771, 131071)],
+               (17, 2, 3, 5), (2, 0, 1, 1), ((1 << 61) - 1, 0, 3, 5)]
 
 
 def _reference_atlases(p: int, n: int, alpha: int, beta: int):
@@ -199,24 +200,20 @@ def _check_packed_sums(p: int, n: int, alpha: int, beta: int):
     assert atlases == _reference_atlases(p, n, alpha, beta)
 
 
-@pytest.mark.parametrize("p, n, alpha, beta", SLOT_EDGES)
+@pytest.mark.parametrize("p, n, alpha, beta", ATLAS_EDGES)
 def test_packed_sums_at_the_slot_widths(p, n, alpha, beta):
     _check_packed_sums(p, n, alpha, beta)
 
 
-@pytest.mark.parametrize("p, n, alpha, beta",
-                         [e for e in SLOT_EDGES if e[0] in (127, 131, 32771, 17)])
+@pytest.mark.parametrize("p, n, alpha, beta", [e for e in ATLAS_EDGES if e[1] > 0])
 def test_packed_sums_check_catches_an_unreduced_sum(monkeypatch, p, n, alpha, beta):
-    """With the mask step's top bits zero, no slot is reduced, and the check
-    above fails: at the smallest prime of each slot width, and at the edge
-    with several slots."""
-    slots = oracle._slots
+    """With a translate that keeps the indices whose digit stays below p and
+    drops those whose digit wraps, a sum that reaches p is never reduced and
+    the check above fails: at every edge with a digit."""
+    def no_wrap(mask, low, up, down):
+        return (mask & low) << up
 
-    def unreduced(p, size):
-        code, shift, lift, _ = slots(p, size)
-        return code, shift, lift, 0
-
-    monkeypatch.setattr(oracle, "_slots", unreduced)
+    monkeypatch.setattr(oracle, "_translate", no_wrap)
     with pytest.raises(AssertionError):
         _check_packed_sums(p, n, alpha, beta)
 

@@ -116,15 +116,33 @@ def unread_definitions(sources, kinds, wanted, outside=frozenset()):
     """(module, name) of every top-level definition of one of ``kinds`` whose
     name satisfies ``wanted``, that no top-level statement of the (module,
     text) pairs in ``sources`` reads outside its own body and that is not in
-    ``outside``."""
+    ``outside``.  A name that the reading module binds by an import from
+    outside the package is not a read: ``gcd`` after ``from math import
+    gcd`` is math's."""
     defined, read = [], set(outside)
     for module, text in sources:
-        for stmt in ast.parse(text).body:
+        tree = ast.parse(text)
+        foreign = foreign_imports(tree)
+        for stmt in tree.body:
             own = stmt.name if isinstance(stmt, kinds) else None
             if own and wanted(own):
                 defined.append((module, own))
-            read |= loads(stmt) - {own}
+            read |= loads(stmt) - {own} - foreign
     return [(module, name) for module, name in defined if name not in read]
+
+
+def foreign_imports(tree):
+    """Every name that the syntax tree binds by an absolute import of a
+    module outside the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] != "quadsum"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] != "quadsum"):
+            names |= {a.asname or a.name for a in node.names}
+    return names
 
 
 def orphaned_functions(sources):
@@ -191,6 +209,10 @@ def test_unread_public_definitions_are_found():
     second = "import first\n\ndef caller():\n    return first.used()\n\nclass Lonely:\n    pass\n"
     assert unread_public([("first", first), ("second", second)], {"Kept"}) == [
         ("first", "alone"), ("second", "caller"), ("second", "Lonely")]
+    first = "def gcd(a, b):\n    pass\n\ndef used():\n    pass\n\ndef named():\n    pass\n"
+    second = ("from math import gcd\nfrom .first import used\nfrom quadsum.first import named\n\n"
+              "def _caller():\n    return gcd(4, 6), used(), named()\n")
+    assert unread_public([("first", first), ("second", second)], set()) == [("first", "gcd")]
     assert markdown_code_names("Call `decide(m)`, then\n```python\nconstruct(m)\n```\nnot rank.") \
         == {"decide", "m", "python", "construct"}
 
