@@ -2,16 +2,22 @@
 
 Enumerates idempotents, square-zero matrices and their sums by one full scan
 of the p^(n^2) matrix space, guarded by a fixed budget.  A set of matrices
-is one mask over the scan index: the idx-th matrix has base-p digit t of idx
-as entry t.  The scan holds the space as bit planes: bit k of entry t is one
-mask whose bit idx is bit k of entry t of the idx-th matrix.  Ripple-carry
-adds, shift-and-add products and conditional subtractions of p 2^j square
-every matrix at once, and two masks keep the indices whose square equals the
-matrix (idempotent) or is zero (square-zero).  Both lists are checked against
-their closed-form counts.  The sums X + R over a first set X are the first
+is one mask over the scan index: the idx-th matrix has base-p digit
+n^2 - 1 - t of idx as entry t, so entry 0 is the most significant digit and
+index order is the lexicographic order of the entry tuples, the order of
+``itertools.product``.  The scan holds the space as bit planes: bit k of
+entry t is one mask whose bit idx is bit k of entry t of the idx-th matrix.
+Ripple-carry adds, shift-and-add products and conditional subtractions of
+p 2^j square every matrix at once, and two masks keep the indices whose
+square equals the matrix (idempotent) or is zero (square-zero).  Both masks
+are checked against their closed-form counts by their bit counts, before
+any matrix is decoded.  The sums X + R over a first set X are the first
 set's mask translated by R: adding v to entry t mod p moves each index up by
-v p^t, or down by (p - v) p^t where the digit wraps past p - 1, and the atlas
-is the union of the translates over the second set.  All of this arithmetic
+v p^(n^2-1-t), or down by (p - v) p^(n^2-1-t) where the digit wraps past
+p - 1, and the atlas is the union of the translates over the second set.
+The second set is taken in index order, so each matrix shares its leading
+entries with the one before, and a stack of translates by those prefixes
+is cut back only to the first entry that differs.  All of this arithmetic
 is the oracle's own and shares no kernel with :mod:`quadsum.matrix`.  The
 resulting atlas is the reference answer set that the structural decision
 procedure is compared against, entry by entry, in the headline exhaustive
@@ -35,9 +41,9 @@ _BUDGET = 1 << 17
 
 
 def _raw_matrices(p: int, n: int):
-    """All n x n matrices as flat residue tuples, odometer order: the first
-    entry turns fastest."""
-    return (raw[::-1] for raw in itertools.product(range(p), repeat=n * n))
+    """All n x n matrices as flat residue tuples, in index order, which is
+    lexicographic: the last entry turns fastest."""
+    return itertools.product(range(p), repeat=n * n)
 
 
 def _repeat(x: int, period: int, total: int) -> int:
@@ -49,17 +55,23 @@ def _repeat(x: int, period: int, total: int) -> int:
     return x & ((1 << total) - 1)
 
 
+def _runs(p: int, n: int):
+    """The index step of each entry: entry t is base-p digit n^2 - 1 - t."""
+    return [p ** (n * n - 1 - t) for t in range(n * n)]
+
+
 def _planes(p: int, n: int):
     """The n x n space as bit planes: per entry t, per bit k of a residue,
-    the mask of the scan indices whose base-p digit t has bit k set.  Digit t
-    holds v for a run of p^t indices, and bit k of v alternates in runs of
-    2^k values, so a plane is p^t 2^k zeros then as many ones, repeated to a
-    digit's period p^(t+1), then to the whole space."""
+    the mask of the scan indices whose entry t has bit k set.  Entry t is
+    base-p digit n^2 - 1 - t, which holds v for a run of p^(n^2-1-t) indices,
+    and bit k of v alternates in runs of 2^k values, so a plane is run 2^k
+    zeros then as many ones, repeated to the digit's period run p, then to
+    the whole space."""
     size = p ** (n * n)
     return [[_repeat(_repeat(((1 << (run << k)) - 1) << (run << k), run << (k + 1), run * p),
                      run * p, size)
              for k in range((p - 1).bit_length())]
-            for run in (p ** t for t in range(n * n))]
+            for run in _runs(p, n)]
 
 
 def _add(x, y):
@@ -89,7 +101,7 @@ def _mod(x, p: int, full: int):
 
 def _matrices_at(mask: int, p: int, n: int):
     """The matrices at the set bits of ``mask``, in increasing index, which
-    is odometer order: entry t is base-p digit t of the index."""
+    is lexicographic order: the idx-th tuple of ``_raw_matrices``."""
     return list(itertools.compress(_raw_matrices(p, n), map("1".__eq__, bin(mask)[:1:-1])))
 
 
@@ -116,11 +128,21 @@ def square_zero_count(p: int, n: int) -> int:
                for r in range(n // 2 + 1))
 
 
+def _check_count(kind: str, mask: int, count: int, p: int, n: int) -> int:
+    """``mask``, once its number of members is the closed-form ``count``."""
+    if mask.bit_count() != count:
+        raise InternalCheckFailed(
+            f"oracle: {kind} scan of the {n}x{n} matrices over GF({p}) found "
+            f"{mask.bit_count()}, the closed-form count is {count}")
+    return mask
+
+
 def _raw_squares(p: int, n: int):
-    """(idempotents, square-zero matrices) of the n x n space, in odometer
-    order, from one pass over its bit planes that squares every matrix at
-    once; the zero matrix is in both.  A scan of more than ``_BUDGET``
-    matrices is refused before any plane is built."""
+    """The masks (idempotents, square-zero matrices) of the n x n space,
+    from one pass over its bit planes that squares every matrix at once,
+    each checked against its closed-form count; the zero matrix is in both.
+    A scan of more than ``_BUDGET`` matrices is refused before any plane is
+    built."""
     if not _is_int(n) or n < 0:
         raise BadParams(f"matrix size must be a non-negative int, got {n!r}")
     # p^(n^2) >= 2^(n^2 (bits(p) - 1)) > budget when the exponent reaches the
@@ -142,15 +164,8 @@ def _raw_squares(p: int, n: int):
         for s, x in itertools.zip_longest(_mod(square, p, full), a[i * n + j], fillvalue=0):
             is_idempotent &= ~(s ^ x)
             is_square_zero &= ~s
-    idempotents = _matrices_at(is_idempotent, p, n)
-    square_zero = _matrices_at(is_square_zero, p, n)
-    for kind, found, count in (("idempotent", idempotents, idempotent_count(p, n)),
-                               ("square-zero", square_zero, square_zero_count(p, n))):
-        if len(found) != count:
-            raise InternalCheckFailed(
-                f"oracle: {kind} scan of the {n}x{n} matrices over GF({p}) found "
-                f"{len(found)}, the closed-form count is {count}")
-    return idempotents, square_zero
+    return (_check_count("idempotent", is_idempotent, idempotent_count(p, n), p, n),
+            _check_count("square-zero", is_square_zero, square_zero_count(p, n), p, n))
 
 
 def _translate(mask: int, low: int, up: int, down: int) -> int:
@@ -179,21 +194,31 @@ def build_sum_atlas(field: Field, n: int, alpha=None, beta=None) -> SumAtlas:
     scaled = alpha is not None
     ca, cb = (field.value(alpha), field.value(beta)) if scaled else (1, 1)
     idempotents, square_zero = _raw_squares(p, n)
-    size, runs = p ** (n * n), [p ** t for t in range(n * n)]
-    first = 0
-    for m in idempotents:
-        first |= 1 << sum(ca * v % p * run for v, run in zip(m, runs))
-    lows, atlas = {}, 0
-    for m in idempotents if scaled else square_zero:
-        translate = first
-        for run, v in zip(runs, m):
+    size, runs = p ** (n * n), _runs(p, n)
+    if scaled:
+        first, second = 0, _matrices_at(idempotents, p, n)
+        for m in second:
+            first |= 1 << sum(ca * v % p * run for v, run in zip(m, runs))
+    else:
+        first, second = idempotents, _matrices_at(square_zero, p, n)
+    # stack[t] is the first mask translated by entries 0..t-1 of the last
+    # matrix; the next matrix shares the entries before its first different
+    # one, so only the translates past that entry are redone
+    lows, atlas, stack, last = {}, 0, [first], ()
+    for m in second:
+        d = next((t for t, (x, y) in enumerate(zip(last, m)) if x != y), 0)
+        del stack[d + 1:]
+        for run, v in zip(runs[d:], m[d:]):
+            translate = stack[-1]
             if v := cb * v % p:
                 if (run, v) not in lows:
                     # the indices whose digit is below p - v: the first
                     # (p - v) runs of each period of the digit
                     lows[run, v] = _repeat((1 << (p - v) * run) - 1, p * run, size)
                 translate = _translate(translate, lows[run, v], v * run, (p - v) * run)
-        atlas |= translate
+            stack.append(translate)
+        atlas |= stack[-1]
+        last = m
     return SumAtlas(frozenset(_matrices_at(atlas, p, n)))
 
 

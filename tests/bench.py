@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/bench.py --label L
+    python tests/bench.py --label L [--trace]
     python tests/bench.py --compare OLD.json NEW.json
 
 With ``--label`` it runs ``perfbench/run.py`` (the command of
@@ -11,14 +11,20 @@ workload and per entry of :data:`SEEDS`, and writes ``BENCH_<L>.json`` at
 the root of the checkout: the git SHA and whether tracked files differ from
 it, the Python version, the platform, the CPU count, each command line, each
 run's final JSON line, and per workload and metric the median and quartiles
-over its runs.  It measures nothing itself, so ``perfbench/`` stays the one
-harness.  With ``--compare`` it runs nothing and prints, per workload and
-end-to-end metric, old -> new medians, the change in %, and whether a
-worsening stays inside the metric's ``BENCHMARK.json`` bound, and the failed
-share of operations old -> new; it exits 1 when a metric is outside its
-bound, more operations fail, or NEW has a result from fewer runs of one of
-OLD's workloads (none when the workload crashed on every run).  It refuses
-two files whose run length or seeds differ.
+over its runs.  With ``--trace`` it also runs each workload once with
+``--trace 1`` at the first seed and keeps that run, whose metrics are the
+per-layer ones, under ``"traced"``.  It measures nothing itself, so
+``perfbench/`` stays the one harness.
+
+With ``--compare`` it runs nothing and prints, per workload and end-to-end
+metric, old -> new medians, the change in %, and whether a worsening stays
+inside the metric's ``BENCHMARK.json`` bound, and the failed share of
+operations old -> new; it exits 1 when a metric is outside its bound, more
+operations fail, or NEW has a result from fewer runs of one of OLD's
+workloads (none when the workload crashed on every run).  It refuses two
+files whose run length or seeds differ.  When both files hold a traced run
+of a workload, it then prints old -> new for each per-layer metric that both
+runs report; these single runs gate nothing.
 """
 
 from __future__ import annotations
@@ -94,27 +100,41 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def collect(label: str) -> dict:
-    """Run every workload at every seed and return the BENCH record."""
+def run_once(bench: dict, workload: str, seed: int, trace: bool) -> dict:
+    """One run of the benchmark command, with its command line, exit code
+    and result (None when it printed no result line)."""
+    command = bench["command"] + ["--workload", workload, "--seed", str(seed),
+                                  "--seconds", str(bench["run_seconds"])]
+    command += ["--trace", "1"] if trace else []
+    proc = subprocess.run([sys.executable, *command[1:]], cwd=ROOT, capture_output=True, text=True)
+    result = parse_report(proc.stdout)
+    if result is None:
+        shown = ", no result line"
+    elif trace:
+        shown = f", {len(result['metrics'])} per-layer metrics"
+    else:
+        shown = f", ops_per_s {result['metrics']['ops_per_s']['value']:.6g}"
+    print(f"{workload} seed {seed}{' traced' if trace else ''}: exit {proc.returncode}{shown}",
+          flush=True)
+    return {"workload": workload, "seed": seed, "command": command, "exit": proc.returncode,
+            "result": result}
+
+
+def collect(label: str, trace: bool = False) -> dict:
+    """Run every workload at every seed, and with ``trace`` once traced,
+    and return the BENCH record."""
     bench = load_benchmark()
-    seconds, runs = bench["run_seconds"], []
-    for workload in (w["name"] for w in bench["workloads"]):
-        for seed in SEEDS:
-            command = bench["command"] + ["--workload", workload, "--seed", str(seed),
-                                          "--seconds", str(seconds)]
-            proc = subprocess.run([sys.executable, *command[1:]], cwd=ROOT,
-                                  capture_output=True, text=True)
-            result = parse_report(proc.stdout)
-            runs.append({"workload": workload, "seed": seed, "command": command,
-                         "exit": proc.returncode, "result": result})
-            print(f"{workload} seed {seed}: exit {proc.returncode}"
-                  + (f", ops_per_s {result['metrics']['ops_per_s']['value']:.6g}"
-                     if result else ", no result line"), flush=True)
-    return {"label": label, "note": MACHINE_NOTE, "sha": _git("rev-parse", "HEAD"),
-            "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-            "python": platform.python_version(), "platform": platform.platform(),
-            "cpu_count": os.cpu_count(), "seconds": seconds, "seeds": list(SEEDS),
-            "runs": runs, "summary": summarize(runs)}
+    workloads = [w["name"] for w in bench["workloads"]]
+    runs = [run_once(bench, workload, seed, False) for workload in workloads for seed in SEEDS]
+    record = {"label": label, "note": MACHINE_NOTE, "sha": _git("rev-parse", "HEAD"),
+              "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+              "python": platform.python_version(), "platform": platform.platform(),
+              "cpu_count": os.cpu_count(), "seconds": bench["run_seconds"],
+              "seeds": list(SEEDS), "runs": runs, "summary": summarize(runs)}
+    if trace:
+        record["traced"] = {workload: run_once(bench, workload, SEEDS[0], True)
+                            for workload in workloads}
+    return record
 
 
 def _result_runs(entry: dict) -> int:
@@ -154,15 +174,37 @@ def compare(old: dict, new: dict, bench: dict) -> tuple[list, bool]:
     return lines, ok
 
 
+def compare_traced(old: dict, new: dict) -> list:
+    """Report lines, old against new, of every per-layer metric that the
+    traced runs of a workload in both files report."""
+    lines = []
+    for workload, before in old.get("traced", {}).items():
+        after = new.get("traced", {}).get(workload)
+        if not (before["result"] and after and after["result"]):
+            continue
+        a_metrics, b_metrics = before["result"]["metrics"], after["result"]["metrics"]
+        lines.append(f"{workload}, traced at seed {before['seed']} (one run each, not gated):")
+        for name in (name for name in a_metrics if name in b_metrics):
+            a, b = a_metrics[name]["value"], b_metrics[name]["value"]
+            lines.append(f"  {name:44s} {a:.6g} -> {b:.6g} {a_metrics[name]['unit']}"
+                         + (f"  {(b - a) / a:+.1%}" if a else ""))
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--label", help="run the benchmark and write BENCH_<label>.json")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                       help="compare two stored BENCH files")
+    ap.add_argument("--trace", action="store_true",
+                    help="with --label, also run each workload once traced")
     args = ap.parse_args(argv)
+    if args.trace and not args.label:
+        ap.error("--trace needs --label")
     if args.label:
-        record, path = collect(args.label), os.path.join(ROOT, f"BENCH_{args.label}.json")
+        record = collect(args.label, args.trace)
+        path = os.path.join(ROOT, f"BENCH_{args.label}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")
@@ -173,7 +215,7 @@ def main(argv=None) -> int:
         if old[key] != new[key]:
             ap.error(f"the files ran with different {key}: {old[key]} and {new[key]}")
     lines, ok = compare(old, new, load_benchmark())
-    print("\n".join(lines))
+    print("\n".join(lines + compare_traced(old, new)))
     return 0 if ok else 1
 
 

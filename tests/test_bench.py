@@ -125,3 +125,64 @@ def test_arguments_name_one_mode(tmp_path, capsys):
                  ["--label", "x", "--seeds", "1"]):
         with pytest.raises(SystemExit):
             bench.main(argv)
+
+
+def _traced_report(atlas_s):
+    """A synthetic ``--trace 1`` report: per-layer lines, then the JSON line."""
+    metrics = {"oracle.build_sum_atlas.self_s": {"value": atlas_s, "unit": "s"},
+               "matrix.calls": {"value": 40, "unit": "count"}}
+    return ("workload tiny-exhaustive seed 1: 23779 jobs\n"
+            f"oracle.build_sum_atlas.self_s {atlas_s} s\nmatrix.calls 40 count\n"
+            + json.dumps({"correct": True, "attempted": 300, "failed": 0, "metrics": metrics})
+            + "\n")
+
+
+def test_trace_keeps_one_traced_run_per_workload_and_compare_prints_it(tmp_path, monkeypatch,
+                                                                     capsys):
+    """``--label L --trace`` adds one ``--trace 1`` run per workload at the
+    first seed, kept under "traced" apart from the summary; ``--compare``
+    prints each per-layer metric that both traced runs hold, old -> new,
+    and a worse traced metric does not change its exit code."""
+    spec = bench.load_benchmark()
+    spec["run_seconds"] = 3
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    report, calls = _read("bench_report.txt"), []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        if "perfbench/run.py" in argv:
+            out = _traced_report(0.097) if "--trace" in argv else report
+        else:
+            out = "ab12\n" if "rev-parse" in argv else ""
+        return subprocess.CompletedProcess(argv, 0, out, "")
+
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--label", "old", "--trace"]) == 0
+    old = json.loads((tmp_path / "BENCH_old.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    assert list(old["traced"]) == workloads
+    traced = old["traced"][workloads[0]]
+    assert traced["command"] == spec["command"] + [
+        "--workload", workloads[0], "--seed", "1", "--seconds", "3", "--trace", "1"]
+    assert traced["result"]["metrics"]["oracle.build_sum_atlas.self_s"]["value"] == 0.097
+    assert sum("--trace" in argv for argv in calls) == len(workloads)
+    assert old["summary"] == bench.summarize(old["runs"])
+    assert "--trace" not in json.dumps(old["runs"])
+
+    new = json.loads(json.dumps(old))
+    new["traced"][workloads[0]]["result"] = bench.parse_report(_traced_report(0.05))
+    new["traced"][workloads[1]]["result"]["metrics"]["matrix.calls"]["value"] = 80
+    del new["traced"][workloads[2]]
+    new["traced"][workloads[3]]["result"] = None
+    (tmp_path / "new.json").write_text(json.dumps(new), encoding="utf-8")
+    assert bench.main(["--compare", str(tmp_path / "BENCH_old.json"),
+                       str(tmp_path / "new.json")]) == 0
+    out = capsys.readouterr().out
+    assert f"{workloads[0]}, traced at seed 1 (one run each, not gated):" in out
+    assert "  oracle.build_sum_atlas.self_s                0.097 -> 0.05 s  -48.5%" in out
+    assert "  matrix.calls                                 40 -> 80 count  +100.0%" in out
+    assert out.count("traced at seed") == 2
+    assert not bench.compare_traced(bench.load_json(os.path.join(DATA, "bench_old.json")), new)
+    with pytest.raises(SystemExit):
+        bench.main(["--compare", "a.json", "b.json", "--trace"])

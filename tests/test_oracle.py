@@ -1,6 +1,7 @@
 """Brute-force enumeration oracle: counts, atlas membership, and the
 decide-vs-atlas comparison on small spaces."""
 
+import inspect
 import itertools
 import random
 import re
@@ -15,7 +16,7 @@ from quadsum.field import GF
 from quadsum.matrix import Matrix, inverse
 from quadsum.poly import Polynomial, companion
 from quadsum import oracle
-from quadsum.oracle import (_raw_matrices, _raw_squares, build_sum_atlas,
+from quadsum.oracle import (_matrices_at, _raw_matrices, _raw_squares, build_sum_atlas,
                             exhaustive_compare, idempotent_count, square_zero_count)
 from quadsum.serialize import comparison_to_json
 from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_reduce,
@@ -23,26 +24,31 @@ from quadsum.sums import (QuadParams, check_necessary_combination, classify_and_
 from conftest import rand_invertible
 
 
+def _scanned(p: int, n: int):
+    """The scan's two masks, each decoded to its list of matrices."""
+    return [_matrices_at(mask, p, n) for mask in _raw_squares(p, n)]
+
+
 def test_idempotents_gf2_n1():
-    assert set(_raw_squares(2, 1)[0]) == {(0,), (1,)}
+    assert set(_scanned(2, 1)[0]) == {(0,), (1,)}
 
 
 def test_idempotents_gf2_n2_count():
-    assert len(_raw_squares(2, 2)[0]) == 8
+    assert len(_scanned(2, 2)[0]) == 8
     assert idempotent_count(2, 2) == 8
 
 
 def test_idempotents_are_idempotent():
     for p, n in ((2, 3), (3, 2)):
         f = GF(p)
-        for raw in _raw_squares(p, n)[0]:
+        for raw in _scanned(p, n)[0]:
             e = Matrix._raw(f, n, n, raw)
             assert e * e == e
 
 
 def test_square_zero_gf2_n2():
     f = GF(2)
-    raw = set(_raw_squares(2, 2)[1])
+    raw = set(_scanned(2, 2)[1])
     assert (0, 0, 0, 0) in raw
     assert (0, 0, 1, 0) in raw  # the shift block
     assert (1, 1, 1, 1) in raw
@@ -53,7 +59,12 @@ def test_square_zero_gf2_n2():
 
 def test_one_scan_per_atlas(monkeypatch):
     """Both kinds of atlas run the scan, and build the space's bit planes,
-    exactly once."""
+    exactly once, and decode two masks: the square-zero mask and the atlas,
+    or, scaled, the idempotent mask and the atlas.  Each matrix of the
+    second set redoes only the translates past its first entry that differs
+    from the matrix before it: the unscaled atlases of the benchmark take
+    1029 translates at GF(2) n = 4 and 296 at GF(3) n = 3, where one per
+    nonzero entry of each matrix would be 1984 and 468."""
     calls = Counter()
 
     def counted(name):
@@ -64,53 +75,64 @@ def test_one_scan_per_atlas(monkeypatch):
             return original(*args)
         return wrapper
 
-    for name in ("_raw_squares", "_planes"):
+    for name in ("_raw_squares", "_planes", "_matrices_at", "_translate"):
         monkeypatch.setattr(oracle, name, counted(name))
-    for p, n in ((2, 1), (2, 2), (2, 3), (3, 2)):
+    translates = {(2, 4): 1029, (3, 3): 296}
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
         for scalars in ({}, {"alpha": 1, "beta": 2}):
             calls.clear()
             build_sum_atlas(GF(p), n, **scalars)
-            assert calls == {"_raw_squares": 1, "_planes": 1}, (p, n, scalars)
+            if not scalars and (p, n) in translates:
+                assert calls["_translate"] == translates[p, n], (p, n)
+            del calls["_translate"]
+            assert calls == {"_raw_squares": 1, "_planes": 1, "_matrices_at": 2}, (p, n, scalars)
 
 
 def test_one_scan_sorts_the_space_by_its_square():
-    """Idempotents and square-zero matrices, in odometer order, as the test's
-    own scans find them; the zero matrix is in both lists.  The shapes reach
-    each edge of the budget: n = 0, the largest prime at n = 1 and at n = 2,
-    and GF(3) at n = 3."""
+    """Idempotents and square-zero matrices, decoded in lexicographic order,
+    as the test's own scans find them; the zero matrix is in both lists.
+    The shapes reach each edge of the budget: n = 0, the largest prime at
+    n = 1 and at n = 2, and GF(3) at n = 3."""
     for p, n in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1),
                  (131071, 1), (19, 2), (3, 3)):
-        idempotents, square_zero = _raw_squares(p, n)
+        idempotents, square_zero = _scanned(p, n)
+        assert idempotents == sorted(idempotents) and square_zero == sorted(square_zero)
         assert idempotents == _quadratics(p, n, 1, 0), (p, n)
         assert square_zero == _quadratics(p, n, 0, 0), (p, n)
         assert (0,) * (n * n) in idempotents and (0,) * (n * n) in square_zero
 
 
 def test_count_checks_name_the_list_that_failed(monkeypatch):
-    """A scan that drops one matrix from either list fails its closed-form
-    count check, and the message names the list, p, n and both counts."""
-    matrices_at = oracle._matrices_at
-    for dropped, message in ((0, "oracle: idempotent scan of the 2x2 matrices over GF(3) "
-                                 "found 13, the closed-form count is 14"),
-                             (1, "oracle: square-zero scan of the 2x2 matrices over GF(3) "
-                                 "found 8, the closed-form count is 9")):
-        calls = []
-
-        def short(mask, p, n):
-            calls.append(mask)
-            found = matrices_at(mask, p, n)
-            return found[:-1] if len(calls) - 1 == dropped else found
-
-        monkeypatch.setattr(oracle, "_matrices_at", short)
+    """A scan mask with one matrix dropped from either list fails its
+    closed-form count check, and the message names the list, p, n and both
+    counts; the scan runs both checks, each on its own mask."""
+    masks = _raw_squares(3, 2)
+    for dropped, (kind, count), message in (
+            (0, ("idempotent", 14), "oracle: idempotent scan of the 2x2 matrices over GF(3) "
+                                    "found 13, the closed-form count is 14"),
+            (1, ("square-zero", 9), "oracle: square-zero scan of the 2x2 matrices over GF(3) "
+                                    "found 8, the closed-form count is 9")):
+        mask = masks[dropped]
+        assert oracle._check_count(kind, mask, count, 3, 2) == mask
         with pytest.raises(InternalCheckFailed, match=f"^{re.escape(message)}$"):
-            build_sum_atlas(GF(3), 2)
+            oracle._check_count(kind, mask & (mask - 1), count, 3, 2)
+    checks = []
+
+    def counted(kind, mask, count, p, n):
+        checks.append((kind, mask.bit_count(), count, p, n))
+        return check_count(kind, mask, count, p, n)
+
+    check_count = oracle._check_count
+    monkeypatch.setattr(oracle, "_check_count", counted)
+    build_sum_atlas(GF(3), 2)
+    assert checks == [("idempotent", 14, 14, 3, 2), ("square-zero", 9, 9, 3, 2)]
 
 
 def test_square_zero_scan_matches_the_closed_form_count():
     expected = {(2, 1): 1, (2, 2): 4, (2, 3): 22, (2, 4): 316, (3, 1): 1, (3, 2): 9, (3, 3): 105}
     for (p, n), count in expected.items():
         assert square_zero_count(p, n) == count
-        assert len(_raw_squares(p, n)[1]) == count, (p, n)
+        assert len(_scanned(p, n)[1]) == count, (p, n)
 
 
 def test_budget_guard():
@@ -182,7 +204,7 @@ ATLAS_EDGES = [*[(p, 1, p - 1, p - 1) for p in (127, 131, 32749, 32771, 131071)]
 def _reference_atlases(p: int, n: int, alpha: int, beta: int):
     """The main and the scaled atlas as sets of tuples, each sum written
     entry by entry from the scan's lists."""
-    idempotents, square_zero = _raw_squares(p, n)
+    idempotents, square_zero = _scanned(p, n)
 
     def sums(ca, cb, second):
         return {tuple((ca * u + cb * v) % p for u, v in zip(x, y))
@@ -193,7 +215,7 @@ def _reference_atlases(p: int, n: int, alpha: int, beta: int):
 def _check_packed_sums(p: int, n: int, alpha: int, beta: int):
     atlases = []
     for scalars in ({}, {"alpha": alpha, "beta": beta}):
-        members = build_sum_atlas(GF(p), n, **scalars).members
+        members = oracle.build_sum_atlas(GF(p), n, **scalars).members
         assert all(type(m) is tuple and len(m) == n * n
                    and all(type(v) is int and 0 <= v < p for v in m) for m in members)
         atlases.append(members)
@@ -216,6 +238,23 @@ def test_packed_sums_check_catches_an_unreduced_sum(monkeypatch, p, n, alpha, be
     monkeypatch.setattr(oracle, "_translate", no_wrap)
     with pytest.raises(AssertionError):
         _check_packed_sums(p, n, alpha, beta)
+
+
+@pytest.mark.parametrize("cut", ["pass", "del stack[1:]"])
+def test_packed_sums_check_catches_a_wrong_prefix_stack(monkeypatch, cut):
+    """``build_sum_atlas`` with its stack of prefix translates never cut
+    back, so that each matrix is added onto the one before, or cut back to
+    the first mask, so that the entries a matrix shares with the one before
+    are lost: the check above fails at GF(17) n = 2, whose consecutive
+    matrices share nonzero leading entries."""
+    source = inspect.getsource(oracle.build_sum_atlas)
+    mutant = source.replace("del stack[d + 1:]", cut)
+    assert mutant != source
+    namespace = dict(vars(oracle))
+    exec(mutant, namespace)
+    monkeypatch.setattr(oracle, "build_sum_atlas", namespace["build_sum_atlas"])
+    with pytest.raises(AssertionError):
+        _check_packed_sums(17, 2, 3, 5)
 
 
 def test_report_and_export_shapes():
