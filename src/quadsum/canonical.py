@@ -110,13 +110,12 @@ def _cyclic_decompose(m: Matrix):
     A scalar M = lam I is closed at once, with no Krylov run: n factors
     t - lam and the anti-identity T, the result the levels would reach one
     dimension at a time (each takes e_0's chain, and the complement is the
-    span of e_1, ..., e_(n-1)).
+    span of e_1, ..., e_(n-1)).  The 0 x 0 matrix closes there too, as lam I
+    with no factors and a 0 x 0 T.
     """
     f = m.field
     n = m.rows
-    if n == 0:
-        return [], Matrix.zero(f, 0, 0)
-    minus_lam = f.reduce(-m._e[0])
+    minus_lam = f.reduce(-m._e[0]) if n else 0
     if m._plus_identity(minus_lam).is_zero():  # M = lam I
         anti = Matrix._raw(f, n, n, [int(i + j == n - 1) for i in range(n) for j in range(n)])
         return [Polynomial._raw(f, [minus_lam, 1])] * n, anti

@@ -108,7 +108,7 @@ def cmd_necessary(args) -> int:
     report = check_necessary_combination(matrix,
                                          serialize._parse_element(field, args.alpha, "--alpha"),
                                          serialize._parse_element(field, args.beta, "--beta"))
-    _emit(serialize.necessary_to_json(report), args.output)
+    _emit(serialize.to_json(report), args.output)
     return EXIT_OK
 
 

@@ -81,14 +81,17 @@ def _rational(num: int, den: int):
 class Field:
     """The rationals (``p is None``) or the prime field GF(p), p prime.
 
-    Moduli are validated by deterministic Miller-Rabin, which bounds them
-    below ``_PRIME_LIMIT`` (about 3.3e24).
+    A modulus that is not an int, or is a bool, is a TypeError.  Moduli are
+    validated by deterministic Miller-Rabin, which bounds them below
+    ``_PRIME_LIMIT`` (about 3.3e24).
     """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
         if p is not None:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise TypeError(f"modulus {p!r} is not an int")
             if p >= _PRIME_LIMIT:
                 raise ValueError(f"modulus {p} is not below the supported limit {_PRIME_LIMIT}")
             if not _is_prime(p):
@@ -223,9 +226,10 @@ class FieldElement:
         return f"{self.v!s} in {self.field!r}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def GF(p: int) -> Field:
-    """The prime field with p elements (cached, so ``GF(p) is GF(p)``)."""
+    """The prime field with p elements (cached, so ``GF(p) is GF(p)``; the
+    cache keys on the type, so ``GF(5.0)`` is refused even after ``GF(5)``)."""
     return Field(p)
 
 

@@ -15,7 +15,8 @@ or 64-bit words in one int): its kernels take raw rows and give back raw
 canonical values.
 
 Every product of raw vectors that the package keeps (matrix products, Krylov
-steps, dual rows and pairings) goes through one kernel, :func:`_raw_products`.
+steps, dual rows, pairings and linear combinations, :func:`_combination`)
+goes through one kernel, :func:`_raw_products`.
 Over GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
@@ -373,17 +374,11 @@ def _products_equal(field: Field, rows, cols, expected) -> bool:
 
 def _combination(field: Field, coeffs, vecs) -> list:
     """The raw vector c_0 v_0 + c_1 v_1 + ... of raw vectors v_k, for raw
-    scalars c_k that need not be canonical.  Over the rationals the sum runs
-    on integers over one common denominator, and each entry of the result is
-    one :func:`quadsum.field._rational`."""
-    p = field.p
-    if p is not None:
-        return [sum(map(mul, coeffs, xs)) % p for xs in zip(*vecs)]
-    ints = _integral(vecs)
-    dens = [c.denominator * d for c, (_, d) in zip(coeffs, ints)]
-    den = lcm(*dens)
-    scales = [c.numerator * (den // d) for c, d in zip(coeffs, dens)]
-    return [_rational(sum(map(mul, scales, xs)), den) for xs in zip(*(v for v, _ in ints))]
+    scalars c_k that need not be canonical: the coefficient row times the
+    columns (v_0[j], v_1[j], ...), one :func:`_raw_products` call.  The
+    coefficients are made canonical first, since a packed product takes
+    residues in [0, p)."""
+    return _raw_products(field, [_canonical(field, coeffs)], _columns(field, list(zip(*vecs))))[0]
 
 
 # ---- packed GF(p) rows ------------------------------------------------

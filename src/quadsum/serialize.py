@@ -4,8 +4,9 @@ Field elements travel as strings ("3", "-1/2" over the rationals, decimal
 residues over GF(p)); matrices as {"rows", "cols", "entries"}; job inputs as
 {"field", "matrix", "params"}.  One renderer, :func:`to_json`, writes every
 value of a result, and every scalar through :func:`_texts`, which refuses a
-number too long to print.  Each result has one writer here, which names its
-keys in a fixed order, so rendered JSON is byte-deterministic.
+number too long to print.  A result renders as its dataclass fields in
+order, or through one writer here that names its keys in a fixed order, so
+rendered JSON is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import MalformedInput, QuadsumError
 from .field import Field, FieldElement, GF, QQ, _plain
 from .matrix import Matrix
 from .poly import Polynomial
-from .sums import Certificate, Decision, NecessaryReport, QuadParams, VerificationReport
+from .sums import Certificate, Decision, QuadParams, VerificationReport
 
 
 # ---- fields and elements ---------------------------------------------
@@ -91,9 +92,10 @@ def _texts(values) -> list:
 def to_json(value):
     """The one rendering of a result value as JSON data: a matrix as its
     shape and entry texts, a polynomial as its coefficient texts, a field
-    element as its text (every scalar through :func:`_texts`), a dataclass as
-    its fields in order, a dict entry by entry, a list or tuple as a list,
-    and None, bools, counting ints and strings as they are."""
+    element as its text (every scalar through :func:`_texts`), a field as a
+    job names it ("Q" or {"GF": p}), a dataclass as its fields in order, a
+    dict entry by entry, a list or tuple as a list, and None, bools,
+    counting ints and strings as they are."""
     return _rendered(value)
 
 
@@ -116,6 +118,8 @@ def _rendered(x):
         return _texts(x.coeffs)
     if isinstance(x, FieldElement):
         return _texts([x])[0]
+    if isinstance(x, Field):
+        return "Q" if x.p is None else {"GF": x.p}
     return _rendered(vars(x))  # a dataclass, whose dict holds its fields in order
 
 
@@ -218,27 +222,10 @@ def verification_to_json(report: VerificationReport):
     return {"pass": report.ok, **to_json(report)}
 
 
-def necessary_to_json(report: NecessaryReport):
-    return to_json({
-        "status": report.status,
-        "nullity_at_alpha": report.seq_alpha,
-        "nullity_at_beta": report.seq_beta,
-        "violation": report.violation,
-    })
-
-
 def comparison_to_json(report):
-    """The oracle's comparison of ``decide`` with the atlas, each mismatch as
-    the raw entries of its matrix."""
-    return to_json({
-        "field": {"GF": report.field.p},
-        "n": report.n,
-        "total": report.total,
-        "atlas_size": report.atlas_size,
-        "decide_yes": report.decide_yes,
-        "mismatches": [raw for raw, _ in report.mismatches],
-        "pass": report.ok,
-    })
+    """The oracle's comparison of ``decide`` with the atlas, and whether it
+    passed."""
+    return {**to_json(report), "pass": report.ok}
 
 
 # ---- job inputs ------------------------------------------------------

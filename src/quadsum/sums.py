@@ -118,8 +118,8 @@ class NecessaryReport:
     """Result of the necessary condition for alpha*P + beta*Q decompositions."""
 
     status: str  # "no", "inconclusive" or "not_applicable"
-    seq_alpha: tuple | None
-    seq_beta: tuple | None
+    nullity_at_alpha: tuple | None
+    nullity_at_beta: tuple | None
     violation: dict | None
 
 

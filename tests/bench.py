@@ -13,8 +13,11 @@ it, the Python version, the platform, the CPU count, each command line, each
 run's final JSON line, and per workload and metric the median and quartiles
 over its runs.  With ``--trace`` it also runs each workload once with
 ``--trace 1`` at the first seed and keeps that run, whose metrics are the
-per-layer ones, under ``"traced"``.  It measures nothing itself, so
-``perfbench/`` stays the one harness.
+per-layer ones, under ``"traced"``.  Every run's process gets
+``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` that names a new
+empty temporary directory, so no bytecode cache, stale or fresh, moves
+``setup_s`` or ``peak_rss_mb``; the file records both under ``"env"``.  It
+measures nothing itself, so ``perfbench/`` stays the one harness.
 
 With ``--compare`` it runs nothing and prints, per workload and end-to-end
 metric, old -> new medians, the change in %, and whether a worsening stays
@@ -36,6 +39,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -100,13 +104,15 @@ def _git(*args) -> str:
                           check=True).stdout.strip()
 
 
-def run_once(bench: dict, workload: str, seed: int, trace: bool) -> dict:
-    """One run of the benchmark command, with its command line, exit code
-    and result (None when it printed no result line)."""
+def run_once(bench: dict, workload: str, seed: int, trace: bool, env: dict) -> dict:
+    """One run of the benchmark command, with ``env`` added to its
+    environment: its command line, exit code and result (None when it
+    printed no result line)."""
     command = bench["command"] + ["--workload", workload, "--seed", str(seed),
                                   "--seconds", str(bench["run_seconds"])]
     command += ["--trace", "1"] if trace else []
-    proc = subprocess.run([sys.executable, *command[1:]], cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *command[1:]], cwd=ROOT, capture_output=True, text=True,
+                          env={**os.environ, **env})
     result = parse_report(proc.stdout)
     if result is None:
         shown = ", no result line"
@@ -125,15 +131,18 @@ def collect(label: str, trace: bool = False) -> dict:
     and return the BENCH record."""
     bench = load_benchmark()
     workloads = [w["name"] for w in bench["workloads"]]
-    runs = [run_once(bench, workload, seed, False) for workload in workloads for seed in SEEDS]
-    record = {"label": label, "note": MACHINE_NOTE, "sha": _git("rev-parse", "HEAD"),
-              "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-              "python": platform.python_version(), "platform": platform.platform(),
-              "cpu_count": os.cpu_count(), "seconds": bench["run_seconds"],
-              "seeds": list(SEEDS), "runs": runs, "summary": summarize(runs)}
-    if trace:
-        record["traced"] = {workload: run_once(bench, workload, SEEDS[0], True)
-                            for workload in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        runs = [run_once(bench, workload, seed, False, env)
+                for workload in workloads for seed in SEEDS]
+        record = {"label": label, "note": MACHINE_NOTE, "sha": _git("rev-parse", "HEAD"),
+                  "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+                  "python": platform.python_version(), "platform": platform.platform(),
+                  "cpu_count": os.cpu_count(), "seconds": bench["run_seconds"],
+                  "seeds": list(SEEDS), "env": env, "runs": runs, "summary": summarize(runs)}
+        if trace:
+            record["traced"] = {workload: run_once(bench, workload, SEEDS[0], True, env)
+                                for workload in workloads}
     return record
 
 

@@ -40,15 +40,20 @@ def test_report_line_is_parsed_and_summarized():
 def test_label_writes_every_key(tmp_path, monkeypatch, capsys):
     """``--label`` runs the command of BENCHMARK.json for its run_seconds
     once per workload and entry of SEEDS (here a stand-in that prints the
-    stored report) and writes the file with its provenance, each command and
-    result, and the summary."""
+    stored report), each run with no bytecode written and its cache prefix a
+    new empty directory, and writes the file with its provenance, that
+    environment, each command and result, and the summary."""
     spec = bench.load_benchmark()
     spec["run_seconds"] = 3
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
-    report, calls = _read("bench_report.txt"), []
+    report, calls, envs = _read("bench_report.txt"), [], []
 
     def fake_run(argv, **kwargs):
         calls.append(argv)
+        if "perfbench/run.py" in argv:
+            env = kwargs["env"]
+            prefix = env["PYTHONPYCACHEPREFIX"]
+            envs.append((env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
         out = report if "perfbench/run.py" in argv else ("ab12\n" if "rev-parse" in argv else "")
         return subprocess.CompletedProcess(argv, 0, out, "")
 
@@ -56,12 +61,15 @@ def test_label_writes_every_key(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     assert bench.main(["--label", "t"]) == 0
     written = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
     assert set(written) == {"label", "note", "sha", "dirty", "python", "platform", "cpu_count",
-                            "seconds", "seeds", "runs", "summary"}
+                            "seconds", "seeds", "env", "runs", "summary"}
+    prefix = written["env"]["PYTHONPYCACHEPREFIX"]
+    assert written["env"] == {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+    assert envs == [("1", prefix, [])] * (4 * len(workloads)) and not os.path.exists(prefix)
     assert (written["sha"], written["dirty"], written["seeds"]) == ("ab12", False, [1, 7, 1, 7])
     assert written["seconds"] == 3
     assert "shared 2-core machine" in written["note"]
-    workloads = [w["name"] for w in spec["workloads"]]
     assert [(r["workload"], r["seed"]) for r in written["runs"]] == [
         (w, s) for w in workloads for s in (1, 7, 1, 7)]
     assert written["runs"][0]["command"] == spec["command"] + [

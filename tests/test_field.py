@@ -100,6 +100,16 @@ def test_gf_requires_prime():
         GF(6)
 
 
+def test_gf_refuses_a_modulus_that_is_not_an_int():
+    """A float, a Fraction or a bool modulus is a TypeError, also once GF(5)
+    is cached, which 5.0 equals and hashes like; GF(5) is unchanged."""
+    assert GF(5) is GF(5) and GF(5).p == 5 and type(GF(5).value(3)) is int
+    for p in (2.0, 5.0, Fraction(7), True):
+        for make in (GF, Field):
+            with pytest.raises(TypeError, match="is not an int"):
+                make(p)
+
+
 def test_primality_matches_trial_division():
     for n in range(-2, 3000):
         assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)))

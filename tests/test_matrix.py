@@ -11,8 +11,9 @@ from quadsum.canonical import invariant_factors_with_transform, valuations
 from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero, MixedFields,
                             NotMonic, Singular)
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _first_relation, _placed, _products_equal, _rref,
-                            block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _combination, _first_relation, _placed,
+                            _products_equal, _rref, block2x2, direct_sum, inverse, jordan_block,
+                            kernel_matrix, rank, solve)
 from quadsum.oracle import build_sum_atlas
 from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
                           krylov_annihilator, lcm, minimal_polynomial)
@@ -436,6 +437,32 @@ def test_first_relation_returns_the_planted_combination(monkeypatch):
                 assert _first_relation(f, it, n) == [f.reduce(-c) for c in coeffs] + [1]
                 assert next(it) is vecs[-1]
     assert _first_relation(QQ, iter([]), 3) is None
+
+
+def test_combination_matches_the_naive_sum(monkeypatch):
+    """c_0 v_0 + ... + c_(k-1) v_(k-1), entry by entry, on both sides of the
+    packing gate, with coefficients that are negative and at least p (a
+    packed product takes residues only), and over Q with wide denominators
+    and Fraction coefficients."""
+    rng = random.Random(38)
+    made = count_packs(monkeypatch)
+    shapes = ((3, 4), (_PACK_MIN - 1, _PACK_MIN + 2), (_PACK_MIN, _PACK_MIN), (12, 16))
+    for f in (GF(101), GF(WORD_PRIME)):
+        p = f.p
+        for k, n in shapes:
+            vecs = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            coeffs = [-1, 3 * p - 1] + [rng.randint(-3 * p, 3 * p) for _ in range(k - 2)]
+            made.clear()
+            assert _combination(f, coeffs, vecs) == [
+                sum(c * v[j] for c, v in zip(coeffs, vecs)) % p for j in range(n)]
+            assert bool(made) == (min(k, n) >= _PACK_MIN), (f, k, n)
+    for k, n in shapes:
+        vecs = rand_wide_rational(k, rng, n, digits=12).raw_rows()
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+                  for _ in range(k)]
+        got = _combination(QQ, coeffs, vecs)
+        assert got == [sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(n)]
+        assert all(type(x) is int or x.denominator > 1 for x in got)
 
 
 def test_first_relation_fills_a_slot_with_n_steps():

@@ -832,9 +832,16 @@ def test_certificate_check_catches_one_wrong_entry(f, monkeypatch):
 
 def test_rational_checks_call_no_product_kernel(monkeypatch):
     """Over Q the identity checks, M T = T F, C(f) S = S E and the two
-    quadratic identities, compare integer dot products and never call the
-    product kernel ``_raw_products``; over GF(5) each of them is one call."""
+    quadratic identities, compare integer dot products: they call the
+    product kernel ``_raw_products`` only for the combinations that read
+    T F and S E off the columns (``_combination``).  Over GF(5) each check
+    is one further call."""
     real = quadsum.matrix._raw_products
+
+    def counted(*args):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
     for f in (QQ, GF(5)):
         rng = random.Random(30)
         m = rand_decomposable(f, 6, rng)
@@ -843,13 +850,14 @@ def test_rational_checks_call_no_product_kernel(monkeypatch):
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: (factors, t_mat))
-            patch.setattr(quadsum.matrix, "_raw_products",
-                          lambda *args: calls.append(args) or real(*args))
+            patch.setattr(quadsum.matrix, "_raw_products", counted)
             invariant_factors_with_transform(m)
             for fac in factors:
                 split_cyclic_block(fac, *valuations(fac, 0, 1))
             verify_certificate(m, cert)
-        assert len(calls) == (0 if f.p is None else 3 + len(factors)), (f, len(calls))
+        others = [name for name in calls if name != "_combination"]
+        assert "_combination" in calls
+        assert len(others) == (0 if f.p is None else 3 + len(factors)), (f, calls)
 
 
 def test_decide_and_construct_do_no_polynomial_arithmetic(monkeypatch):
@@ -1057,7 +1065,7 @@ def test_necessary_applies_and_passes():
     m = Matrix.diagonal(QQ, [1, 2])
     rep = check_necessary_combination(m, 1, 2)
     assert rep.status == "inconclusive"
-    assert rep.seq_alpha == (1,) and rep.seq_beta == (1,)
+    assert rep.nullity_at_alpha == (1,) and rep.nullity_at_beta == (1,)
 
 
 def test_necessary_rejects():
@@ -1100,7 +1108,7 @@ def test_necessary_matches_matrix_power_criterion():
     statuses = set()
     for m, alpha, beta in cases:
         rep = check_necessary_combination(m, alpha, beta)
-        got = (rep.status, rep.seq_alpha, rep.seq_beta)
+        got = (rep.status, rep.nullity_at_alpha, rep.nullity_at_beta)
         assert got == _necessary_by_powers(m, f.element(alpha), f.element(beta)), m
         statuses.add(rep.status)
     assert statuses == {"no", "inconclusive", "not_applicable"}

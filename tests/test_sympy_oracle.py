@@ -119,7 +119,7 @@ def test_rational_necessary_condition_matches_sympy_ranks():
         if sum(seq1) + sum(seq2) != m.rows:
             assert rep.status == "not_applicable"
             continue
-        assert (rep.seq_alpha, rep.seq_beta) == (seq1, seq2)
+        assert (rep.nullity_at_alpha, rep.nullity_at_beta) == (seq1, seq2)
         assert rep.status == ("inconclusive" if _intertwined(seq1, seq2, 1) else "no")
     assert statuses == {"no", "inconclusive", "not_applicable"}
 
