@@ -4,7 +4,8 @@ necessary over JSON job files.
 Exit codes: 0 = a result was rendered (including decision "no" and failed
 verification reports), 2 = malformed input, a bad command line or a violated
 precondition, 3 = unsupported case or non-split quadratic, 4 = internal check
-failure.
+failure.  A command renders its result or raises; :func:`main` alone maps
+an error to its exit code and its one stderr line.
 """
 
 from __future__ import annotations
@@ -48,68 +49,64 @@ def _load_job(path: str):
     return serialize.jobspec_from_json(serialize.load_json(path))
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args):
     _, matrix, params = _load_job(args.input)
     _check_bounds(matrix)
     cls, reduced = classify_and_reduce(matrix, params)
     decision = decide(reduced) if cls.case == "III" else None
     _emit(serialize.decision_to_json(decision, cls), args.output)
-    if decision is None:
-        return _fail(EXIT_UNSUPPORTED, f"unsupported_case {cls.case}")
-    return EXIT_OK
+    if decision is None:  # the payload says so too, on stdout
+        raise UnsupportedCase(cls)
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     field, matrix, params = _load_job(args.input)
     _check_bounds(matrix)
     try:
         cert = construct(matrix, params)
     except DecisionNo as exc:
         _emit(serialize.decision_to_json(exc.decision), args.output)
-        return EXIT_OK
+        return
     payload = serialize.certificate_to_json(cert)
     # construct has verified cert; the serialized form must reload to it exactly
     reloaded = serialize.certificate_from_json(field, payload)
     if reloaded != Certificate(cert.a_part, cert.b_part, cert.params):
-        return _fail(EXIT_INTERNAL, "serialized certificate does not reload to the verified one")
+        raise InternalCheckFailed(f"construct: the serialized certificate of the "
+                                  f"{matrix.rows}x{matrix.cols} matrix does not reload "
+                                  "to the verified one")
     _emit(payload, args.output)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     field, matrix, params = _load_job(args.input)
     cert = serialize.certificate_from_json(field, serialize.load_json(args.cert))
     if cert.params != params:  # a certificate answers its own question, maybe not the job's
         raise MalformedInput("the certificate's params differ from the job's")
     report = verify_certificate(matrix, cert)
     _emit(serialize.verification_to_json(report), args.output)
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     _, matrix, params = _load_job(args.input)
     cls, _ = classify_and_reduce(matrix, params)
     _emit(serialize.to_json(cls), args.output)
-    return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     if not args.field.startswith("gf"):
         raise MalformedInput(f"oracle field must be gf<p>, got {serialize._echo(args.field)}")
     field = serialize.field_from_json({"GF": args.field[2:]})
     report = oracle.exhaustive_compare(field, serialize._integer(args.n, "--n"))
     _emit(serialize.comparison_to_json(report), args.output)
-    return EXIT_OK
 
 
-def cmd_necessary(args) -> int:
+def cmd_necessary(args):
     field, matrix, _ = _load_job(args.input)
     _check_bounds(matrix)
     report = check_necessary_combination(matrix,
                                          serialize._parse_element(field, args.alpha, "--alpha"),
                                          serialize._parse_element(field, args.beta, "--beta"))
     _emit(serialize.to_json(report), args.output)
-    return EXIT_OK
 
 
 @functools.cache
@@ -158,7 +155,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage error (or --help)
         return exc.code
     try:
-        return args.func(args)
+        args.func(args)
     except (MalformedInput, BadParams, BudgetExceeded) as exc:
         return _fail(EXIT_MALFORMED, f"malformed input: {exc}")
     except UnsupportedCase as exc:
@@ -169,6 +166,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_INTERNAL, f"internal check failed: {exc}")
     except QuadsumError as exc:
         return _fail(EXIT_MALFORMED, f"error: {exc}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

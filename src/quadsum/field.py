@@ -14,9 +14,11 @@ raw canonical values; :class:`FieldElement` wraps one for the public API.
 Fractions, strings and elements to their raw value, and refuses floats and
 bools), :meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is
 the one function that brings a raw intermediate to canonical form (the GF(p)
-elimination and division loops inline its ``% p``).  :func:`_rational`
+elimination loops and :func:`quadsum.matrix._canonical` inline its ``% p``).  :func:`_rational`
 builds every rational from a numerator and a denominator, and this module
-alone builds a ``Fraction``.
+alone builds a ``Fraction``.  :func:`_is_int` is the package's one test of
+an integer, an int that is not a bool: moduli, matrix dimensions, counts and
+exact scalars are all read through it.
 """
 
 from __future__ import annotations
@@ -71,6 +73,12 @@ def _plain(text: str) -> str:
     return text
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: the package's one test of an
+    integer, for moduli, sizes, counts and scalars alike."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _rational(num: int, den: int):
     """The canonical rational num / den, for ints num and den != 0 of any
     signs: the quotient when den divides num, else a reduced Fraction."""
@@ -90,7 +98,7 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None:
-            if isinstance(p, bool) or not isinstance(p, int):
+            if not _is_int(p):
                 raise TypeError(f"modulus {p!r} is not an int")
             if p >= _PRIME_LIMIT:
                 raise ValueError(f"modulus {p} is not below the supported limit {_PRIME_LIMIT}")
@@ -130,7 +138,7 @@ class Field:
             if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
                 raise ValueError(f"exponent out of range in {x!r}")
             return self.reduce(Fraction(x) if self.p is None else int(x))
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        if not (_is_int(x) or isinstance(x, Fraction)):
             raise TypeError(f"{x!r} is not an exact scalar")
         if self.p is not None and x.denominator != 1:
             raise ValueError(f"{x} is not an integer, so not a residue of {self!r}")
@@ -207,7 +215,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return other.field == self.field and other.v == self.v
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_int(other) or isinstance(other, Fraction):
             if self.field.p is not None and other.denominator != 1:
                 return False  # no residue is a non-integral rational
             return self.v == self.field.value(other)

@@ -92,7 +92,7 @@ from operator import add, mul, sub
 from sys import byteorder
 
 from .errors import BudgetExceeded, DimensionMismatch, MixedFields, Singular
-from .field import Field, FieldElement, _rational
+from .field import Field, FieldElement, _is_int, _rational
 
 
 class Matrix:
@@ -100,7 +100,8 @@ class Matrix:
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
         entries = tuple(map(field.value, entries))
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        _check_shape(rows, cols)
+        if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
@@ -264,9 +265,12 @@ class Matrix:
 
 
 def _check_shape(rows: int, cols: int):
-    """Refuse a negative dimension, as ``Matrix(...)`` does."""
-    if rows < 0 or cols < 0:
-        raise DimensionMismatch(f"{rows}x{cols} matrix: a dimension is negative")
+    """Refuse a dimension that is not a non-negative int (a bool or a float
+    is none), naming it: the shape check of ``Matrix(...)``, ``zero``,
+    ``identity`` and :func:`jordan_block`."""
+    for what, size in (("rows", rows), ("cols", cols)):
+        if not _is_int(size) or size < 0:
+            raise DimensionMismatch(f"matrix {what} must be a non-negative int, got {size!r}")
 
 
 def _canonical(field: Field, values) -> list:

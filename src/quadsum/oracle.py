@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadParams, BudgetExceeded, InternalCheckFailed
-from .field import Field
+from .field import Field, _is_int
 from .matrix import Matrix
-from .sums import _is_int, decide
+from .sums import decide
 
 #: Full-scan budget: the largest sanctioned scan, GF(2) at n = 4, has 2^16
 #: matrices; GF(2) at n = 5, with 2^9 times as many, is refused.

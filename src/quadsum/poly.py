@@ -20,9 +20,12 @@ gcd and lcm, the coprime split and merge of cyclic vectors, the digits in
 base t^2 - t, and in :mod:`quadsum.canonical` and :mod:`quadsum.sums` the
 divisibility chain, the cyclic-block split and the valuation check.  A
 product is the one multiplication loop, :func:`_mul`, which
-``Polynomial.__mul__`` runs too; a quotient is :func:`_divrem`, with one
-``% p`` per coefficient of each step over GF(p); a value at a scalar is
-:func:`_horner`.  The operators of ``Polynomial`` serve the public API.
+``Polynomial.__mul__`` runs too; a quotient is :func:`_divrem`; a value at
+a scalar is :func:`_horner`.  The three reduce through the field alone
+(``Field.reduce``, and for a remainder slice
+:func:`quadsum.matrix._canonical`), the same way in both fields, so no
+function here asks which field it is in.  The operators of ``Polynomial``
+serve the public API.
 
 The Krylov annihilator has no elimination of its own: it yields the Krylov
 vectors to :func:`quadsum.matrix._first_relation`, and knows nothing of the
@@ -219,24 +222,20 @@ def _horner(field: Field, coeffs, x):
 def _divrem(field: Field, num, den):
     """Raw quotient and trimmed remainder coefficient lists of num / den,
     for raw coefficient sequences with den trimmed and nonzero, both
-    canonical; over GF(p) each step reduces once per coefficient, over the
-    rationals the remainder is reduced once, at the end."""
-    p = field.p
-    d = len(den) - 1
+    canonical.  Each step reduces its quotient coefficient with
+    ``Field.reduce`` and the remainder slice it changes with
+    :func:`quadsum.matrix._canonical`, the same in both fields."""
     inv = field.inv_raw(den[-1])
     rem = list(num)
-    quo = [0] * max(len(rem) - d, 0)
+    quo = [0] * max(len(rem) - len(den) + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
-        c = rem.pop() * inv
-        c = c % p if p is not None else field.reduce(c)
+        c = field.reduce(rem.pop() * inv)
         if c:
             quo[k] = c
-            low = zip(rem[k:], den)
-            rem[k:] = ([x - c * y for x, y in low] if p is None
-                       else [(x - c * y) % p for x, y in low])
+            rem[k:] = _canonical(field, [x - c * y for x, y in zip(rem[k:], den)])
     while rem and not rem[-1]:
         rem.pop()
-    return quo, rem if p is not None else _canonical(field, rem)
+    return quo, rem
 
 
 def _monic(field: Field, coeffs) -> list:
@@ -339,7 +338,13 @@ def _merge(m: Matrix, m_rows, first, second):
     ``m_rows`` as :func:`krylov_annihilator` takes them.  With lcm(p, q) =
     a b split by :func:`_coprime_split`, (p/a)(m) u + (q/b)(m) w has
     annihilator a b; both terms are read off the chains, with no matrix
-    product."""
+    product.
+
+    The two divisibility tests first are a precondition of the split, not a
+    shortcut: when p divides q the split returns a = 1, and (p/a)(m) u =
+    p(m) u would need the chain vector m^d u, which u's chain of length
+    d = deg p does not hold.  Without them the merge check fails on 4x4
+    matrices over GF(2)."""
     (p, u_chain), (q, w_chain) = first, second
     f = m.field
     if not _divrem(f, p.coeffs, q.coeffs)[1]:

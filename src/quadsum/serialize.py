@@ -15,7 +15,7 @@ import json
 import reprlib
 
 from .errors import MalformedInput, QuadsumError
-from .field import Field, FieldElement, GF, QQ, _plain
+from .field import Field, FieldElement, GF, QQ, _is_int, _plain
 from .matrix import Matrix
 from .poly import Polynomial
 from .sums import Certificate, Decision, QuadParams, VerificationReport
@@ -44,7 +44,7 @@ def _integer(x, what: str) -> int:
     is MalformedInput, whose message names ``what`` and echoes ``x`` cut
     short."""
     try:
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
+        if not (_is_int(x) or isinstance(x, str)):
             raise TypeError(f"{type(x).__name__} is not an integer")
         return int(_plain(x) if isinstance(x, str) else x)
     except (ValueError, TypeError) as exc:
@@ -129,7 +129,7 @@ def matrix_from_json(field: Field, obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise MalformedInput('matrix needs keys "rows", "cols", "entries"')
     rows, cols = obj["rows"], obj["cols"]
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
+    if any(not _is_int(x) or x < 0 for x in (rows, cols)):
         raise MalformedInput("matrix dimensions must be non-negative integers")
     m = matrix_from_rows(field, obj["entries"])
     # no rows state no width: 0 x cols is read as 0 x 0, then takes the stated cols

@@ -28,7 +28,7 @@ from itertools import zip_longest
 from .canonical import invariant_factors_with_transform, split_cyclic_block, valuations
 from .errors import (BadParams, DecisionNo, DimensionMismatch, InternalCheckFailed,
                      MalformedSequence, NotSplitError, UnsupportedCase)
-from .field import Field, FieldElement, quadratic_roots
+from .field import Field, FieldElement, _is_int, quadratic_roots
 from .matrix import Matrix, _placed, _products_equal, direct_sum, solve
 from .poly import _horner, _mul, decompose_in_t2_minus_t
 
@@ -124,11 +124,6 @@ class NecessaryReport:
 
 
 # ---- intertwined sequences and block pairing -------------------------
-
-def _is_int(x) -> bool:
-    """Whether x is an int and not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def _check_sequence(u):
     u = tuple(u)

@@ -25,7 +25,10 @@ inside the metric's ``BENCHMARK.json`` bound, and the failed share of
 operations old -> new; it exits 1 when a metric is outside its bound, more
 operations fail, or NEW has a result from fewer runs of one of OLD's
 workloads (none when the workload crashed on every run).  It refuses two
-files whose run length or seeds differ.  When both files hold a traced run
+files whose run length, seeds or ``"env"`` differ: one file without
+``"env"``, different variables set, or a different
+``PYTHONDONTWRITEBYTECODE`` (the ``PYTHONPYCACHEPREFIX`` path is new on
+every run and is not compared).  When both files hold a traced run
 of a workload, it then prints old -> new for each per-layer metric that both
 runs report; these single runs gate nothing.
 """
@@ -200,6 +203,16 @@ def compare_traced(old: dict, new: dict) -> list:
     return lines
 
 
+def _setting(record: dict, key: str):
+    """What a BENCH file ran with under ``key``, as ``--compare`` matches it:
+    the value, None when the file has none, and of ``"env"`` each variable
+    set, with the bytecode cache prefix's path left out."""
+    value = record.get(key)
+    if key == "env" and value is not None:
+        value = {name: name == "PYTHONPYCACHEPREFIX" or v for name, v in value.items()}
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -220,9 +233,9 @@ def main(argv=None) -> int:
         print(f"wrote {os.path.relpath(path, ROOT)}")
         return 0
     old, new = map(load_json, args.compare)
-    for key in ("seconds", "seeds"):
-        if old[key] != new[key]:
-            ap.error(f"the files ran with different {key}: {old[key]} and {new[key]}")
+    for key in ("seconds", "seeds", "env"):
+        if _setting(old, key) != _setting(new, key):
+            ap.error(f"the files ran with different {key}: {old.get(key)} and {new.get(key)}")
     lines, ok = compare(old, new, load_benchmark())
     print("\n".join(lines + compare_traced(old, new)))
     return 0 if ok else 1

@@ -121,14 +121,31 @@ def test_compare_flags_a_workload_with_fewer_results(tmp_path, capsys):
 
 def test_arguments_name_one_mode(tmp_path, capsys):
     """Either ``--label L`` or ``--compare OLD NEW``, and two files whose
-    run length or seeds differ are refused."""
+    run length, seeds or environment differ are refused: one file without
+    ``"env"``, other variables set or another ``PYTHONDONTWRITEBYTECODE``.
+    Two cache prefix paths alone are the same environment."""
     old = bench.load_json(os.path.join(DATA, "bench_old.json"))
-    for key, value in (("seconds", 20), ("seeds", [1])):
-        (tmp_path / "other.json").write_text(json.dumps({**old, key: value}), encoding="utf-8")
+    env = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "/tmp/bench-pycache-a"}
+
+    def compare(first, second):
+        paths = []
+        for name, record in (("first.json", first), ("second.json", second)):
+            (tmp_path / name).write_text(json.dumps(record), encoding="utf-8")
+            paths.append(str(tmp_path / name))
+        return bench.main(["--compare", *paths])
+
+    for key, first, second in (
+            ("seconds", old, {**old, "seconds": 20}), ("seeds", old, {**old, "seeds": [1]}),
+            ("env", old, {**old, "env": env}),
+            ("env", {**old, "env": env}, {**old, "env": {**env, "PYTHONHASHSEED": "0"}}),
+            ("env", {**old, "env": env},
+             {**old, "env": {**env, "PYTHONDONTWRITEBYTECODE": ""}})):
         with pytest.raises(SystemExit):
-            bench.main(["--compare", os.path.join(DATA, "bench_old.json"),
-                        str(tmp_path / "other.json")])
+            compare(first, second)
         assert f"different {key}" in capsys.readouterr().err
+    other_prefix = {**env, "PYTHONPYCACHEPREFIX": "/tmp/bench-pycache-b"}
+    assert compare({**old, "env": env}, {**old, "env": other_prefix}) == 0
+    capsys.readouterr()
     for argv in ([], ["--compare", "a.json"], ["--label", "x", "--compare", "a", "b"],
                  ["--label", "x", "--seeds", "1"]):
         with pytest.raises(SystemExit):

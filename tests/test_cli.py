@@ -190,7 +190,8 @@ def test_verify_certificate_of_the_wrong_shape_exit_2(tmp_path, capsys):
 
 def test_construct_refuses_a_certificate_that_does_not_reload(tmp_path, capsys, monkeypatch):
     """The serialized certificate must reload to the one construct verified:
-    one perturbed entry exits 4 with nothing on stdout."""
+    one perturbed entry exits 4 with nothing on stdout, and the message
+    names the stage and the matrix size, as every internal check does."""
     real = cli.serialize.certificate_from_json
 
     def perturbed(field, obj):
@@ -203,7 +204,8 @@ def test_construct_refuses_a_certificate_that_does_not_reload(tmp_path, capsys, 
     job = write_job(tmp_path, "job.json", DIAG_JOB)
     code, out, err = run(capsys, ["construct", "--input", job])
     assert (code, out) == (4, "")
-    assert "serialized certificate" in err
+    assert err.startswith("internal check failed: construct: ")
+    assert "serialized certificate of the 2x2 matrix" in err
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

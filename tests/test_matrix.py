@@ -381,14 +381,20 @@ def test_jordan_block_subdiagonal():
 
 
 def test_negative_sizes_are_refused():
-    """Every constructor refuses a negative dimension, as Matrix(...) does,
-    instead of building a matrix with a negative size."""
+    """Every constructor refuses a dimension that is negative or not an int
+    (a bool or a float), naming it, instead of building a matrix of that
+    size or failing later."""
     for build in (lambda: Matrix(QQ, -1, 0, []), lambda: jordan_block(QQ, -2),
                   lambda: jordan_block(GF(5), -1, eigenvalue=1), lambda: Matrix.identity(QQ, -1),
                   lambda: Matrix.zero(QQ, -2), lambda: Matrix.zero(GF(2), 2, -1),
-                  lambda: Matrix.zero(QQ, -1, 3)):
-        with pytest.raises(DimensionMismatch):
+                  lambda: Matrix.zero(QQ, -1, 3), lambda: Matrix(QQ, True, True, [1]),
+                  lambda: Matrix.zero(QQ, True), lambda: jordan_block(QQ, True),
+                  lambda: Matrix.identity(QQ, 2.0), lambda: Matrix(GF(2), 1, False, [])):
+        with pytest.raises(DimensionMismatch, match="must be a non-negative int, got"):
             build()
+    with pytest.raises(DimensionMismatch) as exc:
+        Matrix(QQ, -1, -1, [1])
+    assert str(exc.value) == "matrix rows must be a non-negative int, got -1"
     assert jordan_block(QQ, 0) == Matrix.identity(QQ, 0) == Matrix.zero(QQ, 0)
 
 

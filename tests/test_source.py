@@ -451,6 +451,59 @@ def test_only_field_builds_a_fraction():
     assert found == []
 
 
+def modulus_tests(text: str):
+    """The line of every comparison of a field modulus, a name ``p`` or an
+    attribute ``.p``, with None: a test of whether a field is the rationals."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Compare)
+                  and any(isinstance(x, ast.Constant) and x.value is None
+                          for x in (node.left, *node.comparators))
+                  and any(getattr(x, "id", None) == "p" or getattr(x, "attr", None) == "p"
+                          for x in (node.left, *node.comparators)))
+
+
+def test_modulus_tests_are_found():
+    text = ("a = x % p if p is not None else f.reduce(x)\nb = field.p is None\n"
+            "c = None == self.p\nd = q is None\ne = p == 2\ng = hash((f.p, c))\n")
+    assert modulus_tests(text) == [1, 2, 3]
+
+
+def test_polynomials_canonical_forms_and_sums_never_ask_the_field():
+    """GF(p) and the rationals differ only in ``field.py`` and ``matrix.py``:
+    ``poly.py``, ``canonical.py`` and ``sums.py`` reduce through the field
+    and never compare its modulus with None."""
+    sources = dict(package_sources())
+    found = [f"{name}:{line}" for name in ("poly.py", "canonical.py", "sums.py")
+             for line in modulus_tests(sources[name])]
+    assert found == []
+
+
+def bool_tests(text: str):
+    """(line, owner) of every ``isinstance`` call that names ``bool``, with
+    the top-level function or class it sits in (None at module level)."""
+    found = []
+    for stmt in ast.parse(text).body:
+        found += [(node.lineno, getattr(stmt, "name", None)) for node in ast.walk(stmt)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                  and len(node.args) == 2
+                  and any(getattr(x, "id", None) == "bool" for x in ast.walk(node.args[1]))]
+    return sorted(found)
+
+
+def test_bool_tests_are_found():
+    text = ("def f(x):\n    return isinstance(x, bool)\n\nclass C:\n    def g(self, y):\n"
+            "        return isinstance(y, (int, bool))\n\nz = isinstance(w, bool) or 1\n"
+            "v = isinstance(w, int)\nu = type(w) is bool\n")
+    assert bool_tests(text) == [(2, "f"), (6, "C"), (8, None)]
+
+
+def test_only_is_int_tells_an_int_from_a_bool():
+    """What an integer is has one home, ``field._is_int`` (an int that is not
+    a bool): no other function calls ``isinstance(..., bool)``."""
+    found = [(name, owner) for name, text in package_sources() for _, owner in bool_tests(text)]
+    assert found == [("field.py", "_is_int")]
+
+
 def test_code_lines_skip_blanks_comments_and_docstrings():
     """A code line is covered by a token other than a comment or layout,
     outside the module, class and function docstrings; each line of a call
