@@ -90,14 +90,20 @@ def _times_companions(field: Field, cols, factors) -> list:
 
 
 def _chain_matrix(field: Field, chain) -> Matrix:
-    """The matrix whose columns are the canonical raw vectors of a chain."""
-    n = len(chain[0])
-    return Matrix._raw(field, n, len(chain), [v[i] for i in range(n) for v in chain])
+    """The matrix whose columns are the canonical raw vectors of a chain;
+    0 x 0 for no vectors."""
+    return Matrix._raw(field, len(chain[0]) if chain else 0, len(chain),
+                       [x for row in zip(*chain) for x in row])
 
 
 def _cyclic_decompose(m: Matrix):
-    """Factors (divisibility chain, largest last) and basis T with
-    T^-1 M T = C(f_1) + ... + C(f_r) block-diagonal.
+    """Factors (divisibility chain, largest last) and the raw columns (lists)
+    of a basis T with T^-1 M T = C(f_1) + ... + C(f_r) block-diagonal.
+
+    T is built as columns and never as a matrix: a cyclic level's columns
+    are its chain, and a level with complement comp puts comp times each
+    column of the level below before its chain, one :func:`_raw_products`
+    call, the call shape of a Krylov step.
 
     The scan's unproven offer (e_0's chain with annihilator a, see
     :func:`quadsum.poly._cyclic_scan`) is taken when the split it builds
@@ -111,18 +117,18 @@ def _cyclic_decompose(m: Matrix):
     t - lam and the anti-identity T, the result the levels would reach one
     dimension at a time (each takes e_0's chain, and the complement is the
     span of e_1, ..., e_(n-1)).  The 0 x 0 matrix closes there too, as lam I
-    with no factors and a 0 x 0 T.
+    with no factors and no columns.
     """
     f = m.field
     n = m.rows
     minus_lam = f.reduce(-m._e[0]) if n else 0
     if m._plus_identity(minus_lam).is_zero():  # M = lam I
-        anti = Matrix._raw(f, n, n, [int(i + j == n - 1) for i in range(n) for j in range(n)])
+        anti = [[int(i + j == n - 1) for i in range(n)] for j in range(n)]
         return [Polynomial._raw(f, [minus_lam, 1])] * n, anti
     for mu, chain, proven in _cyclic_scan(m):
         d = mu.degree
         if d == n:
-            return [mu], _chain_matrix(f, chain)
+            return [mu], chain
         w_mat = _dual_rows(m, chain)
         comp, free = kernel_matrix(w_mat)  # n x (n - d), M-invariant complement when proven
         if not proven and not (Matrix._raw(f, 1, n, w_mat._e[-n:]) * m * comp).is_zero():
@@ -134,7 +140,7 @@ def _cyclic_decompose(m: Matrix):
         if not proven and not mu(r).is_zero():  # mu_R divides a exactly when a(R) = 0
             continue
         factors2, t2 = _cyclic_decompose(r)
-        return factors2 + [mu], _chain_matrix(f, (comp * t2).raw_cols() + chain)
+        return factors2 + [mu], _raw_products(f, t2, _columns(f, comp.raw_rows())) + chain
 
 
 def invariant_factors_with_transform(m: Matrix):
@@ -145,28 +151,27 @@ def invariant_factors_with_transform(m: Matrix):
     iterated cyclic decomposition; correctness is enforced by re-checking,
     before returning, the degree sum, M T = T F for the Frobenius form F
     with T of full rank (which is T^-1 M T = F without an inverse), and the
-    divisibility chain.  Full rank is read first from
-    :func:`quadsum.matrix._span_rank` of T's rows, modulo one prime over the
-    rationals, and only a rank short of n there runs the exact ``rank``.
+    divisibility chain, all on the raw columns of T that
+    :func:`_cyclic_decompose` returns; the witness matrix is built once, on
+    return.  Full rank is read first from :func:`quadsum.matrix._span_rank`
+    of T's columns, modulo one prime over the rationals, and only a rank
+    short of n there runs the exact :func:`quadsum.matrix._rank`.
     """
     if not m.is_square:
         raise DimensionMismatch("invariant factors of a non-square matrix")
-    factors, t_mat = _cyclic_decompose(m)
-    n = m.rows
+    factors, t_cols = _cyclic_decompose(m)
+    f, n = m.field, m.rows
     where = f"blocks {[fac.degree for fac in factors]} of the {n}x{n} matrix"
     if sum(fac.degree for fac in factors) != n:
         raise InternalCheckFailed(f"invariant factors: sizes do not add up, {where}")
-    if t_mat.cols != n or (_span_rank(m.field, [], t_mat.raw_rows(), n) < n
-                           and rank(t_mat) != n):
+    if len(t_cols) != n or (_span_rank(f, [], t_cols, n) < n and _rank(f, t_cols, n) != n):
         raise InternalCheckFailed(f"invariant factors: the witness T is singular, {where}")
-    t_cols = t_mat.raw_cols()
-    if not _products_equal(m.field, m.raw_rows(), t_cols,
-                           _times_companions(m.field, t_cols, factors)):
+    if not _products_equal(f, m.raw_rows(), t_cols, _times_companions(f, t_cols, factors)):
         raise InternalCheckFailed(f"invariant factors: M T is not T F, {where}")
     for a, b in zip(factors, factors[1:]):
-        if _divrem(m.field, b.coeffs, a.coeffs)[1]:
+        if _divrem(f, b.coeffs, a.coeffs)[1]:
             raise InternalCheckFailed(f"invariant factors: divisibility chain broken, {where}")
-    return tuple(factors), t_mat
+    return tuple(factors), _chain_matrix(f, t_cols)
 
 
 def valuations(fac: Polynomial, alpha, beta):

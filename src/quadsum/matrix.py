@@ -52,8 +52,10 @@ elimination is fraction-free: rows are cleared by cross-multiplying and kept
 primitive by dividing out their content.  Rank is the length of the forward
 elimination (:func:`_echelon`, which picks the row format); :func:`_rref`
 back-substitutes that echelon and divides only the rows it returns by their
-pivots.  A Krylov annihilator is the first relation among its vectors
-(:func:`_first_relation`), found by the same reduction.
+pivots.  A Krylov annihilator is the first relation among its vectors,
+found by the same reduction in one loop, :func:`_krylov_relation`, that
+also steps the chain with :func:`_raw_products` and so computes no vector
+past the relation.
 
 The span kernel, :func:`_span_rank`, extends an echelon that its caller
 keeps with raw n-vectors and returns the rank: exactly over GF(p), and over
@@ -152,11 +154,11 @@ class Matrix:
 
     def __getitem__(self, ij) -> FieldElement:
         i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
+        _check_index(ij, (self.rows, self.cols))
         return self.field.make(self._e[i * self.cols + j])
 
     def row(self, i) -> list[FieldElement]:
+        _check_index((i,), (self.rows,))
         make = self.field.make
         return [make(x) for x in self._e[i * self.cols : (i + 1) * self.cols]]
 
@@ -271,6 +273,14 @@ def _check_shape(rows: int, cols: int):
     for what, size in (("rows", rows), ("cols", cols)):
         if not _is_int(size) or size < 0:
             raise DimensionMismatch(f"matrix {what} must be a non-negative int, got {size!r}")
+
+
+def _check_index(index: tuple, shape: tuple):
+    """The one index check of ``m[i, j]`` and ``m.row(i)``: refuse, naming
+    it, an index whose entries are not each an int (a bool or a float is
+    none) in [0, size) for the size at its place in ``shape``."""
+    if not all(_is_int(i) and 0 <= i < size for i, size in zip(index, shape)):
+        raise IndexError(index)
 
 
 def _canonical(field: Field, values) -> list:
@@ -523,29 +533,35 @@ def _echelon(field: Field, rows, ncols: int):
     return ech, packed
 
 
-def _first_relation(field: Field, vecs, n: int):
-    """The first linear relation among the raw n-vectors (lists) v_0, v_1,
-    ... that ``vecs`` yields, drawing none past it: raw c_0, ..., c_k with
-    c_k = 1 and c_0 v_0 + ... + c_k v_k = 0; None when ``vecs`` runs out.
+def _krylov_relation(field: Field, m_rows, v, n: int):
+    """The first linear relation among the Krylov vectors v, M v, M^2 v, ...
+    of a raw canonical n-vector v (a list) under an n x n matrix M whose
+    rows are ``m_rows``, as :func:`_columns` gives them: ``(coeffs, chain)``
+    with raw c_0, ..., c_k, c_k = 1 and c_0 v + ... + c_k M^k v = 0, and the
+    chain v, ..., M^(k-1) v.  No vector past M^k v is computed; ``coeffs`` is
+    None only when n + 1 vectors reduce to no relation.
 
-    v_k, as integers over its common denominator d (over GF(p), residues
-    with d = 1), is extended to the row [v_k | d e_k], reduced in at most n
-    steps against the pivot rows of the vectors before it and kept as a
-    pivot row when its vector part is nonzero, as in :func:`_echelon`.  Once
-    the vector part vanishes the rest is a relation: over GF(p) its entry at
-    k is still 1, and over the rationals it is divided by that entry.
+    M^k v, as integers over its common denominator d (over GF(p), residues
+    with d = 1), is extended to the row [M^k v | d e_k], reduced in at most
+    n steps against the pivot rows of the vectors before it and kept as a
+    pivot row when its vector part is nonzero, as in :func:`_echelon`; the
+    next vector is then one :func:`_raw_products` step.  Once the vector
+    part vanishes the rest is a relation: over GF(p) its entry at k is
+    still 1, and over the rationals it is divided by that entry.
     """
     p = field.p
     packed = _packs(p, n, n)
-    ech = []
-    for k, v in enumerate(vecs):
-        v, d = _integral([v])[0] if p is None else (v, 1)
-        row = _reduce(v + [0] * k + [d], ech, p, packed)
+    ech, chain = [], []
+    for k in range(n + 1):
+        w, d = _integral([v])[0] if p is None else (v, 1)
+        row = _reduce(w + [0] * k + [d], ech, p, packed)
         piv = _pivot(row, n, p, packed)
         if piv is None:
-            return row[n:] if p is not None else [_rational(x, row[-1]) for x in row[n:]]
+            return (row[n:] if p is not None else [_rational(x, row[-1]) for x in row[n:]]), chain
         ech.append(piv)
-    return None
+        chain.append(v)
+        v = _raw_products(field, [v], m_rows)[0]
+    return None, chain
 
 
 #: The prime modulo which :func:`_span_rank` follows the span of rational

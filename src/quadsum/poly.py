@@ -27,10 +27,11 @@ a scalar is :func:`_horner`.  The three reduce through the field alone
 function here asks which field it is in.  The operators of ``Polynomial``
 serve the public API.
 
-The Krylov annihilator has no elimination of its own: it yields the Krylov
-vectors to :func:`quadsum.matrix._first_relation`, and knows nothing of the
-span.  The cyclic-vector scan keeps the echelon of its chains itself and
-extends it after each run with :func:`quadsum.matrix._span_rank`.
+The Krylov annihilator has no elimination or product of its own: its chain
+and the first relation among the chain's vectors are one loop,
+:func:`quadsum.matrix._krylov_relation`, and it knows nothing of the span.
+The cyclic-vector scan keeps the echelon of its chains itself and extends
+it after each run with :func:`quadsum.matrix._span_rank`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import math
 
 from .errors import (DegreeZero, DimensionMismatch, DivisionByZero,
                      InternalCheckFailed, MixedFields, NotMonic)
-from .field import Field, FieldElement
-from .matrix import (Matrix, _canonical, _columns, _combination, _first_relation,
+from .field import Field, FieldElement, _is_int
+from .matrix import (Matrix, _canonical, _columns, _combination, _krylov_relation,
                      _raw_products, _span_rank)
 
 
@@ -132,6 +133,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        if not _is_int(k):
+            raise TypeError(f"polynomial to the power {k!r}, which is not an int")
         if k < 0:
             raise ValueError(f"polynomial to the negative power {k}")
         return math.prod([self] * k, start=Polynomial.one(self.field))
@@ -292,9 +295,9 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     ``quadsum.matrix._columns`` of m's rows, built here when not given;
     callers that run several chains under one m build it once.
 
-    Each Krylov vector is computed only when
-    :func:`quadsum.matrix._first_relation` asks for it, and the first
-    relation among them gives the annihilator's coefficients.
+    The chain and its first relation, which gives the annihilator's
+    coefficients, are one loop, :func:`quadsum.matrix._krylov_relation`,
+    which computes no Krylov vector past the relation.
     """
     n = m.rows
     if m.cols != n or len(v_raw) != n:
@@ -303,18 +306,10 @@ def krylov_annihilator(m: Matrix, v_raw, m_rows=None):
     f = m.field
     if m_rows is None:
         m_rows = _columns(f, m.raw_rows())
-    chain = []
-
-    def powers(w):
-        for _ in range(n + 1):
-            chain.append(w)
-            yield w
-            w = _raw_products(f, [w], m_rows)[0]
-
-    combo = _first_relation(f, powers(_canonical(f, v_raw)), n)
+    combo, chain = _krylov_relation(f, m_rows, _canonical(f, v_raw), n)
     if combo is None:
         raise InternalCheckFailed(f"krylov annihilator: the chain outgrew the {n}x{n} matrix")
-    return Polynomial._raw(f, combo), chain[:-1]
+    return Polynomial._raw(f, combo), chain
 
 
 def _coprime_split(p: Polynomial, q: Polynomial):

@@ -15,7 +15,7 @@ from quadsum.canonical import (_chain_matrix, _dual_rows, invariant_factors_with
                                split_cyclic_block, valuations)
 from quadsum.errors import InternalCheckFailed
 from quadsum.field import GF, QQ
-from quadsum.matrix import (Matrix, _SPAN_PRIME, direct_sum, inverse, jordan_block,
+from quadsum.matrix import (Matrix, _SPAN_PRIME, _rank, direct_sum, inverse, jordan_block,
                             kernel_matrix, rank, solve)
 from quadsum.poly import Polynomial, companion, cyclic_vector, minimal_polynomial
 from quadsum.sums import decide
@@ -158,13 +158,12 @@ def test_corrupted_witness_names_stage_and_size(monkeypatch):
     the matrix size."""
     real = quadsum.canonical._cyclic_decompose
     m = jordan_block(QQ, 3, eigenvalue=2)
-    factors, t_mat = real(m)
-    assert t_mat != t_mat.transpose()
-    rows = t_mat.raw_rows()
-    singular = Matrix._raw(QQ, 3, 3, [x for row in rows[:2] + [rows[0]] for x in row])
-    for corrupted, what in (((factors, singular), "the witness T is singular"),
-                            (([P(QQ, [1, 0, 0, 1])], t_mat), "M T is not T F"),
-                            ((factors, t_mat.transpose()), "M T is not T F")):
+    factors, t_cols = real(m)
+    transposed = [list(row) for row in zip(*t_cols)]
+    assert transposed != t_cols
+    for corrupted, what in (((factors, t_cols[:2] + t_cols[:1]), "the witness T is singular"),
+                            (([P(QQ, [1, 0, 0, 1])], t_cols), "M T is not T F"),
+                            ((factors, transposed), "M T is not T F")):
         monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m, c=corrupted: c)
         with pytest.raises(InternalCheckFailed, match=f"invariant factors: {what}, .* 3x3 matrix"):
             invariant_factors_with_transform(m)
@@ -173,25 +172,27 @@ def test_corrupted_witness_names_stage_and_size(monkeypatch):
 
 
 def test_witness_rank_falls_back_to_the_exact_rank(monkeypatch):
-    """rank(T) = n is read modulo the span prime q first.  diag(1, q) over Q
-    has rank 1 modulo q, so the check takes the exact rank and passes; a
-    singular T still fails, and a T of full rank modulo q needs no exact
-    rank."""
+    """rank(T) = n is read modulo the span prime q first, on T's columns.
+    diag(1, q) over Q has rank 1 modulo q, so the check takes the exact
+    rank and passes; a singular T still fails, and a T of full rank modulo
+    q needs no exact rank."""
     exact = []
-    monkeypatch.setattr(quadsum.canonical, "rank", lambda t: exact.append(t) or rank(t))
+    monkeypatch.setattr(quadsum.canonical, "_rank",
+                        lambda f, cols, n: exact.append(cols) or _rank(f, cols, n))
     m = Matrix.identity(QQ, 2)
     one = P(QQ, [-1, 1])
     for diag, ok, fallback in (([1, _SPAN_PRIME], True, True), ([1, 0], False, True),
                                ([1, _SPAN_PRIME + 1], True, False)):
         t_mat = Matrix.diagonal(QQ, diag)
-        monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: ([one, one], t_mat))
+        t_cols = t_mat.raw_rows()  # T is diagonal: its rows are its columns
+        monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: ([one, one], t_cols))
         exact.clear()
         if ok:
             assert invariant_factors_with_transform(m) == ((one, one), t_mat)
         else:
             with pytest.raises(InternalCheckFailed, match="the witness T is singular"):
                 invariant_factors_with_transform(m)
-        assert exact == ([t_mat] if fallback else [])
+        assert exact == ([t_cols] if fallback else [])
 
 
 def test_planted_frobenius_work_is_pinned(monkeypatch):
@@ -459,21 +460,20 @@ def test_frobenius_check_catches_one_wrong_column_or_coefficient(f, monkeypatch)
     with its stage and the matrix size."""
     real = quadsum.canonical._cyclic_decompose
     m = _derogatory(f, random.Random(21))
-    factors, t_mat = real(m)
+    factors, t_cols = real(m)
     n = m.rows
     stage = f"invariant factors: M T is not T F, .* {n}x{n} matrix"
     corrupted = []
     for j in range(n):
-        cols = [list(c) for c in t_mat.raw_cols()]
+        cols = [list(c) for c in t_cols]
         cols[j][j] = f.reduce(cols[j][j] + 1)
-        off = Matrix.from_rows(f, zip(*cols))
-        if rank(off) == n:
-            corrupted.append((factors, off))
+        if rank(Matrix.from_rows(f, zip(*cols))) == n:
+            corrupted.append((factors, cols))
     for i, fac in enumerate(factors):
         for k in range(fac.degree):
             coeffs = list(fac.coeffs)
             coeffs[k] = coeffs[k] + 1
-            corrupted.append((factors[:i] + [P(f, coeffs)] + factors[i + 1:], t_mat))
+            corrupted.append((factors[:i] + [P(f, coeffs)] + factors[i + 1:], t_cols))
     assert len(corrupted) >= n
     for case in corrupted:
         monkeypatch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m, c=case: c)
@@ -541,9 +541,9 @@ def test_reduction_law_catches_a_factor_the_checks_miss(monkeypatch):
     real = quadsum.canonical._cyclic_decompose
 
     def shifted(m_):
-        factors, t_mat = real(m_)
+        factors, t_cols = real(m_)
         assert len(factors) == 1
-        return [P(QQ, [factors[0].coeffs[0] + 1] + list(factors[0].coeffs[1:]))], t_mat
+        return [P(QQ, [factors[0].coeffs[0] + 1] + list(factors[0].coeffs[1:]))], t_cols
 
     with monkeypatch.context() as patched:
         patched.setattr(quadsum.canonical, "_cyclic_decompose", shifted)

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import quadsum
 from quadsum.canonical import invariant_factors_with_transform, valuations
-from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero, MixedFields,
-                            NotMonic, Singular)
+from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero,
+                            InternalCheckFailed, MixedFields, NotMonic, Singular)
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _combination, _first_relation, _placed,
-                            _products_equal, _rref, block2x2, direct_sum, inverse, jordan_block,
-                            kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _columns, _combination, _krylov_relation,
+                            _placed, _products_equal, _rref, block2x2, direct_sum, inverse,
+                            jordan_block, kernel_matrix, rank, solve)
 from quadsum.oracle import build_sum_atlas
 from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
                           krylov_annihilator, lcm, minimal_polynomial)
@@ -355,6 +355,11 @@ REFUSALS = {
     "build_sum_atlas alpha alone": (lambda: build_sum_atlas(GF(2), 1, alpha=1), BadParams),
     "product shapes": (lambda: _zero(2, 3) * _zero(2, 3), DimensionMismatch),
     "index out of range": (lambda: _zero(2, 2)[2, 0], IndexError),
+    "row out of range": (lambda: _zero(2, 2).row(5), IndexError),
+    "negative row": (lambda: _zero(2, 2).row(-1), IndexError),
+    "bool index": (lambda: _zero(2, 2)[True, False], IndexError),
+    "bool row": (lambda: _zero(2, 2).row(True), IndexError),
+    "float index": (lambda: _zero(2, 2)[1.5, 0], IndexError),
     "matrix plus int": (lambda: _zero(2, 2) + 1, TypeError),
     "polynomial plus int": (lambda: Polynomial(QQ, [1]) + 1, TypeError),
 }
@@ -409,7 +414,7 @@ def test_similarity_preserves_rank():
         assert rank(c) == rank(m)
 
 
-# ---- the first linear relation -----------------------------------------
+# ---- the Krylov relation ----------------------------------------------
 
 def independent_vectors(f, n, rng):
     """n independent raw n-vectors, lists; over Q with denominators."""
@@ -419,30 +424,59 @@ def independent_vectors(f, n, rng):
     return rows
 
 
-def test_first_relation_returns_the_planted_combination(monkeypatch):
-    """v_k is a combination of the independent v_0, ..., v_(k-1); the kernel
-    returns exactly that relation, with c_k = 1, and draws no vector past
-    v_k.  n independent vectors have no relation.  The sizes lie on both
+def krylov_planted(f, basis, k, image):
+    """The n x n matrix M with M b_j = b_(j+1) for j < k - 1, M b_(k-1) =
+    ``image`` and M b_j = b_j for j >= k, for n independent raw n-vectors
+    b_0, ..., b_(n-1) and 1 <= k <= n: M = [b_1 ... b_(k-1) image b_k ...
+    b_(n-1)] B^-1 with B = [b_0 ... b_(n-1)].  The Krylov chain of b_0
+    under M is b_0, ..., b_(k-1), then ``image``."""
+    images = basis[1:k] + [image] + basis[k:]
+    return Matrix.from_rows(f, zip(*images)) * inverse(Matrix.from_rows(f, zip(*basis)))
+
+
+def test_krylov_relation_returns_the_planted_combination(monkeypatch):
+    """Under M = :func:`krylov_planted` the Krylov chain of b_0 runs through
+    the independent b_0, ..., b_(k-1) to v_k, a combination of them; the
+    kernel returns exactly that relation, with c_k = 1, and the chain
+    b_0, ..., b_(k-1), after k Krylov products.  For k = 0 the chain starts
+    at v_0 = 0.  A reduction that never vanishes (its pivot looked for in
+    the whole row) finds no relation: the kernel stops after n + 1 vectors,
+    and ``krylov_annihilator`` names the failure.  The sizes lie on both
     sides of the packing gate and reach the word-bound prime's 29."""
     rng = random.Random(31)
     made = count_packs(monkeypatch)
+    products = []
+    real_products, real_pivot = quadsum.matrix._raw_products, quadsum.matrix._pivot
+    monkeypatch.setattr(quadsum.matrix, "_raw_products",
+                        lambda *args: products.append(1) or real_products(*args))
     for f in (QQ, GF(2), GF(5), GF(101), GF(WORD_PRIME)):
         for n in (_PACK_MIN - 1, _PACK_MIN, 28, 29):
+            packs = f.p is not None and n >= _PACK_MIN
             basis = independent_vectors(f, n, rng)
-            made.clear()
-            assert _first_relation(f, iter(basis), n) is None
-            assert bool(made) == (f.p is not None and n >= _PACK_MIN)
             for k in (0, 1, rng.randint(2, n - 1), n):
                 if f.p is None:
                     coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
                 else:
                     coeffs = [rng.randrange(f.p) for _ in range(k)]
                 v_k = [f.reduce(sum(c * v[i] for c, v in zip(coeffs, basis))) for i in range(n)]
-                vecs = basis[:k] + [v_k, basis[-1]]
-                it = iter(vecs)
-                assert _first_relation(f, it, n) == [f.reduce(-c) for c in coeffs] + [1]
-                assert next(it) is vecs[-1]
-    assert _first_relation(QQ, iter([]), 3) is None
+                m_rows = _columns(f, krylov_planted(f, basis, max(k, 1), v_k).raw_rows())
+                made.clear()
+                products.clear()
+                relation = _krylov_relation(f, m_rows, basis[0] if k else v_k, n)
+                assert relation == ([f.reduce(-c) for c in coeffs] + [1], basis[:k])
+                assert len(products) == k
+                assert bool(made) == packs
+            m = krylov_planted(f, basis, n, v_k)  # the last k's: k = n
+            with monkeypatch.context() as patch:
+                patch.setattr(quadsum.matrix, "_pivot", lambda row, ncols, p, packed:
+                              real_pivot(row, len(row), p, packed))
+                made.clear()
+                coeffs, chain = _krylov_relation(f, _columns(f, m.raw_rows()), basis[0], n)
+                assert coeffs is None and chain == basis + [v_k]
+                assert bool(made) == packs
+                with pytest.raises(InternalCheckFailed,
+                                   match=f"the chain outgrew the {n}x{n} matrix"):
+                    krylov_annihilator(m, basis[0])
 
 
 def test_combination_matches_the_naive_sum(monkeypatch):
@@ -471,17 +505,20 @@ def test_combination_matches_the_naive_sum(monkeypatch):
         assert all(type(x) is int or x.denominator > 1 for x in got)
 
 
-def test_first_relation_fills_a_slot_with_n_steps():
-    """v_0 = -e_0 and v_j = e_j - e_0 give pivot rows whose combination
-    entry at v_0 is p - 1, and the vector of all ones is then reduced by n
-    steps of multiplier p - 1, so that entry reaches n (p - 1)^2.  At the
-    word-bound prime n = 29 packs and n = 30, whose slot would overflow 64
-    bits, does not."""
+def test_krylov_relation_fills_a_slot_with_n_steps(monkeypatch):
+    """The Krylov chain v_0 = -e_0, v_j = e_j - e_0 (:func:`krylov_planted`)
+    gives pivot rows whose combination entry at v_0 is p - 1, and the next
+    vector, all ones, is then reduced by n steps of multiplier p - 1, so
+    that entry reaches n (p - 1)^2.  At the word-bound prime n = 29 packs
+    and n = 30, whose slot would overflow 64 bits, does not."""
     f = GF(WORD_PRIME)
+    made = count_packs(monkeypatch)
     for n in (_PACK_MIN, 29, 30):
         vecs = [[f.p - 1 if i == 0 else int(i == j) for i in range(n)] for j in range(n)]
-        vecs.append([1] * n)
-        assert _first_relation(f, iter(vecs), n) == [n] + [f.p - 1] * (n - 1) + [1]
+        m_rows = _columns(f, krylov_planted(f, vecs, n, [1] * n).raw_rows())
+        made.clear()
+        assert _krylov_relation(f, m_rows, vecs[0], n) == ([n] + [f.p - 1] * (n - 1) + [1], vecs)
+        assert bool(made) == (n <= 29)
 
 
 # ---- elimination against a Gauss-Jordan reference ---------------------

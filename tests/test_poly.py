@@ -254,24 +254,33 @@ def test_krylov_annihilator_checks_shapes():
             krylov_annihilator(m, v)
 
 
-@pytest.mark.parametrize("call", ["Polynomial.one(QQ) ** -1",
-                                  "valuations(Polynomial.zero(QQ), 0, 1)"])
-def test_calls_with_no_answer_raise_fast(call):
+#: Calls with no answer -> the start of the error that each child prints.
+NO_ANSWER = {
+    "Polynomial.one(QQ) ** -1": "ValueError",
+    "valuations(Polynomial.zero(QQ), 0, 1)": "ValueError",
+    "Polynomial(QQ, [1, 1]) ** True": "TypeError: polynomial to the power True",
+    "Polynomial(QQ, [1, 1]) ** 2.0": "TypeError: polynomial to the power 2.0",
+}
+
+
+@pytest.mark.parametrize("call, error", NO_ANSWER.items(), ids=NO_ANSWER)
+def test_calls_with_no_answer_raise_fast(call, error):
     """A negative power of a polynomial and the valuations of the zero
-    polynomial raise ValueError.  Each call runs in a child process with a
-    timeout, so a missing guard fails the test instead of hanging the
-    suite; the polynomials are constant, so an endless loop allocates
-    nothing."""
+    polynomial raise ValueError, and a power whose exponent is not an int
+    (a bool or a float) raises a TypeError that names it.  Each call runs in
+    a child process with a timeout, so a missing guard fails the test
+    instead of hanging the suite; the polynomials have degree at most 1, so
+    an endless loop allocates little."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(quadsum.__file__)))
     code = ("from quadsum import QQ, Polynomial\n"
             "from quadsum.canonical import valuations\n"
             "try:\n"
             f"    {call}\n"
-            "except ValueError:\n"
-            "    print('refused')\n")
+            "except (ValueError, TypeError) as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')\n")
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=20)
-    assert (run.returncode, run.stdout) == (0, "refused\n"), run.stderr
+    assert run.returncode == 0 and run.stdout.startswith(error), (run.stdout, run.stderr)
 
 
 # ---- cyclic vectors ------------------------------------------------------

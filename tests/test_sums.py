@@ -846,10 +846,10 @@ def test_rational_checks_call_no_product_kernel(monkeypatch):
         rng = random.Random(30)
         m = rand_decomposable(f, 6, rng)
         cert = construct(m, QuadParams.of(f))
-        factors, t_mat = quadsum.canonical._cyclic_decompose(m)
+        factors, t_cols = quadsum.canonical._cyclic_decompose(m)
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: (factors, t_mat))
+            patch.setattr(quadsum.canonical, "_cyclic_decompose", lambda _m: (factors, t_cols))
             patch.setattr(quadsum.matrix, "_raw_products", counted)
             invariant_factors_with_transform(m)
             for fac in factors:
