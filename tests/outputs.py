@@ -26,11 +26,20 @@ oracle`` on ``ORACLE_RUNS``, ``quadsum verify`` on the certificate of every
 hand-made job that constructs one, and the sorted members of the main
 atlases ``MAIN_ATLASES`` and of the scaled atlases of GF(3), alpha = 1 and
 beta = 2, at n in ``SCALED_SIZES``, and ``quadsum necessary`` on
-``NECESSARY_RUNS``.
+``NECESSARY_RUNS``.  The ``rational`` section holds the digests of (F, T) of
+``rand_wide_rational`` with 3-digit denominators, and of (F, T) and A of
+``rand_decomposable`` over the rationals, at n in ``RATIONAL_SIZES``: every
+rational job above is an integer matrix, so these are the inputs with
+non-integer entries.  The ``packed`` section holds the digests of (F, T),
+and of A for the three decomposable ones, of ``rand_matrix``,
+``rand_decomposable`` and the conjugated sums C(t^2)^(+n/2) and
+C(t^2 - t)^(+n/2) (similar to J_2(0)^(+n/2) and diag(0, 1)^(+n/2)) over
+GF(2) and GF(3) at n in ``PACKED_SIZES``, where the kernels pack.
 
-``--write`` also records a fixed slice of the jobs, with their inputs, in
-``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
-tier-1, so a later change to ``gen.py`` cannot break the test.  ``--check``
+``--write`` also records a fixed slice of the jobs and of the inputs of the
+last two sections, with their inputs, in ``tests/data/outputs_slice.json``;
+``test_outputs.py`` checks that slice in tier-1, so a later change to
+``gen.py`` cannot break the test.  ``--check``
 exits 1 when any entry differs.
 """
 
@@ -52,11 +61,12 @@ ROOT = os.path.dirname(HERE)
 sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
-from conftest import conjugated_companions, rand_decomposable, rand_matrix  # noqa: E402
+from conftest import (conjugated_companions, rand_decomposable, rand_matrix,  # noqa: E402
+                      rand_wide_rational)
 from quadsum import cli, oracle  # noqa: E402
 from quadsum.matrix import Matrix  # noqa: E402
 from quadsum.canonical import invariant_factors_with_transform  # noqa: E402
-from quadsum.field import GF  # noqa: E402
+from quadsum.field import GF, QQ  # noqa: E402
 from quadsum.sums import QuadParams, construct  # noqa: E402
 
 MANIFEST = os.path.join(HERE, "data", "outputs.json")
@@ -107,12 +117,16 @@ NECESSARY_RUNS = {
     "not_applicable": ({"field": "Q", "rows": [["5"]]}, "1", "2"),
     "alpha = beta": (_DIAG_1_2, "1", "1"),
 }
-SECTIONS = ("jobs", "wide", "hand", "tiny", "companions", "edges")
+RATIONAL_SIZES = (4, 8, 12)
+PACKED_PRIMES, PACKED_SIZES = (2, 3), (10, 16, 32, 64)
+SECTIONS = ("jobs", "wide", "hand", "tiny", "companions", "edges", "rational", "packed")
 #: Jobs of the tier-1 slice per (workload, field, size): a block's worth of
 #: each workload's smallest size (on qq-growth and gfp-mid, every planted
 #: shape and the pool jobs of the first block), so the slice runs in seconds.
 SLICE_TAKE = {"roundtrip-small": 8, "qq-growth": 5, "gfp-mid": 8}
 SLICE_SIZES = {"roundtrip-small": range(1, 9), "qq-growth": (7,), "gfp-mid": (16,)}
+#: Sizes of the ``rational`` and ``packed`` inputs in the tier-1 slice.
+SLICE_INPUT_SIZES = (4, 10)
 
 
 def digest(obj) -> str:
@@ -183,6 +197,41 @@ def wide_outputs():
                                      "decomposable A": digest(
                                          [[str(x) for x in row] for row in cert.a_part.raw_rows()])}
     return out
+
+
+def rational_inputs():
+    """(key, matrix, whether it constructs) of the ``rational`` section."""
+    for n in RATIONAL_SIZES:
+        rng = random.Random(f"outputs/Q/{n}")
+        yield f"QQ n={n} wide", rand_wide_rational(n, rng, digits=3), False
+        yield f"QQ n={n} decomposable", rand_decomposable(QQ, n, rng), True
+
+
+def packed_inputs():
+    """(key, matrix, whether it constructs) of the ``packed`` section."""
+    for p in PACKED_PRIMES:
+        field = GF(p)
+        for n in PACKED_SIZES:
+            rng = random.Random(f"outputs/GF({p})/{n}")
+            yield f"GF({p}) n={n} random", rand_matrix(field, n, rng), False
+            yield f"GF({p}) n={n} decomposable", rand_decomposable(field, n, rng), True
+            for name, coeffs in (("J2(0)", [0, 0, 1]), ("diag(0, 1)", [0, -1, 1])):
+                m = conjugated_companions(field, coeffs, n // 2, rng)
+                yield f"GF({p}) n={n} {name}", m, True
+
+
+def input_outputs(m, constructs: bool):
+    """Digests of (F, T) of m and, when it ``constructs``, of the A of its
+    certificate for the default params."""
+    out = {"F,T": digest(_frobenius(m))}
+    if constructs:
+        cert = construct(m, QuadParams.of(m.field))
+        out["A"] = digest([[str(x) for x in row] for row in cert.a_part.raw_rows()])
+    return out
+
+
+def field_json(field):
+    return "Q" if field.p is None else {"GF": field.p}
 
 
 def tiny_outputs():
@@ -257,7 +306,16 @@ def compute():
     sliced = [{"workload": name, "field": job["field"], "rows": job["rows"],
                **outputs[gen.job_key(job)]} for name, job in pick_slice(jobs)]
     sliced += [{"workload": "hand-made", **job, **hand[name]} for name, job in HAND_JOBS.items()]
-    return manifest, sliced
+    inputs = []
+    for section, made in (("rational", rational_inputs()), ("packed", packed_inputs())):
+        manifest[section] = {}
+        for key, m, constructs in made:
+            manifest[section][key] = input_outputs(m, constructs)
+            if m.rows in SLICE_INPUT_SIZES:
+                inputs.append({"section": section, "key": key, "field": field_json(m.field),
+                               "rows": [[str(x) for x in row] for row in m.raw_rows()],
+                               **manifest[section][key]})
+    return manifest, {"jobs": sliced, "inputs": inputs}
 
 
 def differences(recorded, now):
@@ -275,8 +333,9 @@ def differences(recorded, now):
 def summary(manifest) -> str:
     return (f"{len(manifest['jobs'])} jobs, {len(manifest['wide'])} wide inputs, "
             f"{len(manifest['hand'])} hand-made jobs, {len(manifest['tiny'])} buckets of {TINY} "
-            f"matrices, {len(manifest['companions'])} companion sums "
-            f"and {len(manifest['edges'])} edge outputs")
+            f"matrices, {len(manifest['companions'])} companion sums, "
+            f"{len(manifest['edges'])} edge outputs, {len(manifest['rational'])} rational "
+            f"inputs and {len(manifest['packed'])} packed inputs")
 
 
 def main(argv=None) -> int:
@@ -291,7 +350,8 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh, indent=0, sort_keys=True)
                 fh.write("\n")
-        print(f"recorded {summary(manifest)} and a slice of {len(sliced)} jobs")
+        print(f"recorded {summary(manifest)} and a slice of {len(sliced['jobs'])} jobs "
+              f"and {len(sliced['inputs'])} inputs")
         return 0
     with open(MANIFEST, encoding="utf-8") as fh:
         found = differences(json.load(fh), manifest)

@@ -6,6 +6,7 @@ import json
 
 import outputs
 from quadsum import cli
+from quadsum.serialize import field_from_json, matrix_from_rows
 
 
 def test_recorded_slice_gives_the_same_output_bytes(tmp_path):
@@ -13,7 +14,7 @@ def test_recorded_slice_gives_the_same_output_bytes(tmp_path):
     the hand-made jobs with their own params; its inputs are stored with the
     digests, so the slice does not depend on ``perfbench/gen.py``."""
     with open(outputs.SLICE, encoding="utf-8") as fh:
-        recorded = json.load(fh)
+        recorded = json.load(fh)["jobs"]
     assert {(job["workload"], json.dumps(job["field"])) for job in recorded} == {
         ("roundtrip-small", '"Q"'), ("roundtrip-small", '{"GF": 2}'),
         ("roundtrip-small", '{"GF": 5}'), ("qq-growth", '"Q"'),
@@ -22,6 +23,23 @@ def test_recorded_slice_gives_the_same_output_bytes(tmp_path):
     differ = [(k, command) for k, job in enumerate(recorded)
               for command, got in outputs.job_outputs(job, str(tmp_path)).items()
               if got != job[command]]
+    assert differ == []
+
+
+def test_recorded_inputs_give_the_same_frobenius_and_certificate():
+    """The slice's rational inputs with non-integer entries and its GF(2)
+    and GF(3) inputs at a packed size: the digests of (F, T), and of A for
+    the inputs that construct, are the recorded ones."""
+    with open(outputs.SLICE, encoding="utf-8") as fh:
+        recorded = json.load(fh)["inputs"]
+    assert {(entry["section"], json.dumps(entry["field"])) for entry in recorded} == {
+        ("rational", '"Q"'), ("packed", '{"GF": 2}'), ("packed", '{"GF": 3}')}
+    differ = []
+    for entry in recorded:
+        m = matrix_from_rows(field_from_json(entry["field"]), entry["rows"])
+        got = outputs.input_outputs(m, "A" in entry)
+        if got != {what: entry[what] for what in got}:
+            differ.append(entry["key"])
     assert differ == []
 
 
