@@ -12,13 +12,14 @@ values are freely shareable.  Matrices and polynomials store these
 raw canonical values; :class:`FieldElement` wraps one for the public API.
 :meth:`Field.value` is the one coercion of a scalar (it reads ints,
 Fractions, strings and elements to their raw value, and refuses floats and
-bools), :meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is
-the one function that brings a raw intermediate to canonical form (the GF(p)
-elimination loops and :func:`quadsum.matrix._canonical` inline its ``% p``).  :func:`_rational`
-builds every rational from a numerator and a denominator, and this module
-alone builds a ``Fraction``.  :func:`_is_int` is the package's one test of
-an integer, an int that is not a bool: moduli, matrix dimensions, counts and
-exact scalars are all read through it.
+bools; over the rationals an integer string is read by ``int`` alone),
+:meth:`Field.make` wraps a raw value, and :meth:`Field.reduce` is the one
+function that brings a raw intermediate to canonical form (the GF(p)
+elimination loops and :func:`quadsum.matrix._canonical` inline its ``% p``).
+:func:`_rational` builds every rational from a numerator and a
+denominator, and this module alone builds a ``Fraction``.  :func:`_is_int`
+is the package's one test of an integer, an int that is not a bool: moduli,
+matrix dimensions, counts and exact scalars are all read through it.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ class Field:
         A float or bool is a TypeError, a non-integral Fraction over GF(p) a
         ValueError, and so is a string that is not ASCII, has whitespace
         around it or holds ``_`` (:func:`_plain`).  Fraction computes 10**k
-        for an exponent k, so a string with |k| > 4300 is a ValueError."""
+        for an exponent k, so a string with |k| > 4300 is a ValueError.
+        Over the rationals a string that ``int`` reads is that int, and only
+        another one is parsed as a Fraction."""
         if isinstance(x, FieldElement):
             if x.field != self:
                 raise MixedFields(f"element of {x.field!r} used in {self!r}")
@@ -137,7 +140,12 @@ class Field:
             _plain(x)
             if "e" in x.lower() and abs(int(x.lower().rpartition("e")[2])) > 4300:
                 raise ValueError(f"exponent out of range in {x!r}")
-            return self.reduce(Fraction(x) if self.p is None else int(x))
+            if self.p is None:
+                try:
+                    return int(x)
+                except ValueError:
+                    return self.reduce(Fraction(x))
+            return self.reduce(int(x))
         if not (_is_int(x) or isinstance(x, Fraction)):
             raise TypeError(f"{x!r} is not an exact scalar")
         if self.p is not None and x.denominator != 1:

@@ -21,7 +21,11 @@ Over GF(p) it reduces each integer dot product once.  Over the rationals each
 vector is first brought to integers over a common denominator, the lcm of
 its entries' denominators (:func:`_integral`), so the inner loop adds plain
 ints, and each entry of the result is one :func:`quadsum.field._rational`: a
-``Fraction`` only when it is not an integer.
+``Fraction`` only when it is not an integer.  Integer data stays as it is: a
+vector of ints is its own integer form, over 1, and a dot product over
+d_row d_col = 1 is already its canonical int, so an integer matrix builds
+no rational in a product.  These two exits pay on every rational workload
+(CHANGES.md).
 
 A product that is only compared builds no ``Fraction``.  Every identity
 check (M T = T F, C(f) S = S E and a certificate's A^2 = a A + b I) is one
@@ -294,12 +298,14 @@ def _canonical(field: Field, values) -> list:
 
 def _integral(vecs):
     """Rational raw vectors as ``(integers, denominator)`` pairs, scaled by the
-    lcm of their entries' denominators (plain ints have denominator 1)."""
+    lcm d of their entries' denominators (plain ints have denominator 1).  A
+    vector with d = 1 holds only ints, its own integer form, and is returned
+    as it is, over 1."""
     out = []
     for v in vecs:
         dens = [x.denominator for x in v]
         d = lcm(*dens)
-        out.append(([x.numerator * (d // e) for x, e in zip(v, dens)], d))
+        out.append((v, 1) if d == 1 else ([x.numerator * (d // e) for x, e in zip(v, dens)], d))
     return out
 
 
@@ -350,7 +356,9 @@ def _raw_products(field: Field, rows, cols):
     """The reduced raw dot product of every raw row with every column.
 
     ``cols`` come from :func:`_columns`; entry ``[i][j]`` of the result is
-    row i times column j, a residue in [0, p) or a canonical rational.
+    row i times column j, a residue in [0, p) or a canonical rational.  Over
+    the rationals an integer dot s over d_row d_col = d is s itself when d is
+    1, else :func:`quadsum.field._rational` (s, d).
     """
     p = field.p
     if isinstance(cols, _PackedColumns):
@@ -358,7 +366,8 @@ def _raw_products(field: Field, rows, cols):
         return [_residues(p, sum(map(mul, r, ints)), count) for r in rows]
     if p is not None:
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
-    return [[_rational(sum(map(mul, r, c)), dr * dc) for c, dc in cols]
+    return [[s if d == 1 else _rational(s, d)
+             for c, dc in cols for s, d in [(sum(map(mul, r, c)), dr * dc)]]
             for r, dr in _integral(rows)]
 
 
@@ -547,7 +556,9 @@ def _krylov_relation(field: Field, m_rows, v, n: int):
     pivot row when its vector part is nonzero, as in :func:`_echelon`; the
     next vector is then one :func:`_raw_products` step.  Once the vector
     part vanishes the rest is a relation: over GF(p) its entry at k is
-    still 1, and over the rationals it is divided by that entry.
+    still 1, and over the rationals it is divided by that entry.  So the
+    chain of an integer vector under an integer matrix builds no rational
+    but the k + 1 coefficients.
     """
     p = field.p
     packed = _packs(p, n, n)

@@ -230,10 +230,6 @@ def input_outputs(m, constructs: bool):
     return out
 
 
-def field_json(field):
-    return "Q" if field.p is None else {"GF": field.p}
-
-
 def tiny_outputs():
     """Digest of the (F, T) of every unique seed-1 job of ``TINY``, in
     buckets by the first two hex digits of ``gen.job_key``: 256 entries of
@@ -312,7 +308,7 @@ def compute():
         for key, m, constructs in made:
             manifest[section][key] = input_outputs(m, constructs)
             if m.rows in SLICE_INPUT_SIZES:
-                inputs.append({"section": section, "key": key, "field": field_json(m.field),
+                inputs.append({"section": section, "key": key, "field": gen.field_json(m.field.p),
                                "rows": [[str(x) for x in row] for row in m.raw_rows()],
                                **manifest[section][key]})
     return manifest, {"jobs": sliced, "inputs": inputs}

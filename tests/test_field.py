@@ -50,13 +50,31 @@ def test_rational_is_an_int_exactly_when_integral():
                                                                        Fraction(3, 4)]
 
 
-def test_value_reads_integer_strings_as_ints():
+def test_value_reads_integer_strings_as_ints(monkeypatch):
     """Over Q a string that names an integer reads as an int, however it is
-    written, and any other as a Fraction."""
+    written, and any other as a Fraction.  A plain integer string is read by
+    ``int`` alone, with no Fraction parsed, and the refusals of the strings
+    around it stay as they are."""
     for text, want in (("6/3", 2), ("1e2", 100), ("+7", 7), ("-0", 0), ("2.0", 2),
                        ("1/2", Fraction(1, 2)), ("-4/6", Fraction(-2, 3)),
                        ("1e-3", Fraction(1, 1000))):
         assert same(QQ.value(text), want), text
+    parsed = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            parsed.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(quadsum.field, "Fraction", Counted)
+    for text, want in (("3", 3), ("-3", -3), ("+3", 3), ("007", 7)):
+        assert same(QQ.value(text), want), text
+    assert parsed == []
+    for text in (" 3", "1_0", "\u0663"):
+        with pytest.raises(ValueError, match="plain ASCII"):
+            QQ.value(text)
+    with pytest.raises(ValueError, match="exponent out of range"):
+        QQ.value("1e5000")
 
 
 def test_gf_basics():

@@ -1,5 +1,6 @@
 """Exact matrix arithmetic, elimination, and block composition."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ from quadsum.canonical import invariant_factors_with_transform, valuations
 from quadsum.errors import (BadParams, DegreeZero, DimensionMismatch, DivisionByZero,
                             InternalCheckFailed, MixedFields, NotMonic, Singular)
 from quadsum.field import GF, QQ
-from quadsum.matrix import (_PACK_MIN, Matrix, _columns, _combination, _krylov_relation,
-                            _placed, _products_equal, _rref, block2x2, direct_sum, inverse,
-                            jordan_block, kernel_matrix, rank, solve)
+from quadsum.matrix import (_PACK_MIN, Matrix, _columns, _combination, _integral,
+                            _krylov_relation, _placed, _products_equal, _raw_products, _rref,
+                            block2x2, direct_sum, inverse, jordan_block, kernel_matrix, rank,
+                            solve)
 from quadsum.oracle import build_sum_atlas
 from quadsum.poly import (Polynomial, companion, cyclic_vector, decompose_in_t2_minus_t,
                           krylov_annihilator, lcm, minimal_polynomial)
@@ -477,6 +479,58 @@ def test_krylov_relation_returns_the_planted_combination(monkeypatch):
                 with pytest.raises(InternalCheckFailed,
                                    match=f"the chain outgrew the {n}x{n} matrix"):
                     krylov_annihilator(m, basis[0])
+
+
+def count_rationals(monkeypatch):
+    """The list of the (num, den) pairs that ``quadsum.matrix._rational``
+    builds from now on."""
+    built = []
+    real = quadsum.matrix._rational
+    monkeypatch.setattr(quadsum.matrix, "_rational",
+                        lambda num, den: built.append((num, den)) or real(num, den))
+    return built
+
+
+def test_integral_returns_an_integer_vector_as_it_is():
+    """A rational vector whose entries are all ints is its own integer form,
+    over 1; one with a non-integer entry is scaled by the lcm."""
+    v = [3, -1, 0, 7]
+    [(w, d)] = _integral([v])
+    assert w is v and d == 1
+    assert _integral([[1, Fraction(1, 2), Fraction(-2, 3)]]) == [([6, 3, -4], 6)]
+
+
+def test_integer_products_build_no_rational(monkeypatch):
+    """Over Q a dot product of an integer row and an integer column is its
+    own canonical value, so ``_raw_products`` builds no rational for it; a
+    row with one non-integer entry takes one ``_rational`` per entry.  The
+    products equal the naive sums either way."""
+    rng = random.Random(41)
+    built = count_rationals(monkeypatch)
+    rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
+    cols = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+    naive = [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
+    got = _raw_products(QQ, rows, _columns(QQ, cols))
+    assert got == naive and all(type(x) is int for r in got for x in r)
+    assert built == []
+    rows[2][3] = Fraction(1, 3)
+    got = _raw_products(QQ, rows, _columns(QQ, cols))
+    assert got == [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
+    assert len(built) == len(cols)
+
+
+def test_integer_krylov_chain_builds_rationals_only_for_its_relation(monkeypatch):
+    """The Krylov chain of an integer vector under an integer matrix over Q
+    stays integral, so the only rationals built are the k + 1 coefficients
+    of its relation."""
+    rng = random.Random(3)
+    built = count_rationals(monkeypatch)
+    for n in (4, 8, 12):
+        m = rand_matrix(QQ, n, rng)
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        built.clear()
+        coeffs, chain = _krylov_relation(QQ, _columns(QQ, m.raw_rows()), v, n)
+        assert len(built) == len(coeffs) == len(chain) + 1
 
 
 def test_combination_matches_the_naive_sum(monkeypatch):
