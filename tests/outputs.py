@@ -36,10 +36,10 @@ and of A for the three decomposable ones, of ``rand_matrix``,
 C(t^2 - t)^(+n/2) (similar to J_2(0)^(+n/2) and diag(0, 1)^(+n/2)) over
 GF(2) and GF(3) at n in ``PACKED_SIZES``, where the kernels pack.
 
-``--write`` also records a fixed slice of the jobs and of the inputs of the
-last two sections, with their inputs, in ``tests/data/outputs_slice.json``;
-``test_outputs.py`` checks that slice in tier-1, so a later change to
-``gen.py`` cannot break the test.  ``--check``
+``--write`` also records a fixed slice of the jobs and of the ``rational``
+and ``packed`` inputs, each with its input, in
+``tests/data/outputs_slice.json``; ``test_outputs.py`` checks that slice in
+tier-1, so a later change to ``gen.py`` cannot break the test.  ``--check``
 exits 1 when any entry differs.
 """
 
@@ -190,12 +190,9 @@ def wide_outputs():
         for n in WIDE_SIZES:
             rng = random.Random(f"outputs/{p}/{n}")
             m = rand_matrix(field, n, rng)
-            d = rand_decomposable(field, n, rng)
-            cert = construct(d, QuadParams.of(field))
+            d = input_outputs(rand_decomposable(field, n, rng), True)
             out[f"GF({p}) n={n}"] = {"random F,T": digest(_frobenius(m)),
-                                     "decomposable F,T": digest(_frobenius(d)),
-                                     "decomposable A": digest(
-                                         [[str(x) for x in row] for row in cert.a_part.raw_rows()])}
+                                     "decomposable F,T": d["F,T"], "decomposable A": d["A"]}
     return out
 
 
